@@ -1,11 +1,7 @@
 """Statevector update kernels.
 
-Two interchangeable implementations of the in-place gate updates: numba
-@njit loops (default) and a pure-numpy fallback. Selection happens at import
-time via the NOISEKIT_NUMBA env var ("0"/"false" disables the jit path) or
-automatically when numba is not importable. Both paths perform the same
-elementwise arithmetic, so their outputs are bit-for-bit identical; see
-benchmarks/bench_kernels.py for a speed comparison.
+In-place numpy updates for the gates that change amplitudes. `ACTIVE` is
+the set the simulator applies; tests may substitute another.
 
 All kernels take the flat complex amplitude array and bit strides computed
 as 1 << (n - 1 - qubit), i.e. qubit 0 owns the most significant index bit.
@@ -13,7 +9,6 @@ as 1 << (n - 1 - qubit), i.e. qubit 0 owns the most significant index bit.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from typing import Callable
 
@@ -22,9 +17,7 @@ import numpy as np
 _RSQRT2 = 1.0 / math.sqrt(2.0)
 
 
-# -- pure-numpy path ---------------------------------------------------------
-
-def _h_numpy(psi: np.ndarray, stride: int) -> None:
+def _h(psi: np.ndarray, stride: int) -> None:
     v = psi.reshape(-1, 2, stride)
     a = v[:, 0, :].copy()
     b = v[:, 1, :].copy()
@@ -32,26 +25,14 @@ def _h_numpy(psi: np.ndarray, stride: int) -> None:
     v[:, 1, :] = (a - b) * _RSQRT2
 
 
-def _x_numpy(psi: np.ndarray, stride: int) -> None:
+def _x(psi: np.ndarray, stride: int) -> None:
     v = psi.reshape(-1, 2, stride)
     a = v[:, 0, :].copy()
     v[:, 0, :] = v[:, 1, :]
     v[:, 1, :] = a
 
 
-def _y_numpy(psi: np.ndarray, stride: int) -> None:
-    v = psi.reshape(-1, 2, stride)
-    a = v[:, 0, :].copy()
-    v[:, 0, :] = v[:, 1, :] * (-1j)
-    v[:, 1, :] = a * 1j
-
-
-def _z_numpy(psi: np.ndarray, stride: int) -> None:
-    v = psi.reshape(-1, 2, stride)
-    v[:, 1, :] = -v[:, 1, :]
-
-
-def _cnot_numpy(psi: np.ndarray, control_stride: int, target_stride: int) -> None:
+def _cnot(psi: np.ndarray, control_stride: int, target_stride: int) -> None:
     hi, lo = max(control_stride, target_stride), min(control_stride, target_stride)
     n = psi.shape[0]
     v = psi.reshape(n // (2 * hi), 2, hi // (2 * lo), 2, lo)
@@ -67,58 +48,6 @@ def _cnot_numpy(psi: np.ndarray, control_stride: int, target_stride: int) -> Non
         block[:, 1, :, :] = tmp
 
 
-# -- numba loop path ---------------------------------------------------------
-# Same arithmetic as above, written as explicit pair loops for @njit.
-
-def _h_loop(psi, stride):
-    n = psi.shape[0]
-    for base in range(0, n, 2 * stride):
-        for i in range(base, base + stride):
-            j = i + stride
-            a = psi[i]
-            b = psi[j]
-            psi[i] = (a + b) * _RSQRT2
-            psi[j] = (a - b) * _RSQRT2
-
-
-def _x_loop(psi, stride):
-    n = psi.shape[0]
-    for base in range(0, n, 2 * stride):
-        for i in range(base, base + stride):
-            j = i + stride
-            a = psi[i]
-            psi[i] = psi[j]
-            psi[j] = a
-
-
-def _y_loop(psi, stride):
-    n = psi.shape[0]
-    for base in range(0, n, 2 * stride):
-        for i in range(base, base + stride):
-            j = i + stride
-            a = psi[i]
-            psi[i] = psi[j] * (-1j)
-            psi[j] = a * 1j
-
-
-def _z_loop(psi, stride):
-    n = psi.shape[0]
-    for base in range(0, n, 2 * stride):
-        for i in range(base, base + stride):
-            j = i + stride
-            psi[j] = -psi[j]
-
-
-def _cnot_loop(psi, control_stride, target_stride):
-    n = psi.shape[0]
-    for i in range(n):
-        if (i & control_stride) != 0 and (i & target_stride) == 0:
-            j = i | target_stride
-            a = psi[i]
-            psi[i] = psi[j]
-            psi[j] = a
-
-
 @dataclass(frozen=True)
 class KernelSet:
     """One complete set of in-place statevector updates."""
@@ -126,36 +55,7 @@ class KernelSet:
     name: str
     h: Callable
     x: Callable
-    y: Callable
-    z: Callable
     cnot: Callable
 
 
-NUMPY_KERNELS = KernelSet("numpy", _h_numpy, _x_numpy, _y_numpy, _z_numpy, _cnot_numpy)
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    _HAVE_NUMBA = False
-
-
-def _env_allows_numba() -> bool:
-    return os.environ.get("NOISEKIT_NUMBA", "1").strip().lower() not in ("0", "false", "no")
-
-
-if _HAVE_NUMBA:
-    _jit = njit(cache=True)
-    NUMBA_KERNELS: KernelSet | None = KernelSet(
-        "numba", _jit(_h_loop), _jit(_x_loop), _jit(_y_loop), _jit(_z_loop), _jit(_cnot_loop)
-    )
-else:
-    NUMBA_KERNELS = None
-
-ACTIVE: KernelSet = NUMBA_KERNELS if (_HAVE_NUMBA and _env_allows_numba()) else NUMPY_KERNELS
-
-
-def available_kernel_sets() -> list[KernelSet]:
-    """All usable kernel sets (for equivalence tests and benchmarks)."""
-    return [NUMPY_KERNELS] + ([NUMBA_KERNELS] if NUMBA_KERNELS is not None else [])
+ACTIVE = KernelSet("numpy", _h, _x, _cnot)

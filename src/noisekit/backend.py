@@ -76,7 +76,7 @@ class MockBackend:
             sampler = TrajectorySampler(circuit, self._model)
             sub = child_seed(seed, index)
             if self.truth.hidden_readout_strength > 0.0 and sampler.num_bits:
-                pre, obs = sampler._sample_arrays(shots, sub)
+                pre, obs = sampler.sample_arrays(shots, sub)
                 obs = self._hidden_flips(pre, obs, sampler.num_bits, sub)
                 out.append(counts_from_indices(obs, sampler.num_bits, shots))
             else:

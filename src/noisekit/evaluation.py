@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .circuit import Circuit
-from .errors import ArityMismatch, EmptyLadder
+from .errors import ArityMismatch, ConfigError, EmptyLadder
 from .noise import CompositeNoiseModel
 from .outcomes import Counts, Distribution, as_frequencies
 from .rng import child_seed
@@ -96,8 +96,11 @@ def score_model(
     Sampled mode simulates `resamples` independent count sets of `sim_shots`
     each (default: the experiment's own shot count) and reports the mean and
     spread of the TVD values. Exact mode compares against the channel-
-    averaged distribution directly.
+    averaged distribution directly. `resamples` must be at least 1 in
+    either mode.
     """
+    if resamples < 1:
+        raise ConfigError(f"resamples must be >= 1, got {resamples}")
     cnots = run.circuit.cnot_count
     if exact:
         dist = simulate_noisy_exact(run.circuit, model)

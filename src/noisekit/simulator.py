@@ -1,15 +1,18 @@
-"""Ideal, exact-noisy, and Monte Carlo trajectory simulation.
+"""Ideal, exact-noisy, and Monte Carlo simulation through Pauli frames.
 
 Circuits are internally remapped onto their active qubits, so simulation
 cost scales with the touched register slice rather than the device size.
 Measurements must be terminal per qubit (no gate may act on a qubit after
 it is measured) and each qubit may be measured at most once.
 
-Trajectory semantics: per noisy gate, with the channel probability, inject
-one uniformly chosen Pauli from {X, Y, Z}; per measured bit, flip with the
-readout model probability. Shots with identical injected-error patterns are
-grouped and share one statevector evaluation, which leaves the sampled law
-unchanged.
+Every gate ({H, X, CNOT, id, measure}) is Clifford and every gate channel
+is Pauli, so a noisy run is the ideal run with a Pauli error frame on top.
+Only the frame's X part reaches the measured bits, as an XOR flip mask. A
+circuit is therefore compiled once into its ideal measured-bit marginal
+(one statevector run) and, for each noise site, the flip masks of an X, Y
+or Z injected right after that gate. Sampled shots are ideal draws XOR the
+masks of the errors drawn per shot; the exact distribution mixes the ideal
+one over the same masks. Readout then acts as a per-bit stochastic channel.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ import numpy as np
 
 from . import _kernels
 from .circuit import Circuit
-from .errors import TooWide
+from .errors import NormDrift, TooWide
 from .noise import CompositeNoiseModel
 from .outcomes import Counts, Distribution
 from .rng import generator
@@ -27,24 +30,17 @@ _STREAM_OUTCOMES = 1
 _STREAM_READOUT = 2
 _STREAM_MULTINOMIAL = 4
 
-_PAULI_MATS = {
-    1: np.array([[0, 1], [1, 0]], dtype=complex),
-    2: np.array([[0, -1j], [1j, 0]], dtype=complex),
-    3: np.array([[1, 0], [0, -1]], dtype=complex),
-}
-_H_MAT = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
-_CNOT_MAT = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
-
 
 class _Compiled:
-    """Circuit lowered onto its active qubits."""
+    """Circuit lowered onto its active qubits, with its ideal measured-bit
+    marginal and its per-gate flip masks."""
 
-    def __init__(self, circuit: Circuit):
+    def __init__(self, circuit: Circuit, max_qubits: int):
         actives = circuit.active_qubits()
-        self.local = {q: i for i, q in enumerate(actives)}
         self.n = len(actives)
+        if self.n > max_qubits:
+            raise TooWide(f"{self.n} active qubits exceeds the {max_qubits}-qubit guard")
+        local = {q: i for i, q in enumerate(actives)}
         self.ops: list[tuple[str, tuple[int, ...], tuple[int, ...]]] = []
         measured: dict[int, int] = {}  # clbit -> local qubit
         measured_orig: dict[int, int] = {}
@@ -56,26 +52,54 @@ class _Compiled:
                         f"gate on qubit {q} after its measurement is unsupported"
                     )
             if g.name == "measure":
-                measured[g.clbit] = self.local[g.qubits[0]]
+                measured[g.clbit] = local[g.qubits[0]]
                 measured_orig[g.clbit] = g.qubits[0]
                 done.add(g.qubits[0])
-            self.ops.append((g.name, tuple(self.local[q] for q in g.qubits), g.qubits))
-        self.clbits = sorted(measured)
-        self.measured_locals = [measured[c] for c in self.clbits]
-        self.measured_qubits = [measured_orig[c] for c in self.clbits]
-        self.num_bits = len(self.clbits)
+            self.ops.append((g.name, tuple(local[q] for q in g.qubits), g.qubits))
+        clbits = sorted(measured)
+        self.measured_locals = [measured[c] for c in clbits]
+        self.measured_qubits = [measured_orig[c] for c in clbits]
+        self.num_bits = len(clbits)
+        psi = _run_statevector(self)
+        self.ideal = _measured_marginal(np.abs(psi) ** 2, self)
+        self.flips = self._flip_masks()
 
     def stride(self, local_qubit: int) -> int:
         return 1 << (self.n - 1 - local_qubit)
 
+    def _flip_masks(self) -> list[tuple[tuple[int, int], ...]]:
+        """Per op and operand, the measured-bit flips (x_mask, z_mask) of an
+        X and of a Z injected right after the op.
 
-def _run_statevector(comp: _Compiled, fixups=None, kernels=None) -> np.ndarray:
-    """Apply the compiled ops (plus optional per-op Pauli injections)."""
-    k = kernels or _kernels.ACTIVE
+        One backward sweep: fx[q] / fz[q] hold the flips an X / Z on local
+        qubit q causes from the current point on. Classical bit k is bit
+        num_bits - 1 - k of an outcome index.
+        """
+        fx = [0] * self.n
+        fz = [0] * self.n
+        for k, q in enumerate(self.measured_locals):
+            fx[q] = 1 << (self.num_bits - 1 - k)
+        out: list[tuple[tuple[int, int], ...]] = [()] * len(self.ops)
+        for i in range(len(self.ops) - 1, -1, -1):
+            name, locs, _ = self.ops[i]
+            out[i] = tuple((fx[q], fz[q]) for q in locs)
+            if name == "h":  # H X H = Z, H Z H = X
+                q = locs[0]
+                fx[q], fz[q] = fz[q], fx[q]
+            elif name == "cnot":  # X_c -> X_c X_t, Z_t -> Z_c Z_t
+                c, t = locs
+                fx[c] ^= fx[t]
+                fz[t] ^= fz[c]
+            # x, id and measure commute with every Pauli up to a phase
+        return out
+
+
+def _run_statevector(comp: _Compiled) -> np.ndarray:
+    """Apply the compiled ops to |0...0> with the active kernels."""
+    k = _kernels.ACTIVE
     psi = np.zeros(1 << comp.n, dtype=complex)
     psi[0] = 1.0
-    pauli_fns = {1: k.x, 2: k.y, 3: k.z}
-    for i, (name, locs, _) in enumerate(comp.ops):
+    for name, locs, _ in comp.ops:
         if name == "h":
             k.h(psi, comp.stride(locs[0]))
         elif name == "x":
@@ -83,11 +107,9 @@ def _run_statevector(comp: _Compiled, fixups=None, kernels=None) -> np.ndarray:
         elif name == "cnot":
             k.cnot(psi, comp.stride(locs[0]), comp.stride(locs[1]))
         # "id" and "measure" leave the state untouched
-        if fixups is not None:
-            for local_q, code in fixups.get(i, ()):
-                pauli_fns[code](psi, comp.stride(local_q))
     norm = np.linalg.norm(psi)
-    assert abs(norm - 1.0) < 1e-10, f"statevector norm drifted to {norm}"
+    if not abs(norm - 1.0) < 1e-10:
+        raise NormDrift(f"statevector norm drifted to {norm} (kernels {k.name})")
     return psi
 
 
@@ -104,6 +126,38 @@ def _measured_marginal(probs: np.ndarray, comp: _Compiled) -> np.ndarray:
     return t.transpose(order).reshape(-1)
 
 
+def _noise_sites(comp: _Compiled, model: CompositeNoiseModel) -> tuple[list[float], np.ndarray]:
+    """Depolarizing probability and flip masks (I, X, Y, Z) of every site
+    whose errors can reach a measured bit."""
+    probs: list[float] = []
+    masks: list[tuple[int, int, int, int]] = []
+    for (name, _, origs), flips in zip(comp.ops, comp.flips):
+        if name == "h":
+            p = model.h_for(origs[0])
+        elif name == "x":
+            p = model.x_for(origs[0])
+        elif name == "cnot" and model.cnot_dp_on:
+            p = model.cnot_for(*origs)
+        else:
+            continue
+        if p > 0.0:
+            for fx, fz in flips:
+                if fx or fz:
+                    probs.append(p)
+                    masks.append((0, fx, fx ^ fz, fz))
+    return probs, np.array(masks, dtype=np.int64).reshape(-1, 4)
+
+
+def _readout_rates(
+    comp: _Compiled, model: CompositeNoiseModel
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Per classical bit (p0, p1) arrays, or None when readout is off."""
+    if not (model.readout_on and comp.num_bits):
+        return None
+    ros = [model.readout_for(q) for q in comp.measured_qubits]
+    return np.array([r.p0 for r in ros]), np.array([r.p1 for r in ros])
+
+
 def _to_distribution(vec: np.ndarray, num_bits: int, floor: float = 1e-15) -> Distribution:
     probs = {
         format(i, f"0{num_bits}b") if num_bits else "": float(p)
@@ -115,38 +169,8 @@ def _to_distribution(vec: np.ndarray, num_bits: int, floor: float = 1e-15) -> Di
 
 def simulate_ideal(circuit: Circuit, max_qubits: int = 24) -> Distribution:
     """Exact measurement distribution of the noiseless circuit."""
-    comp = _Compiled(circuit)
-    if comp.n > max_qubits:
-        raise TooWide(f"{comp.n} active qubits exceeds the {max_qubits}-qubit guard")
-    psi = _run_statevector(comp)
-    return _to_distribution(_measured_marginal(np.abs(psi) ** 2, comp), comp.num_bits)
-
-
-# -- exact noisy simulation (density matrix) ---------------------------------
-
-def _apply_axes(t: np.ndarray, mat: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    """Multiply `mat` onto the given tensor axes (collapsed in order)."""
-    rest = [a for a in range(t.ndim) if a not in axes]
-    t = t.transpose(list(axes) + rest)
-    shape = t.shape
-    dim = mat.shape[0]
-    t = (mat @ t.reshape(dim, -1)).reshape(shape)
-    inv = np.argsort(list(axes) + rest)
-    return t.transpose(inv)
-
-
-def _dm_apply_unitary(rho: np.ndarray, mat: np.ndarray, locs: tuple[int, ...], n: int):
-    rho = _apply_axes(rho, mat, locs)
-    return _apply_axes(rho, mat.conj(), tuple(a + n for a in locs))
-
-
-def _dm_depolarize(rho: np.ndarray, local_q: int, p: float, n: int) -> np.ndarray:
-    if p == 0.0:
-        return rho
-    mix = sum(
-        _dm_apply_unitary(rho, _PAULI_MATS[code], (local_q,), n) for code in (1, 2, 3)
-    )
-    return (1.0 - p) * rho + (p / 3.0) * mix
+    comp = _Compiled(circuit, max_qubits)
+    return _to_distribution(comp.ideal, comp.num_bits)
 
 
 def simulate_noisy_exact(
@@ -154,142 +178,82 @@ def simulate_noisy_exact(
 ) -> Distribution:
     """Channel-averaged outcome distribution under the composite model.
 
-    Density-matrix evolution: each gate is followed by its depolarizing
-    channel, and the readout channel acts as a per-bit stochastic matrix on
-    the classical outcome distribution.
+    Each noise site mixes the ideal marginal over its flip masks,
+    v <- (1 - p) v + p/3 (v[i ^ m_X] + v[i ^ m_Y] + v[i ^ m_Z]); the readout
+    channel then acts as a per-bit stochastic matrix.
     """
-    comp = _Compiled(circuit)
-    if comp.n > max_qubits:
-        raise TooWide(f"{comp.n} active qubits exceeds the {max_qubits}-qubit guard")
-    rho = np.zeros([2] * (2 * comp.n), dtype=complex)
-    rho[(0,) * (2 * comp.n)] = 1.0
-    for name, locs, origs in comp.ops:
-        if name == "h":
-            rho = _dm_apply_unitary(rho, _H_MAT, locs, comp.n)
-            rho = _dm_depolarize(rho, locs[0], model.h_for(origs[0]), comp.n)
-        elif name == "x":
-            rho = _dm_apply_unitary(rho, _PAULI_MATS[1], locs, comp.n)
-            rho = _dm_depolarize(rho, locs[0], model.x_for(origs[0]), comp.n)
-        elif name == "cnot":
-            rho = _dm_apply_unitary(rho, _CNOT_MAT, locs, comp.n)
-            if model.cnot_dp_on:
-                p = model.cnot_for(*origs)
-                rho = _dm_depolarize(rho, locs[0], p, comp.n)
-                rho = _dm_depolarize(rho, locs[1], p, comp.n)
-    diag = np.real(np.einsum("ii->i", rho.reshape(1 << comp.n, 1 << comp.n)))
-    vec = _measured_marginal(diag, comp)
-    if model.readout_on and comp.num_bits:
-        vec = vec.reshape([2] * comp.num_bits)
-        for bit, q in enumerate(comp.measured_qubits):
-            ro = model.readout_for(q)
-            stoch = np.array([[1.0 - ro.p0, ro.p1], [ro.p0, 1.0 - ro.p1]])
-            vec = _apply_axes(vec, stoch, (bit,))
-        vec = vec.reshape(-1)
+    comp = _Compiled(circuit, max_qubits)
+    probs, masks = _noise_sites(comp, model)
+    vec = comp.ideal
+    index = np.arange(vec.size)
+    for p, (_, mx, my, mz) in zip(probs, masks):
+        mixed = vec[index ^ mx] + vec[index ^ my] + vec[index ^ mz]
+        vec = (1.0 - p) * vec + (p / 3.0) * mixed
+    rates = _readout_rates(comp, model)
+    if rates is not None:
+        for bit, (p0, p1) in enumerate(zip(*rates)):
+            t = vec.reshape(1 << bit, 2, -1)
+            zero, one = t[:, 0], t[:, 1]
+            vec = np.stack(
+                ((1.0 - p0) * zero + p1 * one, p0 * zero + (1.0 - p1) * one), axis=1
+            ).reshape(-1)
     return _to_distribution(vec, comp.num_bits)
 
-
-# -- Monte Carlo trajectory sampling ------------------------------------------
 
 class TrajectorySampler:
     """Reusable sampler for one (circuit, model) pair.
 
-    Outcome distributions for distinct injected-error patterns are cached,
-    so repeated sampling (e.g. across evaluation resamples) only pays for
-    statevector runs on patterns not yet seen.
+    The circuit is compiled once; each shot is an ideal outcome XOR the
+    flip masks of the errors drawn for it, then passed through readout.
     """
 
     def __init__(self, circuit: Circuit, model: CompositeNoiseModel,
-                 max_qubits: int = 24, kernels=None):
-        self._comp = _Compiled(circuit)
-        if self._comp.n > max_qubits:
-            raise TooWide(
-                f"{self._comp.n} active qubits exceeds the {max_qubits}-qubit guard"
-            )
-        self._kernels = kernels
-        sites: list[tuple[int, int, float]] = []  # (op index, local qubit, prob)
-        for i, (name, locs, origs) in enumerate(self._comp.ops):
-            if name == "h":
-                p = model.h_for(origs[0])
-                if p > 0.0:
-                    sites.append((i, locs[0], p))
-            elif name == "x":
-                p = model.x_for(origs[0])
-                if p > 0.0:
-                    sites.append((i, locs[0], p))
-            elif name == "cnot" and model.cnot_dp_on:
-                p = model.cnot_for(*origs)
-                if p > 0.0:
-                    sites.append((i, locs[0], p))
-                    sites.append((i, locs[1], p))
-        self._sites = sites
-        self._readout_on = model.readout_on and self._comp.num_bits > 0
-        if self._readout_on:
-            ros = [model.readout_for(q) for q in self._comp.measured_qubits]
-            self._p0 = np.array([r.p0 for r in ros])
-            self._p1 = np.array([r.p1 for r in ros])
-        self._cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
+                 max_qubits: int = 24):
+        self._comp = _Compiled(circuit, max_qubits)
+        self._probs, self._masks = _noise_sites(self._comp, model)
+        self._readout = _readout_rates(self._comp, model)
+        ideal = self._comp.ideal
+        self._support = np.flatnonzero(ideal > 1e-16).astype(np.int64)
+        weights = ideal[self._support]
+        self._weights = weights / weights.sum()
 
     @property
     def num_bits(self) -> int:
         return self._comp.num_bits
 
-    def _pattern_probs(self, row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        key = row.tobytes()
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        fixups: dict[int, list[tuple[int, int]]] = {}
-        for (op_i, local_q, _), code in zip(self._sites, row):
-            if code:
-                fixups.setdefault(op_i, []).append((local_q, int(code)))
-        psi = _run_statevector(self._comp, fixups, self._kernels)
-        vec = _measured_marginal(np.abs(psi) ** 2, self._comp)
-        idx = np.flatnonzero(vec > 1e-16).astype(np.int64)
-        entry = (idx, vec[idx])
-        self._cache[key] = entry
-        return entry
-
-    def _sample_arrays(self, shots: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    def sample_arrays(self, shots: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
         """Per-shot (pre-readout, observed) outcome indices."""
         if shots == 0:
             empty = np.zeros(0, dtype=np.int64)
             return empty, empty
+        # Frames are i.i.d. per shot and independent of the ideal draw, so
+        # XOR-ing them onto the sorted multinomial draw leaves the law intact.
         rng_err = generator(seed, _STREAM_ERRORS)
-        if self._sites:
-            cols = []
-            for _, _, p in self._sites:
-                u = rng_err.random(shots)
-                picks = rng_err.integers(1, 4, size=shots, dtype=np.uint8)
-                cols.append(np.where(u < p, picks, np.uint8(0)))
-            codes = np.column_stack(cols)
-            patterns, pattern_counts = np.unique(codes, axis=0, return_counts=True)
-        else:
-            patterns = np.zeros((1, 0), dtype=np.uint8)
-            pattern_counts = np.array([shots])
-        rng_out = generator(seed, _STREAM_OUTCOMES)
-        chunks = []
-        for row, group_shots in zip(patterns, pattern_counts):
-            idx, p = self._pattern_probs(row)
-            draws = rng_out.multinomial(int(group_shots), p / p.sum())
-            chunks.append(np.repeat(idx, draws))
-        pre = np.concatenate(chunks)
+        flips = np.zeros(shots, dtype=np.int64)
+        for p, masks in zip(self._probs, self._masks):
+            u = rng_err.random(shots)
+            picks = rng_err.integers(1, 4, size=shots, dtype=np.uint8)
+            flips ^= masks[np.where(u < p, picks, np.uint8(0))]
+        draws = generator(seed, _STREAM_OUTCOMES).multinomial(shots, self._weights)
+        pre = np.repeat(self._support, draws) ^ flips
         obs = pre
         m = self._comp.num_bits
-        if self._readout_on:
+        if self._readout is not None:
+            p0, p1 = self._readout
             rng_ro = generator(seed, _STREAM_READOUT)
-            flips = np.zeros(shots, dtype=np.int64)
+            ro_flips = np.zeros(shots, dtype=np.int64)
             for bit in range(m):
                 pos = m - 1 - bit
                 vals = (pre >> pos) & 1
-                p_flip = np.where(vals == 1, self._p1[bit], self._p0[bit])
-                flips |= (rng_ro.random(shots) < p_flip).astype(np.int64) << pos
-            obs = pre ^ flips
+                p_flip = np.where(vals == 1, p1[bit], p0[bit])
+                ro_flips |= (rng_ro.random(shots) < p_flip).astype(np.int64) << pos
+            obs = pre ^ ro_flips
         return pre, obs
 
     def sample(self, shots: int, seed: int) -> Counts:
         if shots == 0:
             return Counts({}, 0)
-        _, obs = self._sample_arrays(shots, seed)
+        _, obs = self.sample_arrays(shots, seed)
         return counts_from_indices(obs, self._comp.num_bits, shots)
 
 

@@ -146,12 +146,12 @@ def test_load_counts_not_json(tmp_path):
 
 
 def test_sampler_exposes_preimage(line2):
-    """Internal trajectory API returns matched (pre, post) readout strings."""
+    """The public trajectory API returns matched (pre, post) readout indices."""
     model = uniform_truth(line2, p0=0.5, p1=0.5, p_x=0.0, p_cnot=0.0)
     from noisekit.applications import build_ghz
 
     sampler = TrajectorySampler(build_ghz(2, line2), model)
-    pre, obs = sampler._sample_arrays(10_000, seed=8)
+    pre, obs = sampler.sample_arrays(10_000, seed=8)
     assert pre.shape == obs.shape == (10_000,)
     # maximal readout noise decouples observation from preparation
     flips = (pre ^ obs).mean()

@@ -239,3 +239,27 @@ def test_file_backend_through_cli(setup):
     replay = json.loads((out / "archive.json").read_text())
     original = json.loads(archive.read_text())
     assert replay["entries"] == original["entries"]
+
+
+def _evaluate_argv(tmp_path, device, truth):
+    model = tmp_path / "model.json"
+    uniform_truth(line(4)).save(model)
+    return ["evaluate", "--device", str(device), "--backend", f"mock:{truth}",
+            "--app", "ghz:3", "--model", str(model), "--shots", "64"]
+
+
+def _demo_argv(tmp_path, device, truth):
+    return ["demo", "--shots", "64", "--max-ghz", "2"]
+
+
+@pytest.mark.parametrize("resamples", ["0", "-3"])
+@pytest.mark.parametrize("make_argv", [_evaluate_argv, _demo_argv],
+                         ids=["evaluate", "demo"])
+def test_resamples_below_one_exit_2(setup, capsys, make_argv, resamples):
+    tmp_path, device, truth = setup
+    argv = make_argv(tmp_path, device, truth)
+    code = main([*argv, "--resamples", resamples, "--out", str(tmp_path / "o")])
+    assert code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ConfigError"

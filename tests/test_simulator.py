@@ -1,12 +1,22 @@
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import noisekit
+from dm_oracle import exact_outcome_vector
+from noisekit import _kernels
 from noisekit.circuit import Circuit, cnot, h, identity, measure, x
-from noisekit.errors import TooWide
+from noisekit.errors import NormDrift, TooWide
 from noisekit.noise import CompositeNoiseModel, ReadoutModel
 from noisekit.outcomes import Distribution
 from noisekit.simulator import (
     TrajectorySampler,
+    _Compiled,
     sample_from_distribution,
     simulate_ideal,
     simulate_noisy_exact,
@@ -78,6 +88,68 @@ def test_mid_circuit_measurement_rejected():
         simulate_ideal(circuit)
 
 
+def _norm_breaking_h(psi, stride):
+    psi *= 2.0
+
+
+def test_norm_guard_raises(monkeypatch, bell_circuit):
+    broken = dataclasses.replace(_kernels.ACTIVE, name="broken", h=_norm_breaking_h)
+    monkeypatch.setattr(_kernels, "ACTIVE", broken)
+    with pytest.raises(NormDrift):
+        simulate_ideal(bell_circuit)
+
+
+_NORM_GUARD_SCRIPT = """
+import dataclasses, sys
+from noisekit import _kernels
+from noisekit.circuit import Circuit, h, measure
+from noisekit.errors import NormDrift
+from noisekit.simulator import simulate_ideal
+
+if __debug__:
+    sys.exit(3)  # asserts are live: not running under -O
+_kernels.ACTIVE = dataclasses.replace(_kernels.ACTIVE, h=lambda psi, stride: psi.__imul__(2.0))
+try:
+    simulate_ideal(Circuit(1, 1, (h(0), measure(0, 0)), "h"))
+except NormDrift:
+    sys.exit(0)
+sys.exit(1)
+"""
+
+
+def test_norm_guard_survives_optimize_flag():
+    src = str(Path(noisekit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-O", "-c", _NORM_GUARD_SCRIPT],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+# -- Pauli-frame flip masks ----------------------------------------------------
+
+def test_flip_mask_z_before_final_h_flips_bit():
+    comp = _Compiled(Circuit(1, 1, (h(0), h(0), measure(0, 0)), "hh"), 24)
+    assert comp.flips[0] == ((0, 1),)  # (X flips, Z flips) after the first H
+
+
+def test_flip_mask_x_on_control_before_cnot_flips_both_bits(bell_circuit):
+    comp = _Compiled(bell_circuit, 24)
+    assert comp.flips[0] == ((0b11, 0),)
+
+
+def test_flip_mask_z_on_measured_qubit_flips_nothing():
+    comp = _Compiled(Circuit(1, 1, (h(0), measure(0, 0)), "h"), 24)
+    assert comp.flips[0] == ((1, 0),)
+
+
+def test_flip_masks_follow_classical_bit_order():
+    # qubit 0 -> clbit 1 (least significant of two bits), qubit 1 -> clbit 0
+    circuit = Circuit(3, 2, (x(0), x(1), x(2), measure(0, 1), measure(1, 0)), "swap")
+    comp = _Compiled(circuit, 24)
+    assert comp.flips[:3] == [((0b01, 0),), ((0b10, 0),), ((0, 0),)]
+
+
 # -- simulate_noisy_exact ------------------------------------------------------
 
 def test_exact_noiseless_limit(bell_circuit):
@@ -108,6 +180,53 @@ def test_exact_equals_ideal_at_zero_noise():
         ideal = simulate_ideal(circuit)
         exact = simulate_noisy_exact(circuit, NOISELESS)
         assert _tvd(dict(ideal.items()), dict(exact.items())) < 1e-12
+
+
+def _random_oracle_case(rng, trial):
+    """Random H/X/CNOT/id circuit on <= 5 of 6 register qubits, measuring a
+    random subset (possibly none) onto shuffled classical bits, under a
+    random per-element model."""
+    register = 6
+    n = int(rng.integers(1, 6))
+    qubits = [int(q) for q in rng.choice(register, size=n, replace=False)]
+    gates = []
+    for _ in range(int(rng.integers(1, 12))):
+        kind = int(rng.integers(0, 4 if n >= 2 else 3))
+        q = qubits[int(rng.integers(0, n))]
+        if kind == 0:
+            gates.append(h(q))
+        elif kind == 1:
+            gates.append(x(q))
+        elif kind == 2:
+            gates.append(identity(q))
+        else:
+            a, b = rng.choice(qubits, size=2, replace=False)
+            gates.append(cnot(int(a), int(b)))
+    active = sorted({q for g in gates for q in g.qubits})
+    measured = [int(q) for q in rng.permutation(active)[: int(rng.integers(0, len(active) + 1))]]
+    clbits = rng.permutation(len(measured))
+    gates += [measure(q, int(c)) for q, c in zip(measured, clbits)]
+    pairs = [(a, b) for a in range(register) for b in range(a + 1, register)]
+    model = CompositeNoiseModel(
+        readout={q: ReadoutModel(*rng.uniform(0, 0.3, size=2)) for q in range(register)},
+        x_gate={q: float(rng.uniform(0, 0.5)) for q in range(register)},
+        h_gate={q: float(rng.uniform(0, 0.5)) for q in range(register)},
+        cnot={pair: float(rng.uniform(0, 0.5)) for pair in pairs},
+        readout_on=bool(rng.integers(0, 2)),
+        cnot_dp_on=bool(rng.integers(0, 2)),
+    )
+    return Circuit(register, len(measured), tuple(gates), f"oracle{trial}"), model
+
+
+def test_exact_matches_density_matrix_oracle():
+    rng = np.random.default_rng(7)
+    for trial in range(300):
+        circuit, model = _random_oracle_case(rng, trial)
+        expected = exact_outcome_vector(circuit, model)
+        got = np.zeros(expected.size)
+        for key, p in simulate_noisy_exact(circuit, model).items():
+            got[int(key, 2) if key else 0] = p
+        assert np.max(np.abs(got - expected)) <= 1e-12, (trial, circuit)
 
 
 def test_exact_too_wide():
