@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 
 from .circuit import Circuit, DeviceTopology, validate
-from .errors import LabelMismatch, ParseError
+from .errors import ConfigError, LabelMismatch, ParseError, parse_json_file
 from .noise import CompositeNoiseModel, expand_granularity
 from .outcomes import Counts
 from .rng import child_seed, generator
@@ -50,7 +50,7 @@ class MockGroundTruth:
 
     @classmethod
     def load(cls, path: str | Path) -> "MockGroundTruth":
-        return cls.from_json_dict(json.loads(Path(path).read_text()))
+        return parse_json_file(path, "truth file", cls.from_json_dict)
 
 
 class MockBackend:
@@ -69,7 +69,7 @@ class MockBackend:
 
     def run(self, circuits: list[Circuit], shots: int, seed: int) -> list[Counts]:
         if shots > self.max_shots:
-            raise ValueError(f"shots {shots} above backend capability {self.max_shots}")
+            raise ConfigError(f"shots {shots} above backend capability {self.max_shots}")
         out = []
         for index, circuit in enumerate(circuits):
             validate(circuit, self.topology)
@@ -102,14 +102,14 @@ def load_counts(path: str | Path) -> dict[str, Counts]:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"counts file {path} is not valid JSON: {exc}") from exc
-    entries = data.get("entries")
-    if entries is None:
+    entries = data.get("entries") if isinstance(data, dict) else None
+    if not isinstance(entries, list):
         raise ParseError(f"counts file {path} lacks an 'entries' list")
     out: dict[str, Counts] = {}
     for entry in entries:
         try:
             out[entry["label"]] = Counts(entry["counts"], entry["shots"])
-        except (KeyError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad counts entry {entry!r}: {exc}") from exc
     return out
 

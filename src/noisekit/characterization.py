@@ -56,17 +56,22 @@ class TestKind:
 
     @classmethod
     def from_label(cls, label: str) -> "TestKind":
+        """Parse a label; only a label that its kind prints back is accepted."""
         try:
             parts = label.split(":")
             kind = parts[0]
             if kind == "bell":
                 a, b = parts[1].split("-")
-                return cls("bell", coupling=(int(a[1:]), int(b[1:])))
-            if kind == "hseq":
-                return cls("hseq", qubit=int(parts[1][1:]), length=int(parts[2][3:]))
-            return cls(kind, qubit=int(parts[1][1:]))
+                parsed = cls("bell", coupling=(int(a[1:]), int(b[1:])))
+            elif kind == "hseq":
+                parsed = cls("hseq", qubit=int(parts[1][1:]), length=int(parts[2][3:]))
+            else:
+                parsed = cls(kind, qubit=int(parts[1][1:]))
         except (IndexError, ValueError) as exc:
             raise ParseError(f"bad test label {label!r}") from exc
+        if parsed.label != label:
+            raise ParseError(f"bad test label {label!r} (reads as {parsed.label!r})")
+        return parsed
 
 
 def materialize(test: TestKind) -> tuple[Circuit, Distribution]:
@@ -224,14 +229,14 @@ def read_archive(path: str | Path) -> tuple[dict, list[Characterization]]:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"archive {path} is not valid JSON: {exc}") from exc
-    if "entries" not in data:
+    if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
         raise ParseError(f"archive {path} lacks an 'entries' list")
     chars = []
     for entry in data["entries"]:
         try:
             label = entry["label"]
             counts = Counts(entry["counts"], entry["shots"])
-        except (KeyError, ValueError) as exc:
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad archive entry {entry!r}: {exc}") from exc
         kind = TestKind.from_label(label)
         circuit, expected = materialize(kind)

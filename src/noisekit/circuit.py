@@ -10,7 +10,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import NoPath, OutOfRange, UncoupledPair
+from .errors import NoPath, OutOfRange, UncoupledPair, parse_json_file
 
 GATE_ARITY = {"h": 1, "x": 1, "id": 1, "cnot": 2, "measure": 1}
 
@@ -172,7 +172,7 @@ class DeviceTopology:
 
     @classmethod
     def load(cls, path: str | Path) -> "DeviceTopology":
-        return cls.from_json_dict(json.loads(Path(path).read_text()))
+        return parse_json_file(path, "device file", cls.from_json_dict)
 
 
 def validate(circuit: Circuit, topo: DeviceTopology) -> None:

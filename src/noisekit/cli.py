@@ -29,7 +29,7 @@ from .characterization import (
     TestKind,
 )
 from .circuit import DeviceTopology
-from .errors import ConfigError, NoisekitError
+from .errors import ConfigError, NoisekitError, ParseError
 from .estimation import FitConfig, fit_composite
 from .evaluation import (
     ApplicationRun,
@@ -86,33 +86,36 @@ def _make_backend(spec: str, topo: DeviceTopology):
     raise ConfigError(f"unknown backend kind {kind!r}")
 
 
+def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(tok) for tok in text.split(",") if tok != "")
+    except ValueError as exc:
+        raise ConfigError(f"{flag} takes comma-separated integers, got {text!r}") from exc
+
+
 def _parse_subset(text: str | None) -> tuple[int, ...] | None:
-    if text is None:
-        return None
-    return tuple(int(tok) for tok in text.split(",") if tok != "")
+    return None if text is None else _parse_ints(text, "--subset")
 
 
 def _parse_app(spec: str, topo: DeviceTopology) -> list:
     """Parse ghz:<n>, ghz:<a>..<b>, or bv:<secret>@<d1,d2,...>/<oracle>."""
-    if spec.startswith("ghz:"):
-        body = spec[4:]
-        if ".." in body:
-            lo, hi = body.split("..")
-            sizes = range(int(lo), int(hi) + 1)
-        else:
-            sizes = [int(body)]
-        return [build_ghz(n, topo) for n in sizes]
-    if spec.startswith("bv:"):
-        body = spec[3:]
-        try:
-            secret, rest = body.split("@")
+    try:
+        if spec.startswith("ghz:"):
+            lo, _, hi = spec[4:].partition("..")
+            sizes = range(int(lo), int(hi or lo) + 1)
+            if not sizes:
+                raise ConfigError(f"empty ghz size range in {spec!r}")
+            return [build_ghz(n, topo) for n in sizes]
+        if spec.startswith("bv:"):
+            secret, rest = spec[3:].split("@")
             data_text, oracle_text = rest.split("/")
-        except ValueError as exc:
-            raise ConfigError(
-                f"bad bv app spec {spec!r}; expected bv:<secret>@<d1,d2,...>/<oracle>"
-            ) from exc
-        data = [int(tok) for tok in data_text.split(",")]
-        return [build_bv(secret, data, int(oracle_text), topo)]
+            data = [int(tok) for tok in data_text.split(",")]
+            return [build_bv(secret, data, int(oracle_text), topo)]
+    except ValueError as exc:
+        raise ConfigError(
+            f"bad app spec {spec!r} ({exc}); expected ghz:<n>, ghz:<a>..<b> "
+            "or bv:<secret>@<d1,d2,...>/<oracle>"
+        ) from exc
     raise ConfigError(f"unknown app spec {spec!r}")
 
 
@@ -121,14 +124,14 @@ def _parse_app(spec: str, topo: DeviceTopology) -> list:
 def cmd_characterize(args) -> int:
     if args.shots < 1:
         raise ConfigError("--shots must be >= 1")
+    if args.granularity == SUBSET_AVERAGE and not args.subset:
+        raise ConfigError("--granularity subset_average requires --subset")
     topo = _load_device(args.device)
     backend = _make_backend(args.backend, topo)
     config = SuiteConfig(
         granularity=args.granularity,
         subset=_parse_subset(args.subset),
-        hadamard_lengths=tuple(
-            int(tok) for tok in (args.hadamard_lengths or "").split(",") if tok
-        ),
+        hadamard_lengths=_parse_ints(args.hadamard_lengths or "", "--hadamard-lengths"),
         shots=args.shots,
         seed=args.seed,
     )
@@ -195,6 +198,10 @@ def cmd_evaluate(args) -> int:
         raise ConfigError("--threshold must lie in (0, 1]")
     if args.shots < 1:
         raise ConfigError("--shots must be >= 1")
+    if args.resamples < 1:
+        raise ConfigError("--resamples must be >= 1")
+    if args.sim_shots is not None and args.sim_shots < 1:
+        raise ConfigError("--sim-shots must be >= 1")
     if not args.model:
         raise ConfigError("evaluate needs at least one --model")
     topo = _load_device(args.device)
@@ -276,6 +283,8 @@ def cmd_evaluate(args) -> int:
 def cmd_demo(args) -> int:
     if args.what != "full-paper":
         raise ConfigError(f"unknown demo {args.what!r}; available: full-paper")
+    if args.resamples < 1:
+        raise ConfigError("--resamples must be >= 1")
     out = _out_dir(args)
     shots, seed = args.shots, args.seed
     print(f"== demo full-paper (shots={shots}, seed={seed}) -> {out}")
@@ -450,7 +459,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, ParseError, FileNotFoundError) as exc:
         _emit_error(exc)
         return 2
     except NoisekitError as exc:

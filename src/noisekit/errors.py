@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON-file boundary
+that turns malformed file content into one of them."""
+import json
+from pathlib import Path
 
 
 class NoisekitError(Exception):
@@ -38,7 +41,8 @@ class WrongKind(NoisekitError):
 
 
 class NoConvergence(NoisekitError):
-    """Iterative solver failed to reach its residual tolerance."""
+    """An estimator found no unique solution: its system is singular for the
+    data, or an iterative fit missed its tolerance."""
 
     def __init__(self, message, diagnostics=None):
         super().__init__(message)
@@ -83,3 +87,12 @@ class EmptyLadder(NoisekitError):
 
 class ConfigError(NoisekitError):
     """Invalid command-line or pipeline configuration."""
+
+
+def parse_json_file(path, what: str, build):
+    """Read the JSON file at `path` and return build(data); malformed JSON or
+    content that `build` rejects raises ParseError naming `what`."""
+    try:
+        return build(json.loads(Path(path).read_text()))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"{what} {path} is malformed: {exc}") from exc

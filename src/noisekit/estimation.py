@@ -1,10 +1,12 @@
 """Parameter estimation from characterization records.
 
-Direct frequency estimators for readout-of-0 error, a damped-Newton solver
-for the coupled (p1, p_x) system, a survival-decay fit for per-gate
-Hadamard error, and a bounded scalar least-squares fit for the cnot
-depolarizing parameter. Standard errors propagate binomial counting noise
-through each estimator by finite differences (delta method); estimates that
+Every test circuit has closed-form frequencies, so every estimator but one
+is exact: readout-of-0 error is a frequency, the coupled (p1, p_x) system of
+the X/XX tests is solved in closed form, and the Bell-test least-squares
+fit of the cnot depolarizing parameter is quadratic in s = 2p/3 - 4p^2/9.
+Only the Hadamard survival decay keeps a bounded scalar minimiser. Standard
+errors propagate each record's binomial counting noise (and upstream
+readout stderrs) through analytic gradients (delta method); estimates that
 land outside [0,1] are clamped and flagged infeasible rather than rejected.
 """
 from __future__ import annotations
@@ -16,6 +18,7 @@ import numpy as np
 
 from .characterization import Characterization
 from .errors import (
+    ConfigError,
     InsufficientLengths,
     MissingCoverage,
     NoConvergence,
@@ -53,7 +56,7 @@ class EstimationResult:
             raise OutOfRange(f"{self.name}: negative stderr")
 
 
-def _clamped(name, raw, stderr=0.0, residual_norm=0.0, iterations=0) -> EstimationResult:
+def _clamped(name, raw, stderr=0.0, residual_norm=0.0) -> EstimationResult:
     value = min(1.0, max(0.0, raw))
     return EstimationResult(
         name=name,
@@ -62,7 +65,6 @@ def _clamped(name, raw, stderr=0.0, residual_norm=0.0, iterations=0) -> Estimati
         stderr=stderr,
         feasible=(value == raw),
         residual_norm=residual_norm,
-        iterations=iterations,
     )
 
 
@@ -73,54 +75,7 @@ def binomial_stderr(freq: float, shots: int | None) -> float:
     return math.sqrt(v * (1.0 - v) / shots)
 
 
-# -- generic solvers -----------------------------------------------------------
-
-def damped_newton_2x2(residual_fn, x0, residual_tol=1e-10, max_iter=200,
-                      fd_step=1e-7):
-    """Solve residual_fn(x) = 0 for 2-vectors by damped Newton iteration.
-
-    The Jacobian is numerically differenced; each step is halved until the
-    residual infinity-norm decreases. Raises NoConvergence with diagnostics
-    if the tolerance is not met within max_iter iterations.
-    """
-    x = np.asarray(x0, dtype=float)
-    for iteration in range(max_iter):
-        r = np.asarray(residual_fn(x), dtype=float)
-        r_norm = np.max(np.abs(r))
-        if r_norm <= residual_tol:
-            return x, r_norm, iteration
-        jac = np.empty((2, 2))
-        for col in range(2):
-            bump = np.zeros(2)
-            bump[col] = fd_step
-            jac[:, col] = (
-                np.asarray(residual_fn(x + bump)) - np.asarray(residual_fn(x - bump))
-            ) / (2 * fd_step)
-        try:
-            step = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(
-                "singular Jacobian in 2x2 Newton solve",
-                {"x": x.tolist(), "residual": r.tolist(), "iterations": iteration},
-            ) from exc
-        scale = 1.0
-        while scale > 1e-10:
-            trial = x + scale * step
-            if np.max(np.abs(residual_fn(trial))) < r_norm:
-                break
-            scale /= 2.0
-        else:
-            raise NoConvergence(
-                "damping stalled in 2x2 Newton solve",
-                {"x": x.tolist(), "residual_norm": r_norm, "iterations": iteration},
-            )
-        x = x + scale * step
-    raise NoConvergence(
-        "residual tolerance not reached",
-        {"x": x.tolist(), "residual_norm": float(np.max(np.abs(residual_fn(x)))),
-         "iterations": max_iter},
-    )
-
+# -- bounded scalar minimiser (Hadamard decay) ----------------------------------
 
 def minimize_bounded(fn, lo, hi, param_tol=1e-10, coarse=65, max_newton=80):
     """Minimize a smooth scalar function on [lo, hi].
@@ -179,7 +134,7 @@ def minimize_bounded(fn, lo, hi, param_tol=1e-10, coarse=65, max_newton=80):
     return float(x), float(fx), iterations
 
 
-# -- direct and solved estimators ----------------------------------------------
+# -- closed-form estimators ------------------------------------------------------
 
 def _frequency_of(char: Characterization, outcome: str) -> float:
     return char.counts.frequency(outcome)
@@ -199,67 +154,52 @@ def estimate_p0(char: Characterization) -> EstimationResult:
     )
 
 
-def _x_test_frequencies_raw(p0: float, p1: float, p_x: float) -> tuple[float, float]:
-    # Same closed forms as noise.predicted_x_test_frequencies, without the
-    # domain checks so the solver can traverse infeasible iterates.
-    q = 2.0 * p_x / 3.0
-    g_x_0 = q * (1.0 - p0) + p1 * (1.0 - q)
-    g_xx_0 = (1.0 - p0) * ((1.0 - q) ** 2 + q ** 2) + p1 * (2.0 * q * (1.0 - q))
-    return g_x_0, g_xx_0
-
-
 def solve_aro_system(
     g_x_0: float,
     g_xx_0: float,
     p0: float,
-    shots: int | None = None,
+    shots: tuple[int, int] | None = None,
     p0_stderr: float = 0.0,
     qubit: int | None = None,
 ) -> tuple[EstimationResult, EstimationResult]:
     """Recover (p1, p_x) from the X / XX test frequencies given p0.
 
-    Damped Newton with a numeric Jacobian, initial guess (g_x_0, 0.001),
-    residual infinity-norm tolerance 1e-10. Raw solutions outside [0,1]
-    (possible for near-noiseless registers) are clamped and flagged.
+    With a = 1 - p0 and q = 2 p_x / 3 the test frequencies are
+    g_x = q a + p1 (1 - q) and g_xx = a - 2 q (a - g_x), so
+    q = (a - g_xx) / (2 (a - g_x)) and p1 = (g_x - q a) / (1 - q).
+    Given the (X, XX) shot counts, the stderrs propagate both tests' binomial
+    noise and p0_stderr through the exact gradient. Raw solutions outside [0,1] (possible for near-noiseless
+    registers) are clamped and flagged.
     """
     for name, value in (("g_x_0", g_x_0), ("g_xx_0", g_xx_0), ("p0", p0)):
         if not (0.0 <= value <= 1.0):
             raise OutOfRange(f"{name}={value} is not a probability")
-
-    def residual(theta):
-        pred_x, pred_xx = _x_test_frequencies_raw(p0, theta[0], theta[1])
-        return np.array([pred_x - g_x_0, pred_xx - g_xx_0])
-
-    solution, r_norm, iterations = damped_newton_2x2(residual, (g_x_0, 0.001))
-    p1_raw, px_raw = float(solution[0]), float(solution[1])
+    a = 1.0 - p0
+    gap_x, gap_xx = a - g_x_0, a - g_xx_0
+    if abs(gap_x) < 1e-12:
+        raise NoConvergence("X test frequency equals 1 - p0: p_x is unidentifiable",
+                            {"g_x_0": g_x_0, "p0": p0})
+    q = gap_xx / (2.0 * gap_x)
+    if abs(1.0 - q) < 1e-12:
+        raise NoConvergence("X/XX frequencies imply q = 1: p1 is unidentifiable",
+                            {"g_x_0": g_x_0, "g_xx_0": g_xx_0, "p0": p0})
+    p1_raw = (g_x_0 - q * a) / (1.0 - q)
+    px_raw = 1.5 * q
 
     stderr_p1 = stderr_px = 0.0
     if shots:
-        fd = 1e-7
-        jac = np.empty((2, 2))
-        for col in range(2):
-            bump = np.zeros(2)
-            bump[col] = fd
-            jac[:, col] = (residual(solution + bump) - residual(solution - bump)) / (2 * fd)
-        jac_inv = np.linalg.inv(jac)
-        var_g = np.diag(
-            [binomial_stderr(g_x_0, shots) ** 2, binomial_stderr(g_xx_0, shots) ** 2]
-        )
-        d_p0 = np.array(
-            [
-                (_x_test_frequencies_raw(p0 + fd, p1_raw, px_raw)[i]
-                 - _x_test_frequencies_raw(p0 - fd, p1_raw, px_raw)[i]) / (2 * fd)
-                for i in range(2)
-            ]
-        )
-        sens_p0 = jac_inv @ d_p0
-        cov = jac_inv @ var_g @ jac_inv.T + np.outer(sens_p0, sens_p0) * p0_stderr**2
-        stderr_p1, stderr_px = math.sqrt(cov[0, 0]), math.sqrt(cov[1, 1])
+        sigma = np.array([binomial_stderr(g_x_0, shots[0]),
+                          binomial_stderr(g_xx_0, shots[1]), p0_stderr])
+        # gradients with respect to (g_x, g_xx, p0)
+        grad_q = np.array([q / gap_x, -0.5 / gap_x, (gap_xx - gap_x) / (2.0 * gap_x**2)])
+        grad_p1 = (np.array([1.0, 0.0, q]) + (p1_raw - a) * grad_q) / (1.0 - q)
+        stderr_p1 = float(np.linalg.norm(grad_p1 * sigma))
+        stderr_px = 1.5 * float(np.linalg.norm(grad_q * sigma))
 
     tag = f":q{qubit}" if qubit is not None else ""
     return (
-        _clamped(f"p1{tag}", p1_raw, stderr_p1, r_norm, iterations),
-        _clamped(f"p_x{tag}", px_raw, stderr_px, r_norm, iterations),
+        _clamped(f"p1{tag}", p1_raw, stderr_p1),
+        _clamped(f"p_x{tag}", px_raw, stderr_px),
     )
 
 
@@ -281,8 +221,11 @@ def estimate_hadamard_error(
     """Per-gate Hadamard depolarizing rate from even-length sequence tests.
 
     Least squares of readout-corrected survival against
-    1/2 + 1/2 (1 - 4p/3)^L. The include flag recommends dropping the channel
-    when the rate is indistinguishable from zero (<= 10 stderr).
+    1/2 + 1/2 (1 - 4p/3)^L, bounded to [0,1]. The stderr propagates each
+    record's binomial noise through the implicit-function derivative of the
+    least-squares optimum; on a bound that derivative is zero. The include
+    flag recommends dropping the channel when the rate is indistinguishable
+    from zero (<= 10 stderr).
     """
     for char in chars:
         if char.kind.kind != "hseq":
@@ -297,29 +240,28 @@ def estimate_hadamard_error(
         raise NoConvergence("readout too noisy to invert for survival correction")
     by_length = {char.kind.length: char for char in chars}
     observed = {l: by_length[l].counts.frequency("0") for l in lengths}
-    shots = next(iter(by_length.values())).counts.shots
+    target = {l: (observed[l] - readout.p1) / denom for l in lengths}
 
-    def corrected(obs):
-        return {l: (obs[l] - readout.p1) / denom for l in lengths}
+    def objective(p):
+        return sum((hadamard_survival(l, p) - target[l]) ** 2 for l in lengths)
 
-    def fit(obs):
-        target = corrected(obs)
-        obj = lambda p: sum((hadamard_survival(l, p) - target[l]) ** 2 for l in lengths)
-        return minimize_bounded(obj, 0.0, 1.0)
-
-    value, ssr, iterations = fit(observed)
+    value, ssr, iterations = minimize_bounded(objective, 0.0, 1.0)
 
     stderr = 0.0
-    if shots:
-        delta = 1e-4
-        var = 0.0
-        for l in lengths:
-            sigma = binomial_stderr(observed[l], shots)
-            hi = dict(observed); hi[l] += delta
-            lo = dict(observed); lo[l] -= delta
-            slope = (fit(hi)[0] - fit(lo)[0]) / (2 * delta)
-            var += (slope * sigma) ** 2
-        stderr = math.sqrt(var)
+    if 0.0 < value < 1.0:
+        # The optimum solves sum_l (S_l - t_l) S_l' = 0, with S_l the survival
+        # and t_l the corrected target: dp/dt_l = S_l' / sum_l (S_l'^2 + (S_l - t_l) S_l'').
+        decay = 1.0 - 4.0 * value / 3.0
+        d1 = {l: -(2.0 * l / 3.0) * decay ** (l - 1) for l in lengths}
+        d2 = {l: (8.0 / 9.0) * l * (l - 1) * decay ** (l - 2) for l in lengths}
+        curvature = sum(
+            d1[l] ** 2 + (hadamard_survival(l, value) - target[l]) * d2[l] for l in lengths
+        )
+        stderr = math.sqrt(sum(
+            (d1[l] / (denom * curvature)
+             * binomial_stderr(observed[l], by_length[l].counts.shots)) ** 2
+            for l in lengths
+        ))
 
     qubit = chars[0].kind.qubit
     result = EstimationResult(
@@ -333,76 +275,86 @@ def estimate_hadamard_error(
     return HadamardFit(result, include_in_model=value > 10.0 * stderr)
 
 
+BELL_OUTCOMES = ("00", "01", "10", "11")
+
+
+def _bell_line(readout_j: ReadoutModel, readout_k: ReadoutModel):
+    """Readout-transformed Bell frequencies as base + s * slope.
+
+    The Bell frequencies are affine in s = 2p/3 - 4p^2/9, and readout is
+    linear, so two points fix the line: p = 0 (s = 0) and the uniform law
+    at p = 3/4 (s = 1/4).
+    """
+    base, uniform = (
+        np.array([
+            apply_readout_to_distribution(bell_frequencies(p), [readout_j, readout_k]).prob(k)
+            for k in BELL_OUTCOMES
+        ])
+        for p in (0.0, 0.75)
+    )
+    return base, 4.0 * (uniform - base)
+
+
 def fit_pcnot(
     char: Characterization,
     readout_j: ReadoutModel,
     readout_k: ReadoutModel,
-    shots: int | None = None,
     readout_stderrs: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0),
 ) -> EstimationResult:
     """Least-squares cnot depolarizing rate from a Bell-state test.
 
-    Minimizes the sum of squared residuals between the predicted
-    readout-transformed Bell frequencies and the observed ones, with the
-    parameter bounded in [0,1].
+    The squared residual between the observed frequencies and base + s *
+    slope is quadratic in s, minimised at s* = <slope, obs - base> / |slope|^2,
+    and p = 3/4 (1 - sqrt(1 - 4 s*)). An s* < 0 gives a negative raw p,
+    clamped to 0 and flagged; an s* > 1/4 lies beyond the most-mixed Bell
+    law, so p is clamped to 3/4 and flagged. The stderr propagates the
+    record's binomial noise and the four readout stderrs (p0_j, p1_j, p0_k,
+    p1_k) through dp/ds * ds/d(input); at p = 3/4, where dp/ds diverges, no
+    stderr is reported.
     """
     if char.kind.kind != "bell":
         raise WrongKind(f"fit_pcnot needs a bell test, got {char.kind.kind}")
-    keys = ("00", "01", "10", "11")
-    observed = {k: char.counts.frequency(k) for k in keys}
-
-    def fit(obs, ro_j, ro_k):
-        def objective(p):
-            model = apply_readout_to_distribution(bell_frequencies(p), [ro_j, ro_k])
-            return sum((model.prob(k) - obs[k]) ** 2 for k in keys)
-
-        return minimize_bounded(objective, 0.0, 1.0)
-
-    value, ssr, iterations = fit(observed, readout_j, readout_k)
-
-    stderr = 0.0
-    if shots:
-        delta = 1e-4
-        var = 0.0
-        for k in keys:
-            sigma = binomial_stderr(observed[k], shots)
-            if sigma == 0.0:
-                continue
-            hi = dict(observed); hi[k] += delta
-            lo = dict(observed); lo[k] = max(0.0, lo[k] - delta)
-            slope = (fit(hi, readout_j, readout_k)[0] - fit(lo, readout_j, readout_k)[0]) / (
-                hi[k] - lo[k]
-            )
-            var += (slope * sigma) ** 2
-        params = [
-            (readout_stderrs[0], lambda d: (ReadoutModel(_bump(readout_j.p0, d), readout_j.p1), readout_k)),
-            (readout_stderrs[1], lambda d: (ReadoutModel(readout_j.p0, _bump(readout_j.p1, d)), readout_k)),
-            (readout_stderrs[2], lambda d: (readout_j, ReadoutModel(_bump(readout_k.p0, d), readout_k.p1))),
-            (readout_stderrs[3], lambda d: (readout_j, ReadoutModel(readout_k.p0, _bump(readout_k.p1, d)))),
-        ]
-        for sigma, perturb in params:
-            if sigma == 0.0:
-                continue
-            hi_models = perturb(delta)
-            lo_models = perturb(-delta)
-            slope = (fit(observed, *hi_models)[0] - fit(observed, *lo_models)[0]) / (2 * delta)
-            var += (slope * sigma) ** 2
-        stderr = math.sqrt(var)
-
     j, k = char.kind.coupling
-    return EstimationResult(
-        name=f"p_cnot:q{j}-q{k}",
-        value=value,
-        raw_value=value,
-        stderr=stderr,
-        residual_norm=math.sqrt(ssr),
-        iterations=iterations,
+    name = f"p_cnot:q{j}-q{k}"
+    observed = np.array([char.counts.frequency(key) for key in BELL_OUTCOMES])
+    base, slope = _bell_line(readout_j, readout_k)
+    # |slope| = 2 |(1 - p0_j - p1_j)(1 - p0_k - p1_k)|
+    norm2 = float(slope @ slope)
+    if norm2 < 1e-18:
+        raise NoConvergence("readout too noisy to resolve the Bell test")
+    resid = observed - base
+    s_raw = float(slope @ resid) / norm2
+    if s_raw >= 0.25:
+        return EstimationResult(
+            name, value=0.75, raw_value=0.75, feasible=s_raw == 0.25,
+            residual_norm=float(np.linalg.norm(resid - 0.25 * slope)),
+        )
+    root = math.sqrt(1.0 - 4.0 * s_raw)
+
+    obs_terms = slope / norm2 * [binomial_stderr(f, char.counts.shots) for f in observed]
+    var = float(obs_terms @ obs_terms)
+    readouts = (readout_j, readout_k)
+    params = ((0, "p0"), (0, "p1"), (1, "p0"), (1, "p1"))
+    for sigma, (bit, param) in zip(readout_stderrs, params):
+        if sigma == 0.0:
+            continue
+        # base and slope are affine in each readout parameter, so the
+        # difference between setting it to 1 and to 0 is their derivative
+        ends = []
+        for end in (0.0, 1.0):
+            moved = list(readouts)
+            moved[bit] = replace(moved[bit], **{param: end})
+            ends.append(_bell_line(*moved))
+        d_base, d_slope = ends[1][0] - ends[0][0], ends[1][1] - ends[0][1]
+        ds_dparam = (d_slope @ resid - slope @ d_base - 2.0 * s_raw * (slope @ d_slope)) / norm2
+        var += (ds_dparam * sigma) ** 2
+
+    return _clamped(
+        name,
+        0.75 * (1.0 - root),
+        stderr=1.5 / root * math.sqrt(var),
+        residual_norm=float(np.linalg.norm(resid - max(s_raw, 0.0) * slope)),
     )
-
-
-def _bump(p: float, delta: float) -> float:
-    return min(1.0, max(0.0, p + delta))
-
 
 # -- composite orchestration ----------------------------------------------------
 
@@ -416,9 +368,9 @@ class FitConfig:
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}; pick from {sorted(VARIANTS)}")
+            raise ConfigError(f"unknown variant {self.variant!r}; pick from {sorted(VARIANTS)}")
         if self.granularity == SUBSET_AVERAGE and not self.subset:
-            raise ValueError("subset_average fitting requires a nonempty subset")
+            raise ConfigError("subset_average fitting requires a nonempty subset")
 
 
 @dataclass(frozen=True)
@@ -509,17 +461,17 @@ def fit_composite(chars: list[Characterization], config: FitConfig) -> Composite
     p1_results: dict[int, EstimationResult] = {}
     px_results: dict[int, EstimationResult] = {}
     ph_results: dict[int, HadamardFit] = {}
-    shots = chars[0].counts.shots if chars else None
 
     for q in qubits:
         p0_res = estimate_p0(by_kind[("init", q)])
         p0_results[q] = p0_res
         estimates[p0_res.name] = p0_res
         if need_x_system:
-            g_x_0 = by_kind[("x", q)].counts.frequency("0")
-            g_xx_0 = by_kind[("xx", q)].counts.frequency("0")
+            x_counts = by_kind[("x", q)].counts
+            xx_counts = by_kind[("xx", q)].counts
             p1_res, px_res = solve_aro_system(
-                g_x_0, g_xx_0, p0_res.value, shots=shots,
+                x_counts.frequency("0"), xx_counts.frequency("0"), p0_res.value,
+                shots=(x_counts.shots, xx_counts.shots),
                 p0_stderr=p0_res.stderr, qubit=q,
             )
             p1_results[q] = p1_res
@@ -554,7 +506,6 @@ def fit_composite(chars: list[Characterization], config: FitConfig) -> Composite
                 by_kind[("bell", coupling)],
                 readout_of(j),
                 readout_of(k),
-                shots=shots,
                 readout_stderrs=readout_stderrs_of(j) + readout_stderrs_of(k),
             )
             pcnot_results[coupling] = res

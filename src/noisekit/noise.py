@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 from .circuit import DeviceTopology
-from .errors import ArityMismatch, MissingCoverage, OutOfRange
+from .errors import ArityMismatch, MissingCoverage, OutOfRange, parse_json_file
 from .outcomes import Distribution
 
 PER_ELEMENT = "per_element"
@@ -275,7 +275,7 @@ class CompositeNoiseModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "CompositeNoiseModel":
-        return cls.from_json_dict(json.loads(Path(path).read_text()))
+        return parse_json_file(path, "noise-model file", cls.from_json_dict)
 
 
 def expand_granularity(

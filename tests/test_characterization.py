@@ -38,6 +38,13 @@ def test_label_roundtrip():
         TestKind.from_label("what:even:is:this")
 
 
+@pytest.mark.parametrize("label", ["init:z3", "init:q03", "x:q3:len8", "hseq:q1:len08",
+                                   "bell:q1-x2", "xx:q2 "])
+def test_label_must_round_trip(label):
+    with pytest.raises(ParseError):
+        TestKind.from_label(label)
+
+
 def test_odd_hadamard_length_rejected():
     with pytest.raises(OddHadamardLength):
         TestKind("hseq", qubit=0, length=3)

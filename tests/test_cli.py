@@ -241,11 +241,11 @@ def test_file_backend_through_cli(setup):
     assert replay["entries"] == original["entries"]
 
 
-def _evaluate_argv(tmp_path, device, truth):
+def _evaluate_argv(tmp_path, device, truth, app="ghz:3"):
     model = tmp_path / "model.json"
     uniform_truth(line(4)).save(model)
     return ["evaluate", "--device", str(device), "--backend", f"mock:{truth}",
-            "--app", "ghz:3", "--model", str(model), "--shots", "64"]
+            "--app", app, "--model", str(model), "--shots", "64"]
 
 
 def _demo_argv(tmp_path, device, truth):
@@ -263,3 +263,72 @@ def test_resamples_below_one_exit_2(setup, capsys, make_argv, resamples):
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == "ConfigError"
+    assert not (tmp_path / "o" / "archive.json").exists()  # rejected before any run
+
+
+def _characterize_argv(tmp_path, device, truth, *extra):
+    return ["characterize", "--device", str(device), "--backend", f"mock:{truth}",
+            "--shots", "64", *extra]
+
+
+def _truncated(path):
+    text = path.read_text()
+    path.write_text(text[: len(text) // 2])
+    return path
+
+
+def _self_loop_device(tmp_path, device, truth):
+    bad = tmp_path / "loop.json"
+    bad.write_text(json.dumps({"num_qubits": 2, "couplings": [[0, 1], [1, 1]]}))
+    return _characterize_argv(tmp_path, bad, truth)
+
+
+def _truncated_model(tmp_path, device, truth):
+    argv = _evaluate_argv(tmp_path, device, truth)
+    _truncated(tmp_path / "model.json")
+    return argv
+
+
+def _entries_not_a_list(tmp_path, device, truth):
+    archive = tmp_path / "bad-archive.json"
+    archive.write_text(json.dumps({"entries": 5}))
+    return ["fit", "--archive", str(archive)]
+
+
+def _subset_fit_without_subset(tmp_path, device, truth):
+    archive = _characterize(tmp_path, device, truth, shots="64")
+    return ["fit", "--archive", str(archive), "--granularity", "subset_average"]
+
+
+MALFORMED_INPUTS = {
+    "app-ghz-abc": (lambda t, d, tr: _evaluate_argv(t, d, tr, app="ghz:abc"), "ConfigError"),
+    "app-ghz-range": (lambda t, d, tr: _evaluate_argv(t, d, tr, app="ghz:2..x"), "ConfigError"),
+    "app-bv-data": (lambda t, d, tr: _evaluate_argv(t, d, tr, app="bv:10@0,x/1"), "ConfigError"),
+    "app-bv-oracle": (lambda t, d, tr: _evaluate_argv(t, d, tr, app="bv:10@0,2/y"), "ConfigError"),
+    "subset-token": (lambda t, d, tr: _characterize_argv(
+        t, d, tr, "--granularity", "subset_average", "--subset", "0,x"), "ConfigError"),
+    "device-self-loop": (_self_loop_device, "ParseError"),
+    "device-truncated": (lambda t, d, tr: _characterize_argv(t, _truncated(d), tr), "ParseError"),
+    "truth-truncated": (lambda t, d, tr: _characterize_argv(t, d, _truncated(tr)), "ParseError"),
+    "model-truncated": (_truncated_model, "ParseError"),
+    "archive-entries": (_entries_not_a_list, "ParseError"),
+    "fit-subset-missing": (_subset_fit_without_subset, "ConfigError"),
+    "characterize-subset-missing": (lambda t, d, tr: _characterize_argv(
+        t, d, tr, "--granularity", "subset_average"), "ConfigError"),
+    "shots-above-capability": (lambda t, d, tr: _characterize_argv(
+        t, d, tr, "--shots", "20000000"), "ConfigError"),
+    "sim-shots-zero": (lambda t, d, tr: [*_evaluate_argv(t, d, tr), "--sim-shots", "0"],
+                       "ConfigError"),
+}
+
+
+@pytest.mark.parametrize("make_argv, error", MALFORMED_INPUTS.values(),
+                         ids=MALFORMED_INPUTS.keys())
+def test_malformed_input_exit_2(setup, capsys, make_argv, error):
+    """Malformed specs and input files exit 2 with one JSON line on stderr."""
+    tmp_path, device, truth = setup
+    code = main([*make_argv(tmp_path, device, truth), "--out", str(tmp_path / "o")])
+    assert code == 2
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == error

@@ -1,5 +1,8 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from estimation_oracle import solve_x_xx
 
 from noisekit.backend import MockBackend, MockGroundTruth
 from noisekit.characterization import (
@@ -11,10 +14,18 @@ from noisekit.characterization import (
     run_suite,
 )
 from noisekit.devices import line, uniform_truth
-from noisekit.errors import InsufficientLengths, MissingCoverage, OutOfRange, WrongKind
+from noisekit.errors import (
+    InsufficientLengths,
+    MissingCoverage,
+    NoConvergence,
+    OutOfRange,
+    WrongKind,
+)
 from noisekit.estimation import (
+    BELL_OUTCOMES,
     EstimationResult,
     FitConfig,
+    binomial_stderr,
     estimate_hadamard_error,
     estimate_p0,
     fit_composite,
@@ -43,6 +54,33 @@ def _char_from_freqs(kind: TestKind, freqs: dict) -> Characterization:
     first = next(iter(counts))
     counts[first] += EXACT_SHOTS - sum(counts.values())
     return _char(kind, counts, EXACT_SHOTS)
+
+
+class _Frequencies:
+    """Counts stand-in with arbitrary real frequencies, so the estimators
+    can be differentiated numerically."""
+
+    def __init__(self, freqs: dict, shots: int):
+        self.freqs, self.shots = dict(freqs), shots
+
+    def frequency(self, key: str) -> float:
+        return self.freqs.get(key, 0.0)
+
+
+def _record(kind: TestKind, freqs: dict, shots: int = 8192) -> SimpleNamespace:
+    return SimpleNamespace(kind=kind, counts=_Frequencies(freqs, shots))
+
+
+def _central_gradient(fn, x, step):
+    """Central-difference gradient of the scalar fn at the vector x."""
+    x = np.asarray(x, dtype=float)
+    grad = np.empty(len(x))
+    for i in range(len(x)):
+        hi, lo = x.copy(), x.copy()
+        hi[i] += step
+        lo[i] -= step
+        grad[i] = (fn(hi) - fn(lo)) / (2 * step)
+    return grad
 
 
 # -- estimate_p0 -----------------------------------------------------------------
@@ -102,12 +140,63 @@ def test_aro_rejects_bad_inputs():
 def test_aro_stderr_propagation():
     g_x_0, g_xx_0 = predicted_x_test_frequencies(0.02, 0.07, 0.003)
     _, p_x_exact = solve_aro_system(g_x_0, g_xx_0, 0.02)
-    p1, p_x = solve_aro_system(g_x_0, g_xx_0, 0.02, shots=8192, p0_stderr=0.0016)
+    p1, p_x = solve_aro_system(g_x_0, g_xx_0, 0.02, shots=(8192, 8192), p0_stderr=0.0016)
     assert p_x_exact.stderr == 0.0
     assert p1.stderr > 0 and p_x.stderr > 0
     # sanity scale: g uncertainties ~3e-3 map to parameter scales of the same order
     assert 1e-4 < p1.stderr < 2e-2
     assert 1e-4 < p_x.stderr < 2e-2
+
+
+def _noisy_x_xx(rng, shots=8192):
+    """Binomially drawn X/XX frequencies and p0 for a random truth."""
+    p0, p1 = (float(v) for v in rng.uniform(0, 0.15, size=2))
+    p_x = float(rng.uniform(0, 0.02))
+    g_x_0, g_xx_0 = predicted_x_test_frequencies(p0, p1, p_x)
+    draw = lambda f: rng.binomial(shots, f) / shots
+    return draw(g_x_0), draw(g_xx_0), draw(p0)
+
+
+def test_aro_closed_form_matches_newton_oracle():
+    """The closed form reproduces the damped-Newton solve's raw values on
+    noisy frequencies, infeasible solutions included."""
+    rng = np.random.default_rng(2024)
+    infeasible = 0
+    for _ in range(500):
+        g_x_0, g_xx_0, p0 = _noisy_x_xx(rng)
+        p1, p_x = solve_aro_system(g_x_0, g_xx_0, p0)
+        p1_oracle, px_oracle = solve_x_xx(g_x_0, g_xx_0, p0)
+        assert p1.raw_value == pytest.approx(p1_oracle, abs=1e-9)
+        assert p_x.raw_value == pytest.approx(px_oracle, abs=1e-9)
+        infeasible += not (p1.feasible and p_x.feasible)
+    assert infeasible > 0  # the clamp path was exercised
+
+
+def test_aro_stderr_matches_central_differences():
+    """Analytic stderrs equal the delta method over central differences of
+    the estimator, with distinct X and XX shot counts."""
+    rng = np.random.default_rng(31)
+    for _ in range(100):
+        g_x_0, g_xx_0, p0 = _noisy_x_xx(rng)
+        shots = (1024, 8192)
+        p0_stderr = binomial_stderr(p0, 4096)
+        sigma = np.array([binomial_stderr(g_x_0, shots[0]),
+                          binomial_stderr(g_xx_0, shots[1]), p0_stderr])
+        p1, p_x = solve_aro_system(g_x_0, g_xx_0, p0, shots=shots, p0_stderr=p0_stderr)
+        for index, res in enumerate((p1, p_x)):
+            grad = _central_gradient(
+                lambda v: solve_aro_system(*v)[index].raw_value, (g_x_0, g_xx_0, p0), 1e-6
+            )
+            assert res.stderr == pytest.approx(np.linalg.norm(grad * sigma), rel=1e-4)
+
+
+@pytest.mark.parametrize("g_x_0, g_xx_0, p0", [
+    (0.9, 0.5, 0.1),    # g_x = 1 - p0: p_x drops out of the X test
+    (0.5, 0.1, 0.1),    # q = 1: p1 drops out of both tests
+])
+def test_aro_singular_system_raises(g_x_0, g_xx_0, p0):
+    with pytest.raises(NoConvergence):
+        solve_aro_system(g_x_0, g_xx_0, p0)
 
 
 # -- estimate_hadamard_error -------------------------------------------------------
@@ -185,6 +274,51 @@ def test_hadamard_needs_two_lengths():
         estimate_hadamard_error(_hseq_chars(0.001, (8,)), ReadoutModel.ideal())
 
 
+HSEQ_LENGTHS = (2, 4, 8, 16, 32)
+
+
+def _hseq_records(observed: dict, shots: dict) -> list:
+    return [_record(TestKind("hseq", qubit=0, length=l),
+                    {"0": observed[l], "1": 1 - observed[l]}, shots[l])
+            for l in observed]
+
+
+def test_hadamard_stderr_matches_central_differences():
+    """The implicit-function stderr equals the delta method over central
+    differences of the bounded fit, with a different shot count per length."""
+    rng = np.random.default_rng(5)
+    shots = dict(zip(HSEQ_LENGTHS, (1024, 2048, 4096, 8192, 16384)))
+    for _ in range(10):
+        readout = ReadoutModel(float(rng.uniform(0, 0.05)), float(rng.uniform(0, 0.1)))
+        p_h = float(rng.uniform(0.003, 0.01))
+        observed = {}
+        for l in HSEQ_LENGTHS:
+            s = hadamard_survival(l, p_h)
+            exact = (1 - readout.p0) * s + readout.p1 * (1 - s)
+            observed[l] = rng.binomial(shots[l], exact) / shots[l]
+        fit = estimate_hadamard_error(_hseq_records(observed, shots), readout)
+        assert 0.0 < fit.result.value < 1.0
+        grad = _central_gradient(
+            lambda v: estimate_hadamard_error(
+                _hseq_records(dict(zip(HSEQ_LENGTHS, v)), shots), readout
+            ).result.value,
+            [observed[l] for l in HSEQ_LENGTHS], 1e-5,
+        )
+        sigma = [binomial_stderr(observed[l], shots[l]) for l in HSEQ_LENGTHS]
+        assert fit.result.stderr == pytest.approx(np.linalg.norm(grad * sigma), rel=1e-4)
+
+
+def test_hadamard_stderr_zero_on_bound():
+    """Survival above the noiseless ceiling pins p_h to 0, where the bounded
+    fit does not move with the data."""
+    observed = {l: 0.999 for l in HSEQ_LENGTHS}
+    fit = estimate_hadamard_error(
+        _hseq_records(observed, dict.fromkeys(HSEQ_LENGTHS, 8192)), ReadoutModel(0.02, 0.0)
+    )
+    assert fit.result.value == 0.0 and fit.result.stderr == 0.0
+    assert not fit.include_in_model
+
+
 # -- fit_pcnot ---------------------------------------------------------------------
 
 BELL_KIND = TestKind("bell", coupling=(0, 1))
@@ -248,6 +382,50 @@ def test_pcnot_grid_scan_oracle():
         assert abs(fitted.value - best) <= 2e-4
 
 
+def _bell_record(freqs, shots=8192):
+    return _record(BELL_KIND, dict(zip(BELL_OUTCOMES, freqs)), shots)
+
+
+def test_pcnot_stderr_matches_central_differences():
+    """The analytic stderr, readout terms included, equals the delta method
+    over central differences of the estimator in the four frequencies and
+    the four readout parameters."""
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        p = [float(v) for v in rng.uniform(0.01, 0.12, size=4)]  # p0_j, p1_j, p0_k, p1_k
+        exact = apply_readout_to_distribution(
+            bell_frequencies(float(rng.uniform(0.01, 0.2))),
+            [ReadoutModel(p[0], p[1]), ReadoutModel(p[2], p[3])],
+        )
+        observed = rng.multinomial(8192, [exact.prob(k) for k in BELL_OUTCOMES]) / 8192
+        readout_stderrs = tuple(binomial_stderr(v, 8192) for v in p)
+
+        def raw(v):
+            model_j, model_k = ReadoutModel(v[4], v[5]), ReadoutModel(v[6], v[7])
+            return fit_pcnot(_bell_record(v[:4]), model_j, model_k).raw_value
+
+        res = fit_pcnot(_bell_record(observed), ReadoutModel(p[0], p[1]),
+                        ReadoutModel(p[2], p[3]), readout_stderrs)
+        assert res.feasible
+        grad = _central_gradient(raw, [*observed, *p], 1e-6)
+        sigma = [*(binomial_stderr(f, 8192) for f in observed), *readout_stderrs]
+        assert res.stderr == pytest.approx(np.linalg.norm(grad * sigma), rel=1e-4)
+
+
+def test_pcnot_infeasible_s_flagged():
+    """A least-squares s* below 0 gives a negative raw p, clamped to 0; one
+    beyond the uniform law's 1/4 is clamped to p = 3/4. Both are flagged."""
+    readout = ReadoutModel(0.05, 0.05)
+    # fewer odd-parity outcomes than readout alone produces: s* < 0
+    res = fit_pcnot(_char(BELL_KIND, {"00": 4096, "11": 4096}, 8192), readout, readout)
+    assert res.raw_value < 0.0 and res.value == 0.0 and not res.feasible
+    assert res.stderr > 0.0
+    # only odd parity: s* = 1/2
+    res = fit_pcnot(_char(BELL_KIND, {"01": 8192}, 8192),
+                    ReadoutModel.ideal(), ReadoutModel.ideal())
+    assert res.value == 0.75 and not res.feasible
+
+
 # -- round-trip identifiability and stderr scaling -----------------------------------
 
 def test_roundtrip_identifiability_exact():
@@ -309,6 +487,33 @@ def test_fit_composite_roundtrip(line4, mock_backend):
     for name, res in fit.estimates.items():
         target = truth[name.split(":")[0]]
         assert abs(res.value - target) <= 4 * max(res.stderr, 1e-4), name
+
+
+def test_fit_composite_stderr_uses_each_records_shots():
+    """An archive mixing 8192-shot records (qubit 0, listed first) with
+    1024-shot ones (qubit 1) at identical frequencies: every qubit-1 stderr
+    is sqrt(8) times its qubit-0 twin."""
+    per_1024 = {  # outcome counts per 1024 shots
+        "init": {"0": 1002, "1": 22},
+        "x": {"0": 72, "1": 952},
+        "xx": {"0": 995, "1": 29},
+        2: {"0": 973, "1": 51},
+        8: {"0": 962, "1": 62},
+        32: {"0": 921, "1": 103},
+    }
+    chars = []
+    for qubit, scale in ((0, 8), (1, 1)):
+        for test, counts in per_1024.items():
+            kind = (TestKind("hseq", qubit=qubit, length=test) if isinstance(test, int)
+                    else TestKind(test, qubit=qubit))
+            chars.append(_char(kind, {k: v * scale for k, v in counts.items()},
+                               1024 * scale))
+    chars.append(_char(BELL_KIND, {"00": 480, "01": 32, "10": 40, "11": 472}, 1024))
+    fit = fit_composite(chars, FitConfig(variant="aro+dp"))
+    for param in ("p0", "p1", "p_x", "p_h"):
+        q0, q1 = fit.estimates[f"{param}:q0"], fit.estimates[f"{param}:q1"]
+        assert q1.value == q0.value
+        assert q1.stderr == pytest.approx(8**0.5 * q0.stderr, rel=1e-9), param
 
 
 def test_fit_composite_noiseless():
