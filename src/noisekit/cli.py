@@ -110,13 +110,25 @@ def _parse_app(spec: str, topo: DeviceTopology) -> list:
             secret, rest = spec[3:].split("@")
             data_text, oracle_text = rest.split("/")
             data = [int(tok) for tok in data_text.split(",")]
-            return [build_bv(secret, data, int(oracle_text), topo)]
+            qubits = [*data, int(oracle_text)]
+            if len(set(qubits)) != len(qubits):
+                raise ConfigError(f"bv data/oracle qubits overlap in {spec!r}")
+            _check_in_register(qubits, topo, spec)
+            return [build_bv(secret, data, qubits[-1], topo)]
     except ValueError as exc:
         raise ConfigError(
             f"bad app spec {spec!r} ({exc}); expected ghz:<n>, ghz:<a>..<b> "
             "or bv:<secret>@<d1,d2,...>/<oracle>"
         ) from exc
     raise ConfigError(f"unknown app spec {spec!r}")
+
+
+def _check_in_register(qubits, topo: DeviceTopology, what: str) -> None:
+    outside = [q for q in qubits if not 0 <= q < topo.num_qubits]
+    if outside:
+        raise ConfigError(
+            f"{what}: qubit(s) {outside} outside the {topo.num_qubits}-qubit device"
+        )
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -126,12 +138,19 @@ def cmd_characterize(args) -> int:
         raise ConfigError("--shots must be >= 1")
     if args.granularity == SUBSET_AVERAGE and not args.subset:
         raise ConfigError("--granularity subset_average requires --subset")
+    lengths = _parse_ints(args.hadamard_lengths or "", "--hadamard-lengths")
+    if any(length < 2 or length % 2 for length in lengths):
+        raise ConfigError(
+            f"--hadamard-lengths must be even and >= 2, got {args.hadamard_lengths!r}"
+        )
+    subset = _parse_subset(args.subset)
     topo = _load_device(args.device)
+    _check_in_register(subset or (), topo, "--subset")
     backend = _make_backend(args.backend, topo)
     config = SuiteConfig(
         granularity=args.granularity,
-        subset=_parse_subset(args.subset),
-        hadamard_lengths=_parse_ints(args.hadamard_lengths or "", "--hadamard-lengths"),
+        subset=subset,
+        hadamard_lengths=lengths,
         shots=args.shots,
         seed=args.seed,
     )

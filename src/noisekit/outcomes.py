@@ -12,13 +12,17 @@ from .errors import ArityMismatch
 
 
 def _uniform_bit_length(keys) -> int:
-    lengths = {len(k) for k in keys}
-    if len(lengths) > 1:
-        raise ValueError(f"outcome keys have mixed bit-lengths {sorted(lengths)}")
+    """Common length of the bit-string keys, checked in one pass."""
+    width = None
     for k in keys:
-        if any(ch not in "01" for ch in k):
+        if width is None:
+            width = len(k)
+        elif len(k) != width:
+            lengths = sorted({len(j) for j in keys})
+            raise ValueError(f"outcome keys have mixed bit-lengths {lengths}")
+        if k.strip("01"):
             raise ValueError(f"outcome key {k!r} is not a bit string")
-    return lengths.pop() if lengths else 0
+    return width or 0
 
 
 @dataclass(frozen=True)
@@ -58,21 +62,18 @@ class Counts:
 
     counts: dict[str, int]
     shots: int
+    num_bits: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(
             self, "counts", {k: int(v) for k, v in self.counts.items()}
         )
-        _uniform_bit_length(self.counts)
+        object.__setattr__(self, "num_bits", _uniform_bit_length(self.counts))
         if any(v < 0 for v in self.counts.values()):
             raise ValueError("negative count")
         total = sum(self.counts.values())
         if total != self.shots:
             raise ValueError(f"counts sum to {total}, shots field says {self.shots}")
-
-    @property
-    def num_bits(self) -> int:
-        return _uniform_bit_length(self.counts)
 
     def frequency(self, key: str) -> float:
         return self.counts.get(key, 0) / self.shots if self.shots else 0.0

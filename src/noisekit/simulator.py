@@ -1,4 +1,4 @@
-"""Ideal, exact-noisy, and Monte Carlo simulation through Pauli frames.
+"""Ideal and noisy simulation through one outcome law per compiled circuit.
 
 Circuits are internally remapped onto their active qubits, so simulation
 cost scales with the touched register slice rather than the device size.
@@ -10,9 +10,10 @@ is Pauli, so a noisy run is the ideal run with a Pauli error frame on top.
 Only the frame's X part reaches the measured bits, as an XOR flip mask. A
 circuit is therefore compiled once into its ideal measured-bit marginal
 (one statevector run) and, for each noise site, the flip masks of an X, Y
-or Z injected right after that gate. Sampled shots are ideal draws XOR the
-masks of the errors drawn per shot; the exact distribution mixes the ideal
-one over the same masks. Readout then acts as a per-bit stochastic channel.
+or Z injected right after that gate. Mixing the ideal marginal over every
+site's masks gives the pre-readout law; readout, a per-bit stochastic
+channel, turns it into the observed law. The exact distribution is that
+law, and sampling any number of shots is one multinomial draw from it.
 """
 from __future__ import annotations
 
@@ -25,7 +26,8 @@ from .noise import CompositeNoiseModel
 from .outcomes import Counts, Distribution
 from .rng import generator
 
-_STREAM_ERRORS = 0
+MAX_QUBITS = 24  # active-qubit guard shared by every entry point
+
 _STREAM_OUTCOMES = 1
 _STREAM_READOUT = 2
 _STREAM_MULTINOMIAL = 4
@@ -126,11 +128,12 @@ def _measured_marginal(probs: np.ndarray, comp: _Compiled) -> np.ndarray:
     return t.transpose(order).reshape(-1)
 
 
-def _noise_sites(comp: _Compiled, model: CompositeNoiseModel) -> tuple[list[float], np.ndarray]:
-    """Depolarizing probability and flip masks (I, X, Y, Z) of every site
-    whose errors can reach a measured bit."""
-    probs: list[float] = []
-    masks: list[tuple[int, int, int, int]] = []
+def _noise_sites(
+    comp: _Compiled, model: CompositeNoiseModel
+) -> list[tuple[float, tuple[int, int, int]]]:
+    """Depolarizing probability and (X, Y, Z) flip masks of every site whose
+    errors can reach a measured bit."""
+    sites = []
     for (name, _, origs), flips in zip(comp.ops, comp.flips):
         if name == "h":
             p = model.h_for(origs[0])
@@ -141,11 +144,8 @@ def _noise_sites(comp: _Compiled, model: CompositeNoiseModel) -> tuple[list[floa
         else:
             continue
         if p > 0.0:
-            for fx, fz in flips:
-                if fx or fz:
-                    probs.append(p)
-                    masks.append((0, fx, fx ^ fz, fz))
-    return probs, np.array(masks, dtype=np.int64).reshape(-1, 4)
+            sites.extend((p, (fx, fx ^ fz, fz)) for fx, fz in flips if fx or fz)
+    return sites
 
 
 def _readout_rates(
@@ -158,84 +158,93 @@ def _readout_rates(
     return np.array([r.p0 for r in ros]), np.array([r.p1 for r in ros])
 
 
-def _to_distribution(vec: np.ndarray, num_bits: int, floor: float = 1e-15) -> Distribution:
-    probs = {
-        format(i, f"0{num_bits}b") if num_bits else "": float(p)
-        for i, p in enumerate(vec)
-        if p > floor
+def _outcome_laws(comp: _Compiled, model: CompositeNoiseModel) -> tuple[np.ndarray, np.ndarray]:
+    """Pre-readout and observed outcome laws, flat in classical-bit order.
+
+    Each noise site mixes the ideal marginal over its flip masks,
+    v <- (1 - p) v + p/3 (v[i ^ m_X] + v[i ^ m_Y] + v[i ^ m_Z]). On the
+    [2]*m-shaped law, v[i ^ m] is v flipped along the axes of m's set bits,
+    so every term is a view; coinciding masks share one term. The readout
+    channel then acts as a per-bit stochastic matrix.
+    """
+    m = comp.num_bits
+    law = (comp.ideal / comp.ideal.sum()).reshape([2] * m)
+    mixed, term = np.empty_like(law), np.empty_like(law)
+    for p, masks in _noise_sites(comp, model):
+        weights = {0: 1.0 - p}
+        for mask in masks:
+            weights[mask] = weights.get(mask, 0.0) + p / 3.0
+        np.multiply(law, weights.pop(0), out=mixed)
+        for mask, w in weights.items():
+            axes = tuple(k for k in range(m) if mask >> (m - 1 - k) & 1)
+            mixed += np.multiply(np.flip(law, axes), w, out=term)
+        law, mixed = mixed, law
+    pre = law.reshape(-1)
+    rates = _readout_rates(comp, model)
+    if rates is None:
+        return pre, pre
+    obs = pre.copy()
+    for bit, (p0, p1) in enumerate(zip(*rates)):
+        t = obs.reshape(1 << bit, 2, -1)
+        moved = p0 * t[:, 0] - p1 * t[:, 1]  # net mass read 0 -> 1
+        t[:, 0] -= moved
+        t[:, 1] += moved
+    return pre, obs
+
+
+def _by_key(values: np.ndarray, num_bits: int, floor: float = 0.0) -> dict:
+    """Outcome string -> value at every outcome index whose value exceeds `floor`."""
+    keep = np.flatnonzero(values > floor)
+    fmt = f"0{num_bits}b"
+    return {
+        format(i, fmt) if num_bits else "": v
+        for i, v in zip(keep.tolist(), values[keep].tolist())
     }
-    return Distribution(probs, num_bits=num_bits)
 
 
-def simulate_ideal(circuit: Circuit, max_qubits: int = 24) -> Distribution:
+def _to_distribution(vec: np.ndarray, num_bits: int) -> Distribution:
+    return Distribution(_by_key(vec, num_bits, floor=1e-15), num_bits=num_bits)
+
+
+def simulate_ideal(circuit: Circuit, max_qubits: int = MAX_QUBITS) -> Distribution:
     """Exact measurement distribution of the noiseless circuit."""
     comp = _Compiled(circuit, max_qubits)
     return _to_distribution(comp.ideal, comp.num_bits)
 
 
 def simulate_noisy_exact(
-    circuit: Circuit, model: CompositeNoiseModel, max_qubits: int = 8
+    circuit: Circuit, model: CompositeNoiseModel, max_qubits: int = MAX_QUBITS
 ) -> Distribution:
-    """Channel-averaged outcome distribution under the composite model.
-
-    Each noise site mixes the ideal marginal over its flip masks,
-    v <- (1 - p) v + p/3 (v[i ^ m_X] + v[i ^ m_Y] + v[i ^ m_Z]); the readout
-    channel then acts as a per-bit stochastic matrix.
-    """
+    """Channel-averaged outcome distribution under the composite model: the
+    compiled circuit's observed outcome law."""
     comp = _Compiled(circuit, max_qubits)
-    probs, masks = _noise_sites(comp, model)
-    vec = comp.ideal
-    index = np.arange(vec.size)
-    for p, (_, mx, my, mz) in zip(probs, masks):
-        mixed = vec[index ^ mx] + vec[index ^ my] + vec[index ^ mz]
-        vec = (1.0 - p) * vec + (p / 3.0) * mixed
-    rates = _readout_rates(comp, model)
-    if rates is not None:
-        for bit, (p0, p1) in enumerate(zip(*rates)):
-            t = vec.reshape(1 << bit, 2, -1)
-            zero, one = t[:, 0], t[:, 1]
-            vec = np.stack(
-                ((1.0 - p0) * zero + p1 * one, p0 * zero + (1.0 - p1) * one), axis=1
-            ).reshape(-1)
-    return _to_distribution(vec, comp.num_bits)
+    _, law = _outcome_laws(comp, model)
+    return _to_distribution(law, comp.num_bits)
 
 
 class TrajectorySampler:
     """Reusable sampler for one (circuit, model) pair.
 
-    The circuit is compiled once; each shot is an ideal outcome XOR the
-    flip masks of the errors drawn for it, then passed through readout.
+    The circuit is compiled once into its pre-readout and observed outcome
+    laws; a draw of any number of shots is one multinomial over a law.
     """
 
     def __init__(self, circuit: Circuit, model: CompositeNoiseModel,
-                 max_qubits: int = 24):
+                 max_qubits: int = MAX_QUBITS):
         self._comp = _Compiled(circuit, max_qubits)
-        self._probs, self._masks = _noise_sites(self._comp, model)
         self._readout = _readout_rates(self._comp, model)
-        ideal = self._comp.ideal
-        self._support = np.flatnonzero(ideal > 1e-16).astype(np.int64)
-        weights = ideal[self._support]
-        self._weights = weights / weights.sum()
+        self.pre_readout_law, self.observed_law = _outcome_laws(self._comp, model)
 
     @property
     def num_bits(self) -> int:
         return self._comp.num_bits
 
     def sample_arrays(self, shots: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per-shot (pre-readout, observed) outcome indices."""
-        if shots == 0:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty
-        # Frames are i.i.d. per shot and independent of the ideal draw, so
-        # XOR-ing them onto the sorted multinomial draw leaves the law intact.
-        rng_err = generator(seed, _STREAM_ERRORS)
-        flips = np.zeros(shots, dtype=np.int64)
-        for p, masks in zip(self._probs, self._masks):
-            u = rng_err.random(shots)
-            picks = rng_err.integers(1, 4, size=shots, dtype=np.uint8)
-            flips ^= masks[np.where(u < p, picks, np.uint8(0))]
-        draws = generator(seed, _STREAM_OUTCOMES).multinomial(shots, self._weights)
-        pre = np.repeat(self._support, draws) ^ flips
+        """Per-shot (pre-readout, observed) outcome indices, sorted by the
+        pre-readout index."""
+        draws = generator(seed, _STREAM_OUTCOMES).multinomial(shots, self.pre_readout_law)
+        hit = np.flatnonzero(draws)
+        pre = np.repeat(hit, draws[hit])
         obs = pre
         m = self._comp.num_bits
         if self._readout is not None:
@@ -251,25 +260,20 @@ class TrajectorySampler:
         return pre, obs
 
     def sample(self, shots: int, seed: int) -> Counts:
-        if shots == 0:
-            return Counts({}, 0)
-        _, obs = self.sample_arrays(shots, seed)
-        return counts_from_indices(obs, self._comp.num_bits, shots)
+        """Observed counts of `shots` shots: one multinomial draw."""
+        draws = generator(seed, _STREAM_OUTCOMES).multinomial(shots, self.observed_law)
+        return Counts(_by_key(draws, self._comp.num_bits), shots)
 
 
 def counts_from_indices(indices: np.ndarray, num_bits: int, shots: int) -> Counts:
-    values, reps = np.unique(indices, return_counts=True)
-    fmt = f"0{num_bits}b"
-    return Counts(
-        {format(int(v), fmt) if num_bits else "": int(c) for v, c in zip(values, reps)},
-        shots,
-    )
+    """Counts from per-shot outcome indices."""
+    return Counts(_by_key(np.bincount(indices, minlength=1 << num_bits), num_bits), shots)
 
 
 def simulate_noisy_sampled(
     circuit: Circuit, model: CompositeNoiseModel, shots: int, seed: int
 ) -> Counts:
-    """Monte Carlo trajectory counts; deterministic for a fixed seed."""
+    """Counts drawn from the compiled outcome law; deterministic for a fixed seed."""
     return TrajectorySampler(circuit, model).sample(shots, seed)
 
 

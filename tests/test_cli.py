@@ -64,8 +64,11 @@ def test_characterize_zero_shots_exit_2(setup, capsys):
 
 def test_fit_produces_feasible_model(setup):
     tmp_path, device, truth = setup
-    # p_x is ~2 sigma from zero at 8192 shots, so feasibility needs the
-    # full shot budget (at 2048 the clamp-and-flag path triggers instead)
+    # Every estimate must land on the feasible side of zero, so each truth
+    # value sits several stderrs clear of it at 8192 shots: p_x = 0.015
+    # (stderr ~0.0022, 6.8 sigma), p_cnot = 0.02 (~0.0045, 4.4 sigma), p0
+    # and p1 over 13 sigma. The default p_x = 0.0033 is only 1.7 sigma.
+    MockGroundTruth(uniform_truth(line(4), p_x=0.015)).save(truth)
     archive = _characterize(tmp_path, device, truth, shots="8192")
     code = main(["fit", "--archive", str(archive), "--flags", "aro+dp",
                  "--out", str(tmp_path / "run")])
@@ -300,6 +303,13 @@ def _subset_fit_without_subset(tmp_path, device, truth):
     return ["fit", "--archive", str(archive), "--granularity", "subset_average"]
 
 
+def _subset_beyond_device(tmp_path, device, truth):
+    small = tmp_path / "line3.json"
+    line(3).save(small)
+    return _characterize_argv(tmp_path, small, truth, "--granularity", "subset_average",
+                              "--subset", "0,7")
+
+
 MALFORMED_INPUTS = {
     "app-ghz-abc": (lambda t, d, tr: _evaluate_argv(t, d, tr, app="ghz:abc"), "ConfigError"),
     "app-ghz-range": (lambda t, d, tr: _evaluate_argv(t, d, tr, app="ghz:2..x"), "ConfigError"),
@@ -319,6 +329,13 @@ MALFORMED_INPUTS = {
         t, d, tr, "--shots", "20000000"), "ConfigError"),
     "sim-shots-zero": (lambda t, d, tr: [*_evaluate_argv(t, d, tr), "--sim-shots", "0"],
                        "ConfigError"),
+    "hadamard-length-odd": (lambda t, d, tr: _characterize_argv(
+        t, d, tr, "--hadamard-lengths", "3"), "ConfigError"),
+    "app-bv-collision": (lambda t, d, tr: _evaluate_argv(t, d, tr, app="bv:1@0/0"),
+                         "ConfigError"),
+    "app-bv-outside": (lambda t, d, tr: _evaluate_argv(t, d, tr, app="bv:1@0/9"),
+                       "ConfigError"),
+    "subset-beyond-device": (_subset_beyond_device, "ConfigError"),
 }
 
 

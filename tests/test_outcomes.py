@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import pytest
 
 from noisekit.outcomes import Counts, Distribution
@@ -43,3 +45,23 @@ def test_empty_counts():
     c = Counts({}, 0)
     assert c.frequencies() == {}
     assert c.frequency("0") == 0.0
+
+
+def test_counts_key_validation():
+    with pytest.raises(ValueError):
+        Counts({"0": 1, "11": 1}, 2)  # mixed lengths
+    with pytest.raises(ValueError):
+        Counts({"0x": 1}, 1)  # non-binary key
+
+
+def test_counts_num_bits_stays_out_of_equality():
+    """num_bits is computed once at construction; equality and the zero-shot
+    Counts are unchanged by it."""
+    a = Counts({"01": 3, "10": 5}, 8)
+    assert a.num_bits == 2
+    assert a == Counts({"10": 5, "01": 3}, 8)
+    assert a != Counts({"01": 4, "10": 4}, 8)
+    assert "num_bits" not in {f.name for f in fields(Counts) if f.compare}
+    empty = Counts({}, 0)
+    assert empty.num_bits == 0
+    assert empty == Counts({}, 0)

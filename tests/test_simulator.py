@@ -9,12 +9,14 @@ import pytest
 
 import noisekit
 from dm_oracle import exact_outcome_vector
+from trajectory_oracle import sample_trajectories
 from noisekit import _kernels
 from noisekit.circuit import Circuit, cnot, h, identity, measure, x
 from noisekit.errors import NormDrift, TooWide
 from noisekit.noise import CompositeNoiseModel, ReadoutModel
 from noisekit.outcomes import Distribution
 from noisekit.simulator import (
+    MAX_QUBITS,
     TrajectorySampler,
     _Compiled,
     sample_from_distribution,
@@ -230,9 +232,15 @@ def test_exact_matches_density_matrix_oracle():
 
 
 def test_exact_too_wide():
-    gates = tuple(h(q) for q in range(9)) + (measure(0, 0),)
+    """Exact scoring shares the sampler's guard: it refuses one active qubit
+    beyond it and accepts the widths the old 8-qubit guard refused."""
+    width = MAX_QUBITS + 1
+    gates = tuple(h(q) for q in range(width)) + (measure(0, 0),)
     with pytest.raises(TooWide):
-        simulate_noisy_exact(Circuit(9, 1, gates, "wide"), NOISELESS)
+        simulate_noisy_exact(Circuit(width, 1, gates, "wide"), NOISELESS)
+    ghz = (h(0), *(cnot(q, q + 1) for q in range(11)), *(measure(q, q) for q in range(12)))
+    dist = simulate_noisy_exact(Circuit(12, 12, ghz, "ghz12"), _uniform_model(p_cnot=0.01))
+    assert sum(p for _, p in dist.items()) == pytest.approx(1.0, abs=1e-12)
 
 
 # -- simulate_noisy_sampled ----------------------------------------------------
@@ -288,17 +296,58 @@ def _random_model(rng):
     )
 
 
+def _frequencies(indices: np.ndarray, size: int) -> np.ndarray:
+    return np.bincount(indices, minlength=size) / indices.size
+
+
 def test_oracle_equivalence_exact_vs_sampled():
-    """Exact channel averaging and trajectory sampling agree for all widths
-    up to 4 on a randomized test set."""
+    """Exact channel averaging and per-shot trajectory sampling (the oracle)
+    agree for all widths up to 4 on a randomized test set."""
     rng = np.random.default_rng(2024)
     for trial in range(8):
         n = int(rng.integers(1, 5))
         circuit = _random_circuit(rng, n, label=f"rand{trial}")
         model = _random_model(rng)
         exact = simulate_noisy_exact(circuit, model)
-        counts = simulate_noisy_sampled(circuit, model, 10**5, seed=trial)
-        assert _tvd(counts.frequencies(), dict(exact.items())) <= 0.01
+        _, obs = sample_trajectories(circuit, model, 10**5, seed=trial)
+        freqs = {format(i, f"0{n}b"): f for i, f in enumerate(_frequencies(obs, 1 << n))}
+        assert _tvd(freqs, dict(exact.items())) <= 0.01
+
+
+def test_sampler_laws_match_exact_and_density_matrix_oracle():
+    """The sampler draws from the exact observed law, and its pre-readout law
+    is the density-matrix oracle's law with readout off."""
+    rng = np.random.default_rng(7)
+    for trial in range(300):
+        circuit, model = _random_oracle_case(rng, trial)
+        sampler = TrajectorySampler(circuit, model)
+        exact = np.zeros(sampler.observed_law.size)
+        for key, p in simulate_noisy_exact(circuit, model).items():
+            exact[int(key, 2) if key else 0] = p
+        assert np.max(np.abs(sampler.observed_law - exact)) <= 1e-12, (trial, circuit)
+        bare = exact_outcome_vector(circuit, dataclasses.replace(model, readout_on=False))
+        assert np.max(np.abs(sampler.pre_readout_law - bare)) <= 1e-12, (trial, circuit)
+
+
+def test_sample_arrays_pairs_match_trajectory_oracle():
+    """Matched (pre-readout, observed) pairs have the oracle's joint law.
+
+    Two independent 10^5-shot empirical laws over K cells sit
+    sum_k sqrt(p_k / (pi N)) apart in expected TVD, at most
+    8 / sqrt(pi 10^5) = 0.014 for the 64 cells of three bits.
+    """
+    rng = np.random.default_rng(11)
+    shots = 10**5
+    for trial in range(6):
+        n = int(rng.integers(1, 4))
+        circuit = _random_circuit(rng, n, label=f"pairs{trial}")
+        model = _random_model(rng)
+        cells = 1 << (2 * n)
+        pre, obs = TrajectorySampler(circuit, model).sample_arrays(shots, seed=trial)
+        ref_pre, ref_obs = sample_trajectories(circuit, model, shots, seed=100 + trial)
+        got = _frequencies((pre << n) | obs, cells)
+        want = _frequencies((ref_pre << n) | ref_obs, cells)
+        assert 0.5 * np.abs(got - want).sum() <= 0.03, (trial, circuit)
 
 
 def test_sampler_reuse_matches_one_shot_calls(bell_circuit):
