@@ -6,16 +6,14 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
+from .characterization import TestKind, read_counts
 from .circuit import Circuit, DeviceTopology, validate
-from .errors import ConfigError, LabelMismatch, ParseError, parse_json_file
+from .errors import ConfigError, LabelMismatch, OutOfRange, ParseError, parse_json_file
 from .noise import CompositeNoiseModel, expand_granularity
 from .outcomes import Counts
-from .rng import child_seed, generator
-from .simulator import TrajectorySampler, counts_from_indices
-
-_STREAM_HIDDEN = 3
+from .rng import child_seed
+from .simulator import TrajectorySampler, draw_counts, hidden_readout_law
+from .simulator import counts_from_indices  # noqa: F401  (perfbench wraps and checks it here)
 
 
 @dataclass(frozen=True)
@@ -23,11 +21,16 @@ class MockGroundTruth:
     """The hidden truth behind a mock QPU: a fully-spatial noise model plus
     optional state-dependent readout noise that sits outside the fitted
     model family (each observed bit flips with probability
-    strength x [number of 1s in the pre-readout string], applied after the
-    ordinary readout channel)."""
+    min(1, strength x [number of 1s in the pre-readout string]), applied
+    after the ordinary readout channel). The strength lies in [0, 1]."""
 
     model: CompositeNoiseModel
     hidden_readout_strength: float = 0.0
+
+    def __post_init__(self):
+        strength = self.hidden_readout_strength
+        if not 0.0 <= strength <= 1.0:  # also rejects NaN
+            raise OutOfRange(f"hidden readout strength {strength} outside [0, 1]")
 
     def to_json_dict(self) -> dict:
         data = self.model.to_json_dict()
@@ -54,7 +57,8 @@ class MockGroundTruth:
 
 
 class MockBackend:
-    """Simulated QPU: trajectory sampling against a ground-truth model.
+    """Simulated QPU: each circuit's counts are one multinomial draw from
+    the ground truth's outcome law, hidden readout included.
 
     Deterministic: per-circuit sub-seeds derive from (seed, circuit index),
     so identical (circuits, shots, seed) always return identical counts.
@@ -75,43 +79,17 @@ class MockBackend:
             validate(circuit, self.topology)
             sampler = TrajectorySampler(circuit, self._model)
             sub = child_seed(seed, index)
-            if self.truth.hidden_readout_strength > 0.0 and sampler.num_bits:
-                pre, obs = sampler.sample_arrays(shots, sub)
-                obs = self._hidden_flips(pre, obs, sampler.num_bits, sub)
-                out.append(counts_from_indices(obs, sampler.num_bits, shots))
+            strength = self.truth.hidden_readout_strength
+            if strength > 0.0:
+                out.append(draw_counts(hidden_readout_law(sampler, strength), shots, sub))
             else:
                 out.append(sampler.sample(shots, sub))
         return out
 
-    def _hidden_flips(self, pre: np.ndarray, obs: np.ndarray, num_bits: int,
-                      seed: int) -> np.ndarray:
-        weight = np.zeros(pre.shape, dtype=np.int64)
-        for pos in range(num_bits):
-            weight += (pre >> pos) & 1
-        p_flip = np.clip(self.truth.hidden_readout_strength * weight, 0.0, 1.0)
-        rng = generator(seed, _STREAM_HIDDEN)
-        flips = np.zeros(obs.shape, dtype=np.int64)
-        for pos in range(num_bits):
-            flips |= (rng.random(obs.shape[0]) < p_flip).astype(np.int64) << pos
-        return obs ^ flips
-
 
 def load_counts(path: str | Path) -> dict[str, Counts]:
     """Load a counts archive as a label -> Counts map."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"counts file {path} is not valid JSON: {exc}") from exc
-    entries = data.get("entries") if isinstance(data, dict) else None
-    if not isinstance(entries, list):
-        raise ParseError(f"counts file {path} lacks an 'entries' list")
-    out: dict[str, Counts] = {}
-    for entry in entries:
-        try:
-            out[entry["label"]] = Counts(entry["counts"], entry["shots"])
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad counts entry {entry!r}: {exc}") from exc
-    return out
+    return read_counts(path)[1]
 
 
 class FileBackend:
@@ -121,10 +99,7 @@ class FileBackend:
                  topology: DeviceTopology | None = None):
         self.archive_path = str(archive_path)
         self._counts = load_counts(archive_path)
-        data = json.loads(Path(archive_path).read_text())
-        self.shots = data.get("shots")
         self.topology = topology or _topology_covering(self._counts)
-        self.max_shots = self.shots
 
     def run(self, circuits: list[Circuit], shots: int, seed: int) -> list[Counts]:
         missing = [c.label for c in circuits if c.label not in self._counts]
@@ -148,8 +123,6 @@ class FileBackend:
 
 def _topology_covering(counts: dict[str, Counts]) -> DeviceTopology:
     """Smallest topology consistent with the archived test labels."""
-    from .characterization import TestKind
-
     max_q = 0
     edges = []
     for label in counts:

@@ -223,34 +223,43 @@ def write_archive(path: str | Path, data: dict) -> None:
     Path(path).write_text(json.dumps(data, indent=2, sort_keys=True))
 
 
-def read_archive(path: str | Path) -> tuple[dict, list[Characterization]]:
-    """Load an archive back into characterization records (lossless)."""
+def read_counts(path: str | Path) -> tuple[dict, dict[str, Counts]]:
+    """Parse a counts archive into its JSON object and a label -> Counts map."""
     try:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"archive {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
         raise ParseError(f"archive {path} lacks an 'entries' list")
-    chars = []
+    counts: dict[str, Counts] = {}
     for entry in data["entries"]:
         try:
-            label = entry["label"]
-            counts = Counts(entry["counts"], entry["shots"])
+            counts[entry["label"]] = Counts(entry["counts"], entry["shots"])
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad archive entry {entry!r}: {exc}") from exc
+    if len(counts) < len(data["entries"]):
+        raise ParseError(f"archive {path} repeats a label")
+    return data, counts
+
+
+def read_archive(path: str | Path) -> tuple[dict, list[Characterization]]:
+    """Load an archive back into characterization records (lossless)."""
+    data, counts = read_counts(path)
+    chars = []
+    for label, c in counts.items():
         kind = TestKind.from_label(label)
         circuit, expected = materialize(kind)
-        chars.append(Characterization(kind, circuit, counts, expected))
+        chars.append(Characterization(kind, circuit, c, expected))
     return data, chars
 
 
 def archive_hash(path: str | Path) -> str:
-    """Provenance tag: sha256 of the archive's canonical content.
+    """`content_hash` of the archive file at `path`."""
+    return content_hash(json.loads(Path(path).read_text()))
 
-    The meta block (timestamps etc.) is excluded so logically identical
-    archives hash identically.
-    """
-    data = json.loads(Path(path).read_text())
-    data.pop("meta", None)
-    canonical = json.dumps(data, sort_keys=True)
+
+def content_hash(data: dict) -> str:
+    """Provenance tag: sha256 of a parsed archive's canonical content, meta
+    block (timestamps etc.) excluded so identical archives hash identically."""
+    canonical = json.dumps({k: v for k, v in data.items() if k != "meta"}, sort_keys=True)
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]

@@ -20,8 +20,8 @@ from .backend import FileBackend, MockBackend, MockGroundTruth
 from .characterization import (
     SuiteConfig,
     archive_dict,
-    archive_hash,
     build_suite,
+    content_hash,
     count_experiments,
     materialize,
     read_archive,
@@ -195,7 +195,7 @@ def cmd_fit(args) -> int:
         granularity=args.granularity,
         subset=_parse_subset(args.subset),
         window=data.get("window", ""),
-        provenance=archive_hash(args.archive),
+        provenance=content_hash(data),
     )
     fit = fit_composite(chars, config)
     out = _out_dir(args)
@@ -304,6 +304,8 @@ def cmd_demo(args) -> int:
         raise ConfigError(f"unknown demo {args.what!r}; available: full-paper")
     if args.resamples < 1:
         raise ConfigError("--resamples must be >= 1")
+    if not 0.0 <= args.hidden <= 1.0:  # also rejects NaN
+        raise ConfigError("--hidden must lie in [0, 1]")
     out = _out_dir(args)
     shots, seed = args.shots, args.seed
     print(f"== demo full-paper (shots={shots}, seed={seed}) -> {out}")
@@ -467,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--resamples", type=int, default=50)
     p.add_argument("--hidden", type=float, default=0.0,
-                   help="state-dependent hidden readout strength")
+                   help="state-dependent hidden readout strength, in [0, 1]")
     p.add_argument("--max-ghz", type=int, default=10)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_demo)

@@ -94,5 +94,5 @@ def parse_json_file(path, what: str, build):
     content that `build` rejects raises ParseError naming `what`."""
     try:
         return build(json.loads(Path(path).read_text()))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OutOfRange, TypeError, ValueError) as exc:
         raise ParseError(f"{what} {path} is malformed: {exc}") from exc

@@ -14,6 +14,8 @@ or Z injected right after that gate. Mixing the ideal marginal over every
 site's masks gives the pre-readout law; readout, a per-bit stochastic
 channel, turns it into the observed law. The exact distribution is that
 law, and sampling any number of shots is one multinomial draw from it.
+The mock QPU's hidden readout is that per-bit channel applied to each
+Hamming-weight class of the pre-readout law (`hidden_readout_law`).
 """
 from __future__ import annotations
 
@@ -29,7 +31,6 @@ from .rng import generator
 MAX_QUBITS = 24  # active-qubit guard shared by every entry point
 
 _STREAM_OUTCOMES = 1
-_STREAM_READOUT = 2
 _STREAM_MULTINOMIAL = 4
 
 
@@ -184,12 +185,18 @@ def _outcome_laws(comp: _Compiled, model: CompositeNoiseModel) -> tuple[np.ndarr
     if rates is None:
         return pre, pre
     obs = pre.copy()
-    for bit, (p0, p1) in enumerate(zip(*rates)):
-        t = obs.reshape(1 << bit, 2, -1)
-        moved = p0 * t[:, 0] - p1 * t[:, 1]  # net mass read 0 -> 1
+    _read_out(obs, *rates)
+    return pre, obs
+
+
+def _read_out(law: np.ndarray, p0: np.ndarray, p1: np.ndarray) -> None:
+    """Apply, in place on a flat law, each classical bit's readout flips:
+    a 0 reads 1 with probability p0[bit], a 1 reads 0 with p1[bit]."""
+    for bit, (a, b) in enumerate(zip(p0, p1)):
+        t = law.reshape(1 << bit, 2, -1)
+        moved = a * t[:, 0] - b * t[:, 1]  # net mass read 0 -> 1
         t[:, 0] -= moved
         t[:, 1] += moved
-    return pre, obs
 
 
 def _by_key(values: np.ndarray, num_bits: int, floor: float = 0.0) -> dict:
@@ -231,40 +238,46 @@ class TrajectorySampler:
 
     def __init__(self, circuit: Circuit, model: CompositeNoiseModel,
                  max_qubits: int = MAX_QUBITS):
-        self._comp = _Compiled(circuit, max_qubits)
-        self._readout = _readout_rates(self._comp, model)
-        self.pre_readout_law, self.observed_law = _outcome_laws(self._comp, model)
-
-    @property
-    def num_bits(self) -> int:
-        return self._comp.num_bits
-
-    def sample_arrays(self, shots: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
-        """Per-shot (pre-readout, observed) outcome indices, sorted by the
-        pre-readout index."""
-        draws = generator(seed, _STREAM_OUTCOMES).multinomial(shots, self.pre_readout_law)
-        hit = np.flatnonzero(draws)
-        pre = np.repeat(hit, draws[hit])
-        obs = pre
-        m = self._comp.num_bits
-        if self._readout is not None:
-            p0, p1 = self._readout
-            rng_ro = generator(seed, _STREAM_READOUT)
-            ro_flips = np.zeros(shots, dtype=np.int64)
-            for bit in range(m):
-                pos = m - 1 - bit
-                vals = (pre >> pos) & 1
-                p_flip = np.where(vals == 1, p1[bit], p0[bit])
-                ro_flips |= (rng_ro.random(shots) < p_flip).astype(np.int64) << pos
-            obs = pre ^ ro_flips
-        return pre, obs
+        comp = _Compiled(circuit, max_qubits)
+        self.num_bits = comp.num_bits
+        self._readout = _readout_rates(comp, model)
+        self.pre_readout_law, self.observed_law = _outcome_laws(comp, model)
 
     def sample(self, shots: int, seed: int) -> Counts:
         """Observed counts of `shots` shots: one multinomial draw."""
-        draws = generator(seed, _STREAM_OUTCOMES).multinomial(shots, self.observed_law)
-        return Counts(_by_key(draws, self._comp.num_bits), shots)
+        return draw_counts(self.observed_law, shots, seed)
 
 
+def hidden_readout_law(sampler: TrajectorySampler, strength: float) -> np.ndarray:
+    """Observed law when, after the model's readout, every bit also flips
+    with probability h = clip(strength * w, 0, 1), w being the Hamming weight
+    of the pre-readout outcome.
+
+    Given w, readout then the hidden flip is one per-bit channel with rates
+    (1 - h) p + h (1 - p), so each weight class of the pre-readout law is
+    read out once: O((m + 1) m 2^m) for m measured bits.
+    """
+    pre = sampler.pre_readout_law
+    m = sampler.num_bits
+    p0, p1 = sampler._readout or (np.zeros(m), np.zeros(m))
+    weight = sum((np.arange(pre.size) >> pos) & 1 for pos in range(m))
+    law = np.zeros_like(pre)
+    for w in range(m + 1):
+        part = np.where(weight == w, pre, 0.0)
+        h = min(strength * w, 1.0)
+        _read_out(part, (1 - h) * p0 + h * (1 - p0), (1 - h) * p1 + h * (1 - p1))
+        law += part
+    return law
+
+
+def draw_counts(law: np.ndarray, shots: int, seed: int) -> Counts:
+    """Counts of `shots` shots from a flat outcome law: one multinomial draw
+    on the outcome stream."""
+    draws = generator(seed, _STREAM_OUTCOMES).multinomial(shots, law)
+    return Counts(_by_key(draws, law.size.bit_length() - 1), shots)
+
+
+# Unused by the package; kept because the benchmark's span recorder wraps it.
 def counts_from_indices(indices: np.ndarray, num_bits: int, shots: int) -> Counts:
     """Counts from per-shot outcome indices."""
     return Counts(_by_key(np.bincount(indices, minlength=1 << num_bits), num_bits), shots)

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from noisekit.applications import build_bv
@@ -12,10 +13,11 @@ from noisekit.characterization import (
     write_archive,
 )
 from noisekit.devices import ladder20, line, uniform_truth
-from noisekit.errors import LabelMismatch, ParseError, UncoupledPair
+from noisekit.errors import LabelMismatch, OutOfRange, ParseError, UncoupledPair
 from noisekit.evaluation import ApplicationRun
 from noisekit.noise import CompositeNoiseModel
 from noisekit.simulator import TrajectorySampler, simulate_ideal
+from trajectory_oracle import sample_trajectories
 
 
 def test_mock_zero_noise_matches_ideal_support(line3):
@@ -74,6 +76,13 @@ def test_hidden_effects_default_off(tmp_path):
     path = tmp_path / "t.json"
     truth.save(path)
     assert MockGroundTruth.load(path).hidden_readout_strength == 0.0
+
+
+@pytest.mark.parametrize("strength", [-0.5, float("nan"), float("inf"), 1.5])
+def test_truth_rejects_hidden_strength_outside_unit_interval(strength):
+    with pytest.raises(OutOfRange):
+        MockGroundTruth(uniform_truth(line(2)), hidden_readout_strength=strength)
+    MockGroundTruth(uniform_truth(line(2)), hidden_readout_strength=1.0)
 
 
 def test_hidden_effects_depress_weighted_outcomes():
@@ -146,13 +155,18 @@ def test_load_counts_not_json(tmp_path):
 
 
 def test_sampler_exposes_preimage(line2):
-    """The public trajectory API returns matched (pre, post) readout indices."""
+    """The sampler's public pre-readout law is the preimage of its observed
+    law: the per-shot oracle's pre-readout outcomes follow it, and maximal
+    readout noise decouples the observation from it."""
     model = uniform_truth(line2, p0=0.5, p1=0.5, p_x=0.0, p_cnot=0.0)
     from noisekit.applications import build_ghz
 
-    sampler = TrajectorySampler(build_ghz(2, line2), model)
-    pre, obs = sampler.sample_arrays(10_000, seed=8)
+    circuit = build_ghz(2, line2)
+    sampler = TrajectorySampler(circuit, model)
+    assert sampler.pre_readout_law == pytest.approx([0.5, 0.0, 0.0, 0.5], abs=1e-12)
+    assert sampler.observed_law == pytest.approx([0.25] * 4, abs=1e-12)
+    pre, obs = sample_trajectories(circuit, model, 10_000, seed=8)
     assert pre.shape == obs.shape == (10_000,)
-    # maximal readout noise decouples observation from preparation
-    flips = (pre ^ obs).mean()
-    assert flips > 0
+    for indices, law in ((pre, sampler.pre_readout_law), (obs, sampler.observed_law)):
+        freqs = np.bincount(indices, minlength=4) / indices.size
+        assert 0.5 * np.abs(freqs - law).sum() <= 0.03

@@ -6,7 +6,9 @@ from noisekit.characterization import (
     SuiteConfig,
     TestKind,
     archive_dict,
+    archive_hash,
     build_suite,
+    content_hash,
     count_experiments,
     materialize,
     read_archive,
@@ -190,6 +192,28 @@ def test_archive_roundtrip(tmp_path, line3):
     assert [c.label for c in loaded] == [c.label for c in chars]
     assert [c.counts for c in loaded] == [c.counts for c in chars]
     assert [c.kind for c in loaded] == [c.kind for c in chars]
+
+
+def test_content_hash_of_parsed_archive_is_archive_hash(tmp_path, line3):
+    """Hashing the dict read_archive returns gives archive_hash of the file,
+    ignores meta and leaves the dict whole."""
+    backend = MockBackend(line3, MockGroundTruth(uniform_truth(line3)))
+    plan = build_suite(line3, SuiteConfig(shots=64, seed=1))
+    chars = run_suite(plan, backend)
+    path = tmp_path / "archive.json"
+    write_archive(path, archive_dict(plan, chars, window="w", meta={"t": 1}))
+    data, _ = read_archive(path)
+    assert content_hash(data) == archive_hash(path)
+    assert data["meta"] == {"t": 1}
+    assert content_hash({**data, "meta": {"t": 2}}) == content_hash(data)
+
+
+def test_read_archive_rejects_repeated_label(tmp_path):
+    path = tmp_path / "dup.json"
+    entry = '{"label": "init:q0", "shots": 3, "counts": {"0": 3}}'
+    path.write_text(f'{{"entries": [{entry}, {entry}]}}')
+    with pytest.raises(ParseError, match="repeats a label"):
+        read_archive(path)
 
 
 def test_read_archive_rejects_bad_shots(tmp_path):

@@ -3,7 +3,9 @@ import json
 import pytest
 
 from noisekit.backend import MockGroundTruth
-from noisekit.characterization import archive_dict, build_suite, run_suite, SuiteConfig, write_archive
+from noisekit.characterization import (
+    archive_dict, archive_hash, build_suite, run_suite, SuiteConfig, write_archive,
+)
 from noisekit.cli import main
 from noisekit.devices import line, uniform_truth
 from noisekit.noise import CompositeNoiseModel
@@ -231,6 +233,16 @@ def test_fit_byte_stable(setup):
     assert one == two
 
 
+def test_fit_provenance_is_archive_hash(setup):
+    """The fitted model's provenance, hashed from the parsed archive, equals
+    archive_hash of the archive file byte for byte."""
+    tmp_path, device, truth = setup
+    archive = _characterize(tmp_path, device, truth)
+    assert main(["fit", "--archive", str(archive), "--out", str(tmp_path / "f")]) == 0
+    model = json.loads((tmp_path / "f" / "model-aro_dp-per_element.json").read_text())
+    assert model["provenance"] == archive_hash(archive)
+
+
 def test_file_backend_through_cli(setup):
     tmp_path, device, truth = setup
     archive = _characterize(tmp_path, device, truth)
@@ -303,6 +315,25 @@ def _subset_fit_without_subset(tmp_path, device, truth):
     return ["fit", "--archive", str(archive), "--granularity", "subset_average"]
 
 
+def _edited(path, edit):
+    data = json.loads(path.read_text())
+    edit(data)
+    path.write_text(json.dumps(data))
+
+
+def _edited_truth(edit):
+    def make_argv(tmp_path, device, truth):
+        _edited(truth, edit)
+        return _characterize_argv(tmp_path, device, truth)
+    return make_argv
+
+
+def _negative_pcnot_model(tmp_path, device, truth):
+    argv = _evaluate_argv(tmp_path, device, truth)
+    _edited(tmp_path / "model.json", lambda d: d["cnot"]["0-1"].update(p_cnot=-0.1))
+    return argv
+
+
 def _subset_beyond_device(tmp_path, device, truth):
     small = tmp_path / "line3.json"
     line(3).save(small)
@@ -336,6 +367,14 @@ MALFORMED_INPUTS = {
     "app-bv-outside": (lambda t, d, tr: _evaluate_argv(t, d, tr, app="bv:1@0/9"),
                        "ConfigError"),
     "subset-beyond-device": (_subset_beyond_device, "ConfigError"),
+    "hidden-negative": (lambda t, d, tr: [*_demo_argv(t, d, tr), "--hidden", "-0.5"],
+                        "ConfigError"),
+    "hidden-nan": (lambda t, d, tr: [*_demo_argv(t, d, tr), "--hidden", "nan"], "ConfigError"),
+    "truth-hidden-out-of-range": (_edited_truth(
+        lambda d: d["hidden_effects"].update(state_dependent_readout=3.0)), "ParseError"),
+    "truth-p0-out-of-range": (_edited_truth(lambda d: d["readout"]["0"].update(p0=2.0)),
+                              "ParseError"),
+    "model-pcnot-negative": (_negative_pcnot_model, "ParseError"),
 }
 
 

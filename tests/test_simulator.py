@@ -11,7 +11,8 @@ import noisekit
 from dm_oracle import exact_outcome_vector
 from trajectory_oracle import sample_trajectories
 from noisekit import _kernels
-from noisekit.circuit import Circuit, cnot, h, identity, measure, x
+from noisekit.backend import MockBackend, MockGroundTruth
+from noisekit.circuit import Circuit, DeviceTopology, cnot, h, identity, measure, x
 from noisekit.errors import NormDrift, TooWide
 from noisekit.noise import CompositeNoiseModel, ReadoutModel
 from noisekit.outcomes import Distribution
@@ -19,6 +20,7 @@ from noisekit.simulator import (
     MAX_QUBITS,
     TrajectorySampler,
     _Compiled,
+    hidden_readout_law,
     sample_from_distribution,
     simulate_ideal,
     simulate_noisy_exact,
@@ -329,12 +331,39 @@ def test_sampler_laws_match_exact_and_density_matrix_oracle():
         assert np.max(np.abs(sampler.pre_readout_law - bare)) <= 1e-12, (trial, circuit)
 
 
-def test_sample_arrays_pairs_match_trajectory_oracle():
-    """Matched (pre-readout, observed) pairs have the oracle's joint law.
+def _clbit_rates(circuit, model):
+    """Per classical bit (p0, p1) of the model's readout; zeros when it is off."""
+    off = ReadoutModel(0.0, 0.0)
+    ros = [model.readout_for(q) if model.readout_on else off
+           for q in circuit.measured_qubits()]
+    return [r.p0 for r in ros], [r.p1 for r in ros]
 
-    Two independent 10^5-shot empirical laws over K cells sit
-    sum_k sqrt(p_k / (pi N)) apart in expected TVD, at most
-    8 / sqrt(pi 10^5) = 0.014 for the 64 cells of three bits.
+
+def _pair_law(pre, p0, p1, strength=0.0):
+    """Brute-force joint law of (pre-readout i, observed j): pre[i] times,
+    per bit, the readout matrix followed by the hidden flip matrix at the
+    weight of i, each a 2x2 column-stochastic matrix."""
+    m = len(p0)
+    pairs = np.zeros((1 << m, 1 << m))
+    for i in range(1 << m):
+        bits = [(i >> (m - 1 - b)) & 1 for b in range(m)]
+        f = min(1.0, strength * sum(bits))
+        hidden = np.array([[1 - f, f], [f, 1 - f]])
+        per_bit = [hidden @ np.array([[1 - p0[b], p1[b]], [p0[b], 1 - p1[b]]])
+                   for b in range(m)]
+        for j in range(1 << m):
+            pairs[i, j] = pre[i] * np.prod(
+                [per_bit[b][(j >> (m - 1 - b)) & 1, bits[b]] for b in range(m)])
+    return pairs
+
+
+def test_readout_pairs_match_trajectory_oracle():
+    """The oracle's matched (pre-readout, observed) pairs follow the joint
+    law the sampler implies: its pre-readout law through per-bit readout.
+
+    A 10^5-shot empirical law over K cells sits sum_k sqrt(p_k / (2 pi N))
+    from its exact law in expected TVD, at most 8 / sqrt(2 pi 10^5) = 0.010
+    for the 64 cells of three bits.
     """
     rng = np.random.default_rng(11)
     shots = 10**5
@@ -343,11 +372,60 @@ def test_sample_arrays_pairs_match_trajectory_oracle():
         circuit = _random_circuit(rng, n, label=f"pairs{trial}")
         model = _random_model(rng)
         cells = 1 << (2 * n)
-        pre, obs = TrajectorySampler(circuit, model).sample_arrays(shots, seed=trial)
-        ref_pre, ref_obs = sample_trajectories(circuit, model, shots, seed=100 + trial)
+        want = _pair_law(TrajectorySampler(circuit, model).pre_readout_law,
+                         *_clbit_rates(circuit, model)).reshape(-1)
+        pre, obs = sample_trajectories(circuit, model, shots, seed=100 + trial)
         got = _frequencies((pre << n) | obs, cells)
-        want = _frequencies((ref_pre << n) | ref_obs, cells)
         assert 0.5 * np.abs(got - want).sum() <= 0.03, (trial, circuit)
+
+
+HIDDEN_STRENGTHS = (0.0, 0.04, 0.3, 0.6)
+
+
+def test_hidden_readout_law_matches_brute_force():
+    """The composed hidden-readout law is the brute-force sum over the
+    density-matrix oracle's pre-readout law, with the flip rate clipped at 1."""
+    rng = np.random.default_rng(5)
+    cases = [(_random_circuit(rng, int(rng.integers(1, 5)), label=f"hid{t}"),
+              _random_model(rng)) for t in range(200)]
+    cases += [_random_oracle_case(rng, t) for t in range(100)]
+    clipped = 0
+    for trial, (circuit, model) in enumerate(cases):
+        strength = HIDDEN_STRENGTHS[trial % len(HIDDEN_STRENGTHS)]
+        sampler = TrajectorySampler(circuit, model)
+        pre = exact_outcome_vector(circuit, dataclasses.replace(model, readout_on=False))
+        want = _pair_law(pre, *_clbit_rates(circuit, model), strength).sum(axis=0)
+        got = hidden_readout_law(sampler, strength)
+        assert np.max(np.abs(got - want)) <= 1e-12, (trial, strength, circuit)
+        weights = [bin(i).count("1") for i in range(pre.size)]
+        clipped += any(strength * w > 1 and p > 0 for w, p in zip(weights, pre))
+    assert clipped
+
+
+def test_hidden_backend_counts_match_trajectory_oracle():
+    """Mock QPU counts under hidden readout have the per-shot oracle's law.
+
+    Two independent 10^5-shot empirical laws over K cells sit
+    sum_k sqrt(p_k / (pi N)) apart in expected TVD, at most
+    4 / sqrt(pi 10^5) = 0.0071 for the 16 cells of four bits.
+    """
+    rng = np.random.default_rng(13)
+    shots = 10**5
+    for trial in range(6):
+        n = int(rng.integers(1, 5))
+        circuit = _random_circuit(rng, n, label=f"hidden{trial}")
+        model = _random_model(rng)
+        strength = HIDDEN_STRENGTHS[1 + trial % 3]
+        topo = DeviceTopology(n, tuple((a, b) for a in range(n) for b in range(a + 1, n)))
+        backend = MockBackend(topo, MockGroundTruth(model, strength))
+        counts = backend.run([circuit], shots, seed=trial)[0]
+        got = np.zeros(1 << n)
+        for key, c in counts.counts.items():
+            got[int(key, 2)] = c / shots
+        _, obs = sample_trajectories(circuit, model, shots, seed=200 + trial,
+                                     hidden_strength=strength)
+        want = _frequencies(obs, 1 << n)
+        assert 0.5 * np.abs(got - want).sum() <= 0.03, (trial, strength, circuit)
 
 
 def test_sampler_reuse_matches_one_shot_calls(bell_circuit):

@@ -6,8 +6,11 @@ then X, Y or Z with probability 1/3 each) and carries its Pauli frame
 forward through the rest of the circuit (H swaps the X and Z parts; CNOT
 copies X control -> target and Z target -> control). At the terminal
 measurements the frame's X part flips the shot's ideal outcome, and each
-bit then goes through its readout flip. The ideal outcomes come from the
-density-matrix oracle; nothing here uses `noisekit.simulator`.
+bit then goes through its readout flip and, with a hidden strength s, the
+mock QPU's hidden flip: every bit flips with probability min(1, s * w), w
+being the Hamming weight of the shot's pre-readout outcome. The ideal
+outcomes come from the density-matrix oracle; nothing here uses
+`noisekit.simulator`.
 """
 from __future__ import annotations
 
@@ -19,7 +22,8 @@ from noisekit.noise import CompositeNoiseModel
 
 
 def sample_trajectories(
-    circuit: Circuit, model: CompositeNoiseModel, shots: int, seed: int
+    circuit: Circuit, model: CompositeNoiseModel, shots: int, seed: int,
+    hidden_strength: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-shot (pre-readout, observed) outcome indices, classical bit 0
     most significant."""
@@ -59,5 +63,12 @@ def sample_trajectories(
             pos = m - 1 - bit
             ro = model.readout_for(q)
             p_flip = np.where((pre >> pos) & 1, ro.p1, ro.p0)
+            obs ^= (rng.random(shots) < p_flip).astype(np.int64) << pos
+    if hidden_strength > 0.0:
+        weight = np.zeros(shots, dtype=np.int64)
+        for pos in range(m):
+            weight += (pre >> pos) & 1
+        p_flip = np.clip(hidden_strength * weight, 0.0, 1.0)
+        for pos in range(m):
             obs ^= (rng.random(shots) < p_flip).astype(np.int64) << pos
     return pre, obs
