@@ -1,13 +1,15 @@
 """Parameter estimation from characterization records.
 
-Every test circuit has closed-form frequencies, so every estimator but one
-is exact: readout-of-0 error is a frequency, the coupled (p1, p_x) system of
-the X/XX tests is solved in closed form, and the Bell-test least-squares
-fit of the cnot depolarizing parameter is quadratic in s = 2p/3 - 4p^2/9.
-Only the Hadamard survival decay keeps a bounded scalar minimiser. Standard
-errors propagate each record's binomial counting noise (and upstream
-readout stderrs) through analytic gradients (delta method); estimates that
-land outside [0,1] are clamped and flagged infeasible rather than rejected.
+Every test circuit has closed-form frequencies, so every estimator is exact
+and none iterates: readout-of-0 error is a frequency, the coupled (p1, p_x)
+system of the X/XX tests is solved in closed form, the Bell-test
+least-squares fit of the cnot depolarizing parameter is quadratic in
+s = 2p/3 - 4p^2/9, and the Hadamard survival decay's least squares is a
+polynomial root problem in r^2 = (1 - 4p/3)^2. Readout enters only through
+`noise.read_out`, the channel the simulator uses. Standard errors propagate
+each record's binomial counting noise (and upstream readout stderrs) through
+analytic gradients (delta method); estimates that land outside [0,1] are
+clamped and flagged infeasible rather than rejected.
 """
 from __future__ import annotations
 
@@ -32,8 +34,8 @@ from .noise import (
     VARIANTS,
     CompositeNoiseModel,
     ReadoutModel,
-    apply_readout_to_distribution,
-    bell_frequencies,
+    apply_readout_to_distribution,  # noqa: F401  (perfbench counts calls to it here)
+    read_out,
 )
 
 
@@ -75,77 +77,14 @@ def binomial_stderr(freq: float, shots: int | None) -> float:
     return math.sqrt(v * (1.0 - v) / shots)
 
 
-# -- bounded scalar minimiser (Hadamard decay) ----------------------------------
-
-def minimize_bounded(fn, lo, hi, param_tol=1e-10, coarse=65, max_newton=80):
-    """Minimize a smooth scalar function on [lo, hi].
-
-    Coarse scan to bracket the global minimum, golden-section refinement,
-    then Newton polish on the (finite-differenced) derivative; falls back to
-    the golden-section result whenever Newton misbehaves. Returns
-    (minimizer, fn(minimizer), iterations).
-    """
-    grid = np.linspace(lo, hi, coarse)
-    values = [fn(g) for g in grid]
-    best = int(np.argmin(values))
-    a = grid[max(best - 1, 0)]
-    b = grid[min(best + 1, coarse - 1)]
-    iterations = coarse
-
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc, fd = fn(c), fn(d)
-    while b - a > 1e-8:
-        iterations += 1
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = fn(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = fn(d)
-    x = 0.5 * (a + b)
-
-    step_h = 1e-6
-    newton_steps = 0
-    while lo + step_h <= x <= hi - step_h and newton_steps < max_newton:
-        newton_steps += 1
-        iterations += 1
-        f0, fp, fm = fn(x), fn(x + step_h), fn(x - step_h)
-        d1 = (fp - fm) / (2 * step_h)
-        d2 = (fp - 2 * f0 + fm) / step_h**2
-        if d2 <= 0.0 or not math.isfinite(d2):
-            break
-        nxt = min(hi, max(lo, x - d1 / d2))
-        moved = abs(nxt - x)
-        if fn(nxt) > f0:
-            break
-        x = nxt
-        if moved <= param_tol:
-            break
-    # exact boundary minima beat any interior resolution limit
-    fx = fn(x)
-    for endpoint in (lo, hi):
-        fe = fn(endpoint)
-        if fe <= fx:
-            x, fx = endpoint, fe
-    return float(x), float(fx), iterations
-
-
 # -- closed-form estimators ------------------------------------------------------
-
-def _frequency_of(char: Characterization, outcome: str) -> float:
-    return char.counts.frequency(outcome)
-
 
 def estimate_p0(char: Characterization) -> EstimationResult:
     """Readout-of-0 flip rate from the init-measure test: the observed
     frequency of outcome 1. Doubles as p_sro for the symmetric model."""
     if char.kind.kind != "init":
         raise WrongKind(f"estimate_p0 needs an init test, got {char.kind.kind}")
-    freq = _frequency_of(char, "1")
+    freq = char.counts.frequency("1")
     return EstimationResult(
         name=f"p0:q{char.kind.qubit}",
         value=freq,
@@ -220,12 +159,19 @@ def estimate_hadamard_error(
 ) -> HadamardFit:
     """Per-gate Hadamard depolarizing rate from even-length sequence tests.
 
-    Least squares of readout-corrected survival against
-    1/2 + 1/2 (1 - 4p/3)^L, bounded to [0,1]. The stderr propagates each
-    record's binomial noise through the implicit-function derivative of the
-    least-squares optimum; on a bound that derivative is zero. The include
-    flag recommends dropping the channel when the rate is indistinguishable
-    from zero (<= 10 stderr).
+    Least squares of readout-corrected survival t_L against
+    1/2 + 1/2 (1 - 4p/3)^L. Every length is even, so with s = (1 - 4p/3)^2
+    and u_L = t_L - 1/2 the misfit sum_L (s^(L/2) / 2 - u_L)^2 depends on s
+    alone: p and 3/2 - p fit equally well, and the search is p in [0, 3/4],
+    i.e. s in [0, 1]. The misfit's s-derivative is proportional to the
+    polynomial sum_L (L/2) s^(L-1) - L u_L s^(L/2-1), so the optimum is the
+    best of s = 0, s = 1 and that polynomial's real roots in [0, 1]; ties go
+    to the least p. The stderr propagates each record's binomial noise
+    through the implicit-function derivative of the optimum. On the bounds
+    p = 0 and p = 3/4 (fully mixed, where dp/ds diverges) the fit does not
+    move with the data, so no stderr is reported and the channel is left out
+    of the model; inside, the include flag drops the channel when the rate
+    is indistinguishable from zero (<= 10 stderr).
     """
     for char in chars:
         if char.kind.kind != "hseq":
@@ -239,29 +185,31 @@ def estimate_hadamard_error(
     if abs(denom) < 1e-9:
         raise NoConvergence("readout too noisy to invert for survival correction")
     by_length = {char.kind.length: char for char in chars}
-    observed = {l: by_length[l].counts.frequency("0") for l in lengths}
-    target = {l: (observed[l] - readout.p1) / denom for l in lengths}
+    observed = [by_length[l].counts.frequency("0") for l in lengths]
+    length = np.array(lengths)
+    u = (np.array(observed) - readout.p1) / denom - 0.5
 
-    def objective(p):
-        return sum((hadamard_survival(l, p) - target[l]) ** 2 for l in lengths)
-
-    value, ssr, iterations = minimize_bounded(objective, 0.0, 1.0)
+    derivative = np.zeros(lengths[-1])  # coefficients of s^0 .. s^(L_max - 1)
+    derivative[length - 1] += length / 2.0
+    derivative[length // 2 - 1] -= length * u
+    roots = np.polynomial.polynomial.polyroots(derivative)
+    real = roots.real[np.abs(roots.imag) < 1e-9]
+    s = np.sort(np.concatenate(([0.0, 1.0], real[(real >= 0.0) & (real <= 1.0)])))[::-1]
+    ssr = ((s[:, None] ** (length / 2.0) / 2.0 - u) ** 2).sum(axis=1)
+    best = int(np.argmin(ssr))  # s descends, so a tie goes to the least p
+    decay = math.sqrt(s[best])
+    value = 0.75 * (1.0 - decay)
 
     stderr = 0.0
-    if 0.0 < value < 1.0:
+    if 0.0 < value < 0.75:
         # The optimum solves sum_l (S_l - t_l) S_l' = 0, with S_l the survival
         # and t_l the corrected target: dp/dt_l = S_l' / sum_l (S_l'^2 + (S_l - t_l) S_l'').
-        decay = 1.0 - 4.0 * value / 3.0
-        d1 = {l: -(2.0 * l / 3.0) * decay ** (l - 1) for l in lengths}
-        d2 = {l: (8.0 / 9.0) * l * (l - 1) * decay ** (l - 2) for l in lengths}
-        curvature = sum(
-            d1[l] ** 2 + (hadamard_survival(l, value) - target[l]) * d2[l] for l in lengths
-        )
-        stderr = math.sqrt(sum(
-            (d1[l] / (denom * curvature)
-             * binomial_stderr(observed[l], by_length[l].counts.shots)) ** 2
-            for l in lengths
-        ))
+        d1 = -(2.0 * length / 3.0) * decay ** (length - 1)
+        d2 = (8.0 / 9.0) * length * (length - 1) * decay ** (length - 2)
+        curvature = float(d1 @ d1 + (decay**length / 2.0 - u) @ d2)
+        sigma = [binomial_stderr(f, by_length[l].counts.shots)
+                 for l, f in zip(lengths, observed)]
+        stderr = float(np.linalg.norm(d1 * sigma)) / abs(denom * curvature)
 
     qubit = chars[0].kind.qubit
     result = EstimationResult(
@@ -269,30 +217,26 @@ def estimate_hadamard_error(
         value=value,
         raw_value=value,
         stderr=stderr,
-        residual_norm=math.sqrt(ssr),
-        iterations=iterations,
+        residual_norm=math.sqrt(ssr[best]),
     )
-    return HadamardFit(result, include_in_model=value > 10.0 * stderr)
+    return HadamardFit(result, include_in_model=10.0 * stderr < value < 0.75)
 
 
 BELL_OUTCOMES = ("00", "01", "10", "11")
 
 
-def _bell_line(readout_j: ReadoutModel, readout_k: ReadoutModel):
-    """Readout-transformed Bell frequencies as base + s * slope.
+def _bell_line(rates: np.ndarray) -> np.ndarray:
+    """Readout-transformed Bell frequencies as rows (base, slope), the law at
+    s = 2p/3 - 4p^2/9 being base + s * slope.
 
-    The Bell frequencies are affine in s = 2p/3 - 4p^2/9, and readout is
-    linear, so two points fix the line: p = 0 (s = 0) and the uniform law
-    at p = 3/4 (s = 1/4).
+    Before readout the law over BELL_OUTCOMES is [1/2, 0, 0, 1/2] +
+    s [-1, 1, 1, -1]; readout is linear, so `read_out` with the per-bit
+    rates [[p0_j, p0_k], [p1_j, p1_k]] maps each row.
     """
-    base, uniform = (
-        np.array([
-            apply_readout_to_distribution(bell_frequencies(p), [readout_j, readout_k]).prob(k)
-            for k in BELL_OUTCOMES
-        ])
-        for p in (0.0, 0.75)
-    )
-    return base, 4.0 * (uniform - base)
+    line = np.array([[0.5, 0.0, 0.0, 0.5], [-1.0, 1.0, 1.0, -1.0]])
+    for row in line:
+        read_out(row, *rates)
+    return line
 
 
 def fit_pcnot(
@@ -317,7 +261,8 @@ def fit_pcnot(
     j, k = char.kind.coupling
     name = f"p_cnot:q{j}-q{k}"
     observed = np.array([char.counts.frequency(key) for key in BELL_OUTCOMES])
-    base, slope = _bell_line(readout_j, readout_k)
+    rates = np.array([[readout_j.p0, readout_k.p0], [readout_j.p1, readout_k.p1]])
+    base, slope = _bell_line(rates)
     # |slope| = 2 |(1 - p0_j - p1_j)(1 - p0_k - p1_k)|
     norm2 = float(slope @ slope)
     if norm2 < 1e-18:
@@ -333,19 +278,15 @@ def fit_pcnot(
 
     obs_terms = slope / norm2 * [binomial_stderr(f, char.counts.shots) for f in observed]
     var = float(obs_terms @ obs_terms)
-    readouts = (readout_j, readout_k)
-    params = ((0, "p0"), (0, "p1"), (1, "p0"), (1, "p1"))
-    for sigma, (bit, param) in zip(readout_stderrs, params):
+    # (p0_j, p1_j, p0_k, p1_k) as (rate, bit) entries of `rates`
+    for sigma, entry in zip(readout_stderrs, ((0, 0), (1, 0), (0, 1), (1, 1))):
         if sigma == 0.0:
             continue
-        # base and slope are affine in each readout parameter, so the
-        # difference between setting it to 1 and to 0 is their derivative
-        ends = []
-        for end in (0.0, 1.0):
-            moved = list(readouts)
-            moved[bit] = replace(moved[bit], **{param: end})
-            ends.append(_bell_line(*moved))
-        d_base, d_slope = ends[1][0] - ends[0][0], ends[1][1] - ends[0][1]
+        # base and slope are affine in each readout rate, so the line at
+        # rate 1 minus the line at rate 0 is their derivative
+        at_zero, at_one = rates.copy(), rates.copy()
+        at_zero[entry], at_one[entry] = 0.0, 1.0
+        d_base, d_slope = _bell_line(at_one) - _bell_line(at_zero)
         ds_dparam = (d_slope @ resid - slope @ d_base - 2.0 * s_raw * (slope @ d_slope)) / norm2
         var += (ds_dparam * sigma) ** 2
 
@@ -486,7 +427,7 @@ def fit_composite(chars: list[Characterization], config: FitConfig) -> Composite
             return ReadoutModel.symmetric(p0_results[q].value)
         return ReadoutModel.ideal()
 
-    def readout_stderrs_of(q: int) -> tuple[float, float, float, float]:
+    def readout_stderrs_of(q: int) -> tuple[float, float]:
         if readout_mode == "aro":
             return (p0_results[q].stderr, p1_results[q].stderr)
         if readout_mode == "sro":

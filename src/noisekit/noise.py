@@ -3,15 +3,20 @@
 Channel conventions: a depolarizing channel with parameter p applies one of
 {X, Y, Z} with probability p/3 each, after the ideal gate; readout error is
 a per-bit stochastic channel [[1-p0, p1], [p0, 1-p1]] acting on the
-post-measurement classical bit string. A cnot is followed by two identical,
-independent single-qubit depolarizing channels (one per operand), not a
-two-qubit depolarizer.
+post-measurement classical bit string. `read_out` is the one implementation
+of that channel: the simulator's outcome laws, the mock QPU's hidden readout,
+the Bell fit and `apply_readout_to_distribution` all go through it. A cnot is
+followed by two identical, independent single-qubit depolarizing channels
+(one per operand), not a two-qubit depolarizer.
 """
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+
+import numpy as np
 
 from .circuit import DeviceTopology
 from .errors import ArityMismatch, MissingCoverage, OutOfRange, parse_json_file
@@ -94,6 +99,17 @@ def bell_frequencies(p_cnot: float) -> Distribution:
     return Distribution({"00": same, "01": diff, "10": diff, "11": same})
 
 
+def read_out(law: np.ndarray, p0: Sequence[float], p1: Sequence[float]) -> None:
+    """Apply, in place on a flat law in classical-bit order, each bit's
+    readout flips: a 0 reads 1 with probability p0[bit], a 1 reads 0 with
+    p1[bit]. Classical bit 0 is the most significant bit of an index."""
+    for bit, (a, b) in enumerate(zip(p0, p1)):
+        t = law.reshape(1 << bit, 2, -1)
+        moved = a * t[:, 0] - b * t[:, 1]  # net mass read 0 -> 1
+        t[:, 0] -= moved
+        t[:, 1] += moved
+
+
 def apply_readout_to_distribution(
     dist: Distribution, readouts: list[ReadoutModel]
 ) -> Distribution:
@@ -101,20 +117,15 @@ def apply_readout_to_distribution(
 
     readouts[i] acts on classical bit i (the i-th character of each key).
     """
-    if dist.num_bits != len(readouts):
-        raise ArityMismatch(
-            f"{dist.num_bits}-bit distribution with {len(readouts)} readout models"
-        )
-    probs = dict(dist.probs)
-    for bit, model in enumerate(readouts):
-        updated: dict[str, float] = {}
-        for key, p in probs.items():
-            flip = model.p1 if key[bit] == "1" else model.p0
-            flipped = key[:bit] + ("0" if key[bit] == "1" else "1") + key[bit + 1:]
-            updated[key] = updated.get(key, 0.0) + p * (1.0 - flip)
-            updated[flipped] = updated.get(flipped, 0.0) + p * flip
-        probs = updated
-    return Distribution(probs, num_bits=dist.num_bits)
+    n = dist.num_bits
+    if n != len(readouts):
+        raise ArityMismatch(f"{n}-bit distribution with {len(readouts)} readout models")
+    law = np.zeros(1 << n)
+    for key, p in dist.items():
+        law[int(key or "0", 2)] = p
+    read_out(law, [r.p0 for r in readouts], [r.p1 for r in readouts])
+    keys = [format(i, f"0{n}b") for i in range(1 << n)] if n else [""]
+    return Distribution(dict(zip(keys, law.tolist())), num_bits=n)
 
 
 def _edge(a: int, b: int) -> tuple[int, int]:

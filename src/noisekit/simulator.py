@@ -24,7 +24,7 @@ import numpy as np
 from . import _kernels
 from .circuit import Circuit
 from .errors import NormDrift, TooWide
-from .noise import CompositeNoiseModel
+from .noise import CompositeNoiseModel, read_out
 from .outcomes import Counts, Distribution
 from .rng import generator
 
@@ -159,14 +159,17 @@ def _readout_rates(
     return np.array([r.p0 for r in ros]), np.array([r.p1 for r in ros])
 
 
-def _outcome_laws(comp: _Compiled, model: CompositeNoiseModel) -> tuple[np.ndarray, np.ndarray]:
+def _outcome_laws(
+    comp: _Compiled, model: CompositeNoiseModel, rates: tuple[np.ndarray, np.ndarray] | None
+) -> tuple[np.ndarray, np.ndarray]:
     """Pre-readout and observed outcome laws, flat in classical-bit order.
 
     Each noise site mixes the ideal marginal over its flip masks,
     v <- (1 - p) v + p/3 (v[i ^ m_X] + v[i ^ m_Y] + v[i ^ m_Z]). On the
     [2]*m-shaped law, v[i ^ m] is v flipped along the axes of m's set bits,
     so every term is a view; coinciding masks share one term. The readout
-    channel then acts as a per-bit stochastic matrix.
+    channel with the per-bit `rates` (`_readout_rates`) then acts as a
+    per-bit stochastic matrix.
     """
     m = comp.num_bits
     law = (comp.ideal / comp.ideal.sum()).reshape([2] * m)
@@ -181,22 +184,11 @@ def _outcome_laws(comp: _Compiled, model: CompositeNoiseModel) -> tuple[np.ndarr
             mixed += np.multiply(np.flip(law, axes), w, out=term)
         law, mixed = mixed, law
     pre = law.reshape(-1)
-    rates = _readout_rates(comp, model)
     if rates is None:
         return pre, pre
     obs = pre.copy()
-    _read_out(obs, *rates)
+    read_out(obs, *rates)
     return pre, obs
-
-
-def _read_out(law: np.ndarray, p0: np.ndarray, p1: np.ndarray) -> None:
-    """Apply, in place on a flat law, each classical bit's readout flips:
-    a 0 reads 1 with probability p0[bit], a 1 reads 0 with p1[bit]."""
-    for bit, (a, b) in enumerate(zip(p0, p1)):
-        t = law.reshape(1 << bit, 2, -1)
-        moved = a * t[:, 0] - b * t[:, 1]  # net mass read 0 -> 1
-        t[:, 0] -= moved
-        t[:, 1] += moved
 
 
 def _by_key(values: np.ndarray, num_bits: int, floor: float = 0.0) -> dict:
@@ -225,7 +217,7 @@ def simulate_noisy_exact(
     """Channel-averaged outcome distribution under the composite model: the
     compiled circuit's observed outcome law."""
     comp = _Compiled(circuit, max_qubits)
-    _, law = _outcome_laws(comp, model)
+    _, law = _outcome_laws(comp, model, _readout_rates(comp, model))
     return _to_distribution(law, comp.num_bits)
 
 
@@ -241,7 +233,7 @@ class TrajectorySampler:
         comp = _Compiled(circuit, max_qubits)
         self.num_bits = comp.num_bits
         self._readout = _readout_rates(comp, model)
-        self.pre_readout_law, self.observed_law = _outcome_laws(comp, model)
+        self.pre_readout_law, self.observed_law = _outcome_laws(comp, model, self._readout)
 
     def sample(self, shots: int, seed: int) -> Counts:
         """Observed counts of `shots` shots: one multinomial draw."""
@@ -265,7 +257,7 @@ def hidden_readout_law(sampler: TrajectorySampler, strength: float) -> np.ndarra
     for w in range(m + 1):
         part = np.where(weight == w, pre, 0.0)
         h = min(strength * w, 1.0)
-        _read_out(part, (1 - h) * p0 + h * (1 - p0), (1 - h) * p1 + h * (1 - p1))
+        read_out(part, (1 - h) * p0 + h * (1 - p0), (1 - h) * p1 + h * (1 - p1))
         law += part
     return law
 

@@ -1,12 +1,19 @@
-"""Damped-Newton X/XX solve: the independent oracle for the closed form.
+"""Iterative solvers: the independent oracles for the closed-form estimators.
 
-Solves the two X/XX test-frequency equations for (p1, p_x) by damped Newton
-iteration with a central-difference Jacobian, from the initial guess
-(g_x_0, 0.001), to a residual infinity-norm of 1e-10. The forward model is
-written out here rather than imported, so it shares no code with
-`noisekit.estimation.solve_aro_system`.
+- X/XX system: solves the two X/XX test-frequency equations for (p1, p_x) by
+  damped Newton iteration with a central-difference Jacobian, from the
+  initial guess (g_x_0, 0.001), to a residual infinity-norm of 1e-10.
+- Hadamard decay: minimises the least-squares misfit of the survival
+  1/2 + 1/2 (1 - 4p/3)^L over p in [0, 1] with a bounded scalar minimiser
+  (coarse scan, golden section, finite-difference Newton polish).
+
+Each forward model is written out here rather than imported, so the oracles
+share no code with `noisekit.estimation.solve_aro_system` or
+`noisekit.estimation.estimate_hadamard_error`.
 """
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -64,3 +71,72 @@ def solve_x_xx(g_x_0: float, g_xx_0: float, p0: float) -> tuple[float, float]:
 
     solution, _, _ = damped_newton_2x2(residual, (g_x_0, 0.001))
     return float(solution[0]), float(solution[1])
+
+
+def minimize_bounded(fn, lo, hi, param_tol=1e-10, coarse=65, max_newton=80):
+    """Minimize a smooth scalar function on [lo, hi].
+
+    Coarse scan to bracket the global minimum, golden-section refinement,
+    then Newton polish on the (finite-differenced) derivative; falls back to
+    the golden-section result whenever Newton misbehaves. Returns
+    (minimizer, fn(minimizer), iterations).
+    """
+    grid = np.linspace(lo, hi, coarse)
+    values = [fn(g) for g in grid]
+    best = int(np.argmin(values))
+    a = grid[max(best - 1, 0)]
+    b = grid[min(best + 1, coarse - 1)]
+    iterations = coarse
+
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc, fd = fn(c), fn(d)
+    while b - a > 1e-8:
+        iterations += 1
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = fn(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = fn(d)
+    x = 0.5 * (a + b)
+
+    step_h = 1e-6
+    newton_steps = 0
+    while lo + step_h <= x <= hi - step_h and newton_steps < max_newton:
+        newton_steps += 1
+        iterations += 1
+        f0, fp, fm = fn(x), fn(x + step_h), fn(x - step_h)
+        d1 = (fp - fm) / (2 * step_h)
+        d2 = (fp - 2 * f0 + fm) / step_h**2
+        if d2 <= 0.0 or not math.isfinite(d2):
+            break
+        nxt = min(hi, max(lo, x - d1 / d2))
+        moved = abs(nxt - x)
+        if fn(nxt) > f0:
+            break
+        x = nxt
+        if moved <= param_tol:
+            break
+    # exact boundary minima beat any interior resolution limit
+    fx = fn(x)
+    for endpoint in (lo, hi):
+        fe = fn(endpoint)
+        if fe <= fx:
+            x, fx = endpoint, fe
+    return float(x), float(fx), iterations
+
+
+def hadamard_ssr(p: float, targets: dict[int, float]) -> float:
+    """Squared misfit of the depolarized survival against readout-corrected
+    targets {length: P(0)}."""
+    return sum((0.5 + 0.5 * (1.0 - 4.0 * p / 3.0) ** l - t) ** 2 for l, t in targets.items())
+
+
+def fit_hadamard(targets: dict[int, float]) -> tuple[float, float]:
+    """(p, SSR) of the bounded least-squares Hadamard fit on [0, 1]."""
+    p, ssr, _ = minimize_bounded(lambda v: hadamard_ssr(v, targets), 0.0, 1.0)
+    return p, ssr

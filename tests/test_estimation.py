@@ -2,7 +2,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from estimation_oracle import solve_x_xx
+from estimation_oracle import fit_hadamard, hadamard_ssr, solve_x_xx
 
 from noisekit.backend import MockBackend, MockGroundTruth
 from noisekit.characterization import (
@@ -25,6 +25,7 @@ from noisekit.estimation import (
     BELL_OUTCOMES,
     EstimationResult,
     FitConfig,
+    _bell_line,
     binomial_stderr,
     estimate_hadamard_error,
     estimate_p0,
@@ -319,6 +320,82 @@ def test_hadamard_stderr_zero_on_bound():
     assert not fit.include_in_model
 
 
+def test_hadamard_fully_mixed_point_is_a_bound():
+    """Survival at or below 1/2 at every length puts the fit at p_h = 3/4, the
+    fully mixed point, where dp/ds diverges: like p_h = 0 it is a bound, with
+    no stderr, and the channel stays out of the model."""
+    counts = {2: 4071, 4: 4088, 8: 4080}  # P(0) = 0.497, 0.499, 0.498
+    chars = [_char(TestKind("hseq", qubit=0, length=l), {"0": n, "1": 8192 - n}, 8192)
+             for l, n in counts.items()]
+    fit = estimate_hadamard_error(chars, ReadoutModel.ideal())
+    assert fit.result.value == 0.75 and fit.result.stderr == 0.0
+    assert not fit.include_in_model
+
+
+@pytest.mark.parametrize("lengths", [(2, 4, 8, 16, 32, 64), tuple(range(2, 66, 2))])
+def test_hadamard_roundtrip_exact_long_ladders(lengths):
+    """Exact survival frequencies, readout included, give back p_h to 1e-12
+    across the whole [0, 0.7] range."""
+    for readout in (ReadoutModel.ideal(), ReadoutModel(0.02, 0.07)):
+        for p_h in np.linspace(0.0, 0.7, 36):
+            observed = {}
+            for l in lengths:
+                s = hadamard_survival(l, p_h)
+                observed[l] = (1 - readout.p0) * s + readout.p1 * (1 - s)
+            fit = estimate_hadamard_error(
+                _hseq_records(observed, dict.fromkeys(lengths, 8192)), readout
+            )
+            assert fit.result.value == pytest.approx(p_h, abs=1e-12)
+
+
+def _corrected(observed: dict, readout: ReadoutModel) -> dict:
+    return {l: (f - readout.p1) / (1 - readout.p0 - readout.p1) for l, f in observed.items()}
+
+
+def test_hadamard_matches_bounded_minimiser_oracle():
+    """On suite-like records (8192-shot binomials, subsets of the geometric
+    ladder) the closed form never leaves more misfit than the bounded scalar
+    minimiser, and where the minimiser's optimum is unique (p < 1/2) the two
+    agree on p_h."""
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        lengths = sorted(rng.choice((2, 4, 8, 16, 32, 64), size=rng.integers(2, 7),
+                                    replace=False).tolist())
+        readout = ReadoutModel(float(rng.uniform(0, 0.05)), float(rng.uniform(0, 0.1)))
+        p_h = float(rng.uniform(0.001, 0.05))
+        observed = {}
+        for l in lengths:
+            s = hadamard_survival(l, p_h)
+            observed[l] = rng.binomial(8192, (1 - readout.p0) * s + readout.p1 * (1 - s)) / 8192
+        fit = estimate_hadamard_error(
+            _hseq_records(observed, dict.fromkeys(lengths, 8192)), readout
+        )
+        targets = _corrected(observed, readout)
+        p_oracle, ssr_oracle = fit_hadamard(targets)
+        assert hadamard_ssr(fit.result.value, targets) <= ssr_oracle + 1e-15
+        if p_oracle < 0.5:
+            assert fit.result.value == pytest.approx(p_oracle, abs=1e-7)
+
+
+def test_hadamard_misfit_never_above_oracle_on_noisy_targets():
+    """Arbitrary even lengths up to 40, strong decay and target noise, where
+    the misfit can be flat in p: the closed form's misfit is still never
+    above the bounded minimiser's."""
+    rng = np.random.default_rng(22)
+    for _ in range(300):
+        lengths = sorted(rng.choice(np.arange(2, 42, 2), size=rng.integers(2, 8),
+                                    replace=False).tolist())
+        p_h = float(rng.uniform(0.0, 0.3))
+        observed = {l: float(np.clip(hadamard_survival(l, p_h) + rng.normal(0, 0.01), 0, 1))
+                    for l in lengths}
+        fit = estimate_hadamard_error(
+            _hseq_records(observed, dict.fromkeys(lengths, 8192)), ReadoutModel.ideal()
+        )
+        _, ssr_oracle = fit_hadamard(observed)
+        assert hadamard_ssr(fit.result.value, observed) <= ssr_oracle + 1e-15
+        assert 0.0 <= fit.result.value <= 0.75
+
+
 # -- fit_pcnot ---------------------------------------------------------------------
 
 BELL_KIND = TestKind("bell", coupling=(0, 1))
@@ -356,6 +433,21 @@ def test_pcnot_wrong_kind():
     with pytest.raises(WrongKind):
         fit_pcnot(_char(TestKind("init", qubit=0), {"0": 1}, 1),
                   ReadoutModel.ideal(), ReadoutModel.ideal())
+
+
+def test_bell_line_matches_readout_of_bell_frequencies():
+    """The array line base + s * slope, s = 2p/3 - 4p^2/9, reproduces the
+    readout-transformed closed-form Bell law at every p."""
+    rng = np.random.default_rng(31)
+    for _ in range(100):
+        rates = rng.uniform(0, 0.3, size=(2, 2))  # [[p0_j, p0_k], [p1_j, p1_k]]
+        base, slope = _bell_line(rates)
+        readouts = [ReadoutModel(float(rates[0, b]), float(rates[1, b])) for b in range(2)]
+        for p in rng.uniform(0, 0.75, size=3):
+            law = apply_readout_to_distribution(bell_frequencies(float(p)), readouts)
+            s = 2 * p / 3 - 4 * p**2 / 9
+            np.testing.assert_allclose(base + s * slope,
+                                       [law.prob(k) for k in BELL_OUTCOMES], atol=1e-15)
 
 
 def test_pcnot_grid_scan_oracle():
