@@ -223,6 +223,10 @@ def cmd_evaluate(args) -> int:
         raise ConfigError("--sim-shots must be >= 1")
     if not args.model:
         raise ConfigError("evaluate needs at least one --model")
+    if args.exact and (args.compare or args.select or args.scaling or len(args.model) > 1
+                       or args.app.startswith("bv:")):
+        raise ConfigError("--exact scores one model on a ghz app; it does not combine "
+                          "with --compare, --select, --scaling, several models or bv apps")
     topo = _load_device(args.device)
     backend = _make_backend(args.backend, topo)
     circuits = _parse_app(args.app, topo)
@@ -306,6 +310,10 @@ def cmd_demo(args) -> int:
         raise ConfigError("--resamples must be >= 1")
     if not 0.0 <= args.hidden <= 1.0:  # also rejects NaN
         raise ConfigError("--hidden must lie in [0, 1]")
+    if args.shots < 1:
+        raise ConfigError("--shots must be >= 1")
+    if not 2 <= args.max_ghz <= 20:  # ladder20's longest path has 20 qubits
+        raise ConfigError("--max-ghz must lie in [2, 20]")
     out = _out_dir(args)
     shots, seed = args.shots, args.seed
     print(f"== demo full-paper (shots={shots}, seed={seed}) -> {out}")

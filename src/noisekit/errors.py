@@ -24,10 +24,6 @@ class TooWide(NoisekitError):
     """Circuit exceeds the simulator's qubit-count resource guard."""
 
 
-class NormDrift(NoisekitError):
-    """A simulated statevector lost its unit norm (a faulty update kernel)."""
-
-
 class ArityMismatch(NoisekitError):
     """Bit-length mismatch between distributions, counts, or readout models."""
 

@@ -8,22 +8,25 @@ it is measured) and each qubit may be measured at most once.
 Every gate ({H, X, CNOT, id, measure}) is Clifford and every gate channel
 is Pauli, so a noisy run is the ideal run with a Pauli error frame on top.
 Only the frame's X part reaches the measured bits, as an XOR flip mask. A
-circuit is therefore compiled once into its ideal measured-bit marginal
-(one statevector run) and, for each noise site, the flip masks of an X, Y
-or Z injected right after that gate. Mixing the ideal marginal over every
-site's masks gives the pre-readout law; readout, a per-bit stochastic
-channel, turns it into the observed law. The exact distribution is that
-law, and sampling any number of shots is one multinomial draw from it.
-The mock QPU's hidden readout is that per-bit channel applied to each
-Hamming-weight class of the pre-readout law (`hidden_readout_law`).
+circuit is therefore compiled once, by one backward sweep over its gates,
+into the flip masks of an X, Y or Z injected right after each gate and its
+ideal measured-bit marginal. The sweep pulls each measured Z back to the
+start with its sign; the ideal state is a stabilizer state, so the marginal
+is uniform over an affine GF(2) subspace of outcomes (Aaronson & Gottesman,
+quant-ph/0406196), and no amplitude is ever stored. Mixing the ideal
+marginal over every site's masks gives the pre-readout law; readout, a
+per-bit stochastic channel, turns it into the observed law. The exact
+distribution is that law, and sampling any number of shots is one
+multinomial draw from it. The mock QPU's hidden readout is that per-bit
+channel applied to each Hamming-weight class of the pre-readout law
+(`hidden_readout_law`).
 """
 from __future__ import annotations
 
 import numpy as np
 
-from . import _kernels
 from .circuit import Circuit
-from .errors import NormDrift, TooWide
+from .errors import TooWide
 from .noise import CompositeNoiseModel, read_out
 from .outcomes import Counts, Distribution
 from .rng import generator
@@ -35,8 +38,8 @@ _STREAM_MULTINOMIAL = 4
 
 
 class _Compiled:
-    """Circuit lowered onto its active qubits, with its ideal measured-bit
-    marginal and its per-gate flip masks."""
+    """Circuit lowered onto its active qubits, with its per-gate flip masks
+    and its ideal measured-bit marginal, both from one backward sweep."""
 
     def __init__(self, circuit: Circuit, max_qubits: int):
         actives = circuit.active_qubits()
@@ -63,70 +66,80 @@ class _Compiled:
         self.measured_locals = [measured[c] for c in clbits]
         self.measured_qubits = [measured_orig[c] for c in clbits]
         self.num_bits = len(clbits)
-        psi = _run_statevector(self)
-        self.ideal = _measured_marginal(np.abs(psi) ** 2, self)
-        self.flips = self._flip_masks()
+        self.flips, self.ideal = self._sweep()
 
-    def stride(self, local_qubit: int) -> int:
-        return 1 << (self.n - 1 - local_qubit)
-
-    def _flip_masks(self) -> list[tuple[tuple[int, int], ...]]:
+    def _sweep(self) -> tuple[list[tuple[tuple[int, int], ...]], np.ndarray]:
         """Per op and operand, the measured-bit flips (x_mask, z_mask) of an
-        X and of a Z injected right after the op.
+        X and of a Z injected right after the op; and the ideal marginal.
 
         One backward sweep: fx[q] / fz[q] hold the flips an X / Z on local
-        qubit q causes from the current point on. Classical bit k is bit
-        num_bits - 1 - k of an outcome index.
+        qubit q causes from the current point on. Read by bit instead, bit j
+        of fx[q] / fz[q] / sign is the Z part on q / X part on q / sign of
+        measured bit j's Z observable pulled back to the current point (Y
+        is one Pauli, with Aaronson-Gottesman phases). Classical bit k is
+        bit num_bits - 1 - k of an outcome index.
         """
         fx = [0] * self.n
         fz = [0] * self.n
+        sign = 0
         for k, q in enumerate(self.measured_locals):
             fx[q] = 1 << (self.num_bits - 1 - k)
         out: list[tuple[tuple[int, int], ...]] = [()] * len(self.ops)
         for i in range(len(self.ops) - 1, -1, -1):
             name, locs, _ = self.ops[i]
             out[i] = tuple((fx[q], fz[q]) for q in locs)
-            if name == "h":  # H X H = Z, H Z H = X
+            if name == "h":  # H X H = Z, H Z H = X, H Y H = -Y
                 q = locs[0]
+                sign ^= fx[q] & fz[q]
                 fx[q], fz[q] = fz[q], fx[q]
+            elif name == "x":  # X Z X = -Z, X Y X = -Y
+                sign ^= fx[locs[0]]
             elif name == "cnot":  # X_c -> X_c X_t, Z_t -> Z_c Z_t
                 c, t = locs
+                sign ^= fz[c] & fx[t] & ~(fz[t] ^ fx[c])
                 fx[c] ^= fx[t]
                 fz[t] ^= fz[c]
-            # x, id and measure commute with every Pauli up to a phase
-        return out
+            # id and measure commute with every Pauli
+        return out, _stabilizer_marginal(fx, fz, sign, self.num_bits)
 
 
-def _run_statevector(comp: _Compiled) -> np.ndarray:
-    """Apply the compiled ops to |0...0> with the active kernels."""
-    k = _kernels.ACTIVE
-    psi = np.zeros(1 << comp.n, dtype=complex)
-    psi[0] = 1.0
-    for name, locs, _ in comp.ops:
-        if name == "h":
-            k.h(psi, comp.stride(locs[0]))
-        elif name == "x":
-            k.x(psi, comp.stride(locs[0]))
-        elif name == "cnot":
-            k.cnot(psi, comp.stride(locs[0]), comp.stride(locs[1]))
-        # "id" and "measure" leave the state untouched
-    norm = np.linalg.norm(psi)
-    if not abs(norm - 1.0) < 1e-10:
-        raise NormDrift(f"statevector norm drifted to {norm} (kernels {k.name})")
-    return psi
+def _stabilizer_marginal(fx: list[int], fz: list[int], sign: int, m: int) -> np.ndarray:
+    """Measured-bit marginal of |0...0> under the pulled-back observables.
 
-
-def _measured_marginal(probs: np.ndarray, comp: _Compiled) -> np.ndarray:
-    """Marginal over measured qubits, flattened in classical-bit order."""
-    if comp.num_bits == 0:
-        return np.array([probs.sum()])
-    t = probs.reshape([2] * comp.n)
-    keep = comp.measured_locals
-    drop = tuple(a for a in range(comp.n) if a not in keep)
-    if drop:
-        t = t.sum(axis=drop)
-    order = [sorted(keep).index(a) for a in keep]
-    return t.transpose(order).reshape(-1)
+    Multiplying observables to clear their X parts leaves signed Z products,
+    whose value on |0...0> is their sign: parity checks on the outcome. Bits
+    are taken in turn; a bit whose row keeps an X part is free (set to 0),
+    any other is fixed by its check. The law is uniform on that outcome plus
+    the span of the fz words.
+    """
+    pivots: list[tuple[int, int, int, int]] = []  # (x, z, sign, bits) rows
+    outcome = 0
+    for b in range(m):
+        x = sum((w >> b & 1) << q for q, w in enumerate(fz))
+        z = sum((w >> b & 1) << q for q, w in enumerate(fx))
+        s, bits = sign >> b & 1, 1 << b
+        for px, pz, ps, pbits in pivots:
+            if x & px & -px:  # multiply in the pivot row to clear its lowest X qubit
+                # with P(x, z) = i^|x & z| X^x Z^z, the product's phase is
+                # i^(phase - |x' & z'|), always +1 or -1 for commuting rows
+                phase = (x & z).bit_count() + (px & pz).bit_count() + 2 * (z & px).bit_count()
+                x, z, bits = x ^ px, z ^ pz, bits ^ pbits
+                s ^= ps ^ ((phase - (x & z).bit_count()) >> 1 & 1)
+        if x:
+            pivots.append((x, z, s, bits))
+        elif s ^ ((outcome & bits).bit_count() & 1):
+            outcome |= 1 << b
+    support = np.array([outcome])
+    basis: list[int] = []
+    for w in fz:
+        for v in basis:
+            w = min(w, w ^ v)  # clears v's leading bit from w
+        if w:
+            basis.append(w)
+            support = np.concatenate([support, support ^ w])
+    law = np.zeros(1 << m)
+    law[support] = 1.0 / support.size
+    return law
 
 
 def _noise_sites(
@@ -172,7 +185,7 @@ def _outcome_laws(
     per-bit stochastic matrix.
     """
     m = comp.num_bits
-    law = (comp.ideal / comp.ideal.sum()).reshape([2] * m)
+    law = comp.ideal.reshape([2] * m).copy()  # the loop below reuses its buffer
     mixed, term = np.empty_like(law), np.empty_like(law)
     for p, masks in _noise_sites(comp, model):
         weights = {0: 1.0 - p}

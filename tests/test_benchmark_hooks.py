@@ -27,4 +27,5 @@ def test_span_target_is_defined_where_the_recorder_patches_it(module_name, attr)
 
 
 def test_kernel_path_is_named():
-    assert isinstance(_kernels.ACTIVE.name, str) and _kernels.ACTIVE.name
+    # perfbench/run.py records this name and perfbench/smoke.py accepts only these
+    assert _kernels.ACTIVE.name in ("numpy", "numba")

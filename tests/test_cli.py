@@ -375,16 +375,35 @@ MALFORMED_INPUTS = {
     "truth-p0-out-of-range": (_edited_truth(lambda d: d["readout"]["0"].update(p0=2.0)),
                               "ParseError"),
     "model-pcnot-negative": (_negative_pcnot_model, "ParseError"),
+    "demo-shots-zero": (lambda t, d, tr: [*_demo_argv(t, d, tr), "--shots", "0"], "ConfigError"),
+    "demo-shots-negative": (lambda t, d, tr: [*_demo_argv(t, d, tr), "--shots", "-3"],
+                            "ConfigError"),
+    "demo-max-ghz-1": (lambda t, d, tr: [*_demo_argv(t, d, tr), "--max-ghz", "1"],
+                       "ConfigError"),
+    "demo-max-ghz-25": (lambda t, d, tr: [*_demo_argv(t, d, tr), "--max-ghz", "25"],
+                        "ConfigError"),
+    "exact-compare": (lambda t, d, tr: [*_evaluate_argv(t, d, tr), "--exact", "--compare"],
+                      "ConfigError"),
+    "exact-select": (lambda t, d, tr: [*_evaluate_argv(t, d, tr), "--exact", "--select",
+                                       "--threshold", "0.5"], "ConfigError"),
+    "exact-scaling": (lambda t, d, tr: [*_evaluate_argv(t, d, tr, app="ghz:2..3"), "--exact",
+                                        "--scaling"], "ConfigError"),
+    "exact-two-models": (lambda t, d, tr: [*_evaluate_argv(t, d, tr), "--exact",
+                                           "--model", str(t / "model.json")], "ConfigError"),
+    "exact-bv": (lambda t, d, tr: [*_evaluate_argv(t, d, tr, app="bv:1@0/1"), "--exact"],
+                 "ConfigError"),
 }
 
 
 @pytest.mark.parametrize("make_argv, error", MALFORMED_INPUTS.values(),
                          ids=MALFORMED_INPUTS.keys())
 def test_malformed_input_exit_2(setup, capsys, make_argv, error):
-    """Malformed specs and input files exit 2 with one JSON line on stderr."""
+    """Malformed specs, flags and input files exit 2 with one JSON line on
+    stderr, before any run writes an output file."""
     tmp_path, device, truth = setup
     code = main([*make_argv(tmp_path, device, truth), "--out", str(tmp_path / "o")])
     assert code == 2
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == error
+    assert not list((tmp_path / "o").glob("*"))  # archive.json, models, reports

@@ -1,59 +1,70 @@
-"""The statevector kernels must match dense gate matrices."""
+"""The backward sweep's ideal law must match the density-matrix oracle.
+
+An {H, X, CNOT} circuit prepares a stabilizer state, and the sweep reads
+its measured-bit marginal off each measured Z pulled back to the start with
+its sign. Every case here is checked against `dm_oracle` with no noise, on
+circuits deep enough that the sign terms (the Y phase of H among them)
+decide the law.
+"""
 import numpy as np
 import pytest
 
-from dm_oracle import CNOT_MAT, H_MAT, PAULIS, apply_axes
-from noisekit._kernels import ACTIVE
+from dm_oracle import exact_outcome_vector
+from noisekit.circuit import Circuit, cnot, h, identity, measure, x
+from noisekit.noise import CompositeNoiseModel
+from noisekit.simulator import _Compiled
 
-_MATRICES = {"h": H_MAT, "x": PAULIS[0], "y": PAULIS[1], "z": PAULIS[2]}
-# Y and Z have no kernels. The Pauli-frame core relies on Z = H X H and
-# Y = i X Z (so a Y flips what X and Z flip together), which the kernels
-# must reproduce.
-_KERNEL_SEQUENCES = {"h": ("h",), "x": ("x",), "z": ("h", "x", "h"), "y": ("h", "x", "h", "x")}
-_PHASES = {"y": 1j}
+NOISELESS = CompositeNoiseModel.noiseless()
+REGISTER = 8
 
 
-def _random_state(n, seed):
+def _random_case(rng, trial, kinds):
+    """Circuit of depth 1-40 over `kinds` on 1-7 of the register's qubits,
+    measuring a random subset of its active qubits (possibly none, possibly
+    all) onto shuffled classical bits."""
+    n = int(rng.integers(1, REGISTER))
+    qubits = [int(q) for q in rng.choice(REGISTER, size=n, replace=False)]
+    gates = []
+    for _ in range(int(rng.integers(1, 41))):
+        kind = kinds[int(rng.integers(0, len(kinds)))]
+        q = qubits[int(rng.integers(0, n))]
+        if kind == "cnot" and n >= 2:
+            a, b = rng.choice(qubits, size=2, replace=False)
+            gates.append(cnot(int(a), int(b)))
+        elif kind == "x":
+            gates.append(x(q))
+        elif kind == "id":
+            gates.append(identity(q))
+        else:
+            gates.append(h(q))
+    active = sorted({q for g in gates for q in g.qubits})
+    measured = [int(q) for q in rng.permutation(active)[: int(rng.integers(0, len(active) + 1))]]
+    clbits = rng.permutation(len(measured))
+    gates += [measure(q, int(c)) for q, c in zip(measured, clbits)]
+    return Circuit(REGISTER, len(measured), tuple(gates), f"sweep{trial}")
+
+
+@pytest.mark.parametrize("kinds, seed", [(("h", "cnot"), 3), (("h", "x", "id", "cnot"), 4)],
+                         ids=["h-cnot", "h-x-id-cnot"])
+def test_ideal_law_matches_density_matrix_oracle(kinds, seed):
     rng = np.random.default_rng(seed)
-    psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
-    return psi / np.linalg.norm(psi)
+    unmeasured = none_measured = 0
+    for trial in range(500):
+        circuit = _random_case(rng, trial, kinds)
+        law = _Compiled(circuit, 24).ideal
+        expected = exact_outcome_vector(circuit, NOISELESS)
+        assert np.max(np.abs(law - expected)) <= 1e-12, (trial, circuit)
+        support = law[law > 0]
+        assert np.all(support == 1.0 / support.size), (trial, circuit)  # uniform, 2^-r
+        none_measured += circuit.num_clbits == 0
+        unmeasured += 0 < circuit.num_clbits < len(circuit.active_qubits())
+    assert none_measured and unmeasured
 
 
-def _dense(psi, mat, qubits, n):
-    return apply_axes(psi.reshape([2] * n), mat, qubits).reshape(-1)
-
-
-@pytest.mark.parametrize("gate", ["h", "x", "y", "z"])
-@pytest.mark.parametrize("n,qubit", [(1, 0), (3, 0), (3, 2), (6, 3)])
-def test_single_qubit_paths_identical(gate, n, qubit):
-    psi = _random_state(n, seed=7)
-    expected = _dense(psi, _MATRICES[gate], (qubit,), n)
-    for name in _KERNEL_SEQUENCES[gate]:
-        getattr(ACTIVE, name)(psi, 1 << (n - 1 - qubit))
-    psi *= _PHASES.get(gate, 1.0)
-    assert np.allclose(psi, expected, rtol=0.0, atol=1e-12)
-
-
-@pytest.mark.parametrize("n,control,target", [(2, 0, 1), (2, 1, 0), (5, 1, 4), (5, 4, 1)])
-def test_cnot_paths_identical(n, control, target):
-    psi = _random_state(n, seed=11)
-    expected = _dense(psi, CNOT_MAT, (control, target), n)
-    ACTIVE.cnot(psi, 1 << (n - 1 - control), 1 << (n - 1 - target))
-    assert np.allclose(psi, expected, rtol=0.0, atol=1e-12)
-
-
-def test_kernels_preserve_norm():
-    psi = _random_state(5, seed=3)
-    for gate in ("h", "x"):
-        getattr(ACTIVE, gate)(psi, 4)
-        assert abs(np.linalg.norm(psi) - 1.0) < 1e-10
-    ACTIVE.cnot(psi, 8, 2)
-    assert abs(np.linalg.norm(psi) - 1.0) < 1e-10
-
-
-def test_h_twice_is_identity():
-    psi = _random_state(4, seed=5)
-    original = psi.copy()
-    ACTIVE.h(psi, 2)
-    ACTIVE.h(psi, 2)
-    assert np.allclose(psi, original, atol=1e-12)
+def test_y_phase_hand_case():
+    # H0 CNOT01 H0 CNOT01 H0 leaves (|01> + |10>) up to sign; dropping the
+    # sign H puts on a Y would give {00, 11} instead.
+    gates = (h(0), cnot(0, 1), h(0), cnot(0, 1), h(0), measure(0, 0), measure(1, 1))
+    law = _Compiled(Circuit(2, 2, gates, "y-phase"), 24).ideal
+    assert law.tolist() == [0.0, 0.5, 0.5, 0.0]
+    assert exact_outcome_vector(Circuit(2, 2, gates, "y-phase"), NOISELESS) == pytest.approx(law)
