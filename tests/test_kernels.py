@@ -68,3 +68,49 @@ def test_y_phase_hand_case():
     law = _Compiled(Circuit(2, 2, gates, "y-phase"), 24).ideal
     assert law.tolist() == [0.0, 0.5, 0.5, 0.0]
     assert exact_outcome_vector(Circuit(2, 2, gates, "y-phase"), NOISELESS) == pytest.approx(law)
+
+
+# Each gate alone on product inputs: the gate's qubits start in every one of
+# |0>, |1>, |+>, |-> and are read out in both the Z and the X basis, next to
+# spectators in |1> or |+> that the sweep must leave untouched. Product inputs
+# never pull a Y back through a gate, so the Y terms of the H and CNOT sign
+# rules are left to the random circuits above.
+PREPARE = {"0": (), "1": (x,), "+": (h,), "-": (x, h)}
+
+
+def _spectators(n, busy):
+    return [(x if q % 2 else h)(q) for q in range(n) if q not in busy]
+
+
+def _measure_all(n):
+    return [measure(q, q) for q in range(n)]
+
+
+def _assert_matches_oracle(circuit):
+    law = _Compiled(circuit, 24).ideal
+    expected = exact_outcome_vector(circuit, NOISELESS)
+    assert np.max(np.abs(law - expected)) <= 1e-12, circuit
+    support = law[law > 0]
+    assert np.all(support == 1.0 / support.size), circuit
+
+
+@pytest.mark.parametrize("gate", [h, x, identity], ids=["h", "x", "id"])
+@pytest.mark.parametrize("n, q", [(1, 0), (3, 0), (3, 2), (6, 3)])
+def test_single_qubit_gate_law_matches_oracle(n, q, gate):
+    for label, prep in PREPARE.items():
+        for readout in ((), (h,)):
+            gates = [*_spectators(n, {q}), *(p(q) for p in prep), gate(q),
+                     *(r(q) for r in readout), *_measure_all(n)]
+            _assert_matches_oracle(Circuit(n, n, tuple(gates), f"{gate.__name__}-{label}"))
+
+
+@pytest.mark.parametrize("n, c, t", [(2, 0, 1), (2, 1, 0), (5, 1, 4), (5, 4, 1)])
+def test_cnot_law_matches_oracle(n, c, t):
+    for lc, pc in PREPARE.items():
+        for lt, pt in PREPARE.items():
+            for rc in ((), (h,)):
+                for rt in ((), (h,)):
+                    gates = [*_spectators(n, {c, t}), *(p(c) for p in pc),
+                             *(p(t) for p in pt), cnot(c, t), *(r(c) for r in rc),
+                             *(r(t) for r in rt), *_measure_all(n)]
+                    _assert_matches_oracle(Circuit(n, n, tuple(gates), f"cnot-{lc}{lt}"))
