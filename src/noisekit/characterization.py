@@ -89,7 +89,7 @@ def materialize(test: TestKind) -> tuple[Circuit, Distribution]:
     elif test.kind == "xx":
         gates, expected = (x(q), x(q), measure(q, 0)), {"0": 1.0}
     else:  # hseq: even-length Hadamard train composes to identity
-        gates = tuple(h(q) for _ in range(test.length)) + (measure(q, 0),)
+        gates = (h(q),) * test.length + (measure(q, 0),)
         expected = {"0": 1.0}
     return Circuit(q + 1, 1, gates, test.label), Distribution(expected)
 

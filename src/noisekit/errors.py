@@ -21,7 +21,7 @@ class NoPath(NoisekitError):
 
 
 class TooWide(NoisekitError):
-    """Circuit exceeds the simulator's qubit-count resource guard."""
+    """Circuit measures more bits than the simulator's resource guard allows."""
 
 
 class ArityMismatch(NoisekitError):

@@ -17,7 +17,7 @@ import numpy as np
 from .circuit import Circuit
 from .errors import ArityMismatch, ConfigError, EmptyLadder
 from .noise import CompositeNoiseModel
-from .outcomes import Counts, Distribution, as_frequencies
+from .outcomes import Counts, Distribution
 from .rng import child_seed
 from .simulator import TrajectorySampler, simulate_noisy_exact
 
@@ -26,14 +26,34 @@ def tvd(a: Counts | Distribution, b: Counts | Distribution) -> float:
     """Total variation distance: half the L1 gap between outcome frequencies.
 
     Counts are converted to exact frequencies; outcomes missing from one
-    side contribute frequency zero.
+    side contribute frequency zero. No bit string is formed: the frequencies
+    are scattered into the whole outcome space when it is small, and the two
+    sorted index arrays are merged otherwise.
     """
-    fa, bits_a = as_frequencies(a)
-    fb, bits_b = as_frequencies(b)
-    if bits_a != bits_b:
-        raise ArityMismatch(f"cannot compare {bits_a}-bit with {bits_b}-bit outcomes")
-    keys = set(fa) | set(fb)
-    return 0.5 * sum(abs(fa.get(k, 0.0) - fb.get(k, 0.0)) for k in keys)
+    (ia, fa), (ib, fb) = _frequencies(a), _frequencies(b)
+    if a.num_bits != b.num_bits:
+        raise ArityMismatch(f"cannot compare {a.num_bits}-bit with {b.num_bits}-bit outcomes")
+    # a scatter costs O(2^m), a merge a few passes over the entries: the
+    # scatter is faster while 2^m is within about 8 times the entries
+    if 1 << a.num_bits <= 8 * (ia.size + ib.size):
+        gap = np.zeros(1 << a.num_bits)
+        gap[ia] = fa
+        gap[ib] -= fb
+        return 0.5 * float(np.abs(gap).sum())
+    pos = np.searchsorted(ia, ib)  # where each b outcome would sit among a's
+    hit = ia.take(pos, mode="clip") == ib if ia.size else np.zeros(ib.size, bool)
+    gap = fa.copy()
+    gap[pos[hit]] -= fb[hit]
+    return 0.5 * float(np.abs(gap).sum() + np.abs(fb[~hit]).sum())
+
+
+def _frequencies(obj: Counts | Distribution) -> tuple[np.ndarray, np.ndarray]:
+    """Outcome indices and their frequencies."""
+    if isinstance(obj, Counts):
+        return obj.indices, obj.frequency_array()
+    if isinstance(obj, Distribution):
+        return obj.indices, obj.values
+    raise ArityMismatch(f"expected Counts or Distribution, got {type(obj).__name__}")
 
 
 @dataclass(frozen=True)

@@ -121,11 +121,9 @@ def apply_readout_to_distribution(
     if n != len(readouts):
         raise ArityMismatch(f"{n}-bit distribution with {len(readouts)} readout models")
     law = np.zeros(1 << n)
-    for key, p in dist.items():
-        law[int(key or "0", 2)] = p
+    law[dist.indices] = dist.values
     read_out(law, [r.p0 for r in readouts], [r.p1 for r in readouts])
-    keys = [format(i, f"0{n}b") for i in range(1 << n)] if n else [""]
-    return Distribution(dict(zip(keys, law.tolist())), num_bits=n)
+    return Distribution.from_arrays(n, np.arange(law.size), law)
 
 
 def _edge(a: int, b: int) -> tuple[int, int]:

@@ -2,13 +2,23 @@
 
 Bit order convention: classical bit 0 is the leftmost character of an
 outcome string (for the standard measure(q, q) wiring this means qubit 0
-is leftmost).
+is leftmost) and the most significant bit of an outcome index; the string
+is the index in binary, `num_bits` wide.
+
+Inside, an outcome set is `num_bits` plus an ascending int64 array of
+outcome indices and a matching array of counts or probabilities. Bit strings
+exist only at the edges (archives, reports, the CLI, tests). Each form is
+built from the other on first use, so a string-built object builds no arrays
+until asked and a drawn one formats no key until asked; string-keyed views
+of a drawn object come back in ascending index order.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import ArityMismatch
+import numpy as np
+
+MAX_BITS = 63  # outcome indices are int64
 
 
 def _uniform_bit_length(keys) -> int:
@@ -22,29 +32,100 @@ def _uniform_bit_length(keys) -> int:
             raise ValueError(f"outcome keys have mixed bit-lengths {lengths}")
         if k.strip("01"):
             raise ValueError(f"outcome key {k!r} is not a bit string")
+    if width and width > MAX_BITS:
+        raise ValueError(f"{width}-bit outcome keys exceed {MAX_BITS} bits")
     return width or 0
 
 
-@dataclass(frozen=True)
-class Distribution:
+def _checked_arrays(num_bits: int, indices, values, dtype) -> tuple[np.ndarray, np.ndarray]:
+    idx, val = np.asarray(indices, dtype=np.int64), np.asarray(values, dtype=dtype)
+    if idx.ndim != 1 or idx.shape != val.shape or not 0 <= num_bits <= MAX_BITS:
+        raise ValueError(f"{idx.shape} indices, {val.shape} values, {num_bits} bits")
+    if idx.size and (idx[0] < 0 or idx[-1] >> num_bits or (idx[1:] <= idx[:-1]).any()):
+        raise ValueError(f"indices are not ascending distinct {num_bits}-bit outcomes")
+    return idx, val
+
+
+class _Outcomes:
+    """One outcome set as a bit-string map (`_keyed`), as ascending index
+    and value arrays (`_idx`, `_val`), or both; each form is built from the
+    other on first use."""
+
+    def _hold(self, num_bits: int, keyed: dict | None, idx=None, val=None) -> None:
+        for name, value in (("num_bits", num_bits), ("_keyed", keyed), ("_idx", idx),
+                            ("_val", val)):
+            object.__setattr__(self, name, value)
+
+    def _keys(self) -> dict:
+        if self._keyed is None:
+            fmt = f"0{self.num_bits}b"
+            object.__setattr__(self, "_keyed", {
+                format(i, fmt) if self.num_bits else "": v
+                for i, v in zip(self._idx.tolist(), self._val.tolist())})
+        return self._keyed
+
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._idx is None:
+            keyed = self._keyed
+            idx = np.fromiter((int(k or "0", 2) for k in keyed), np.int64, len(keyed))
+            order = np.argsort(idx)
+            object.__setattr__(self, "_idx", idx[order])
+            object.__setattr__(self, "_val", np.fromiter(keyed.values(), self._DTYPE)[order])
+        return self._idx, self._val
+
+    @property
+    def indices(self) -> np.ndarray:
+        """Outcome indices, ascending (shared: do not modify)."""
+        return self._arrays()[0]
+
+    @property
+    def values(self) -> np.ndarray:
+        """Count or probability of each outcome in `indices` (shared: do not modify)."""
+        return self._arrays()[1]
+
+    def _same_outcomes(self, other: _Outcomes) -> bool:
+        """Equal as bit-string maps: the same keys with the same values (so
+        any two empty maps are equal, whatever their width)."""
+        return (np.array_equal(self.indices, other.indices)
+                and np.array_equal(self.values, other.values)
+                and (self.num_bits == other.num_bits or not self.indices.size))
+
+
+@dataclass(frozen=True, init=False, eq=False, repr=False)
+class Distribution(_Outcomes):
     """Map from n-bit outcome string to probability; sums to 1 within 1e-9."""
 
-    probs: dict[str, float]
-    num_bits: int = field(default=-1)
+    num_bits: int
+    _DTYPE = np.float64
 
-    def __post_init__(self):
-        object.__setattr__(self, "probs", dict(self.probs))
-        derived = _uniform_bit_length(self.probs)
-        if self.num_bits < 0:
-            object.__setattr__(self, "num_bits", derived)
-        elif self.probs and derived != self.num_bits:
-            raise ValueError(f"keys are {derived}-bit, expected {self.num_bits}")
-        for k, p in self.probs.items():
+    def __init__(self, probs: dict[str, float], num_bits: int = -1):
+        keyed = dict(probs)
+        derived = _uniform_bit_length(keyed)
+        if num_bits < 0:
+            num_bits = derived
+        elif keyed and derived != num_bits:
+            raise ValueError(f"keys are {derived}-bit, expected {num_bits}")
+        for k, p in keyed.items():
             if p < -1e-12:
                 raise ValueError(f"negative probability {p} for {k!r}")
-        total = sum(self.probs.values())
-        if self.probs and abs(total - 1.0) > 1e-9:
+        total = sum(keyed.values())
+        if keyed and abs(total - 1.0) > 1e-9:
             raise ValueError(f"probabilities sum to {total}, not 1")
+        self._hold(num_bits, keyed)
+
+    @classmethod
+    def from_arrays(cls, num_bits: int, indices, probs) -> Distribution:
+        """Distribution over ascending distinct outcome indices."""
+        idx, val = _checked_arrays(num_bits, indices, probs, np.float64)
+        if val.size and (val.min() < -1e-12 or abs(val.sum() - 1.0) > 1e-9):
+            raise ValueError(f"probabilities {val} are not a distribution")
+        self = cls.__new__(cls)
+        self._hold(num_bits, None, idx, val)
+        return self
+
+    @property
+    def probs(self) -> dict[str, float]:
+        return self._keys()
 
     def prob(self, key: str) -> float:
         return self.probs.get(key, 0.0)
@@ -55,25 +136,48 @@ class Distribution:
     def items(self):
         return self.probs.items()
 
+    def __eq__(self, other):
+        if not isinstance(other, Distribution):
+            return NotImplemented
+        return self.num_bits == other.num_bits and self._same_outcomes(other)
 
-@dataclass(frozen=True)
-class Counts:
+    def __repr__(self) -> str:
+        return f"Distribution(probs={self.probs!r}, num_bits={self.num_bits})"
+
+
+@dataclass(frozen=True, init=False, eq=False, repr=False)
+class Counts(_Outcomes):
     """Map from outcome string to event count over a fixed number of shots."""
 
-    counts: dict[str, int]
     shots: int
-    num_bits: int = field(init=False, compare=False, repr=False)
+    num_bits: int = field(compare=False)
+    _DTYPE = np.int64
 
-    def __post_init__(self):
-        object.__setattr__(
-            self, "counts", {k: int(v) for k, v in self.counts.items()}
-        )
-        object.__setattr__(self, "num_bits", _uniform_bit_length(self.counts))
-        if any(v < 0 for v in self.counts.values()):
+    def __init__(self, counts: dict[str, int], shots: int):
+        keyed = {k: int(v) for k, v in counts.items()}
+        num_bits = _uniform_bit_length(keyed)
+        if any(v < 0 for v in keyed.values()):
             raise ValueError("negative count")
-        total = sum(self.counts.values())
-        if total != self.shots:
-            raise ValueError(f"counts sum to {total}, shots field says {self.shots}")
+        total = sum(keyed.values())
+        if total != shots:
+            raise ValueError(f"counts sum to {total}, shots field says {shots}")
+        object.__setattr__(self, "shots", shots)
+        self._hold(num_bits, keyed)
+
+    @classmethod
+    def from_arrays(cls, num_bits: int, indices, counts, shots: int) -> Counts:
+        """Counts over ascending distinct outcome indices."""
+        idx, val = _checked_arrays(num_bits, indices, counts, np.int64)
+        if (val.size and val.min() < 0) or val.sum() != shots:
+            raise ValueError(f"counts {val} do not make {shots} shots")
+        self = cls.__new__(cls)
+        object.__setattr__(self, "shots", shots)
+        self._hold(num_bits, None, idx, val)
+        return self
+
+    @property
+    def counts(self) -> dict[str, int]:
+        return self._keys()
 
     def frequency(self, key: str) -> float:
         return self.counts.get(key, 0) / self.shots if self.shots else 0.0
@@ -84,14 +188,19 @@ class Counts:
             return {}
         return {k: v / self.shots for k, v in self.counts.items()}
 
+    def frequency_array(self) -> np.ndarray:
+        """`frequencies()` as an array matching `indices` (zeros at zero shots)."""
+        return self.values / (self.shots or 1)
+
     def to_distribution(self) -> Distribution:
-        return Distribution(self.frequencies())
+        if self.shots == 0:
+            return Distribution({})
+        return Distribution.from_arrays(self.num_bits, self.indices, self.frequency_array())
 
+    def __eq__(self, other):
+        if not isinstance(other, Counts):
+            return NotImplemented
+        return self.shots == other.shots and self._same_outcomes(other)
 
-def as_frequencies(obj: Counts | Distribution) -> tuple[dict[str, float], int]:
-    """Normalize Counts or Distribution into (frequency map, bit length)."""
-    if isinstance(obj, Counts):
-        return obj.frequencies(), obj.num_bits
-    if isinstance(obj, Distribution):
-        return dict(obj.probs), obj.num_bits
-    raise ArityMismatch(f"expected Counts or Distribution, got {type(obj).__name__}")
+    def __repr__(self) -> str:
+        return f"Counts(counts={self.counts!r}, shots={self.shots})"

@@ -31,7 +31,10 @@ from .noise import CompositeNoiseModel, read_out
 from .outcomes import Counts, Distribution
 from .rng import generator
 
-MAX_QUBITS = 24  # active-qubit guard shared by every entry point
+# Measured-bit guard shared by every entry point: every outcome law is a
+# 2^m array over the m measured bits, while active qubits cost only sweep
+# work linear in the gates.
+MAX_QUBITS = 24
 
 _STREAM_OUTCOMES = 1
 _STREAM_MULTINOMIAL = 4
@@ -44,8 +47,6 @@ class _Compiled:
     def __init__(self, circuit: Circuit, max_qubits: int):
         actives = circuit.active_qubits()
         self.n = len(actives)
-        if self.n > max_qubits:
-            raise TooWide(f"{self.n} active qubits exceeds the {max_qubits}-qubit guard")
         local = {q: i for i, q in enumerate(actives)}
         self.ops: list[tuple[str, tuple[int, ...], tuple[int, ...]]] = []
         measured: dict[int, int] = {}  # clbit -> local qubit
@@ -63,6 +64,8 @@ class _Compiled:
                 done.add(g.qubits[0])
             self.ops.append((g.name, tuple(local[q] for q in g.qubits), g.qubits))
         clbits = sorted(measured)
+        if len(clbits) > max_qubits:
+            raise TooWide(f"{len(clbits)} measured bits exceeds the {max_qubits}-bit guard")
         self.measured_locals = [measured[c] for c in clbits]
         self.measured_qubits = [measured_orig[c] for c in clbits]
         self.num_bits = len(clbits)
@@ -204,18 +207,9 @@ def _outcome_laws(
     return pre, obs
 
 
-def _by_key(values: np.ndarray, num_bits: int, floor: float = 0.0) -> dict:
-    """Outcome string -> value at every outcome index whose value exceeds `floor`."""
-    keep = np.flatnonzero(values > floor)
-    fmt = f"0{num_bits}b"
-    return {
-        format(i, fmt) if num_bits else "": v
-        for i, v in zip(keep.tolist(), values[keep].tolist())
-    }
-
-
 def _to_distribution(vec: np.ndarray, num_bits: int) -> Distribution:
-    return Distribution(_by_key(vec, num_bits, floor=1e-15), num_bits=num_bits)
+    keep = np.flatnonzero(vec > 1e-15)
+    return Distribution.from_arrays(num_bits, keep, vec[keep])
 
 
 def simulate_ideal(circuit: Circuit, max_qubits: int = MAX_QUBITS) -> Distribution:
@@ -279,13 +273,16 @@ def draw_counts(law: np.ndarray, shots: int, seed: int) -> Counts:
     """Counts of `shots` shots from a flat outcome law: one multinomial draw
     on the outcome stream."""
     draws = generator(seed, _STREAM_OUTCOMES).multinomial(shots, law)
-    return Counts(_by_key(draws, law.size.bit_length() - 1), shots)
+    seen = np.flatnonzero(draws)
+    return Counts.from_arrays(law.size.bit_length() - 1, seen, draws[seen], shots)
 
 
 # Unused by the package; kept because the benchmark's span recorder wraps it.
 def counts_from_indices(indices: np.ndarray, num_bits: int, shots: int) -> Counts:
     """Counts from per-shot outcome indices."""
-    return Counts(_by_key(np.bincount(indices, minlength=1 << num_bits), num_bits), shots)
+    tally = np.bincount(indices, minlength=1 << num_bits)
+    seen = np.flatnonzero(tally)
+    return Counts.from_arrays(num_bits, seen, tally[seen], shots)
 
 
 def simulate_noisy_sampled(
@@ -298,9 +295,8 @@ def simulate_noisy_sampled(
 def sample_from_distribution(dist: Distribution, shots: int, seed: int) -> Counts:
     """Multinomial draw from a distribution, deterministic per seed."""
     if shots == 0:
-        return Counts({}, 0)
-    keys = sorted(dist.probs)
-    pvals = np.clip(np.array([dist.probs[k] for k in keys], dtype=float), 0.0, None)
-    rng = generator(seed, _STREAM_MULTINOMIAL)
-    draws = rng.multinomial(shots, pvals / pvals.sum())
-    return Counts({k: int(c) for k, c in zip(keys, draws) if c}, shots)
+        return Counts.from_arrays(dist.num_bits, [], [], 0)
+    pvals = np.clip(dist.values, 0.0, None)
+    draws = generator(seed, _STREAM_MULTINOMIAL).multinomial(shots, pvals / pvals.sum())
+    seen = np.flatnonzero(draws)
+    return Counts.from_arrays(dist.num_bits, dist.indices[seen], draws[seen], shots)

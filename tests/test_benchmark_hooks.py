@@ -6,7 +6,9 @@ The recorder is read with `runpy`, which compiles it without importing it
 as a package or writing a bytecode cache next to it.
 """
 import importlib
+import io
 import runpy
+from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
@@ -29,3 +31,36 @@ def test_span_target_is_defined_where_the_recorder_patches_it(module_name, attr)
 def test_kernel_path_is_named():
     # perfbench/run.py records this name and perfbench/smoke.py accepts only these
     assert _kernels.ACTIVE.name in ("numpy", "numba")
+
+
+def test_recorder_counts_the_plan_of_a_small_traced_demo(tmp_path):
+    """The traced benchmark fails a pass when a counter differs from the
+    workload's plan, or when the recorder cannot bind a counter's argument
+    (`TrajectorySampler.sample`'s shots, `score_model`'s exact/resamples,
+    `MockBackend.run`'s circuits/shots, `run_suite`'s plan). A small demo
+    under the recorder checks both, then that restoring leaves no wrapper."""
+    import noisekit.cli as cli
+    from noisekit import evaluation, simulator
+
+    originals = (cli.main, evaluation.tvd, evaluation.score_model,
+                 simulator.TrajectorySampler.sample)
+    recorder = SPANS["SpanRecorder"]()
+    recorder.install()
+    try:
+        with redirect_stdout(io.StringIO()):
+            code = cli.main(["demo", "full-paper", "--shots", "64", "--resamples", "2",
+                             "--max-ghz", "3", "--seed", "3", "--out", str(tmp_path)])
+    finally:
+        recorder.restore()
+    assert code == 0
+    # 126 model draws and 94 mock-QPU circuits of 64 shots; 2 resamples for
+    # each of 6 Bell variants, 2 GHZ widths and 4 granularity models
+    assert {name: recorder.counters[name] for name in (
+        "simulator.shots", "backend.shots", "evaluation.resamples", "evaluation.tvd_calls",
+    )} == {"simulator.shots": 8064, "backend.shots": 6016,
+           "evaluation.resamples": 24, "evaluation.tvd_calls": 24}
+    assert (cli.main, evaluation.tvd, evaluation.score_model,
+            simulator.TrajectorySampler.sample) == originals
+    left = [f"{module.__name__}.{key}" for module in SPANS["_noisekit_modules"]()
+            for key, value in SPANS["_members"](module) if getattr(value, SPANS["_MARK"], False)]
+    assert not left

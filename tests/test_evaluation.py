@@ -21,6 +21,7 @@ from noisekit.evaluation import (
 )
 from noisekit.noise import CompositeNoiseModel, ReadoutModel
 from noisekit.outcomes import Counts, Distribution
+from tvd_oracle import tvd_by_keys
 
 NOISELESS = CompositeNoiseModel.noiseless()
 
@@ -94,6 +95,81 @@ def test_tvd_relabel_invariance():
         pp = {relabel[k]: v for k, v in p.items()}
         qq = {relabel[k]: v for k, v in q.items()}
         assert tvd(Distribution(pp), Distribution(qq)) == pytest.approx(base, abs=1e-12)
+
+
+def _random_side(rng, kind, num_bits, support, shots):
+    """Counts or a Distribution on the ascending `support`, built from index
+    arrays or, half the time, as its string-built twin."""
+    weights = rng.dirichlet(np.ones(support.size))
+    if kind == "counts":
+        obj = Counts.from_arrays(num_bits, support, rng.multinomial(shots, weights), shots)
+        return Counts(obj.counts, shots) if rng.random() < 0.5 else obj
+    obj = Distribution.from_arrays(num_bits, support, weights)
+    return Distribution(obj.probs, num_bits) if rng.random() < 0.5 else obj
+
+
+def _random_shots(rng, power_of_two):
+    return int(2 ** rng.integers(0, 17)) if power_of_two else int(rng.integers(1, 100_000))
+
+
+@pytest.mark.parametrize("kinds", [("counts", "counts"), ("counts", "dist"),
+                                   ("dist", "counts"), ("dist", "dist")])
+def test_tvd_matches_dict_oracle(kinds):
+    """The array merge against the dict formula on random pairs: widths 0-14
+    bits (small outcome spaces take the dense path, wide ones the sorted
+    merge), disjoint and overlapping supports of up to 64 outcomes, unequal
+    shots. Exact where every frequency is a dyadic fraction (two Counts at
+    power-of-two shots), else within 1e-15."""
+    rng = np.random.default_rng(sum(map(ord, "".join(kinds))))
+    for trial in range(400):
+        num_bits = int(rng.integers(0, 15))
+        pool = rng.choice(1 << num_bits, size=min(1 << num_bits, int(rng.integers(2, 65))),
+                          replace=False)
+        if trial % 2 and pool.size > 1:  # disjoint supports
+            cut = int(rng.integers(1, pool.size))
+            supports = pool[:cut], pool[cut:]
+        else:  # overlapping supports
+            supports = tuple(rng.choice(pool, size=int(rng.integers(1, pool.size + 1)),
+                                        replace=False) for _ in range(2))
+        dyadic = bool(trial % 3)
+        a, b = (_random_side(rng, kind, num_bits, np.sort(support), _random_shots(rng, dyadic))
+                for kind, support in zip(kinds, supports))
+        want = tvd_by_keys(a, b)
+        if dyadic and kinds == ("counts", "counts"):
+            assert tvd(a, b) == want, (trial, a, b)
+        else:
+            assert abs(tvd(a, b) - want) <= 1e-15, (trial, a, b)
+
+
+def test_tvd_zero_bit_and_empty_counts():
+    """0-bit outcomes carry the one empty key; zero-shot counts have no
+    frequencies at all."""
+    cases = [
+        (Counts({"": 5}, 5), Distribution({"": 1.0}), 0.0),
+        (Counts({"": 5}, 5), Counts({"": 3}, 3), 0.0),
+        (Counts({}, 0), Counts({}, 0), 0.0),
+        (Counts({}, 0), Distribution({"": 1.0}), 0.5),
+        (Counts({}, 0), Counts({"": 2}, 2), 0.5),
+        (Counts({"0": 0}, 0), Distribution({"1": 1.0}), 0.5),
+    ]
+    for a, b, want in cases:
+        assert tvd(a, b) == tvd_by_keys(a, b) == want, (a, b)
+        assert tvd(b, a) == want, (b, a)
+
+
+@pytest.mark.parametrize("a, b", [
+    (Counts({"0": 3}, 3), Counts({"00": 3}, 3)),
+    (Counts({"01": 3}, 3), Distribution({"1": 1.0})),
+    (Distribution({"": 1.0}), Counts({"1": 2}, 2)),
+    (Counts({}, 0), Distribution({"0": 1.0})),
+    (Distribution.from_arrays(3, [5], [1.0]), Distribution.from_arrays(2, [1], [1.0])),
+])
+def test_tvd_arity_mismatch_matches_oracle(a, b):
+    for metric in (tvd, tvd_by_keys):
+        with pytest.raises(ArityMismatch):
+            metric(a, b)
+    with pytest.raises(ArityMismatch):
+        tvd(a, {"0": 1.0})
 
 
 # -- ApplicationRun / ModelScore ----------------------------------------------------

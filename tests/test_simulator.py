@@ -68,9 +68,15 @@ def test_ideal_identity_gate_noop():
 
 
 def test_ideal_too_wide():
-    gates = tuple(h(q) for q in range(25)) + (measure(0, 0),)
+    """The guard bounds measured bits, the width of every outcome law, not
+    active qubits, which cost only sweep work."""
+    width = MAX_QUBITS + 1
+    gates = tuple(h(q) for q in range(width))
     with pytest.raises(TooWide):
-        simulate_ideal(Circuit(25, 1, gates, "wide"))
+        simulate_ideal(Circuit(width, width, gates + tuple(measure(q, q) for q in range(width)),
+                               "wide"))
+    dist = simulate_ideal(Circuit(width, 1, gates + (measure(0, 0),), "wide"))
+    assert dist.probs == {"0": 0.5, "1": 0.5}
 
 
 def test_ideal_remaps_active_qubits():
@@ -190,12 +196,12 @@ def test_exact_matches_density_matrix_oracle():
 
 
 def test_exact_too_wide():
-    """Exact scoring shares the sampler's guard: it refuses one active qubit
+    """Exact scoring shares the sampler's guard: it refuses one measured bit
     beyond it and accepts the widths the old 8-qubit guard refused."""
     width = MAX_QUBITS + 1
-    gates = tuple(h(q) for q in range(width)) + (measure(0, 0),)
+    gates = tuple(h(q) for q in range(width)) + tuple(measure(q, q) for q in range(width))
     with pytest.raises(TooWide):
-        simulate_noisy_exact(Circuit(width, 1, gates, "wide"), NOISELESS)
+        simulate_noisy_exact(Circuit(width, width, gates, "wide"), NOISELESS)
     ghz = (h(0), *(cnot(q, q + 1) for q in range(11)), *(measure(q, q) for q in range(12)))
     dist = simulate_noisy_exact(Circuit(12, 12, ghz, "ghz12"), _uniform_model(p_cnot=0.01))
     assert sum(p for _, p in dist.items()) == pytest.approx(1.0, abs=1e-12)
