@@ -26,20 +26,12 @@ def tvd(a: Counts | Distribution, b: Counts | Distribution) -> float:
     """Total variation distance: half the L1 gap between outcome frequencies.
 
     Counts are converted to exact frequencies; outcomes missing from one
-    side contribute frequency zero. No bit string is formed: the frequencies
-    are scattered into the whole outcome space when it is small, and the two
-    sorted index arrays are merged otherwise.
+    side contribute frequency zero. No bit string is formed: the two sorted
+    index arrays are merged.
     """
     (ia, fa), (ib, fb) = _frequencies(a), _frequencies(b)
     if a.num_bits != b.num_bits:
         raise ArityMismatch(f"cannot compare {a.num_bits}-bit with {b.num_bits}-bit outcomes")
-    # a scatter costs O(2^m), a merge a few passes over the entries: the
-    # scatter is faster while 2^m is within about 8 times the entries
-    if 1 << a.num_bits <= 8 * (ia.size + ib.size):
-        gap = np.zeros(1 << a.num_bits)
-        gap[ia] = fa
-        gap[ib] -= fb
-        return 0.5 * float(np.abs(gap).sum())
     pos = np.searchsorted(ia, ib)  # where each b outcome would sit among a's
     hit = ia.take(pos, mode="clip") == ib if ia.size else np.zeros(ib.size, bool)
     gap = fa.copy()

@@ -15,6 +15,7 @@ of a drawn object come back in ascending index order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -49,7 +50,8 @@ def _checked_arrays(num_bits: int, indices, values, dtype) -> tuple[np.ndarray, 
 class _Outcomes:
     """One outcome set as a bit-string map (`_keyed`), as ascending index
     and value arrays (`_idx`, `_val`), or both; each form is built from the
-    other on first use."""
+    other on first use. The string-keyed views are read-only, so the two
+    forms cannot drift apart."""
 
     def _hold(self, num_bits: int, keyed: dict | None, idx=None, val=None) -> None:
         for name, value in (("num_bits", num_bits), ("_keyed", keyed), ("_idx", idx),
@@ -124,17 +126,17 @@ class Distribution(_Outcomes):
         return self
 
     @property
-    def probs(self) -> dict[str, float]:
-        return self._keys()
+    def probs(self) -> MappingProxyType[str, float]:
+        return MappingProxyType(self._keys())
 
     def prob(self, key: str) -> float:
-        return self.probs.get(key, 0.0)
+        return self._keys().get(key, 0.0)
 
     def support(self) -> list[str]:
-        return sorted(k for k, p in self.probs.items() if p > 0.0)
+        return sorted(k for k, p in self._keys().items() if p > 0.0)
 
     def items(self):
-        return self.probs.items()
+        return self._keys().items()
 
     def __eq__(self, other):
         if not isinstance(other, Distribution):
@@ -142,7 +144,7 @@ class Distribution(_Outcomes):
         return self.num_bits == other.num_bits and self._same_outcomes(other)
 
     def __repr__(self) -> str:
-        return f"Distribution(probs={self.probs!r}, num_bits={self.num_bits})"
+        return f"Distribution(probs={self._keys()!r}, num_bits={self.num_bits})"
 
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
@@ -150,6 +152,8 @@ class Counts(_Outcomes):
     """Map from outcome string to event count over a fixed number of shots."""
 
     shots: int
+    # equality is `__eq__` below; compare=False keeps num_bits out of the
+    # compared fields that `dataclasses.fields` reports
     num_bits: int = field(compare=False)
     _DTYPE = np.int64
 
@@ -176,17 +180,17 @@ class Counts(_Outcomes):
         return self
 
     @property
-    def counts(self) -> dict[str, int]:
-        return self._keys()
+    def counts(self) -> MappingProxyType[str, int]:
+        return MappingProxyType(self._keys())
 
     def frequency(self, key: str) -> float:
-        return self.counts.get(key, 0) / self.shots if self.shots else 0.0
+        return self._keys().get(key, 0) / self.shots if self.shots else 0.0
 
     def frequencies(self) -> dict[str, float]:
         """Exact f_k = C_k / N_s per observed outcome."""
         if self.shots == 0:
             return {}
-        return {k: v / self.shots for k, v in self.counts.items()}
+        return {k: v / self.shots for k, v in self._keys().items()}
 
     def frequency_array(self) -> np.ndarray:
         """`frequencies()` as an array matching `indices` (zeros at zero shots)."""
@@ -203,4 +207,4 @@ class Counts(_Outcomes):
         return self.shots == other.shots and self._same_outcomes(other)
 
     def __repr__(self) -> str:
-        return f"Counts(counts={self.counts!r}, shots={self.shots})"
+        return f"Counts(counts={self._keys()!r}, shots={self.shots})"

@@ -116,15 +116,18 @@ def _random_shots(rng, power_of_two):
                                    ("dist", "counts"), ("dist", "dist")])
 def test_tvd_matches_dict_oracle(kinds):
     """The array merge against the dict formula on random pairs: widths 0-14
-    bits (small outcome spaces take the dense path, wide ones the sorted
-    merge), disjoint and overlapping supports of up to 64 outcomes, unequal
-    shots. Exact where every frequency is a dyadic fraction (two Counts at
-    power-of-two shots), else within 1e-15."""
+    bits and a few wide ones up to the 63-bit limit, disjoint and overlapping
+    supports of up to 64 outcomes, unequal shots. Exact where every frequency
+    is a dyadic fraction (two Counts at power-of-two shots), else within
+    1e-15."""
     rng = np.random.default_rng(sum(map(ord, "".join(kinds))))
     for trial in range(400):
-        num_bits = int(rng.integers(0, 15))
-        pool = rng.choice(1 << num_bits, size=min(1 << num_bits, int(rng.integers(2, 65))),
-                          replace=False)
+        num_bits = int(rng.choice([*range(15), 31, 48, 63]))
+        size = int(rng.integers(2, 65))
+        if num_bits < 15:
+            pool = rng.choice(1 << num_bits, size=min(1 << num_bits, size), replace=False)
+        else:
+            pool = rng.permutation(np.unique(rng.integers(0, 1 << num_bits, size=size)))
         if trial % 2 and pool.size > 1:  # disjoint supports
             cut = int(rng.integers(1, pool.size))
             supports = pool[:cut], pool[cut:]

@@ -76,10 +76,26 @@ def test_counts_num_bits_stays_out_of_equality():
     assert a.num_bits == 2
     assert a == Counts({"10": 5, "01": 3}, 8)
     assert a != Counts({"01": 4, "10": 4}, 8)
+    # Counts has its own __eq__, so compare=False on num_bits only shapes what
+    # fields() reports; the width cases below are what check equality
     assert "num_bits" not in {f.name for f in fields(Counts) if f.compare}
     empty = Counts({}, 0)
     assert empty.num_bits == 0
     assert empty == Counts({}, 0)
+    assert Counts.from_arrays(3, [], [], 0) == empty
+    assert Counts.from_arrays(3, [0], [8], 8) != Counts.from_arrays(2, [0], [8], 8)
+
+
+def test_string_views_are_read_only():
+    """`.counts` and `.probs` cannot be edited, so they cannot drift from
+    the index arrays that `tvd` and the draws read."""
+    counts = Counts.from_arrays(2, [1, 2], [3, 5], 8)
+    dist = Distribution({"01": 0.25, "10": 0.75})
+    for view in (counts.counts, dist.probs):
+        with pytest.raises(TypeError):
+            view["01"] = 1
+    assert counts.counts == {"01": 3, "10": 5} and counts.frequency("01") == 3 / 8
+    assert dict(dist.probs) == {"01": 0.25, "10": 0.75}
 
 
 # -- index arrays inside, bit strings at the edges ---------------------------------
