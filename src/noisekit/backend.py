@@ -12,8 +12,10 @@ from .errors import ConfigError, LabelMismatch, OutOfRange, ParseError, parse_js
 from .noise import CompositeNoiseModel, expand_granularity
 from .outcomes import Counts
 from .rng import child_seed
-from .simulator import TrajectorySampler, draw_counts, hidden_readout_law
+from .simulator import TrajectorySampler
 from .simulator import counts_from_indices  # noqa: F401  (perfbench wraps and checks it here)
+
+MAX_SHOTS = 10_000_000  # mock QPU's per-circuit shot capability
 
 
 @dataclass(frozen=True)
@@ -64,26 +66,20 @@ class MockBackend:
     so identical (circuits, shots, seed) always return identical counts.
     """
 
-    def __init__(self, topology: DeviceTopology, truth: MockGroundTruth,
-                 max_shots: int = 10_000_000):
+    def __init__(self, topology: DeviceTopology, truth: MockGroundTruth):
         self.topology = topology
         self.truth = truth
-        self.max_shots = max_shots
         self._model = expand_granularity(truth.model, topology)
 
     def run(self, circuits: list[Circuit], shots: int, seed: int) -> list[Counts]:
-        if shots > self.max_shots:
-            raise ConfigError(f"shots {shots} above backend capability {self.max_shots}")
+        if shots > MAX_SHOTS:
+            raise ConfigError(f"shots {shots} above backend capability {MAX_SHOTS}")
         out = []
         for index, circuit in enumerate(circuits):
             validate(circuit, self.topology)
-            sampler = TrajectorySampler(circuit, self._model)
-            sub = child_seed(seed, index)
-            strength = self.truth.hidden_readout_strength
-            if strength > 0.0:
-                out.append(draw_counts(hidden_readout_law(sampler, strength), shots, sub))
-            else:
-                out.append(sampler.sample(shots, sub))
+            sampler = TrajectorySampler(circuit, self._model,
+                                        self.truth.hidden_readout_strength)
+            out.append(sampler.sample(shots, child_seed(seed, index)))
         return out
 
 

@@ -13,9 +13,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .circuit import Circuit, DeviceTopology, cnot, h, measure, validate, x
-from .errors import OddHadamardLength, ParseError
+from .errors import ArityMismatch, OddHadamardLength, ParseError
 from .noise import PER_ELEMENT, SUBSET_AVERAGE
-from .outcomes import Counts, Distribution
+from .outcomes import Counts
 
 KINDS = ("init", "x", "xx", "hseq", "bell")
 
@@ -47,6 +47,11 @@ class TestKind:
                 )
 
     @property
+    def num_bits(self) -> int:
+        """Measured bits: both qubits of a Bell test, one otherwise."""
+        return 2 if self.kind == "bell" else 1
+
+    @property
     def label(self) -> str:
         if self.kind == "bell":
             return f"bell:q{self.coupling[0]}-q{self.coupling[1]}"
@@ -74,38 +79,42 @@ class TestKind:
         return parsed
 
 
-def materialize(test: TestKind) -> tuple[Circuit, Distribution]:
-    """Build the test circuit and its ideal outcome distribution."""
+def materialize(test: TestKind) -> Circuit:
+    """Build the test circuit."""
     if test.kind == "bell":
         j, k = test.coupling
         gates = (h(j), cnot(j, k), measure(j, 0), measure(k, 1))
-        circuit = Circuit(max(j, k) + 1, 2, gates, test.label)
-        return circuit, Distribution({"00": 0.5, "11": 0.5})
+        return Circuit(max(j, k) + 1, test.num_bits, gates, test.label)
     q = test.qubit
     if test.kind == "init":
-        gates, expected = (measure(q, 0),), {"0": 1.0}
+        gates = (measure(q, 0),)
     elif test.kind == "x":
-        gates, expected = (x(q), measure(q, 0)), {"1": 1.0}
+        gates = (x(q), measure(q, 0))
     elif test.kind == "xx":
-        gates, expected = (x(q), x(q), measure(q, 0)), {"0": 1.0}
-    else:  # hseq: even-length Hadamard train composes to identity
+        gates = (x(q), x(q), measure(q, 0))
+    else:  # hseq
         gates = (h(q),) * test.length + (measure(q, 0),)
-        expected = {"0": 1.0}
-    return Circuit(q + 1, 1, gates, test.label), Distribution(expected)
+    return Circuit(q + 1, test.num_bits, gates, test.label)
 
 
 @dataclass(frozen=True)
 class Characterization:
-    """A test circuit paired with its observed counts."""
+    """A test paired with its observed counts, which must be as wide as the
+    test's measured bits."""
 
     kind: TestKind
-    circuit: Circuit
     counts: Counts
-    expected_ideal: Distribution
+
+    def __post_init__(self):
+        if self.counts.num_bits != self.kind.num_bits:
+            raise ArityMismatch(
+                f"{self.label}: {self.counts.num_bits}-bit counts for a test measuring "
+                f"{self.kind.num_bits} bit(s)"
+            )
 
     @property
     def label(self) -> str:
-        return self.circuit.label
+        return self.kind.label
 
 
 @dataclass(frozen=True)
@@ -159,14 +168,11 @@ def build_suite(topo: DeviceTopology, config: SuiteConfig) -> SuitePlan:
 
 def run_suite(plan: SuitePlan, backend) -> list[Characterization]:
     """Execute the plan on a backend; all-or-nothing, in plan order."""
-    built = [materialize(t) for t in plan.tests]
-    for circuit, _ in built:
+    circuits = [materialize(t) for t in plan.tests]
+    for circuit in circuits:
         validate(circuit, backend.topology)
-    counts_list = backend.run([c for c, _ in built], plan.shots, plan.seed)
-    return [
-        Characterization(t, circuit, counts, expected)
-        for t, (circuit, expected), counts in zip(plan.tests, built, counts_list)
-    ]
+    counts_list = backend.run(circuits, plan.shots, plan.seed)
+    return [Characterization(t, counts) for t, counts in zip(plan.tests, counts_list)]
 
 
 @dataclass(frozen=True)
@@ -248,8 +254,10 @@ def read_archive(path: str | Path) -> tuple[dict, list[Characterization]]:
     chars = []
     for label, c in counts.items():
         kind = TestKind.from_label(label)
-        circuit, expected = materialize(kind)
-        chars.append(Characterization(kind, circuit, c, expected))
+        try:
+            chars.append(Characterization(kind, c))
+        except ArityMismatch as exc:
+            raise ParseError(f"archive {path}: {exc}") from exc
     return data, chars
 
 

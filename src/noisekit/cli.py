@@ -93,8 +93,12 @@ def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
         raise ConfigError(f"{flag} takes comma-separated integers, got {text!r}") from exc
 
 
-def _parse_subset(text: str | None) -> tuple[int, ...] | None:
-    return None if text is None else _parse_ints(text, "--subset")
+def _parse_subset(args) -> tuple[int, ...] | None:
+    if args.subset is None:
+        return None
+    if args.granularity != SUBSET_AVERAGE:
+        raise ConfigError("--subset applies only with --granularity subset_average")
+    return _parse_ints(args.subset, "--subset")
 
 
 def _parse_app(spec: str, topo: DeviceTopology) -> list:
@@ -136,6 +140,7 @@ def _check_in_register(qubits, topo: DeviceTopology, what: str) -> None:
 def cmd_characterize(args) -> int:
     if args.shots < 1:
         raise ConfigError("--shots must be >= 1")
+    subset = _parse_subset(args)
     if args.granularity == SUBSET_AVERAGE and not args.subset:
         raise ConfigError("--granularity subset_average requires --subset")
     lengths = _parse_ints(args.hadamard_lengths or "", "--hadamard-lengths")
@@ -143,7 +148,6 @@ def cmd_characterize(args) -> int:
         raise ConfigError(
             f"--hadamard-lengths must be even and >= 2, got {args.hadamard_lengths!r}"
         )
-    subset = _parse_subset(args.subset)
     topo = _load_device(args.device)
     _check_in_register(subset or (), topo, "--subset")
     backend = _make_backend(args.backend, topo)
@@ -187,13 +191,14 @@ def cmd_characterize(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    subset = _parse_subset(args)
     if not Path(args.archive).exists():
         raise FileNotFoundError(f"archive {args.archive} not found")
     data, chars = read_archive(args.archive)
     config = FitConfig(
         variant=args.flags,
         granularity=args.granularity,
-        subset=_parse_subset(args.subset),
+        subset=subset,
         window=data.get("window", ""),
         provenance=content_hash(data),
     )
@@ -350,7 +355,7 @@ def cmd_demo(args) -> int:
     fit_2q.model.save(out / "model-2q-average.json")
 
     print("-- Bell-state model comparison (readout/gate ablations)")
-    bell_circuit, _ = materialize(TestKind("bell", coupling=(0, 1)))
+    bell_circuit = materialize(TestKind("bell", coupling=(0, 1)))
     bell_counts = backend.run([bell_circuit], shots, child_seed(seed, 1))[0]
     bell_run = ApplicationRun(bell_circuit, bell_counts)
     scores = compare_models(

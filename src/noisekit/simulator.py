@@ -17,9 +17,9 @@ quant-ph/0406196), and no amplitude is ever stored. Mixing the ideal
 marginal over every site's masks gives the pre-readout law; readout, a
 per-bit stochastic channel, turns it into the observed law. The exact
 distribution is that law, and sampling any number of shots is one
-multinomial draw from it. The mock QPU's hidden readout is that per-bit
-channel applied to each Hamming-weight class of the pre-readout law
-(`hidden_readout_law`).
+multinomial draw from it. The mock QPU's hidden readout (a sampler's
+`hidden_readout_strength`) is that per-bit channel applied to each
+Hamming-weight class of the pre-readout law.
 """
 from __future__ import annotations
 
@@ -31,9 +31,9 @@ from .noise import CompositeNoiseModel, read_out
 from .outcomes import Counts, Distribution
 from .rng import generator
 
-# Measured-bit guard shared by every entry point: every outcome law is a
-# 2^m array over the m measured bits, while active qubits cost only sweep
-# work linear in the gates.
+# Measured-bit guard shared by every entry point, with no per-call override:
+# every outcome law is a 2^m array over the m measured bits, while active
+# qubits cost only sweep work linear in the gates.
 MAX_QUBITS = 24
 
 _STREAM_OUTCOMES = 1
@@ -44,7 +44,7 @@ class _Compiled:
     """Circuit lowered onto its active qubits, with its per-gate flip masks
     and its ideal measured-bit marginal, both from one backward sweep."""
 
-    def __init__(self, circuit: Circuit, max_qubits: int):
+    def __init__(self, circuit: Circuit):
         actives = circuit.active_qubits()
         self.n = len(actives)
         local = {q: i for i, q in enumerate(actives)}
@@ -64,8 +64,8 @@ class _Compiled:
                 done.add(g.qubits[0])
             self.ops.append((g.name, tuple(local[q] for q in g.qubits), g.qubits))
         clbits = sorted(measured)
-        if len(clbits) > max_qubits:
-            raise TooWide(f"{len(clbits)} measured bits exceeds the {max_qubits}-bit guard")
+        if len(clbits) > MAX_QUBITS:
+            raise TooWide(f"{len(clbits)} measured bits exceeds the {MAX_QUBITS}-bit guard")
         self.measured_locals = [measured[c] for c in clbits]
         self.measured_qubits = [measured_orig[c] for c in clbits]
         self.num_bits = len(clbits)
@@ -175,17 +175,22 @@ def _readout_rates(
     return np.array([r.p0 for r in ros]), np.array([r.p1 for r in ros])
 
 
-def _outcome_laws(
-    comp: _Compiled, model: CompositeNoiseModel, rates: tuple[np.ndarray, np.ndarray] | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Pre-readout and observed outcome laws, flat in classical-bit order.
+def _outcome_law(
+    comp: _Compiled, model: CompositeNoiseModel, hidden_readout_strength: float = 0.0
+) -> np.ndarray:
+    """Observed outcome law, flat in classical-bit order.
 
     Each noise site mixes the ideal marginal over its flip masks,
     v <- (1 - p) v + p/3 (v[i ^ m_X] + v[i ^ m_Y] + v[i ^ m_Z]). On the
     [2]*m-shaped law, v[i ^ m] is v flipped along the axes of m's set bits,
     so every term is a view; coinciding masks share one term. The readout
-    channel with the per-bit `rates` (`_readout_rates`) then acts as a
-    per-bit stochastic matrix.
+    channel then acts on that pre-readout law as a per-bit stochastic matrix.
+
+    With a hidden strength, every bit also flips after readout with
+    probability h = min(strength * w, 1), w being the Hamming weight of the
+    pre-readout outcome. Given w, readout then that flip is one per-bit
+    channel with rates (1 - h) p + h (1 - p), so each weight class of the
+    pre-readout law is read out once: O((m + 1) m 2^m) for m measured bits.
     """
     m = comp.num_bits
     law = comp.ideal.reshape([2] * m).copy()  # the loop below reuses its buffer
@@ -200,11 +205,20 @@ def _outcome_laws(
             mixed += np.multiply(np.flip(law, axes), w, out=term)
         law, mixed = mixed, law
     pre = law.reshape(-1)
-    if rates is None:
-        return pre, pre
-    obs = pre.copy()
-    read_out(obs, *rates)
-    return pre, obs
+    rates = _readout_rates(comp, model)
+    if hidden_readout_strength == 0.0:
+        if rates is not None:
+            read_out(pre, *rates)
+        return pre
+    p0, p1 = rates or (np.zeros(m), np.zeros(m))
+    weight = sum((np.arange(pre.size) >> pos) & 1 for pos in range(m))
+    law = np.zeros_like(pre)
+    for w in range(m + 1):
+        part = np.where(weight == w, pre, 0.0)
+        h = min(hidden_readout_strength * w, 1.0)
+        read_out(part, (1 - h) * p0 + h * (1 - p0), (1 - h) * p1 + h * (1 - p1))
+        law += part
+    return law
 
 
 def _to_distribution(vec: np.ndarray, num_bits: int) -> Distribution:
@@ -212,61 +226,34 @@ def _to_distribution(vec: np.ndarray, num_bits: int) -> Distribution:
     return Distribution.from_arrays(num_bits, keep, vec[keep])
 
 
-def simulate_ideal(circuit: Circuit, max_qubits: int = MAX_QUBITS) -> Distribution:
+def simulate_ideal(circuit: Circuit) -> Distribution:
     """Exact measurement distribution of the noiseless circuit."""
-    comp = _Compiled(circuit, max_qubits)
+    comp = _Compiled(circuit)
     return _to_distribution(comp.ideal, comp.num_bits)
 
 
-def simulate_noisy_exact(
-    circuit: Circuit, model: CompositeNoiseModel, max_qubits: int = MAX_QUBITS
-) -> Distribution:
+def simulate_noisy_exact(circuit: Circuit, model: CompositeNoiseModel) -> Distribution:
     """Channel-averaged outcome distribution under the composite model: the
     compiled circuit's observed outcome law."""
-    comp = _Compiled(circuit, max_qubits)
-    _, law = _outcome_laws(comp, model, _readout_rates(comp, model))
-    return _to_distribution(law, comp.num_bits)
+    comp = _Compiled(circuit)
+    return _to_distribution(_outcome_law(comp, model), comp.num_bits)
 
 
 class TrajectorySampler:
     """Reusable sampler for one (circuit, model) pair.
 
-    The circuit is compiled once into its pre-readout and observed outcome
-    laws; a draw of any number of shots is one multinomial over a law.
+    The circuit is compiled once into the outcome law it draws from (with the
+    mock QPU's hidden readout when `hidden_readout_strength` > 0); a draw of
+    any number of shots is one multinomial over that law.
     """
 
     def __init__(self, circuit: Circuit, model: CompositeNoiseModel,
-                 max_qubits: int = MAX_QUBITS):
-        comp = _Compiled(circuit, max_qubits)
-        self.num_bits = comp.num_bits
-        self._readout = _readout_rates(comp, model)
-        self.pre_readout_law, self.observed_law = _outcome_laws(comp, model, self._readout)
+                 hidden_readout_strength: float = 0.0):
+        self.law = _outcome_law(_Compiled(circuit), model, hidden_readout_strength)
 
     def sample(self, shots: int, seed: int) -> Counts:
         """Observed counts of `shots` shots: one multinomial draw."""
-        return draw_counts(self.observed_law, shots, seed)
-
-
-def hidden_readout_law(sampler: TrajectorySampler, strength: float) -> np.ndarray:
-    """Observed law when, after the model's readout, every bit also flips
-    with probability h = clip(strength * w, 0, 1), w being the Hamming weight
-    of the pre-readout outcome.
-
-    Given w, readout then the hidden flip is one per-bit channel with rates
-    (1 - h) p + h (1 - p), so each weight class of the pre-readout law is
-    read out once: O((m + 1) m 2^m) for m measured bits.
-    """
-    pre = sampler.pre_readout_law
-    m = sampler.num_bits
-    p0, p1 = sampler._readout or (np.zeros(m), np.zeros(m))
-    weight = sum((np.arange(pre.size) >> pos) & 1 for pos in range(m))
-    law = np.zeros_like(pre)
-    for w in range(m + 1):
-        part = np.where(weight == w, pre, 0.0)
-        h = min(strength * w, 1.0)
-        read_out(part, (1 - h) * p0 + h * (1 - p0), (1 - h) * p1 + h * (1 - p1))
-        law += part
-    return law
+        return draw_counts(self.law, shots, seed)
 
 
 def draw_counts(law: np.ndarray, shots: int, seed: int) -> Counts:

@@ -206,7 +206,7 @@ def test_criterion_05_model_family_ordering():
             (v, fit_composite(chars, FitConfig(variant=v)).model)
             for v in ("noiseless", "sro", "aro", "dp", "sro+dp", "aro+dp")
         ]
-        bell_circ, _ = materialize(TestKind("bell", coupling=(0, 1)))
+        bell_circ = materialize(TestKind("bell", coupling=(0, 1)))
         run = ApplicationRun(bell_circ, backend.run([bell_circ], 8192, 2)[0])
         scores = {
             s.model_id: s.tvd

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -154,19 +155,20 @@ def test_load_counts_not_json(tmp_path):
         load_counts(path)
 
 
-def test_sampler_exposes_preimage(line2):
-    """The sampler's public pre-readout law is the preimage of its observed
+def test_readout_free_law_is_the_preimage(line2):
+    """With readout off, the sampler's law is the preimage of its observed
     law: the per-shot oracle's pre-readout outcomes follow it, and maximal
     readout noise decouples the observation from it."""
     model = uniform_truth(line2, p0=0.5, p1=0.5, p_x=0.0, p_cnot=0.0)
     from noisekit.applications import build_ghz
 
     circuit = build_ghz(2, line2)
-    sampler = TrajectorySampler(circuit, model)
-    assert sampler.pre_readout_law == pytest.approx([0.5, 0.0, 0.0, 0.5], abs=1e-12)
-    assert sampler.observed_law == pytest.approx([0.25] * 4, abs=1e-12)
+    pre_law = TrajectorySampler(circuit, dataclasses.replace(model, readout_on=False)).law
+    observed_law = TrajectorySampler(circuit, model).law
+    assert pre_law == pytest.approx([0.5, 0.0, 0.0, 0.5], abs=1e-12)
+    assert observed_law == pytest.approx([0.25] * 4, abs=1e-12)
     pre, obs = sample_trajectories(circuit, model, 10_000, seed=8)
     assert pre.shape == obs.shape == (10_000,)
-    for indices, law in ((pre, sampler.pre_readout_law), (obs, sampler.observed_law)):
+    for indices, law in ((pre, pre_law), (obs, observed_law)):
         freqs = np.bincount(indices, minlength=4) / indices.size
         assert 0.5 * np.abs(freqs - law).sum() <= 0.03

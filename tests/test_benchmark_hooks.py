@@ -19,6 +19,11 @@ SPANS = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "
 TARGETS = [(t[0], t[1]) for t in SPANS["SPAN_TARGETS"] + SPANS["COUNT_TARGETS"]]
 
 
+def _wrappers_left() -> list[str]:
+    return [f"{module.__name__}.{key}" for module in SPANS["_noisekit_modules"]()
+            for key, value in SPANS["_members"](module) if getattr(value, SPANS["_MARK"], False)]
+
+
 @pytest.mark.parametrize("module_name, attr", TARGETS)
 def test_span_target_is_defined_where_the_recorder_patches_it(module_name, attr):
     owner = importlib.import_module(module_name)
@@ -61,6 +66,33 @@ def test_recorder_counts_the_plan_of_a_small_traced_demo(tmp_path):
            "evaluation.resamples": 24, "evaluation.tvd_calls": 24}
     assert (cli.main, evaluation.tvd, evaluation.score_model,
             simulator.TrajectorySampler.sample) == originals
-    left = [f"{module.__name__}.{key}" for module in SPANS["_noisekit_modules"]()
-            for key, value in SPANS["_members"](module) if getattr(value, SPANS["_MARK"], False)]
-    assert not left
+    assert not _wrappers_left()
+
+
+def test_recorder_counts_hidden_readout_draws_as_sampler_shots(tmp_path):
+    """On the mock QPU's hidden-readout path every circuit is still one
+    `TrajectorySampler.sample` draw, so the traced sampler shots equal the
+    backend's."""
+    import noisekit.cli as cli
+    from noisekit.backend import MockGroundTruth
+    from noisekit.devices import line, uniform_truth
+
+    topo = line(3)
+    topo.save(tmp_path / "device.json")
+    MockGroundTruth(uniform_truth(topo), hidden_readout_strength=0.04).save(
+        tmp_path / "truth.json")
+    recorder = SPANS["SpanRecorder"]()
+    recorder.install()
+    try:
+        with redirect_stdout(io.StringIO()):
+            code = cli.main(["characterize", "--device", str(tmp_path / "device.json"),
+                             "--backend", f"mock:{tmp_path / 'truth.json'}",
+                             "--shots", "64", "--out", str(tmp_path / "out")])
+    finally:
+        recorder.restore()
+    assert code == 0
+    circuits = 3 * 3 + 2  # init, x and xx per qubit, one Bell test per coupling
+    assert recorder.counters["simulator.sample_calls"] == circuits
+    assert recorder.counters["simulator.shots"] == circuits * 64
+    assert recorder.counters["backend.shots"] == circuits * 64
+    assert not _wrappers_left()

@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import pytest
 
 from noisekit.backend import MockBackend, MockGroundTruth
@@ -16,7 +19,8 @@ from noisekit.characterization import (
     write_archive,
 )
 from noisekit.devices import line, uniform_truth
-from noisekit.errors import OddHadamardLength, ParseError
+from noisekit.errors import ArityMismatch, OddHadamardLength, ParseError
+from noisekit.outcomes import Counts
 from noisekit.simulator import simulate_ideal
 
 
@@ -54,39 +58,50 @@ def test_odd_hadamard_length_rejected():
         build_suite(line(2), SuiteConfig(hadamard_lengths=(2, 5)))
 
 
+# The ideal law of every test kind, by hand: the oracle for
+# simulate_ideal(materialize(kind)), the package's one copy of these laws.
+IDEAL = {
+    "init": {"0": 1.0},
+    "x": {"1": 1.0},
+    "xx": {"0": 1.0},
+    "hseq": {"0": 1.0},  # an even-length Hadamard train composes to identity
+    "bell": {"00": 0.5, "11": 0.5},
+}
+
+
 def test_materialize_bell():
-    circuit, expected = materialize(TestKind("bell", coupling=(0, 1)))
+    circuit = materialize(TestKind("bell", coupling=(0, 1)))
     assert circuit.census() == {"h": 1, "cnot": 1, "measure": 2}
-    assert expected.prob("00") == 0.5 and expected.prob("11") == 0.5
+    assert circuit.num_clbits == 2 and circuit.label == "bell:q0-q1"
     assert simulate_ideal(circuit).prob("00") == pytest.approx(0.5, abs=1e-12)
 
 
 def test_materialize_hseq_identity():
-    circuit, expected = materialize(TestKind("hseq", qubit=2, length=2))
+    circuit = materialize(TestKind("hseq", qubit=2, length=2))
     assert circuit.census() == {"h": 2, "measure": 1}
-    assert expected.prob("0") == 1.0
     assert simulate_ideal(circuit).prob("0") == pytest.approx(1.0, abs=1e-12)
 
 
 def test_materialize_xx_returns_to_zero():
-    circuit, expected = materialize(TestKind("xx", qubit=1))
+    circuit = materialize(TestKind("xx", qubit=1))
     assert circuit.census() == {"x": 2, "measure": 1}
-    assert expected.prob("0") == 1.0
+    assert simulate_ideal(circuit).prob("0") == pytest.approx(1.0, abs=1e-12)
 
 
-def test_materialize_expected_matches_ideal_simulation():
-    kinds = [
-        TestKind("init", qubit=0),
-        TestKind("x", qubit=1),
-        TestKind("xx", qubit=2),
-        TestKind("hseq", qubit=0, length=4),
-        TestKind("bell", coupling=(1, 2)),
-    ]
-    for kind in kinds:
-        circuit, expected = materialize(kind)
-        simulated = simulate_ideal(circuit)
-        for key in set(expected.probs) | set(simulated.probs):
-            assert simulated.prob(key) == pytest.approx(expected.prob(key), abs=1e-12)
+@pytest.mark.parametrize("kind", [
+    TestKind("init", qubit=0),
+    TestKind("x", qubit=1),
+    TestKind("xx", qubit=2),
+    TestKind("hseq", qubit=0, length=4),
+    TestKind("bell", coupling=(1, 2)),
+], ids=lambda k: k.kind)
+def test_materialize_expected_matches_ideal_simulation(kind):
+    circuit = materialize(kind)
+    assert circuit.num_clbits == kind.num_bits == len(next(iter(IDEAL[kind.kind])))
+    simulated = simulate_ideal(circuit)
+    assert simulated.num_bits == kind.num_bits
+    for key in set(IDEAL[kind.kind]) | set(simulated.probs):
+        assert simulated.prob(key) == pytest.approx(IDEAL[kind.kind].get(key, 0.0), abs=1e-12)
 
 
 def test_build_suite_two_qubit_line():
@@ -158,9 +173,10 @@ def test_run_suite_zero_noise(line3):
     assert len(chars) == len(plan.tests)
     for ch in chars:
         observed = ch.counts.frequencies()
+        ideal = IDEAL[ch.kind.kind]
         for key, freq in observed.items():
-            assert freq == pytest.approx(ch.expected_ideal.prob(key), abs=0.05)
-        assert set(observed) <= set(ch.expected_ideal.support())
+            assert freq == pytest.approx(ideal.get(key, 0.0), abs=0.05)
+        assert set(observed) <= set(ideal)
         assert ch.counts.shots == 2048
 
 
@@ -179,6 +195,40 @@ def test_run_suite_deterministic(line3):
     a = run_suite(plan, backend)
     b = run_suite(plan, backend)
     assert [c.counts for c in a] == [c.counts for c in b]
+
+
+def test_record_is_its_test_and_counts():
+    assert [f.name for f in dataclasses.fields(Characterization)] == ["kind", "counts"]
+    record = Characterization(TestKind("bell", coupling=(2, 1)), Counts({"01": 3}, 3))
+    assert record.label == "bell:q2-q1"
+
+
+@pytest.mark.parametrize("label, counts", [
+    ("x:q0", {"00": 900, "11": 100}),
+    ("bell:q0-q1", {"0": 600, "1": 400}),
+    ("init:q0", {}),  # zero shots: an empty map is 0 bits wide
+])
+def test_record_counts_must_have_the_tests_width(tmp_path, label, counts):
+    kind = TestKind.from_label(label)
+    with pytest.raises(ArityMismatch, match=label):
+        Characterization(kind, Counts(counts, sum(counts.values())))
+    path = tmp_path / "archive.json"
+    path.write_text(json.dumps({"entries": [
+        {"label": label, "shots": sum(counts.values()), "counts": counts}]}))
+    with pytest.raises(ParseError, match=label):
+        read_archive(path)
+
+
+def test_run_suite_rejects_backend_counts_of_the_wrong_width(line3):
+    class TwoBitBackend:
+        topology = line3
+
+        def run(self, circuits, shots, seed):
+            return [Counts({"00": shots}, shots) for _ in circuits]
+
+    plan = build_suite(line3, SuiteConfig(shots=16))
+    with pytest.raises(ArityMismatch, match="init:q0"):
+        run_suite(plan, TwoBitBackend())
 
 
 def test_archive_roundtrip(tmp_path, line3):

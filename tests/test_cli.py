@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from noisekit import characterization
 from noisekit.backend import MockGroundTruth
 from noisekit.characterization import (
     archive_dict, archive_hash, build_suite, run_suite, SuiteConfig, write_archive,
@@ -94,6 +95,21 @@ def test_fit_sro_register_average_single_readout_parameter(setup):
     )
     assert model.num_parameters() == 1
     assert model.avg_readout.is_symmetric
+
+
+def test_fit_builds_no_circuit(setup, monkeypatch):
+    """A fit reads only each record's test and counts: it succeeds with
+    circuit building patched to fail."""
+    tmp_path, device, truth = setup
+    archive = _characterize(tmp_path, device, truth)
+
+    def refuse(test):
+        raise AssertionError(f"fit built the circuit of {test.label}")
+
+    monkeypatch.setattr(characterization, "materialize", refuse)
+    code = main(["fit", "--archive", str(archive), "--out", str(tmp_path / "run")])
+    assert code == 0
+    assert (tmp_path / "run" / "model-aro_dp-per_element.json").exists()
 
 
 def test_fit_missing_bell_coverage_exit_1(setup, capsys):
@@ -315,6 +331,23 @@ def _subset_fit_without_subset(tmp_path, device, truth):
     return ["fit", "--archive", str(archive), "--granularity", "subset_average"]
 
 
+def _archive_entry_counts(label, counts):
+    """`fit` on an archive whose entry `label` holds `counts`."""
+    def make_argv(tmp_path, device, truth):
+        archive = _characterize(tmp_path, device, truth, shots="64")
+        def edit(data):
+            entry = next(e for e in data["entries"] if e["label"] == label)
+            entry.update(counts=counts, shots=sum(counts.values()))
+        _edited(archive, edit)
+        return ["fit", "--archive", str(archive)]
+    return make_argv
+
+
+def _fit_subset_per_element(tmp_path, device, truth):
+    archive = _characterize(tmp_path, device, truth, shots="64")
+    return ["fit", "--archive", str(archive), "--subset", "0"]
+
+
 def _edited(path, edit):
     data = json.loads(path.read_text())
     edit(data)
@@ -356,6 +389,14 @@ MALFORMED_INPUTS = {
     "fit-subset-missing": (_subset_fit_without_subset, "ConfigError"),
     "characterize-subset-missing": (lambda t, d, tr: _characterize_argv(
         t, d, tr, "--granularity", "subset_average"), "ConfigError"),
+    "fit-subset-per-element": (_fit_subset_per_element, "ConfigError"),
+    "characterize-subset-per-element": (lambda t, d, tr: _characterize_argv(
+        t, d, tr, "--subset", "1"), "ConfigError"),
+    "archive-x-two-bits": (_archive_entry_counts("x:q0", {"00": 900, "11": 100}),
+                           "ParseError"),
+    "archive-bell-one-bit": (_archive_entry_counts("bell:q0-q1", {"0": 600, "1": 400}),
+                             "ParseError"),
+    "archive-zero-shot-entry": (_archive_entry_counts("init:q0", {}), "ParseError"),
     "shots-above-capability": (lambda t, d, tr: _characterize_argv(
         t, d, tr, "--shots", "20000000"), "ConfigError"),
     "sim-shots-zero": (lambda t, d, tr: [*_evaluate_argv(t, d, tr), "--sim-shots", "0"],

@@ -14,7 +14,6 @@ from noisekit.simulator import (
     MAX_QUBITS,
     TrajectorySampler,
     _Compiled,
-    hidden_readout_law,
     sample_from_distribution,
     simulate_ideal,
     simulate_noisy_exact,
@@ -95,24 +94,24 @@ def test_mid_circuit_measurement_rejected():
 # -- Pauli-frame flip masks ----------------------------------------------------
 
 def test_flip_mask_z_before_final_h_flips_bit():
-    comp = _Compiled(Circuit(1, 1, (h(0), h(0), measure(0, 0)), "hh"), 24)
+    comp = _Compiled(Circuit(1, 1, (h(0), h(0), measure(0, 0)), "hh"))
     assert comp.flips[0] == ((0, 1),)  # (X flips, Z flips) after the first H
 
 
 def test_flip_mask_x_on_control_before_cnot_flips_both_bits(bell_circuit):
-    comp = _Compiled(bell_circuit, 24)
+    comp = _Compiled(bell_circuit)
     assert comp.flips[0] == ((0b11, 0),)
 
 
 def test_flip_mask_z_on_measured_qubit_flips_nothing():
-    comp = _Compiled(Circuit(1, 1, (h(0), measure(0, 0)), "h"), 24)
+    comp = _Compiled(Circuit(1, 1, (h(0), measure(0, 0)), "h"))
     assert comp.flips[0] == ((1, 0),)
 
 
 def test_flip_masks_follow_classical_bit_order():
     # qubit 0 -> clbit 1 (least significant of two bits), qubit 1 -> clbit 0
     circuit = Circuit(3, 2, (x(0), x(1), x(2), measure(0, 1), measure(1, 0)), "swap")
-    comp = _Compiled(circuit, 24)
+    comp = _Compiled(circuit)
     assert comp.flips[:3] == [((0b01, 0),), ((0b10, 0),), ((0, 0),)]
 
 
@@ -278,19 +277,24 @@ def test_oracle_equivalence_exact_vs_sampled():
         assert _tvd(freqs, dict(exact.items())) <= 0.01
 
 
+def _pre_readout_law(circuit, model):
+    """The law a sampler draws from with the model's readout off."""
+    return TrajectorySampler(circuit, dataclasses.replace(model, readout_on=False)).law
+
+
 def test_sampler_laws_match_exact_and_density_matrix_oracle():
-    """The sampler draws from the exact observed law, and its pre-readout law
-    is the density-matrix oracle's law with readout off."""
+    """The sampler draws from the exact observed law, and with readout off
+    from the density-matrix oracle's law with readout off."""
     rng = np.random.default_rng(7)
     for trial in range(300):
         circuit, model = _random_oracle_case(rng, trial)
-        sampler = TrajectorySampler(circuit, model)
-        exact = np.zeros(sampler.observed_law.size)
+        law = TrajectorySampler(circuit, model).law
+        exact = np.zeros(law.size)
         for key, p in simulate_noisy_exact(circuit, model).items():
             exact[int(key, 2) if key else 0] = p
-        assert np.max(np.abs(sampler.observed_law - exact)) <= 1e-12, (trial, circuit)
+        assert np.max(np.abs(law - exact)) <= 1e-12, (trial, circuit)
         bare = exact_outcome_vector(circuit, dataclasses.replace(model, readout_on=False))
-        assert np.max(np.abs(sampler.pre_readout_law - bare)) <= 1e-12, (trial, circuit)
+        assert np.max(np.abs(_pre_readout_law(circuit, model) - bare)) <= 1e-12, (trial, circuit)
 
 
 def _clbit_rates(circuit, model):
@@ -321,7 +325,7 @@ def _pair_law(pre, p0, p1, strength=0.0):
 
 def test_readout_pairs_match_trajectory_oracle():
     """The oracle's matched (pre-readout, observed) pairs follow the joint
-    law the sampler implies: its pre-readout law through per-bit readout.
+    law the sampler implies: its readout-free law through per-bit readout.
 
     A 10^5-shot empirical law over K cells sits sum_k sqrt(p_k / (2 pi N))
     from its exact law in expected TVD, at most 8 / sqrt(2 pi 10^5) = 0.010
@@ -334,7 +338,7 @@ def test_readout_pairs_match_trajectory_oracle():
         circuit = _random_circuit(rng, n, label=f"pairs{trial}")
         model = _random_model(rng)
         cells = 1 << (2 * n)
-        want = _pair_law(TrajectorySampler(circuit, model).pre_readout_law,
+        want = _pair_law(_pre_readout_law(circuit, model),
                          *_clbit_rates(circuit, model)).reshape(-1)
         pre, obs = sample_trajectories(circuit, model, shots, seed=100 + trial)
         got = _frequencies((pre << n) | obs, cells)
@@ -345,7 +349,7 @@ HIDDEN_STRENGTHS = (0.0, 0.04, 0.3, 0.6)
 
 
 def test_hidden_readout_law_matches_brute_force():
-    """The composed hidden-readout law is the brute-force sum over the
+    """A sampler's law at a hidden strength is the brute-force sum over the
     density-matrix oracle's pre-readout law, with the flip rate clipped at 1."""
     rng = np.random.default_rng(5)
     cases = [(_random_circuit(rng, int(rng.integers(1, 5)), label=f"hid{t}"),
@@ -354,10 +358,9 @@ def test_hidden_readout_law_matches_brute_force():
     clipped = 0
     for trial, (circuit, model) in enumerate(cases):
         strength = HIDDEN_STRENGTHS[trial % len(HIDDEN_STRENGTHS)]
-        sampler = TrajectorySampler(circuit, model)
         pre = exact_outcome_vector(circuit, dataclasses.replace(model, readout_on=False))
         want = _pair_law(pre, *_clbit_rates(circuit, model), strength).sum(axis=0)
-        got = hidden_readout_law(sampler, strength)
+        got = TrajectorySampler(circuit, model, strength).law
         assert np.max(np.abs(got - want)) <= 1e-12, (trial, strength, circuit)
         weights = [bin(i).count("1") for i in range(pre.size)]
         clipped += any(strength * w > 1 and p > 0 for w, p in zip(weights, pre))
