@@ -140,6 +140,8 @@ def _check_in_register(qubits, topo: DeviceTopology, what: str) -> None:
 def cmd_characterize(args) -> int:
     if args.shots < 1:
         raise ConfigError("--shots must be >= 1")
+    if args.seed < 0:  # SeedSequence takes non-negative entropy only
+        raise ConfigError("--seed must be >= 0")
     subset = _parse_subset(args)
     if args.granularity == SUBSET_AVERAGE and not args.subset:
         raise ConfigError("--granularity subset_average requires --subset")
@@ -224,6 +226,8 @@ def cmd_evaluate(args) -> int:
         raise ConfigError("--shots must be >= 1")
     if args.resamples < 1:
         raise ConfigError("--resamples must be >= 1")
+    if args.seed < 0:  # SeedSequence takes non-negative entropy only
+        raise ConfigError("--seed must be >= 0")
     if args.sim_shots is not None and args.sim_shots < 1:
         raise ConfigError("--sim-shots must be >= 1")
     if not args.model:
@@ -317,6 +321,8 @@ def cmd_demo(args) -> int:
         raise ConfigError("--hidden must lie in [0, 1]")
     if args.shots < 1:
         raise ConfigError("--shots must be >= 1")
+    if args.seed < 0:  # SeedSequence takes non-negative entropy only
+        raise ConfigError("--seed must be >= 0")
     if not 2 <= args.max_ghz <= 20:  # ladder20's longest path has 20 qubits
         raise ConfigError("--max-ghz must lie in [2, 20]")
     out = _out_dir(args)

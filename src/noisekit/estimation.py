@@ -234,9 +234,32 @@ def _bell_line(rates: np.ndarray) -> np.ndarray:
     rates [[p0_j, p0_k], [p1_j, p1_k]] maps each row.
     """
     line = np.array([[0.5, 0.0, 0.0, 0.5], [-1.0, 1.0, 1.0, -1.0]])
-    for row in line:
-        read_out(row, *rates)
+    read_out(line, *rates)
     return line
+
+
+# d/dp0 and d/dp1 of one bit's readout, acting on that bit's (t0, t1):
+# (-t0, t0) and (t1, -t1), as rows [rate, read value]
+_READOUT_STEP = np.array([[-1.0, 1.0], [1.0, -1.0]])
+
+
+def _bell_line_derivatives(rates: np.ndarray) -> np.ndarray:
+    """Derivatives of `_bell_line(rates)` in p0_j, p1_j, p0_k, p1_k, shape
+    (4, 2, 4).
+
+    Each bit's readout is affine in its two rates and acts on its own axis,
+    so the derivative in one bit's p0 (p1) is the line read out by the other
+    bit's channel only, with this bit's 0-row (1-row) mass moved across.
+    """
+    only_k, only_j = rates.copy(), rates.copy()
+    only_k[:, 0] = 0.0
+    only_j[:, 1] = 0.0
+    by_k = _bell_line(only_k).reshape(2, 2, 2)  # (row, bit j, bit k)
+    by_j = _bell_line(only_j).reshape(2, 2, 2)
+    # d[rate, row, j', k] = step[rate, j'] * by_k[row, rate, k], and likewise for k
+    d_j = by_k.transpose(1, 0, 2)[:, :, None, :] * _READOUT_STEP[:, None, :, None]
+    d_k = by_j.transpose(2, 0, 1)[:, :, :, None] * _READOUT_STEP[:, None, None, :]
+    return np.concatenate([d_j, d_k]).reshape(4, 2, 4)
 
 
 def fit_pcnot(
@@ -278,17 +301,11 @@ def fit_pcnot(
 
     obs_terms = slope / norm2 * [binomial_stderr(f, char.counts.shots) for f in observed]
     var = float(obs_terms @ obs_terms)
-    # (p0_j, p1_j, p0_k, p1_k) as (rate, bit) entries of `rates`
-    for sigma, entry in zip(readout_stderrs, ((0, 0), (1, 0), (0, 1), (1, 1))):
-        if sigma == 0.0:
-            continue
-        # base and slope are affine in each readout rate, so the line at
-        # rate 1 minus the line at rate 0 is their derivative
-        at_zero, at_one = rates.copy(), rates.copy()
-        at_zero[entry], at_one[entry] = 0.0, 1.0
-        d_base, d_slope = _bell_line(at_one) - _bell_line(at_zero)
-        ds_dparam = (d_slope @ resid - slope @ d_base - 2.0 * s_raw * (slope @ d_slope)) / norm2
-        var += (ds_dparam * sigma) ** 2
+    # (p0_j, p1_j, p0_k, p1_k) against the four readout stderrs
+    d_base, d_slope = _bell_line_derivatives(rates).transpose(1, 0, 2)
+    ds_dparams = (d_slope @ resid - d_base @ slope - 2.0 * s_raw * (d_slope @ slope)) / norm2
+    for term in ds_dparams * readout_stderrs:
+        var += term**2
 
     return _clamped(
         name,

@@ -113,6 +113,8 @@ def score_model(
     """
     if resamples < 1:
         raise ConfigError(f"resamples must be >= 1, got {resamples}")
+    if sim_shots is not None and sim_shots < 1:
+        raise ConfigError(f"sim_shots must be >= 1, got {sim_shots}")
     cnots = run.circuit.cnot_count
     if exact:
         dist = simulate_noisy_exact(run.circuit, model)
@@ -129,10 +131,15 @@ def score_model(
         )
     shots = sim_shots if sim_shots is not None else run.counts.shots
     sampler = TrajectorySampler(run.circuit, model)
-    values = [
-        tvd(run.counts, sampler.sample(shots, child_seed(seed, r)))
-        for r in range(resamples)
-    ]
+    # TVD = sum over drawn outcomes of max(g_k - f_k, 0), the same as
+    # 1 - sum_k min(f_k, g_k) but with no cancellation against 1: exactly 0
+    # for a draw equal to the run, and never negative
+    run_freq = np.zeros(sampler.law.size)
+    run_freq[run.counts.indices] = run.counts.frequency_array()
+    values = np.empty(resamples)
+    for r in range(resamples):
+        draw = sampler.sample(shots, child_seed(seed, r))
+        values[r] = np.maximum(draw.values / shots - run_freq[draw.indices], 0.0).sum()
     mean = float(np.mean(values))
     spread = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
     return ModelScore(

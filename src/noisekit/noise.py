@@ -100,11 +100,12 @@ def bell_frequencies(p_cnot: float) -> Distribution:
 
 
 def read_out(law: np.ndarray, p0: Sequence[float], p1: Sequence[float]) -> None:
-    """Apply, in place on a flat law in classical-bit order, each bit's
-    readout flips: a 0 reads 1 with probability p0[bit], a 1 reads 0 with
-    p1[bit]. Classical bit 0 is the most significant bit of an index."""
+    """Apply, in place on a flat law in classical-bit order (or on each row
+    of a contiguous stack of such laws), each bit's readout flips: a 0 reads
+    1 with probability p0[bit], a 1 reads 0 with p1[bit]. Classical bit 0 is
+    the most significant bit of an index."""
     for bit, (a, b) in enumerate(zip(p0, p1)):
-        t = law.reshape(1 << bit, 2, -1)
+        t = law.reshape(-1, 2, 1 << (len(p0) - 1 - bit))
         moved = a * t[:, 0] - b * t[:, 1]  # net mass read 0 -> 1
         t[:, 0] -= moved
         t[:, 1] += moved

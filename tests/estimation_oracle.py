@@ -6,10 +6,14 @@
 - Hadamard decay: minimises the least-squares misfit of the survival
   1/2 + 1/2 (1 - 4p/3)^L over p in [0, 1] with a bounded scalar minimiser
   (coarse scan, golden section, finite-difference Newton polish).
+- Bell-test stderr: the delta-method stderr of the cnot rate, with each
+  readout rate's derivative of the Bell line taken as the line at rate 1
+  minus the line at rate 0 (the line is affine in each rate), the line
+  read out through the Kronecker product of the two 2x2 stochastic matrices.
 
 Each forward model is written out here rather than imported, so the oracles
-share no code with `noisekit.estimation.solve_aro_system` or
-`noisekit.estimation.estimate_hadamard_error`.
+share no code with `noisekit.estimation.solve_aro_system`,
+`noisekit.estimation.estimate_hadamard_error` or `noisekit.noise.read_out`.
 """
 from __future__ import annotations
 
@@ -140,3 +144,30 @@ def fit_hadamard(targets: dict[int, float]) -> tuple[float, float]:
     """(p, SSR) of the bounded least-squares Hadamard fit on [0, 1]."""
     p, ssr, _ = minimize_bounded(lambda v: hadamard_ssr(v, targets), 0.0, 1.0)
     return p, ssr
+
+
+def bell_line(rates: np.ndarray) -> np.ndarray:
+    """Rows (base, slope) of the read-out Bell law base + s * slope, for
+    rates [[p0_j, p0_k], [p1_j, p1_k]]."""
+    channel = np.kron(*([[1.0 - p0, p1], [p0, 1.0 - p1]] for p0, p1 in zip(*rates)))
+    return np.array([[0.5, 0.0, 0.0, 0.5], [-1.0, 1.0, 1.0, -1.0]]) @ channel.T
+
+
+def pcnot_stderr(observed, shots: int, rates: np.ndarray, readout_stderrs) -> float:
+    """Stderr of the Bell-test cnot rate for observed frequencies over
+    00, 01, 10, 11, readout rates [[p0_j, p0_k], [p1_j, p1_k]] and the
+    readout stderrs (p0_j, p1_j, p0_k, p1_k)."""
+    observed = np.asarray(observed, dtype=float)
+    base, slope = bell_line(rates)
+    norm2 = float(slope @ slope)
+    resid = observed - base
+    s_raw = float(slope @ resid) / norm2
+    obs_terms = slope / norm2 * np.sqrt(observed * (1.0 - observed) / shots)
+    var = float(obs_terms @ obs_terms)
+    for sigma, entry in zip(readout_stderrs, ((0, 0), (1, 0), (0, 1), (1, 1))):
+        at_zero, at_one = rates.copy(), rates.copy()
+        at_zero[entry], at_one[entry] = 0.0, 1.0
+        d_base, d_slope = bell_line(at_one) - bell_line(at_zero)
+        ds_dparam = (d_slope @ resid - slope @ d_base - 2.0 * s_raw * (slope @ d_slope)) / norm2
+        var += (ds_dparam * sigma) ** 2
+    return 1.5 / math.sqrt(1.0 - 4.0 * s_raw) * math.sqrt(var)

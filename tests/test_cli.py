@@ -433,6 +433,12 @@ MALFORMED_INPUTS = {
                                            "--model", str(t / "model.json")], "ConfigError"),
     "exact-bv": (lambda t, d, tr: [*_evaluate_argv(t, d, tr, app="bv:1@0/1"), "--exact"],
                  "ConfigError"),
+    "characterize-seed-negative": (lambda t, d, tr: _characterize_argv(t, d, tr, "--seed", "-1"),
+                                   "ConfigError"),
+    "evaluate-seed-negative": (lambda t, d, tr: [*_evaluate_argv(t, d, tr), "--seed", "-1"],
+                               "ConfigError"),
+    "demo-seed-negative": (lambda t, d, tr: [*_demo_argv(t, d, tr), "--seed", "-42"],
+                           "ConfigError"),
 }
 
 

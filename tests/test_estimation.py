@@ -2,7 +2,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from estimation_oracle import fit_hadamard, hadamard_ssr, solve_x_xx
+from estimation_oracle import bell_line, fit_hadamard, hadamard_ssr, pcnot_stderr, solve_x_xx
 
 from noisekit.backend import MockBackend, MockGroundTruth
 from noisekit.characterization import (
@@ -508,6 +508,26 @@ def test_pcnot_stderr_matches_central_differences():
         grad = _central_gradient(raw, [*observed, *p], 1e-6)
         sigma = [*(binomial_stderr(f, 8192) for f in observed), *readout_stderrs]
         assert res.stderr == pytest.approx(np.linalg.norm(grad * sigma), rel=1e-4)
+
+
+def test_pcnot_stderr_matches_oracle():
+    """The readout terms from the closed-form line derivatives give the
+    stderr that the rate-1-minus-rate-0 derivatives give, on random rates,
+    readout stderrs (zeros included) and Bell counts."""
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        rates = rng.uniform(0, 0.3, size=(2, 2))  # [[p0_j, p0_k], [p1_j, p1_k]]
+        sigmas = rng.uniform(0, 0.02, size=4) * (rng.uniform(size=4) < 0.8)
+        shots = int(rng.integers(64, 100_000))
+        p = rng.uniform(0, 0.5)
+        base, slope = bell_line(rates)
+        counts = rng.multinomial(shots, base + (2 * p / 3 - 4 * p**2 / 9) * slope)
+        res = fit_pcnot(_char(BELL_KIND, dict(zip(BELL_OUTCOMES, counts.tolist())), shots),
+                        ReadoutModel(*rates[:, 0]), ReadoutModel(*rates[:, 1]), tuple(sigmas))
+        if res.raw_value >= 0.75:
+            continue
+        expected = pcnot_stderr(counts / shots, shots, rates, sigmas)
+        assert res.stderr == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
 def test_pcnot_infeasible_s_flagged():

@@ -7,7 +7,8 @@ from noisekit.applications import build_ghz
 from noisekit.backend import MockBackend, MockGroundTruth
 from noisekit.characterization import SuiteConfig, build_suite, run_suite
 from noisekit.devices import line, uniform_truth
-from noisekit.errors import ArityMismatch, EmptyLadder
+from noisekit.circuit import Circuit, h, measure
+from noisekit.errors import ArityMismatch, ConfigError, EmptyLadder
 from noisekit.estimation import FitConfig, fit_composite
 from noisekit.evaluation import (
     ApplicationRun,
@@ -21,6 +22,8 @@ from noisekit.evaluation import (
 )
 from noisekit.noise import CompositeNoiseModel, ReadoutModel
 from noisekit.outcomes import Counts, Distribution
+from noisekit.rng import child_seed
+from noisekit.simulator import TrajectorySampler
 from tvd_oracle import tvd_by_keys
 
 NOISELESS = CompositeNoiseModel.noiseless()
@@ -227,6 +230,69 @@ def test_score_per_cnot_normalization():
     score = score_model(ApplicationRun(circuit, counts), truth, resamples=20, seed=4)
     assert score.cnot_count == 4
     assert score.tvd_per_cnot == pytest.approx(score.tvd / 4)
+
+
+def _random_truth(rng, topo):
+    return uniform_truth(topo, p0=rng.uniform(0, 0.1), p1=rng.uniform(0, 0.1),
+                         p_x=rng.uniform(0, 0.02), p_cnot=rng.uniform(0, 0.1))
+
+
+def test_sampled_score_matches_tvd_oracle():
+    """Sampled scoring is the mean and ddof=1 spread of `tvd` between the run
+    and each resample's draw, on random widths 1-8, models, seeds, run shots
+    and sim shots (equal to the run's or not); a third of the cases score
+    the noiseless model, which never produces most outcomes a noisy run
+    holds."""
+    rng = np.random.default_rng(17)
+    unproduced = 0
+    for trial in range(60):
+        n = int(rng.integers(1, 9))
+        topo = line(n)
+        circuit = (Circuit(1, 1, (h(0), measure(0, 0)), "h:q0") if n == 1
+                   else build_ghz(n, topo))
+        run_shots = int(rng.integers(1, 5000))
+        backend = MockBackend(topo, MockGroundTruth(_random_truth(rng, topo)))
+        run = ApplicationRun(circuit, backend.run([circuit], run_shots, trial)[0])
+        model = NOISELESS if trial % 3 == 0 else _random_truth(rng, topo)
+        sim_shots = None if trial % 2 else int(rng.integers(1, 5000))
+        resamples, seed = int(rng.integers(1, 12)), int(rng.integers(0, 2**40))
+
+        score = score_model(run, model, sim_shots=sim_shots, resamples=resamples, seed=seed)
+        sampler = TrajectorySampler(circuit, model)
+        shots = sim_shots or run_shots
+        values = [tvd(run.counts, sampler.sample(shots, child_seed(seed, r)))
+                  for r in range(resamples)]
+        assert score.tvd == pytest.approx(np.mean(values), rel=0, abs=1e-12)
+        spread = np.std(values, ddof=1) if resamples > 1 else 0.0
+        assert score.tvd_stderr == pytest.approx(spread, rel=0, abs=1e-12)
+        assert (score.resamples, score.sim_shots) == (resamples, shots)
+        unproduced += bool((sampler.law[run.counts.indices] == 0).any())
+    assert unproduced >= 5
+
+
+def test_sampled_score_of_a_draw_against_itself_is_zero():
+    """A run equal to the first resample's draw scores exactly 0 on it, and
+    the other resamples score what `tvd` gives them."""
+    rng = np.random.default_rng(23)
+    for n in range(1, 9):
+        topo = line(n)
+        circuit = (Circuit(1, 1, (h(0), measure(0, 0)), "h:q0") if n == 1
+                   else build_ghz(n, topo))
+        model = _random_truth(rng, topo)
+        shots, seed = int(rng.integers(1, 10_000)), int(rng.integers(0, 2**40))
+        sampler = TrajectorySampler(circuit, model)
+        run = ApplicationRun(circuit, sampler.sample(shots, child_seed(seed, 0)))
+        assert score_model(run, model, resamples=1, seed=seed).tvd == 0.0
+        second = tvd(run.counts, sampler.sample(shots, child_seed(seed, 1)))
+        score = score_model(run, model, resamples=2, seed=seed)
+        assert score.tvd == pytest.approx(second / 2, rel=0, abs=1e-15)
+
+
+@pytest.mark.parametrize("sim_shots", [0, -5])
+def test_score_rejects_sim_shots_below_one(sim_shots):
+    run = _bell_run(NOISELESS, shots=64)
+    with pytest.raises(ConfigError):
+        score_model(run, NOISELESS, sim_shots=sim_shots, resamples=3)
 
 
 # -- compare_models -----------------------------------------------------------------
