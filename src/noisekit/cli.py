@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -29,7 +30,7 @@ from .characterization import (
     TestKind,
 )
 from .circuit import DeviceTopology
-from .errors import ConfigError, NoisekitError, ParseError
+from .errors import ConfigError, NoisekitError, NoPath, ParseError
 from .estimation import FitConfig, fit_composite
 from .evaluation import (
     ApplicationRun,
@@ -67,38 +68,18 @@ def _out_dir(args) -> Path:
     return out
 
 
-def _load_device(path: str) -> DeviceTopology:
-    if not Path(path).exists():
-        raise FileNotFoundError(f"device file {path} not found")
-    return DeviceTopology.load(path)
-
-
 def _make_backend(spec: str, topo: DeviceTopology):
-    if ":" not in spec:
-        raise ConfigError(f"backend must be mock:<truth.json> or file:<archive.json>, got {spec!r}")
     kind, _, path = spec.partition(":")
-    if not Path(path).exists():
-        raise FileNotFoundError(f"backend file {path} not found")
     if kind == "mock":
         return MockBackend(topo, MockGroundTruth.load(path))
     if kind == "file":
         return FileBackend(path, topo)
-    raise ConfigError(f"unknown backend kind {kind!r}")
+    raise ConfigError(f"backend must be mock:<truth.json> or file:<archive.json>, got {spec!r}")
 
 
-def _parse_ints(text: str, flag: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok != "")
-    except ValueError as exc:
-        raise ConfigError(f"{flag} takes comma-separated integers, got {text!r}") from exc
-
-
-def _parse_subset(args) -> tuple[int, ...] | None:
-    if args.subset is None:
-        return None
-    if args.granularity != SUBSET_AVERAGE:
+def _check_subset(args) -> None:
+    if args.subset is not None and args.granularity != SUBSET_AVERAGE:
         raise ConfigError("--subset applies only with --granularity subset_average")
-    return _parse_ints(args.subset, "--subset")
 
 
 def _parse_app(spec: str, topo: DeviceTopology) -> list:
@@ -119,6 +100,8 @@ def _parse_app(spec: str, topo: DeviceTopology) -> list:
                 raise ConfigError(f"bv data/oracle qubits overlap in {spec!r}")
             _check_in_register(qubits, topo, spec)
             return [build_bv(secret, data, qubits[-1], topo)]
+    except NoPath as exc:
+        raise ConfigError(f"{spec}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(
             f"bad app spec {spec!r} ({exc}); expected ghz:<n>, ghz:<a>..<b> "
@@ -138,32 +121,23 @@ def _check_in_register(qubits, topo: DeviceTopology, what: str) -> None:
 # -- subcommands ---------------------------------------------------------------
 
 def cmd_characterize(args) -> int:
-    if args.shots < 1:
-        raise ConfigError("--shots must be >= 1")
-    if args.seed < 0:  # SeedSequence takes non-negative entropy only
-        raise ConfigError("--seed must be >= 0")
-    subset = _parse_subset(args)
+    _check_subset(args)
     if args.granularity == SUBSET_AVERAGE and not args.subset:
         raise ConfigError("--granularity subset_average requires --subset")
-    lengths = _parse_ints(args.hadamard_lengths or "", "--hadamard-lengths")
-    if any(length < 2 or length % 2 for length in lengths):
-        raise ConfigError(
-            f"--hadamard-lengths must be even and >= 2, got {args.hadamard_lengths!r}"
-        )
-    topo = _load_device(args.device)
-    _check_in_register(subset or (), topo, "--subset")
+    topo = DeviceTopology.load(args.device)
+    _check_in_register(args.subset or (), topo, "--subset")
     backend = _make_backend(args.backend, topo)
     config = SuiteConfig(
         granularity=args.granularity,
-        subset=subset,
-        hadamard_lengths=lengths,
+        subset=args.subset,
+        hadamard_lengths=args.hadamard_lengths,
         shots=args.shots,
         seed=args.seed,
     )
     plan = build_suite(topo, config)
+    out = _out_dir(args)
     chars = run_suite(plan, backend)
     budget = count_experiments(plan)
-    out = _out_dir(args)
     meta = _meta(
         {"command": "characterize", "device": args.device, "backend": args.backend,
          "shots": args.shots, "seed": args.seed, "granularity": args.granularity,
@@ -193,14 +167,12 @@ def cmd_characterize(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    subset = _parse_subset(args)
-    if not Path(args.archive).exists():
-        raise FileNotFoundError(f"archive {args.archive} not found")
+    _check_subset(args)
     data, chars = read_archive(args.archive)
     config = FitConfig(
         variant=args.flags,
         granularity=args.granularity,
-        subset=subset,
+        subset=args.subset,
         window=data.get("window", ""),
         provenance=content_hash(data),
     )
@@ -218,38 +190,21 @@ def cmd_fit(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    if args.select and args.threshold is None:
-        raise ConfigError("--select requires --threshold (the bound is user-defined)")
-    if args.threshold is not None and not (0.0 < args.threshold <= 1.0):
-        raise ConfigError("--threshold must lie in (0, 1]")
-    if args.shots < 1:
-        raise ConfigError("--shots must be >= 1")
-    if args.resamples < 1:
-        raise ConfigError("--resamples must be >= 1")
-    if args.seed < 0:  # SeedSequence takes non-negative entropy only
-        raise ConfigError("--seed must be >= 0")
-    if args.sim_shots is not None and args.sim_shots < 1:
-        raise ConfigError("--sim-shots must be >= 1")
-    if not args.model:
-        raise ConfigError("evaluate needs at least one --model")
-    if args.exact and (args.compare or args.select or args.scaling or len(args.model) > 1
-                       or args.app.startswith("bv:")):
+    if args.select != (args.threshold is not None):
+        raise ConfigError("--select and --threshold go together (the bound is user-defined)")
+    if args.exact and (len(args.model) > 1 or args.app.startswith("bv:")):
         raise ConfigError("--exact scores one model on a ghz app; it does not combine "
-                          "with --compare, --select, --scaling, several models or bv apps")
-    topo = _load_device(args.device)
+                          "with several models or bv apps")
+    topo = DeviceTopology.load(args.device)
     backend = _make_backend(args.backend, topo)
     circuits = _parse_app(args.app, topo)
     if len(circuits) > 1 and not args.scaling:
         raise ConfigError("multi-instance app specs (ghz:a..b) require --scaling")
-    models = []
-    for path in args.model:
-        if not Path(path).exists():
-            raise FileNotFoundError(f"model file {path} not found")
-        models.append((Path(path).stem, CompositeNoiseModel.load(path)))
+    models = [(Path(path).stem, CompositeNoiseModel.load(path)) for path in args.model]
 
+    out = _out_dir(args)
     counts_list = backend.run(circuits, args.shots, args.seed)
     runs = [ApplicationRun(c, counts) for c, counts in zip(circuits, counts_list)]
-    out = _out_dir(args)
     meta = _meta(
         {"command": "evaluate", "device": args.device, "backend": args.backend,
          "app": args.app, "models": [m[0] for m in models], "shots": args.shots,
@@ -313,18 +268,6 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    if args.what != "full-paper":
-        raise ConfigError(f"unknown demo {args.what!r}; available: full-paper")
-    if args.resamples < 1:
-        raise ConfigError("--resamples must be >= 1")
-    if not 0.0 <= args.hidden <= 1.0:  # also rejects NaN
-        raise ConfigError("--hidden must lie in [0, 1]")
-    if args.shots < 1:
-        raise ConfigError("--shots must be >= 1")
-    if args.seed < 0:  # SeedSequence takes non-negative entropy only
-        raise ConfigError("--seed must be >= 0")
-    if not 2 <= args.max_ghz <= 20:  # ladder20's longest path has 20 qubits
-        raise ConfigError("--max-ghz must lie in [2, 20]")
     out = _out_dir(args)
     shots, seed = args.shots, args.seed
     print(f"== demo full-paper (shots={shots}, seed={seed}) -> {out}")
@@ -431,8 +374,65 @@ def cmd_demo(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigError, so `main` reports them like any other,
+    and a flag's help ends with the domain its type enforces."""
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if hasattr(action.type, "domain"):
+            action.help = ", ".join(filter(None, [action.help, action.type.domain]))
+        return action
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def _number(kind, lo, hi=math.inf, lo_open=False):
+    """argparse type: a `kind` value in [lo, hi], or in (lo, hi] when
+    `lo_open`. NaN fails every comparison, so it is rejected too."""
+    domain = (f"{'>' if lo_open else '>='} {lo}" if hi == math.inf
+              else f"in {'(' if lo_open else '['}{lo}, {hi}]")
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            value = math.nan
+        if not (lo < value if lo_open else lo <= value) or not value <= hi:
+            raise argparse.ArgumentTypeError(f"expected {kind.__name__} {domain}, got {text!r}")
+        return value
+
+    parse.domain = domain
+    return parse
+
+
+def _ints(what: str, ok):
+    """argparse type: comma-separated integers whose tuple passes `ok`."""
+    domain = f"comma-separated {what}"
+
+    def parse(text: str) -> tuple[int, ...]:
+        try:
+            values = tuple(int(tok) for tok in text.split(",") if tok != "")
+        except ValueError:
+            values = None
+        if values is None or not ok(values):
+            raise argparse.ArgumentTypeError(f"expected {domain}, got {text!r}")
+        return values
+
+    parse.domain = domain
+    return parse
+
+
+_QUBITS = _ints("distinct qubits", lambda qubits: len(set(qubits)) == len(qubits))
+_LENGTHS = _ints("even lengths >= 2", lambda lengths: all(n >= 2 and not n % 2 for n in lengths))
+_COUNT = _number(int, 1)
+_SEED = _number(int, 0)  # SeedSequence takes non-negative entropy only
+GRANULARITIES = [PER_ELEMENT, REGISTER_AVERAGE, SUBSET_AVERAGE]
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="noisekit",
         description="Characterize device noise, fit composite models, and "
                     "evaluate them by total variation distance.",
@@ -442,13 +442,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("characterize", help="run a characterization suite")
     p.add_argument("--device", required=True, help="device topology JSON")
     p.add_argument("--backend", required=True, help="mock:<truth.json> | file:<archive.json>")
-    p.add_argument("--shots", type=int, default=8192)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--granularity", default=PER_ELEMENT,
-                   choices=[PER_ELEMENT, REGISTER_AVERAGE, SUBSET_AVERAGE])
-    p.add_argument("--subset", default=None, help="comma-separated qubits")
-    p.add_argument("--hadamard-lengths", default=None,
-                   help="comma-separated even sequence lengths")
+    p.add_argument("--shots", type=_COUNT, default=8192, help="shots per circuit")
+    p.add_argument("--seed", type=_SEED, default=0)
+    p.add_argument("--granularity", default=PER_ELEMENT, choices=GRANULARITIES)
+    p.add_argument("--subset", type=_QUBITS, default=None)
+    p.add_argument("--hadamard-lengths", type=_LENGTHS, default=())
     p.add_argument("--window", default="", help="calibration window tag")
     p.add_argument("--archive-name", default="archive.json")
     p.add_argument("--out", default=None)
@@ -457,9 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit a composite noise model from an archive")
     p.add_argument("--archive", required=True)
     p.add_argument("--flags", default="aro+dp", choices=sorted(VARIANTS))
-    p.add_argument("--granularity", default=PER_ELEMENT,
-                   choices=[PER_ELEMENT, REGISTER_AVERAGE, SUBSET_AVERAGE])
-    p.add_argument("--subset", default=None)
+    p.add_argument("--granularity", default=PER_ELEMENT, choices=GRANULARITIES)
+    p.add_argument("--subset", type=_QUBITS, default=None)
     p.add_argument("--name", default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_fit)
@@ -469,37 +466,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--backend", required=True)
     p.add_argument("--app", required=True,
                    help="ghz:<n> | ghz:<a>..<b> | bv:<secret>@<d1,...>/<oracle>")
-    p.add_argument("--model", action="append", default=[])
-    p.add_argument("--shots", type=int, default=8192)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--resamples", type=int, default=100)
-    p.add_argument("--sim-shots", type=int, default=None)
-    p.add_argument("--compare", action="store_true")
-    p.add_argument("--select", action="store_true")
-    p.add_argument("--threshold", type=float, default=None)
-    p.add_argument("--scaling", action="store_true")
-    p.add_argument("--exact", action="store_true")
+    p.add_argument("--model", action="append", required=True)
+    p.add_argument("--shots", type=_COUNT, default=8192)
+    p.add_argument("--seed", type=_SEED, default=0)
+    p.add_argument("--resamples", type=_COUNT, default=100)
+    p.add_argument("--sim-shots", type=_COUNT, default=None)
+    p.add_argument("--threshold", type=_number(float, 0, 1, lo_open=True), default=None,
+                   help="TVD bound of --select")
+    mode = p.add_mutually_exclusive_group()
+    for flag in ("--compare", "--select", "--scaling", "--exact"):
+        mode.add_argument(flag, action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("demo", help="end-to-end mock reproduction pipeline")
-    p.add_argument("what", nargs="?", default="full-paper")
-    p.add_argument("--shots", type=int, default=8192)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--resamples", type=int, default=50)
-    p.add_argument("--hidden", type=float, default=0.0,
-                   help="state-dependent hidden readout strength, in [0, 1]")
-    p.add_argument("--max-ghz", type=int, default=10)
+    p.add_argument("what", nargs="?", default="full-paper", choices=["full-paper"])
+    p.add_argument("--shots", type=_COUNT, default=8192)
+    p.add_argument("--seed", type=_SEED, default=42)
+    p.add_argument("--resamples", type=_COUNT, default=50)
+    p.add_argument("--hidden", type=_number(float, 0, 1), default=0.0,
+                   help="state-dependent hidden readout strength")
+    # ladder20's longest path has 20 qubits
+    p.add_argument("--max-ghz", type=_number(int, 2, 20), default=10)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_demo)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ConfigError, ParseError, FileNotFoundError) as exc:
+    except (ConfigError, ParseError, OSError) as exc:  # paths are user input too
         _emit_error(exc)
         return 2
     except NoisekitError as exc:

@@ -1,3 +1,4 @@
+import argparse
 import json
 
 import pytest
@@ -7,7 +8,7 @@ from noisekit.backend import MockGroundTruth
 from noisekit.characterization import (
     archive_dict, archive_hash, build_suite, run_suite, SuiteConfig, write_archive,
 )
-from noisekit.cli import main
+from noisekit.cli import build_parser, main
 from noisekit.devices import line, uniform_truth
 from noisekit.noise import CompositeNoiseModel
 
@@ -374,6 +375,23 @@ def _subset_beyond_device(tmp_path, device, truth):
                               "--subset", "0,7")
 
 
+def _fit_subset_repeated(tmp_path, device, truth):
+    archive = _characterize(tmp_path, device, truth, shots="64")
+    return ["fit", "--archive", str(archive), "--granularity", "subset_average",
+            "--subset", "1,1"]
+
+
+def _evaluate_without_model(tmp_path, device, truth):
+    argv = _evaluate_argv(tmp_path, device, truth)
+    cut = argv.index("--model")
+    return argv[:cut] + argv[cut + 2:]
+
+
+def _out_is_a_file(tmp_path, device, truth):
+    (tmp_path / "o").write_text("not a directory")
+    return _characterize_argv(tmp_path, device, truth)
+
+
 MALFORMED_INPUTS = {
     "app-ghz-abc": (lambda t, d, tr: _evaluate_argv(t, d, tr, app="ghz:abc"), "ConfigError"),
     "app-ghz-range": (lambda t, d, tr: _evaluate_argv(t, d, tr, app="ghz:2..x"), "ConfigError"),
@@ -439,6 +457,27 @@ MALFORMED_INPUTS = {
                                "ConfigError"),
     "demo-seed-negative": (lambda t, d, tr: [*_demo_argv(t, d, tr), "--seed", "-42"],
                            "ConfigError"),
+    "shots-not-an-integer": (lambda t, d, tr: [*_demo_argv(t, d, tr), "--shots", "abc"],
+                             "ConfigError"),
+    "fit-without-archive": (lambda t, d, tr: ["fit"], "ConfigError"),
+    "evaluate-without-model": (_evaluate_without_model, "ConfigError"),
+    "demo-unknown": (lambda t, d, tr: ["demo", "other", "--shots", "64"], "ConfigError"),
+    "compare-scaling": (lambda t, d, tr: [*_evaluate_argv(t, d, tr), "--compare", "--scaling"],
+                        "ConfigError"),
+    "select-compare": (lambda t, d, tr: [*_evaluate_argv(t, d, tr), "--select", "--compare",
+                                         "--threshold", "0.5"], "ConfigError"),
+    "threshold-zero": (lambda t, d, tr: [*_evaluate_argv(t, d, tr), "--select",
+                                         "--threshold", "0"], "ConfigError"),
+    "threshold-without-select": (lambda t, d, tr: [*_evaluate_argv(t, d, tr),
+                                                   "--threshold", "0.5"], "ConfigError"),
+    "archive-directory": (lambda t, d, tr: ["fit", "--archive", str(t)], "IsADirectoryError"),
+    "device-directory": (lambda t, d, tr: _characterize_argv(t, t, tr), "IsADirectoryError"),
+    "out-existing-file": (_out_is_a_file, "FileExistsError"),
+    "characterize-subset-repeated": (lambda t, d, tr: _characterize_argv(
+        t, d, tr, "--granularity", "subset_average", "--subset", "0,0"), "ConfigError"),
+    "fit-subset-repeated": (_fit_subset_repeated, "ConfigError"),
+    "app-ghz-wider-than-device": (lambda t, d, tr: _evaluate_argv(t, d, tr, app="ghz:5"),
+                                  "ConfigError"),
 }
 
 
@@ -454,3 +493,21 @@ def test_malformed_input_exit_2(setup, capsys, make_argv, error):
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == error
     assert not list((tmp_path / "o").glob("*"))  # archive.json, models, reports
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--help"])
+    assert exit_info.value.code == 0
+    assert "characterize" in capsys.readouterr().out
+
+
+def test_no_option_parses_with_a_bare_number_type():
+    """Every numeric flag declares its domain in its `type`, so no out-of-range
+    value can get past the parser into a command body."""
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    bare = [f"{name} {'/'.join(action.option_strings) or action.dest}"
+            for name, command in [("noisekit", parser), *commands.choices.items()]
+            for action in command._actions if action.type in (int, float)]
+    assert not bare, f"options typed as a bare int or float: {bare}"
