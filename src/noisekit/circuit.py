@@ -7,7 +7,7 @@ directed) but treated as undirected for validation and path-finding.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import NoPath, OutOfRange, UncoupledPair, parse_json_file
@@ -125,6 +125,9 @@ class DeviceTopology:
 
     num_qubits: int
     couplings: tuple[tuple[int, int], ...]
+    # the couplings as (low, high) pairs, built once: `validate` asks about
+    # every cnot of every circuit
+    _edges: frozenset[tuple[int, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -135,18 +138,21 @@ class DeviceTopology:
                 raise ValueError(f"self-loop coupling ({a},{b})")
             if not (0 <= a < self.num_qubits and 0 <= b < self.num_qubits):
                 raise ValueError(f"coupling ({a},{b}) outside register")
+        object.__setattr__(
+            self, "_edges", frozenset((min(a, b), max(a, b)) for a, b in self.couplings)
+        )
 
-    def undirected_edges(self) -> set[tuple[int, int]]:
+    def undirected_edges(self) -> frozenset[tuple[int, int]]:
         """Couplings normalized to (low, high) pairs."""
-        return {(min(a, b), max(a, b)) for a, b in self.couplings}
+        return self._edges
 
     @property
     def num_couplings(self) -> int:
         """Number of undirected links (the paper-formula symbol c)."""
-        return len(self.undirected_edges())
+        return len(self._edges)
 
     def has_coupling(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self.undirected_edges()
+        return (min(a, b), max(a, b)) in self._edges
 
     def neighbors(self, qubit: int) -> list[int]:
         out = set()

@@ -95,6 +95,9 @@ def _parse_app(spec: str, topo: DeviceTopology) -> list:
             secret, rest = spec[3:].split("@")
             data_text, oracle_text = rest.split("/")
             data = [int(tok) for tok in data_text.split(",")]
+            if len(secret) != len(data):
+                raise ConfigError(f"bv secret {secret!r} has {len(secret)} bit(s) for "
+                                  f"{len(data)} data qubit(s) in {spec!r}")
             qubits = [*data, int(oracle_text)]
             if len(set(qubits)) != len(qubits):
                 raise ConfigError(f"bv data/oracle qubits overlap in {spec!r}")
@@ -192,9 +195,11 @@ def cmd_fit(args) -> int:
 def cmd_evaluate(args) -> int:
     if args.select != (args.threshold is not None):
         raise ConfigError("--select and --threshold go together (the bound is user-defined)")
-    if args.exact and (len(args.model) > 1 or args.app.startswith("bv:")):
-        raise ConfigError("--exact scores one model on a ghz app; it does not combine "
-                          "with several models or bv apps")
+    if (args.exact or args.scaling) and len(args.model) > 1:
+        raise ConfigError("--exact and --scaling score one model; "
+                          f"got {len(args.model)} --model flags")
+    if args.exact and args.app.startswith("bv:"):
+        raise ConfigError("--exact scores a ghz app; it does not combine with bv apps")
     topo = DeviceTopology.load(args.device)
     backend = _make_backend(args.backend, topo)
     circuits = _parse_app(args.app, topo)
@@ -205,11 +210,14 @@ def cmd_evaluate(args) -> int:
     out = _out_dir(args)
     counts_list = backend.run(circuits, args.shots, args.seed)
     runs = [ApplicationRun(c, counts) for c, counts in zip(circuits, counts_list)]
+    # one model on a bv app is a single prediction draw: nothing is resampled
+    bv_prediction = args.app.startswith("bv:") and len(models) == 1 and not (
+        args.compare or args.select or args.scaling)
     meta = _meta(
         {"command": "evaluate", "device": args.device, "backend": args.backend,
          "app": args.app, "models": [m[0] for m in models], "shots": args.shots,
-         "seed": args.seed, "resamples": args.resamples, "sim_shots": args.sim_shots,
-         "exact": args.exact, "threshold": args.threshold}
+         "seed": args.seed, "resamples": None if bv_prediction else args.resamples,
+         "sim_shots": args.sim_shots, "exact": args.exact, "threshold": args.threshold}
     )
     report: dict = {"meta": meta, "app": args.app}
     kwargs = dict(sim_shots=args.sim_shots, resamples=args.resamples, seed=args.seed)
@@ -244,11 +252,12 @@ def cmd_evaluate(args) -> int:
             print(f"  {s.model_id:<28} tvd={s.tvd:.5f} +/- {s.tvd_stderr:.5f}")
     else:
         model_id, model = models[0]
-        if args.app.startswith("bv:"):
+        if bv_prediction:
             secret = args.app[3:].split("@")[0]
             observed = bv_accuracy(runs[0], secret)
             sampler = TrajectorySampler(runs[0].circuit, model)
-            predicted_counts = sampler.sample(args.shots, child_seed(args.seed, 1_000_001))
+            predicted_counts = sampler.sample(args.sim_shots or args.shots,
+                                              child_seed(args.seed, 1_000_001))
             predicted = predicted_counts.frequency(secret)
             report["bv"] = {
                 "secret": secret,

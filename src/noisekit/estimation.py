@@ -10,10 +10,16 @@ polynomial root problem in r^2 = (1 - 4p/3)^2. Readout enters only through
 each record's binomial counting noise (and upstream readout stderrs) through
 analytic gradients (delta method); estimates that land outside [0,1] are
 clamped and flagged infeasible rather than rejected.
+
+Every element of a family (each qubit's X/XX system or Hadamard decay, each
+coupling's Bell fit) is the same closed form applied to other numbers, so
+`fit_composite` fits each family once, across all its elements, as array
+arithmetic; the Hadamard roots of all qubits sharing a set of lengths come
+from one stacked eigenvalue call. The public one-element estimators are
+one-row calls into the same code.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -58,39 +64,99 @@ class EstimationResult:
             raise OutOfRange(f"{self.name}: negative stderr")
 
 
-def _clamped(name, raw, stderr=0.0, residual_norm=0.0) -> EstimationResult:
-    value = min(1.0, max(0.0, raw))
-    return EstimationResult(
-        name=name,
-        value=value,
-        raw_value=raw,
-        stderr=stderr,
-        feasible=(value == raw),
-        residual_norm=residual_norm,
-    )
+def binomial_stderr(freq, shots):
+    """Binomial counting stderr sqrt(f (1 - f) / shots) of observed
+    frequencies, elementwise over arrays; 0 where there are no shots."""
+    v = np.minimum(1.0, np.maximum(0.0, freq))
+    return np.sqrt(v * (1.0 - v) / np.where(shots, shots, np.inf))
 
 
-def binomial_stderr(freq: float, shots: int | None) -> float:
-    if not shots:
-        return 0.0
-    v = min(1.0, max(0.0, freq))
-    return math.sqrt(v * (1.0 - v) / shots)
+def _results(names, raw, stderr, residual_norm, flagged=False) -> list[EstimationResult]:
+    """One result per element, clamped into [0, 1]. An element is feasible
+    when the clamp left its raw value alone and it is not `flagged`."""
+    value = np.minimum(1.0, np.maximum(0.0, raw))
+    feasible = (value == raw) & ~np.asarray(flagged)
+    return [EstimationResult(*row) for row in zip(
+        names, value.tolist(), raw.tolist(), stderr.tolist(),
+        feasible.tolist(), residual_norm.tolist())]
 
 
-# -- closed-form estimators ------------------------------------------------------
+def _raise_first(checks) -> None:
+    """Raise the error of the first element that fails any check: `checks`
+    lists (mask over elements, error for element i) in the order one
+    element's checks run, so each family raises what fitting its elements
+    one at a time would raise."""
+    failed = np.logical_or.reduce([mask for mask, _ in checks])
+    if failed.any():
+        i = int(np.argmax(failed))
+        raise next(error(i) for mask, error in checks if mask[i])
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis, one per row, by stacked matmul: with
+    numpy's BLAS each row rounds as a one-row `a @ b` does, where an einsum
+    or a product sum may not."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _norm(x: np.ndarray) -> np.ndarray:
+    return np.sqrt(_dot(x, x))
+
+
+def _one(value) -> np.ndarray:
+    return np.array([value], dtype=float)
+
+
+# -- closed-form estimators, one family at a time ------------------------------------
+
+def _p0_fits(chars) -> list[EstimationResult]:
+    for char in chars:
+        if char.kind.kind != "init":
+            raise WrongKind(f"estimate_p0 needs an init test, got {char.kind.kind}")
+    freq = np.array([char.counts.frequency("1") for char in chars])
+    stderr = binomial_stderr(freq, np.array([char.counts.shots for char in chars]))
+    names = [f"p0:q{char.kind.qubit}" for char in chars]
+    return _results(names, freq, stderr, np.zeros(len(chars)))
+
 
 def estimate_p0(char: Characterization) -> EstimationResult:
     """Readout-of-0 flip rate from the init-measure test: the observed
     frequency of outcome 1. Doubles as p_sro for the symmetric model."""
-    if char.kind.kind != "init":
-        raise WrongKind(f"estimate_p0 needs an init test, got {char.kind.kind}")
-    freq = char.counts.frequency("1")
-    return EstimationResult(
-        name=f"p0:q{char.kind.qubit}",
-        value=freq,
-        raw_value=freq,
-        stderr=binomial_stderr(freq, char.counts.shots),
-    )
+    return _p0_fits([char])[0]
+
+
+def _aro_fits(g_x, g_xx, p0, sigma, tags):
+    """(p1 results, p_x results) of the X/XX systems of several qubits.
+
+    All arguments are arrays over qubits; sigma has shape (qubits, 3): the
+    stderrs of (g_x, g_xx, p0), zero where none is propagated."""
+    values = (("g_x_0", g_x), ("g_xx_0", g_xx), ("p0", p0))
+    a = 1.0 - p0
+    gap_x, gap_xx = a - g_x, a - g_xx
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = gap_xx / (2.0 * gap_x)
+    _raise_first([
+        *((~((0.0 <= v) & (v <= 1.0)),
+           lambda i, name=name, v=v: OutOfRange(f"{name}={v[i].item()} is not a probability"))
+          for name, v in values),
+        (np.abs(gap_x) < 1e-12, lambda i: NoConvergence(
+            "X test frequency equals 1 - p0: p_x is unidentifiable",
+            {"g_x_0": g_x[i].item(), "p0": p0[i].item()})),
+        (np.abs(1.0 - q) < 1e-12, lambda i: NoConvergence(
+            "X/XX frequencies imply q = 1: p1 is unidentifiable",
+            {"g_x_0": g_x[i].item(), "g_xx_0": g_xx[i].item(), "p0": p0[i].item()})),
+    ])
+    p1_raw = (g_x - q * a) / (1.0 - q)
+    px_raw = 1.5 * q
+    # gradients with respect to (g_x, g_xx, p0), one row per qubit
+    grad_q = np.stack([q / gap_x, -0.5 / gap_x, (gap_xx - gap_x) / (2.0 * gap_x**2)], axis=-1)
+    grad_p1 = (np.stack([np.ones_like(q), np.zeros_like(q), q], axis=-1)
+               + (p1_raw - a)[:, None] * grad_q) / (1.0 - q)[:, None]
+    stderr_p1 = _norm(grad_p1 * sigma)
+    stderr_px = 1.5 * _norm(grad_q * sigma)
+    zero = np.zeros(len(q))
+    return (_results([f"p1{t}" for t in tags], p1_raw, stderr_p1, zero),
+            _results([f"p_x{t}" for t in tags], px_raw, stderr_px, zero))
 
 
 def solve_aro_system(
@@ -110,36 +176,13 @@ def solve_aro_system(
     noise and p0_stderr through the exact gradient. Raw solutions outside [0,1] (possible for near-noiseless
     registers) are clamped and flagged.
     """
-    for name, value in (("g_x_0", g_x_0), ("g_xx_0", g_xx_0), ("p0", p0)):
-        if not (0.0 <= value <= 1.0):
-            raise OutOfRange(f"{name}={value} is not a probability")
-    a = 1.0 - p0
-    gap_x, gap_xx = a - g_x_0, a - g_xx_0
-    if abs(gap_x) < 1e-12:
-        raise NoConvergence("X test frequency equals 1 - p0: p_x is unidentifiable",
-                            {"g_x_0": g_x_0, "p0": p0})
-    q = gap_xx / (2.0 * gap_x)
-    if abs(1.0 - q) < 1e-12:
-        raise NoConvergence("X/XX frequencies imply q = 1: p1 is unidentifiable",
-                            {"g_x_0": g_x_0, "g_xx_0": g_xx_0, "p0": p0})
-    p1_raw = (g_x_0 - q * a) / (1.0 - q)
-    px_raw = 1.5 * q
-
-    stderr_p1 = stderr_px = 0.0
+    sigma = np.zeros((1, 3))
     if shots:
-        sigma = np.array([binomial_stderr(g_x_0, shots[0]),
-                          binomial_stderr(g_xx_0, shots[1]), p0_stderr])
-        # gradients with respect to (g_x, g_xx, p0)
-        grad_q = np.array([q / gap_x, -0.5 / gap_x, (gap_xx - gap_x) / (2.0 * gap_x**2)])
-        grad_p1 = (np.array([1.0, 0.0, q]) + (p1_raw - a) * grad_q) / (1.0 - q)
-        stderr_p1 = float(np.linalg.norm(grad_p1 * sigma))
-        stderr_px = 1.5 * float(np.linalg.norm(grad_q * sigma))
-
-    tag = f":q{qubit}" if qubit is not None else ""
-    return (
-        _clamped(f"p1{tag}", p1_raw, stderr_p1),
-        _clamped(f"p_x{tag}", px_raw, stderr_px),
-    )
+        sigma[0] = (binomial_stderr(g_x_0, shots[0]), binomial_stderr(g_xx_0, shots[1]),
+                    p0_stderr)
+    (p1,), (p_x,) = _aro_fits(_one(g_x_0), _one(g_xx_0), _one(p0), sigma,
+                              [f":q{qubit}" if qubit is not None else ""])
+    return p1, p_x
 
 
 def hadamard_survival(length: int, p_h: float) -> float:
@@ -152,6 +195,85 @@ def hadamard_survival(length: int, p_h: float) -> float:
 class HadamardFit:
     result: EstimationResult
     include_in_model: bool
+
+
+def _hadamard_fits(rows, p0: np.ndarray, p1: np.ndarray) -> list[HadamardFit]:
+    """One fit per row of sequence tests, row i corrected for readout rates
+    (p0[i], p1[i]). Rows with the same set of lengths are solved together:
+    their derivative polynomials' companion matrices form one stack and one
+    `eigvals` call."""
+    denom = 1.0 - p0 - p1
+    tables, kinds = [], []
+    for chars in rows:
+        kinds.append(next((c.kind.kind for c in chars if c.kind.kind != "hseq"), None))
+        tables.append({} if kinds[-1] else {c.kind.length: c.counts for c in chars})
+    lengths = [sorted(table) for table in tables]
+    _raise_first([
+        (np.array([k is not None for k in kinds]),
+         lambda i: WrongKind(f"expected hseq tests, got {kinds[i]}")),
+        (np.array([len(ls) < 2 for ls in lengths]), lambda i: InsufficientLengths(
+            f"need >=2 distinct sequence lengths, got {lengths[i]}")),
+        (np.abs(denom) < 1e-9, lambda _: NoConvergence(
+            "readout too noisy to invert for survival correction")),
+    ])
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, ls in enumerate(lengths):
+        groups.setdefault(tuple(ls), []).append(i)
+
+    value, stderr, residual = (np.zeros(len(rows)) for _ in range(3))
+    for key, members in groups.items():
+        value[members], stderr[members], residual[members] = _hadamard_group(
+            np.array(key), [tables[i] for i in members], denom[members], p1[members])
+    fits = _results([f"p_h:q{chars[0].kind.qubit}" for chars in rows], value, stderr,
+                    residual)
+    include = (10.0 * stderr < value) & (value < 0.75)
+    return [HadamardFit(fit, flag) for fit, flag in zip(fits, include.tolist())]
+
+
+def _hadamard_group(length: np.ndarray, tables, denom: np.ndarray, p1: np.ndarray):
+    """(p_h, stderr, residual norm) arrays for rows sharing the lengths."""
+    observed = np.array([[table[l].frequency("0") for l in length.tolist()]
+                         for table in tables])
+    shots = np.array([[table[l].shots for l in length.tolist()] for table in tables])
+    u = (observed - p1[:, None]) / denom[:, None] - 0.5
+    rows = len(tables)
+
+    derivative = np.zeros((rows, length[-1]))  # coefficients of s^0 .. s^(L_max - 1)
+    derivative[:, length - 1] += length / 2.0
+    derivative[:, length // 2 - 1] -= length * u
+    # numpy.polynomial.polynomial.polyroots, stacked: the eigenvalues of
+    # each row's companion matrix (polycompanion)
+    n = length[-1] - 1
+    companion = np.zeros((rows, n, n))
+    companion.reshape(rows, -1)[:, n::n + 1] = 1.0
+    companion[:, :, -1] -= derivative[:, :-1] / derivative[:, -1:]
+    roots = np.linalg.eigvals(companion)
+    real = roots.real
+    ok = (np.abs(roots.imag) < 1e-9) & (real >= 0.0) & (real <= 1.0)
+    s = np.concatenate([np.zeros((rows, 1)), np.ones((rows, 1)), np.where(ok, real, 0.0)],
+                       axis=1)
+    ok = np.concatenate([np.ones((rows, 2), bool), ok], axis=1)
+    ssr = ((s[:, :, None] ** (length / 2.0) / 2.0 - u[:, None, :]) ** 2).sum(axis=-1)
+    ssr[~ok] = np.inf
+    best_ssr = ssr.min(axis=1)
+    # the largest s among the best, so a tie goes to the least p
+    s_best = np.where(ssr == best_ssr[:, None], s, -np.inf).max(axis=1)
+    decay = np.sqrt(s_best)
+    value = 0.75 * (1.0 - decay)
+
+    stderr = np.zeros(rows)
+    inside = np.flatnonzero((0.0 < value) & (value < 0.75))
+    if inside.size:
+        # The optimum solves sum_l (S_l - t_l) S_l' = 0, with S_l the survival
+        # and t_l the corrected target: dp/dt_l = S_l' / sum_l (S_l'^2 + (S_l - t_l) S_l'').
+        d = decay[inside, None]
+        d1 = -(2.0 * length / 3.0) * d ** (length - 1)
+        d2 = (8.0 / 9.0) * length * (length - 1) * d ** (length - 2)
+        curvature = _dot(d1, d1) + _dot(d**length / 2.0 - u[inside], d2)
+        spread = d1 * binomial_stderr(observed[inside], shots[inside])
+        stderr[inside] = (_norm(spread)
+                          / np.abs(denom[inside] * curvature))
+    return value, stderr, np.sqrt(best_ssr)
 
 
 def estimate_hadamard_error(
@@ -173,68 +295,24 @@ def estimate_hadamard_error(
     of the model; inside, the include flag drops the channel when the rate
     is indistinguishable from zero (<= 10 stderr).
     """
-    for char in chars:
-        if char.kind.kind != "hseq":
-            raise WrongKind(f"expected hseq tests, got {char.kind.kind}")
-    lengths = sorted({char.kind.length for char in chars})
-    if len(lengths) < 2:
-        raise InsufficientLengths(
-            f"need >=2 distinct sequence lengths, got {lengths}"
-        )
-    denom = 1.0 - readout.p0 - readout.p1
-    if abs(denom) < 1e-9:
-        raise NoConvergence("readout too noisy to invert for survival correction")
-    by_length = {char.kind.length: char for char in chars}
-    observed = [by_length[l].counts.frequency("0") for l in lengths]
-    length = np.array(lengths)
-    u = (np.array(observed) - readout.p1) / denom - 0.5
-
-    derivative = np.zeros(lengths[-1])  # coefficients of s^0 .. s^(L_max - 1)
-    derivative[length - 1] += length / 2.0
-    derivative[length // 2 - 1] -= length * u
-    roots = np.polynomial.polynomial.polyroots(derivative)
-    real = roots.real[np.abs(roots.imag) < 1e-9]
-    s = np.sort(np.concatenate(([0.0, 1.0], real[(real >= 0.0) & (real <= 1.0)])))[::-1]
-    ssr = ((s[:, None] ** (length / 2.0) / 2.0 - u) ** 2).sum(axis=1)
-    best = int(np.argmin(ssr))  # s descends, so a tie goes to the least p
-    decay = math.sqrt(s[best])
-    value = 0.75 * (1.0 - decay)
-
-    stderr = 0.0
-    if 0.0 < value < 0.75:
-        # The optimum solves sum_l (S_l - t_l) S_l' = 0, with S_l the survival
-        # and t_l the corrected target: dp/dt_l = S_l' / sum_l (S_l'^2 + (S_l - t_l) S_l'').
-        d1 = -(2.0 * length / 3.0) * decay ** (length - 1)
-        d2 = (8.0 / 9.0) * length * (length - 1) * decay ** (length - 2)
-        curvature = float(d1 @ d1 + (decay**length / 2.0 - u) @ d2)
-        sigma = [binomial_stderr(f, by_length[l].counts.shots)
-                 for l, f in zip(lengths, observed)]
-        stderr = float(np.linalg.norm(d1 * sigma)) / abs(denom * curvature)
-
-    qubit = chars[0].kind.qubit
-    result = EstimationResult(
-        name=f"p_h:q{qubit}",
-        value=value,
-        raw_value=value,
-        stderr=stderr,
-        residual_norm=math.sqrt(ssr[best]),
-    )
-    return HadamardFit(result, include_in_model=10.0 * stderr < value < 0.75)
+    return _hadamard_fits([chars], _one(readout.p0), _one(readout.p1))[0]
 
 
 BELL_OUTCOMES = ("00", "01", "10", "11")
+_BELL_LINE = np.array([[0.5, 0.0, 0.0, 0.5], [-1.0, 1.0, 1.0, -1.0]])
 
 
 def _bell_line(rates: np.ndarray) -> np.ndarray:
     """Readout-transformed Bell frequencies as rows (base, slope), the law at
-    s = 2p/3 - 4p^2/9 being base + s * slope.
+    s = 2p/3 - 4p^2/9 being base + s * slope, for rates of shape (..., 2, 2);
+    leading axes stack couplings.
 
     Before readout the law over BELL_OUTCOMES is [1/2, 0, 0, 1/2] +
     s [-1, 1, 1, -1]; readout is linear, so `read_out` with the per-bit
     rates [[p0_j, p0_k], [p1_j, p1_k]] maps each row.
     """
-    line = np.array([[0.5, 0.0, 0.0, 0.5], [-1.0, 1.0, 1.0, -1.0]])
-    read_out(line, *rates)
+    line = np.tile(_BELL_LINE, (*rates.shape[:-2], 1, 1))
+    read_out(line, rates[..., 0, :], rates[..., 1, :])
     return line
 
 
@@ -245,21 +323,63 @@ _READOUT_STEP = np.array([[-1.0, 1.0], [1.0, -1.0]])
 
 def _bell_line_derivatives(rates: np.ndarray) -> np.ndarray:
     """Derivatives of `_bell_line(rates)` in p0_j, p1_j, p0_k, p1_k, shape
-    (4, 2, 4).
+    (..., 4, 2, 4).
 
     Each bit's readout is affine in its two rates and acts on its own axis,
     so the derivative in one bit's p0 (p1) is the line read out by the other
     bit's channel only, with this bit's 0-row (1-row) mass moved across.
     """
+    lead = rates.shape[:-2]
     only_k, only_j = rates.copy(), rates.copy()
-    only_k[:, 0] = 0.0
-    only_j[:, 1] = 0.0
-    by_k = _bell_line(only_k).reshape(2, 2, 2)  # (row, bit j, bit k)
-    by_j = _bell_line(only_j).reshape(2, 2, 2)
+    only_k[..., 0] = 0.0
+    only_j[..., 1] = 0.0
+    by_k = _bell_line(only_k).reshape(*lead, 2, 2, 2)  # (row, bit j, bit k)
+    by_j = _bell_line(only_j).reshape(*lead, 2, 2, 2)
     # d[rate, row, j', k] = step[rate, j'] * by_k[row, rate, k], and likewise for k
-    d_j = by_k.transpose(1, 0, 2)[:, :, None, :] * _READOUT_STEP[:, None, :, None]
-    d_k = by_j.transpose(2, 0, 1)[:, :, :, None] * _READOUT_STEP[:, None, None, :]
-    return np.concatenate([d_j, d_k]).reshape(4, 2, 4)
+    d_j = np.swapaxes(by_k, -3, -2)[..., None, :] * _READOUT_STEP[:, None, :, None]
+    d_k = np.moveaxis(by_j, -1, -3)[..., None] * _READOUT_STEP[:, None, None, :]
+    return np.concatenate([d_j, d_k], axis=-4).reshape(*lead, 4, 2, 4)
+
+
+def _pcnot_fits(chars, rates: np.ndarray, readout_stderrs: np.ndarray) -> list[EstimationResult]:
+    """Bell fits of several couplings: rates has shape (couplings, 2, 2),
+    [[p0_j, p0_k], [p1_j, p1_k]] per coupling, and readout_stderrs shape
+    (couplings, 4), the stderrs of (p0_j, p1_j, p0_k, p1_k)."""
+    kinds = [char.kind.kind for char in chars]
+    line = _bell_line(rates)
+    base, slope = line[:, 0], line[:, 1]
+    # |slope| = 2 |(1 - p0_j - p1_j)(1 - p0_k - p1_k)|
+    norm2 = _dot(slope, slope)
+    _raise_first([
+        (np.array([k != "bell" for k in kinds]),
+         lambda i: WrongKind(f"fit_pcnot needs a bell test, got {kinds[i]}")),
+        (norm2 < 1e-18, lambda _: NoConvergence("readout too noisy to resolve the Bell test")),
+    ])
+    observed = np.array([[char.counts.frequency(key) for key in BELL_OUTCOMES]
+                         for char in chars])
+    shots = np.array([char.counts.shots for char in chars])
+    resid = observed - base
+    s_raw = _dot(slope, resid) / norm2
+    mixed = s_raw >= 0.25  # beyond the most-mixed Bell law: p = 3/4, no stderr
+    root = np.sqrt(np.where(mixed, 1.0, 1.0 - 4.0 * s_raw))
+
+    obs_terms = slope / norm2[:, None] * binomial_stderr(observed, shots[:, None])
+    var = _dot(obs_terms, obs_terms)
+    # (p0_j, p1_j, p0_k, p1_k) against the four readout stderrs
+    derivs = _bell_line_derivatives(rates)
+    d_base, d_slope = derivs[:, :, 0], derivs[:, :, 1]
+    apply = lambda m, v: (m @ v[:, :, None])[:, :, 0]
+    ds_dparams = (apply(d_slope, resid) - apply(d_base, slope)
+                  - 2.0 * s_raw[:, None] * apply(d_slope, slope)) / norm2[:, None]
+    for column in (ds_dparams * readout_stderrs).T:  # term by term, as a scalar sum adds
+        var = var + column**2
+
+    s_fit = np.where(mixed, 0.25, np.maximum(s_raw, 0.0))
+    resid -= s_fit[:, None] * slope
+    names = [f"p_cnot:q{j}-q{k}" for j, k in (char.kind.coupling for char in chars)]
+    return _results(names, np.where(mixed, 0.75, 0.75 * (1.0 - root)),
+                    np.where(mixed, 0.0, 1.5 / root * np.sqrt(var)),
+                    _norm(resid), flagged=mixed & (s_raw != 0.25))
 
 
 def fit_pcnot(
@@ -279,40 +399,8 @@ def fit_pcnot(
     p1_k) through dp/ds * ds/d(input); at p = 3/4, where dp/ds diverges, no
     stderr is reported.
     """
-    if char.kind.kind != "bell":
-        raise WrongKind(f"fit_pcnot needs a bell test, got {char.kind.kind}")
-    j, k = char.kind.coupling
-    name = f"p_cnot:q{j}-q{k}"
-    observed = np.array([char.counts.frequency(key) for key in BELL_OUTCOMES])
-    rates = np.array([[readout_j.p0, readout_k.p0], [readout_j.p1, readout_k.p1]])
-    base, slope = _bell_line(rates)
-    # |slope| = 2 |(1 - p0_j - p1_j)(1 - p0_k - p1_k)|
-    norm2 = float(slope @ slope)
-    if norm2 < 1e-18:
-        raise NoConvergence("readout too noisy to resolve the Bell test")
-    resid = observed - base
-    s_raw = float(slope @ resid) / norm2
-    if s_raw >= 0.25:
-        return EstimationResult(
-            name, value=0.75, raw_value=0.75, feasible=s_raw == 0.25,
-            residual_norm=float(np.linalg.norm(resid - 0.25 * slope)),
-        )
-    root = math.sqrt(1.0 - 4.0 * s_raw)
-
-    obs_terms = slope / norm2 * [binomial_stderr(f, char.counts.shots) for f in observed]
-    var = float(obs_terms @ obs_terms)
-    # (p0_j, p1_j, p0_k, p1_k) against the four readout stderrs
-    d_base, d_slope = _bell_line_derivatives(rates).transpose(1, 0, 2)
-    ds_dparams = (d_slope @ resid - d_base @ slope - 2.0 * s_raw * (d_slope @ slope)) / norm2
-    for term in ds_dparams * readout_stderrs:
-        var += term**2
-
-    return _clamped(
-        name,
-        0.75 * (1.0 - root),
-        stderr=1.5 / root * math.sqrt(var),
-        residual_norm=float(np.linalg.norm(resid - max(s_raw, 0.0) * slope)),
-    )
+    rates = np.array([[[readout_j.p0, readout_k.p0], [readout_j.p1, readout_k.p1]]])
+    return _pcnot_fits([char], rates, np.array([readout_stderrs], dtype=float))[0]
 
 # -- composite orchestration ----------------------------------------------------
 
@@ -414,68 +502,61 @@ def fit_composite(chars: list[Characterization], config: FitConfig) -> Composite
             missing,
         )
 
-    estimates: dict[str, EstimationResult] = {}
-    p0_results: dict[int, EstimationResult] = {}
-    p1_results: dict[int, EstimationResult] = {}
-    px_results: dict[int, EstimationResult] = {}
-    ph_results: dict[int, HadamardFit] = {}
+    # Each family is fitted once, across all its elements; index i of every
+    # per-qubit array is qubits[i].
+    p0_fits = _p0_fits([by_kind[("init", q)] for q in qubits])
+    p0 = np.array([r.value for r in p0_fits])
+    p0_sd = np.array([r.stderr for r in p0_fits])
+    per_qubit = [p0_fits]
+    if need_x_system:
+        x_counts = [by_kind[("x", q)].counts for q in qubits]
+        xx_counts = [by_kind[("xx", q)].counts for q in qubits]
+        g_x = np.array([c.frequency("0") for c in x_counts])
+        g_xx = np.array([c.frequency("0") for c in xx_counts])
+        sigma = np.stack([binomial_stderr(g_x, np.array([c.shots for c in x_counts])),
+                          binomial_stderr(g_xx, np.array([c.shots for c in xx_counts])),
+                          p0_sd], axis=-1)
+        p1_fits, px_fits = _aro_fits(g_x, g_xx, p0, sigma, [f":q{q}" for q in qubits])
+        per_qubit += [p1_fits, px_fits]
+    estimates = {r.name: r for fits in zip(*per_qubit) for r in fits}
 
-    for q in qubits:
-        p0_res = estimate_p0(by_kind[("init", q)])
-        p0_results[q] = p0_res
-        estimates[p0_res.name] = p0_res
-        if need_x_system:
-            x_counts = by_kind[("x", q)].counts
-            xx_counts = by_kind[("xx", q)].counts
-            p1_res, px_res = solve_aro_system(
-                x_counts.frequency("0"), xx_counts.frequency("0"), p0_res.value,
-                shots=(x_counts.shots, xx_counts.shots),
-                p0_stderr=p0_res.stderr, qubit=q,
-            )
-            p1_results[q] = p1_res
-            px_results[q] = px_res
-            estimates[p1_res.name] = p1_res
-            estimates[px_res.name] = px_res
+    # each qubit's readout rates (p0, p1) and their stderrs under the
+    # variant, as columns of (2, qubits) arrays
+    if readout_mode == "aro":
+        rates = np.array([p0, [r.value for r in p1_fits]])
+        rate_sds = np.array([p0_sd, [r.stderr for r in p1_fits]])
+    elif readout_mode == "sro":
+        rates, rate_sds = np.array([p0, p0]), np.array([p0_sd, p0_sd])
+    else:
+        rates = rate_sds = np.zeros((2, len(qubits)))
 
-    def readout_of(q: int) -> ReadoutModel:
-        if readout_mode == "aro":
-            return ReadoutModel(p0_results[q].value, p1_results[q].value)
-        if readout_mode == "sro":
-            return ReadoutModel.symmetric(p0_results[q].value)
-        return ReadoutModel.ideal()
-
-    def readout_stderrs_of(q: int) -> tuple[float, float]:
-        if readout_mode == "aro":
-            return (p0_results[q].stderr, p1_results[q].stderr)
-        if readout_mode == "sro":
-            return (p0_results[q].stderr, p0_results[q].stderr)
-        return (0.0, 0.0)
-
-    for q in qubits:
-        if q in hseqs and gate_dp:
-            ph_results[q] = estimate_hadamard_error(hseqs[q], readout_of(q))
-            estimates[ph_results[q].result.name] = ph_results[q].result
-
-    pcnot_results: dict[tuple[int, int], EstimationResult] = {}
+    ph_fits: dict[int, HadamardFit] = {}
+    pcnot_fits: list[EstimationResult] = []
     if gate_dp:
-        for coupling in couplings:
-            j, k = coupling
-            res = fit_pcnot(
-                by_kind[("bell", coupling)],
-                readout_of(j),
-                readout_of(k),
-                readout_stderrs=readout_stderrs_of(j) + readout_stderrs_of(k),
-            )
-            pcnot_results[coupling] = res
-            estimates[res.name] = res
+        rows = [i for i, q in enumerate(qubits) if q in hseqs]
+        if rows:
+            fits = _hadamard_fits([hseqs[qubits[i]] for i in rows], *rates[:, rows])
+            ph_fits = {qubits[i]: fit for i, fit in zip(rows, fits)}
+            estimates.update((fit.result.name, fit.result) for fit in fits)
+        index = {q: i for i, q in enumerate(qubits)}
+        pair = np.array([[index[j], index[k]] for j, k in couplings])
+        pcnot_fits = _pcnot_fits(
+            [by_kind[("bell", c)] for c in couplings],
+            rates[:, pair].transpose(1, 0, 2),  # [[p0_j, p0_k], [p1_j, p1_k]]
+            rate_sds[:, pair].transpose(1, 2, 0).reshape(-1, 4),  # p0_j, p1_j, p0_k, p1_k
+        )
+        estimates.update((r.name, r) for r in pcnot_fits)
 
     include_x = gate_dp and readout_mode != "off"
-    x_map = {q: px_results[q].value for q in qubits} if include_x else {}
+    x_map = {q: r.value for q, r in zip(qubits, px_fits)} if include_x else {}
     h_map = {
-        q: fit.result.value for q, fit in ph_results.items() if fit.include_in_model
+        q: fit.result.value for q, fit in ph_fits.items() if fit.include_in_model
     }
-    readout_map = {q: readout_of(q) for q in qubits} if readout_mode != "off" else {}
-    cnot_map = {c: r.value for c, r in pcnot_results.items()}
+    readout_map = (
+        {q: ReadoutModel(*r) for q, r in zip(qubits, rates.T.tolist())}
+        if readout_mode != "off" else {}
+    )
+    cnot_map = {c: r.value for c, r in zip(couplings, pcnot_fits)}
 
     if config.granularity == PER_ELEMENT:
         model = CompositeNoiseModel(
@@ -491,12 +572,8 @@ def fit_composite(chars: list[Characterization], config: FitConfig) -> Composite
         )
     else:
         mean = lambda vals: float(np.mean(list(vals))) if vals else 0.0
-        avg_p0 = mean([p0_results[q].value for q in qubits])
-        avg_p1 = (
-            mean([p1_results[q].value for q in qubits])
-            if readout_mode == "aro"
-            else avg_p0
-        )
+        avg_p0 = mean(p0.tolist())
+        avg_p1 = mean(rates[1].tolist()) if readout_mode == "aro" else avg_p0
         model = CompositeNoiseModel(
             granularity=config.granularity,
             subset=tuple(sorted(config.subset)) if config.subset else None,

@@ -103,12 +103,18 @@ def read_out(law: np.ndarray, p0: Sequence[float], p1: Sequence[float]) -> None:
     """Apply, in place on a flat law in classical-bit order (or on each row
     of a contiguous stack of such laws), each bit's readout flips: a 0 reads
     1 with probability p0[bit], a 1 reads 0 with p1[bit]. Classical bit 0 is
-    the most significant bit of an index."""
-    for bit, (a, b) in enumerate(zip(p0, p1)):
-        t = law.reshape(-1, 2, 1 << (len(p0) - 1 - bit))
-        moved = a * t[:, 0] - b * t[:, 1]  # net mass read 0 -> 1
-        t[:, 0] -= moved
-        t[:, 1] += moved
+    the most significant bit of an index.
+
+    Rates of shape (rows, bits) give one channel per entry of the law's
+    leading axis, each entry being a law or a stack of laws."""
+    p0, p1 = np.asarray(p0, dtype=float), np.asarray(p1, dtype=float)
+    rows, bits = p0.shape[:-1], p0.shape[-1]
+    for bit in range(bits):
+        t = law.reshape(*rows, -1, 2, 1 << (bits - 1 - bit))
+        a, b = p0[..., bit, None, None], p1[..., bit, None, None]
+        moved = a * t[..., 0, :] - b * t[..., 1, :]  # net mass read 0 -> 1
+        t[..., 0, :] -= moved
+        t[..., 1, :] += moved
 
 
 def apply_readout_to_distribution(

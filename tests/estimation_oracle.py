@@ -10,16 +10,26 @@
   readout rate's derivative of the Bell line taken as the line at rate 1
   minus the line at rate 0 (the line is affine in each rate), the line
   read out through the Kronecker product of the two 2x2 stochastic matrices.
+- Per-element fits: the closed-form X/XX, Hadamard and Bell estimators
+  written for one qubit or coupling at a time, and `fit_estimates`, which
+  fits an archive element by element in the order `fit_composite` reports
+  errors: every qubit's p0 and X/XX system, then every Hadamard decay, then
+  every coupling. The stacked estimators in `noisekit.estimation` must give
+  the same estimates, stderrs, residuals and errors.
 
 Each forward model is written out here rather than imported, so the oracles
-share no code with `noisekit.estimation.solve_aro_system`,
-`noisekit.estimation.estimate_hadamard_error` or `noisekit.noise.read_out`.
+share no code with `noisekit.estimation` (beyond its result type) or
+`noisekit.noise.read_out`.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
+
+from noisekit.errors import InsufficientLengths, NoConvergence, OutOfRange, WrongKind
+from noisekit.estimation import EstimationResult
+from noisekit.noise import VARIANTS
 
 
 class NewtonFailure(Exception):
@@ -171,3 +181,164 @@ def pcnot_stderr(observed, shots: int, rates: np.ndarray, readout_stderrs) -> fl
         ds_dparam = (d_slope @ resid - slope @ d_base - 2.0 * s_raw * (slope @ d_slope)) / norm2
         var += (ds_dparam * sigma) ** 2
     return 1.5 / math.sqrt(1.0 - 4.0 * s_raw) * math.sqrt(var)
+
+
+# -- per-element closed forms ----------------------------------------------------
+
+def binomial_sd(freq: float, shots: int | None) -> float:
+    if not shots:
+        return 0.0
+    v = min(1.0, max(0.0, freq))
+    return math.sqrt(v * (1.0 - v) / shots)
+
+
+def _clamped(name: str, raw: float, stderr: float = 0.0,
+             residual_norm: float = 0.0) -> EstimationResult:
+    value = min(1.0, max(0.0, raw))
+    return EstimationResult(name, value, raw, stderr, value == raw, residual_norm)
+
+
+def aro_per_element(g_x_0, g_xx_0, p0, shots=None, p0_stderr=0.0, qubit=None):
+    """(p1, p_x) results of one qubit's X/XX system given p0."""
+    for name, value in (("g_x_0", g_x_0), ("g_xx_0", g_xx_0), ("p0", p0)):
+        if not (0.0 <= value <= 1.0):
+            raise OutOfRange(f"{name}={value} is not a probability")
+    a = 1.0 - p0
+    gap_x, gap_xx = a - g_x_0, a - g_xx_0
+    if abs(gap_x) < 1e-12:
+        raise NoConvergence("X test frequency equals 1 - p0: p_x is unidentifiable",
+                            {"g_x_0": g_x_0, "p0": p0})
+    q = gap_xx / (2.0 * gap_x)
+    if abs(1.0 - q) < 1e-12:
+        raise NoConvergence("X/XX frequencies imply q = 1: p1 is unidentifiable",
+                            {"g_x_0": g_x_0, "g_xx_0": g_xx_0, "p0": p0})
+    p1_raw = (g_x_0 - q * a) / (1.0 - q)
+    px_raw = 1.5 * q
+
+    stderr_p1 = stderr_px = 0.0
+    if shots:
+        sigma = np.array([binomial_sd(g_x_0, shots[0]), binomial_sd(g_xx_0, shots[1]),
+                          p0_stderr])
+        grad_q = np.array([q / gap_x, -0.5 / gap_x, (gap_xx - gap_x) / (2.0 * gap_x**2)])
+        grad_p1 = (np.array([1.0, 0.0, q]) + (p1_raw - a) * grad_q) / (1.0 - q)
+        stderr_p1 = float(np.linalg.norm(grad_p1 * sigma))
+        stderr_px = 1.5 * float(np.linalg.norm(grad_q * sigma))
+
+    tag = f":q{qubit}" if qubit is not None else ""
+    return _clamped(f"p1{tag}", p1_raw, stderr_p1), _clamped(f"p_x{tag}", px_raw, stderr_px)
+
+
+def hadamard_per_element(chars, p0: float, p1: float) -> tuple[EstimationResult, bool]:
+    """(p_h result, include-in-model flag) of one qubit's sequence tests, by
+    the real roots of the misfit's derivative polynomial in s = (1 - 4p/3)^2."""
+    for char in chars:
+        if char.kind.kind != "hseq":
+            raise WrongKind(f"expected hseq tests, got {char.kind.kind}")
+    lengths = sorted({char.kind.length for char in chars})
+    if len(lengths) < 2:
+        raise InsufficientLengths(f"need >=2 distinct sequence lengths, got {lengths}")
+    denom = 1.0 - p0 - p1
+    if abs(denom) < 1e-9:
+        raise NoConvergence("readout too noisy to invert for survival correction")
+    by_length = {char.kind.length: char for char in chars}
+    observed = [by_length[l].counts.frequency("0") for l in lengths]
+    length = np.array(lengths)
+    u = (np.array(observed) - p1) / denom - 0.5
+
+    derivative = np.zeros(lengths[-1])
+    derivative[length - 1] += length / 2.0
+    derivative[length // 2 - 1] -= length * u
+    roots = np.polynomial.polynomial.polyroots(derivative)
+    real = roots.real[np.abs(roots.imag) < 1e-9]
+    s = np.sort(np.concatenate(([0.0, 1.0], real[(real >= 0.0) & (real <= 1.0)])))[::-1]
+    ssr = ((s[:, None] ** (length / 2.0) / 2.0 - u) ** 2).sum(axis=1)
+    best = int(np.argmin(ssr))
+    decay = math.sqrt(s[best])
+    value = 0.75 * (1.0 - decay)
+
+    stderr = 0.0
+    if 0.0 < value < 0.75:
+        d1 = -(2.0 * length / 3.0) * decay ** (length - 1)
+        d2 = (8.0 / 9.0) * length * (length - 1) * decay ** (length - 2)
+        curvature = float(d1 @ d1 + (decay**length / 2.0 - u) @ d2)
+        sigma = [binomial_sd(f, by_length[l].counts.shots) for l, f in zip(lengths, observed)]
+        stderr = float(np.linalg.norm(d1 * sigma)) / abs(denom * curvature)
+
+    result = EstimationResult(f"p_h:q{chars[0].kind.qubit}", value, value, stderr,
+                              residual_norm=math.sqrt(ssr[best]))
+    return result, 10.0 * stderr < value < 0.75
+
+
+BELL_KEYS = ("00", "01", "10", "11")
+
+
+def pcnot_per_element(char, rates: np.ndarray, readout_stderrs=(0.0,) * 4) -> EstimationResult:
+    """One coupling's Bell fit for readout rates [[p0_j, p0_k], [p1_j, p1_k]]."""
+    if char.kind.kind != "bell":
+        raise WrongKind(f"fit_pcnot needs a bell test, got {char.kind.kind}")
+    j, k = char.kind.coupling
+    name = f"p_cnot:q{j}-q{k}"
+    observed = np.array([char.counts.frequency(key) for key in BELL_KEYS])
+    base, slope = bell_line(rates)
+    norm2 = float(slope @ slope)
+    if norm2 < 1e-18:
+        raise NoConvergence("readout too noisy to resolve the Bell test")
+    resid = observed - base
+    s_raw = float(slope @ resid) / norm2
+    if s_raw >= 0.25:
+        return EstimationResult(name, 0.75, 0.75, feasible=s_raw == 0.25,
+                                residual_norm=float(np.linalg.norm(resid - 0.25 * slope)))
+    return _clamped(name, 0.75 * (1.0 - math.sqrt(1.0 - 4.0 * s_raw)),
+                    pcnot_stderr(observed, char.counts.shots, rates, readout_stderrs),
+                    float(np.linalg.norm(resid - max(s_raw, 0.0) * slope)))
+
+
+def fit_estimates(chars, variant: str, subset=None) -> tuple[dict, dict]:
+    """Every estimate of a per-element fit, as (name -> result, qubit ->
+    Hadamard include flag), fitted one element at a time. Errors come from
+    the first element that fails: qubits in order for p0 and X/XX, then for
+    the Hadamard decay, then couplings in order. Coverage is not checked."""
+    readout_mode, gate_dp = VARIANTS[variant]
+    by_kind, hseqs = {}, {}
+    for char in chars:
+        kind = char.kind
+        if kind.kind == "bell":
+            by_kind[("bell", kind.coupling)] = char
+        elif kind.kind == "hseq":
+            hseqs.setdefault(kind.qubit, []).append(char)
+        else:
+            by_kind[(kind.kind, kind.qubit)] = char
+    couplings = sorted(c for kind, c in by_kind if kind == "bell")
+    if subset:
+        qubits = sorted(subset)
+        couplings = [c for c in couplings if c[0] in subset and c[1] in subset]
+    else:
+        qubits = sorted({q for kind, q in by_kind if kind != "bell"}
+                        | set(hseqs) | {q for c in couplings for q in c})
+
+    estimates, include, rates, sigmas = {}, {}, {}, {}
+    for q in qubits:
+        init = by_kind[("init", q)].counts
+        p0 = init.frequency("1")
+        p0_sd = binomial_sd(p0, init.shots)
+        estimates[f"p0:q{q}"] = EstimationResult(f"p0:q{q}", p0, p0, p0_sd)
+        rates[q], sigmas[q] = (p0, p0), (p0_sd, p0_sd)
+        if readout_mode == "aro" or gate_dp:
+            x, xx = by_kind[("x", q)].counts, by_kind[("xx", q)].counts
+            p1, p_x = aro_per_element(x.frequency("0"), xx.frequency("0"), p0,
+                                      (x.shots, xx.shots), p0_sd, q)
+            estimates[p1.name], estimates[p_x.name] = p1, p_x
+            if readout_mode == "aro":
+                rates[q], sigmas[q] = (p0, p1.value), (p0_sd, p1.stderr)
+        if readout_mode == "off":
+            rates[q], sigmas[q] = (0.0, 0.0), (0.0, 0.0)
+    if gate_dp:
+        for q in qubits:
+            if q in hseqs:
+                result, include[q] = hadamard_per_element(hseqs[q], *rates[q])
+                estimates[result.name] = result
+        for j, k in couplings:
+            pair = np.array([[rates[j][0], rates[k][0]], [rates[j][1], rates[k][1]]])
+            result = pcnot_per_element(by_kind[("bell", (j, k))], pair, sigmas[j] + sigmas[k])
+            estimates[result.name] = result
+    return estimates, include

@@ -179,6 +179,24 @@ def test_evaluate_bv_accuracy_pair(setup):
     assert report["bv"]["observed_accuracy"] > 0.5
 
 
+def test_evaluate_bv_prediction_draws_sim_shots(setup):
+    """The single-model bv prediction is one draw of --sim-shots shots (of
+    --shots without it), and the report records that nothing is resampled."""
+    tmp_path, device, truth = setup
+    model = tmp_path / "model.json"
+    uniform_truth(line(4)).save(model)
+    for extra, draw in ((["--sim-shots", "7"], 7), ([], 256)):
+        out = tmp_path / f"eval{draw}"
+        code = main(["evaluate", "--device", str(device), "--backend", f"mock:{truth}",
+                     "--app", "bv:1@0/1", "--model", str(model), "--shots", "256",
+                     "--seed", "5", *extra, "--out", str(out)])
+        assert code == 0
+        report = json.loads((out / "report.json").read_text())
+        predicted = report["bv"]["predicted_accuracy"] * draw
+        assert predicted == pytest.approx(round(predicted), abs=1e-9)
+        assert report["meta"]["config"]["resamples"] is None
+
+
 def test_evaluate_select_requires_threshold(setup, capsys):
     tmp_path, device, truth = setup
     archive = _characterize(tmp_path, device, truth)
@@ -478,6 +496,11 @@ MALFORMED_INPUTS = {
     "fit-subset-repeated": (_fit_subset_repeated, "ConfigError"),
     "app-ghz-wider-than-device": (lambda t, d, tr: _evaluate_argv(t, d, tr, app="ghz:5"),
                                   "ConfigError"),
+    "scaling-two-models": (lambda t, d, tr: [*_evaluate_argv(t, d, tr, app="ghz:2..3"),
+                                             "--scaling", "--model", str(t / "model.json")],
+                           "ConfigError"),
+    "app-bv-secret-wider-than-data": (lambda t, d, tr: _evaluate_argv(t, d, tr, app="bv:10@0/1"),
+                                      "ConfigError"),
 }
 
 

@@ -2,7 +2,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from estimation_oracle import bell_line, fit_hadamard, hadamard_ssr, pcnot_stderr, solve_x_xx
+from estimation_oracle import (
+    bell_line,
+    fit_estimates,
+    fit_hadamard,
+    hadamard_ssr,
+    pcnot_stderr,
+    solve_x_xx,
+)
 
 from noisekit.backend import MockBackend, MockGroundTruth
 from noisekit.characterization import (
@@ -12,6 +19,7 @@ from noisekit.characterization import (
     build_suite,
     run_suite,
 )
+from noisekit import estimation
 from noisekit.devices import line, uniform_truth
 from noisekit.errors import (
     InsufficientLengths,
@@ -34,6 +42,9 @@ from noisekit.estimation import (
     solve_aro_system,
 )
 from noisekit.noise import (
+    PER_ELEMENT,
+    SUBSET_AVERAGE,
+    VARIANTS,
     ReadoutModel,
     apply_readout_to_distribution,
     bell_frequencies,
@@ -679,3 +690,157 @@ def test_estimation_result_invariants():
         EstimationResult("p", value=1.2, raw_value=1.2)
     with pytest.raises(OutOfRange):
         EstimationResult("p", value=0.5, raw_value=0.5, stderr=-1.0)
+
+
+# -- stacked families against the per-element oracle ---------------------------------
+
+def _drawn(rng, kind: TestKind, shots: int, probs: dict) -> Characterization:
+    keys = list(probs)
+    p = np.clip([probs[k] for k in keys], 0.0, None)
+    draw = rng.multinomial(shots, p / p.sum())
+    return Characterization(kind, Counts({k: int(n) for k, n in zip(keys, draw) if n}, shots))
+
+
+def _random_archive(rng, topo, lengths_of) -> list[Characterization]:
+    """Every test on `topo`, drawn around a random truth. Qubit q's sequence
+    tests have lengths_of(q) and, by q % 3, survival 1 (p_h = 0), a random
+    decay, or below 1/2 (p_h = 3/4); every fourth qubit's XX frequency sits
+    above its p_x = 0 ceiling (p_x clamped); Bell tests by coupling index
+    show even parity only (s* < 0), odd parity only (s* >= 1/4) or a
+    readout-transformed depolarized Bell law."""
+    one_bit = lambda f: {"0": f, "1": 1.0 - f}
+    chars, rates = [], {}
+    for q in range(topo.num_qubits):
+        p0, p1 = (float(v) for v in rng.uniform(0.0, 0.12, size=2))
+        p_x = float(rng.uniform(0.0, 0.02))
+        rates[q] = ReadoutModel(p0, p1)
+        shots = int(rng.choice([1024, 4096, 8192]))
+        g_x, g_xx = predicted_x_test_frequencies(p0, p1, p_x)
+        if q % 4 == 3:
+            g_xx = min(1.0, 1.0 - p0 + 0.01)
+        for kind, f in (("init", 1.0 - p0), ("x", g_x), ("xx", g_xx)):
+            chars.append(_drawn(rng, TestKind(kind, qubit=q), shots, one_bit(f)))
+        p_h = float(rng.uniform(0.002, 0.05))
+        for length in lengths_of(q):
+            survival = hadamard_survival(length, p_h)
+            observed = [1.0, (1 - p0) * survival + p1 * (1 - survival), 0.45][q % 3]
+            chars.append(_drawn(rng, TestKind("hseq", qubit=q, length=length), shots,
+                                one_bit(observed)))
+    for index, (j, k) in enumerate(sorted(topo.undirected_edges())):
+        law = apply_readout_to_distribution(bell_frequencies(float(rng.uniform(0.0, 0.1))),
+                                            [rates[j], rates[k]])
+        probs = [{"00": 0.5, "11": 0.5}, {"01": 0.5, "10": 0.5}, dict(law.items())][index % 3]
+        chars.append(_drawn(rng, TestKind("bell", coupling=(j, k)),
+                            int(rng.choice([2048, 8192])), probs))
+    return chars
+
+
+def _assert_matches_oracle(fit, expected: dict) -> None:
+    assert list(fit.estimates) == list(expected)
+    for name, want in expected.items():
+        got = fit.estimates[name]
+        assert got.feasible == want.feasible, name
+        for attr in ("value", "raw_value", "stderr", "residual_norm"):
+            assert getattr(got, attr) == pytest.approx(getattr(want, attr), rel=1e-12,
+                                                       abs=1e-15), (name, attr)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_stacked_fits_match_the_per_element_oracle(seed, ladder20):
+    """Every variant, per element and on a subset, gives the estimates,
+    stderrs, residuals and feasibility flags of fitting one element at a
+    time, on archives with two sets of Hadamard lengths and with estimates
+    on every bound."""
+    rng = np.random.default_rng(seed)
+    topo = ladder20 if seed % 2 else line(7)
+    chars = _random_archive(rng, topo, lambda q: (2, 4, 8, 16) if q % 2 else (2, 8, 32))
+    for variant, (_, gate_dp) in VARIANTS.items():
+        if variant == "noiseless":
+            continue
+        for subset in (None, (0, 2, 3, 5)):
+            config = FitConfig(variant=variant, subset=subset,
+                               granularity=SUBSET_AVERAGE if subset else PER_ELEMENT)
+            fit = fit_composite(chars, config)
+            expected, include = fit_estimates(chars, variant, subset)
+            _assert_matches_oracle(fit, expected)
+            if not subset and gate_dp:
+                assert set(fit.model.h_gate) == {q for q, keep in include.items() if keep}
+
+    # the archive reached every regime it was built for
+    fit = fit_composite(chars, FitConfig(variant="aro+dp"))
+    p_h = [r.value for n, r in fit.estimates.items() if n.startswith("p_h")]
+    pcnot = [r for n, r in fit.estimates.items() if n.startswith("p_cnot")]
+    assert 0.0 in p_h and 0.75 in p_h and any(0.0 < v < 0.75 for v in p_h)
+    assert any(r.raw_value < 0.0 and r.value == 0.0 for r in pcnot)  # s* < 0
+    assert any(r.value == 0.75 and not r.feasible for r in pcnot)  # s* >= 1/4
+    assert any(not r.feasible for n, r in fit.estimates.items() if n.startswith("p_x"))
+
+
+def _edited(chars, edits: dict) -> list[Characterization]:
+    """`chars` with records replaced ({label: counts}) or dropped ({label: None})."""
+    out = []
+    for char in chars:
+        if char.label not in edits:
+            out.append(char)
+        elif edits[char.label] is not None:
+            out.append(Characterization(char.kind, Counts(edits[char.label], 1024)))
+    return out
+
+
+# Exact binary frequencies at 1024 shots: init p0 = 1/8 gives a = 7/8; an X
+# frequency of 7/8 makes the X test blind to p_x, and X/XX frequencies
+# (1/2, 1/8) imply q = 1.
+_P0_EIGHTH = {"0": 896, "1": 128}
+_P0_HALF = {"0": 512, "1": 512}
+_Q_IS_ONE = {"init:q1": _P0_EIGHTH, "x:q1": {"0": 512, "1": 512},
+             "xx:q1": {"0": 128, "1": 896}}
+_GAP_X_ZERO = {"init:q3": _P0_EIGHTH, "x:q3": {"0": 896, "1": 128}}
+_ONE_LENGTH = lambda q: {f"hseq:q{q}:len8": None, f"hseq:q{q}:len32": None}
+
+RAISE_FIRST = {
+    # q1 fails a later check than q3, but it is the earlier qubit
+    "aro-by-qubit": ("aro", {**_Q_IS_ONE, **_GAP_X_ZERO}),
+    "aro-before-hadamard": ("aro+dp", {**_ONE_LENGTH(0), **_GAP_X_ZERO}),
+    "hadamard-readout-first": ("sro+dp", {"init:q1": _P0_HALF, **_ONE_LENGTH(3)}),
+    "hadamard-lengths-first": ("sro+dp", {**_ONE_LENGTH(1), "init:q3": _P0_HALF}),
+    "hadamard-before-bell": ("sro+dp", {"init:q2": _P0_HALF, "hseq:q2:len2": None,
+                                        **_ONE_LENGTH(2), **_ONE_LENGTH(4)}),
+    "bell": ("sro+dp", {"init:q2": _P0_HALF, "hseq:q2:len2": None, **_ONE_LENGTH(2)}),
+}
+
+
+@pytest.mark.parametrize("variant, edits", RAISE_FIRST.values(), ids=RAISE_FIRST.keys())
+def test_fit_composite_raises_what_the_per_element_fit_raises(variant, edits):
+    """When several elements fail, the error is the one fitting element by
+    element meets first: same type, message and diagnostics."""
+    rng = np.random.default_rng(3)
+    chars = _edited(_random_archive(rng, line(5), lambda q: (2, 8, 32)), edits)
+    with pytest.raises(Exception) as want:
+        fit_estimates(chars, variant)
+    with pytest.raises(type(want.value)) as got:
+        fit_composite(chars, FitConfig(variant=variant))
+    assert str(got.value) == str(want.value)
+    assert getattr(got.value, "diagnostics", None) == getattr(want.value, "diagnostics", None)
+
+
+def test_fit_composite_fits_each_family_once(ladder20, monkeypatch):
+    """On a 20-qubit archive with two sets of Hadamard lengths, the fit makes
+    one `eigvals` call per set and no call into the one-element estimators."""
+    plan = build_suite(ladder20, SuiteConfig(hadamard_lengths=(2, 4, 8, 16, 32), shots=256,
+                                             seed=9))
+    truth = MockGroundTruth(type(uniform_truth(ladder20))(
+        **{**uniform_truth(ladder20).__dict__, "h_gate": dict.fromkeys(range(20), 0.004)}))
+    chars = [c for c in run_suite(plan, MockBackend(ladder20, truth))
+             if not (c.kind.kind == "hseq" and c.kind.qubit < 8 and c.kind.length == 32)]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("fit_composite called a one-element estimator")
+
+    for name in ("estimate_p0", "solve_aro_system", "estimate_hadamard_error", "fit_pcnot"):
+        monkeypatch.setattr(estimation, name, forbidden)
+    eigvals, calls = np.linalg.eigvals, []
+    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
+
+    fit = fit_composite(chars, FitConfig(variant="aro+dp"))
+    assert sorted(calls) == [(8, 15, 15), (12, 31, 31)]
+    assert len(fit.estimates) == 4 * 20 + len(ladder20.undirected_edges())
