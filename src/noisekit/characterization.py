@@ -62,6 +62,8 @@ class TestKind:
     @classmethod
     def from_label(cls, label: str) -> "TestKind":
         """Parse a label; only a label that its kind prints back is accepted."""
+        if not isinstance(label, str):
+            raise ParseError(f"test label {label!r} is not a string")
         try:
             parts = label.split(":")
             kind = parts[0]
@@ -237,10 +239,17 @@ def read_counts(path: str | Path) -> tuple[dict, dict[str, Counts]]:
         raise ParseError(f"archive {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
         raise ParseError(f"archive {path} lacks an 'entries' list")
+    if not isinstance(data.get("window", ""), str):
+        raise ParseError(f"archive {path}: window {data['window']!r} is not a string")
     counts: dict[str, Counts] = {}
     for entry in data["entries"]:
         try:
-            counts[entry["label"]] = Counts(entry["counts"], entry["shots"])
+            label, shots, raw = entry["label"], entry["shots"], entry["counts"]
+            # JSON integers only: int() would pass a bool, a string and a
+            # truncated float
+            if not all(type(n) is int for n in (shots, *raw.values())):
+                raise TypeError("shots and counts must be JSON integers")
+            counts[label] = Counts(raw, shots)
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad archive entry {entry!r}: {exc}") from exc
     if len(counts) < len(data["entries"]):

@@ -15,8 +15,9 @@ Every element of a family (each qubit's X/XX system or Hadamard decay, each
 coupling's Bell fit) is the same closed form applied to other numbers, so
 `fit_composite` fits each family once, across all its elements, as array
 arithmetic; the Hadamard roots of all qubits sharing a set of lengths come
-from one stacked eigenvalue call. The public one-element estimators are
-one-row calls into the same code.
+from one root isolation of their sparse derivative polynomials on [0, 1]
+(`_sparse_roots`). The public one-element estimators are one-row calls into
+the same code.
 """
 from __future__ import annotations
 
@@ -200,8 +201,8 @@ class HadamardFit:
 def _hadamard_fits(rows, p0: np.ndarray, p1: np.ndarray) -> list[HadamardFit]:
     """One fit per row of sequence tests, row i corrected for readout rates
     (p0[i], p1[i]). Rows with the same set of lengths are solved together:
-    their derivative polynomials' companion matrices form one stack and one
-    `eigvals` call."""
+    one `_sparse_roots` call finds the roots of all their derivative
+    polynomials."""
     denom = 1.0 - p0 - p1
     tables, kinds = [], []
     for chars in rows:
@@ -230,6 +231,112 @@ def _hadamard_fits(rows, p0: np.ndarray, p1: np.ndarray) -> list[HadamardFit]:
     return [HadamardFit(fit, flag) for fit, flag in zip(fits, include.tolist())]
 
 
+# Root isolation starts from this grid on [0, 1]. A cell that no
+# certificate settles is split until it is narrower than _MIN_CELL, or
+# until its row has more than _MAX_CELLS such cells, and is then taken as a
+# root at its midpoint: there the polynomial is a cluster or multiple root,
+# flat to rounding, and so is the misfit.
+_GRID = np.linspace(0.0, 1.0, 257)
+_MIN_CELL = 2.0**-50
+_MAX_CELLS = 1024
+_MAX_NEWTON = 100
+
+
+def _monotone_parts(exponents: np.ndarray, coef: np.ndarray):
+    """(powers, weights) splitting each row's f(s) = sum_e coef[e] s^e and
+    its derivative into parts with nonnegative coefficients, f = P - N and
+    f' = P' - N', each nondecreasing on [0, 1]. Both have rows [P, N, P', N']:
+    `powers` (4, terms) the monomials' exponents, `weights` (rows, 4, terms)
+    their coefficients."""
+    powers = np.array([exponents, exponents, exponents - 1, exponents - 1], dtype=float)
+    split = np.stack([np.maximum(coef, 0.0), np.maximum(-coef, 0.0)], axis=1)
+    return np.maximum(powers, 0.0), np.concatenate([split, exponents * split], axis=1)
+
+
+def _parts(powers: np.ndarray, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """[P, N, P', N'] at the points x, shape (rows, points, 4), for weights
+    (rows, 4, terms) and x (rows or 1, points)."""
+    monomials = x[:, None, None, :] ** powers[..., None]  # (rows or 1, 4, terms, points)
+    return (weights[:, :, None, :] @ monomials)[:, :, 0].transpose(0, 2, 1)
+
+
+def _sparse_roots(exponents: np.ndarray, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(row, root) arrays: every sign-changing root in (0, 1) of each row's
+    polynomial f(s) = sum_e coef[row, e] s^exponents[e], plus (to about one
+    ulp) any point of the grid or its subdivisions where f evaluates to
+    exactly 0, and the midpoint of every unresolved cell.
+
+    With f = P - N split into nondecreasing parts, on a cell [a, b]
+    P(a) - N(b) <= f <= P(b) - N(a), and likewise for f'. A cell is settled
+    when f is certified of one sign on it (no root) or f' is (at most one
+    root, which lies in (a, b] when f(b) = 0 or f changes sign across the
+    cell); any other cell is split in two. So no pair of close roots hides
+    in a cell without a sign change. Each root is then polished by Newton
+    steps that fall back to bisection outside the cell's bracket, to about
+    one ulp.
+    """
+    rows = len(coef)
+    # s^k with k the least exponent only adds a root at 0, which is no
+    # concern here and would keep the cells next to 0 from settling
+    powers, weights = _monotone_parts(exponents - exponents[0], coef)
+    grid = _parts(powers, weights, _GRID[None])  # (rows, points, 4)
+    row = np.repeat(np.arange(rows), len(_GRID) - 1)
+    a, b = np.tile(_GRID[:-1], rows), np.tile(_GRID[1:], rows)
+    fa, fb = grid[:, :-1].reshape(-1, 4), grid[:, 1:].reshape(-1, 4)
+    found_row, found, brackets = [], [], []
+    while row.size:
+        one_sign = (fa[:, 0] > fb[:, 1]) | (fb[:, 0] < fa[:, 1])
+        monotone = (fa[:, 2] > fb[:, 3]) | (fb[:, 2] < fa[:, 3])
+        f_a, f_b = fa[:, 0] - fa[:, 1], fb[:, 0] - fb[:, 1]
+        # a zero at an end counts for the cell left of it; s = 1 is a
+        # candidate anyway
+        root = (np.sign(f_a) * np.sign(f_b) < 0.0) | ((f_b == 0.0) & (b < 1.0))
+        inside = monotone & ~one_sign & root
+        brackets.append((row[inside], a[inside], b[inside], f_a[inside] < 0.0))
+        split = ~(one_sign | monotone)
+        crowded = np.bincount(row[split], minlength=rows)[row] > _MAX_CELLS
+        unresolved = split & ((b - a < _MIN_CELL) | crowded)
+        split &= ~unresolved
+        unresolved &= (a > 0.0) & (b < 1.0)  # s = 0 and s = 1 are candidates anyway
+        found_row.append(row[unresolved])
+        found.append(0.5 * (a[unresolved] + b[unresolved]))
+        row, a, b, fa, fb = row[split], a[split], b[split], fa[split], fb[split]
+        mid = 0.5 * (a + b)
+        fm = _parts(powers, weights[row], mid[:, None])[:, 0]
+        row, a, b = np.tile(row, 2), np.concatenate([a, mid]), np.concatenate([mid, b])
+        fa, fb = np.concatenate([fa, fm]), np.concatenate([fm, fb])
+    row, lo, hi, rising = (np.concatenate(arrays) for arrays in zip(*brackets))
+    found_row.append(row)
+    found.append(_newton(powers, weights[row], lo, hi, rising))
+    return np.concatenate(found_row), np.concatenate(found)
+
+
+def _newton(powers, weights, lo, hi, rising) -> np.ndarray:
+    """The root in each bracket (lo, hi] of a function monotone on it, with
+    f(lo) < 0 where `rising`: Newton steps, bisecting whenever a step leaves
+    the bracket, until the Newton step is at most one ulp (or after
+    _MAX_NEWTON steps, still inside the bracket)."""
+    x = 0.5 * (lo + hi)
+    active = np.arange(len(x))
+    for _ in range(_MAX_NEWTON):
+        if not active.size:
+            break
+        xa = x[active]
+        p, n, dp, dn = _parts(powers, weights[active], xa[:, None])[:, 0].T
+        f = p - n
+        right = (f < 0.0) == rising[active]  # the root lies right of xa
+        la = lo[active] = np.where(right, xa, lo[active])
+        ha = hi[active] = np.where(right, hi[active], xa)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            newton = f / (dp - dn)
+        done = ~(np.abs(newton) > np.spacing(xa))
+        step = xa - newton
+        step = np.where((la <= step) & (step <= ha), step, 0.5 * (la + ha))
+        x[active] = np.where(done, xa, step)
+        active = active[~done]
+    return x
+
+
 def _hadamard_group(length: np.ndarray, tables, denom: np.ndarray, p1: np.ndarray):
     """(p_h, stderr, residual norm) arrays for rows sharing the lengths."""
     observed = np.array([[table[l].frequency("0") for l in length.tolist()]
@@ -238,26 +345,21 @@ def _hadamard_group(length: np.ndarray, tables, denom: np.ndarray, p1: np.ndarra
     u = (observed - p1[:, None]) / denom[:, None] - 0.5
     rows = len(tables)
 
-    derivative = np.zeros((rows, length[-1]))  # coefficients of s^0 .. s^(L_max - 1)
-    derivative[:, length - 1] += length / 2.0
-    derivative[:, length // 2 - 1] -= length * u
-    # numpy.polynomial.polynomial.polyroots, stacked: the eigenvalues of
-    # each row's companion matrix (polycompanion)
-    n = length[-1] - 1
-    companion = np.zeros((rows, n, n))
-    companion.reshape(rows, -1)[:, n::n + 1] = 1.0
-    companion[:, :, -1] -= derivative[:, :-1] / derivative[:, -1:]
-    roots = np.linalg.eigvals(companion)
-    real = roots.real
-    ok = (np.abs(roots.imag) < 1e-9) & (real >= 0.0) & (real <= 1.0)
-    s = np.concatenate([np.zeros((rows, 1)), np.ones((rows, 1)), np.where(ok, real, 0.0)],
-                       axis=1)
-    ok = np.concatenate([np.ones((rows, 2), bool), ok], axis=1)
-    ssr = ((s[:, :, None] ** (length / 2.0) / 2.0 - u[:, None, :]) ** 2).sum(axis=-1)
-    ssr[~ok] = np.inf
-    best_ssr = ssr.min(axis=1)
-    # the largest s among the best, so a tie goes to the least p
-    s_best = np.where(ssr == best_ssr[:, None], s, -np.inf).max(axis=1)
+    # the derivative's nonzero coefficients, at exponents L - 1 and L/2 - 1
+    exponents = np.union1d(length - 1, length // 2 - 1)
+    derivative = np.zeros((rows, exponents.size))
+    derivative[:, np.searchsorted(exponents, length - 1)] += length / 2.0
+    derivative[:, np.searchsorted(exponents, length // 2 - 1)] -= length * u
+    root_row, root = _sparse_roots(exponents, derivative)
+    # candidates: s = 0 and s = 1 for every row, and each row's roots
+    row = np.concatenate([np.arange(rows), np.arange(rows), root_row])
+    s = np.concatenate([np.zeros(rows), np.ones(rows), root])
+    ssr = ((s[:, None] ** (length / 2.0) / 2.0 - u[row]) ** 2).sum(axis=-1)
+    # per row the least misfit and, among equal misfits, the largest s, so
+    # a tie goes to the least p
+    order = np.lexsort((-s, ssr, row))
+    best = order[np.searchsorted(row[order], np.arange(rows))]
+    s_best, best_ssr = s[best], ssr[best]
     decay = np.sqrt(s_best)
     value = 0.75 * (1.0 - decay)
 
@@ -287,9 +389,10 @@ def estimate_hadamard_error(
     alone: p and 3/2 - p fit equally well, and the search is p in [0, 3/4],
     i.e. s in [0, 1]. The misfit's s-derivative is proportional to the
     polynomial sum_L (L/2) s^(L-1) - L u_L s^(L/2-1), so the optimum is the
-    best of s = 0, s = 1 and that polynomial's real roots in [0, 1]; ties go
-    to the least p. The stderr propagates each record's binomial noise
-    through the implicit-function derivative of the optimum. On the bounds
+    best of s = 0, s = 1 and the roots in (0, 1) where that polynomial
+    changes sign (the only interior minima); ties go to the least p. The
+    stderr propagates each record's binomial noise through the
+    implicit-function derivative of the optimum. On the bounds
     p = 0 and p = 3/4 (fully mixed, where dp/ds diverges) the fit does not
     move with the data, so no stderr is reported and the channel is left out
     of the model; inside, the include flag drops the channel when the rate

@@ -228,9 +228,25 @@ def aro_per_element(g_x_0, g_xx_0, p0, shots=None, p0_stderr=0.0, qubit=None):
     return _clamped(f"p1{tag}", p1_raw, stderr_p1), _clamped(f"p_x{tag}", px_raw, stderr_px)
 
 
+def polished(coef: np.ndarray, roots: np.ndarray, steps: int = 3) -> np.ndarray:
+    """Roots of the polynomial with coefficients `coef` (ascending), each
+    moved by up to `steps` Newton steps on the dense polynomial, a step
+    taken only where it lowers |f|. Companion-matrix eigenvalues can be
+    ~1e-14 off in s, which is ~1e-9 of p_h at p_h ~ 1e-6, where
+    s = (1 - 4p/3)^2 is near 1."""
+    f = np.polynomial.Polynomial(coef)
+    df = f.deriv()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(steps):
+            step = roots - f(roots) / df(roots)
+            roots = np.where(np.abs(f(step)) < np.abs(f(roots)), step, roots)
+    return roots
+
+
 def hadamard_per_element(chars, p0: float, p1: float) -> tuple[EstimationResult, bool]:
     """(p_h result, include-in-model flag) of one qubit's sequence tests, by
-    the real roots of the misfit's derivative polynomial in s = (1 - 4p/3)^2."""
+    the real roots of the misfit's derivative polynomial in s = (1 - 4p/3)^2:
+    the companion-matrix eigenvalues (`polyroots`), `polished`."""
     for char in chars:
         if char.kind.kind != "hseq":
             raise WrongKind(f"expected hseq tests, got {char.kind.kind}")
@@ -249,7 +265,7 @@ def hadamard_per_element(chars, p0: float, p1: float) -> tuple[EstimationResult,
     derivative[length - 1] += length / 2.0
     derivative[length // 2 - 1] -= length * u
     roots = np.polynomial.polynomial.polyroots(derivative)
-    real = roots.real[np.abs(roots.imag) < 1e-9]
+    real = polished(derivative, roots.real[np.abs(roots.imag) < 1e-9])
     s = np.sort(np.concatenate(([0.0, 1.0], real[(real >= 0.0) & (real <= 1.0)])))[::-1]
     ssr = ((s[:, None] ** (length / 2.0) / 2.0 - u) ** 2).sum(axis=1)
     best = int(np.argmin(ssr))

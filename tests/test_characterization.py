@@ -51,6 +51,13 @@ def test_label_must_round_trip(label):
         TestKind.from_label(label)
 
 
+@pytest.mark.parametrize("label", [7, None, ["init:q0"], b"init:q0"])
+def test_label_must_be_a_string(label):
+    """A non-string label is a ParseError, not an AttributeError."""
+    with pytest.raises(ParseError, match="not a string"):
+        TestKind.from_label(label)
+
+
 def test_odd_hadamard_length_rejected():
     with pytest.raises(OddHadamardLength):
         TestKind("hseq", qubit=0, length=3)

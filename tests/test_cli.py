@@ -1,8 +1,13 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import noisekit
 from noisekit import characterization
 from noisekit.backend import MockGroundTruth
 from noisekit.characterization import (
@@ -350,16 +355,33 @@ def _subset_fit_without_subset(tmp_path, device, truth):
     return ["fit", "--archive", str(archive), "--granularity", "subset_average"]
 
 
-def _archive_entry_counts(label, counts):
-    """`fit` on an archive whose entry `label` holds `counts`."""
+def _archive_edit(edit):
+    """`fit` on an archive changed by `edit(data)`."""
     def make_argv(tmp_path, device, truth):
         archive = _characterize(tmp_path, device, truth, shots="64")
-        def edit(data):
-            entry = next(e for e in data["entries"] if e["label"] == label)
-            entry.update(counts=counts, shots=sum(counts.values()))
         _edited(archive, edit)
         return ["fit", "--archive", str(archive)]
     return make_argv
+
+
+def _entry_edit(label, edit):
+    """`fit` on an archive whose entry `label` is changed by `edit(entry)`."""
+    return _archive_edit(lambda data: edit(next(e for e in data["entries"]
+                                                 if e["label"] == label)))
+
+
+def _archive_entry_counts(label, counts):
+    """`fit` on an archive whose entry `label` holds `counts`."""
+    return _entry_edit(label, lambda e: e.update(counts=counts, shots=sum(counts.values())))
+
+
+def _first_count(convert):
+    """Entry edit: the entry's first count becomes convert(count); the shots
+    field is left alone."""
+    def edit(entry):
+        key = next(iter(entry["counts"]))
+        entry["counts"][key] = convert(entry["counts"][key])
+    return edit
 
 
 def _fit_subset_per_element(tmp_path, device, truth):
@@ -501,6 +523,19 @@ MALFORMED_INPUTS = {
                            "ConfigError"),
     "app-bv-secret-wider-than-data": (lambda t, d, tr: _evaluate_argv(t, d, tr, app="bv:10@0/1"),
                                       "ConfigError"),
+    "archive-label-not-a-string": (_entry_edit("x:q0", lambda e: e.update(label=7)),
+                                   "ParseError"),
+    # int() would truncate 63.9 to 63 and the counts would still sum to the shots
+    "archive-count-float": (_entry_edit("init:q0", _first_count(lambda n: n + 0.9)),
+                            "ParseError"),
+    "archive-count-string": (_entry_edit("init:q0", _first_count(str)), "ParseError"),
+    "archive-count-bool": (_entry_edit("init:q0", lambda e: e.update(
+        counts={"0": e["shots"] - 1, "1": True})), "ParseError"),
+    "archive-shots-float": (_entry_edit("init:q0", lambda e: e.update(shots=float(e["shots"]))),
+                            "ParseError"),
+    "archive-shots-string": (_entry_edit("init:q0", lambda e: e.update(shots=str(e["shots"]))),
+                             "ParseError"),
+    "archive-window-not-a-string": (_archive_edit(lambda d: d.update(window=5)), "ParseError"),
 }
 
 
@@ -523,6 +558,58 @@ def test_help_still_exits_0(capsys):
         main(["--help"])
     assert exit_info.value.code == 0
     assert "characterize" in capsys.readouterr().out
+
+
+def _in_fresh_process(argv) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of `noisekit argv` in a new interpreter."""
+    src = str(Path(noisekit.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "noisekit.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=300)
+    return done.returncode, done.stdout, done.stderr
+
+
+def _files(directory: Path) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+def test_repeated_main_calls_leak_no_state(setup, capsys, monkeypatch):
+    """A fit, a usage error, a fit with other flags and --help, run through
+    `main` in that order in one process, each give the exit code, stderr and
+    output files (and for --help the text) of the same argv in a fresh
+    process."""
+    tmp_path, device, truth = setup
+    archive = str(_characterize(tmp_path, device, truth, shots="256"))
+    monkeypatch.setenv("COLUMNS", "100")  # argparse wraps help at the terminal width
+    calls = [
+        ["fit", "--archive", archive],
+        ["fit", "--archive", archive, "--flags", "aro+dp", "--subset", "x"],
+        ["fit", "--archive", archive, "--flags", "sro", "--granularity", "subset_average",
+         "--subset", "0,2", "--name", "pair"],
+        ["--help"],
+    ]
+    capsys.readouterr()
+    here = []
+    for i, argv in enumerate(calls):
+        out = tmp_path / f"here{i}"
+        out.mkdir()
+        try:
+            code = main([*argv, "--out", str(out)] if argv[0] == "fit" else argv)
+        except SystemExit as exc:  # --help
+            code = exc.code
+        captured = capsys.readouterr()
+        here.append((code, captured.out, captured.err, _files(out)))
+    assert [h[0] for h in here] == [0, 2, 0, 0]
+    for i, (argv, (code, out_text, err, files)) in enumerate(zip(calls, here)):
+        out = tmp_path / f"fresh{i}"
+        out.mkdir()
+        fresh_code, fresh_out, fresh_err = _in_fresh_process(
+            [*argv, "--out", str(out)] if argv[0] == "fit" else argv)
+        assert (code, err, files) == (fresh_code, fresh_err, _files(out)), argv
+        if argv == ["--help"]:
+            assert out_text == fresh_out
+    assert set(here[2][3]) == {"pair.json", "pair.diagnostics.json"}
 
 
 def test_no_option_parses_with_a_bare_number_type():

@@ -1,3 +1,5 @@
+import math
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -6,6 +8,7 @@ from estimation_oracle import (
     bell_line,
     fit_estimates,
     fit_hadamard,
+    hadamard_per_element,
     hadamard_ssr,
     pcnot_stderr,
     solve_x_xx,
@@ -403,6 +406,196 @@ def test_hadamard_misfit_never_above_oracle_on_noisy_targets():
         _, ssr_oracle = fit_hadamard(observed)
         assert hadamard_ssr(fit.result.value, observed) <= ssr_oracle + 1e-15
         assert 0.0 <= fit.result.value <= 0.75
+
+
+# -- Hadamard root isolation ---------------------------------------------------------
+
+GEOMETRIC = (2, 4, 8, 16, 32, 64)
+ISOLATION_LADDERS = {"2-4": (2, 4), "geometric-32": GEOMETRIC[:-1], "geometric-64": GEOMETRIC,
+                     "even-2-64": tuple(range(2, 66, 2))}
+
+
+def _assert_hadamard_matches_oracle(rows, readout: ReadoutModel, residual_floor=1e-15):
+    """Each stacked row's fit equals the polyroots oracle's within 1e-12
+    relative (floor 1e-15) in p_h, stderr and residual, with the same flag."""
+    p0, p1 = (np.full(len(rows), rate) for rate in (readout.p0, readout.p1))
+    for chars, fit in zip(rows, estimation._hadamard_fits(rows, p0, p1)):
+        want, include = hadamard_per_element(chars, readout.p0, readout.p1)
+        got = fit.result
+        assert got.value == pytest.approx(want.value, rel=1e-12, abs=1e-15)
+        assert got.stderr == pytest.approx(want.stderr, rel=1e-12, abs=1e-15)
+        assert got.residual_norm == pytest.approx(want.residual_norm, rel=1e-12,
+                                                  abs=residual_floor)
+        assert fit.include_in_model == include
+
+
+@pytest.mark.parametrize("lengths", [*ISOLATION_LADDERS.values(), None],
+                         ids=[*ISOLATION_LADDERS, "random-even-lengths"])
+def test_root_isolation_matches_polyroots_oracle(lengths):
+    """Stacks of five rows, with p_h from 1e-6 to 0.7 and readout, drawn at
+    8192 shots, exact, or with wide target noise that gives the derivative
+    several roots. At exact frequencies the residual is rounding noise, so
+    it is compared to 1e-14."""
+    rng = np.random.default_rng(len(lengths or ()))
+    for trial in range(30):
+        ladder = lengths or tuple(sorted(rng.choice(np.arange(2, 66, 2), size=rng.integers(2, 9),
+                                                    replace=False).tolist()))
+        readout = ReadoutModel(float(rng.uniform(0, 0.05)), float(rng.uniform(0, 0.1)))
+        mode = ("drawn", "exact", "wide")[trial % 3]
+        rows = []
+        for _ in range(5):
+            p_h = 10 ** rng.uniform(-6, np.log10(0.7))
+            observed = {}
+            for l in ladder:
+                s = hadamard_survival(l, p_h)
+                f = (1 - readout.p0) * s + readout.p1 * (1 - s)
+                observed[l] = {"drawn": rng.binomial(8192, f) / 8192, "exact": f,
+                               "wide": f + rng.normal(0, 0.3)}[mode]
+            rows.append(_hseq_records(observed, dict.fromkeys(ladder, 8192)))
+        _assert_hadamard_matches_oracle(rows, readout, 1e-14 if mode == "exact" else 1e-15)
+
+
+def _spied_isolation(monkeypatch) -> list:
+    """Each later `_sparse_roots` call as ((exponents, coef), (row, root))."""
+    isolate, calls = estimation._sparse_roots, []
+    monkeypatch.setattr(estimation, "_sparse_roots",
+                        lambda *args: calls.append((args, isolate(*args))) or calls[-1][1])
+    return calls
+
+
+def _targets_with_roots(lengths, roots, fixed=0.25) -> dict:
+    """Readout-free survival targets {L: 1/2 + u_L} whose misfit derivative
+    sum_L (L/2) s^(L-1) - L u_L s^(L/2-1) vanishes at each of `roots`: the
+    first len(roots) u_L solve those linear equations, the others are
+    `fixed`."""
+    length, k = np.array(lengths, dtype=float), len(roots)
+    r = np.array(roots)[:, None]
+    u = np.full(len(lengths), fixed)
+    rhs = ((length / 2) * r ** (length - 1)).sum(axis=1) - (
+        length[k:] * u[k:] * r ** (length[k:] / 2 - 1)).sum(axis=1)
+    u[:k] = np.linalg.solve(length[:k] * r ** (length[:k] / 2 - 1), rhs)
+    return {l: 0.5 + v for l, v in zip(lengths, u.tolist())}
+
+
+# (lengths, roots): a close pair inside one grid cell, on its own and among
+# others; three roots inside one cell, where f changes sign across it but a
+# minimum, a maximum and a minimum hide in it; as many roots in (0, 1) as
+# Descartes' rule allows (one fewer than the derivative's terms); three
+# roots of a 48-term derivative
+CONSTRUCTED_ROOTS = {
+    "close-pair": ((2, 4), (0.2, 0.2005)),
+    "three-in-one-cell": ((2, 4, 8), (0.598, 0.5985, 0.6015)),
+    "close-pair-among-five": (GEOMETRIC[:-1], (0.1, 0.2, 0.2005, 0.6, 0.9)),
+    "descartes-2-4": ((2, 4), (0.3, 0.8)),
+    "descartes-geometric-32": (GEOMETRIC[:-1], (0.15, 0.35, 0.55, 0.75, 0.95)),
+    "descartes-geometric-64": (GEOMETRIC, (0.15, 0.35, 0.55, 0.7, 0.85, 0.95)),
+    "even-2-64": (tuple(range(2, 66, 2)), (0.3, 0.6, 0.9)),
+}
+
+
+@pytest.mark.parametrize("lengths, roots", CONSTRUCTED_ROOTS.values(), ids=CONSTRUCTED_ROOTS)
+def test_root_isolation_finds_constructed_roots(lengths, roots, monkeypatch):
+    """The isolation returns every constructed root, and the fit is the
+    oracle's."""
+    calls = _spied_isolation(monkeypatch)
+    targets = _targets_with_roots(lengths, roots)
+    rows = [_hseq_records(targets, dict.fromkeys(lengths, 8192))]
+    _assert_hadamard_matches_oracle(rows, ReadoutModel.ideal())
+    (_, (_, got)), = calls
+    # the rounded coefficients move the close pair by ~1e-9
+    assert np.sort(got)[:len(roots)] == pytest.approx(roots, rel=1e-7)
+    if lengths != tuple(range(2, 66, 2)):
+        assert len(got) == len(roots)
+
+
+def _exact_sign(exponents, coef, s: float) -> int:
+    """The sign of sum_e coef[e] s^exponents[e] in rational arithmetic, with
+    the float coefficients and s taken exactly."""
+    x = Fraction(s)
+    value = sum(Fraction(c) * x ** int(e) for e, c in zip(exponents.tolist(), coef.tolist()))
+    return (value > 0) - (value < 0)
+
+
+def _changes_sign_within_one_ulp(exponents, coef, s: float) -> bool:
+    below, above = math.nextafter(s, 0.0), math.nextafter(s, 1.0)
+    return _exact_sign(exponents, coef, below) * _exact_sign(exponents, coef, above) <= 0
+
+
+def test_isolated_roots_are_exact_to_one_ulp(monkeypatch):
+    """Every root the isolation returns has the derivative polynomial, with
+    its float coefficients taken exactly, change sign within one ulp of it.
+    The dense companion eigenvalues (`polyroots`) that the oracle starts
+    from miss that at some of these p_h (by up to ~100 ulps, ~1e-9 of p_h
+    near 1e-6), which is why `hadamard_per_element` polishes them."""
+    calls = _spied_isolation(monkeypatch)
+    rng = np.random.default_rng(11)
+    eigen_misses = 0
+    for lengths in ISOLATION_LADDERS.values():
+        for p_h in (1e-6, 3e-6, 1e-4, 1e-3, 0.1, 0.5):
+            exact = {l: hadamard_survival(l, p_h) for l in lengths}
+            noisy = {l: t + rng.normal(0, 0.3) for l, t in exact.items()}
+            rows = [_hseq_records(targets, dict.fromkeys(lengths, 8192))
+                    for targets in (exact, noisy)]
+            estimation._hadamard_fits(rows, np.zeros(2), np.zeros(2))
+            (exponents, coef), (row, roots) = calls.pop()
+            assert all(_changes_sign_within_one_ulp(exponents, coef[r], s)
+                       for r, s in zip(row.tolist(), roots.tolist()))
+            dense = np.zeros(exponents[-1] + 1)
+            dense[exponents] = coef[0]
+            eigen = np.polynomial.polynomial.polyroots(dense)
+            eigen = eigen.real[(np.abs(eigen.imag) < 1e-9) & (eigen.real > 0) & (eigen.real < 1)]
+            eigen_misses += sum(not _changes_sign_within_one_ulp(exponents, coef[0], s)
+                                for s in eigen.tolist())
+    assert eigen_misses > 0
+
+
+@pytest.mark.parametrize("multiplicity", [4, 10])
+def test_root_isolation_near_multiple_root(multiplicity, monkeypatch):
+    """Lengths 2..64 with the targets that give the derivative an m-fold
+    root at s = 1/2 (the least-norm u for its first m derivatives there),
+    so it is flat to rounding on a whole region: the isolation stops
+    splitting (a bounded number of candidates, not one cell per ulp) and
+    leaves no more misfit than the oracle."""
+    lengths = np.arange(2, 66, 2)
+    falling = lambda e, j: np.prod(e - np.arange(j)) * 0.5 ** (e - j) if j <= e else 0.0
+    a = np.array([[-l * falling(l // 2 - 1, j) for l in lengths] for j in range(multiplicity)])
+    b = -np.array([sum(l / 2 * falling(l - 1, j) for l in lengths)
+                   for j in range(multiplicity)])
+    u = np.linalg.lstsq(a, b, rcond=None)[0]
+    records = _hseq_records({int(l): 0.5 + v for l, v in zip(lengths, u)},
+                            dict.fromkeys(lengths.tolist(), 8192))
+    calls = _spied_isolation(monkeypatch)
+    fit = estimate_hadamard_error(records, ReadoutModel.ideal())
+    want, _ = hadamard_per_element(records, 0.0, 0.0)
+    (_, (_, roots)), = calls
+    assert len(roots) <= 4 * estimation._MAX_CELLS
+    assert fit.result.residual_norm <= want.residual_norm * (1 + 1e-12)
+
+
+def test_root_isolation_root_on_a_grid_point(monkeypatch):
+    """u_2 = 3/8 and u_4 = 0 give the derivative 2 s^3 + s - 3/4, which is 0
+    at s = 1/2, a point of the starting grid, also in floating point: the
+    root is found though f changes sign across neither cell beside it."""
+    calls = _spied_isolation(monkeypatch)
+    records = _hseq_records({2: 0.875, 4: 0.5}, dict.fromkeys((2, 4), 8192))
+    _assert_hadamard_matches_oracle([records], ReadoutModel.ideal())
+    (_, (_, roots)), = calls
+    assert roots.tolist() == pytest.approx([0.5], rel=1e-15)
+
+
+@pytest.mark.parametrize("targets", [
+    {2: 0.5, 4: 0.75, 8: 0.6},  # u_2 = 0 and u_4 = 1/4: a double root at s = 0
+    {2: 0.5, 4: 0.6, 8: 0.55},  # a simple root at s = 0
+    dict.fromkeys((2, 4, 8, 16), 1.0),  # every u = 1/2: a root at s = 1
+    {2: 0.9, 4: 0.95, 8: 1.0, 16: 1.025},  # sum_L L (1 - t_L) = 0: a root at s = 1
+], ids=["double-at-0", "at-0", "at-1", "at-1-mixed"])
+def test_root_isolation_roots_at_the_ends(targets):
+    """Roots exactly at s = 0 or s = 1, where both ends are candidates
+    anyway, give the oracle's fit: an unresolved cell at 0 adds no root at
+    4e-16, which would read as p_h = 0.75 - 1.5e-8."""
+    lengths = tuple(targets)
+    _assert_hadamard_matches_oracle([_hseq_records(targets, dict.fromkeys(lengths, 8192))],
+                                    ReadoutModel.ideal())
 
 
 # -- fit_pcnot ---------------------------------------------------------------------
@@ -825,7 +1018,8 @@ def test_fit_composite_raises_what_the_per_element_fit_raises(variant, edits):
 
 def test_fit_composite_fits_each_family_once(ladder20, monkeypatch):
     """On a 20-qubit archive with two sets of Hadamard lengths, the fit makes
-    one `eigvals` call per set and no call into the one-element estimators."""
+    one root isolation per set, no eigenvalue call and no call into the
+    one-element estimators."""
     plan = build_suite(ladder20, SuiteConfig(hadamard_lengths=(2, 4, 8, 16, 32), shots=256,
                                              seed=9))
     truth = MockGroundTruth(type(uniform_truth(ladder20))(
@@ -834,13 +1028,15 @@ def test_fit_composite_fits_each_family_once(ladder20, monkeypatch):
              if not (c.kind.kind == "hseq" and c.kind.qubit < 8 and c.kind.length == 32)]
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("fit_composite called a one-element estimator")
+        raise AssertionError("fit_composite called a one-element estimator or eigvals")
 
     for name in ("estimate_p0", "solve_aro_system", "estimate_hadamard_error", "fit_pcnot"):
         monkeypatch.setattr(estimation, name, forbidden)
-    eigvals, calls = np.linalg.eigvals, []
-    monkeypatch.setattr(np.linalg, "eigvals", lambda a: calls.append(a.shape) or eigvals(a))
+    monkeypatch.setattr(np.linalg, "eigvals", forbidden)
+    calls = _spied_isolation(monkeypatch)
 
     fit = fit_composite(chars, FitConfig(variant="aro+dp"))
-    assert sorted(calls) == [(8, 15, 15), (12, 31, 31)]
+    # the derivative's exponents L - 1 and L/2 - 1 of lengths 2..16 and 2..32
+    assert sorted((len(coef), exponents.tolist()) for (exponents, coef), _ in calls) == [
+        (8, [0, 1, 3, 7, 15]), (12, [0, 1, 3, 7, 15, 31])]
     assert len(fit.estimates) == 4 * 20 + len(ladder20.undirected_edges())
