@@ -20,18 +20,10 @@ from .noise import (
     ReadoutModel,
     VARIANTS,
     apply_readout_to_distribution,
-    bell_frequencies,
     expand_granularity,
-    predicted_x_test_frequencies,
 )
 from .outcomes import Counts, Distribution
-from .simulator import (
-    TrajectorySampler,
-    sample_from_distribution,
-    simulate_ideal,
-    simulate_noisy_exact,
-    simulate_noisy_sampled,
-)
+from .simulator import TrajectorySampler, simulate_ideal, simulate_noisy_exact
 
 __all__ = [
     "Circuit",
@@ -44,18 +36,14 @@ __all__ = [
     "TrajectorySampler",
     "VARIANTS",
     "apply_readout_to_distribution",
-    "bell_frequencies",
     "cnot",
     "embed_path",
     "expand_granularity",
     "h",
     "identity",
     "measure",
-    "predicted_x_test_frequencies",
-    "sample_from_distribution",
     "simulate_ideal",
     "simulate_noisy_exact",
-    "simulate_noisy_sampled",
     "validate",
     "x",
 ]

@@ -5,7 +5,6 @@ from __future__ import annotations
 from .circuit import Circuit, DeviceTopology, cnot, embed_path, h, measure, x
 from .errors import ArityMismatch, OracleNotAdjacent, OutOfRange, QubitCollision
 from .evaluation import ApplicationRun
-from .noise import CompositeNoiseModel
 
 
 def build_ghz(n: int, topo: DeviceTopology) -> Circuit:
@@ -69,36 +68,3 @@ def bv_accuracy(run: ApplicationRun, secret: str) -> float:
             f"run measures {run.counts.num_bits} bits, secret has {len(secret)}"
         )
     return run.counts.frequency(secret)
-
-
-def pick_bv_star(
-    topo: DeviceTopology,
-    num_data: int,
-    model: CompositeNoiseModel | None = None,
-) -> tuple[list[int], int]:
-    """Choose (data_qubits, oracle) for a BV instance: the oracle must be
-    adjacent to every data qubit. Given a model, minimizes the summed cnot
-    depolarizing rate over the star; otherwise picks the lexicographically
-    first feasible star. Deterministic."""
-    best = None
-    for oracle in range(topo.num_qubits):
-        neighbors = topo.neighbors(oracle)
-        if len(neighbors) < num_data:
-            continue
-        if model is not None and model.cnot_dp_on:
-            ranked = sorted(
-                neighbors, key=lambda q: (model.cnot_for(q, oracle), q)
-            )[:num_data]
-            cost = sum(model.cnot_for(q, oracle) for q in ranked)
-        else:
-            ranked = neighbors[:num_data]
-            cost = 0.0
-        candidate = (cost, oracle, sorted(ranked))
-        if best is None or candidate < best:
-            best = candidate
-    if best is None:
-        raise OracleNotAdjacent(
-            f"no qubit has {num_data} neighbors in this topology"
-        )
-    _, oracle, data = best
-    return data, oracle

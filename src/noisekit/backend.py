@@ -2,13 +2,13 @@
 loader for externally recorded counts archives."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 from .characterization import TestKind, read_counts
 from .circuit import Circuit, DeviceTopology, validate
-from .errors import ConfigError, LabelMismatch, OutOfRange, ParseError, parse_json_file
+from .errors import (ConfigError, LabelMismatch, OutOfRange, ParseError, parse_json_file,
+                     write_json_file)
 from .noise import CompositeNoiseModel, expand_granularity
 from .outcomes import Counts
 from .rng import child_seed
@@ -51,7 +51,7 @@ class MockGroundTruth:
         )
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2, sort_keys=True))
+        write_json_file(path, self.to_json_dict())
 
     @classmethod
     def load(cls, path: str | Path) -> "MockGroundTruth":
@@ -83,18 +83,13 @@ class MockBackend:
         return out
 
 
-def load_counts(path: str | Path) -> dict[str, Counts]:
-    """Load a counts archive as a label -> Counts map."""
-    return read_counts(path)[1]
-
-
 class FileBackend:
     """Replays recorded counts, joined to circuits by label."""
 
     def __init__(self, archive_path: str | Path,
                  topology: DeviceTopology | None = None):
         self.archive_path = str(archive_path)
-        self._counts = load_counts(archive_path)
+        self._counts = read_counts(archive_path)[1]
         self.topology = topology or _topology_covering(self._counts)
 
     def run(self, circuits: list[Circuit], shots: int, seed: int) -> list[Counts]:

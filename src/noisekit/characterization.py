@@ -227,10 +227,6 @@ def archive_dict(
     }
 
 
-def write_archive(path: str | Path, data: dict) -> None:
-    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True))
-
-
 def read_counts(path: str | Path) -> tuple[dict, dict[str, Counts]]:
     """Parse a counts archive into its JSON object and a label -> Counts map."""
     try:
@@ -244,12 +240,7 @@ def read_counts(path: str | Path) -> tuple[dict, dict[str, Counts]]:
     counts: dict[str, Counts] = {}
     for entry in data["entries"]:
         try:
-            label, shots, raw = entry["label"], entry["shots"], entry["counts"]
-            # JSON integers only: int() would pass a bool, a string and a
-            # truncated float
-            if not all(type(n) is int for n in (shots, *raw.values())):
-                raise TypeError("shots and counts must be JSON integers")
-            counts[label] = Counts(raw, shots)
+            counts[entry["label"]] = Counts(entry["counts"], entry["shots"])
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad archive entry {entry!r}: {exc}") from exc
     if len(counts) < len(data["entries"]):

@@ -6,11 +6,10 @@ directed) but treated as undirected for validation and path-finding.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import NoPath, OutOfRange, UncoupledPair, parse_json_file
+from .errors import NoPath, OutOfRange, UncoupledPair, parse_json_file, write_json_file
 
 GATE_ARITY = {"h": 1, "x": 1, "id": 1, "cnot": 2, "measure": 1}
 
@@ -174,7 +173,7 @@ class DeviceTopology:
         return cls(int(data["num_qubits"]), tuple(map(tuple, data["couplings"])))
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2, sort_keys=True))
+        write_json_file(path, self.to_json_dict())
 
     @classmethod
     def load(cls, path: str | Path) -> "DeviceTopology":

@@ -30,7 +30,7 @@ from .characterization import (
     TestKind,
 )
 from .circuit import DeviceTopology
-from .errors import ConfigError, NoisekitError, NoPath, ParseError
+from .errors import ConfigError, NoisekitError, NoPath, ParseError, write_json_file
 from .estimation import FitConfig, fit_composite
 from .evaluation import (
     ApplicationRun,
@@ -58,8 +58,9 @@ def _meta(args_dict: dict) -> dict:
     }
 
 
-def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True))
+def _predicted_accuracy(circuit, model, secret: str, shots: int, seed: int) -> float:
+    """A BV secret's frequency in one draw of `shots` shots from the model."""
+    return TrajectorySampler(circuit, model).sample(shots, seed).frequency(secret)
 
 
 def _out_dir(args) -> Path:
@@ -147,9 +148,8 @@ def cmd_characterize(args) -> int:
          "subset": args.subset, "hadamard_lengths": args.hadamard_lengths}
     )
     archive_path = out / args.archive_name
-    data = archive_dict(plan, chars, window=args.window, meta=meta)
-    _write_json(archive_path, data)
-    _write_json(
+    write_json_file(archive_path, archive_dict(plan, chars, window=args.window, meta=meta))
+    write_json_file(
         out / "budget.json",
         {
             "meta": meta,
@@ -184,7 +184,7 @@ def cmd_fit(args) -> int:
     name = args.name or f"model-{args.flags.replace('+', '_')}-{args.granularity}"
     model_path = out / f"{name}.json"
     fit.model.save(model_path)
-    _write_json(out / f"{name}.diagnostics.json", fit.diagnostics_dict())
+    write_json_file(out / f"{name}.diagnostics.json", fit.diagnostics_dict())
     infeasible = [n for n, r in fit.estimates.items() if not r.feasible]
     print(f"fitted {len(fit.estimates)} parameters -> {model_path}")
     if infeasible:
@@ -255,10 +255,9 @@ def cmd_evaluate(args) -> int:
         if bv_prediction:
             secret = args.app[3:].split("@")[0]
             observed = bv_accuracy(runs[0], secret)
-            sampler = TrajectorySampler(runs[0].circuit, model)
-            predicted_counts = sampler.sample(args.sim_shots or args.shots,
-                                              child_seed(args.seed, 1_000_001))
-            predicted = predicted_counts.frequency(secret)
+            predicted = _predicted_accuracy(runs[0].circuit, model, secret,
+                                            args.sim_shots or args.shots,
+                                            child_seed(args.seed, 1_000_001))
             report["bv"] = {
                 "secret": secret,
                 "observed_accuracy": observed,
@@ -272,7 +271,7 @@ def cmd_evaluate(args) -> int:
             report["score"] = score.to_json_dict()
             print(f"{model_id}: tvd={score.tvd:.5f} +/- {score.tvd_stderr:.5f} "
                   f"(per cnot {score.tvd_per_cnot:.5f})")
-    _write_json(out / "report.json", report)
+    write_json_file(out / "report.json", report)
     return 0
 
 
@@ -294,7 +293,7 @@ def cmd_demo(args) -> int:
     chars = run_suite(plan, backend)
     budget = count_experiments(plan)
     meta = _meta({"command": "demo", "shots": shots, "seed": seed, "hidden": args.hidden})
-    _write_json(out / "archive.json", archive_dict(plan, chars, window="demo", meta=meta))
+    write_json_file(out / "archive.json", archive_dict(plan, chars, window="demo", meta=meta))
     print(f"   {budget.num_circuits} circuits, census {budget.total_shots} shots, "
           f"formula N_s(2q+2c+1) = {budget.formula_shots}")
 
@@ -357,16 +356,16 @@ def cmd_demo(args) -> int:
     bv_rows = []
     for secret, circuit, counts in zip(secrets, bv_circuits, bv_counts):
         run = ApplicationRun(circuit, counts)
-        sampler = TrajectorySampler(circuit, fits["aro+dp"].model)
-        predicted = sampler.sample(shots, child_seed(seed, 4)).frequency(secret)
+        predicted = _predicted_accuracy(circuit, fits["aro+dp"].model, secret, shots,
+                                        child_seed(seed, 4))
         bv_rows.append(
             {"secret": secret, "predicted": predicted,
              "observed": bv_accuracy(run, secret)}
         )
         print(f"   {secret}: predicted={predicted:.4f} observed={bv_rows[-1]['observed']:.4f}")
-    _write_json(out / "bv_accuracy.json", {"meta": meta, "rows": bv_rows})
+    write_json_file(out / "bv_accuracy.json", {"meta": meta, "rows": bv_rows})
 
-    _write_json(
+    write_json_file(
         out / "summary.json",
         {
             "meta": meta,

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the JSON-file boundary
-that turns malformed file content into one of them."""
+"""Exception types shared across the package, and the JSON-file boundary:
+the one reader, which turns malformed file content into one of them, and
+the one writer."""
 import json
 from pathlib import Path
 
@@ -92,3 +93,8 @@ def parse_json_file(path, what: str, build):
         return build(json.loads(Path(path).read_text()))
     except (AttributeError, KeyError, OutOfRange, TypeError, ValueError) as exc:
         raise ParseError(f"{what} {path} is malformed: {exc}") from exc
+
+
+def write_json_file(path, data) -> None:
+    """Write `data` to `path` as JSON with sorted keys, indented by 2."""
+    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True))

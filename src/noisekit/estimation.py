@@ -419,29 +419,18 @@ def _bell_line(rates: np.ndarray) -> np.ndarray:
     return line
 
 
-# d/dp0 and d/dp1 of one bit's readout, acting on that bit's (t0, t1):
-# (-t0, t0) and (t1, -t1), as rows [rate, read value]
-_READOUT_STEP = np.array([[-1.0, 1.0], [1.0, -1.0]])
-
-
 def _bell_line_derivatives(rates: np.ndarray) -> np.ndarray:
     """Derivatives of `_bell_line(rates)` in p0_j, p1_j, p0_k, p1_k, shape
     (..., 4, 2, 4).
 
-    Each bit's readout is affine in its two rates and acts on its own axis,
-    so the derivative in one bit's p0 (p1) is the line read out by the other
-    bit's channel only, with this bit's 0-row (1-row) mass moved across.
+    Readout is affine in each rate, so each derivative is `_bell_line` with
+    that rate set to 1 minus `_bell_line` with it set to 0.
     """
-    lead = rates.shape[:-2]
-    only_k, only_j = rates.copy(), rates.copy()
-    only_k[..., 0] = 0.0
-    only_j[..., 1] = 0.0
-    by_k = _bell_line(only_k).reshape(*lead, 2, 2, 2)  # (row, bit j, bit k)
-    by_j = _bell_line(only_j).reshape(*lead, 2, 2, 2)
-    # d[rate, row, j', k] = step[rate, j'] * by_k[row, rate, k], and likewise for k
-    d_j = np.swapaxes(by_k, -3, -2)[..., None, :] * _READOUT_STEP[:, None, :, None]
-    d_k = np.moveaxis(by_j, -1, -3)[..., None] * _READOUT_STEP[:, None, None, :]
-    return np.concatenate([d_j, d_k], axis=-4).reshape(*lead, 4, 2, 4)
+    ends = np.repeat(rates[..., None, :, :], 8, axis=-3)
+    for i, (rate, bit) in enumerate(((0, 0), (1, 0), (0, 1), (1, 1))):
+        ends[..., 2 * i, rate, bit], ends[..., 2 * i + 1, rate, bit] = 1.0, 0.0
+    lines = _bell_line(ends)
+    return lines[..., 0::2, :, :] - lines[..., 1::2, :, :]
 
 
 def _pcnot_fits(chars, rates: np.ndarray, readout_stderrs: np.ndarray) -> list[EstimationResult]:

@@ -8,14 +8,13 @@ channel-averaged scoring is available for narrow circuits.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .circuit import Circuit
-from .errors import ArityMismatch, ConfigError, EmptyLadder
+from .errors import ArityMismatch, ConfigError, EmptyLadder, write_json_file
 from .noise import CompositeNoiseModel
 from .outcomes import Counts, Distribution
 from .rng import child_seed
@@ -256,7 +255,7 @@ def scaling_report(
 def write_scores_json(path: str | Path, scores: list[ModelScore],
                       meta: dict | None = None) -> None:
     payload = {"meta": dict(meta or {}), "scores": [s.to_json_dict() for s in scores]}
-    Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True))
+    write_json_file(path, payload)
 
 
 def write_scores_csv(path: str | Path, scores: list[ModelScore]) -> None:

@@ -11,7 +11,6 @@ followed by two identical, independent single-qubit depolarizing channels
 """
 from __future__ import annotations
 
-import json
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -19,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .circuit import DeviceTopology
-from .errors import ArityMismatch, MissingCoverage, OutOfRange, parse_json_file
+from .errors import ArityMismatch, MissingCoverage, OutOfRange, parse_json_file, write_json_file
 from .outcomes import Distribution
 
 PER_ELEMENT = "per_element"
@@ -69,34 +68,6 @@ class ReadoutModel:
     @property
     def is_symmetric(self) -> bool:
         return self.p0 == self.p1
-
-
-def predicted_x_test_frequencies(p0: float, p1: float, p_x: float) -> tuple[float, float]:
-    """Closed-form frequencies of observing 0 in the X and XX test circuits.
-
-    Single X gate (ideal outcome 1) followed by asymmetric readout, and two
-    X gates (ideal outcome 0), each gate carrying a depolarizing channel
-    with parameter p_x.
-    """
-    _check_prob(p0, "p0")
-    _check_prob(p1, "p1")
-    _check_prob(p_x, "p_x")
-    q = 2.0 * p_x / 3.0
-    g_x_0 = q * (1.0 - p0) + p1 * (1.0 - q)
-    g_xx_0 = (1.0 - p0) * ((1.0 - q) ** 2 + q ** 2) + p1 * (2.0 * q * (1.0 - q))
-    return g_x_0, g_xx_0
-
-
-def bell_frequencies(p_cnot: float) -> Distribution:
-    """Outcome frequencies of the noisy Bell-state test with ideal readout.
-
-    Each qubit of the cnot carries an independent depolarizing channel with
-    the same parameter.
-    """
-    _check_prob(p_cnot, "p_cnot")
-    same = 0.5 - (2.0 / 3.0) * p_cnot + (4.0 / 9.0) * p_cnot ** 2
-    diff = (2.0 / 3.0) * p_cnot - (4.0 / 9.0) * p_cnot ** 2
-    return Distribution({"00": same, "01": diff, "10": diff, "11": same})
 
 
 def read_out(law: np.ndarray, p0: Sequence[float], p1: Sequence[float]) -> None:
@@ -287,7 +258,7 @@ class CompositeNoiseModel:
         )
 
     def save(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2, sort_keys=True))
+        write_json_file(path, self.to_json_dict())
 
     @classmethod
     def load(cls, path: str | Path) -> "CompositeNoiseModel":

@@ -38,6 +38,13 @@ def _uniform_bit_length(keys) -> int:
     return width or 0
 
 
+def _integer(value) -> int:
+    """A count or shot number as an int; a bool, float or str raises."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{value!r} is not an integer count")
+    return int(value)
+
+
 def _checked_arrays(num_bits: int, indices, values, dtype) -> tuple[np.ndarray, np.ndarray]:
     idx, val = np.asarray(indices, dtype=np.int64), np.asarray(values, dtype=dtype)
     if idx.ndim != 1 or idx.shape != val.shape or not 0 <= num_bits <= MAX_BITS:
@@ -158,7 +165,8 @@ class Counts(_Outcomes):
     _DTYPE = np.int64
 
     def __init__(self, counts: dict[str, int], shots: int):
-        keyed = {k: int(v) for k, v in counts.items()}
+        keyed = {k: _integer(v) for k, v in counts.items()}
+        shots = _integer(shots)
         num_bits = _uniform_bit_length(keyed)
         if any(v < 0 for v in keyed.values()):
             raise ValueError("negative count")
@@ -195,11 +203,6 @@ class Counts(_Outcomes):
     def frequency_array(self) -> np.ndarray:
         """`frequencies()` as an array matching `indices` (zeros at zero shots)."""
         return self.values / (self.shots or 1)
-
-    def to_distribution(self) -> Distribution:
-        if self.shots == 0:
-            return Distribution({})
-        return Distribution.from_arrays(self.num_bits, self.indices, self.frequency_array())
 
     def __eq__(self, other):
         if not isinstance(other, Counts):

@@ -37,7 +37,6 @@ from .rng import generator
 MAX_QUBITS = 24
 
 _STREAM_OUTCOMES = 1
-_STREAM_MULTINOMIAL = 4
 
 
 class _Compiled:
@@ -270,20 +269,3 @@ def counts_from_indices(indices: np.ndarray, num_bits: int, shots: int) -> Count
     tally = np.bincount(indices, minlength=1 << num_bits)
     seen = np.flatnonzero(tally)
     return Counts.from_arrays(num_bits, seen, tally[seen], shots)
-
-
-def simulate_noisy_sampled(
-    circuit: Circuit, model: CompositeNoiseModel, shots: int, seed: int
-) -> Counts:
-    """Counts drawn from the compiled outcome law; deterministic for a fixed seed."""
-    return TrajectorySampler(circuit, model).sample(shots, seed)
-
-
-def sample_from_distribution(dist: Distribution, shots: int, seed: int) -> Counts:
-    """Multinomial draw from a distribution, deterministic per seed."""
-    if shots == 0:
-        return Counts.from_arrays(dist.num_bits, [], [], 0)
-    pvals = np.clip(dist.values, 0.0, None)
-    draws = generator(seed, _STREAM_MULTINOMIAL).multinomial(shots, pvals / pvals.sum())
-    seen = np.flatnonzero(draws)
-    return Counts.from_arrays(dist.num_bits, dist.indices[seen], draws[seen], shots)

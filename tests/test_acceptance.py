@@ -12,8 +12,9 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from closed_forms import bell_frequencies, predicted_x_test_frequencies
 from noisekit.applications import build_bv, build_ghz, bv_accuracy
-from noisekit.backend import MockBackend, MockGroundTruth, load_counts
+from noisekit.backend import MockBackend, MockGroundTruth
 from noisekit.characterization import (
     SuiteConfig,
     TestKind,
@@ -22,12 +23,13 @@ from noisekit.characterization import (
     count_experiments,
     materialize,
     read_archive,
+    read_counts,
     run_suite,
-    write_archive,
 )
 from noisekit.circuit import Circuit, DeviceTopology, h, measure, x
 from noisekit.cli import main
 from noisekit.devices import line, uniform_truth
+from noisekit.errors import write_json_file
 from noisekit.estimation import (
     FitConfig,
     estimate_p0,
@@ -42,8 +44,6 @@ from noisekit.noise import (
     CompositeNoiseModel,
     ReadoutModel,
     apply_readout_to_distribution,
-    bell_frequencies,
-    predicted_x_test_frequencies,
 )
 from noisekit.outcomes import Counts, Distribution
 from noisekit.rng import child_seed
@@ -333,8 +333,8 @@ def test_criterion_10_determinism_and_serialization(tmp_path):
         plan = build_suite(topo, SuiteConfig(shots=4096, seed=9))
         chars = run_suite(plan, backend)
         path = tmp_path / "roundtrip.json"
-        write_archive(path, archive_dict(plan, chars, window="w"))
+        write_json_file(path, archive_dict(plan, chars, window="w"))
         _, loaded = read_archive(path)
         assert [(c.kind, c.counts) for c in loaded] == [(c.kind, c.counts) for c in chars]
-        by_label = load_counts(path)
+        by_label = read_counts(path)[1]
         assert all(by_label[c.label] == c.counts for c in chars)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from noisekit.applications import build_bv, build_ghz, bv_accuracy, pick_bv_star
+from noisekit.applications import build_bv, build_ghz, bv_accuracy
 from noisekit.backend import MockBackend, MockGroundTruth
 from noisekit.circuit import DeviceTopology, validate
 from noisekit.devices import ladder20, line, uniform_truth
@@ -13,9 +13,8 @@ from noisekit.errors import (
     QubitCollision,
 )
 from noisekit.evaluation import ApplicationRun
-from noisekit.noise import CompositeNoiseModel, ReadoutModel
 from noisekit.outcomes import Counts
-from noisekit.simulator import simulate_ideal, simulate_noisy_sampled
+from noisekit.simulator import TrajectorySampler, simulate_ideal
 
 
 def test_ghz2_structure():
@@ -125,7 +124,7 @@ def test_bv_accuracy_decreases_with_hamming_weight():
     for i in range(8):
         secret = format(i, "03b")
         circuit = build_bv(secret, [6, 8, 12], 7, topo)
-        counts = simulate_noisy_sampled(circuit, model, 100_000, seed=i)
+        counts = TrajectorySampler(circuit, model).sample(100_000, i)
         run = ApplicationRun(circuit, counts)
         by_weight[secret.count("1")].append(bv_accuracy(run, secret))
     means = [float(np.mean(by_weight[w])) for w in range(4)]
@@ -138,32 +137,6 @@ def test_bv_weight_ordering_111_vs_000():
     accs = {}
     for secret in ("000", "111"):
         circuit = build_bv(secret, [6, 8, 12], 7, topo)
-        counts = simulate_noisy_sampled(circuit, model, 100_000, seed=77)
+        counts = TrajectorySampler(circuit, model).sample(100_000, 77)
         accs[secret] = bv_accuracy(ApplicationRun(circuit, counts), secret)
     assert accs["111"] < accs["000"]
-
-
-def test_pick_bv_star_lexicographic():
-    data, oracle = pick_bv_star(ladder20(), 3)
-    assert oracle == 5  # first qubit with three neighbors
-    assert data == [0, 6, 10]
-
-
-def test_pick_bv_star_minimizes_cnot_cost():
-    topo = ladder20()
-    cnot_map = {e: 0.1 for e in sorted(topo.undirected_edges())}
-    cnot_map[(6, 7)] = 0.001
-    cnot_map[(7, 8)] = 0.001
-    cnot_map[(7, 12)] = 0.001
-    model = CompositeNoiseModel(
-        readout={q: ReadoutModel(0.01, 0.01) for q in range(20)},
-        x_gate={q: 0.0 for q in range(20)},
-        cnot=cnot_map,
-    )
-    data, oracle = pick_bv_star(topo, 3, model)
-    assert oracle == 7 and data == [6, 8, 12]
-
-
-def test_pick_bv_star_infeasible():
-    with pytest.raises(OracleNotAdjacent):
-        pick_bv_star(line(4), 3)

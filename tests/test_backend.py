@@ -5,16 +5,16 @@ import numpy as np
 import pytest
 
 from noisekit.applications import build_bv
-from noisekit.backend import FileBackend, MockBackend, MockGroundTruth, load_counts
+from noisekit.backend import FileBackend, MockBackend, MockGroundTruth
 from noisekit.characterization import (
     SuiteConfig,
     archive_dict,
     build_suite,
+    read_counts,
     run_suite,
-    write_archive,
 )
 from noisekit.devices import ladder20, line, uniform_truth
-from noisekit.errors import LabelMismatch, OutOfRange, ParseError, UncoupledPair
+from noisekit.errors import LabelMismatch, OutOfRange, ParseError, UncoupledPair, write_json_file
 from noisekit.evaluation import ApplicationRun
 from noisekit.noise import CompositeNoiseModel
 from noisekit.simulator import TrajectorySampler, simulate_ideal
@@ -107,8 +107,8 @@ def test_load_counts_roundtrip(tmp_path, line3):
     plan = build_suite(line3, SuiteConfig(shots=1024, seed=4))
     chars = run_suite(plan, backend)
     path = tmp_path / "archive.json"
-    write_archive(path, archive_dict(plan, chars))
-    loaded = load_counts(path)
+    write_json_file(path, archive_dict(plan, chars))
+    loaded = read_counts(path)[1]
     assert set(loaded) == set(plan.labels())
     for ch in chars:
         assert loaded[ch.label] == ch.counts
@@ -119,7 +119,7 @@ def test_file_backend_replays_archive(tmp_path, line3):
     plan = build_suite(line3, SuiteConfig(shots=1024, seed=4))
     chars = run_suite(plan, mock)
     path = tmp_path / "archive.json"
-    write_archive(path, archive_dict(plan, chars))
+    write_json_file(path, archive_dict(plan, chars))
 
     replay = FileBackend(path, line3)
     again = run_suite(plan, replay)
@@ -132,7 +132,7 @@ def test_file_backend_label_mismatch(tmp_path, line3):
     chars = run_suite(plan, mock)
     trimmed = [c for c in chars if c.label != "bell:q0-q1"]
     path = tmp_path / "archive.json"
-    write_archive(path, archive_dict(plan, trimmed))
+    write_json_file(path, archive_dict(plan, trimmed))
     replay = FileBackend(path, line3)
     with pytest.raises(LabelMismatch) as err:
         run_suite(plan, replay)
@@ -145,14 +145,14 @@ def test_load_counts_malformed_shots(tmp_path):
         '{"entries": [{"label": "init:q0", "shots": 100, "counts": {"0": 42}}]}'
     )
     with pytest.raises(ParseError):
-        load_counts(path)
+        read_counts(path)
 
 
 def test_load_counts_not_json(tmp_path):
     path = tmp_path / "x.json"
     path.write_text("not json {{{")
     with pytest.raises(ParseError):
-        load_counts(path)
+        read_counts(path)
 
 
 def test_readout_free_law_is_the_preimage(line2):

@@ -16,10 +16,9 @@ from noisekit.characterization import (
     materialize,
     read_archive,
     run_suite,
-    write_archive,
 )
 from noisekit.devices import line, uniform_truth
-from noisekit.errors import ArityMismatch, OddHadamardLength, ParseError
+from noisekit.errors import ArityMismatch, OddHadamardLength, ParseError, write_json_file
 from noisekit.outcomes import Counts
 from noisekit.simulator import simulate_ideal
 
@@ -243,7 +242,7 @@ def test_archive_roundtrip(tmp_path, line3):
     plan = build_suite(line3, SuiteConfig(shots=512, seed=1))
     chars = run_suite(plan, backend)
     path = tmp_path / "archive.json"
-    write_archive(path, archive_dict(plan, chars, window="w"))
+    write_json_file(path, archive_dict(plan, chars, window="w"))
     data, loaded = read_archive(path)
     assert data["window"] == "w" and data["shots"] == 512
     assert [c.label for c in loaded] == [c.label for c in chars]
@@ -258,7 +257,7 @@ def test_content_hash_of_parsed_archive_is_archive_hash(tmp_path, line3):
     plan = build_suite(line3, SuiteConfig(shots=64, seed=1))
     chars = run_suite(plan, backend)
     path = tmp_path / "archive.json"
-    write_archive(path, archive_dict(plan, chars, window="w", meta={"t": 1}))
+    write_json_file(path, archive_dict(plan, chars, window="w", meta={"t": 1}))
     data, _ = read_archive(path)
     assert content_hash(data) == archive_hash(path)
     assert data["meta"] == {"t": 1}

@@ -11,10 +11,11 @@ import noisekit
 from noisekit import characterization
 from noisekit.backend import MockGroundTruth
 from noisekit.characterization import (
-    archive_dict, archive_hash, build_suite, run_suite, SuiteConfig, write_archive,
+    archive_dict, archive_hash, build_suite, run_suite, SuiteConfig,
 )
 from noisekit.cli import build_parser, main
 from noisekit.devices import line, uniform_truth
+from noisekit.errors import write_json_file
 from noisekit.noise import CompositeNoiseModel
 
 
@@ -129,7 +130,7 @@ def test_fit_missing_bell_coverage_exit_1(setup, capsys):
         if c.kind.kind != "bell"
     ]
     partial = tmp_path / "partial.json"
-    write_archive(partial, archive_dict(plan, chars))
+    write_json_file(partial, archive_dict(plan, chars))
     code = main(["fit", "--archive", str(partial), "--flags", "aro+dp",
                  "--out", str(tmp_path / "run")])
     assert code == 1

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from closed_forms import bell_frequencies, predicted_x_test_frequencies
 from estimation_oracle import (
     bell_line,
     fit_estimates,
@@ -50,8 +51,6 @@ from noisekit.noise import (
     VARIANTS,
     ReadoutModel,
     apply_readout_to_distribution,
-    bell_frequencies,
-    predicted_x_test_frequencies,
 )
 from noisekit.outcomes import Counts
 
@@ -715,9 +714,11 @@ def test_pcnot_stderr_matches_central_differences():
 
 
 def test_pcnot_stderr_matches_oracle():
-    """The readout terms from the closed-form line derivatives give the
-    stderr that the rate-1-minus-rate-0 derivatives give, on random rates,
-    readout stderrs (zeros included) and Bell counts."""
+    """The stacked Bell fit's stderr equals the oracle's on random rates,
+    readout stderrs (zeros included) and Bell counts. Both take each readout
+    term's line derivative as the line at that rate 1 minus at 0; the fit
+    reads the line out through `read_out` and the oracle through a
+    Kronecker product of 2x2 channels."""
     rng = np.random.default_rng(29)
     for _ in range(200):
         rates = rng.uniform(0, 0.3, size=(2, 2))  # [[p0_j, p0_k], [p1_j, p1_k]]

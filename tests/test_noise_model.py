@@ -1,15 +1,14 @@
 import numpy as np
 import pytest
 
+from closed_forms import bell_frequencies, predicted_x_test_frequencies
 from noisekit.circuit import Circuit, cnot, h, measure, x
 from noisekit.errors import ArityMismatch, OutOfRange
 from noisekit.noise import (
     CompositeNoiseModel,
     ReadoutModel,
     apply_readout_to_distribution,
-    bell_frequencies,
     expand_granularity,
-    predicted_x_test_frequencies,
 )
 from noisekit.outcomes import Distribution
 from noisekit.simulator import simulate_noisy_exact

@@ -9,15 +9,12 @@ from noisekit.backend import MockBackend, MockGroundTruth
 from noisekit.circuit import Circuit, DeviceTopology, cnot, h, identity, measure, x
 from noisekit.errors import TooWide
 from noisekit.noise import CompositeNoiseModel, ReadoutModel
-from noisekit.outcomes import Distribution
 from noisekit.simulator import (
     MAX_QUBITS,
     TrajectorySampler,
     _Compiled,
-    sample_from_distribution,
     simulate_ideal,
     simulate_noisy_exact,
-    simulate_noisy_sampled,
 )
 
 
@@ -206,32 +203,32 @@ def test_exact_too_wide():
     assert sum(p for _, p in dist.items()) == pytest.approx(1.0, abs=1e-12)
 
 
-# -- simulate_noisy_sampled ----------------------------------------------------
+# -- sampled draws ---------------------------------------------------------------
 
 def test_sampled_noiseless_support(bell_circuit):
-    counts = simulate_noisy_sampled(bell_circuit, NOISELESS, 8192, seed=1)
+    counts = TrajectorySampler(bell_circuit, NOISELESS).sample(8192, 1)
     assert set(counts.counts) == {"00", "11"}
     assert counts.shots == 8192
 
 
 def test_sampled_deterministic(bell_circuit):
     model = _uniform_model(p_cnot=0.1, p0=0.02, p1=0.07)
-    a = simulate_noisy_sampled(bell_circuit, model, 4096, seed=9)
-    b = simulate_noisy_sampled(bell_circuit, model, 4096, seed=9)
+    a = TrajectorySampler(bell_circuit, model).sample(4096, 9)
+    b = TrajectorySampler(bell_circuit, model).sample(4096, 9)
     assert a == b
-    c = simulate_noisy_sampled(bell_circuit, model, 4096, seed=10)
+    c = TrajectorySampler(bell_circuit, model).sample(4096, 10)
     assert a != c
 
 
 def test_sampled_converges_to_exact(bell_circuit):
     model = _uniform_model(p_cnot=0.02, p_x=0.0033, p0=0.0212, p1=0.0681)
     exact = simulate_noisy_exact(bell_circuit, model)
-    counts = simulate_noisy_sampled(bell_circuit, model, 10**6, seed=3)
+    counts = TrajectorySampler(bell_circuit, model).sample(10**6, 3)
     assert _tvd(counts.frequencies(), dict(exact.items())) <= 0.005
 
 
 def test_sampled_zero_shots(bell_circuit):
-    counts = simulate_noisy_sampled(bell_circuit, NOISELESS, 0, seed=0)
+    counts = TrajectorySampler(bell_circuit, NOISELESS).sample(0, 0)
     assert counts.shots == 0 and counts.counts == {}
 
 
@@ -399,30 +396,4 @@ def test_sampler_reuse_matches_one_shot_calls(bell_circuit):
     a = sampler.sample(2048, seed=5)
     b = sampler.sample(2048, seed=5)
     assert a == b
-    assert a == simulate_noisy_sampled(bell_circuit, model, 2048, seed=5)
-
-
-# -- sample_from_distribution ----------------------------------------------------
-
-def test_sample_point_mass():
-    counts = sample_from_distribution(Distribution({"0": 1.0}), 100, seed=0)
-    assert counts.counts == {"0": 100}
-
-
-def test_sample_binomial_bound():
-    counts = sample_from_distribution(
-        Distribution({"0": 0.5, "1": 0.5}), 8192, seed=123
-    )
-    # 4 sigma of Binomial(8192, 1/2) is ~181
-    assert abs(counts.counts["0"] - 4096) <= 182
-    assert abs(counts.counts["1"] - 4096) <= 182
-
-
-def test_sample_zero_shots():
-    counts = sample_from_distribution(Distribution({"0": 1.0}), 0, seed=0)
-    assert counts.shots == 0 and counts.counts == {}
-
-
-def test_sample_deterministic():
-    dist = Distribution({"00": 0.25, "01": 0.25, "10": 0.25, "11": 0.25})
-    assert sample_from_distribution(dist, 999, 7) == sample_from_distribution(dist, 999, 7)
+    assert a == TrajectorySampler(bell_circuit, model).sample(2048, 5)
