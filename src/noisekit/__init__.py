@@ -20,7 +20,6 @@ from .noise import (
     ReadoutModel,
     VARIANTS,
     apply_readout_to_distribution,
-    expand_granularity,
 )
 from .outcomes import Counts, Distribution
 from .simulator import TrajectorySampler, simulate_ideal, simulate_noisy_exact
@@ -38,7 +37,6 @@ __all__ = [
     "apply_readout_to_distribution",
     "cnot",
     "embed_path",
-    "expand_granularity",
     "h",
     "identity",
     "measure",

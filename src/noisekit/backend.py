@@ -5,11 +5,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .characterization import TestKind, read_counts
+from .characterization import read_counts
 from .circuit import Circuit, DeviceTopology, validate
 from .errors import (ConfigError, LabelMismatch, OutOfRange, ParseError, parse_json_file,
                      write_json_file)
-from .noise import CompositeNoiseModel, expand_granularity
+from .noise import CompositeNoiseModel
 from .outcomes import Counts
 from .rng import child_seed
 from .simulator import TrajectorySampler
@@ -20,7 +20,7 @@ MAX_SHOTS = 10_000_000  # mock QPU's per-circuit shot capability
 
 @dataclass(frozen=True)
 class MockGroundTruth:
-    """The hidden truth behind a mock QPU: a fully-spatial noise model plus
+    """The hidden truth behind a mock QPU: a noise model of any granularity plus
     optional state-dependent readout noise that sits outside the fitted
     model family (each observed bit flips with probability
     min(1, strength x [number of 1s in the pre-readout string]), applied
@@ -69,7 +69,6 @@ class MockBackend:
     def __init__(self, topology: DeviceTopology, truth: MockGroundTruth):
         self.topology = topology
         self.truth = truth
-        self._model = expand_granularity(truth.model, topology)
 
     def run(self, circuits: list[Circuit], shots: int, seed: int) -> list[Counts]:
         if shots > MAX_SHOTS:
@@ -77,7 +76,7 @@ class MockBackend:
         out = []
         for index, circuit in enumerate(circuits):
             validate(circuit, self.topology)
-            sampler = TrajectorySampler(circuit, self._model,
+            sampler = TrajectorySampler(circuit, self.truth.model,
                                         self.truth.hidden_readout_strength)
             out.append(sampler.sample(shots, child_seed(seed, index)))
         return out
@@ -86,11 +85,10 @@ class MockBackend:
 class FileBackend:
     """Replays recorded counts, joined to circuits by label."""
 
-    def __init__(self, archive_path: str | Path,
-                 topology: DeviceTopology | None = None):
+    def __init__(self, archive_path: str | Path, topology: DeviceTopology):
         self.archive_path = str(archive_path)
         self._counts = read_counts(archive_path)[1]
-        self.topology = topology or _topology_covering(self._counts)
+        self.topology = topology
 
     def run(self, circuits: list[Circuit], shots: int, seed: int) -> list[Counts]:
         missing = [c.label for c in circuits if c.label not in self._counts]
@@ -110,17 +108,3 @@ class FileBackend:
                 )
             out.append(counts)
         return out
-
-
-def _topology_covering(counts: dict[str, Counts]) -> DeviceTopology:
-    """Smallest topology consistent with the archived test labels."""
-    max_q = 0
-    edges = []
-    for label in counts:
-        kind = TestKind.from_label(label)
-        if kind.kind == "bell":
-            edges.append(kind.coupling)
-            max_q = max(max_q, *kind.coupling)
-        elif kind.qubit is not None:
-            max_q = max(max_q, kind.qubit)
-    return DeviceTopology(max_q + 1, tuple(edges))

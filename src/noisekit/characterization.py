@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .circuit import Circuit, DeviceTopology, cnot, h, measure, validate, x
 from .errors import ArityMismatch, OddHadamardLength, ParseError
-from .noise import PER_ELEMENT, SUBSET_AVERAGE
 from .outcomes import Counts
 
 KINDS = ("init", "x", "xx", "hseq", "bell")
@@ -121,7 +120,6 @@ class Characterization:
 
 @dataclass(frozen=True)
 class SuiteConfig:
-    granularity: str = PER_ELEMENT
     subset: tuple[int, ...] | None = None
     hadamard_lengths: tuple[int, ...] = ()
     shots: int = 8192
@@ -141,15 +139,12 @@ class SuitePlan:
 def build_suite(topo: DeviceTopology, config: SuiteConfig) -> SuitePlan:
     """Plan the characterization suite for a device.
 
-    Full-spatial (and register-average) plans cover every qubit and every
-    coupling; subset-average plans restrict to the subset's qubits and the
+    Without a subset the plan covers every qubit and every coupling; with
+    one (a subset-average suite) it covers the subset's qubits and the
     couplings internal to it.
     """
-    for length in config.hadamard_lengths:
-        if length % 2 or length < 2:
-            raise OddHadamardLength(f"hadamard length {length} is not even")
-    if config.granularity == SUBSET_AVERAGE:
-        qubits = sorted(config.subset or ())
+    if config.subset is not None:
+        qubits = sorted(config.subset)
         qubit_set = set(qubits)
         edges = sorted(
             e for e in topo.undirected_edges() if e[0] in qubit_set and e[1] in qubit_set

@@ -30,7 +30,7 @@ from .characterization import (
     TestKind,
 )
 from .circuit import DeviceTopology
-from .errors import ConfigError, NoisekitError, NoPath, ParseError, write_json_file
+from .errors import ConfigError, NoisekitError, ParseError, write_json_file
 from .estimation import FitConfig, fit_composite
 from .evaluation import (
     ApplicationRun,
@@ -42,11 +42,10 @@ from .evaluation import (
     write_scores_csv,
     write_scores_json,
 )
-from .noise import PER_ELEMENT, REGISTER_AVERAGE, SUBSET_AVERAGE, VARIANTS, CompositeNoiseModel
+from .noise import (GRANULARITIES, PER_ELEMENT, REGISTER_AVERAGE, SUBSET_AVERAGE, VARIANTS,
+                    CompositeNoiseModel)
 from .rng import child_seed
 from .simulator import TrajectorySampler
-
-VARIANT_ORDER = ["noiseless", "sro", "aro", "dp", "sro+dp", "aro+dp"]
 
 
 def _meta(args_dict: dict) -> dict:
@@ -84,7 +83,8 @@ def _check_subset(args) -> None:
 
 
 def _parse_app(spec: str, topo: DeviceTopology) -> list:
-    """Parse ghz:<n>, ghz:<a>..<b>, or bv:<secret>@<d1,d2,...>/<oracle>."""
+    """Parse ghz:<n>, ghz:<a>..<b>, or bv:<secret>@<d1,d2,...>/<oracle>; an
+    app the builders reject for this device is a usage error."""
     try:
         if spec.startswith("ghz:"):
             lo, _, hi = spec[4:].partition("..")
@@ -96,15 +96,10 @@ def _parse_app(spec: str, topo: DeviceTopology) -> list:
             secret, rest = spec[3:].split("@")
             data_text, oracle_text = rest.split("/")
             data = [int(tok) for tok in data_text.split(",")]
-            if len(secret) != len(data):
-                raise ConfigError(f"bv secret {secret!r} has {len(secret)} bit(s) for "
-                                  f"{len(data)} data qubit(s) in {spec!r}")
-            qubits = [*data, int(oracle_text)]
-            if len(set(qubits)) != len(qubits):
-                raise ConfigError(f"bv data/oracle qubits overlap in {spec!r}")
-            _check_in_register(qubits, topo, spec)
-            return [build_bv(secret, data, qubits[-1], topo)]
-    except NoPath as exc:
+            return [build_bv(secret, data, int(oracle_text), topo)]
+    except ConfigError:
+        raise
+    except NoisekitError as exc:
         raise ConfigError(f"{spec}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(
@@ -132,7 +127,6 @@ def cmd_characterize(args) -> int:
     _check_in_register(args.subset or (), topo, "--subset")
     backend = _make_backend(args.backend, topo)
     config = SuiteConfig(
-        granularity=args.granularity,
         subset=args.subset,
         hadamard_lengths=args.hadamard_lengths,
         shots=args.shots,
@@ -299,7 +293,7 @@ def cmd_demo(args) -> int:
 
     print("-- fitting model family")
     fits = {}
-    for variant in VARIANT_ORDER:
+    for variant in VARIANTS:
         fits[variant] = fit_composite(chars, FitConfig(variant=variant))
         fits[variant].model.save(out / f"model-{variant.replace('+', '_')}.json")
     fit_register = fit_composite(
@@ -316,7 +310,7 @@ def cmd_demo(args) -> int:
     bell_counts = backend.run([bell_circuit], shots, child_seed(seed, 1))[0]
     bell_run = ApplicationRun(bell_circuit, bell_counts)
     scores = compare_models(
-        bell_run, [(v, fits[v].model) for v in VARIANT_ORDER],
+        bell_run, [(v, fits[v].model) for v in VARIANTS],
         resamples=args.resamples, seed=seed,
     )
     write_scores_csv(out / "bell_comparison.csv", scores)
@@ -436,7 +430,6 @@ _QUBITS = _ints("distinct qubits", lambda qubits: len(set(qubits)) == len(qubits
 _LENGTHS = _ints("even lengths >= 2", lambda lengths: all(n >= 2 and not n % 2 for n in lengths))
 _COUNT = _number(int, 1)
 _SEED = _number(int, 0)  # SeedSequence takes non-negative entropy only
-GRANULARITIES = [PER_ELEMENT, REGISTER_AVERAGE, SUBSET_AVERAGE]
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -36,7 +36,6 @@ from .errors import (
 )
 from .noise import (
     PER_ELEMENT,
-    REGISTER_AVERAGE,
     SUBSET_AVERAGE,
     VARIANTS,
     CompositeNoiseModel,
@@ -520,15 +519,9 @@ class CompositeFit:
     def diagnostics_dict(self) -> dict:
         return {
             "variant": self.variant,
+            # vars, not dataclasses.asdict: asdict deep-copies every field
             "parameters": {
-                name: {
-                    "value": r.value,
-                    "raw_value": r.raw_value,
-                    "stderr": r.stderr,
-                    "feasible": r.feasible,
-                    "residual_norm": r.residual_norm,
-                    "iterations": r.iterations,
-                }
+                name: {k: v for k, v in vars(r).items() if k != "name"}
                 for name, r in sorted(self.estimates.items())
             },
         }

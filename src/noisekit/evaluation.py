@@ -8,7 +8,7 @@ channel-averaged scoring is available for narrow circuits.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -81,16 +81,7 @@ class ModelScore:
             raise ValueError(f"tvd {self.tvd} outside [0,1]")
 
     def to_json_dict(self) -> dict:
-        return {
-            "model_id": self.model_id,
-            "tvd": self.tvd,
-            "tvd_stderr": self.tvd_stderr,
-            "tvd_per_cnot": self.tvd_per_cnot,
-            "cnot_count": self.cnot_count,
-            "n_parameters": self.n_parameters,
-            "resamples": self.resamples,
-            "sim_shots": self.sim_shots,
-        }
+        return asdict(self)
 
 
 def score_model(

@@ -12,12 +12,11 @@ followed by two identical, independent single-qubit depolarizing channels
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .circuit import DeviceTopology
 from .errors import ArityMismatch, MissingCoverage, OutOfRange, parse_json_file, write_json_file
 from .outcomes import Distribution
 
@@ -145,7 +144,8 @@ class CompositeNoiseModel:
         object.__setattr__(
             self, "cnot", {_edge(*k): v for k, v in dict(self.cnot).items()}
         )
-        for m in {*self.x_gate.values(), *self.h_gate.values(), *self.cnot.values()}:
+        averages = (v for v in (self.avg_x, self.avg_h, self.avg_cnot) if v is not None)
+        for m in {*self.x_gate.values(), *self.h_gate.values(), *self.cnot.values(), *averages}:
             _check_prob(m, "depolarizing parameter")
 
     @classmethod
@@ -167,16 +167,10 @@ class CompositeNoiseModel:
         return model
 
     def x_for(self, qubit: int) -> float:
-        value = self.x_gate.get(qubit, self.avg_x)
-        if value is None:
-            return 0.0
-        return value
+        return self.x_gate.get(qubit, self.avg_x) or 0.0
 
     def h_for(self, qubit: int) -> float:
-        value = self.h_gate.get(qubit, self.avg_h)
-        if value is None:
-            return 0.0
-        return value
+        return self.h_gate.get(qubit, self.avg_h) or 0.0
 
     def cnot_for(self, a: int, b: int) -> float:
         value = self.cnot.get(_edge(a, b), self.avg_cnot)
@@ -234,6 +228,9 @@ class CompositeNoiseModel:
     @classmethod
     def from_json_dict(cls, data: dict) -> "CompositeNoiseModel":
         avg = data.get("average")
+        if avg is None and data["granularity"] != PER_ELEMENT:
+            # an averaged model's readout and cnot rates live only there
+            raise ValueError(f"a {data['granularity']} model needs an 'average' block")
         return cls(
             granularity=data["granularity"],
             subset=tuple(data["subset"]) if "subset" in data else None,
@@ -263,28 +260,3 @@ class CompositeNoiseModel:
     @classmethod
     def load(cls, path: str | Path) -> "CompositeNoiseModel":
         return parse_json_file(path, "noise-model file", cls.from_json_dict)
-
-
-def expand_granularity(
-    model: CompositeNoiseModel, topo: DeviceTopology
-) -> CompositeNoiseModel:
-    """Broadcast an averaged model to constant per-element maps.
-
-    Per-element models pass through unchanged (idempotent).
-    """
-    if model.granularity == PER_ELEMENT:
-        return model
-    readout = model.avg_readout or ReadoutModel.ideal()
-    return replace(
-        model,
-        granularity=PER_ELEMENT,
-        subset=None,
-        readout={q: readout for q in range(topo.num_qubits)},
-        x_gate={q: model.avg_x or 0.0 for q in range(topo.num_qubits)},
-        h_gate={q: model.avg_h or 0.0 for q in range(topo.num_qubits)},
-        cnot={edge: model.avg_cnot or 0.0 for edge in sorted(topo.undirected_edges())},
-        avg_readout=None,
-        avg_x=None,
-        avg_h=None,
-        avg_cnot=None,
-    )

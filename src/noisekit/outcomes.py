@@ -114,11 +114,14 @@ class Distribution(_Outcomes):
             num_bits = derived
         elif keyed and derived != num_bits:
             raise ValueError(f"keys are {derived}-bit, expected {num_bits}")
+        # each check is written so that NaN fails it
         for k, p in keyed.items():
-            if p < -1e-12:
-                raise ValueError(f"negative probability {p} for {k!r}")
+            if isinstance(p, (bool, np.bool_)):
+                raise TypeError(f"{p!r} is not a probability")
+            if not p >= -1e-12:
+                raise ValueError(f"probability {p} for {k!r} is negative or NaN")
         total = sum(keyed.values())
-        if keyed and abs(total - 1.0) > 1e-9:
+        if keyed and not abs(total - 1.0) <= 1e-9:
             raise ValueError(f"probabilities sum to {total}, not 1")
         self._hold(num_bits, keyed)
 
@@ -126,7 +129,7 @@ class Distribution(_Outcomes):
     def from_arrays(cls, num_bits: int, indices, probs) -> Distribution:
         """Distribution over ascending distinct outcome indices."""
         idx, val = _checked_arrays(num_bits, indices, probs, np.float64)
-        if val.size and (val.min() < -1e-12 or abs(val.sum() - 1.0) > 1e-9):
+        if val.size and not (val.min() >= -1e-12 and abs(val.sum() - 1.0) <= 1e-9):
             raise ValueError(f"probabilities {val} are not a distribution")
         self = cls.__new__(cls)
         self._hold(num_bits, None, idx, val)

@@ -48,8 +48,6 @@ class _Compiled:
         self.n = len(actives)
         local = {q: i for i, q in enumerate(actives)}
         self.ops: list[tuple[str, tuple[int, ...], tuple[int, ...]]] = []
-        measured: dict[int, int] = {}  # clbit -> local qubit
-        measured_orig: dict[int, int] = {}
         done: set[int] = set()
         for g in circuit.gates:
             for q in g.qubits:
@@ -58,16 +56,13 @@ class _Compiled:
                         f"gate on qubit {q} after its measurement is unsupported"
                     )
             if g.name == "measure":
-                measured[g.clbit] = local[g.qubits[0]]
-                measured_orig[g.clbit] = g.qubits[0]
                 done.add(g.qubits[0])
             self.ops.append((g.name, tuple(local[q] for q in g.qubits), g.qubits))
-        clbits = sorted(measured)
-        if len(clbits) > MAX_QUBITS:
-            raise TooWide(f"{len(clbits)} measured bits exceeds the {MAX_QUBITS}-bit guard")
-        self.measured_locals = [measured[c] for c in clbits]
-        self.measured_qubits = [measured_orig[c] for c in clbits]
-        self.num_bits = len(clbits)
+        self.measured_qubits = circuit.measured_qubits()
+        self.num_bits = len(self.measured_qubits)
+        if self.num_bits > MAX_QUBITS:
+            raise TooWide(f"{self.num_bits} measured bits exceeds the {MAX_QUBITS}-bit guard")
+        self.measured_locals = [local[q] for q in self.measured_qubits]
         self.flips, self.ideal = self._sweep()
 
     def _sweep(self) -> tuple[list[tuple[tuple[int, int], ...]], np.ndarray]:

@@ -138,12 +138,12 @@ def test_build_suite_with_hadamard_lengths(line3):
 
 
 def test_build_suite_empty_subset(line4):
-    plan = build_suite(line4, SuiteConfig(granularity="subset_average", subset=()))
+    plan = build_suite(line4, SuiteConfig(subset=()))
     assert plan.tests == ()
 
 
 def test_build_suite_subset(line4):
-    plan = build_suite(line4, SuiteConfig(granularity="subset_average", subset=(0, 1)))
+    plan = build_suite(line4, SuiteConfig(subset=(0, 1)))
     assert len(plan.tests) == 7
     assert all(
         t.coupling == (0, 1) for t in plan.tests if t.kind == "bell"
@@ -159,7 +159,7 @@ def test_count_experiments_minimal():
 
 
 def test_count_experiments_empty(line4):
-    plan = build_suite(line4, SuiteConfig(granularity="subset_average", subset=()))
+    plan = build_suite(line4, SuiteConfig(subset=()))
     assert count_experiments(plan).total_shots == 0
 
 

@@ -409,6 +409,28 @@ def _negative_pcnot_model(tmp_path, device, truth):
     return argv
 
 
+def _register_average(average=None):
+    """A saved-model edit: register-average, with `average` (or no block at
+    all) as its only rates."""
+    def edit(data):
+        data.update(granularity="register_average", readout={}, x_gate={}, h_gate={}, cnot={},
+                    average=average)
+        if average is None:
+            del data["average"]
+    return edit
+
+
+def _edited_model(edit):
+    def make_argv(tmp_path, device, truth):
+        argv = _evaluate_argv(tmp_path, device, truth)
+        _edited(tmp_path / "model.json", edit)
+        return argv
+    return make_argv
+
+
+_PCNOT_ABOVE_1 = {"p0": 0.02, "p1": 0.05, "p_x": 0.003, "p_h": 0.0, "p_cnot": 2.0}
+
+
 def _subset_beyond_device(tmp_path, device, truth):
     small = tmp_path / "line3.json"
     line(3).save(small)
@@ -466,6 +488,8 @@ MALFORMED_INPUTS = {
                          "ConfigError"),
     "app-bv-outside": (lambda t, d, tr: _evaluate_argv(t, d, tr, app="bv:1@0/9"),
                        "ConfigError"),
+    "app-bv-oracle-not-adjacent": (lambda t, d, tr: _evaluate_argv(t, d, tr, app="bv:1@0/2"),
+                                   "ConfigError"),
     "subset-beyond-device": (_subset_beyond_device, "ConfigError"),
     "hidden-negative": (lambda t, d, tr: [*_demo_argv(t, d, tr), "--hidden", "-0.5"],
                         "ConfigError"),
@@ -475,6 +499,12 @@ MALFORMED_INPUTS = {
     "truth-p0-out-of-range": (_edited_truth(lambda d: d["readout"]["0"].update(p0=2.0)),
                               "ParseError"),
     "model-pcnot-negative": (_negative_pcnot_model, "ParseError"),
+    "truth-average-missing": (_edited_truth(_register_average()), "ParseError"),
+    "model-average-missing": (_edited_model(_register_average()), "ParseError"),
+    "truth-average-pcnot-out-of-range": (_edited_truth(_register_average(_PCNOT_ABOVE_1)),
+                                         "ParseError"),
+    "model-average-pcnot-out-of-range": (_edited_model(_register_average(_PCNOT_ABOVE_1)),
+                                         "ParseError"),
     "demo-shots-zero": (lambda t, d, tr: [*_demo_argv(t, d, tr), "--shots", "0"], "ConfigError"),
     "demo-shots-negative": (lambda t, d, tr: [*_demo_argv(t, d, tr), "--shots", "-3"],
                             "ConfigError"),

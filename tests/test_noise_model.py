@@ -1,14 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from closed_forms import bell_frequencies, predicted_x_test_frequencies
+from noisekit.applications import build_ghz
+from noisekit.backend import MockBackend, MockGroundTruth
+from noisekit.characterization import SuiteConfig, build_suite, materialize
 from noisekit.circuit import Circuit, cnot, h, measure, x
 from noisekit.errors import ArityMismatch, OutOfRange
 from noisekit.noise import (
     CompositeNoiseModel,
     ReadoutModel,
     apply_readout_to_distribution,
-    expand_granularity,
 )
 from noisekit.outcomes import Distribution
 from noisekit.simulator import simulate_noisy_exact
@@ -190,43 +194,36 @@ def test_readout_model_validation():
     assert ReadoutModel.symmetric(0.05).is_symmetric
 
 
-def test_expand_register_average(ladder20):
-    model = CompositeNoiseModel(
-        granularity="register_average",
-        avg_readout=ReadoutModel(0.0212, 0.0681),
-        avg_x=0.0033,
-        avg_h=0.0,
-        avg_cnot=0.02,
+def _per_element_twin(model: CompositeNoiseModel, topo) -> CompositeNoiseModel:
+    """The averaged model's constants written out for every element of `topo`."""
+    qubits = range(topo.num_qubits)
+    return replace(
+        model, granularity="per_element", subset=None,
+        readout={q: model.avg_readout for q in qubits},
+        x_gate={q: model.avg_x for q in qubits},
+        h_gate={q: model.avg_h for q in qubits},
+        cnot={edge: model.avg_cnot for edge in topo.undirected_edges()},
+        avg_readout=None, avg_x=None, avg_h=None, avg_cnot=None,
     )
-    expanded = expand_granularity(model, ladder20)
-    assert expanded.granularity == "per_element"
-    assert len(expanded.readout) == 20
-    assert all(m == ReadoutModel(0.0212, 0.0681) for m in expanded.readout.values())
-    assert len(expanded.cnot) == 23
-    assert all(v == 0.02 for v in expanded.cnot.values())
 
 
-def test_expand_per_element_idempotent(line4):
+@pytest.mark.parametrize("hidden", [0.0, 0.04])
+@pytest.mark.parametrize("granularity, subset", [("register_average", None),
+                                                 ("subset_average", (0, 1, 2))])
+def test_mock_backend_samples_averaged_truth_as_its_per_element_twin(
+        ladder20, granularity, subset, hidden):
+    """An averaged truth's lookups fall back to its constants on every
+    element, so the mock QPU draws the same counts from it as from the
+    per-element model that spells those constants out."""
     model = CompositeNoiseModel(
-        readout={q: ReadoutModel(0.01, 0.02) for q in range(4)},
-        x_gate={q: 0.001 for q in range(4)},
-        cnot={(0, 1): 0.02, (1, 2): 0.03, (2, 3): 0.04},
+        granularity=granularity, subset=subset,
+        avg_readout=ReadoutModel(0.0212, 0.0681), avg_x=0.0033, avg_h=0.002, avg_cnot=0.02,
     )
-    assert expand_granularity(model, line4) is model
-
-
-def test_expand_subset_average(line4):
-    model = CompositeNoiseModel(
-        granularity="subset_average",
-        subset=(0, 1),
-        avg_readout=ReadoutModel(0.02, 0.07),
-        avg_x=0.003,
-        avg_h=0.0,
-        avg_cnot=0.05,
-    )
-    expanded = expand_granularity(model, line4)
-    assert set(expanded.readout) == {0, 1, 2, 3}
-    assert expanded.cnot_for(2, 3) == 0.05
+    plan = build_suite(ladder20, SuiteConfig(hadamard_lengths=(2, 4)))
+    circuits = [materialize(t) for t in plan.tests] + [build_ghz(6, ladder20)]
+    averaged, twin = (MockBackend(ladder20, MockGroundTruth(m, hidden)).run(circuits, 512, 3)
+                      for m in (model, _per_element_twin(model, ladder20)))
+    assert averaged == twin
 
 
 def test_model_json_roundtrip(tmp_path, line4):

@@ -29,6 +29,14 @@ def test_distribution_validation():
         Distribution({"0": -0.1, "1": 1.1})  # negative
     with pytest.raises(ValueError):
         Distribution({"0x": 1.0})  # non-binary key
+    with pytest.raises(ValueError):
+        Distribution({"0": float("nan"), "1": 0.5})  # NaN fails every comparison
+
+
+@pytest.mark.parametrize("probs", [{"0": True}, {"0": False, "1": 1.0}, {"1": np.bool_(True)}])
+def test_distribution_rejects_bools(probs):
+    with pytest.raises(TypeError):
+        Distribution(probs)
 
 
 def test_distribution_accessors():
@@ -183,6 +191,8 @@ def test_from_arrays_validation():
         Counts.from_arrays(2, [], [], 5)
     with pytest.raises(ValueError):
         Distribution.from_arrays(1, [0, 1], [0.6, 0.6])
+    with pytest.raises(ValueError):
+        Distribution.from_arrays(1, [0, 1], [float("nan"), 0.5])
     with pytest.raises(ValueError):
         Distribution.from_arrays(1, [0], [1.0, 0.0])  # shapes differ
     with pytest.raises(ValueError):
