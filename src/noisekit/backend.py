@@ -11,7 +11,7 @@ from .errors import (ConfigError, LabelMismatch, OutOfRange, ParseError, parse_j
                      write_json_file)
 from .noise import CompositeNoiseModel
 from .outcomes import Counts
-from .rng import child_seed
+from .rng import BACKEND, generator
 from .simulator import TrajectorySampler
 from .simulator import counts_from_indices  # noqa: F401  (perfbench wraps and checks it here)
 
@@ -62,8 +62,8 @@ class MockBackend:
     """Simulated QPU: each circuit's counts are one multinomial draw from
     the ground truth's outcome law, hidden readout included.
 
-    Deterministic: per-circuit sub-seeds derive from (seed, circuit index),
-    so identical (circuits, shots, seed) always return identical counts.
+    Deterministic: a run's circuits draw in turn from one (seed, BACKEND)
+    stream, so identical (circuits, shots, seed) give identical counts.
     """
 
     def __init__(self, topology: DeviceTopology, truth: MockGroundTruth):
@@ -73,12 +73,13 @@ class MockBackend:
     def run(self, circuits: list[Circuit], shots: int, seed: int) -> list[Counts]:
         if shots > MAX_SHOTS:
             raise ConfigError(f"shots {shots} above backend capability {MAX_SHOTS}")
+        rng = generator(seed, BACKEND)
         out = []
-        for index, circuit in enumerate(circuits):
+        for circuit in circuits:
             validate(circuit, self.topology)
             sampler = TrajectorySampler(circuit, self.truth.model,
                                         self.truth.hidden_readout_strength)
-            out.append(sampler.sample(shots, child_seed(seed, index)))
+            out.append(sampler.sample(shots, rng))
         return out
 
 

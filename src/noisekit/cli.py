@@ -44,7 +44,7 @@ from .evaluation import (
 )
 from .noise import (GRANULARITIES, PER_ELEMENT, REGISTER_AVERAGE, SUBSET_AVERAGE, VARIANTS,
                     CompositeNoiseModel)
-from .rng import child_seed
+from .rng import DEMO_BELL, DEMO_BV, DEMO_GHZ, PREDICT, child_seed, generator
 from .simulator import TrajectorySampler
 
 
@@ -57,9 +57,9 @@ def _meta(args_dict: dict) -> dict:
     }
 
 
-def _predicted_accuracy(circuit, model, secret: str, shots: int, seed: int) -> float:
+def _predicted_accuracy(circuit, model, secret: str, shots: int, rng) -> float:
     """A BV secret's frequency in one draw of `shots` shots from the model."""
-    return TrajectorySampler(circuit, model).sample(shots, seed).frequency(secret)
+    return TrajectorySampler(circuit, model).sample(shots, rng).frequency(secret)
 
 
 def _out_dir(args) -> Path:
@@ -251,7 +251,7 @@ def cmd_evaluate(args) -> int:
             observed = bv_accuracy(runs[0], secret)
             predicted = _predicted_accuracy(runs[0].circuit, model, secret,
                                             args.sim_shots or args.shots,
-                                            child_seed(args.seed, 1_000_001))
+                                            generator(args.seed, PREDICT))
             report["bv"] = {
                 "secret": secret,
                 "observed_accuracy": observed,
@@ -307,7 +307,7 @@ def cmd_demo(args) -> int:
 
     print("-- Bell-state model comparison (readout/gate ablations)")
     bell_circuit = materialize(TestKind("bell", coupling=(0, 1)))
-    bell_counts = backend.run([bell_circuit], shots, child_seed(seed, 1))[0]
+    bell_counts = backend.run([bell_circuit], shots, child_seed(seed, DEMO_BELL))[0]
     bell_run = ApplicationRun(bell_circuit, bell_counts)
     scores = compare_models(
         bell_run, [(v, fits[v].model) for v in VARIANTS],
@@ -320,7 +320,7 @@ def cmd_demo(args) -> int:
 
     print(f"-- GHZ scaling n=2..{args.max_ghz} (fully spatial model)")
     ghz_circuits = [build_ghz(n, topo) for n in range(2, args.max_ghz + 1)]
-    ghz_counts = backend.run(ghz_circuits, shots, child_seed(seed, 2))
+    ghz_counts = backend.run(ghz_circuits, shots, child_seed(seed, DEMO_GHZ))
     ghz_runs = [ApplicationRun(c, k) for c, k in zip(ghz_circuits, ghz_counts)]
     sc = scaling_report(ghz_runs, fits["aro+dp"].model,
                         resamples=args.resamples, seed=seed)
@@ -346,12 +346,12 @@ def cmd_demo(args) -> int:
     print("-- Bernstein-Vazirani accuracy, all 3-bit secrets on (6,8,12)/7")
     secrets = [format(i, "03b") for i in range(8)]
     bv_circuits = [build_bv(s, [6, 8, 12], 7, topo) for s in secrets]
-    bv_counts = backend.run(bv_circuits, shots, child_seed(seed, 3))
+    bv_counts = backend.run(bv_circuits, shots, child_seed(seed, DEMO_BV))
+    predict = generator(seed, PREDICT)
     bv_rows = []
     for secret, circuit, counts in zip(secrets, bv_circuits, bv_counts):
         run = ApplicationRun(circuit, counts)
-        predicted = _predicted_accuracy(circuit, fits["aro+dp"].model, secret, shots,
-                                        child_seed(seed, 4))
+        predicted = _predicted_accuracy(circuit, fits["aro+dp"].model, secret, shots, predict)
         bv_rows.append(
             {"secret": secret, "predicted": predicted,
              "observed": bv_accuracy(run, secret)}

@@ -5,7 +5,7 @@ import numpy as np
 
 from .circuit import DeviceTopology
 from .noise import PER_ELEMENT, CompositeNoiseModel, ReadoutModel
-from .rng import generator
+from .rng import TRUTH_JITTER, generator
 
 # Register-average error rates of the 20-qubit reference device used
 # throughout the tests and the demo pipeline.
@@ -62,7 +62,7 @@ def jittered_truth(
 ) -> CompositeNoiseModel:
     """Ground truth with seeded per-element spread around the averages,
     so fully-spatial fits have genuine spatial structure to recover."""
-    rng = generator(seed, 99)
+    rng = generator(seed, TRUTH_JITTER)
 
     def wobble(center: float) -> float:
         return float(np.clip(center * (1.0 + jitter * rng.uniform(-1, 1)), 0.0, 1.0))

@@ -17,7 +17,7 @@ from .circuit import Circuit
 from .errors import ArityMismatch, ConfigError, EmptyLadder, write_json_file
 from .noise import CompositeNoiseModel
 from .outcomes import Counts, Distribution
-from .rng import child_seed
+from .rng import SCORE, generator
 from .simulator import TrajectorySampler, simulate_noisy_exact
 
 
@@ -95,11 +95,12 @@ def score_model(
 ) -> ModelScore:
     """TVD between the run and the model's predictions.
 
-    Sampled mode simulates `resamples` independent count sets of `sim_shots`
-    each (default: the experiment's own shot count) and reports the mean and
-    spread of the TVD values. Exact mode compares against the channel-
-    averaged distribution directly. `resamples` must be at least 1 in
-    either mode.
+    Sampled mode draws `resamples` count sets of `sim_shots` each (default:
+    the experiment's own shot count) in turn from the (seed, SCORE) stream,
+    the same for every score and shared with no mock-QPU run, and reports
+    the mean and spread of the TVD values. Exact mode compares against the
+    channel-averaged distribution directly. `resamples` must be at least 1
+    in either mode.
     """
     if resamples < 1:
         raise ConfigError(f"resamples must be >= 1, got {resamples}")
@@ -126,9 +127,10 @@ def score_model(
     # for a draw equal to the run, and never negative
     run_freq = np.zeros(sampler.law.size)
     run_freq[run.counts.indices] = run.counts.frequency_array()
+    rng = generator(seed, SCORE)
     values = np.empty(resamples)
     for r in range(resamples):
-        draw = sampler.sample(shots, child_seed(seed, r))
+        draw = sampler.sample(shots, rng)
         values[r] = np.maximum(draw.values / shots - run_freq[draw.indices], 0.0).sum()
     mean = float(np.mean(values))
     spread = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0

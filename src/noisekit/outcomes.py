@@ -46,7 +46,10 @@ def _integer(value) -> int:
 
 
 def _checked_arrays(num_bits: int, indices, values, dtype) -> tuple[np.ndarray, np.ndarray]:
-    idx, val = np.asarray(indices, dtype=np.int64), np.asarray(values, dtype=dtype)
+    val = np.asarray(values)
+    if val.dtype == np.bool_:  # as the dict constructors refuse bool values
+        raise TypeError(f"boolean values {val} are not counts or probabilities")
+    idx, val = np.asarray(indices, dtype=np.int64), val.astype(dtype, copy=False)
     if idx.ndim != 1 or idx.shape != val.shape or not 0 <= num_bits <= MAX_BITS:
         raise ValueError(f"{idx.shape} indices, {val.shape} values, {num_bits} bits")
     if idx.size and (idx[0] < 0 or idx[-1] >> num_bits or (idx[1:] <= idx[:-1]).any()):

@@ -29,14 +29,11 @@ from .circuit import Circuit
 from .errors import TooWide
 from .noise import CompositeNoiseModel, read_out
 from .outcomes import Counts, Distribution
-from .rng import generator
 
 # Measured-bit guard shared by every entry point, with no per-call override:
 # every outcome law is a 2^m array over the m measured bits, while active
 # qubits cost only sweep work linear in the gates.
 MAX_QUBITS = 24
-
-_STREAM_OUTCOMES = 1
 
 
 class _Compiled:
@@ -245,17 +242,12 @@ class TrajectorySampler:
                  hidden_readout_strength: float = 0.0):
         self.law = _outcome_law(_Compiled(circuit), model, hidden_readout_strength)
 
-    def sample(self, shots: int, seed: int) -> Counts:
-        """Observed counts of `shots` shots: one multinomial draw."""
-        return draw_counts(self.law, shots, seed)
-
-
-def draw_counts(law: np.ndarray, shots: int, seed: int) -> Counts:
-    """Counts of `shots` shots from a flat outcome law: one multinomial draw
-    on the outcome stream."""
-    draws = generator(seed, _STREAM_OUTCOMES).multinomial(shots, law)
-    seen = np.flatnonzero(draws)
-    return Counts.from_arrays(law.size.bit_length() - 1, seen, draws[seen], shots)
+    def sample(self, shots: int, rng: np.random.Generator) -> Counts:
+        """Observed counts of `shots` shots: one multinomial draw from `rng`,
+        which advances, so calls on one generator draw in turn."""
+        draws = rng.multinomial(shots, self.law)
+        seen = np.flatnonzero(draws)
+        return Counts.from_arrays(self.law.size.bit_length() - 1, seen, draws[seen], shots)
 
 
 # Unused by the package; kept because the benchmark's span recorder wraps it.

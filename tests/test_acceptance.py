@@ -46,7 +46,7 @@ from noisekit.noise import (
     apply_readout_to_distribution,
 )
 from noisekit.outcomes import Counts, Distribution
-from noisekit.rng import child_seed
+from noisekit.rng import child_seed, generator
 from noisekit.simulator import TrajectorySampler, simulate_ideal, simulate_noisy_exact
 from tests.test_estimation import _char_from_freqs  # exact-frequency helper
 
@@ -280,7 +280,7 @@ def test_criterion_08_bv_correctness_and_gap():
         for secret, circuit, counts in zip(secrets, circuits, observed_counts):
             observed = bv_accuracy(ApplicationRun(circuit, counts), secret)
             sampler = TrajectorySampler(circuit, fit.model)
-            predicted = sampler.sample(100_000, child_seed(42, 200)).frequency(secret)
+            predicted = sampler.sample(100_000, generator(child_seed(42, 200), 1)).frequency(secret)
             if secret.count("1") >= 1:
                 assert predicted > observed, (secret, predicted, observed)
 

@@ -14,6 +14,7 @@ from noisekit.errors import (
 )
 from noisekit.evaluation import ApplicationRun
 from noisekit.outcomes import Counts
+from noisekit.rng import generator
 from noisekit.simulator import TrajectorySampler, simulate_ideal
 
 
@@ -124,7 +125,7 @@ def test_bv_accuracy_decreases_with_hamming_weight():
     for i in range(8):
         secret = format(i, "03b")
         circuit = build_bv(secret, [6, 8, 12], 7, topo)
-        counts = TrajectorySampler(circuit, model).sample(100_000, i)
+        counts = TrajectorySampler(circuit, model).sample(100_000, generator(i))
         run = ApplicationRun(circuit, counts)
         by_weight[secret.count("1")].append(bv_accuracy(run, secret))
     means = [float(np.mean(by_weight[w])) for w in range(4)]
@@ -137,6 +138,6 @@ def test_bv_weight_ordering_111_vs_000():
     accs = {}
     for secret in ("000", "111"):
         circuit = build_bv(secret, [6, 8, 12], 7, topo)
-        counts = TrajectorySampler(circuit, model).sample(100_000, 77)
+        counts = TrajectorySampler(circuit, model).sample(100_000, generator(77))
         accs[secret] = bv_accuracy(ApplicationRun(circuit, counts), secret)
     assert accs["111"] < accs["000"]

@@ -51,8 +51,9 @@ def test_mock_validates_circuits(line2):
         backend.run([bad], 16, seed=0)
 
 
-def test_mock_per_circuit_subseeds(line3):
-    """Identical circuits at different positions get independent streams."""
+def test_mock_circuits_draw_in_turn(line3):
+    """Identical circuits in one run draw in turn from the run's stream, so
+    their counts are independent."""
     backend = MockBackend(line3, MockGroundTruth(uniform_truth(line3)))
     from noisekit.applications import build_ghz
 

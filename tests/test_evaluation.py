@@ -6,7 +6,7 @@ import pytest
 from noisekit.applications import build_ghz
 from noisekit.backend import MockBackend, MockGroundTruth
 from noisekit.characterization import SuiteConfig, build_suite, run_suite
-from noisekit.devices import line, uniform_truth
+from noisekit.devices import jittered_truth, line, uniform_truth
 from noisekit.circuit import Circuit, h, measure
 from noisekit.errors import ArityMismatch, ConfigError, EmptyLadder
 from noisekit.estimation import FitConfig, fit_composite
@@ -22,7 +22,7 @@ from noisekit.evaluation import (
 )
 from noisekit.noise import CompositeNoiseModel, ReadoutModel
 from noisekit.outcomes import Counts, Distribution
-from noisekit.rng import child_seed
+from noisekit.rng import SCORE, generator
 from noisekit.simulator import TrajectorySampler
 from tvd_oracle import tvd_by_keys
 
@@ -260,8 +260,8 @@ def test_sampled_score_matches_tvd_oracle():
         score = score_model(run, model, sim_shots=sim_shots, resamples=resamples, seed=seed)
         sampler = TrajectorySampler(circuit, model)
         shots = sim_shots or run_shots
-        values = [tvd(run.counts, sampler.sample(shots, child_seed(seed, r)))
-                  for r in range(resamples)]
+        stream = generator(seed, SCORE)
+        values = [tvd(run.counts, sampler.sample(shots, stream)) for _ in range(resamples)]
         assert score.tvd == pytest.approx(np.mean(values), rel=0, abs=1e-12)
         spread = np.std(values, ddof=1) if resamples > 1 else 0.0
         assert score.tvd_stderr == pytest.approx(spread, rel=0, abs=1e-12)
@@ -271,8 +271,9 @@ def test_sampled_score_matches_tvd_oracle():
 
 
 def test_sampled_score_of_a_draw_against_itself_is_zero():
-    """A run equal to the first resample's draw scores exactly 0 on it, and
-    the other resamples score what `tvd` gives them."""
+    """A run equal to the first resample's draw (the first draw on the
+    score's stream) scores exactly 0 on it, and the second resample, the
+    next draw on that stream, scores what `tvd` gives it."""
     rng = np.random.default_rng(23)
     for n in range(1, 9):
         topo = line(n)
@@ -281,11 +282,28 @@ def test_sampled_score_of_a_draw_against_itself_is_zero():
         model = _random_truth(rng, topo)
         shots, seed = int(rng.integers(1, 10_000)), int(rng.integers(0, 2**40))
         sampler = TrajectorySampler(circuit, model)
-        run = ApplicationRun(circuit, sampler.sample(shots, child_seed(seed, 0)))
+        stream = generator(seed, SCORE)
+        run = ApplicationRun(circuit, sampler.sample(shots, stream))
         assert score_model(run, model, resamples=1, seed=seed).tvd == 0.0
-        second = tvd(run.counts, sampler.sample(shots, child_seed(seed, 1)))
+        second = tvd(run.counts, sampler.sample(shots, stream))
         score = score_model(run, model, resamples=2, seed=seed)
         assert score.tvd == pytest.approx(second / 2, rel=0, abs=1e-15)
+
+
+def test_score_streams_are_not_the_runs_streams():
+    """A mock-QPU run and a score with the same seed draw on different
+    streams: with the model equal to the truth, no resample reproduces the
+    run and scores exactly 0."""
+    topo = line(3)
+    truth = jittered_truth(topo, 7)
+    circuit = build_ghz(3, topo)
+    counts = MockBackend(topo, MockGroundTruth(truth)).run([circuit], 8192, 7)[0]
+    run = ApplicationRun(circuit, counts)
+    # each score's resamples are the first ones of the next score's, so
+    # resample r scores r * mean_r - (r - 1) * mean_(r-1)
+    totals = [r * score_model(run, truth, resamples=r, seed=7).tvd for r in range(1, 6)]
+    for r, value in enumerate(np.diff(totals, prepend=0.0)):
+        assert value > 1e-12, (r, value)
 
 
 @pytest.mark.parametrize("sim_shots", [0, -5])

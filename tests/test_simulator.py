@@ -9,6 +9,7 @@ from noisekit.backend import MockBackend, MockGroundTruth
 from noisekit.circuit import Circuit, DeviceTopology, cnot, h, identity, measure, x
 from noisekit.errors import TooWide
 from noisekit.noise import CompositeNoiseModel, ReadoutModel
+from noisekit.rng import generator
 from noisekit.simulator import (
     MAX_QUBITS,
     TrajectorySampler,
@@ -206,29 +207,29 @@ def test_exact_too_wide():
 # -- sampled draws ---------------------------------------------------------------
 
 def test_sampled_noiseless_support(bell_circuit):
-    counts = TrajectorySampler(bell_circuit, NOISELESS).sample(8192, 1)
+    counts = TrajectorySampler(bell_circuit, NOISELESS).sample(8192, generator(1))
     assert set(counts.counts) == {"00", "11"}
     assert counts.shots == 8192
 
 
 def test_sampled_deterministic(bell_circuit):
     model = _uniform_model(p_cnot=0.1, p0=0.02, p1=0.07)
-    a = TrajectorySampler(bell_circuit, model).sample(4096, 9)
-    b = TrajectorySampler(bell_circuit, model).sample(4096, 9)
+    a = TrajectorySampler(bell_circuit, model).sample(4096, generator(9))
+    b = TrajectorySampler(bell_circuit, model).sample(4096, generator(9))
     assert a == b
-    c = TrajectorySampler(bell_circuit, model).sample(4096, 10)
+    c = TrajectorySampler(bell_circuit, model).sample(4096, generator(10))
     assert a != c
 
 
 def test_sampled_converges_to_exact(bell_circuit):
     model = _uniform_model(p_cnot=0.02, p_x=0.0033, p0=0.0212, p1=0.0681)
     exact = simulate_noisy_exact(bell_circuit, model)
-    counts = TrajectorySampler(bell_circuit, model).sample(10**6, 3)
+    counts = TrajectorySampler(bell_circuit, model).sample(10**6, generator(3))
     assert _tvd(counts.frequencies(), dict(exact.items())) <= 0.005
 
 
 def test_sampled_zero_shots(bell_circuit):
-    counts = TrajectorySampler(bell_circuit, NOISELESS).sample(0, 0)
+    counts = TrajectorySampler(bell_circuit, NOISELESS).sample(0, generator(0))
     assert counts.shots == 0 and counts.counts == {}
 
 
@@ -393,7 +394,9 @@ def test_hidden_backend_counts_match_trajectory_oracle():
 def test_sampler_reuse_matches_one_shot_calls(bell_circuit):
     model = _uniform_model(p_cnot=0.05, p0=0.01, p1=0.03)
     sampler = TrajectorySampler(bell_circuit, model)
-    a = sampler.sample(2048, seed=5)
-    b = sampler.sample(2048, seed=5)
+    a = sampler.sample(2048, generator(5))
+    b = sampler.sample(2048, generator(5))
     assert a == b
-    assert a == TrajectorySampler(bell_circuit, model).sample(2048, 5)
+    assert a == TrajectorySampler(bell_circuit, model).sample(2048, generator(5))
+    shared = generator(5)  # one generator: successive calls draw in turn
+    assert sampler.sample(2048, shared) == a and sampler.sample(2048, shared) != a
