@@ -7,9 +7,8 @@ from pathlib import Path
 
 from .characterization import read_counts
 from .circuit import Circuit, DeviceTopology, validate
-from .errors import (ConfigError, LabelMismatch, OutOfRange, ParseError, parse_json_file,
-                     write_json_file)
-from .noise import CompositeNoiseModel
+from .errors import ConfigError, LabelMismatch, ParseError, parse_json_file, write_json_file
+from .noise import CompositeNoiseModel, check_prob
 from .outcomes import Counts
 from .rng import BACKEND, generator
 from .simulator import TrajectorySampler
@@ -30,9 +29,8 @@ class MockGroundTruth:
     hidden_readout_strength: float = 0.0
 
     def __post_init__(self):
-        strength = self.hidden_readout_strength
-        if not 0.0 <= strength <= 1.0:  # also rejects NaN
-            raise OutOfRange(f"hidden readout strength {strength} outside [0, 1]")
+        object.__setattr__(self, "hidden_readout_strength", check_prob(
+            self.hidden_readout_strength, "hidden readout strength"))
 
     def to_json_dict(self) -> dict:
         data = self.model.to_json_dict()
@@ -47,7 +45,7 @@ class MockGroundTruth:
         payload = {k: v for k, v in data.items() if k != "hidden_effects"}
         return cls(
             CompositeNoiseModel.from_json_dict(payload),
-            float(hidden.get("state_dependent_readout", 0.0)),
+            hidden.get("state_dependent_readout", 0.0),
         )
 
     def save(self, path: str | Path) -> None:

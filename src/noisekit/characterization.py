@@ -37,8 +37,12 @@ class TestKind:
             if self.coupling is None:
                 raise ValueError("bell test requires a coupling")
             object.__setattr__(self, "coupling", tuple(self.coupling))
+            if self.coupling[0] == self.coupling[1]:
+                raise ValueError(f"bell test on the self-coupling {self.coupling}")
         elif self.qubit is None:
             raise ValueError(f"{self.kind} test requires a qubit")
+        if min(self.coupling or (self.qubit,)) < 0:
+            raise ValueError(f"{self.kind} test on a negative qubit")
         if self.kind == "hseq":
             if self.length is None or self.length < 2 or self.length % 2:
                 raise OddHadamardLength(
@@ -73,8 +77,8 @@ class TestKind:
                 parsed = cls("hseq", qubit=int(parts[1][1:]), length=int(parts[2][3:]))
             else:
                 parsed = cls(kind, qubit=int(parts[1][1:]))
-        except (IndexError, ValueError) as exc:
-            raise ParseError(f"bad test label {label!r}") from exc
+        except (IndexError, ValueError, OddHadamardLength) as exc:
+            raise ParseError(f"bad test label {label!r}: {exc}") from exc
         if parsed.label != label:
             raise ParseError(f"bad test label {label!r} (reads as {parsed.label!r})")
         return parsed

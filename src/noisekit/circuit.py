@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import NoPath, OutOfRange, UncoupledPair, parse_json_file, write_json_file
+from .errors import NoPath, OutOfRange, UncoupledPair, integer, parse_json_file, write_json_file
 
 GATE_ARITY = {"h": 1, "x": 1, "id": 1, "cnot": 2, "measure": 1}
 
@@ -129,9 +129,11 @@ class DeviceTopology:
     _edges: frozenset[tuple[int, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "couplings", tuple((int(a), int(b)) for a, b in self.couplings)
-        )
+        object.__setattr__(self, "num_qubits", integer(self.num_qubits, "qubit count"))
+        if self.num_qubits < 1:
+            raise ValueError(f"a device needs at least one qubit, got {self.num_qubits}")
+        object.__setattr__(self, "couplings", tuple(
+            (integer(a, "qubit"), integer(b, "qubit")) for a, b in self.couplings))
         for a, b in self.couplings:
             if a == b:
                 raise ValueError(f"self-loop coupling ({a},{b})")
@@ -170,7 +172,7 @@ class DeviceTopology:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "DeviceTopology":
-        return cls(int(data["num_qubits"]), tuple(map(tuple, data["couplings"])))
+        return cls(data["num_qubits"], tuple(map(tuple, data["couplings"])))
 
     def save(self, path: str | Path) -> None:
         write_json_file(path, self.to_json_dict())

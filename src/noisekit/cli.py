@@ -77,11 +77,6 @@ def _make_backend(spec: str, topo: DeviceTopology):
     raise ConfigError(f"backend must be mock:<truth.json> or file:<archive.json>, got {spec!r}")
 
 
-def _check_subset(args) -> None:
-    if args.subset is not None and args.granularity != SUBSET_AVERAGE:
-        raise ConfigError("--subset applies only with --granularity subset_average")
-
-
 def _parse_app(spec: str, topo: DeviceTopology) -> list:
     """Parse ghz:<n>, ghz:<a>..<b>, or bv:<secret>@<d1,d2,...>/<oracle>; an
     app the builders reject for this device is a usage error."""
@@ -120,7 +115,8 @@ def _check_in_register(qubits, topo: DeviceTopology, what: str) -> None:
 # -- subcommands ---------------------------------------------------------------
 
 def cmd_characterize(args) -> int:
-    _check_subset(args)
+    if args.subset is not None and args.granularity != SUBSET_AVERAGE:
+        raise ConfigError("--subset applies only with --granularity subset_average")
     if args.granularity == SUBSET_AVERAGE and not args.subset:
         raise ConfigError("--granularity subset_average requires --subset")
     topo = DeviceTopology.load(args.device)
@@ -164,7 +160,6 @@ def cmd_characterize(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    _check_subset(args)
     data, chars = read_archive(args.archive)
     config = FitConfig(
         variant=args.flags,
@@ -426,7 +421,8 @@ def _ints(what: str, ok):
     return parse
 
 
-_QUBITS = _ints("distinct qubits", lambda qubits: len(set(qubits)) == len(qubits))
+_QUBITS = _ints("distinct qubits >= 0",
+                lambda qubits: len(set(qubits)) == len(qubits) and all(q >= 0 for q in qubits))
 _LENGTHS = _ints("even lengths >= 2", lambda lengths: all(n >= 2 and not n % 2 for n in lengths))
 _COUNT = _number(int, 1)
 _SEED = _number(int, 0)  # SeedSequence takes non-negative entropy only

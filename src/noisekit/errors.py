@@ -1,8 +1,10 @@
 """Exception types shared across the package, and the JSON-file boundary:
-the one reader, which turns malformed file content into one of them, and
-the one writer."""
+the one reader, which turns malformed file content into one of them, the
+one writer, and the one integer check of counts, shots and qubit indices."""
 import json
 from pathlib import Path
+
+import numpy as np
 
 
 class NoisekitError(Exception):
@@ -38,8 +40,7 @@ class WrongKind(NoisekitError):
 
 
 class NoConvergence(NoisekitError):
-    """An estimator found no unique solution: its system is singular for the
-    data, or an iterative fit missed its tolerance."""
+    """An estimator found no unique solution: its system is singular for the data."""
 
     def __init__(self, message, diagnostics=None):
         super().__init__(message)
@@ -84,6 +85,13 @@ class EmptyLadder(NoisekitError):
 
 class ConfigError(NoisekitError):
     """Invalid command-line or pipeline configuration."""
+
+
+def integer(value, what: str) -> int:
+    """`value` as an int; a bool, float or str raises TypeError naming `what`."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{what} {value!r} is not an integer")
+    return int(value)
 
 
 def parse_json_file(path, what: str, build):

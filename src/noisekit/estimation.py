@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .characterization import Characterization
+from .characterization import Characterization, TestKind
 from .errors import (
     ConfigError,
     InsufficientLengths,
@@ -55,7 +55,6 @@ class EstimationResult:
     stderr: float = 0.0
     feasible: bool = True
     residual_norm: float = 0.0
-    iterations: int = 0
 
     def __post_init__(self):
         if not (0.0 <= self.value <= 1.0):
@@ -508,6 +507,8 @@ class FitConfig:
             raise ConfigError(f"unknown variant {self.variant!r}; pick from {sorted(VARIANTS)}")
         if self.granularity == SUBSET_AVERAGE and not self.subset:
             raise ConfigError("subset_average fitting requires a nonempty subset")
+        if self.subset is not None and self.granularity != SUBSET_AVERAGE:
+            raise ConfigError("a subset applies only to subset_average fitting")
 
 
 @dataclass(frozen=True)
@@ -544,41 +545,29 @@ def fit_composite(chars: list[Characterization], config: FitConfig) -> Composite
         )
         return CompositeFit(model, {}, config.variant)
 
+    # one index of the records: by (kind, qubit or coupling), and the
+    # Hadamard trains by qubit; what the fit covers is read from it
     by_kind: dict[tuple, Characterization] = {}
     hseqs: dict[int, list[Characterization]] = {}
-    covered_qubits: set[int] = set()
-    covered_couplings: set[tuple[int, int]] = set()
     for char in chars:
         kind = char.kind
-        if kind.kind == "bell":
-            covered_couplings.add(kind.coupling)
-            covered_qubits.update(kind.coupling)
-            by_kind[("bell", kind.coupling)] = char
-        elif kind.kind == "hseq":
+        if kind.kind == "hseq":
             hseqs.setdefault(kind.qubit, []).append(char)
-            covered_qubits.add(kind.qubit)
         else:
-            covered_qubits.add(kind.qubit)
-            by_kind[(kind.kind, kind.qubit)] = char
-
-    if config.granularity == SUBSET_AVERAGE:
+            by_kind[kind.kind, kind.coupling or kind.qubit] = char
+    couplings = sorted(c for kind, c in by_kind if kind == "bell")
+    if config.subset:
         qubits = sorted(config.subset)
-        couplings = sorted(
-            c for c in covered_couplings if c[0] in config.subset and c[1] in config.subset
-        )
+        couplings = [c for c in couplings if c[0] in config.subset and c[1] in config.subset]
     else:
-        qubits = sorted(covered_qubits)
-        couplings = sorted(covered_couplings)
+        qubits = sorted({q for kind, q in by_kind if kind != "bell"} | hseqs.keys()
+                        | {q for c in couplings for q in c})
 
-    missing = [f"init:q{q}" for q in qubits if ("init", q) not in by_kind]
     need_x_system = readout_mode == "aro" or gate_dp
+    needed = [("init", q) for q in qubits]
     if need_x_system:
-        for q in qubits:
-            missing.extend(
-                label
-                for kind, label in (("x", f"x:q{q}"), ("xx", f"xx:q{q}"))
-                if (kind, q) not in by_kind
-            )
+        needed += [(kind, q) for q in qubits for kind in ("x", "xx")]
+    missing = [TestKind(kind, qubit=q).label for kind, q in needed if (kind, q) not in by_kind]
     if gate_dp and not couplings:
         missing.append("bell:<any coupling>")
     if missing:
@@ -589,13 +578,13 @@ def fit_composite(chars: list[Characterization], config: FitConfig) -> Composite
 
     # Each family is fitted once, across all its elements; index i of every
     # per-qubit array is qubits[i].
-    p0_fits = _p0_fits([by_kind[("init", q)] for q in qubits])
+    p0_fits = _p0_fits([by_kind["init", q] for q in qubits])
     p0 = np.array([r.value for r in p0_fits])
     p0_sd = np.array([r.stderr for r in p0_fits])
     per_qubit = [p0_fits]
     if need_x_system:
-        x_counts = [by_kind[("x", q)].counts for q in qubits]
-        xx_counts = [by_kind[("xx", q)].counts for q in qubits]
+        x_counts = [by_kind["x", q].counts for q in qubits]
+        xx_counts = [by_kind["xx", q].counts for q in qubits]
         g_x = np.array([c.frequency("0") for c in x_counts])
         g_xx = np.array([c.frequency("0") for c in xx_counts])
         sigma = np.stack([binomial_stderr(g_x, np.array([c.shots for c in x_counts])),
@@ -615,64 +604,37 @@ def fit_composite(chars: list[Characterization], config: FitConfig) -> Composite
     else:
         rates = rate_sds = np.zeros((2, len(qubits)))
 
-    ph_fits: dict[int, HadamardFit] = {}
-    pcnot_fits: list[EstimationResult] = []
+    readout_on = readout_mode != "off"
+    x_map = {q: r.value for q, r in zip(qubits, px_fits)} if gate_dp and readout_on else {}
+    h_map, cnot_map = {}, {}
     if gate_dp:
         rows = [i for i, q in enumerate(qubits) if q in hseqs]
-        if rows:
-            fits = _hadamard_fits([hseqs[qubits[i]] for i in rows], *rates[:, rows])
-            ph_fits = {qubits[i]: fit for i, fit in zip(rows, fits)}
-            estimates.update((fit.result.name, fit.result) for fit in fits)
+        fits = _hadamard_fits([hseqs[qubits[i]] for i in rows], *rates[:, rows])
+        estimates.update((fit.result.name, fit.result) for fit in fits)
+        h_map = {qubits[i]: fit.result.value
+                 for i, fit in zip(rows, fits) if fit.include_in_model}
         index = {q: i for i, q in enumerate(qubits)}
         pair = np.array([[index[j], index[k]] for j, k in couplings])
         pcnot_fits = _pcnot_fits(
-            [by_kind[("bell", c)] for c in couplings],
+            [by_kind["bell", c] for c in couplings],
             rates[:, pair].transpose(1, 0, 2),  # [[p0_j, p0_k], [p1_j, p1_k]]
             rate_sds[:, pair].transpose(1, 2, 0).reshape(-1, 4),  # p0_j, p1_j, p0_k, p1_k
         )
         estimates.update((r.name, r) for r in pcnot_fits)
-
-    include_x = gate_dp and readout_mode != "off"
-    x_map = {q: r.value for q, r in zip(qubits, px_fits)} if include_x else {}
-    h_map = {
-        q: fit.result.value for q, fit in ph_fits.items() if fit.include_in_model
-    }
-    readout_map = (
-        {q: ReadoutModel(*r) for q, r in zip(qubits, rates.T.tolist())}
-        if readout_mode != "off" else {}
-    )
-    cnot_map = {c: r.value for c, r in zip(couplings, pcnot_fits)}
+        cnot_map = {c: r.value for c, r in zip(couplings, pcnot_fits)}
 
     if config.granularity == PER_ELEMENT:
-        model = CompositeNoiseModel(
-            granularity=PER_ELEMENT,
-            readout=readout_map,
-            x_gate=x_map,
-            h_gate=h_map,
-            cnot=cnot_map,
-            readout_on=readout_mode != "off",
-            cnot_dp_on=gate_dp,
-            window=config.window,
-            provenance=config.provenance,
-        )
+        readout = {q: ReadoutModel(*r) for q, r in zip(qubits, rates.T.tolist())}
+        elements = dict(readout=readout if readout_on else {}, x_gate=x_map, h_gate=h_map,
+                        cnot=cnot_map)
     else:
-        mean = lambda vals: float(np.mean(list(vals))) if vals else 0.0
-        avg_p0 = mean(p0.tolist())
-        avg_p1 = mean(rates[1].tolist()) if readout_mode == "aro" else avg_p0
-        model = CompositeNoiseModel(
-            granularity=config.granularity,
-            subset=tuple(sorted(config.subset)) if config.subset else None,
-            avg_readout=(
-                ReadoutModel(avg_p0, avg_p1)
-                if readout_mode != "off"
-                else ReadoutModel.ideal()
-            ),
-            avg_x=mean(list(x_map.values())),
-            avg_h=mean(list(h_map.values())),
-            avg_cnot=mean(list(cnot_map.values())),
-            readout_on=readout_mode != "off",
-            cnot_dp_on=gate_dp,
-            window=config.window,
-            provenance=config.provenance,
-        )
+        # the readout rows are zeros when readout is off
+        mean = lambda values: float(np.mean(list(values))) if len(values) else 0.0
+        elements = dict(subset=tuple(qubits) if config.subset else None,
+                        avg_readout=ReadoutModel(*map(mean, rates.tolist())),
+                        avg_x=mean(x_map.values()), avg_h=mean(h_map.values()),
+                        avg_cnot=mean(cnot_map.values()))
+    model = CompositeNoiseModel(granularity=config.granularity, readout_on=readout_on,
+                                cnot_dp_on=gate_dp, window=config.window,
+                                provenance=config.provenance, **elements)
     return CompositeFit(model, estimates, config.variant)

@@ -36,7 +36,11 @@ VARIANTS = {
 }
 
 
-def _check_prob(value: float, name: str) -> float:
+def check_prob(value: float, name: str) -> float:
+    """`value` as a float in [0, 1]; a bool or str raises TypeError, and any
+    other value outside [0, 1] (NaN too) OutOfRange."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{name}={value} is a bool, not a probability")
     if not (0.0 <= value <= 1.0):
         raise OutOfRange(f"{name}={value} is not a probability")
     return float(value)
@@ -53,8 +57,8 @@ class ReadoutModel:
     p1: float
 
     def __post_init__(self):
-        _check_prob(self.p0, "p0")
-        _check_prob(self.p1, "p1")
+        check_prob(self.p0, "p0")
+        check_prob(self.p1, "p1")
 
     @classmethod
     def symmetric(cls, p_sro: float) -> "ReadoutModel":
@@ -138,6 +142,8 @@ class CompositeNoiseModel:
             raise ValueError(f"unknown granularity {self.granularity!r}")
         if self.granularity == SUBSET_AVERAGE and self.subset is None:
             raise ValueError("subset_average requires a subset")
+        if not (isinstance(self.readout_on, bool) and isinstance(self.cnot_dp_on, bool)):
+            raise TypeError(f"flags {self.readout_on!r}, {self.cnot_dp_on!r} are not booleans")
         object.__setattr__(self, "readout", dict(self.readout))
         object.__setattr__(self, "x_gate", dict(self.x_gate))
         object.__setattr__(self, "h_gate", dict(self.h_gate))
@@ -146,7 +152,7 @@ class CompositeNoiseModel:
         )
         averages = (v for v in (self.avg_x, self.avg_h, self.avg_cnot) if v is not None)
         for m in {*self.x_gate.values(), *self.h_gate.values(), *self.cnot.values(), *averages}:
-            _check_prob(m, "depolarizing parameter")
+            check_prob(m, "depolarizing parameter")
 
     @classmethod
     def noiseless(cls) -> "CompositeNoiseModel":

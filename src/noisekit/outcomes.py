@@ -19,6 +19,8 @@ from types import MappingProxyType
 
 import numpy as np
 
+from .errors import integer
+
 MAX_BITS = 63  # outcome indices are int64
 
 
@@ -36,13 +38,6 @@ def _uniform_bit_length(keys) -> int:
     if width and width > MAX_BITS:
         raise ValueError(f"{width}-bit outcome keys exceed {MAX_BITS} bits")
     return width or 0
-
-
-def _integer(value) -> int:
-    """A count or shot number as an int; a bool, float or str raises."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{value!r} is not an integer count")
-    return int(value)
 
 
 def _checked_arrays(num_bits: int, indices, values, dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -171,8 +166,8 @@ class Counts(_Outcomes):
     _DTYPE = np.int64
 
     def __init__(self, counts: dict[str, int], shots: int):
-        keyed = {k: _integer(v) for k, v in counts.items()}
-        shots = _integer(shots)
+        keyed = {k: integer(v, "count") for k, v in counts.items()}
+        shots = integer(shots, "shot number")
         num_bits = _uniform_bit_length(keyed)
         if any(v < 0 for v in keyed.values()):
             raise ValueError("negative count")

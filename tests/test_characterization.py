@@ -44,7 +44,9 @@ def test_label_roundtrip():
 
 
 @pytest.mark.parametrize("label", ["init:z3", "init:q03", "x:q3:len8", "hseq:q1:len08",
-                                   "bell:q1-x2", "xx:q2 "])
+                                   "bell:q1-x2", "xx:q2 ",
+                                   # they print back, but name no valid test
+                                   "hseq:q0:len0", "hseq:q0:len3", "init:q-1", "bell:q0-q0"])
 def test_label_must_round_trip(label):
     with pytest.raises(ParseError):
         TestKind.from_label(label)

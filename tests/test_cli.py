@@ -444,6 +444,26 @@ def _fit_subset_repeated(tmp_path, device, truth):
             "--subset", "1,1"]
 
 
+def _relabelled(label, new_label):
+    """`fit` on an archive whose entry `label` is relabelled `new_label`."""
+    return _entry_edit(label, lambda e: e.update(label=new_label))
+
+
+def _device(data):
+    """`characterize` on a device file holding `data`."""
+    def make_argv(tmp_path, device, truth):
+        bad = tmp_path / "bad-device.json"
+        bad.write_text(json.dumps(data))
+        return _characterize_argv(tmp_path, bad, truth)
+    return make_argv
+
+
+def _fit_subset_negative(tmp_path, device, truth):
+    archive = _characterize(tmp_path, device, truth, shots="64")
+    return ["fit", "--archive", str(archive), "--granularity", "subset_average",
+            "--subset=-1,0"]
+
+
 def _evaluate_without_model(tmp_path, device, truth):
     argv = _evaluate_argv(tmp_path, device, truth)
     cut = argv.index("--model")
@@ -567,6 +587,24 @@ MALFORMED_INPUTS = {
     "archive-shots-string": (_entry_edit("init:q0", lambda e: e.update(shots=str(e["shots"]))),
                              "ParseError"),
     "archive-window-not-a-string": (_archive_edit(lambda d: d.update(window=5)), "ParseError"),
+    "archive-hseq-length-zero": (_relabelled("init:q0", "hseq:q0:len0"), "ParseError"),
+    "archive-hseq-length-odd": (_relabelled("init:q0", "hseq:q0:len3"), "ParseError"),
+    "archive-negative-qubit": (_relabelled("init:q0", "init:q-1"), "ParseError"),
+    "archive-bell-self-coupling": (_relabelled("bell:q0-q1", "bell:q0-q0"), "ParseError"),
+    # int() would read 3.9 as 3 qubits and (0, 1.7) as the coupling (0, 1)
+    "device-float": (_device({"num_qubits": 3.9, "couplings": [[0, 1.7], [1, 2]]}),
+                     "ParseError"),
+    "device-bool-qubit": (_device({"num_qubits": 4, "couplings": [[0, True], [1, 2]]}),
+                          "ParseError"),
+    "device-no-qubits": (_device({"num_qubits": -1, "couplings": []}), "ParseError"),
+    "truth-p0-bool": (_edited_truth(lambda d: d["readout"]["0"].update(p0=True)), "ParseError"),
+    "model-flag-string": (_edited_model(lambda d: d["flags"].update(readout_on="no")),
+                          "ParseError"),
+    "truth-hidden-string": (_edited_truth(
+        lambda d: d["hidden_effects"].update(state_dependent_readout="0.04")), "ParseError"),
+    "truth-hidden-bool": (_edited_truth(
+        lambda d: d["hidden_effects"].update(state_dependent_readout=True)), "ParseError"),
+    "fit-subset-negative": (_fit_subset_negative, "ConfigError"),
 }
 
 

@@ -26,6 +26,7 @@ from noisekit.characterization import (
 from noisekit import estimation
 from noisekit.devices import line, uniform_truth
 from noisekit.errors import (
+    ConfigError,
     InsufficientLengths,
     MissingCoverage,
     NoConvergence,
@@ -46,9 +47,11 @@ from noisekit.estimation import (
     solve_aro_system,
 )
 from noisekit.noise import (
+    GRANULARITIES,
     PER_ELEMENT,
     SUBSET_AVERAGE,
     VARIANTS,
+    CompositeNoiseModel,
     ReadoutModel,
     apply_readout_to_distribution,
 )
@@ -845,6 +848,19 @@ def test_fit_composite_noiseless():
     assert not fit.model.readout_on and not fit.model.cnot_dp_on
 
 
+@pytest.mark.parametrize("granularity", [g for g in GRANULARITIES if g != SUBSET_AVERAGE])
+@pytest.mark.parametrize("subset", [(0, 1), ()])
+def test_fit_config_takes_a_subset_only_for_subset_average(granularity, subset):
+    """A subset goes with subset_average and only with it, so no other
+    granularity can write a subset into its model or ignore it."""
+    with pytest.raises(ConfigError):
+        FitConfig(granularity=granularity, subset=subset)
+    for empty in (None, ()):
+        with pytest.raises(ConfigError):
+            FitConfig(granularity=SUBSET_AVERAGE, subset=empty)
+    assert FitConfig(granularity=SUBSET_AVERAGE, subset=(1, 0)).subset == (1, 0)
+
+
 def test_fit_composite_subset_three_parameters(line4, mock_backend):
     plan = build_suite(line4, SuiteConfig(shots=8192, seed=55))
     chars = run_suite(plan, mock_backend)
@@ -968,6 +984,70 @@ def test_stacked_fits_match_the_per_element_oracle(seed, ladder20):
     assert any(r.raw_value < 0.0 and r.value == 0.0 for r in pcnot)  # s* < 0
     assert any(r.value == 0.75 and not r.feasible for r in pcnot)  # s* >= 1/4
     assert any(not r.feasible for n, r in fit.estimates.items() if n.startswith("p_x"))
+
+
+def _flat(data: dict, path: str = "") -> dict:
+    """A nested JSON dict as {path: leaf}."""
+    if not isinstance(data, dict):
+        return {path: data}
+    return {k: v for key, value in data.items() for k, v in _flat(value, f"{path}/{key}").items()}
+
+
+def _assembled(chars, variant: str, granularity: str, subset) -> CompositeNoiseModel:
+    """The model of a fit, assembled by hand from the per-element oracle's
+    estimates and Hadamard include flags."""
+    readout_mode, gate_dp = VARIANTS[variant]
+    estimates, include = fit_estimates(chars, variant, subset)
+    value = lambda name: estimates[name].value
+    qubits = sorted(int(name[len("p0:q"):]) for name in estimates if name.startswith("p0:"))
+    p1 = "p1" if readout_mode == "aro" else "p0"  # sro reads p0 as both rates
+    readout = {q: ReadoutModel(value(f"p0:q{q}"), value(f"{p1}:q{q}"))
+               for q in qubits} if readout_mode != "off" else {}
+    x_gate = {q: value(f"p_x:q{q}") for q in qubits} if gate_dp and readout_mode != "off" else {}
+    h_gate = {q: value(f"p_h:q{q}") for q, keep in include.items() if keep}
+    cnot = {tuple(int(q) for q in name[len("p_cnot:q"):].split("-q")): r.value
+            for name, r in estimates.items() if name.startswith("p_cnot:")}
+    flags = dict(readout_on=readout_mode != "off", cnot_dp_on=gate_dp, window="w",
+                 provenance="p")
+    if granularity == PER_ELEMENT:
+        return CompositeNoiseModel(PER_ELEMENT, readout=readout, x_gate=x_gate, h_gate=h_gate,
+                                   cnot=cnot, **flags)
+    mean = lambda values: float(np.mean(values)) if values else 0.0
+    # without readout the average readout is ideal
+    average = ReadoutModel(mean([r.p0 for r in readout.values()]),
+                           mean([r.p1 for r in readout.values()]))
+    return CompositeNoiseModel(granularity, subset=subset, avg_readout=average,
+                               avg_x=mean(list(x_gate.values())),
+                               avg_h=mean(list(h_gate.values())),
+                               avg_cnot=mean(list(cnot.values())), **flags)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_fit_composite_model_is_assembled_from_its_estimates(seed):
+    """For every variant and granularity, the fitted model is the one built
+    by hand from the per-element estimates: the per-element maps (p_x only
+    with readout and gate noise, p_h only where its include flag is set, no
+    readout map with readout off), or their averages, flags and subset."""
+    rng = np.random.default_rng(100 + seed)
+    chars = _random_archive(rng, line(7), lambda q: (2, 4, 8, 16) if q % 2 else (2, 8, 32))
+    for variant in VARIANTS:
+        for granularity in GRANULARITIES:
+            subset = (0, 2, 3, 5) if granularity == SUBSET_AVERAGE else None
+            config = FitConfig(variant, granularity, subset, window="w", provenance="p")
+            got = _flat(fit_composite(chars, config).model.to_json_dict())
+            if variant == "noiseless":
+                want = _flat(dict(CompositeNoiseModel.noiseless().to_json_dict(), window="w",
+                                  provenance="p"))
+            else:
+                want = _flat(_assembled(chars, variant, granularity, subset).to_json_dict())
+            assert got.keys() == want.keys(), (variant, granularity)
+            for path, leaf in want.items():
+                if isinstance(leaf, float):
+                    assert got[path] == pytest.approx(leaf, rel=1e-12, abs=1e-15), path
+                else:
+                    assert got[path] == leaf, (variant, granularity, path)
+    # the archive reaches both include flags
+    assert set(fit_estimates(chars, "aro+dp")[1].values()) == {True, False}
 
 
 def _edited(chars, edits: dict) -> list[Characterization]:
