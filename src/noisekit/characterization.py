@@ -4,17 +4,26 @@ A full-spatial suite covers every qubit with init/X/XX tests (plus optional
 even-length Hadamard sequences) and every coupling with a Bell-state test.
 Labels follow the stable grammar `init:q3`, `x:q3`, `xx:q3`, `hseq:q3:len8`,
 `bell:q3-q4` and uniquely identify (kind, parameters).
+
+Every test measures 1 or 2 bits, so a suite's observations are one count
+table (`Records`): the test of each row, a (rows, 4) count matrix indexed by
+outcome, and a shots vector. `run_suite` fills it from the backend's index
+arrays and `read_archive` from the archive's checked count maps; neither
+builds a per-record outcome object, and the fit reads its columns.
 """
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from .circuit import Circuit, DeviceTopology, cnot, h, measure, validate, x
-from .errors import ArityMismatch, OddHadamardLength, ParseError
-from .outcomes import Counts
+from .errors import ArityMismatch, OddHadamardLength, ParseError, parse_json_file
+from .noise import _edge
+from .outcomes import Counts, check_counts
 
 KINDS = ("init", "x", "xx", "hseq", "bell")
 
@@ -64,9 +73,8 @@ class TestKind:
 
     @classmethod
     def from_label(cls, label: str) -> "TestKind":
-        """Parse a label; only a label that its kind prints back is accepted."""
-        if not isinstance(label, str):
-            raise ParseError(f"test label {label!r} is not a string")
+        """Parse a label string; only a label that its kind prints back is
+        accepted."""
         try:
             parts = label.split(":")
             kind = parts[0]
@@ -102,24 +110,38 @@ def materialize(test: TestKind) -> Circuit:
     return Circuit(q + 1, test.num_bits, gates, test.label)
 
 
-@dataclass(frozen=True)
-class Characterization:
-    """A test paired with its observed counts, which must be as wide as the
-    test's measured bits."""
+def _check_width(test: TestKind, num_bits: int, error=ArityMismatch) -> None:
+    if num_bits != test.num_bits:
+        raise error(f"{test.label}: {num_bits}-bit counts for a test measuring "
+                    f"{test.num_bits} bit(s)")
 
-    kind: TestKind
-    counts: Counts
+
+@dataclass(frozen=True, eq=False)
+class Records:
+    """Characterization records as one count table: row i is the test
+    `tests[i]` over `shots[i]` shots, `counts[i, k]` of them with outcome
+    index k. `index` maps (kind, qubit or coupling as an undirected edge,
+    length) to the row; two records of one key, such as a Bell test
+    recorded in both directions, raise ParseError naming both labels."""
+
+    tests: tuple[TestKind, ...]
+    counts: np.ndarray
+    shots: np.ndarray
+    index: dict = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.counts.num_bits != self.kind.num_bits:
-            raise ArityMismatch(
-                f"{self.label}: {self.counts.num_bits}-bit counts for a test measuring "
-                f"{self.kind.num_bits} bit(s)"
-            )
+        index = {}
+        for row, test in enumerate(self.tests):
+            key = (test.kind, _edge(*test.coupling) if test.coupling else test.qubit, test.length)
+            other = index.setdefault(key, row)
+            if other != row:
+                raise ParseError(f"records {self.tests[other].label} and {test.label} "
+                                 "characterize the same element")
+        object.__setattr__(self, "index", index)
 
-    @property
-    def label(self) -> str:
-        return self.kind.label
+    def frequencies(self) -> np.ndarray:
+        """counts / shots per row, as `Counts.frequency` (zeros at zero shots)."""
+        return self.counts / np.maximum(self.shots, 1)[:, None]
 
 
 @dataclass(frozen=True)
@@ -136,9 +158,6 @@ class SuitePlan:
     shots: int
     seed: int
 
-    def labels(self) -> list[str]:
-        return [t.label for t in self.tests]
-
 
 def build_suite(topo: DeviceTopology, config: SuiteConfig) -> SuitePlan:
     """Plan the characterization suite for a device.
@@ -147,15 +166,9 @@ def build_suite(topo: DeviceTopology, config: SuiteConfig) -> SuitePlan:
     one (a subset-average suite) it covers the subset's qubits and the
     couplings internal to it.
     """
-    if config.subset is not None:
-        qubits = sorted(config.subset)
-        qubit_set = set(qubits)
-        edges = sorted(
-            e for e in topo.undirected_edges() if e[0] in qubit_set and e[1] in qubit_set
-        )
-    else:
-        qubits = list(range(topo.num_qubits))
-        edges = sorted(topo.undirected_edges())
+    qubits = sorted(config.subset) if config.subset is not None else range(topo.num_qubits)
+    covered = set(qubits)
+    edges = sorted(e for e in topo.undirected_edges() if covered.issuperset(e))
     tests: list[TestKind] = []
     for kind in ("init", "x", "xx"):
         tests.extend(TestKind(kind, qubit=q) for q in qubits)
@@ -167,13 +180,17 @@ def build_suite(topo: DeviceTopology, config: SuiteConfig) -> SuitePlan:
     return SuitePlan(tuple(tests), config.shots, config.seed)
 
 
-def run_suite(plan: SuitePlan, backend) -> list[Characterization]:
+def run_suite(plan: SuitePlan, backend) -> Records:
     """Execute the plan on a backend; all-or-nothing, in plan order."""
     circuits = [materialize(t) for t in plan.tests]
     for circuit in circuits:
         validate(circuit, backend.topology)
     counts_list = backend.run(circuits, plan.shots, plan.seed)
-    return [Characterization(t, counts) for t, counts in zip(plan.tests, counts_list)]
+    table = np.zeros((len(counts_list), 4), np.int64)
+    for row, (test, counts) in enumerate(zip(plan.tests, counts_list)):
+        _check_width(test, counts.num_bits)
+        table[row, counts.indices] = counts.values
+    return Records(plan.tests, table, np.array([c.shots for c in counts_list], np.int64))
 
 
 @dataclass(frozen=True)
@@ -210,54 +227,69 @@ def count_experiments(plan: SuitePlan) -> ExperimentBudget:
 
 def archive_dict(
     plan: SuitePlan,
-    chars: list[Characterization],
+    records: Records,
     window: str = "",
     meta: dict | None = None,
 ) -> dict:
+    entries = []
+    for test, row, shots in zip(records.tests, records.counts.tolist(),
+                                records.shots.tolist()):
+        fmt = f"0{test.num_bits}b"
+        entries.append({"label": test.label, "shots": shots,
+                        "counts": {format(k, fmt): n for k, n in enumerate(row) if n}})
     return {
         "meta": dict(meta or {}),
         "window": window,
         "shots": plan.shots,
         "seed": plan.seed,
-        "entries": [
-            {"label": ch.label, "shots": ch.counts.shots, "counts": dict(ch.counts.counts)}
-            for ch in chars
-        ],
+        "entries": entries,
     }
 
 
-def read_counts(path: str | Path) -> tuple[dict, dict[str, Counts]]:
-    """Parse a counts archive into its JSON object and a label -> Counts map."""
-    try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"archive {path} is not valid JSON: {exc}") from exc
-    if not isinstance(data, dict) or not isinstance(data.get("entries"), list):
-        raise ParseError(f"archive {path} lacks an 'entries' list")
+def _entries(data: dict) -> tuple[dict, list[tuple[str, dict, int, int]]]:
+    """A parsed counts archive and its entries as (label, counts, shots, bit
+    width): each label a string and distinct, each entry checked by the
+    count rules (`check_counts`)."""
+    if not isinstance(data["entries"], list):
+        raise TypeError("its entries are not a list")
     if not isinstance(data.get("window", ""), str):
-        raise ParseError(f"archive {path}: window {data['window']!r} is not a string")
-    counts: dict[str, Counts] = {}
+        raise TypeError(f"window {data['window']!r} is not a string")
+    entries = []
     for entry in data["entries"]:
         try:
-            counts[entry["label"]] = Counts(entry["counts"], entry["shots"])
+            label, counts, shots = entry["label"], entry["counts"], entry["shots"]
+            if not isinstance(label, str):
+                raise TypeError(f"test label {label!r} is not a string")
+            entries.append((label, counts, shots, check_counts(counts, shots)))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad archive entry {entry!r}: {exc}") from exc
-    if len(counts) < len(data["entries"]):
-        raise ParseError(f"archive {path} repeats a label")
-    return data, counts
+            raise ValueError(f"bad entry {entry!r}: {exc}") from exc
+    if len({entry[0] for entry in entries}) < len(entries):
+        raise ValueError("it repeats a label")
+    return data, entries
 
 
-def read_archive(path: str | Path) -> tuple[dict, list[Characterization]]:
-    """Load an archive back into characterization records (lossless)."""
-    data, counts = read_counts(path)
-    chars = []
-    for label, c in counts.items():
-        kind = TestKind.from_label(label)
-        try:
-            chars.append(Characterization(kind, c))
-        except ArityMismatch as exc:
-            raise ParseError(f"archive {path}: {exc}") from exc
-    return data, chars
+def read_counts(path: str | Path) -> tuple[dict, dict[str, Counts]]:
+    """Parse a counts archive of any circuits into its JSON object and a
+    label -> Counts map (what `FileBackend` replays)."""
+    data, entries = parse_json_file(path, "archive", _entries)
+    return data, {label: Counts(counts, shots) for label, counts, shots, _ in entries}
+
+
+def read_archive(path: str | Path) -> tuple[dict, Records]:
+    """Load a characterization archive into its JSON object and its count
+    table (lossless), filled straight from the checked count maps."""
+    data, entries = parse_json_file(path, "archive", _entries)
+    tests, table = [], []
+    for label, counts, _, num_bits in entries:
+        test = TestKind.from_label(label)
+        _check_width(test, num_bits, ParseError)
+        row = [0, 0, 0, 0]
+        for key, n in counts.items():
+            row[int(key, 2)] = n
+        tests.append(test)
+        table.append(row)
+    shots = np.array([entry[2] for entry in entries], np.int64)
+    return data, Records(tuple(tests), np.array(table, np.int64).reshape(-1, 4), shots)
 
 
 def archive_hash(path: str | Path) -> str:

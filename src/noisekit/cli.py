@@ -115,10 +115,8 @@ def _check_in_register(qubits, topo: DeviceTopology, what: str) -> None:
 # -- subcommands ---------------------------------------------------------------
 
 def cmd_characterize(args) -> int:
-    if args.subset is not None and args.granularity != SUBSET_AVERAGE:
-        raise ConfigError("--subset applies only with --granularity subset_average")
-    if args.granularity == SUBSET_AVERAGE and not args.subset:
-        raise ConfigError("--granularity subset_average requires --subset")
+    # the suite is planned for the fit its flags name, under that fit's rules
+    FitConfig(granularity=args.granularity, subset=args.subset)
     topo = DeviceTopology.load(args.device)
     _check_in_register(args.subset or (), topo, "--subset")
     backend = _make_backend(args.backend, topo)
@@ -130,7 +128,7 @@ def cmd_characterize(args) -> int:
     )
     plan = build_suite(topo, config)
     out = _out_dir(args)
-    chars = run_suite(plan, backend)
+    records = run_suite(plan, backend)
     budget = count_experiments(plan)
     meta = _meta(
         {"command": "characterize", "device": args.device, "backend": args.backend,
@@ -138,7 +136,7 @@ def cmd_characterize(args) -> int:
          "subset": args.subset, "hadamard_lengths": args.hadamard_lengths}
     )
     archive_path = out / args.archive_name
-    write_json_file(archive_path, archive_dict(plan, chars, window=args.window, meta=meta))
+    write_json_file(archive_path, archive_dict(plan, records, window=args.window, meta=meta))
     write_json_file(
         out / "budget.json",
         {
@@ -160,7 +158,7 @@ def cmd_characterize(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    data, chars = read_archive(args.archive)
+    data, records = read_archive(args.archive)
     config = FitConfig(
         variant=args.flags,
         granularity=args.granularity,
@@ -168,7 +166,7 @@ def cmd_fit(args) -> int:
         window=data.get("window", ""),
         provenance=content_hash(data),
     )
-    fit = fit_composite(chars, config)
+    fit = fit_composite(records, config)
     out = _out_dir(args)
     name = args.name or f"model-{args.flags.replace('+', '_')}-{args.granularity}"
     model_path = out / f"{name}.json"
@@ -279,23 +277,23 @@ def cmd_demo(args) -> int:
 
     print("-- characterization suite")
     plan = build_suite(topo, SuiteConfig(shots=shots, seed=seed))
-    chars = run_suite(plan, backend)
+    records = run_suite(plan, backend)
     budget = count_experiments(plan)
     meta = _meta({"command": "demo", "shots": shots, "seed": seed, "hidden": args.hidden})
-    write_json_file(out / "archive.json", archive_dict(plan, chars, window="demo", meta=meta))
+    write_json_file(out / "archive.json", archive_dict(plan, records, window="demo", meta=meta))
     print(f"   {budget.num_circuits} circuits, census {budget.total_shots} shots, "
           f"formula N_s(2q+2c+1) = {budget.formula_shots}")
 
     print("-- fitting model family")
     fits = {}
     for variant in VARIANTS:
-        fits[variant] = fit_composite(chars, FitConfig(variant=variant))
+        fits[variant] = fit_composite(records, FitConfig(variant=variant))
         fits[variant].model.save(out / f"model-{variant.replace('+', '_')}.json")
     fit_register = fit_composite(
-        chars, FitConfig(variant="aro+dp", granularity=REGISTER_AVERAGE)
+        records, FitConfig(variant="aro+dp", granularity=REGISTER_AVERAGE)
     )
     fit_2q = fit_composite(
-        chars, FitConfig(variant="aro+dp", granularity=SUBSET_AVERAGE, subset=(0, 1))
+        records, FitConfig(variant="aro+dp", granularity=SUBSET_AVERAGE, subset=(0, 1))
     )
     fit_register.model.save(out / "model-register-average.json")
     fit_2q.model.save(out / "model-2q-average.json")

@@ -16,8 +16,11 @@ coupling's Bell fit) is the same closed form applied to other numbers, so
 `fit_composite` fits each family once, across all its elements, as array
 arithmetic; the Hadamard roots of all qubits sharing a set of lengths come
 from one root isolation of their sparse derivative polynomials on [0, 1]
-(`_sparse_roots`). The public one-element estimators are one-row calls into
-the same code.
+(`_sparse_roots`). Each family reads whole columns of the count table
+(`characterization.Records`): the p0 column, the X/XX column-0 frequencies,
+the Hadamard trains grouped by qubit and the four Bell columns. The public
+one-element estimators are calls into the same code on a one-row (or
+one-qubit) table.
 """
 from __future__ import annotations
 
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .characterization import Characterization, TestKind
+from .characterization import Records, TestKind
 from .errors import (
     ConfigError,
     InsufficientLengths,
@@ -102,33 +105,40 @@ def _norm(x: np.ndarray) -> np.ndarray:
     return np.sqrt(_dot(x, x))
 
 
-def _one(value) -> np.ndarray:
-    return np.array([value], dtype=float)
-
-
 # -- closed-form estimators, one family at a time ------------------------------------
 
-def _p0_fits(chars) -> list[EstimationResult]:
-    for char in chars:
-        if char.kind.kind != "init":
-            raise WrongKind(f"estimate_p0 needs an init test, got {char.kind.kind}")
-    freq = np.array([char.counts.frequency("1") for char in chars])
-    stderr = binomial_stderr(freq, np.array([char.counts.shots for char in chars]))
-    names = [f"p0:q{char.kind.qubit}" for char in chars]
-    return _results(names, freq, stderr, np.zeros(len(chars)))
+def _rows(records: Records, kind: str, estimator: str) -> range:
+    """Every row of a one-element estimator's table, all `kind` tests."""
+    wrong = [test.kind for test in records.tests if test.kind != kind]
+    if wrong:
+        raise WrongKind(f"{estimator} needs {kind} tests, got {wrong[0]}")
+    return range(len(records.tests))
 
 
-def estimate_p0(char: Characterization) -> EstimationResult:
-    """Readout-of-0 flip rate from the init-measure test: the observed
-    frequency of outcome 1. Doubles as p_sro for the symmetric model."""
-    return _p0_fits([char])[0]
+def _p0_fits(records: Records, rows) -> list[EstimationResult]:
+    freq = records.frequencies()[rows, 1]
+    stderr = binomial_stderr(freq, records.shots[rows])
+    names = [f"p0:q{records.tests[row].qubit}" for row in rows]
+    return _results(names, freq, stderr, np.zeros(len(rows)))
 
 
-def _aro_fits(g_x, g_xx, p0, sigma, tags):
-    """(p1 results, p_x results) of the X/XX systems of several qubits.
+def estimate_p0(records: Records) -> EstimationResult:
+    """Readout-of-0 flip rate from a one-row table of the init-measure test:
+    the observed frequency of outcome 1. Doubles as p_sro for the symmetric
+    model."""
+    (fit,) = _p0_fits(records, _rows(records, "init", "estimate_p0"))
+    return fit
 
-    All arguments are arrays over qubits; sigma has shape (qubits, 3): the
-    stderrs of (g_x, g_xx, p0), zero where none is propagated."""
+
+def _aro_fits(records: Records, qubits, p0: np.ndarray, p0_sd: np.ndarray):
+    """(p1 results, p_x results) of the X/XX systems of the qubits, given
+    their p0 estimates and stderrs as arrays over qubits. The stderrs
+    propagate the binomial noise of both tests and p0's stderr."""
+    freq, shots = records.frequencies(), records.shots
+    x, xx = ([records.index[kind, q, None] for q in qubits] for kind in ("x", "xx"))
+    g_x, g_xx = freq[x, 0], freq[xx, 0]
+    sigma = np.stack([binomial_stderr(g_x, shots[x]), binomial_stderr(g_xx, shots[xx]), p0_sd],
+                     axis=-1)
     values = (("g_x_0", g_x), ("g_xx_0", g_xx), ("p0", p0))
     a = 1.0 - p0
     gap_x, gap_xx = a - g_x, a - g_xx
@@ -154,33 +164,24 @@ def _aro_fits(g_x, g_xx, p0, sigma, tags):
     stderr_p1 = _norm(grad_p1 * sigma)
     stderr_px = 1.5 * _norm(grad_q * sigma)
     zero = np.zeros(len(q))
-    return (_results([f"p1{t}" for t in tags], p1_raw, stderr_p1, zero),
-            _results([f"p_x{t}" for t in tags], px_raw, stderr_px, zero))
+    return (_results([f"p1:q{q}" for q in qubits], p1_raw, stderr_p1, zero),
+            _results([f"p_x:q{q}" for q in qubits], px_raw, stderr_px, zero))
 
 
-def solve_aro_system(
-    g_x_0: float,
-    g_xx_0: float,
-    p0: float,
-    shots: tuple[int, int] | None = None,
-    p0_stderr: float = 0.0,
-    qubit: int | None = None,
-) -> tuple[EstimationResult, EstimationResult]:
-    """Recover (p1, p_x) from the X / XX test frequencies given p0.
+def solve_aro_system(records: Records) -> tuple[EstimationResult, EstimationResult]:
+    """Recover (p1, p_x) of one qubit from a table of its init, X and XX
+    tests.
 
-    With a = 1 - p0 and q = 2 p_x / 3 the test frequencies are
-    g_x = q a + p1 (1 - q) and g_xx = a - 2 q (a - g_x), so
-    q = (a - g_xx) / (2 (a - g_x)) and p1 = (g_x - q a) / (1 - q).
-    Given the (X, XX) shot counts, the stderrs propagate both tests' binomial
-    noise and p0_stderr through the exact gradient. Raw solutions outside [0,1] (possible for near-noiseless
-    registers) are clamped and flagged.
+    With a = 1 - p0 and q = 2 p_x / 3 the X / XX test frequencies of
+    outcome 0 are g_x = q a + p1 (1 - q) and g_xx = a - 2 q (a - g_x), so
+    q = (a - g_xx) / (2 (a - g_x)) and p1 = (g_x - q a) / (1 - q), p0 being
+    the init test's estimate. The stderrs propagate the three tests'
+    binomial noise through the exact gradient. Raw solutions outside [0,1]
+    (possible for near-noiseless registers) are clamped and flagged.
     """
-    sigma = np.zeros((1, 3))
-    if shots:
-        sigma[0] = (binomial_stderr(g_x_0, shots[0]), binomial_stderr(g_xx_0, shots[1]),
-                    p0_stderr)
-    (p1,), (p_x,) = _aro_fits(_one(g_x_0), _one(g_xx_0), _one(p0), sigma,
-                              [f":q{qubit}" if qubit is not None else ""])
+    qubit = records.tests[0].qubit
+    (p0,) = _p0_fits(records, [records.index["init", qubit, None]])
+    (p1,), (p_x,) = _aro_fits(records, [qubit], np.array([p0.value]), np.array([p0.stderr]))
     return p1, p_x
 
 
@@ -196,20 +197,15 @@ class HadamardFit:
     include_in_model: bool
 
 
-def _hadamard_fits(rows, p0: np.ndarray, p1: np.ndarray) -> list[HadamardFit]:
-    """One fit per row of sequence tests, row i corrected for readout rates
-    (p0[i], p1[i]). Rows with the same set of lengths are solved together:
-    one `_sparse_roots` call finds the roots of all their derivative
-    polynomials."""
+def _hadamard_fits(records: Records, trains, p0: np.ndarray, p1: np.ndarray) -> list[HadamardFit]:
+    """One fit per train, the table rows of one qubit's sequence tests,
+    train i corrected for readout rates (p0[i], p1[i]). Trains with the
+    same set of lengths are solved together: one `_sparse_roots` call finds
+    the roots of all their derivative polynomials."""
     denom = 1.0 - p0 - p1
-    tables, kinds = [], []
-    for chars in rows:
-        kinds.append(next((c.kind.kind for c in chars if c.kind.kind != "hseq"), None))
-        tables.append({} if kinds[-1] else {c.kind.length: c.counts for c in chars})
-    lengths = [sorted(table) for table in tables]
+    by_length = [{records.tests[row].length: row for row in train} for train in trains]
+    lengths = [sorted(rows) for rows in by_length]
     _raise_first([
-        (np.array([k is not None for k in kinds]),
-         lambda i: WrongKind(f"expected hseq tests, got {kinds[i]}")),
         (np.array([len(ls) < 2 for ls in lengths]), lambda i: InsufficientLengths(
             f"need >=2 distinct sequence lengths, got {lengths[i]}")),
         (np.abs(denom) < 1e-9, lambda _: NoConvergence(
@@ -219,12 +215,14 @@ def _hadamard_fits(rows, p0: np.ndarray, p1: np.ndarray) -> list[HadamardFit]:
     for i, ls in enumerate(lengths):
         groups.setdefault(tuple(ls), []).append(i)
 
-    value, stderr, residual = (np.zeros(len(rows)) for _ in range(3))
+    freq = records.frequencies()[:, 0]
+    value, stderr, residual = (np.zeros(len(trains)) for _ in range(3))
     for key, members in groups.items():
+        rows = np.array([[by_length[i][l] for l in key] for i in members])
         value[members], stderr[members], residual[members] = _hadamard_group(
-            np.array(key), [tables[i] for i in members], denom[members], p1[members])
-    fits = _results([f"p_h:q{chars[0].kind.qubit}" for chars in rows], value, stderr,
-                    residual)
+            np.array(key), freq[rows], records.shots[rows], denom[members], p1[members])
+    fits = _results([f"p_h:q{records.tests[train[0]].qubit}" for train in trains], value,
+                    stderr, residual)
     include = (10.0 * stderr < value) & (value < 0.75)
     return [HadamardFit(fit, flag) for fit, flag in zip(fits, include.tolist())]
 
@@ -335,13 +333,12 @@ def _newton(powers, weights, lo, hi, rising) -> np.ndarray:
     return x
 
 
-def _hadamard_group(length: np.ndarray, tables, denom: np.ndarray, p1: np.ndarray):
-    """(p_h, stderr, residual norm) arrays for rows sharing the lengths."""
-    observed = np.array([[table[l].frequency("0") for l in length.tolist()]
-                         for table in tables])
-    shots = np.array([[table[l].shots for l in length.tolist()] for table in tables])
+def _hadamard_group(length: np.ndarray, observed: np.ndarray, shots: np.ndarray,
+                    denom: np.ndarray, p1: np.ndarray):
+    """(p_h, stderr, residual norm) arrays for trains sharing the lengths,
+    from their frequencies of outcome 0 and shots, shape (trains, lengths)."""
     u = (observed - p1[:, None]) / denom[:, None] - 0.5
-    rows = len(tables)
+    rows = len(observed)
 
     # the derivative's nonzero coefficients, at exponents L - 1 and L/2 - 1
     exponents = np.union1d(length - 1, length // 2 - 1)
@@ -376,10 +373,9 @@ def _hadamard_group(length: np.ndarray, tables, denom: np.ndarray, p1: np.ndarra
     return value, stderr, np.sqrt(best_ssr)
 
 
-def estimate_hadamard_error(
-    chars: list[Characterization], readout: ReadoutModel
-) -> HadamardFit:
-    """Per-gate Hadamard depolarizing rate from even-length sequence tests.
+def estimate_hadamard_error(records: Records, readout: ReadoutModel) -> HadamardFit:
+    """Per-gate Hadamard depolarizing rate from a table of one qubit's
+    even-length sequence tests.
 
     Least squares of readout-corrected survival t_L against
     1/2 + 1/2 (1 - 4p/3)^L. Every length is even, so with s = (1 - 4p/3)^2
@@ -396,7 +392,8 @@ def estimate_hadamard_error(
     of the model; inside, the include flag drops the channel when the rate
     is indistinguishable from zero (<= 10 stderr).
     """
-    return _hadamard_fits([chars], _one(readout.p0), _one(readout.p1))[0]
+    train = _rows(records, "hseq", "estimate_hadamard_error")
+    return _hadamard_fits(records, [train], np.array([readout.p0]), np.array([readout.p1]))[0]
 
 
 BELL_OUTCOMES = ("00", "01", "10", "11")
@@ -431,23 +428,19 @@ def _bell_line_derivatives(rates: np.ndarray) -> np.ndarray:
     return lines[..., 0::2, :, :] - lines[..., 1::2, :, :]
 
 
-def _pcnot_fits(chars, rates: np.ndarray, readout_stderrs: np.ndarray) -> list[EstimationResult]:
-    """Bell fits of several couplings: rates has shape (couplings, 2, 2),
-    [[p0_j, p0_k], [p1_j, p1_k]] per coupling, and readout_stderrs shape
-    (couplings, 4), the stderrs of (p0_j, p1_j, p0_k, p1_k)."""
-    kinds = [char.kind.kind for char in chars]
+def _pcnot_fits(records: Records, rows, rates: np.ndarray,
+                readout_stderrs: np.ndarray) -> list[EstimationResult]:
+    """Bell fits of the couplings of table `rows`: rates has shape
+    (couplings, 2, 2), [[p0_j, p0_k], [p1_j, p1_k]] per coupling, and
+    readout_stderrs shape (couplings, 4), the stderrs of (p0_j, p1_j, p0_k,
+    p1_k)."""
     line = _bell_line(rates)
     base, slope = line[:, 0], line[:, 1]
     # |slope| = 2 |(1 - p0_j - p1_j)(1 - p0_k - p1_k)|
     norm2 = _dot(slope, slope)
-    _raise_first([
-        (np.array([k != "bell" for k in kinds]),
-         lambda i: WrongKind(f"fit_pcnot needs a bell test, got {kinds[i]}")),
-        (norm2 < 1e-18, lambda _: NoConvergence("readout too noisy to resolve the Bell test")),
-    ])
-    observed = np.array([[char.counts.frequency(key) for key in BELL_OUTCOMES]
-                         for char in chars])
-    shots = np.array([char.counts.shots for char in chars])
+    if (norm2 < 1e-18).any():
+        raise NoConvergence("readout too noisy to resolve the Bell test")
+    observed, shots = records.frequencies()[rows], records.shots[rows]
     resid = observed - base
     s_raw = _dot(slope, resid) / norm2
     mixed = s_raw >= 0.25  # beyond the most-mixed Bell law: p = 3/4, no stderr
@@ -466,19 +459,20 @@ def _pcnot_fits(chars, rates: np.ndarray, readout_stderrs: np.ndarray) -> list[E
 
     s_fit = np.where(mixed, 0.25, np.maximum(s_raw, 0.0))
     resid -= s_fit[:, None] * slope
-    names = [f"p_cnot:q{j}-q{k}" for j, k in (char.kind.coupling for char in chars)]
+    names = [f"p_cnot:q{j}-q{k}" for j, k in (records.tests[row].coupling for row in rows)]
     return _results(names, np.where(mixed, 0.75, 0.75 * (1.0 - root)),
                     np.where(mixed, 0.0, 1.5 / root * np.sqrt(var)),
                     _norm(resid), flagged=mixed & (s_raw != 0.25))
 
 
 def fit_pcnot(
-    char: Characterization,
+    records: Records,
     readout_j: ReadoutModel,
     readout_k: ReadoutModel,
     readout_stderrs: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0),
 ) -> EstimationResult:
-    """Least-squares cnot depolarizing rate from a Bell-state test.
+    """Least-squares cnot depolarizing rate from a one-row table of a
+    Bell-state test.
 
     The squared residual between the observed frequencies and base + s *
     slope is quadratic in s, minimised at s* = <slope, obs - base> / |slope|^2,
@@ -490,7 +484,9 @@ def fit_pcnot(
     stderr is reported.
     """
     rates = np.array([[[readout_j.p0, readout_k.p0], [readout_j.p1, readout_k.p1]]])
-    return _pcnot_fits([char], rates, np.array([readout_stderrs], dtype=float))[0]
+    (fit,) = _pcnot_fits(records, _rows(records, "bell", "fit_pcnot"), rates,
+                         np.array([readout_stderrs], dtype=float))
+    return fit
 
 # -- composite orchestration ----------------------------------------------------
 
@@ -509,6 +505,8 @@ class FitConfig:
             raise ConfigError("subset_average fitting requires a nonempty subset")
         if self.subset is not None and self.granularity != SUBSET_AVERAGE:
             raise ConfigError("a subset applies only to subset_average fitting")
+        if self.subset and (min(self.subset) < 0 or len(set(self.subset)) < len(self.subset)):
+            raise ConfigError(f"subset {self.subset} has a negative or repeated qubit")
 
 
 @dataclass(frozen=True)
@@ -528,8 +526,8 @@ class CompositeFit:
         }
 
 
-def fit_composite(chars: list[Characterization], config: FitConfig) -> CompositeFit:
-    """Compose a noise model from characterization records.
+def fit_composite(records: Records, config: FitConfig) -> CompositeFit:
+    """Compose a noise model from a table of characterization records.
 
     Per qubit: p0 from the init test and (p1, p_x) from the X/XX system.
     Per coupling: p_cnot refit against the variant's own readout model, so
@@ -545,29 +543,29 @@ def fit_composite(chars: list[Characterization], config: FitConfig) -> Composite
         )
         return CompositeFit(model, {}, config.variant)
 
-    # one index of the records: by (kind, qubit or coupling), and the
-    # Hadamard trains by qubit; what the fit covers is read from it
-    by_kind: dict[tuple, Characterization] = {}
-    hseqs: dict[int, list[Characterization]] = {}
-    for char in chars:
-        kind = char.kind
-        if kind.kind == "hseq":
-            hseqs.setdefault(kind.qubit, []).append(char)
-        else:
-            by_kind[kind.kind, kind.coupling or kind.qubit] = char
-    couplings = sorted(c for kind, c in by_kind if kind == "bell")
+    # the table's index gives each qubit's rows; the Bell rows by their
+    # coupling as recorded, and the Hadamard trains by qubit; what the fit
+    # covers is read from it
+    index = records.index
+    bells = {records.tests[row].coupling: row for (kind, *_), row in index.items()
+             if kind == "bell"}
+    trains: dict[int, list[int]] = {}
+    for (kind, qubit, _), row in index.items():
+        if kind == "hseq":
+            trains.setdefault(qubit, []).append(row)
+    couplings = sorted(bells)
     if config.subset:
         qubits = sorted(config.subset)
         couplings = [c for c in couplings if c[0] in config.subset and c[1] in config.subset]
     else:
-        qubits = sorted({q for kind, q in by_kind if kind != "bell"} | hseqs.keys()
+        qubits = sorted({q for kind, q, _ in index if kind in ("init", "x", "xx")} | trains.keys()
                         | {q for c in couplings for q in c})
 
     need_x_system = readout_mode == "aro" or gate_dp
     needed = [("init", q) for q in qubits]
     if need_x_system:
         needed += [(kind, q) for q in qubits for kind in ("x", "xx")]
-    missing = [TestKind(kind, qubit=q).label for kind, q in needed if (kind, q) not in by_kind]
+    missing = [TestKind(kind, qubit=q).label for kind, q in needed if (kind, q, None) not in index]
     if gate_dp and not couplings:
         missing.append("bell:<any coupling>")
     if missing:
@@ -578,19 +576,12 @@ def fit_composite(chars: list[Characterization], config: FitConfig) -> Composite
 
     # Each family is fitted once, across all its elements; index i of every
     # per-qubit array is qubits[i].
-    p0_fits = _p0_fits([by_kind["init", q] for q in qubits])
+    p0_fits = _p0_fits(records, [index["init", q, None] for q in qubits])
     p0 = np.array([r.value for r in p0_fits])
     p0_sd = np.array([r.stderr for r in p0_fits])
     per_qubit = [p0_fits]
     if need_x_system:
-        x_counts = [by_kind["x", q].counts for q in qubits]
-        xx_counts = [by_kind["xx", q].counts for q in qubits]
-        g_x = np.array([c.frequency("0") for c in x_counts])
-        g_xx = np.array([c.frequency("0") for c in xx_counts])
-        sigma = np.stack([binomial_stderr(g_x, np.array([c.shots for c in x_counts])),
-                          binomial_stderr(g_xx, np.array([c.shots for c in xx_counts])),
-                          p0_sd], axis=-1)
-        p1_fits, px_fits = _aro_fits(g_x, g_xx, p0, sigma, [f":q{q}" for q in qubits])
+        p1_fits, px_fits = _aro_fits(records, qubits, p0, p0_sd)
         per_qubit += [p1_fits, px_fits]
     estimates = {r.name: r for fits in zip(*per_qubit) for r in fits}
 
@@ -608,15 +599,15 @@ def fit_composite(chars: list[Characterization], config: FitConfig) -> Composite
     x_map = {q: r.value for q, r in zip(qubits, px_fits)} if gate_dp and readout_on else {}
     h_map, cnot_map = {}, {}
     if gate_dp:
-        rows = [i for i, q in enumerate(qubits) if q in hseqs]
-        fits = _hadamard_fits([hseqs[qubits[i]] for i in rows], *rates[:, rows])
+        rows = [i for i, q in enumerate(qubits) if q in trains]
+        fits = _hadamard_fits(records, [trains[qubits[i]] for i in rows], *rates[:, rows])
         estimates.update((fit.result.name, fit.result) for fit in fits)
         h_map = {qubits[i]: fit.result.value
                  for i, fit in zip(rows, fits) if fit.include_in_model}
-        index = {q: i for i, q in enumerate(qubits)}
-        pair = np.array([[index[j], index[k]] for j, k in couplings])
+        position = {q: i for i, q in enumerate(qubits)}
+        pair = np.array([[position[j], position[k]] for j, k in couplings])
         pcnot_fits = _pcnot_fits(
-            [by_kind["bell", c] for c in couplings],
+            records, [bells[c] for c in couplings],
             rates[:, pair].transpose(1, 0, 2),  # [[p0_j, p0_k], [p1_j, p1_k]]
             rate_sds[:, pair].transpose(1, 2, 0).reshape(-1, 4),  # p0_j, p1_j, p0_k, p1_k
         )

@@ -41,7 +41,7 @@ def tvd(a: Counts | Distribution, b: Counts | Distribution) -> float:
 def _frequencies(obj: Counts | Distribution) -> tuple[np.ndarray, np.ndarray]:
     """Outcome indices and their frequencies."""
     if isinstance(obj, Counts):
-        return obj.indices, obj.frequency_array()
+        return obj.indices, obj.values / (obj.shots or 1)
     if isinstance(obj, Distribution):
         return obj.indices, obj.values
     raise ArityMismatch(f"expected Counts or Distribution, got {type(obj).__name__}")
@@ -126,7 +126,7 @@ def score_model(
     # 1 - sum_k min(f_k, g_k) but with no cancellation against 1: exactly 0
     # for a draw equal to the run, and never negative
     run_freq = np.zeros(sampler.law.size)
-    run_freq[run.counts.indices] = run.counts.frequency_array()
+    run_freq[run.counts.indices] = run.counts.values / run.counts.shots
     rng = generator(seed, SCORE)
     values = np.empty(resamples)
     for r in range(resamples):

@@ -5,12 +5,12 @@ outcome string (for the standard measure(q, q) wiring this means qubit 0
 is leftmost) and the most significant bit of an outcome index; the string
 is the index in binary, `num_bits` wide.
 
-Inside, an outcome set is `num_bits` plus an ascending int64 array of
-outcome indices and a matching array of counts or probabilities. Bit strings
-exist only at the edges (archives, reports, the CLI, tests). Each form is
-built from the other on first use, so a string-built object builds no arrays
-until asked and a drawn one formats no key until asked; string-keyed views
-of a drawn object come back in ascending index order.
+An outcome set is `num_bits` plus an ascending int64 array of outcome
+indices and a matching array of counts or probabilities, and nothing else.
+Bit strings exist only at the edges (archives, reports, the CLI, tests):
+the string-keyed constructors check a dict and convert it at once, and the
+string-keyed views are built from the arrays on each call, in ascending
+index order.
 """
 from __future__ import annotations
 
@@ -25,19 +25,32 @@ MAX_BITS = 63  # outcome indices are int64
 
 
 def _uniform_bit_length(keys) -> int:
-    """Common length of the bit-string keys, checked in one pass."""
-    width = None
-    for k in keys:
-        if width is None:
-            width = len(k)
-        elif len(k) != width:
-            lengths = sorted({len(j) for j in keys})
-            raise ValueError(f"outcome keys have mixed bit-lengths {lengths}")
-        if k.strip("01"):
-            raise ValueError(f"outcome key {k!r} is not a bit string")
-    if width and width > MAX_BITS:
-        raise ValueError(f"{width}-bit outcome keys exceed {MAX_BITS} bits")
-    return width or 0
+    """Common length of the bit-string keys."""
+    widths = sorted({len(k) for k in keys}) or [0]
+    if len(widths) > 1:
+        raise ValueError(f"outcome keys have mixed bit-lengths {widths}")
+    if any(k.strip("01") for k in keys):
+        raise ValueError(f"outcome keys {list(keys)} are not all bit strings")
+    if widths[0] > MAX_BITS:
+        raise ValueError(f"{widths[0]}-bit outcome keys exceed {MAX_BITS} bits")
+    return widths[0]
+
+
+def check_counts(counts: dict, shots) -> int:
+    """The bit width of `counts`, an outcome string -> count map over `shots`
+    shots, after checking the count rules: counts and shots are integers
+    (TypeError otherwise), the keys are bit strings of one width, no count
+    is negative and the counts sum to the shots, fewer than 2^63 so that
+    they fit int64 (ValueError otherwise)."""
+    values = [integer(v, "count") for v in counts.values()]
+    shots = integer(shots, "shot number")
+    if any(v < 0 for v in values):
+        raise ValueError("negative count")
+    if sum(values) != shots:
+        raise ValueError(f"counts sum to {sum(values)}, shots field says {shots}")
+    if shots >= 1 << 63:
+        raise ValueError(f"{shots} shots do not fit int64 counts")
+    return _uniform_bit_length(counts)
 
 
 def _checked_arrays(num_bits: int, indices, values, dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -52,43 +65,33 @@ def _checked_arrays(num_bits: int, indices, values, dtype) -> tuple[np.ndarray, 
     return idx, val
 
 
+def _check_law(idx: np.ndarray, val: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # written so that NaN fails it
+    if val.size and not (val.min() >= -1e-12 and abs(val.sum() - 1.0) <= 1e-9):
+        raise ValueError(f"probabilities {val} are not a distribution")
+    return idx, val
+
+
+def _sorted_arrays(keyed: dict, dtype) -> tuple[np.ndarray, np.ndarray]:
+    """A checked bit-string map as ascending index and value arrays."""
+    idx = np.fromiter((int(k or "0", 2) for k in keyed), np.int64, len(keyed))
+    order = np.argsort(idx)
+    return idx[order], np.fromiter(keyed.values(), dtype, len(keyed))[order]
+
+
 class _Outcomes:
-    """One outcome set as a bit-string map (`_keyed`), as ascending index
-    and value arrays (`_idx`, `_val`), or both; each form is built from the
-    other on first use. The string-keyed views are read-only, so the two
-    forms cannot drift apart."""
+    """One outcome set: `num_bits` and the ascending index and value arrays."""
 
-    def _hold(self, num_bits: int, keyed: dict | None, idx=None, val=None) -> None:
-        for name, value in (("num_bits", num_bits), ("_keyed", keyed), ("_idx", idx),
-                            ("_val", val)):
-            object.__setattr__(self, name, value)
+    def _hold(self, num_bits: int, indices: np.ndarray, values: np.ndarray) -> None:
+        object.__setattr__(self, "num_bits", num_bits)
+        object.__setattr__(self, "indices", indices)  # shared: do not modify
+        object.__setattr__(self, "values", values)
 
-    def _keys(self) -> dict:
-        if self._keyed is None:
-            fmt = f"0{self.num_bits}b"
-            object.__setattr__(self, "_keyed", {
-                format(i, fmt) if self.num_bits else "": v
-                for i, v in zip(self._idx.tolist(), self._val.tolist())})
-        return self._keyed
-
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._idx is None:
-            keyed = self._keyed
-            idx = np.fromiter((int(k or "0", 2) for k in keyed), np.int64, len(keyed))
-            order = np.argsort(idx)
-            object.__setattr__(self, "_idx", idx[order])
-            object.__setattr__(self, "_val", np.fromiter(keyed.values(), self._DTYPE)[order])
-        return self._idx, self._val
-
-    @property
-    def indices(self) -> np.ndarray:
-        """Outcome indices, ascending (shared: do not modify)."""
-        return self._arrays()[0]
-
-    @property
-    def values(self) -> np.ndarray:
-        """Count or probability of each outcome in `indices` (shared: do not modify)."""
-        return self._arrays()[1]
+    def _mapping(self) -> dict:
+        """The outcome set as a bit string -> value dict, built anew."""
+        fmt = f"0{self.num_bits}b"
+        return {format(i, fmt) if self.num_bits else "": v
+                for i, v in zip(self.indices.tolist(), self.values.tolist())}
 
     def _same_outcomes(self, other: _Outcomes) -> bool:
         """Equal as bit-string maps: the same keys with the same values (so
@@ -103,7 +106,6 @@ class Distribution(_Outcomes):
     """Map from n-bit outcome string to probability; sums to 1 within 1e-9."""
 
     num_bits: int
-    _DTYPE = np.float64
 
     def __init__(self, probs: dict[str, float], num_bits: int = -1):
         keyed = dict(probs)
@@ -112,39 +114,29 @@ class Distribution(_Outcomes):
             num_bits = derived
         elif keyed and derived != num_bits:
             raise ValueError(f"keys are {derived}-bit, expected {num_bits}")
-        # each check is written so that NaN fails it
-        for k, p in keyed.items():
-            if isinstance(p, (bool, np.bool_)):
-                raise TypeError(f"{p!r} is not a probability")
-            if not p >= -1e-12:
-                raise ValueError(f"probability {p} for {k!r} is negative or NaN")
-        total = sum(keyed.values())
-        if keyed and not abs(total - 1.0) <= 1e-9:
-            raise ValueError(f"probabilities sum to {total}, not 1")
-        self._hold(num_bits, keyed)
+        if any(isinstance(p, (bool, np.bool_)) for p in keyed.values()):
+            raise TypeError(f"{keyed} holds a bool, not a probability")
+        self._hold(num_bits, *_check_law(*_sorted_arrays(keyed, np.float64)))
 
     @classmethod
     def from_arrays(cls, num_bits: int, indices, probs) -> Distribution:
         """Distribution over ascending distinct outcome indices."""
-        idx, val = _checked_arrays(num_bits, indices, probs, np.float64)
-        if val.size and not (val.min() >= -1e-12 and abs(val.sum() - 1.0) <= 1e-9):
-            raise ValueError(f"probabilities {val} are not a distribution")
         self = cls.__new__(cls)
-        self._hold(num_bits, None, idx, val)
+        self._hold(num_bits, *_check_law(*_checked_arrays(num_bits, indices, probs, np.float64)))
         return self
 
     @property
     def probs(self) -> MappingProxyType[str, float]:
-        return MappingProxyType(self._keys())
+        return MappingProxyType(self._mapping())
 
     def prob(self, key: str) -> float:
-        return self._keys().get(key, 0.0)
+        return self._mapping().get(key, 0.0)
 
     def support(self) -> list[str]:
-        return sorted(k for k, p in self._keys().items() if p > 0.0)
+        return [k for k, p in self._mapping().items() if p > 0.0]
 
     def items(self):
-        return self._keys().items()
+        return self._mapping().items()
 
     def __eq__(self, other):
         if not isinstance(other, Distribution):
@@ -152,7 +144,7 @@ class Distribution(_Outcomes):
         return self.num_bits == other.num_bits and self._same_outcomes(other)
 
     def __repr__(self) -> str:
-        return f"Distribution(probs={self._keys()!r}, num_bits={self.num_bits})"
+        return f"Distribution(probs={self._mapping()!r}, num_bits={self.num_bits})"
 
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
@@ -163,19 +155,11 @@ class Counts(_Outcomes):
     # equality is `__eq__` below; compare=False keeps num_bits out of the
     # compared fields that `dataclasses.fields` reports
     num_bits: int = field(compare=False)
-    _DTYPE = np.int64
 
     def __init__(self, counts: dict[str, int], shots: int):
-        keyed = {k: integer(v, "count") for k, v in counts.items()}
-        shots = integer(shots, "shot number")
-        num_bits = _uniform_bit_length(keyed)
-        if any(v < 0 for v in keyed.values()):
-            raise ValueError("negative count")
-        total = sum(keyed.values())
-        if total != shots:
-            raise ValueError(f"counts sum to {total}, shots field says {shots}")
-        object.__setattr__(self, "shots", shots)
-        self._hold(num_bits, keyed)
+        num_bits = check_counts(counts, shots)
+        object.__setattr__(self, "shots", int(shots))
+        self._hold(num_bits, *_sorted_arrays(counts, np.int64))
 
     @classmethod
     def from_arrays(cls, num_bits: int, indices, counts, shots: int) -> Counts:
@@ -185,25 +169,19 @@ class Counts(_Outcomes):
             raise ValueError(f"counts {val} do not make {shots} shots")
         self = cls.__new__(cls)
         object.__setattr__(self, "shots", shots)
-        self._hold(num_bits, None, idx, val)
+        self._hold(num_bits, idx, val)
         return self
 
     @property
     def counts(self) -> MappingProxyType[str, int]:
-        return MappingProxyType(self._keys())
+        return MappingProxyType(self._mapping())
 
     def frequency(self, key: str) -> float:
-        return self._keys().get(key, 0) / self.shots if self.shots else 0.0
+        return self._mapping().get(key, 0) / (self.shots or 1)
 
     def frequencies(self) -> dict[str, float]:
-        """Exact f_k = C_k / N_s per observed outcome."""
-        if self.shots == 0:
-            return {}
-        return {k: v / self.shots for k, v in self._keys().items()}
-
-    def frequency_array(self) -> np.ndarray:
-        """`frequencies()` as an array matching `indices` (zeros at zero shots)."""
-        return self.values / (self.shots or 1)
+        """Exact f_k = C_k / N_s per outcome held (zeros at zero shots)."""
+        return {k: v / (self.shots or 1) for k, v in self._mapping().items()}
 
     def __eq__(self, other):
         if not isinstance(other, Counts):
@@ -211,4 +189,4 @@ class Counts(_Outcomes):
         return self.shots == other.shots and self._same_outcomes(other)
 
     def __repr__(self) -> str:
-        return f"Counts(counts={self._keys()!r}, shots={self.shots})"
+        return f"Counts(counts={self._mapping()!r}, shots={self.shots})"

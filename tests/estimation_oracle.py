@@ -243,21 +243,29 @@ def polished(coef: np.ndarray, roots: np.ndarray, steps: int = 3) -> np.ndarray:
     return roots
 
 
-def hadamard_per_element(chars, p0: float, p1: float) -> tuple[EstimationResult, bool]:
-    """(p_h result, include-in-model flag) of one qubit's sequence tests, by
-    the real roots of the misfit's derivative polynomial in s = (1 - 4p/3)^2:
-    the companion-matrix eigenvalues (`polyroots`), `polished`."""
-    for char in chars:
-        if char.kind.kind != "hseq":
-            raise WrongKind(f"expected hseq tests, got {char.kind.kind}")
-    lengths = sorted({char.kind.length for char in chars})
+def _frequency(records, row: int, outcome: int) -> float:
+    """A record's frequency of the outcome with index `outcome`."""
+    return (records.counts[row, outcome] / records.shots[row]).item()
+
+
+def hadamard_per_element(records, p0: float, p1: float,
+                         rows=None) -> tuple[EstimationResult, bool]:
+    """(p_h result, include-in-model flag) of one qubit's sequence tests (the
+    table `rows`, all of them by default), by the real roots of the misfit's
+    derivative polynomial in s = (1 - 4p/3)^2: the companion-matrix
+    eigenvalues (`polyroots`), `polished`."""
+    rows = range(len(records.tests)) if rows is None else rows
+    for row in rows:
+        if records.tests[row].kind != "hseq":
+            raise WrongKind(f"expected hseq tests, got {records.tests[row].kind}")
+    lengths = sorted({records.tests[row].length for row in rows})
     if len(lengths) < 2:
         raise InsufficientLengths(f"need >=2 distinct sequence lengths, got {lengths}")
     denom = 1.0 - p0 - p1
     if abs(denom) < 1e-9:
         raise NoConvergence("readout too noisy to invert for survival correction")
-    by_length = {char.kind.length: char for char in chars}
-    observed = [by_length[l].counts.frequency("0") for l in lengths]
+    by_length = {records.tests[row].length: row for row in rows}
+    observed = [_frequency(records, by_length[l], 0) for l in lengths]
     length = np.array(lengths)
     u = (np.array(observed) - p1) / denom - 0.5
 
@@ -277,24 +285,24 @@ def hadamard_per_element(chars, p0: float, p1: float) -> tuple[EstimationResult,
         d1 = -(2.0 * length / 3.0) * decay ** (length - 1)
         d2 = (8.0 / 9.0) * length * (length - 1) * decay ** (length - 2)
         curvature = float(d1 @ d1 + (decay**length / 2.0 - u) @ d2)
-        sigma = [binomial_sd(f, by_length[l].counts.shots) for l, f in zip(lengths, observed)]
+        sigma = [binomial_sd(f, records.shots[by_length[l]]) for l, f in zip(lengths, observed)]
         stderr = float(np.linalg.norm(d1 * sigma)) / abs(denom * curvature)
 
-    result = EstimationResult(f"p_h:q{chars[0].kind.qubit}", value, value, stderr,
+    result = EstimationResult(f"p_h:q{records.tests[rows[0]].qubit}", value, value, stderr,
                               residual_norm=math.sqrt(ssr[best]))
     return result, 10.0 * stderr < value < 0.75
 
 
-BELL_KEYS = ("00", "01", "10", "11")
-
-
-def pcnot_per_element(char, rates: np.ndarray, readout_stderrs=(0.0,) * 4) -> EstimationResult:
-    """One coupling's Bell fit for readout rates [[p0_j, p0_k], [p1_j, p1_k]]."""
-    if char.kind.kind != "bell":
-        raise WrongKind(f"fit_pcnot needs a bell test, got {char.kind.kind}")
-    j, k = char.kind.coupling
+def pcnot_per_element(records, row: int, rates: np.ndarray,
+                      readout_stderrs=(0.0,) * 4) -> EstimationResult:
+    """One coupling's Bell fit, from table row `row`, for readout rates
+    [[p0_j, p0_k], [p1_j, p1_k]]."""
+    test = records.tests[row]
+    if test.kind != "bell":
+        raise WrongKind(f"fit_pcnot needs a bell test, got {test.kind}")
+    j, k = test.coupling
     name = f"p_cnot:q{j}-q{k}"
-    observed = np.array([char.counts.frequency(key) for key in BELL_KEYS])
+    observed = np.array([_frequency(records, row, outcome) for outcome in range(4)])
     base, slope = bell_line(rates)
     norm2 = float(slope @ slope)
     if norm2 < 1e-18:
@@ -305,25 +313,25 @@ def pcnot_per_element(char, rates: np.ndarray, readout_stderrs=(0.0,) * 4) -> Es
         return EstimationResult(name, 0.75, 0.75, feasible=s_raw == 0.25,
                                 residual_norm=float(np.linalg.norm(resid - 0.25 * slope)))
     return _clamped(name, 0.75 * (1.0 - math.sqrt(1.0 - 4.0 * s_raw)),
-                    pcnot_stderr(observed, char.counts.shots, rates, readout_stderrs),
+                    pcnot_stderr(observed, records.shots[row], rates, readout_stderrs),
                     float(np.linalg.norm(resid - max(s_raw, 0.0) * slope)))
 
 
-def fit_estimates(chars, variant: str, subset=None) -> tuple[dict, dict]:
-    """Every estimate of a per-element fit, as (name -> result, qubit ->
-    Hadamard include flag), fitted one element at a time. Errors come from
-    the first element that fails: qubits in order for p0 and X/XX, then for
-    the Hadamard decay, then couplings in order. Coverage is not checked."""
+def fit_estimates(records, variant: str, subset=None) -> tuple[dict, dict]:
+    """Every estimate of a per-element fit of a count table, as (name ->
+    result, qubit -> Hadamard include flag), fitted one element at a time.
+    Errors come from the first element that fails: qubits in order for p0
+    and X/XX, then for the Hadamard decay, then couplings in order. Coverage
+    is not checked."""
     readout_mode, gate_dp = VARIANTS[variant]
     by_kind, hseqs = {}, {}
-    for char in chars:
-        kind = char.kind
-        if kind.kind == "bell":
-            by_kind[("bell", kind.coupling)] = char
-        elif kind.kind == "hseq":
-            hseqs.setdefault(kind.qubit, []).append(char)
+    for row, test in enumerate(records.tests):
+        if test.kind == "bell":
+            by_kind[("bell", test.coupling)] = row
+        elif test.kind == "hseq":
+            hseqs.setdefault(test.qubit, []).append(row)
         else:
-            by_kind[(kind.kind, kind.qubit)] = char
+            by_kind[(test.kind, test.qubit)] = row
     couplings = sorted(c for kind, c in by_kind if kind == "bell")
     if subset:
         qubits = sorted(subset)
@@ -334,15 +342,15 @@ def fit_estimates(chars, variant: str, subset=None) -> tuple[dict, dict]:
 
     estimates, include, rates, sigmas = {}, {}, {}, {}
     for q in qubits:
-        init = by_kind[("init", q)].counts
-        p0 = init.frequency("1")
-        p0_sd = binomial_sd(p0, init.shots)
+        init = by_kind[("init", q)]
+        p0 = _frequency(records, init, 1)
+        p0_sd = binomial_sd(p0, records.shots[init])
         estimates[f"p0:q{q}"] = EstimationResult(f"p0:q{q}", p0, p0, p0_sd)
         rates[q], sigmas[q] = (p0, p0), (p0_sd, p0_sd)
         if readout_mode == "aro" or gate_dp:
-            x, xx = by_kind[("x", q)].counts, by_kind[("xx", q)].counts
-            p1, p_x = aro_per_element(x.frequency("0"), xx.frequency("0"), p0,
-                                      (x.shots, xx.shots), p0_sd, q)
+            x, xx = by_kind[("x", q)], by_kind[("xx", q)]
+            p1, p_x = aro_per_element(_frequency(records, x, 0), _frequency(records, xx, 0), p0,
+                                      (records.shots[x], records.shots[xx]), p0_sd, q)
             estimates[p1.name], estimates[p_x.name] = p1, p_x
             if readout_mode == "aro":
                 rates[q], sigmas[q] = (p0, p1.value), (p0_sd, p1.stderr)
@@ -351,10 +359,11 @@ def fit_estimates(chars, variant: str, subset=None) -> tuple[dict, dict]:
     if gate_dp:
         for q in qubits:
             if q in hseqs:
-                result, include[q] = hadamard_per_element(hseqs[q], *rates[q])
+                result, include[q] = hadamard_per_element(records, *rates[q], hseqs[q])
                 estimates[result.name] = result
         for j, k in couplings:
             pair = np.array([[rates[j][0], rates[k][0]], [rates[j][1], rates[k][1]]])
-            result = pcnot_per_element(by_kind[("bell", (j, k))], pair, sigmas[j] + sigmas[k])
+            result = pcnot_per_element(records, by_kind[("bell", (j, k))], pair,
+                                       sigmas[j] + sigmas[k])
             estimates[result.name] = result
     return estimates, include

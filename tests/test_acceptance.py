@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from closed_forms import bell_frequencies, predicted_x_test_frequencies
+from count_tables import exact_records, same_records
 from noisekit.applications import build_bv, build_ghz, bv_accuracy
 from noisekit.backend import MockBackend, MockGroundTruth
 from noisekit.characterization import (
@@ -48,7 +49,6 @@ from noisekit.noise import (
 from noisekit.outcomes import Counts, Distribution
 from noisekit.rng import child_seed, generator
 from noisekit.simulator import TrajectorySampler, simulate_ideal, simulate_noisy_exact
-from tests.test_estimation import _char_from_freqs  # exact-frequency helper
 
 PAPER_AVG = dict(p0=0.0212, p1=0.0681, p_x=0.0033, p_cnot=0.02)
 
@@ -143,28 +143,29 @@ def test_criterion_03_exact_roundtrip():
             p_c = float(rng.uniform(0, 0.15))
             p_h = float(rng.uniform(0, 0.01))
 
-            init = _char_from_freqs(TestKind("init", qubit=0), {"0": 1 - p0, "1": p0})
-            assert abs(estimate_p0(init).value - p0) <= 1e-6
+            init = (TestKind("init", qubit=0), {"0": 1 - p0, "1": p0})
+            assert abs(estimate_p0(exact_records(init)).value - p0) <= 1e-6
 
             g_x_0, g_xx_0 = predicted_x_test_frequencies(p0, p1, p_x)
-            p1_res, px_res = solve_aro_system(g_x_0, g_xx_0, p0)
+            p1_res, px_res = solve_aro_system(exact_records(
+                init, (TestKind("x", qubit=0), {"0": g_x_0, "1": 1 - g_x_0}),
+                (TestKind("xx", qubit=0), {"0": g_xx_0, "1": 1 - g_xx_0})))
             assert abs(p1_res.value - p1) <= 1e-6
             assert abs(px_res.value - p_x) <= 1e-6
 
             readout = ReadoutModel(p0, p1)
             target = apply_readout_to_distribution(bell_frequencies(p_c), [readout] * 2)
-            pc_res = fit_pcnot(_char_from_freqs(bell_kind, dict(target.items())),
+            pc_res = fit_pcnot(exact_records((bell_kind, dict(target.items()))),
                                readout, readout)
             assert abs(pc_res.value - p_c) <= 1e-6
 
-            hchars = []
+            trains = []
             for length in (2, 8, 32):
                 s = hadamard_survival(length, p_h)
                 obs = (1 - p0) * s + p1 * (1 - s)
-                hchars.append(_char_from_freqs(
-                    TestKind("hseq", qubit=0, length=length), {"0": obs, "1": 1 - obs}
-                ))
-            hfit = estimate_hadamard_error(hchars, readout)
+                trains.append((TestKind("hseq", qubit=0, length=length),
+                               {"0": obs, "1": 1 - obs}))
+            hfit = estimate_hadamard_error(exact_records(*trains), readout)
             assert abs(hfit.result.value - p_h) <= 1e-6
 
 
@@ -179,8 +180,8 @@ def test_criterion_04_statistical_roundtrip():
         seeds = 20
         for seed in range(seeds):
             plan = build_suite(topo, SuiteConfig(shots=8192, seed=seed))
-            chars = run_suite(plan, backend)
-            fit = fit_composite(chars, FitConfig(variant="aro+dp"))
+            records = run_suite(plan, backend)
+            fit = fit_composite(records, FitConfig(variant="aro+dp"))
             for name, res in fit.estimates.items():
                 target = PAPER_AVG[name.split(":")[0]]
                 ok = abs(res.value - target) <= 3 * res.stderr
@@ -201,9 +202,9 @@ def test_criterion_05_model_family_ordering():
         truth = uniform_truth(topo, p0=0.02, p1=0.07, p_x=0.0033, p_cnot=0.05)
         backend = MockBackend(topo, MockGroundTruth(truth))
         plan = build_suite(topo, SuiteConfig(shots=8192, seed=1))
-        chars = run_suite(plan, backend)
+        records = run_suite(plan, backend)
         models = [
-            (v, fit_composite(chars, FitConfig(variant=v)).model)
+            (v, fit_composite(records, FitConfig(variant=v)).model)
             for v in ("noiseless", "sro", "aro", "dp", "sro+dp", "aro+dp")
         ]
         bell_circ = materialize(TestKind("bell", coupling=(0, 1)))
@@ -227,8 +228,8 @@ def test_criterion_06_composite_improvement():
         truth = uniform_truth(topo, **PAPER_AVG)
         backend = MockBackend(topo, MockGroundTruth(truth))
         plan = build_suite(topo, SuiteConfig(shots=8192, seed=11))
-        chars = run_suite(plan, backend)
-        spatial = fit_composite(chars, FitConfig(variant="aro+dp")).model
+        records = run_suite(plan, backend)
+        spatial = fit_composite(records, FitConfig(variant="aro+dp")).model
         circuit = build_ghz(8, topo)
         run = ApplicationRun(circuit, backend.run([circuit], 8192, 12)[0])
         models = [("spatial", spatial), ("noiseless", CompositeNoiseModel.noiseless())]
@@ -245,8 +246,8 @@ def test_criterion_07_scaling_flatness():
         truth = uniform_truth(topo, **PAPER_AVG)
         backend = MockBackend(topo, MockGroundTruth(truth))
         plan = build_suite(topo, SuiteConfig(shots=8192, seed=4))
-        chars = run_suite(plan, backend)
-        spatial = fit_composite(chars, FitConfig(variant="aro+dp")).model
+        records = run_suite(plan, backend)
+        spatial = fit_composite(records, FitConfig(variant="aro+dp")).model
         circuits = [build_ghz(n, topo) for n in range(2, 11)]
         counts = backend.run(circuits, 8192, 5)
         runs = [ApplicationRun(c, k) for c, k in zip(circuits, counts)]
@@ -331,10 +332,10 @@ def test_criterion_10_determinism_and_serialization(tmp_path):
         # lossless archive round trip at the library level
         backend = MockBackend(topo, MockGroundTruth.load(truth_path))
         plan = build_suite(topo, SuiteConfig(shots=4096, seed=9))
-        chars = run_suite(plan, backend)
+        records = run_suite(plan, backend)
         path = tmp_path / "roundtrip.json"
-        write_json_file(path, archive_dict(plan, chars, window="w"))
+        write_json_file(path, archive_dict(plan, records, window="w"))
         _, loaded = read_archive(path)
-        assert [(c.kind, c.counts) for c in loaded] == [(c.kind, c.counts) for c in chars]
-        by_label = read_counts(path)[1]
-        assert all(by_label[c.label] == c.counts for c in chars)
+        assert same_records(loaded, records)
+        counts = backend.run([materialize(t) for t in plan.tests], plan.shots, plan.seed)
+        assert list(read_counts(path)[1].values()) == counts

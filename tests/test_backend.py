@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+from count_tables import rows_where, same_records
 
 from noisekit.applications import build_bv
 from noisekit.backend import FileBackend, MockBackend, MockGroundTruth
@@ -10,6 +11,7 @@ from noisekit.characterization import (
     SuiteConfig,
     archive_dict,
     build_suite,
+    materialize,
     read_counts,
     run_suite,
 )
@@ -106,32 +108,29 @@ def test_hidden_effects_depress_weighted_outcomes():
 def test_load_counts_roundtrip(tmp_path, line3):
     backend = MockBackend(line3, MockGroundTruth(uniform_truth(line3)))
     plan = build_suite(line3, SuiteConfig(shots=1024, seed=4))
-    chars = run_suite(plan, backend)
     path = tmp_path / "archive.json"
-    write_json_file(path, archive_dict(plan, chars))
+    write_json_file(path, archive_dict(plan, run_suite(plan, backend)))
     loaded = read_counts(path)[1]
-    assert set(loaded) == set(plan.labels())
-    for ch in chars:
-        assert loaded[ch.label] == ch.counts
+    assert list(loaded) == [t.label for t in plan.tests]
+    drawn = backend.run([materialize(t) for t in plan.tests], plan.shots, plan.seed)
+    assert list(loaded.values()) == drawn
 
 
 def test_file_backend_replays_archive(tmp_path, line3):
     mock = MockBackend(line3, MockGroundTruth(uniform_truth(line3)))
     plan = build_suite(line3, SuiteConfig(shots=1024, seed=4))
-    chars = run_suite(plan, mock)
+    records = run_suite(plan, mock)
     path = tmp_path / "archive.json"
-    write_json_file(path, archive_dict(plan, chars))
+    write_json_file(path, archive_dict(plan, records))
 
     replay = FileBackend(path, line3)
-    again = run_suite(plan, replay)
-    assert [c.counts for c in again] == [c.counts for c in chars]
+    assert same_records(run_suite(plan, replay), records)
 
 
 def test_file_backend_label_mismatch(tmp_path, line3):
     mock = MockBackend(line3, MockGroundTruth(uniform_truth(line3)))
     plan = build_suite(line3, SuiteConfig(shots=256, seed=2))
-    chars = run_suite(plan, mock)
-    trimmed = [c for c in chars if c.label != "bell:q0-q1"]
+    trimmed = rows_where(run_suite(plan, mock), lambda t: t.label != "bell:q0-q1")
     path = tmp_path / "archive.json"
     write_json_file(path, archive_dict(plan, trimmed))
     replay = FileBackend(path, line3)

@@ -1,11 +1,13 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
+from count_tables import records_of, same_records
 
 from noisekit.backend import MockBackend, MockGroundTruth
 from noisekit.characterization import (
-    Characterization,
+    Records,
     SuiteConfig,
     TestKind,
     archive_dict,
@@ -15,6 +17,7 @@ from noisekit.characterization import (
     count_experiments,
     materialize,
     read_archive,
+    read_counts,
     run_suite,
 )
 from noisekit.devices import line, uniform_truth
@@ -52,11 +55,16 @@ def test_label_must_round_trip(label):
         TestKind.from_label(label)
 
 
-@pytest.mark.parametrize("label", [7, None, ["init:q0"], b"init:q0"])
-def test_label_must_be_a_string(label):
-    """A non-string label is a ParseError, not an AttributeError."""
-    with pytest.raises(ParseError, match="not a string"):
-        TestKind.from_label(label)
+@pytest.mark.parametrize("label", [7, None, ["init:q0"], True])
+def test_label_must_be_a_string(label, tmp_path):
+    """An archive entry with a non-string label is a ParseError, not an
+    AttributeError, whether it is read as records or as counts to replay."""
+    path = tmp_path / "archive.json"
+    path.write_text(json.dumps({"entries": [
+        {"label": label, "shots": 1, "counts": {"0": 1}}]}))
+    for read in (read_archive, read_counts):
+        with pytest.raises(ParseError, match="not a string"):
+            read(path)
 
 
 def test_odd_hadamard_length_rejected():
@@ -116,7 +124,7 @@ def test_build_suite_two_qubit_line():
     # 2 qubits x {init, x, xx} + 1 bell = the 7-experiment minimal suite
     plan = build_suite(line(2), SuiteConfig())
     assert len(plan.tests) == 7
-    assert plan.labels() == [
+    assert [t.label for t in plan.tests] == [
         "init:q0", "init:q1", "x:q0", "x:q1", "xx:q0", "xx:q1", "bell:q0-q1",
     ]
 
@@ -177,38 +185,54 @@ def test_run_suite_zero_noise(line3):
 
     backend = MockBackend(line3, MockGroundTruth(CompositeNoiseModel.noiseless()))
     plan = build_suite(line3, SuiteConfig(shots=2048, seed=5))
-    chars = run_suite(plan, backend)
-    assert len(chars) == len(plan.tests)
-    for ch in chars:
-        observed = ch.counts.frequencies()
-        ideal = IDEAL[ch.kind.kind]
-        for key, freq in observed.items():
-            assert freq == pytest.approx(ideal.get(key, 0.0), abs=0.05)
-        assert set(observed) <= set(ideal)
-        assert ch.counts.shots == 2048
+    records = run_suite(plan, backend)
+    assert records.tests == plan.tests
+    for test, observed in zip(records.tests, records.frequencies()):
+        ideal = np.zeros(4)
+        for key, freq in IDEAL[test.kind].items():
+            ideal[int(key, 2)] = freq
+        assert observed == pytest.approx(ideal, abs=0.05)
+        assert (ideal[observed > 0] > 0).all()
+    assert (records.shots == 2048).all()
 
 
 def test_run_suite_init_error_within_binomial_bound(line4, mock_backend):
     plan = build_suite(line4, SuiteConfig(shots=8192, seed=21))
-    chars = run_suite(plan, mock_backend)
+    records = run_suite(plan, mock_backend)
     sigma = (0.0212 * (1 - 0.0212) / 8192) ** 0.5
-    for ch in chars:
-        if ch.kind.kind == "init":
-            assert abs(ch.counts.frequency("1") - 0.0212) <= 4 * sigma
+    for test, observed in zip(records.tests, records.frequencies()):
+        if test.kind == "init":
+            assert abs(observed[1] - 0.0212) <= 4 * sigma
 
 
 def test_run_suite_deterministic(line3):
     backend = MockBackend(line3, MockGroundTruth(uniform_truth(line3)))
     plan = build_suite(line3, SuiteConfig(shots=1024, seed=33))
-    a = run_suite(plan, backend)
-    b = run_suite(plan, backend)
-    assert [c.counts for c in a] == [c.counts for c in b]
+    assert same_records(run_suite(plan, backend), run_suite(plan, backend))
 
 
-def test_record_is_its_test_and_counts():
-    assert [f.name for f in dataclasses.fields(Characterization)] == ["kind", "counts"]
-    record = Characterization(TestKind("bell", coupling=(2, 1)), Counts({"01": 3}, 3))
-    assert record.label == "bell:q2-q1"
+def test_records_are_tests_counts_and_shots():
+    """A table holds the test, the count of each outcome index and the shots
+    of every row, and indexes the rows by element, a Bell test by its
+    undirected edge."""
+    assert [f.name for f in dataclasses.fields(Records)] == ["tests", "counts", "shots", "index"]
+    records = records_of([(TestKind("bell", coupling=(2, 1)), {"01": 3}, 3),
+                          (TestKind("hseq", qubit=1, length=4), {"0": 2, "1": 1}, 3),
+                          (TestKind("x", qubit=1), {"1": 3}, 3)])
+    assert records.counts.tolist() == [[0, 3, 0, 0], [2, 1, 0, 0], [0, 3, 0, 0]]
+    assert records.index == {("bell", (1, 2), None): 0, ("hseq", 1, 4): 1, ("x", 1, None): 2}
+    assert records.frequencies()[1].tolist() == [2 / 3, 1 / 3, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("first, second", [("bell:q0-q1", "bell:q1-q0"),
+                                           ("init:q2", "init:q2")])
+def test_records_reject_a_second_record_of_one_element(first, second):
+    """A Bell test recorded in both directions characterizes one coupling
+    twice: the table names both labels instead of keeping either."""
+    rows = [(TestKind.from_label(label), {"00" if "bell" in label else "0": 4}, 4)
+            for label in (first, second)]
+    with pytest.raises(ParseError, match=f"{first} and {second}"):
+        records_of(rows)
 
 
 @pytest.mark.parametrize("label, counts", [
@@ -217,9 +241,6 @@ def test_record_is_its_test_and_counts():
     ("init:q0", {}),  # zero shots: an empty map is 0 bits wide
 ])
 def test_record_counts_must_have_the_tests_width(tmp_path, label, counts):
-    kind = TestKind.from_label(label)
-    with pytest.raises(ArityMismatch, match=label):
-        Characterization(kind, Counts(counts, sum(counts.values())))
     path = tmp_path / "archive.json"
     path.write_text(json.dumps({"entries": [
         {"label": label, "shots": sum(counts.values()), "counts": counts}]}))
@@ -242,14 +263,12 @@ def test_run_suite_rejects_backend_counts_of_the_wrong_width(line3):
 def test_archive_roundtrip(tmp_path, line3):
     backend = MockBackend(line3, MockGroundTruth(uniform_truth(line3)))
     plan = build_suite(line3, SuiteConfig(shots=512, seed=1))
-    chars = run_suite(plan, backend)
+    records = run_suite(plan, backend)
     path = tmp_path / "archive.json"
-    write_json_file(path, archive_dict(plan, chars, window="w"))
+    write_json_file(path, archive_dict(plan, records, window="w"))
     data, loaded = read_archive(path)
     assert data["window"] == "w" and data["shots"] == 512
-    assert [c.label for c in loaded] == [c.label for c in chars]
-    assert [c.counts for c in loaded] == [c.counts for c in chars]
-    assert [c.kind for c in loaded] == [c.kind for c in chars]
+    assert same_records(loaded, records)
 
 
 def test_content_hash_of_parsed_archive_is_archive_hash(tmp_path, line3):
@@ -257,9 +276,9 @@ def test_content_hash_of_parsed_archive_is_archive_hash(tmp_path, line3):
     ignores meta and leaves the dict whole."""
     backend = MockBackend(line3, MockGroundTruth(uniform_truth(line3)))
     plan = build_suite(line3, SuiteConfig(shots=64, seed=1))
-    chars = run_suite(plan, backend)
+    records = run_suite(plan, backend)
     path = tmp_path / "archive.json"
-    write_json_file(path, archive_dict(plan, chars, window="w", meta={"t": 1}))
+    write_json_file(path, archive_dict(plan, records, window="w", meta={"t": 1}))
     data, _ = read_archive(path)
     assert content_hash(data) == archive_hash(path)
     assert data["meta"] == {"t": 1}

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from count_tables import rows_where
 
 import noisekit
 from noisekit import characterization
@@ -125,12 +126,10 @@ def test_fit_missing_bell_coverage_exit_1(setup, capsys):
     plan = build_suite(topo, SuiteConfig(shots=256, seed=1))
     from noisekit.backend import MockBackend
 
-    chars = [
-        c for c in run_suite(plan, MockBackend(topo, MockGroundTruth.load(truth)))
-        if c.kind.kind != "bell"
-    ]
+    records = rows_where(run_suite(plan, MockBackend(topo, MockGroundTruth.load(truth))),
+                         lambda t: t.kind != "bell")
     partial = tmp_path / "partial.json"
-    write_json_file(partial, archive_dict(plan, chars))
+    write_json_file(partial, archive_dict(plan, records))
     code = main(["fit", "--archive", str(partial), "--flags", "aro+dp",
                  "--out", str(tmp_path / "run")])
     assert code == 1
@@ -464,6 +463,24 @@ def _fit_subset_negative(tmp_path, device, truth):
             "--subset=-1,0"]
 
 
+def _bell_both_directions(data):
+    """A second record of the coupling (0, 1), measured the other way round."""
+    bell = next(e for e in data["entries"] if e["label"] == "bell:q0-q1")
+    data["entries"].append({**bell, "label": "bell:q1-q0"})
+
+
+def _file_backend_label_not_a_string(tmp_path, device, truth):
+    """`evaluate --exact` of ghz:3 replayed from an archive that also holds
+    an entry labelled 7."""
+    archive = tmp_path / "ghz-archive.json"
+    entry = {"shots": 64, "counts": {"000": 32, "111": 32}}
+    archive.write_text(json.dumps({"entries": [{**entry, "label": "ghz:3"},
+                                               {**entry, "label": 7}]}))
+    argv = _evaluate_argv(tmp_path, device, truth)
+    argv[argv.index("--backend") + 1] = f"file:{archive}"
+    return [*argv, "--exact"]
+
+
 def _evaluate_without_model(tmp_path, device, truth):
     argv = _evaluate_argv(tmp_path, device, truth)
     cut = argv.index("--model")
@@ -586,6 +603,9 @@ MALFORMED_INPUTS = {
                             "ParseError"),
     "archive-shots-string": (_entry_edit("init:q0", lambda e: e.update(shots=str(e["shots"]))),
                              "ParseError"),
+    # counts are int64 arrays inside
+    "archive-shots-above-int64": (_archive_entry_counts("init:q0", {"0": 1 << 63}),
+                                  "ParseError"),
     "archive-window-not-a-string": (_archive_edit(lambda d: d.update(window=5)), "ParseError"),
     "archive-hseq-length-zero": (_relabelled("init:q0", "hseq:q0:len0"), "ParseError"),
     "archive-hseq-length-odd": (_relabelled("init:q0", "hseq:q0:len3"), "ParseError"),
@@ -605,6 +625,8 @@ MALFORMED_INPUTS = {
     "truth-hidden-bool": (_edited_truth(
         lambda d: d["hidden_effects"].update(state_dependent_readout=True)), "ParseError"),
     "fit-subset-negative": (_fit_subset_negative, "ConfigError"),
+    "archive-bell-both-directions": (_archive_edit(_bell_both_directions), "ParseError"),
+    "file-backend-label-not-a-string": (_file_backend_label_not_a_string, "ParseError"),
 }
 
 

@@ -1,10 +1,10 @@
 import math
 from fractions import Fraction
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from closed_forms import bell_frequencies, predicted_x_test_frequencies
+from count_tables import exact_records, frequency_records, records_of, rows_where
 from estimation_oracle import (
     bell_line,
     fit_estimates,
@@ -17,10 +17,11 @@ from estimation_oracle import (
 
 from noisekit.backend import MockBackend, MockGroundTruth
 from noisekit.characterization import (
-    Characterization,
     SuiteConfig,
     TestKind,
+    archive_dict,
     build_suite,
+    read_archive,
     run_suite,
 )
 from noisekit import estimation
@@ -32,6 +33,7 @@ from noisekit.errors import (
     NoConvergence,
     OutOfRange,
     WrongKind,
+    write_json_file,
 )
 from noisekit.estimation import (
     BELL_OUTCOMES,
@@ -57,33 +59,16 @@ from noisekit.noise import (
 )
 from noisekit.outcomes import Counts
 
-EXACT_SHOTS = 9_000_000  # large enough that rounded counts are exact to ~1e-7
+def _one_row(test: TestKind, counts: dict, shots: int):
+    return records_of([(test, counts, shots)])
 
 
-def _char(kind: TestKind, counts: dict, shots: int) -> Characterization:
-    return Characterization(kind, Counts(counts, shots))
-
-
-def _char_from_freqs(kind: TestKind, freqs: dict) -> Characterization:
-    counts = {k: round(v * EXACT_SHOTS) for k, v in freqs.items() if v > 0}
-    first = next(iter(counts))
-    counts[first] += EXACT_SHOTS - sum(counts.values())
-    return _char(kind, counts, EXACT_SHOTS)
-
-
-class _Frequencies:
-    """Counts stand-in with arbitrary real frequencies, so the estimators
-    can be differentiated numerically."""
-
-    def __init__(self, freqs: dict, shots: int):
-        self.freqs, self.shots = dict(freqs), shots
-
-    def frequency(self, key: str) -> float:
-        return self.freqs.get(key, 0.0)
-
-
-def _record(kind: TestKind, freqs: dict, shots: int = 8192) -> SimpleNamespace:
-    return SimpleNamespace(kind=kind, counts=_Frequencies(freqs, shots))
+def _aro_records(g_x_0, g_xx_0, p0, shots=(8192, 8192, 8192)):
+    """One qubit's init, X and XX tests at the given frequencies of
+    outcome 1, 0 and 0, with (X, XX, init) shots."""
+    return frequency_records((TestKind("init", qubit=0), {"0": 1.0 - p0, "1": p0}, shots[2]),
+                             (TestKind("x", qubit=0), {"0": g_x_0, "1": 1.0 - g_x_0}, shots[0]),
+                             (TestKind("xx", qubit=0), {"0": g_xx_0, "1": 1.0 - g_xx_0}, shots[1]))
 
 
 def _central_gradient(fn, x, step):
@@ -101,31 +86,31 @@ def _central_gradient(fn, x, step):
 # -- estimate_p0 -----------------------------------------------------------------
 
 def test_p0_zero_error():
-    res = estimate_p0(_char(TestKind("init", qubit=0), {"0": 8192}, 8192))
+    res = estimate_p0(_one_row(TestKind("init", qubit=0), {"0": 8192}, 8192))
     assert res.value == 0.0 and res.feasible
 
 
 def test_p0_direct_division():
-    res = estimate_p0(_char(TestKind("init", qubit=0), {"0": 8020, "1": 172}, 8192))
+    res = estimate_p0(_one_row(TestKind("init", qubit=0), {"0": 8020, "1": 172}, 8192))
     assert res.value == pytest.approx(0.02099609375, abs=1e-12)
     assert res.stderr == pytest.approx((res.value * (1 - res.value) / 8192) ** 0.5)
 
 
 def test_p0_boundary():
-    res = estimate_p0(_char(TestKind("init", qubit=0), {"1": 8192}, 8192))
+    res = estimate_p0(_one_row(TestKind("init", qubit=0), {"1": 8192}, 8192))
     assert res.value == 1.0 and res.feasible
 
 
 def test_p0_wrong_kind():
     with pytest.raises(WrongKind):
-        estimate_p0(_char(TestKind("x", qubit=0), {"1": 10}, 10))
+        estimate_p0(_one_row(TestKind("x", qubit=0), {"1": 10}, 10))
 
 
 # -- solve_aro_system -------------------------------------------------------------
 
 def test_aro_forward_model_roundtrip():
     g_x_0, g_xx_0 = predicted_x_test_frequencies(0.02, 0.07, 0.003)
-    p1, p_x = solve_aro_system(g_x_0, g_xx_0, 0.02)
+    p1, p_x = solve_aro_system(_aro_records(g_x_0, g_xx_0, 0.02))
     assert p1.value == pytest.approx(0.07, abs=1e-8)
     assert p_x.value == pytest.approx(0.003, abs=1e-8)
     assert p1.feasible and p_x.feasible
@@ -134,14 +119,14 @@ def test_aro_forward_model_roundtrip():
 
 def test_aro_zero_gate_noise_limit():
     p0, p1_true = 0.03, 0.08
-    p1, p_x = solve_aro_system(p1_true, 1 - p0, p0)
+    p1, p_x = solve_aro_system(_aro_records(p1_true, 1 - p0, p0))
     assert p1.value == pytest.approx(p1_true, abs=1e-9)
     assert p_x.value == pytest.approx(0.0, abs=1e-9)
 
 
 def test_aro_infeasible_clamped():
     # g_xx_0 above the p_x = 0 ceiling forces a negative raw p_x.
-    p1, p_x = solve_aro_system(0.06, min(1.0, (1 - 0.02) + 0.003), 0.02)
+    p1, p_x = solve_aro_system(_aro_records(0.06, min(1.0, (1 - 0.02) + 0.003), 0.02))
     assert not p_x.feasible
     assert p_x.raw_value < 0.0
     assert p_x.value == 0.0
@@ -149,15 +134,16 @@ def test_aro_infeasible_clamped():
 
 def test_aro_rejects_bad_inputs():
     with pytest.raises(OutOfRange):
-        solve_aro_system(1.2, 0.5, 0.0)
+        solve_aro_system(_aro_records(1.2, 0.5, 0.0))
 
 
 def test_aro_stderr_propagation():
+    """The stderrs shrink as 1/sqrt(shots) of the three tests."""
     g_x_0, g_xx_0 = predicted_x_test_frequencies(0.02, 0.07, 0.003)
-    _, p_x_exact = solve_aro_system(g_x_0, g_xx_0, 0.02)
-    p1, p_x = solve_aro_system(g_x_0, g_xx_0, 0.02, shots=(8192, 8192), p0_stderr=0.0016)
-    assert p_x_exact.stderr == 0.0
-    assert p1.stderr > 0 and p_x.stderr > 0
+    p1, p_x = solve_aro_system(_aro_records(g_x_0, g_xx_0, 0.02))
+    wide = solve_aro_system(_aro_records(g_x_0, g_xx_0, 0.02, shots=(8 * 8192,) * 3))
+    for res, more_shots in zip((p1, p_x), wide):
+        assert res.stderr == pytest.approx(8**0.5 * more_shots.stderr, rel=1e-9)
     # sanity scale: g uncertainties ~3e-3 map to parameter scales of the same order
     assert 1e-4 < p1.stderr < 2e-2
     assert 1e-4 < p_x.stderr < 2e-2
@@ -179,7 +165,7 @@ def test_aro_closed_form_matches_newton_oracle():
     infeasible = 0
     for _ in range(500):
         g_x_0, g_xx_0, p0 = _noisy_x_xx(rng)
-        p1, p_x = solve_aro_system(g_x_0, g_xx_0, p0)
+        p1, p_x = solve_aro_system(_aro_records(g_x_0, g_xx_0, p0))
         p1_oracle, px_oracle = solve_x_xx(g_x_0, g_xx_0, p0)
         assert p1.raw_value == pytest.approx(p1_oracle, abs=1e-9)
         assert p_x.raw_value == pytest.approx(px_oracle, abs=1e-9)
@@ -193,14 +179,14 @@ def test_aro_stderr_matches_central_differences():
     rng = np.random.default_rng(31)
     for _ in range(100):
         g_x_0, g_xx_0, p0 = _noisy_x_xx(rng)
-        shots = (1024, 8192)
-        p0_stderr = binomial_stderr(p0, 4096)
+        shots = (1024, 8192, 4096)  # X, XX, init
         sigma = np.array([binomial_stderr(g_x_0, shots[0]),
-                          binomial_stderr(g_xx_0, shots[1]), p0_stderr])
-        p1, p_x = solve_aro_system(g_x_0, g_xx_0, p0, shots=shots, p0_stderr=p0_stderr)
+                          binomial_stderr(g_xx_0, shots[1]), binomial_stderr(p0, shots[2])])
+        p1, p_x = solve_aro_system(_aro_records(g_x_0, g_xx_0, p0, shots))
         for index, res in enumerate((p1, p_x)):
             grad = _central_gradient(
-                lambda v: solve_aro_system(*v)[index].raw_value, (g_x_0, g_xx_0, p0), 1e-6
+                lambda v: solve_aro_system(_aro_records(*v, shots))[index].raw_value,
+                (g_x_0, g_xx_0, p0), 1e-6
             )
             assert res.stderr == pytest.approx(np.linalg.norm(grad * sigma), rel=1e-4)
 
@@ -211,38 +197,36 @@ def test_aro_stderr_matches_central_differences():
 ])
 def test_aro_singular_system_raises(g_x_0, g_xx_0, p0):
     with pytest.raises(NoConvergence):
-        solve_aro_system(g_x_0, g_xx_0, p0)
+        solve_aro_system(_aro_records(g_x_0, g_xx_0, p0))
 
 
 # -- estimate_hadamard_error -------------------------------------------------------
 
-def _hseq_chars(p_h, lengths, readout=ReadoutModel.ideal()):
-    chars = []
+def _hseq_exact(p_h, lengths, readout=ReadoutModel.ideal()):
+    rows = []
     for length in lengths:
         survival = hadamard_survival(length, p_h)
         observed = (1 - readout.p0) * survival + readout.p1 * (1 - survival)
-        kind = TestKind("hseq", qubit=0, length=length)
-        chars.append(_char_from_freqs(kind, {"0": observed, "1": 1 - observed}))
-    return chars
+        rows.append((TestKind("hseq", qubit=0, length=length), {"0": observed, "1": 1 - observed}))
+    return exact_records(*rows)
 
 
 def test_hadamard_roundtrip_exact():
-    fit = estimate_hadamard_error(_hseq_chars(0.001, (2, 4, 8, 16, 32, 64)),
+    fit = estimate_hadamard_error(_hseq_exact(0.001, (2, 4, 8, 16, 32, 64)),
                                   ReadoutModel.ideal())
     assert fit.result.value == pytest.approx(0.001, abs=1e-6)
 
 
 def test_hadamard_roundtrip_with_readout():
     readout = ReadoutModel(0.02, 0.07)
-    fit = estimate_hadamard_error(_hseq_chars(0.002, (2, 8, 32), readout), readout)
+    fit = estimate_hadamard_error(_hseq_exact(0.002, (2, 8, 32), readout), readout)
     assert fit.result.value == pytest.approx(0.002, abs=1e-6)
 
 
 def test_hadamard_ideal_sequences():
-    chars = [
-        _char(TestKind("hseq", qubit=0, length=l), {"0": 8192}, 8192) for l in (2, 4)
-    ]
-    fit = estimate_hadamard_error(chars, ReadoutModel.ideal())
+    records = records_of([(TestKind("hseq", qubit=0, length=l), {"0": 8192}, 8192)
+                          for l in (2, 4)])
+    fit = estimate_hadamard_error(records, ReadoutModel.ideal())
     assert fit.result.value == 0.0
     assert not fit.include_in_model
 
@@ -259,9 +243,8 @@ def test_hadamard_small_error_excluded_when_unresolvable(line2):
     plan = build_suite(
         line2, SuiteConfig(hadamard_lengths=(2, 4, 8), shots=8192, seed=3)
     )
-    chars = [c for c in run_suite(plan, backend) if c.kind.kind == "hseq"
-             and c.kind.qubit == 0]
-    fit = estimate_hadamard_error(chars, ReadoutModel(0.0212, 0.0681))
+    records = rows_where(run_suite(plan, backend), lambda t: t.kind == "hseq" and t.qubit == 0)
+    fit = estimate_hadamard_error(records, ReadoutModel(0.0212, 0.0681))
     assert fit.result.value < 10 * fit.result.stderr
     assert not fit.include_in_model
 
@@ -277,25 +260,24 @@ def test_hadamard_long_sequences_resolve_small_error(line2):
     plan = build_suite(
         line2, SuiteConfig(hadamard_lengths=(2, 4, 8, 16, 32, 64), shots=8192, seed=3)
     )
-    chars = [c for c in run_suite(plan, backend) if c.kind.kind == "hseq"
-             and c.kind.qubit == 0]
-    fit = estimate_hadamard_error(chars, ReadoutModel(0.0212, 0.0681))
+    records = rows_where(run_suite(plan, backend), lambda t: t.kind == "hseq" and t.qubit == 0)
+    fit = estimate_hadamard_error(records, ReadoutModel(0.0212, 0.0681))
     assert fit.result.value == pytest.approx(0.001, abs=5e-4)
     assert fit.include_in_model
 
 
 def test_hadamard_needs_two_lengths():
     with pytest.raises(InsufficientLengths):
-        estimate_hadamard_error(_hseq_chars(0.001, (8,)), ReadoutModel.ideal())
+        estimate_hadamard_error(_hseq_exact(0.001, (8,)), ReadoutModel.ideal())
 
 
 HSEQ_LENGTHS = (2, 4, 8, 16, 32)
 
 
-def _hseq_records(observed: dict, shots: dict) -> list:
-    return [_record(TestKind("hseq", qubit=0, length=l),
-                    {"0": observed[l], "1": 1 - observed[l]}, shots[l])
-            for l in observed]
+def _hseq_records(observed: dict, shots: dict):
+    return frequency_records(*((TestKind("hseq", qubit=0, length=l),
+                                {"0": observed[l], "1": 1 - observed[l]}, shots[l])
+                               for l in observed))
 
 
 def test_hadamard_stderr_matches_central_differences():
@@ -339,9 +321,9 @@ def test_hadamard_fully_mixed_point_is_a_bound():
     fully mixed point, where dp/ds diverges: like p_h = 0 it is a bound, with
     no stderr, and the channel stays out of the model."""
     counts = {2: 4071, 4: 4088, 8: 4080}  # P(0) = 0.497, 0.499, 0.498
-    chars = [_char(TestKind("hseq", qubit=0, length=l), {"0": n, "1": 8192 - n}, 8192)
-             for l, n in counts.items()]
-    fit = estimate_hadamard_error(chars, ReadoutModel.ideal())
+    records = records_of([(TestKind("hseq", qubit=0, length=l), {"0": n, "1": 8192 - n}, 8192)
+                          for l, n in counts.items()])
+    fit = estimate_hadamard_error(records, ReadoutModel.ideal())
     assert fit.result.value == 0.75 and fit.result.stderr == 0.0
     assert not fit.include_in_model
 
@@ -417,12 +399,22 @@ ISOLATION_LADDERS = {"2-4": (2, 4), "geometric-32": GEOMETRIC[:-1], "geometric-6
                      "even-2-64": tuple(range(2, 66, 2))}
 
 
-def _assert_hadamard_matches_oracle(rows, readout: ReadoutModel, residual_floor=1e-15):
-    """Each stacked row's fit equals the polyroots oracle's within 1e-12
+def _stacked(trains: list[dict]):
+    """One table of the trains, {length: frequency of outcome 0} at 8192
+    shots each, train i on qubit i; and each train's rows."""
+    records = frequency_records(*((TestKind("hseq", qubit=i, length=l), {"0": f, "1": 1 - f}, 8192)
+                                  for i, train in enumerate(trains) for l, f in train.items()))
+    return records, [[records.index["hseq", i, l] for l in train]
+                     for i, train in enumerate(trains)]
+
+
+def _assert_hadamard_matches_oracle(trains, readout: ReadoutModel, residual_floor=1e-15):
+    """Each stacked train's fit equals the polyroots oracle's within 1e-12
     relative (floor 1e-15) in p_h, stderr and residual, with the same flag."""
+    records, rows = _stacked(trains)
     p0, p1 = (np.full(len(rows), rate) for rate in (readout.p0, readout.p1))
-    for chars, fit in zip(rows, estimation._hadamard_fits(rows, p0, p1)):
-        want, include = hadamard_per_element(chars, readout.p0, readout.p1)
+    for train, fit in zip(rows, estimation._hadamard_fits(records, rows, p0, p1)):
+        want, include = hadamard_per_element(records, readout.p0, readout.p1, train)
         got = fit.result
         assert got.value == pytest.approx(want.value, rel=1e-12, abs=1e-15)
         assert got.stderr == pytest.approx(want.stderr, rel=1e-12, abs=1e-15)
@@ -453,7 +445,7 @@ def test_root_isolation_matches_polyroots_oracle(lengths):
                 f = (1 - readout.p0) * s + readout.p1 * (1 - s)
                 observed[l] = {"drawn": rng.binomial(8192, f) / 8192, "exact": f,
                                "wide": f + rng.normal(0, 0.3)}[mode]
-            rows.append(_hseq_records(observed, dict.fromkeys(ladder, 8192)))
+            rows.append(observed)
         _assert_hadamard_matches_oracle(rows, readout, 1e-14 if mode == "exact" else 1e-15)
 
 
@@ -501,8 +493,7 @@ def test_root_isolation_finds_constructed_roots(lengths, roots, monkeypatch):
     oracle's."""
     calls = _spied_isolation(monkeypatch)
     targets = _targets_with_roots(lengths, roots)
-    rows = [_hseq_records(targets, dict.fromkeys(lengths, 8192))]
-    _assert_hadamard_matches_oracle(rows, ReadoutModel.ideal())
+    _assert_hadamard_matches_oracle([targets], ReadoutModel.ideal())
     (_, (_, got)), = calls
     # the rounded coefficients move the close pair by ~1e-9
     assert np.sort(got)[:len(roots)] == pytest.approx(roots, rel=1e-7)
@@ -536,9 +527,7 @@ def test_isolated_roots_are_exact_to_one_ulp(monkeypatch):
         for p_h in (1e-6, 3e-6, 1e-4, 1e-3, 0.1, 0.5):
             exact = {l: hadamard_survival(l, p_h) for l in lengths}
             noisy = {l: t + rng.normal(0, 0.3) for l, t in exact.items()}
-            rows = [_hseq_records(targets, dict.fromkeys(lengths, 8192))
-                    for targets in (exact, noisy)]
-            estimation._hadamard_fits(rows, np.zeros(2), np.zeros(2))
+            estimation._hadamard_fits(*_stacked([exact, noisy]), np.zeros(2), np.zeros(2))
             (exponents, coef), (row, roots) = calls.pop()
             assert all(_changes_sign_within_one_ulp(exponents, coef[r], s)
                        for r, s in zip(row.tolist(), roots.tolist()))
@@ -579,8 +568,7 @@ def test_root_isolation_root_on_a_grid_point(monkeypatch):
     at s = 1/2, a point of the starting grid, also in floating point: the
     root is found though f changes sign across neither cell beside it."""
     calls = _spied_isolation(monkeypatch)
-    records = _hseq_records({2: 0.875, 4: 0.5}, dict.fromkeys((2, 4), 8192))
-    _assert_hadamard_matches_oracle([records], ReadoutModel.ideal())
+    _assert_hadamard_matches_oracle([{2: 0.875, 4: 0.5}], ReadoutModel.ideal())
     (_, (_, roots)), = calls
     assert roots.tolist() == pytest.approx([0.5], rel=1e-15)
 
@@ -595,9 +583,7 @@ def test_root_isolation_roots_at_the_ends(targets):
     """Roots exactly at s = 0 or s = 1, where both ends are candidates
     anyway, give the oracle's fit: an unresolved cell at 0 adds no root at
     4e-16, which would read as p_h = 0.75 - 1.5e-8."""
-    lengths = tuple(targets)
-    _assert_hadamard_matches_oracle([_hseq_records(targets, dict.fromkeys(lengths, 8192))],
-                                    ReadoutModel.ideal())
+    _assert_hadamard_matches_oracle([targets], ReadoutModel.ideal())
 
 
 # -- fit_pcnot ---------------------------------------------------------------------
@@ -608,34 +594,33 @@ BELL_KIND = TestKind("bell", coupling=(0, 1))
 def test_pcnot_forward_model_roundtrip():
     readout = ReadoutModel(0.02, 0.07)
     target = apply_readout_to_distribution(bell_frequencies(0.05), [readout] * 2)
-    char = _char_from_freqs(BELL_KIND, dict(target.items()))
-    res = fit_pcnot(char, readout, readout)
+    res = fit_pcnot(exact_records((BELL_KIND, dict(target.items()))), readout, readout)
     assert res.value == pytest.approx(0.05, abs=1e-6)
     assert res.feasible
 
 
 def test_pcnot_ideal_bell():
-    char = _char(BELL_KIND, {"00": 4096, "11": 4096}, 8192)
-    res = fit_pcnot(char, ReadoutModel.ideal(), ReadoutModel.ideal())
+    records = _one_row(BELL_KIND, {"00": 4096, "11": 4096}, 8192)
+    res = fit_pcnot(records, ReadoutModel.ideal(), ReadoutModel.ideal())
     assert res.value == pytest.approx(0.0, abs=1e-6)
 
 
 def test_pcnot_uniform_full_mixing():
-    char = _char(BELL_KIND, {k: 2048 for k in ("00", "01", "10", "11")}, 8192)
-    res = fit_pcnot(char, ReadoutModel.ideal(), ReadoutModel.ideal())
+    records = _one_row(BELL_KIND, {k: 2048 for k in ("00", "01", "10", "11")}, 8192)
+    res = fit_pcnot(records, ReadoutModel.ideal(), ReadoutModel.ideal())
     assert res.value == pytest.approx(0.75, abs=1e-3)
 
 
 def test_pcnot_degenerate_single_outcome_still_fits():
-    char = _char(BELL_KIND, {"01": 8192}, 8192)
-    res = fit_pcnot(char, ReadoutModel.ideal(), ReadoutModel.ideal())
+    records = _one_row(BELL_KIND, {"01": 8192}, 8192)
+    res = fit_pcnot(records, ReadoutModel.ideal(), ReadoutModel.ideal())
     assert 0.0 <= res.value <= 1.0
     assert res.residual_norm > 0.1  # lack of fit is visible in diagnostics
 
 
 def test_pcnot_wrong_kind():
     with pytest.raises(WrongKind):
-        fit_pcnot(_char(TestKind("init", qubit=0), {"0": 1}, 1),
+        fit_pcnot(_one_row(TestKind("init", qubit=0), {"0": 1}, 1),
                   ReadoutModel.ideal(), ReadoutModel.ideal())
 
 
@@ -675,10 +660,9 @@ def test_pcnot_grid_scan_oracle():
         raw = rng.dirichlet((8, 1, 1, 8))
         counts = {k: int(round(v * 100000)) for k, v in zip(keys, raw)}
         counts["00"] += 100000 - sum(counts.values())
-        char = _char(BELL_KIND, counts, 100000)
-        fitted = fit_pcnot(char, readout_j, readout_k)
+        fitted = fit_pcnot(_one_row(BELL_KIND, counts, 100000), readout_j, readout_k)
 
-        observed = np.array([char.counts.frequency(k) for k in keys])
+        observed = np.array([counts[k] / 100000 for k in keys])
         model = bell @ np.kron(_stochastic(readout_j), _stochastic(readout_k)).T
         ssr = ((model - observed) ** 2).sum(axis=1)
         best = int(np.argmin(ssr))
@@ -687,7 +671,7 @@ def test_pcnot_grid_scan_oracle():
 
 
 def _bell_record(freqs, shots=8192):
-    return _record(BELL_KIND, dict(zip(BELL_OUTCOMES, freqs)), shots)
+    return frequency_records((BELL_KIND, dict(zip(BELL_OUTCOMES, freqs)), shots))
 
 
 def test_pcnot_stderr_matches_central_differences():
@@ -730,7 +714,7 @@ def test_pcnot_stderr_matches_oracle():
         p = rng.uniform(0, 0.5)
         base, slope = bell_line(rates)
         counts = rng.multinomial(shots, base + (2 * p / 3 - 4 * p**2 / 9) * slope)
-        res = fit_pcnot(_char(BELL_KIND, dict(zip(BELL_OUTCOMES, counts.tolist())), shots),
+        res = fit_pcnot(_one_row(BELL_KIND, dict(zip(BELL_OUTCOMES, counts.tolist())), shots),
                         ReadoutModel(*rates[:, 0]), ReadoutModel(*rates[:, 1]), tuple(sigmas))
         if res.raw_value >= 0.75:
             continue
@@ -743,11 +727,11 @@ def test_pcnot_infeasible_s_flagged():
     beyond the uniform law's 1/4 is clamped to p = 3/4. Both are flagged."""
     readout = ReadoutModel(0.05, 0.05)
     # fewer odd-parity outcomes than readout alone produces: s* < 0
-    res = fit_pcnot(_char(BELL_KIND, {"00": 4096, "11": 4096}, 8192), readout, readout)
+    res = fit_pcnot(_one_row(BELL_KIND, {"00": 4096, "11": 4096}, 8192), readout, readout)
     assert res.raw_value < 0.0 and res.value == 0.0 and not res.feasible
     assert res.stderr > 0.0
     # only odd parity: s* = 1/2
-    res = fit_pcnot(_char(BELL_KIND, {"01": 8192}, 8192),
+    res = fit_pcnot(_one_row(BELL_KIND, {"01": 8192}, 8192),
                     ReadoutModel.ideal(), ReadoutModel.ideal())
     assert res.value == 0.75 and not res.feasible
 
@@ -764,18 +748,18 @@ def test_roundtrip_identifiability_exact():
         p_x = float(rng.uniform(0, 0.02))
         p_cnot = float(rng.uniform(0, 0.15))
 
-        init = _char_from_freqs(TestKind("init", qubit=0), {"0": 1 - p0, "1": p0})
+        init = exact_records((TestKind("init", qubit=0), {"0": 1 - p0, "1": p0}))
         p0_res = estimate_p0(init)
         assert p0_res.value == pytest.approx(p0, abs=1e-6)
 
         g_x_0, g_xx_0 = predicted_x_test_frequencies(p0, p1, p_x)
-        p1_res, px_res = solve_aro_system(g_x_0, g_xx_0, p0)
+        p1_res, px_res = solve_aro_system(_aro_records(g_x_0, g_xx_0, p0))
         assert p1_res.value == pytest.approx(p1, abs=1e-6)
         assert px_res.value == pytest.approx(p_x, abs=1e-6)
 
         readout = ReadoutModel(p0, p1)
         bell = apply_readout_to_distribution(bell_frequencies(p_cnot), [readout] * 2)
-        pc_res = fit_pcnot(_char_from_freqs(BELL_KIND, dict(bell.items())),
+        pc_res = fit_pcnot(exact_records((BELL_KIND, dict(bell.items()))),
                            readout, readout)
         assert pc_res.value == pytest.approx(p_cnot, abs=1e-6)
 
@@ -785,8 +769,8 @@ def test_stderr_scales_inverse_sqrt_shots():
     results = {}
     for shots in (2**10, 2**13, 2**16):
         ones = round(freq * shots)
-        char = _char(TestKind("init", qubit=0), {"0": shots - ones, "1": ones}, shots)
-        results[shots] = estimate_p0(char).stderr
+        records = _one_row(TestKind("init", qubit=0), {"0": shots - ones, "1": ones}, shots)
+        results[shots] = estimate_p0(records).stderr
     assert results[2**10] / results[2**13] == pytest.approx(8**0.5, rel=0.05)
     assert results[2**13] / results[2**16] == pytest.approx(8**0.5, rel=0.05)
 
@@ -797,7 +781,7 @@ def test_clamping_never_alters_feasible_solutions():
         g_x_0 = float(rng.uniform(0, 0.3))
         g_xx_0 = float(rng.uniform(0.7, 1.0))
         p0 = float(rng.uniform(0, 0.1))
-        p1_res, px_res = solve_aro_system(g_x_0, g_xx_0, p0)
+        p1_res, px_res = solve_aro_system(_aro_records(g_x_0, g_xx_0, p0))
         for res in (p1_res, px_res):
             if res.feasible:
                 assert res.raw_value == res.value
@@ -807,8 +791,8 @@ def test_clamping_never_alters_feasible_solutions():
 
 def test_fit_composite_roundtrip(line4, mock_backend):
     plan = build_suite(line4, SuiteConfig(shots=8192, seed=101))
-    chars = run_suite(plan, mock_backend)
-    fit = fit_composite(chars, FitConfig(variant="aro+dp"))
+    records = run_suite(plan, mock_backend)
+    fit = fit_composite(records, FitConfig(variant="aro+dp"))
     truth = {"p0": 0.0212, "p1": 0.0681, "p_x": 0.0033, "p_cnot": 0.02}
     for name, res in fit.estimates.items():
         target = truth[name.split(":")[0]]
@@ -827,15 +811,14 @@ def test_fit_composite_stderr_uses_each_records_shots():
         8: {"0": 962, "1": 62},
         32: {"0": 921, "1": 103},
     }
-    chars = []
+    rows = []
     for qubit, scale in ((0, 8), (1, 1)):
         for test, counts in per_1024.items():
             kind = (TestKind("hseq", qubit=qubit, length=test) if isinstance(test, int)
                     else TestKind(test, qubit=qubit))
-            chars.append(_char(kind, {k: v * scale for k, v in counts.items()},
-                               1024 * scale))
-    chars.append(_char(BELL_KIND, {"00": 480, "01": 32, "10": 40, "11": 472}, 1024))
-    fit = fit_composite(chars, FitConfig(variant="aro+dp"))
+            rows.append((kind, {k: v * scale for k, v in counts.items()}, 1024 * scale))
+    rows.append((BELL_KIND, {"00": 480, "01": 32, "10": 40, "11": 472}, 1024))
+    fit = fit_composite(records_of(rows), FitConfig(variant="aro+dp"))
     for param in ("p0", "p1", "p_x", "p_h"):
         q0, q1 = fit.estimates[f"{param}:q0"], fit.estimates[f"{param}:q1"]
         assert q1.value == q0.value
@@ -861,11 +844,17 @@ def test_fit_config_takes_a_subset_only_for_subset_average(granularity, subset):
     assert FitConfig(granularity=SUBSET_AVERAGE, subset=(1, 0)).subset == (1, 0)
 
 
+@pytest.mark.parametrize("subset", [(-1, 0), (0, 0), (2, 1, 2)])
+def test_fit_config_rejects_a_negative_or_repeated_subset_qubit(subset):
+    with pytest.raises(ConfigError, match="negative or repeated"):
+        FitConfig(granularity=SUBSET_AVERAGE, subset=subset)
+
+
 def test_fit_composite_subset_three_parameters(line4, mock_backend):
     plan = build_suite(line4, SuiteConfig(shots=8192, seed=55))
-    chars = run_suite(plan, mock_backend)
+    records = run_suite(plan, mock_backend)
     fit = fit_composite(
-        chars,
+        records,
         FitConfig(variant="aro+dp", granularity="subset_average", subset=(0, 1)),
     )
     model = fit.model
@@ -878,18 +867,18 @@ def test_fit_composite_subset_three_parameters(line4, mock_backend):
 
 def test_fit_composite_missing_bell_coverage(line4, mock_backend):
     plan = build_suite(line4, SuiteConfig(shots=1024, seed=5))
-    chars = [c for c in run_suite(plan, mock_backend) if c.kind.kind != "bell"]
+    records = rows_where(run_suite(plan, mock_backend), lambda t: t.kind != "bell")
     with pytest.raises(MissingCoverage) as err:
-        fit_composite(chars, FitConfig(variant="aro+dp"))
+        fit_composite(records, FitConfig(variant="aro+dp"))
     assert any("bell" in m for m in err.value.missing)
 
 
 def test_fit_composite_sro_vs_aro_pcnot_differs(line4, mock_backend):
     """The depolarizing parameter is refit per readout variant."""
     plan = build_suite(line4, SuiteConfig(shots=8192, seed=77))
-    chars = run_suite(plan, mock_backend)
-    sro_dp = fit_composite(chars, FitConfig(variant="sro+dp"))
-    aro_dp = fit_composite(chars, FitConfig(variant="aro+dp"))
+    records = run_suite(plan, mock_backend)
+    sro_dp = fit_composite(records, FitConfig(variant="sro+dp"))
+    aro_dp = fit_composite(records, FitConfig(variant="aro+dp"))
     assert sro_dp.model.cnot != aro_dp.model.cnot
     assert sro_dp.model.readout[0].is_symmetric
     assert not aro_dp.model.readout[0].is_symmetric
@@ -904,22 +893,23 @@ def test_estimation_result_invariants():
 
 # -- stacked families against the per-element oracle ---------------------------------
 
-def _drawn(rng, kind: TestKind, shots: int, probs: dict) -> Characterization:
+def _drawn(rng, kind: TestKind, shots: int, probs: dict) -> tuple:
     keys = list(probs)
     p = np.clip([probs[k] for k in keys], 0.0, None)
     draw = rng.multinomial(shots, p / p.sum())
-    return Characterization(kind, Counts({k: int(n) for k, n in zip(keys, draw) if n}, shots))
+    return kind, {k: int(n) for k, n in zip(keys, draw) if n}, shots
 
 
-def _random_archive(rng, topo, lengths_of) -> list[Characterization]:
-    """Every test on `topo`, drawn around a random truth. Qubit q's sequence
-    tests have lengths_of(q) and, by q % 3, survival 1 (p_h = 0), a random
+def _random_rows(rng, topo, lengths_of) -> list[tuple]:
+    """Every test on `topo`, drawn around a random truth, as `records_of`
+    rows. Qubit q's sequence tests have lengths_of(q) and, by q % 3,
+    survival 1 (p_h = 0), a random
     decay, or below 1/2 (p_h = 3/4); every fourth qubit's XX frequency sits
     above its p_x = 0 ceiling (p_x clamped); Bell tests by coupling index
     show even parity only (s* < 0), odd parity only (s* >= 1/4) or a
     readout-transformed depolarized Bell law."""
     one_bit = lambda f: {"0": f, "1": 1.0 - f}
-    chars, rates = [], {}
+    rows, rates = [], {}
     for q in range(topo.num_qubits):
         p0, p1 = (float(v) for v in rng.uniform(0.0, 0.12, size=2))
         p_x = float(rng.uniform(0.0, 0.02))
@@ -929,20 +919,20 @@ def _random_archive(rng, topo, lengths_of) -> list[Characterization]:
         if q % 4 == 3:
             g_xx = min(1.0, 1.0 - p0 + 0.01)
         for kind, f in (("init", 1.0 - p0), ("x", g_x), ("xx", g_xx)):
-            chars.append(_drawn(rng, TestKind(kind, qubit=q), shots, one_bit(f)))
+            rows.append(_drawn(rng, TestKind(kind, qubit=q), shots, one_bit(f)))
         p_h = float(rng.uniform(0.002, 0.05))
         for length in lengths_of(q):
             survival = hadamard_survival(length, p_h)
             observed = [1.0, (1 - p0) * survival + p1 * (1 - survival), 0.45][q % 3]
-            chars.append(_drawn(rng, TestKind("hseq", qubit=q, length=length), shots,
-                                one_bit(observed)))
+            rows.append(_drawn(rng, TestKind("hseq", qubit=q, length=length), shots,
+                               one_bit(observed)))
     for index, (j, k) in enumerate(sorted(topo.undirected_edges())):
         law = apply_readout_to_distribution(bell_frequencies(float(rng.uniform(0.0, 0.1))),
                                             [rates[j], rates[k]])
         probs = [{"00": 0.5, "11": 0.5}, {"01": 0.5, "10": 0.5}, dict(law.items())][index % 3]
-        chars.append(_drawn(rng, TestKind("bell", coupling=(j, k)),
-                            int(rng.choice([2048, 8192])), probs))
-    return chars
+        rows.append(_drawn(rng, TestKind("bell", coupling=(j, k)),
+                           int(rng.choice([2048, 8192])), probs))
+    return rows
 
 
 def _assert_matches_oracle(fit, expected: dict) -> None:
@@ -963,21 +953,22 @@ def test_stacked_fits_match_the_per_element_oracle(seed, ladder20):
     on every bound."""
     rng = np.random.default_rng(seed)
     topo = ladder20 if seed % 2 else line(7)
-    chars = _random_archive(rng, topo, lambda q: (2, 4, 8, 16) if q % 2 else (2, 8, 32))
+    records = records_of(_random_rows(rng, topo,
+                                      lambda q: (2, 4, 8, 16) if q % 2 else (2, 8, 32)))
     for variant, (_, gate_dp) in VARIANTS.items():
         if variant == "noiseless":
             continue
         for subset in (None, (0, 2, 3, 5)):
             config = FitConfig(variant=variant, subset=subset,
                                granularity=SUBSET_AVERAGE if subset else PER_ELEMENT)
-            fit = fit_composite(chars, config)
-            expected, include = fit_estimates(chars, variant, subset)
+            fit = fit_composite(records, config)
+            expected, include = fit_estimates(records, variant, subset)
             _assert_matches_oracle(fit, expected)
             if not subset and gate_dp:
                 assert set(fit.model.h_gate) == {q for q, keep in include.items() if keep}
 
     # the archive reached every regime it was built for
-    fit = fit_composite(chars, FitConfig(variant="aro+dp"))
+    fit = fit_composite(records, FitConfig(variant="aro+dp"))
     p_h = [r.value for n, r in fit.estimates.items() if n.startswith("p_h")]
     pcnot = [r for n, r in fit.estimates.items() if n.startswith("p_cnot")]
     assert 0.0 in p_h and 0.75 in p_h and any(0.0 < v < 0.75 for v in p_h)
@@ -993,11 +984,11 @@ def _flat(data: dict, path: str = "") -> dict:
     return {k: v for key, value in data.items() for k, v in _flat(value, f"{path}/{key}").items()}
 
 
-def _assembled(chars, variant: str, granularity: str, subset) -> CompositeNoiseModel:
+def _assembled(records, variant: str, granularity: str, subset) -> CompositeNoiseModel:
     """The model of a fit, assembled by hand from the per-element oracle's
     estimates and Hadamard include flags."""
     readout_mode, gate_dp = VARIANTS[variant]
-    estimates, include = fit_estimates(chars, variant, subset)
+    estimates, include = fit_estimates(records, variant, subset)
     value = lambda name: estimates[name].value
     qubits = sorted(int(name[len("p0:q"):]) for name in estimates if name.startswith("p0:"))
     p1 = "p1" if readout_mode == "aro" else "p0"  # sro reads p0 as both rates
@@ -1029,17 +1020,18 @@ def test_fit_composite_model_is_assembled_from_its_estimates(seed):
     with readout and gate noise, p_h only where its include flag is set, no
     readout map with readout off), or their averages, flags and subset."""
     rng = np.random.default_rng(100 + seed)
-    chars = _random_archive(rng, line(7), lambda q: (2, 4, 8, 16) if q % 2 else (2, 8, 32))
+    records = records_of(_random_rows(rng, line(7),
+                                      lambda q: (2, 4, 8, 16) if q % 2 else (2, 8, 32)))
     for variant in VARIANTS:
         for granularity in GRANULARITIES:
             subset = (0, 2, 3, 5) if granularity == SUBSET_AVERAGE else None
             config = FitConfig(variant, granularity, subset, window="w", provenance="p")
-            got = _flat(fit_composite(chars, config).model.to_json_dict())
+            got = _flat(fit_composite(records, config).model.to_json_dict())
             if variant == "noiseless":
                 want = _flat(dict(CompositeNoiseModel.noiseless().to_json_dict(), window="w",
                                   provenance="p"))
             else:
-                want = _flat(_assembled(chars, variant, granularity, subset).to_json_dict())
+                want = _flat(_assembled(records, variant, granularity, subset).to_json_dict())
             assert got.keys() == want.keys(), (variant, granularity)
             for path, leaf in want.items():
                 if isinstance(leaf, float):
@@ -1047,18 +1039,19 @@ def test_fit_composite_model_is_assembled_from_its_estimates(seed):
                 else:
                     assert got[path] == leaf, (variant, granularity, path)
     # the archive reaches both include flags
-    assert set(fit_estimates(chars, "aro+dp")[1].values()) == {True, False}
+    assert set(fit_estimates(records, "aro+dp")[1].values()) == {True, False}
 
 
-def _edited(chars, edits: dict) -> list[Characterization]:
-    """`chars` with records replaced ({label: counts}) or dropped ({label: None})."""
+def _edited(rows, edits: dict):
+    """The table of `rows` with records replaced ({label: counts at 1024
+    shots}) or dropped ({label: None})."""
     out = []
-    for char in chars:
-        if char.label not in edits:
-            out.append(char)
-        elif edits[char.label] is not None:
-            out.append(Characterization(char.kind, Counts(edits[char.label], 1024)))
-    return out
+    for test, counts, shots in rows:
+        if test.label not in edits:
+            out.append((test, counts, shots))
+        elif edits[test.label] is not None:
+            out.append((test, edits[test.label], 1024))
+    return records_of(out)
 
 
 # Exact binary frequencies at 1024 shots: init p0 = 1/8 gives a = 7/8; an X
@@ -1088,13 +1081,31 @@ def test_fit_composite_raises_what_the_per_element_fit_raises(variant, edits):
     """When several elements fail, the error is the one fitting element by
     element meets first: same type, message and diagnostics."""
     rng = np.random.default_rng(3)
-    chars = _edited(_random_archive(rng, line(5), lambda q: (2, 8, 32)), edits)
+    records = _edited(_random_rows(rng, line(5), lambda q: (2, 8, 32)), edits)
     with pytest.raises(Exception) as want:
-        fit_estimates(chars, variant)
+        fit_estimates(records, variant)
     with pytest.raises(type(want.value)) as got:
-        fit_composite(chars, FitConfig(variant=variant))
+        fit_composite(records, FitConfig(variant=variant))
     assert str(got.value) == str(want.value)
     assert getattr(got.value, "diagnostics", None) == getattr(want.value, "diagnostics", None)
+
+
+def test_archive_to_fit_builds_no_counts(tmp_path, line4, mock_backend, monkeypatch):
+    """`read_archive` fills the count table straight from the archive's
+    count maps, and every variant fits from its columns: no `Counts` is
+    built on the way."""
+    plan = build_suite(line4, SuiteConfig(hadamard_lengths=(2, 4), shots=512, seed=3))
+    path = tmp_path / "archive.json"
+    write_json_file(path, archive_dict(plan, run_suite(plan, mock_backend)))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Counts was built")
+
+    monkeypatch.setattr(Counts, "__init__", refuse)
+    monkeypatch.setattr(Counts, "from_arrays", refuse)
+    _, records = read_archive(path)
+    for variant in VARIANTS:
+        fit_composite(records, FitConfig(variant=variant))
 
 
 def test_fit_composite_fits_each_family_once(ladder20, monkeypatch):
@@ -1105,8 +1116,8 @@ def test_fit_composite_fits_each_family_once(ladder20, monkeypatch):
                                              seed=9))
     truth = MockGroundTruth(type(uniform_truth(ladder20))(
         **{**uniform_truth(ladder20).__dict__, "h_gate": dict.fromkeys(range(20), 0.004)}))
-    chars = [c for c in run_suite(plan, MockBackend(ladder20, truth))
-             if not (c.kind.kind == "hseq" and c.kind.qubit < 8 and c.kind.length == 32)]
+    records = rows_where(run_suite(plan, MockBackend(ladder20, truth)),
+                         lambda t: not (t.kind == "hseq" and t.qubit < 8 and t.length == 32))
 
     def forbidden(*args, **kwargs):
         raise AssertionError("fit_composite called a one-element estimator or eigvals")
@@ -1116,7 +1127,7 @@ def test_fit_composite_fits_each_family_once(ladder20, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", forbidden)
     calls = _spied_isolation(monkeypatch)
 
-    fit = fit_composite(chars, FitConfig(variant="aro+dp"))
+    fit = fit_composite(records, FitConfig(variant="aro+dp"))
     # the derivative's exponents L - 1 and L/2 - 1 of lengths 2..16 and 2..32
     assert sorted((len(coef), exponents.tolist()) for (exponents, coef), _ in calls) == [
         (8, [0, 1, 3, 7, 15]), (12, [0, 1, 3, 7, 15, 31])]

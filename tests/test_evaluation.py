@@ -318,9 +318,9 @@ def test_score_rejects_sim_shots_below_one(sim_shots):
 def _fitted_variants(topo, truth, shots=8192, seed=11):
     backend = MockBackend(topo, MockGroundTruth(truth))
     plan = build_suite(topo, SuiteConfig(shots=shots, seed=seed))
-    chars = run_suite(plan, backend)
+    records = run_suite(plan, backend)
     return {
-        v: fit_composite(chars, FitConfig(variant=v)).model
+        v: fit_composite(records, FitConfig(variant=v)).model
         for v in ("noiseless", "sro", "aro", "dp", "sro+dp", "aro+dp")
     }
 
@@ -404,9 +404,9 @@ def test_select_walks_ladder_on_mock_ghz():
     truth = uniform_truth(topo)
     backend = MockBackend(topo, MockGroundTruth(truth))
     plan = build_suite(topo, SuiteConfig(shots=8192, seed=17))
-    chars = run_suite(plan, backend)
+    records = run_suite(plan, backend)
     ladder = [
-        (v, fit_composite(chars, FitConfig(variant=v)).model)
+        (v, fit_composite(records, FitConfig(variant=v)).model)
         for v in ("sro", "aro", "sro+dp", "aro+dp")
     ]
     circuit = build_ghz(6, topo)

@@ -1,4 +1,4 @@
-from dataclasses import fields, replace
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -19,7 +19,7 @@ from noisekit.estimation import FitConfig, fit_composite
 from noisekit.noise import CompositeNoiseModel
 from noisekit.outcomes import Counts, Distribution
 from noisekit.rng import generator
-from noisekit.simulator import TrajectorySampler
+from noisekit.simulator import TrajectorySampler, simulate_noisy_exact
 
 
 def test_distribution_validation():
@@ -206,44 +206,57 @@ def test_from_arrays_validation():
         Distribution.from_arrays(1, [0], [True])
 
 
-def test_draws_equal_their_string_twins():
-    """The draws build from arrays and format no key; their views read back
-    as the string-built object the old draws formed."""
+def test_drawn_and_string_built_twins_hold_the_same_arrays_and_views():
+    """A draw or an exact law and its twin built from the string view, keys
+    in reverse order, hold equal index and value arrays, and every view of
+    the two is equal, keys in ascending index order."""
     circuit = Circuit(3, 3, (h(0), h(2), *(measure(q, q) for q in range(3))), "h02")
-    sampler = TrajectorySampler(circuit, CompositeNoiseModel.noiseless())
-    drawn = sampler.sample(1000, generator(5))
-    assert drawn._keyed is None  # no string formed by the draw
-    assert drawn == Counts(dict(drawn.counts), 1000)
-    assert list(drawn.counts) == sorted(drawn.counts)
+    model = CompositeNoiseModel.noiseless()
+    drawn = TrajectorySampler(circuit, model).sample(1000, generator(5))
+    law = simulate_noisy_exact(circuit, model)
+    counts_twin = Counts(dict(reversed(drawn.counts.items())), 1000)
+    law_twin = Distribution(dict(reversed(law.probs.items())))
+    for twin, original in ((counts_twin, drawn), (law_twin, law)):
+        assert twin == original
+        assert np.array_equal(twin.indices, original.indices)
+        assert np.array_equal(twin.values, original.values)
     assert set(drawn.counts) == {"000", "001", "100", "101"}
-
-
-def test_string_built_objects_build_no_arrays_until_asked():
-    c = Counts({"01": 3, "10": 5}, 8)
-    d = Distribution({"1": 1.0})
-    c.frequency("01"), c.frequencies(), d.prob("1"), d.support(), list(d.items())
-    assert c._idx is None and d._idx is None
+    keys = ("000", "101", "010", "00", "x0x")
+    for view in (lambda c: list(c.counts.items()), lambda c: list(c.frequencies().items()),
+                 lambda c: [c.frequency(k) for k in keys]):
+        assert view(counts_twin) == view(drawn)
+    assert list(drawn.counts) == sorted(drawn.counts)
+    for view in (lambda d: list(d.probs.items()), lambda d: list(d.items()),
+                 lambda d: d.support(), lambda d: [d.prob(k) for k in keys]):
+        assert view(law_twin) == view(law)
 
 
 def test_archive_and_model_files_do_not_depend_on_the_form(tmp_path):
-    """An archive and a fitted model written from drawn counts are byte for
-    byte those written from the string-built twins, and the archive's
+    """An archive and a fitted model written from the drawn count table are
+    byte for byte those written from the table of the draws' string-built
+    twins and from the table read back from the archive, and the archive's
     content at this seed is pinned (it fixes the mock QPU's stream, one
     generator per run on the (seed, BACKEND) path, and the key format)."""
     topo = devices.line(3)
     truth = MockGroundTruth(devices.jittered_truth(topo, 5), hidden_readout_strength=0.04)
     plan = build_suite(topo, SuiteConfig(hadamard_lengths=(2, 4), shots=1000, seed=11))
-    drawn = run_suite(plan, MockBackend(topo, truth))
-    twins = [replace(ch, counts=Counts(dict(ch.counts.counts), ch.counts.shots))
-             for ch in drawn]
+    mock = MockBackend(topo, truth)
+
+    class Twins:
+        topology = topo
+
+        def run(self, circuits, shots, seed):
+            return [Counts(dict(c.counts), c.shots) for c in mock.run(circuits, shots, seed)]
+
+    drawn = run_suite(plan, mock)
+    assert content_hash(archive_dict(plan, drawn)) == "c25c71bdb36e988a"
+    write_json_file(tmp_path / "drawn.json", archive_dict(plan, drawn))
+    tables = {"drawn": drawn, "twins": run_suite(plan, Twins()),
+              "reread": read_archive(tmp_path / "drawn.json")[1]}
     files = []
-    for name, chars in (("drawn", drawn), ("twins", twins)):
-        write_json_file(tmp_path / f"{name}.json", archive_dict(plan, chars))
-        fit_composite(chars, FitConfig()).model.save(tmp_path / f"{name}-model.json")
+    for name, records in tables.items():
+        write_json_file(tmp_path / f"{name}.json", archive_dict(plan, records))
+        fit_composite(records, FitConfig()).model.save(tmp_path / f"{name}-model.json")
         files.append(((tmp_path / f"{name}.json").read_bytes(),
                       (tmp_path / f"{name}-model.json").read_bytes()))
-    assert files[0] == files[1]
-    assert content_hash(archive_dict(plan, drawn)) == "c25c71bdb36e988a"
-    _, reread = read_archive(tmp_path / "drawn.json")
-    write_json_file(tmp_path / "again.json", archive_dict(plan, reread))
-    assert (tmp_path / "again.json").read_bytes() == files[0][0]
+    assert files[0] == files[1] == files[2]
