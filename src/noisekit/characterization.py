@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -23,9 +24,17 @@ import numpy as np
 from .circuit import Circuit, DeviceTopology, cnot, h, measure, validate, x
 from .errors import ArityMismatch, OddHadamardLength, ParseError, parse_json_file
 from .noise import _edge
-from .outcomes import Counts, check_counts
+from .outcomes import Counts, _sorted_arrays, check_counts
 
 KINDS = ("init", "x", "xx", "hseq", "bell")
+# The label grammar: a qubit is an ASCII decimal without leading zeros, a
+# Hadamard train's length is even and >= 2, and a Bell test's qubits differ.
+_QUBIT = "(?:0|[1-9][0-9]*)"
+_LABEL = re.compile(
+    rf"(?P<kind>init|xx?):q(?P<qubit>{_QUBIT})"
+    rf"|hseq:q(?P<hseq>{_QUBIT}):len(?P<length>[2468]|[1-9][0-9]*[02468])"
+    rf"|bell:q(?P<a>{_QUBIT})-q(?!(?P=a)\Z)(?P<b>{_QUBIT})"
+)
 
 
 @dataclass(frozen=True)
@@ -73,23 +82,15 @@ class TestKind:
 
     @classmethod
     def from_label(cls, label: str) -> "TestKind":
-        """Parse a label string; only a label that its kind prints back is
-        accepted."""
-        try:
-            parts = label.split(":")
-            kind = parts[0]
-            if kind == "bell":
-                a, b = parts[1].split("-")
-                parsed = cls("bell", coupling=(int(a[1:]), int(b[1:])))
-            elif kind == "hseq":
-                parsed = cls("hseq", qubit=int(parts[1][1:]), length=int(parts[2][3:]))
-            else:
-                parsed = cls(kind, qubit=int(parts[1][1:]))
-        except (IndexError, ValueError, OddHadamardLength) as exc:
-            raise ParseError(f"bad test label {label!r}: {exc}") from exc
-        if parsed.label != label:
-            raise ParseError(f"bad test label {label!r} (reads as {parsed.label!r})")
-        return parsed
+        """Parse a label; `_LABEL` accepts exactly the labels valid tests print."""
+        m = _LABEL.fullmatch(label)
+        if m is None:
+            raise ParseError(f"bad test label {label!r}")
+        if m["kind"]:
+            return cls(m["kind"], qubit=int(m["qubit"]))
+        if m["length"]:
+            return cls("hseq", qubit=int(m["hseq"]), length=int(m["length"]))
+        return cls("bell", coupling=(int(m["a"]), int(m["b"])))
 
 
 def materialize(test: TestKind) -> Circuit:
@@ -270,9 +271,14 @@ def _entries(data: dict) -> tuple[dict, list[tuple[str, dict, int, int]]]:
 
 def read_counts(path: str | Path) -> tuple[dict, dict[str, Counts]]:
     """Parse a counts archive of any circuits into its JSON object and a
-    label -> Counts map (what `FileBackend` replays)."""
+    label -> Counts map (what `FileBackend` replays). A label in a test
+    kind's namespace (`init:`, ..., `bell:`) must parse as a test's label."""
     data, entries = parse_json_file(path, "archive", _entries)
-    return data, {label: Counts(counts, shots) for label, counts, shots, _ in entries}
+    for label, *_ in entries:
+        if label.partition(":")[0] in KINDS:
+            TestKind.from_label(label)
+    return data, {label: Counts.from_arrays(num_bits, *_sorted_arrays(counts, np.int64), shots)
+                  for label, counts, shots, num_bits in entries}
 
 
 def read_archive(path: str | Path) -> tuple[dict, Records]:

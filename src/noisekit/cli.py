@@ -403,7 +403,7 @@ def _number(kind, lo, hi=math.inf, lo_open=False):
 
 
 def _ints(what: str, ok):
-    """argparse type: comma-separated integers whose tuple passes `ok`."""
+    """argparse type: comma-separated distinct integers, each passing `ok`."""
     domain = f"comma-separated {what}"
 
     def parse(text: str) -> tuple[int, ...]:
@@ -411,7 +411,7 @@ def _ints(what: str, ok):
             values = tuple(int(tok) for tok in text.split(",") if tok != "")
         except ValueError:
             values = None
-        if values is None or not ok(values):
+        if values is None or len(set(values)) < len(values) or not all(map(ok, values)):
             raise argparse.ArgumentTypeError(f"expected {domain}, got {text!r}")
         return values
 
@@ -419,22 +419,13 @@ def _ints(what: str, ok):
     return parse
 
 
-_QUBITS = _ints("distinct qubits >= 0",
-                lambda qubits: len(set(qubits)) == len(qubits) and all(q >= 0 for q in qubits))
-_LENGTHS = _ints("even lengths >= 2", lambda lengths: all(n >= 2 and not n % 2 for n in lengths))
+_QUBITS = _ints("distinct qubits >= 0", lambda q: q >= 0)
+_LENGTHS = _ints("distinct even lengths >= 2", lambda n: n >= 2 and not n % 2)
 _COUNT = _number(int, 1)
 _SEED = _number(int, 0)  # SeedSequence takes non-negative entropy only
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="noisekit",
-        description="Characterize device noise, fit composite models, and "
-                    "evaluate them by total variation distance.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("characterize", help="run a characterization suite")
+def _characterize_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--device", required=True, help="device topology JSON")
     p.add_argument("--backend", required=True, help="mock:<truth.json> | file:<archive.json>")
     p.add_argument("--shots", type=_COUNT, default=8192, help="shots per circuit")
@@ -447,7 +438,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_characterize)
 
-    p = sub.add_parser("fit", help="fit a composite noise model from an archive")
+
+def _fit_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--archive", required=True)
     p.add_argument("--flags", default="aro+dp", choices=sorted(VARIANTS))
     p.add_argument("--granularity", default=PER_ELEMENT, choices=GRANULARITIES)
@@ -456,7 +448,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("evaluate", help="score/compare/select models on an application")
+
+def _evaluate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--device", required=True)
     p.add_argument("--backend", required=True)
     p.add_argument("--app", required=True,
@@ -474,7 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("demo", help="end-to-end mock reproduction pipeline")
+
+def _demo_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("what", nargs="?", default="full-paper", choices=["full-paper"])
     p.add_argument("--shots", type=_COUNT, default=8192)
     p.add_argument("--seed", type=_SEED, default=42)
@@ -485,12 +479,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-ghz", type=_number(int, 2, 20), default=10)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_demo)
+
+
+# command -> (its help line in `noisekit --help`, the function adding its options)
+COMMANDS = {
+    "characterize": ("run a characterization suite", _characterize_arguments),
+    "fit": ("fit a composite noise model from an archive", _fit_arguments),
+    "evaluate": ("score/compare/select models on an application", _evaluate_arguments),
+    "demo": ("end-to-end mock reproduction pipeline", _demo_arguments),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser of all commands, for --help and for no or an unknown command."""
+    parser = _Parser(
+        prog="noisekit",
+        description="Characterize device noise, fit composite models, and "
+                    "evaluate them by total variation distance.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        if argv and argv[0] in COMMANDS:  # the parser build_parser makes for it, alone
+            parser = _Parser(prog=f"noisekit {argv[0]}")
+            COMMANDS[argv[0]][1](parser)
+            args = parser.parse_args(argv[1:])
+        else:
+            args = build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, ParseError, OSError) as exc:  # paths are user input too
         _emit_error(exc)

@@ -26,14 +26,15 @@ MAX_BITS = 63  # outcome indices are int64
 
 def _uniform_bit_length(keys) -> int:
     """Common length of the bit-string keys."""
-    widths = sorted({len(k) for k in keys}) or [0]
+    widths = {len(k) for k in keys}
     if len(widths) > 1:
-        raise ValueError(f"outcome keys have mixed bit-lengths {widths}")
+        raise ValueError(f"outcome keys have mixed bit-lengths {sorted(widths)}")
     if any(k.strip("01") for k in keys):
         raise ValueError(f"outcome keys {list(keys)} are not all bit strings")
-    if widths[0] > MAX_BITS:
-        raise ValueError(f"{widths[0]}-bit outcome keys exceed {MAX_BITS} bits")
-    return widths[0]
+    width = widths.pop() if widths else 0
+    if width > MAX_BITS:
+        raise ValueError(f"{width}-bit outcome keys exceed {MAX_BITS} bits")
+    return width
 
 
 def check_counts(counts: dict, shots) -> int:
@@ -42,8 +43,8 @@ def check_counts(counts: dict, shots) -> int:
     (TypeError otherwise), the keys are bit strings of one width, no count
     is negative and the counts sum to the shots, fewer than 2^63 so that
     they fit int64 (ValueError otherwise)."""
-    values = [integer(v, "count") for v in counts.values()]
-    shots = integer(shots, "shot number")
+    values = [v if type(v) is int else integer(v, "count") for v in counts.values()]
+    shots = shots if type(shots) is int else integer(shots, "shot number")
     if any(v < 0 for v in values):
         raise ValueError("negative count")
     if sum(values) != shots:

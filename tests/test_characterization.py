@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from count_tables import records_of, same_records
 
+from noisekit import characterization, outcomes
 from noisekit.backend import MockBackend, MockGroundTruth
 from noisekit.characterization import (
     Records,
@@ -22,7 +23,7 @@ from noisekit.characterization import (
 )
 from noisekit.devices import line, uniform_truth
 from noisekit.errors import ArityMismatch, OddHadamardLength, ParseError, write_json_file
-from noisekit.outcomes import Counts
+from noisekit.outcomes import Counts, check_counts
 from noisekit.simulator import simulate_ideal
 
 
@@ -46,13 +47,49 @@ def test_label_roundtrip():
         TestKind.from_label("what:even:is:this")
 
 
+def test_every_suite_label_round_trips(ladder20):
+    plan = build_suite(ladder20, SuiteConfig(hadamard_lengths=tuple(range(2, 33, 2))))
+    assert len(plan.tests) == (3 + 16) * 20 + 23
+    for test in plan.tests:
+        assert TestKind.from_label(test.label) == test
+
+
 @pytest.mark.parametrize("label", ["init:z3", "init:q03", "x:q3:len8", "hseq:q1:len08",
                                    "bell:q1-x2", "xx:q2 ",
                                    # they print back, but name no valid test
-                                   "hseq:q0:len0", "hseq:q0:len3", "init:q-1", "bell:q0-q0"])
-def test_label_must_round_trip(label):
-    with pytest.raises(ParseError):
+                                   "hseq:q0:len0", "hseq:q0:len3", "init:q-1", "bell:q0-q0",
+                                   "init:q01", "init:q\u0661", "init:q1 ", "hseq:q0:len02",
+                                   "bell:q1-q1", "bell:q-1-q2", "bell:q1-q2-q3", "x:q1:len2"])
+def test_label_must_round_trip(label, tmp_path):
+    """A label outside the grammar is a ParseError from the label parser and
+    from both archive readers (\u0661 is an Arabic-Indic digit one, which
+    int() would read as 1)."""
+    with pytest.raises(ParseError, match="bad test label"):
         TestKind.from_label(label)
+    path = tmp_path / "archive.json"
+    outcome = "00" if label.startswith("bell") else "0"
+    path.write_text(json.dumps({"entries": [
+        {"label": label, "shots": 1, "counts": {outcome: 1}}]}))
+    for read in (read_archive, read_counts):
+        with pytest.raises(ParseError, match="bad test label"):
+            read(path)
+
+
+def test_read_counts_checks_each_entry_once(tmp_path, monkeypatch):
+    plan = build_suite(line(3), SuiteConfig(shots=64, hadamard_lengths=(2,)))
+    backend = MockBackend(line(3), MockGroundTruth(uniform_truth(line(3))))
+    path = tmp_path / "archive.json"
+    write_json_file(path, archive_dict(plan, run_suite(plan, backend)))
+    calls = []
+
+    def counted(counts, shots):
+        calls.append(shots)
+        return check_counts(counts, shots)
+
+    monkeypatch.setattr(outcomes, "check_counts", counted)
+    monkeypatch.setattr(characterization, "check_counts", counted)
+    replayed = read_counts(path)[1]
+    assert len(calls) == len(replayed) == len(plan.tests)
 
 
 @pytest.mark.parametrize("label", [7, None, ["init:q0"], True])

@@ -9,14 +9,14 @@ import pytest
 from count_tables import rows_where
 
 import noisekit
-from noisekit import characterization
+from noisekit import characterization, cli
 from noisekit.backend import MockGroundTruth
 from noisekit.characterization import (
     archive_dict, archive_hash, build_suite, run_suite, SuiteConfig,
 )
-from noisekit.cli import build_parser, main
+from noisekit.cli import COMMANDS, build_parser, main
 from noisekit.devices import line, uniform_truth
-from noisekit.errors import write_json_file
+from noisekit.errors import ConfigError, write_json_file
 from noisekit.noise import CompositeNoiseModel
 
 
@@ -521,6 +521,9 @@ MALFORMED_INPUTS = {
                        "ConfigError"),
     "hadamard-length-odd": (lambda t, d, tr: _characterize_argv(
         t, d, tr, "--hadamard-lengths", "3"), "ConfigError"),
+    # refused by the parser, before the backend runs the suite
+    "hadamard-length-repeated": (lambda t, d, tr: _characterize_argv(
+        t, d, tr, "--hadamard-lengths", "2,2"), "ConfigError"),
     "app-bv-collision": (lambda t, d, tr: _evaluate_argv(t, d, tr, app="bv:1@0/0"),
                          "ConfigError"),
     "app-bv-outside": (lambda t, d, tr: _evaluate_argv(t, d, tr, app="bv:1@0/9"),
@@ -708,7 +711,46 @@ def test_no_option_parses_with_a_bare_number_type():
     value can get past the parser into a command body."""
     parser = build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(commands.choices) == list(COMMANDS)  # the walk covers what main parses
     bare = [f"{name} {'/'.join(action.option_strings) or action.dest}"
             for name, command in [("noisekit", parser), *commands.choices.items()]
             for action in command._actions if action.type in (int, float)]
     assert not bare, f"options typed as a bare int or float: {bare}"
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+@pytest.mark.parametrize("rest", [["--help"], ["--bogus"], ["--seed", "-1"], ["--out"],
+                                  ["--subset", "0,0"], ["stray"]],
+                         ids=["help", "bogus", "seed", "no-value", "subset", "stray"])
+def test_command_parser_alone_matches_the_full_parser(capsys, monkeypatch, command, rest):
+    """`main` parses `<command> ...` with that command's parser alone; its
+    help text and usage errors are those of the four-command parser."""
+    monkeypatch.setenv("COLUMNS", "100")  # argparse wraps help at the terminal width
+    argv = [command, *rest]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # --help
+        code = exc.code
+    out, err = capsys.readouterr()
+    alone = (code, out, err and json.loads(err)["message"])
+    try:
+        build_parser().parse_args(argv)
+    except SystemExit as exc:
+        full = (exc.code, capsys.readouterr().out, "")
+    except ConfigError as exc:
+        full = (2, capsys.readouterr().out, str(exc))
+    assert alone == full
+    assert code == (0 if rest == ["--help"] else 2)
+
+
+def test_fit_builds_no_full_parser(setup, capsys, monkeypatch):
+    tmp_path, device, truth = setup
+    archive = str(_characterize(tmp_path, device, truth, shots="64"))
+
+    def refused():
+        raise AssertionError("build_parser called for a fit")
+
+    monkeypatch.setattr(cli, "build_parser", refused)
+    assert main(["fit", "--archive", archive, "--out", str(tmp_path / "f")]) == 0
+    assert main(["fit", "--archive", archive, "--flags", "nope"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"

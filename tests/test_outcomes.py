@@ -17,7 +17,7 @@ from noisekit.circuit import Circuit, h, measure
 from noisekit.errors import write_json_file
 from noisekit.estimation import FitConfig, fit_composite
 from noisekit.noise import CompositeNoiseModel
-from noisekit.outcomes import Counts, Distribution
+from noisekit.outcomes import Counts, Distribution, check_counts
 from noisekit.rng import generator
 from noisekit.simulator import TrajectorySampler, simulate_noisy_exact
 
@@ -77,6 +77,38 @@ def test_counts_take_numpy_integers_as_ints():
     c = Counts({"0": np.int64(5), "1": np.uint8(3)}, np.int32(8))
     assert c == Counts({"0": 5, "1": 3}, 8)
     assert all(type(v) is int for v in (c.shots, *c.counts.values()))
+
+
+# counts, shots -> the bit width, or the error type and its exact message
+CHECK_COUNTS = {
+    "ints": ({"00": 3, "11": 5}, 8, 2),
+    "numpy-ints": ({"0": np.int64(5), "1": np.int64(3)}, np.int64(8), 1),
+    "empty": ({}, 0, 0),
+    "bool-count": ({"0": 7, "1": True}, 8, (TypeError, "count True is not an integer")),
+    "float-count": ({"0": 7.0, "1": 1}, 8, (TypeError, "count 7.0 is not an integer")),
+    "bool-shots": ({"0": 1}, True, (TypeError, "shot number True is not an integer")),
+    "float-shots": ({"0": 8}, 8.0, (TypeError, "shot number 8.0 is not an integer")),
+    "negative": ({"0": -1, "1": 9}, 8, (ValueError, "negative count")),
+    "wrong-sum": ({"0": 3}, 4, (ValueError, "counts sum to 3, shots field says 4")),
+    "mixed-widths": ({"101": 1, "0": 1, "11": 1}, 3,
+                     (ValueError, "outcome keys have mixed bit-lengths [1, 2, 3]")),
+    "non-bit-key": ({"0x": 1}, 1, (ValueError, "outcome keys ['0x'] are not all bit strings")),
+    "64-bit-keys": ({"0" * 64: 1}, 1, (ValueError, "64-bit outcome keys exceed 63 bits")),
+    "shots-over-int64": ({"0": 1 << 63}, 1 << 63,
+                         (ValueError, f"{1 << 63} shots do not fit int64 counts")),
+}
+
+
+@pytest.mark.parametrize("counts, shots, expected", CHECK_COUNTS.values(),
+                         ids=CHECK_COUNTS.keys())
+def test_check_counts_rules(counts, shots, expected):
+    if isinstance(expected, int):
+        assert check_counts(counts, shots) == expected
+        return
+    error, message = expected
+    with pytest.raises(error) as info:
+        check_counts(counts, shots)
+    assert str(info.value) == message
 
 
 def test_counts_frequencies_exact():
