@@ -33,6 +33,8 @@ from .circuit import DeviceTopology
 from .errors import ConfigError, NoisekitError, ParseError, write_json_file
 from .estimation import FitConfig, fit_composite
 from .evaluation import (
+    MAX_RESAMPLES,
+    MAX_SIM_SHOTS,
     ApplicationRun,
     compare_models,
     scaling_report,
@@ -423,6 +425,7 @@ _QUBITS = _ints("distinct qubits >= 0", lambda q: q >= 0)
 _LENGTHS = _ints("distinct even lengths >= 2", lambda n: n >= 2 and not n % 2)
 _COUNT = _number(int, 1)
 _SEED = _number(int, 0)  # SeedSequence takes non-negative entropy only
+_RESAMPLES = _number(int, 1, MAX_RESAMPLES)
 
 
 def _characterize_arguments(p: argparse.ArgumentParser) -> None:
@@ -457,8 +460,8 @@ def _evaluate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--model", action="append", required=True)
     p.add_argument("--shots", type=_COUNT, default=8192)
     p.add_argument("--seed", type=_SEED, default=0)
-    p.add_argument("--resamples", type=_COUNT, default=100)
-    p.add_argument("--sim-shots", type=_COUNT, default=None)
+    p.add_argument("--resamples", type=_RESAMPLES, default=100)
+    p.add_argument("--sim-shots", type=_number(int, 1, MAX_SIM_SHOTS), default=None)
     p.add_argument("--threshold", type=_number(float, 0, 1, lo_open=True), default=None,
                    help="TVD bound of --select")
     mode = p.add_mutually_exclusive_group()
@@ -472,7 +475,7 @@ def _demo_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("what", nargs="?", default="full-paper", choices=["full-paper"])
     p.add_argument("--shots", type=_COUNT, default=8192)
     p.add_argument("--seed", type=_SEED, default=42)
-    p.add_argument("--resamples", type=_COUNT, default=50)
+    p.add_argument("--resamples", type=_RESAMPLES, default=50)
     p.add_argument("--hidden", type=_number(float, 0, 1), default=0.0,
                    help="state-dependent hidden readout strength")
     # ladder20's longest path has 20 qubits

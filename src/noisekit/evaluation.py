@@ -3,7 +3,10 @@ comparison, threshold-driven selection, and per-cnot scaling analysis.
 
 Model predictions are sampled at the experiment's shot count by default so
 the finite-statistics TVD floor affects both sides symmetrically; exact
-channel-averaged scoring is available for narrow circuits.
+channel-averaged scoring is available for narrow circuits. A sampled score
+draws its resamples as one multinomial count matrix on its (seed, SCORE)
+stream, in row blocks of about 2^18 counts, and takes every row's TVD in
+one array expression.
 """
 from __future__ import annotations
 
@@ -19,6 +22,14 @@ from .noise import CompositeNoiseModel
 from .outcomes import Counts, Distribution
 from .rng import SCORE, generator
 from .simulator import TrajectorySampler, simulate_noisy_exact
+
+# Upper bounds of a sampled score's protocol, shared with the CLI's flags: a
+# resample costs 8 bytes of the score's value array, and a resample's shots
+# are numpy's int64 multinomial `n`.
+MAX_RESAMPLES = 10**6
+MAX_SIM_SHOTS = 2**63 - 1
+# Counts per draw block: a score's draw memory is bounded whatever its R.
+_BLOCK_COUNTS = 2**18
 
 
 def tvd(a: Counts | Distribution, b: Counts | Distribution) -> float:
@@ -96,16 +107,19 @@ def score_model(
     """TVD between the run and the model's predictions.
 
     Sampled mode draws `resamples` count sets of `sim_shots` each (default:
-    the experiment's own shot count) in turn from the (seed, SCORE) stream,
-    the same for every score and shared with no mock-QPU run, and reports
-    the mean and spread of the TVD values. Exact mode compares against the
-    channel-averaged distribution directly. `resamples` must be at least 1
-    in either mode.
+    the experiment's own shot count) from the (seed, SCORE) stream, the same
+    for every score and shared with no mock-QPU run, and reports the mean
+    and spread of the TVD values. The count sets come as multinomial matrix
+    rows, in blocks of at most max(1, 2^18 >> m) rows for m measured bits;
+    the rows are exactly those of one draw per resample taken in turn.
+    Exact mode compares against the channel-averaged distribution directly.
+    `resamples` must be in [1, MAX_RESAMPLES] in either mode, and `sim_shots`
+    in [1, MAX_SIM_SHOTS].
     """
-    if resamples < 1:
-        raise ConfigError(f"resamples must be >= 1, got {resamples}")
-    if sim_shots is not None and sim_shots < 1:
-        raise ConfigError(f"sim_shots must be >= 1, got {sim_shots}")
+    if not 1 <= resamples <= MAX_RESAMPLES:
+        raise ConfigError(f"resamples must be in [1, {MAX_RESAMPLES}], got {resamples}")
+    if sim_shots is not None and not 1 <= sim_shots <= MAX_SIM_SHOTS:
+        raise ConfigError(f"sim_shots must be in [1, {MAX_SIM_SHOTS}], got {sim_shots}")
     cnots = run.circuit.cnot_count
     if exact:
         dist = simulate_noisy_exact(run.circuit, model)
@@ -122,16 +136,21 @@ def score_model(
         )
     shots = sim_shots if sim_shots is not None else run.counts.shots
     sampler = TrajectorySampler(run.circuit, model)
-    # TVD = sum over drawn outcomes of max(g_k - f_k, 0), the same as
+    # TVD = sum over outcomes of max(g_k - f_k, 0), the same as
     # 1 - sum_k min(f_k, g_k) but with no cancellation against 1: exactly 0
     # for a draw equal to the run, and never negative
     run_freq = np.zeros(sampler.law.size)
     run_freq[run.counts.indices] = run.counts.values / run.counts.shots
     rng = generator(seed, SCORE)
+    block = min(resamples, max(1, _BLOCK_COUNTS // sampler.law.size))
+    gap = np.empty((block, sampler.law.size))  # reused by every block
     values = np.empty(resamples)
-    for r in range(resamples):
-        draw = sampler.sample(shots, rng)
-        values[r] = np.maximum(draw.values / shots - run_freq[draw.indices], 0.0).sum()
+    for start in range(0, resamples, block):
+        rows = gap[:resamples - start]
+        np.divide(sampler.sample(len(rows) * shots, rng, rows=len(rows)), shots, out=rows)
+        rows -= run_freq
+        np.maximum(rows, 0.0, out=rows)
+        rows.sum(axis=1, out=values[start:start + len(rows)])
     mean = float(np.mean(values))
     spread = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
     return ModelScore(

@@ -242,12 +242,24 @@ class TrajectorySampler:
                  hidden_readout_strength: float = 0.0):
         self.law = _outcome_law(_Compiled(circuit), model, hidden_readout_strength)
 
-    def sample(self, shots: int, rng: np.random.Generator) -> Counts:
+    def sample(self, shots: int, rng: np.random.Generator,
+               rows: int | None = None) -> Counts | np.ndarray:
         """Observed counts of `shots` shots: one multinomial draw from `rng`,
-        which advances, so calls on one generator draw in turn."""
-        draws = rng.multinomial(shots, self.law)
-        seen = np.flatnonzero(draws)
-        return Counts.from_arrays(self.law.size.bit_length() - 1, seen, draws[seen], shots)
+        which advances, so calls on one generator draw in turn.
+
+        With `rows`, the shots split evenly into that many independent count
+        sets, returned as a (rows, 2^m) int64 matrix with one count set of
+        shots // rows per row. The matrix is one `multinomial(shots // rows,
+        law, size=rows)` call, whose rows are exactly those of `rows`
+        sequential calls on `rng`, leaving it in the same state.
+        """
+        if rows is None:
+            draws = rng.multinomial(shots, self.law)
+            seen = np.flatnonzero(draws)
+            return Counts.from_arrays(self.law.size.bit_length() - 1, seen, draws[seen], shots)
+        if rows < 1 or shots % rows:
+            raise ValueError(f"{shots} shots do not split evenly into {rows} rows")
+        return rng.multinomial(shots // rows, self.law, size=rows)
 
 
 # Unused by the package; kept because the benchmark's span recorder wraps it.

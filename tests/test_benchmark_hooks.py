@@ -58,12 +58,15 @@ def test_recorder_counts_the_plan_of_a_small_traced_demo(tmp_path):
     finally:
         recorder.restore()
     assert code == 0
-    # 126 model draws and 94 mock-QPU circuits of 64 shots; 2 resamples for
-    # each of 6 Bell variants, 2 GHZ widths and 4 granularity models, each
-    # scored from the draw's arrays without a `tvd` call
+    # 126 count sets of 64 shots drawn in 114 sampler calls: one per mock-QPU
+    # circuit (94) and per BV prediction (8), and one two-row draw per score
+    # for the 2 resamples of each of 6 Bell variants, 2 GHZ widths and 4
+    # granularity models, each scored from the draw's matrix without a
+    # `tvd` call
     assert {name: recorder.counters[name] for name in (
-        "simulator.shots", "backend.shots", "evaluation.resamples", "evaluation.tvd_calls",
-    )} == {"simulator.shots": 8064, "backend.shots": 6016,
+        "simulator.shots", "simulator.sample_calls", "backend.shots",
+        "evaluation.resamples", "evaluation.tvd_calls",
+    )} == {"simulator.shots": 8064, "simulator.sample_calls": 114, "backend.shots": 6016,
            "evaluation.resamples": 24, "evaluation.tvd_calls": 0}
     assert (cli.main, evaluation.tvd, evaluation.score_model,
             simulator.TrajectorySampler.sample) == originals

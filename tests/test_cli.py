@@ -519,6 +519,22 @@ MALFORMED_INPUTS = {
         t, d, tr, "--shots", "20000000"), "ConfigError"),
     "sim-shots-zero": (lambda t, d, tr: [*_evaluate_argv(t, d, tr), "--sim-shots", "0"],
                        "ConfigError"),
+    # a resample's shots are numpy's int64 multinomial n, and a score holds
+    # one value per resample
+    "sim-shots-above-int64": (lambda t, d, tr: [*_evaluate_argv(t, d, tr),
+                                                "--sim-shots", str(1 << 63)], "ConfigError"),
+    "sim-shots-huge": (lambda t, d, tr: [*_evaluate_argv(t, d, tr),
+                                         "--sim-shots", "99999999999999999999"], "ConfigError"),
+    "bv-sim-shots-huge": (lambda t, d, tr: [*_evaluate_argv(t, d, tr, app="bv:1@0/1"),
+                                            "--sim-shots", "99999999999999999999"],
+                          "ConfigError"),
+    "evaluate-resamples-huge": (lambda t, d, tr: [*_evaluate_argv(t, d, tr), "--resamples",
+                                                  "99999999999999999999"], "ConfigError"),
+    "compare-resamples-huge": (lambda t, d, tr: [*_evaluate_argv(t, d, tr), "--compare",
+                                                 "--resamples", "99999999999999999999"],
+                               "ConfigError"),
+    "demo-resamples-huge": (lambda t, d, tr: [*_demo_argv(t, d, tr), "--resamples",
+                                              "99999999999999999999"], "ConfigError"),
     "hadamard-length-odd": (lambda t, d, tr: _characterize_argv(
         t, d, tr, "--hadamard-lengths", "3"), "ConfigError"),
     # refused by the parser, before the backend runs the suite

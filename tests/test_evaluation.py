@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from noisekit.circuit import Circuit, h, measure
 from noisekit.errors import ArityMismatch, ConfigError, EmptyLadder
 from noisekit.estimation import FitConfig, fit_composite
 from noisekit.evaluation import (
+    MAX_RESAMPLES,
+    MAX_SIM_SHOTS,
     ApplicationRun,
     compare_models,
     scaling_report,
@@ -311,6 +314,57 @@ def test_score_rejects_sim_shots_below_one(sim_shots):
     run = _bell_run(NOISELESS, shots=64)
     with pytest.raises(ConfigError):
         score_model(run, NOISELESS, sim_shots=sim_shots, resamples=3)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("protocol", [dict(resamples=MAX_RESAMPLES + 1),
+                                      dict(resamples=3, sim_shots=MAX_SIM_SHOTS + 1)],
+                         ids=["resamples", "sim_shots"])
+def test_score_rejects_a_protocol_above_its_bounds(protocol, exact):
+    run = _bell_run(NOISELESS, shots=64)
+    with pytest.raises(ConfigError):
+        score_model(run, NOISELESS, exact=exact, **protocol)
+
+
+def _ghz_run(n: int, shots: int) -> tuple[ApplicationRun, CompositeNoiseModel]:
+    topo = line(n)
+    truth = jittered_truth(topo, n)
+    circuit = build_ghz(n, topo)
+    return ApplicationRun(circuit, MockBackend(topo, MockGroundTruth(truth)).run(
+        [circuit], shots, n)[0]), truth
+
+
+def test_sampled_score_across_draw_blocks_matches_tvd_oracle():
+    """At 14 measured bits a score draws 2^18 >> 14 = 16 resamples per
+    block; 33 resamples span three blocks and still score one `tvd` per draw
+    in turn. Power-of-two shot counts make every frequency, gap and partial
+    sum exact, so the two sums agree to the last bit."""
+    run, truth = _ghz_run(14, 1024)
+    sampler = TrajectorySampler(run.circuit, truth)
+    stream = generator(5, SCORE)
+    values = [tvd(run.counts, sampler.sample(2048, stream)) for _ in range(33)]
+    score = score_model(run, truth, sim_shots=2048, resamples=33, seed=5)
+    assert (score.tvd, score.tvd_stderr) == (np.mean(values), np.std(values, ddof=1))
+
+
+def _peak_bytes(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sampled_score_draw_memory_does_not_grow_with_resamples():
+    """200 resamples of 2^14 outcomes would be a 26 MB count matrix. Drawn
+    in blocks of 16 rows, a score peaks at about one block's counts and
+    frequencies, as it does with 16 resamples: only the value array grows."""
+    run, truth = _ghz_run(14, 8192)
+    one_block = _peak_bytes(lambda: score_model(run, truth, resamples=16, seed=1))
+    peak = _peak_bytes(lambda: score_model(run, truth, resamples=200, seed=1))
+    assert peak < 200 * 2**14 * 8 / 4, peak
+    assert peak < one_block + 64 * 1024, (peak, one_block)
 
 
 # -- compare_models -----------------------------------------------------------------

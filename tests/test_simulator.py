@@ -400,3 +400,48 @@ def test_sampler_reuse_matches_one_shot_calls(bell_circuit):
     assert a == TrajectorySampler(bell_circuit, model).sample(2048, generator(5))
     shared = generator(5)  # one generator: successive calls draw in turn
     assert sampler.sample(2048, shared) == a and sampler.sample(2048, shared) != a
+
+
+def _draws_in_turn(sampler, shots, rng, calls):
+    """`calls` one-row draws on `rng`, as a count matrix."""
+    rows = np.zeros((calls, sampler.law.size), dtype=np.int64)
+    for row in rows:
+        counts = sampler.sample(shots, rng)
+        row[counts.indices] = counts.values
+    return rows
+
+
+@pytest.mark.parametrize("width", range(1, 11))
+def test_row_draws_are_one_row_draws_in_turn(width):
+    """`sample(R * n, rng, rows=R)` is the R draws of n shots that R calls
+    of `sample(n, rng)` take in turn, row for row, and leaves `rng` where
+    they leave it; blocks of rows drawn in turn continue the same stream."""
+    rng = np.random.default_rng(width)
+    sampler = TrajectorySampler(_random_circuit(rng, width, depth=2 * width),
+                                _random_model(rng))
+    shots = int(rng.integers(1, 3000))
+    matrix_rng, calls_rng = generator(width), generator(width)
+    for rows in (3, 1, 5):
+        block = sampler.sample(rows * shots, matrix_rng, rows=rows)
+        assert block.shape == (rows, 1 << width) and block.dtype == np.int64
+        assert (block.sum(axis=1) == shots).all()
+        assert np.array_equal(block, _draws_in_turn(sampler, shots, calls_rng, rows))
+        assert matrix_rng.bit_generator.state == calls_rng.bit_generator.state
+
+
+def test_row_draws_across_a_score_block_boundary():
+    """At 10 measured bits a score draws 2^18 >> 10 = 256 rows per block;
+    the next block's first row is the 257th one-row draw."""
+    rng = np.random.default_rng(10)
+    sampler = TrajectorySampler(_random_circuit(rng, 10, depth=20), _random_model(rng))
+    matrix_rng, calls_rng = generator(3), generator(3)
+    blocks = np.vstack([sampler.sample(256 * 100, matrix_rng, rows=256),
+                        sampler.sample(100, matrix_rng, rows=1)])
+    assert np.array_equal(blocks, _draws_in_turn(sampler, 100, calls_rng, 257))
+    assert matrix_rng.bit_generator.state == calls_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("shots, rows", [(10, 0), (0, 0), (10, -1), (10, 3), (7, 2)])
+def test_row_draws_need_rows_that_split_the_shots(bell_circuit, shots, rows):
+    with pytest.raises(ValueError):
+        TrajectorySampler(bell_circuit, NOISELESS).sample(shots, generator(0), rows=rows)
