@@ -226,12 +226,7 @@ def count_experiments(plan: SuitePlan) -> ExperimentBudget:
 
 # -- archive io ---------------------------------------------------------------
 
-def archive_dict(
-    plan: SuitePlan,
-    records: Records,
-    window: str = "",
-    meta: dict | None = None,
-) -> dict:
+def archive_dict(plan: SuitePlan, records: Records, meta: dict | None = None) -> dict:
     entries = []
     for test, row, shots in zip(records.tests, records.counts.tolist(),
                                 records.shots.tolist()):
@@ -240,7 +235,6 @@ def archive_dict(
                         "counts": {format(k, fmt): n for k, n in enumerate(row) if n}})
     return {
         "meta": dict(meta or {}),
-        "window": window,
         "shots": plan.shots,
         "seed": plan.seed,
         "entries": entries,
@@ -250,18 +244,19 @@ def archive_dict(
 def _entries(data: dict) -> tuple[dict, list[tuple[str, dict, int, int]]]:
     """A parsed counts archive and its entries as (label, counts, shots, bit
     width): each label a string and distinct, each entry checked by the
-    count rules (`check_counts`)."""
+    count rules (`check_counts`) and holding at least one shot."""
     if not isinstance(data["entries"], list):
         raise TypeError("its entries are not a list")
-    if not isinstance(data.get("window", ""), str):
-        raise TypeError(f"window {data['window']!r} is not a string")
     entries = []
     for entry in data["entries"]:
         try:
             label, counts, shots = entry["label"], entry["counts"], entry["shots"]
             if not isinstance(label, str):
                 raise TypeError(f"test label {label!r} is not a string")
-            entries.append((label, counts, shots, check_counts(counts, shots)))
+            width = check_counts(counts, shots)
+            if not shots:  # a record of no shots would fit as if exact
+                raise ValueError("it has no shots")
+            entries.append((label, counts, shots, width))
         except (AttributeError, KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"bad entry {entry!r}: {exc}") from exc
     if len({entry[0] for entry in entries}) < len(entries):

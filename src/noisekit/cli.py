@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import devices
 from .applications import build_bv, build_ghz, bv_accuracy
-from .backend import FileBackend, MockBackend, MockGroundTruth
+from .backend import MAX_SHOTS, FileBackend, MockBackend, MockGroundTruth
 from .characterization import (
     SuiteConfig,
     archive_dict,
@@ -138,7 +138,7 @@ def cmd_characterize(args) -> int:
          "subset": args.subset, "hadamard_lengths": args.hadamard_lengths}
     )
     archive_path = out / args.archive_name
-    write_json_file(archive_path, archive_dict(plan, records, window=args.window, meta=meta))
+    write_json_file(archive_path, archive_dict(plan, records, meta=meta))
     write_json_file(
         out / "budget.json",
         {
@@ -165,7 +165,6 @@ def cmd_fit(args) -> int:
         variant=args.flags,
         granularity=args.granularity,
         subset=args.subset,
-        window=data.get("window", ""),
         provenance=content_hash(data),
     )
     fit = fit_composite(records, config)
@@ -282,7 +281,7 @@ def cmd_demo(args) -> int:
     records = run_suite(plan, backend)
     budget = count_experiments(plan)
     meta = _meta({"command": "demo", "shots": shots, "seed": seed, "hidden": args.hidden})
-    write_json_file(out / "archive.json", archive_dict(plan, records, window="demo", meta=meta))
+    write_json_file(out / "archive.json", archive_dict(plan, records, meta=meta))
     print(f"   {budget.num_circuits} circuits, census {budget.total_shots} shots, "
           f"formula N_s(2q+2c+1) = {budget.formula_shots}")
 
@@ -436,7 +435,6 @@ def _characterize_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--granularity", default=PER_ELEMENT, choices=GRANULARITIES)
     p.add_argument("--subset", type=_QUBITS, default=None)
     p.add_argument("--hadamard-lengths", type=_LENGTHS, default=())
-    p.add_argument("--window", default="", help="calibration window tag")
     p.add_argument("--archive-name", default="archive.json")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_characterize)
@@ -473,7 +471,8 @@ def _evaluate_arguments(p: argparse.ArgumentParser) -> None:
 
 def _demo_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("what", nargs="?", default="full-paper", choices=["full-paper"])
-    p.add_argument("--shots", type=_COUNT, default=8192)
+    # demo always runs the mock QPU, so its capability bounds the shots
+    p.add_argument("--shots", type=_number(int, 1, MAX_SHOTS), default=8192)
     p.add_argument("--seed", type=_SEED, default=42)
     p.add_argument("--resamples", type=_RESAMPLES, default=50)
     p.add_argument("--hidden", type=_number(float, 0, 1), default=0.0,

@@ -495,7 +495,6 @@ class FitConfig:
     variant: str = "aro+dp"
     granularity: str = PER_ELEMENT
     subset: tuple[int, ...] | None = None
-    window: str = ""
     provenance: str = ""
 
     def __post_init__(self):
@@ -536,11 +535,7 @@ def fit_composite(records: Records, config: FitConfig) -> CompositeFit:
     """
     readout_mode, gate_dp = VARIANTS[config.variant]
     if config.variant == "noiseless":
-        model = replace(
-            CompositeNoiseModel.noiseless(),
-            window=config.window,
-            provenance=config.provenance,
-        )
+        model = replace(CompositeNoiseModel.noiseless(), provenance=config.provenance)
         return CompositeFit(model, {}, config.variant)
 
     # the table's index gives each qubit's rows; the Bell rows by their
@@ -626,6 +621,6 @@ def fit_composite(records: Records, config: FitConfig) -> CompositeFit:
                         avg_x=mean(x_map.values()), avg_h=mean(h_map.values()),
                         avg_cnot=mean(cnot_map.values()))
     model = CompositeNoiseModel(granularity=config.granularity, readout_on=readout_on,
-                                cnot_dp_on=gate_dp, window=config.window,
-                                provenance=config.provenance, **elements)
+                                cnot_dp_on=gate_dp, provenance=config.provenance,
+                                **elements)
     return CompositeFit(model, estimates, config.variant)

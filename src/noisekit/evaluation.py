@@ -121,36 +121,27 @@ def score_model(
     if sim_shots is not None and not 1 <= sim_shots <= MAX_SIM_SHOTS:
         raise ConfigError(f"sim_shots must be in [1, {MAX_SIM_SHOTS}], got {sim_shots}")
     cnots = run.circuit.cnot_count
-    if exact:
-        dist = simulate_noisy_exact(run.circuit, model)
-        value = tvd(run.counts, dist)
-        return ModelScore(
-            model_id=model_id,
-            tvd=value,
-            tvd_stderr=0.0,
-            tvd_per_cnot=value / max(cnots, 1),
-            cnot_count=cnots,
-            n_parameters=model.num_parameters(),
-            resamples=0,
-            sim_shots=0,
-        )
-    shots = sim_shots if sim_shots is not None else run.counts.shots
-    sampler = TrajectorySampler(run.circuit, model)
-    # TVD = sum over outcomes of max(g_k - f_k, 0), the same as
-    # 1 - sum_k min(f_k, g_k) but with no cancellation against 1: exactly 0
-    # for a draw equal to the run, and never negative
-    run_freq = np.zeros(sampler.law.size)
-    run_freq[run.counts.indices] = run.counts.values / run.counts.shots
-    rng = generator(seed, SCORE)
-    block = min(resamples, max(1, _BLOCK_COUNTS // sampler.law.size))
-    gap = np.empty((block, sampler.law.size))  # reused by every block
-    values = np.empty(resamples)
-    for start in range(0, resamples, block):
-        rows = gap[:resamples - start]
-        np.divide(sampler.sample(len(rows) * shots, rng, rows=len(rows)), shots, out=rows)
-        rows -= run_freq
-        np.maximum(rows, 0.0, out=rows)
-        rows.sum(axis=1, out=values[start:start + len(rows)])
+    if exact:  # one value against the law itself: no resamples, no spread
+        values = [tvd(run.counts, simulate_noisy_exact(run.circuit, model))]
+        resamples = shots = 0
+    else:
+        shots = sim_shots if sim_shots is not None else run.counts.shots
+        sampler = TrajectorySampler(run.circuit, model)
+        # TVD = sum over outcomes of max(g_k - f_k, 0), the same as
+        # 1 - sum_k min(f_k, g_k) but with no cancellation against 1: exactly
+        # 0 for a draw equal to the run, and never negative
+        run_freq = np.zeros(sampler.law.size)
+        run_freq[run.counts.indices] = run.counts.values / run.counts.shots
+        rng = generator(seed, SCORE)
+        block = min(resamples, max(1, _BLOCK_COUNTS // sampler.law.size))
+        gap = np.empty((block, sampler.law.size))  # reused by every block
+        values = np.empty(resamples)
+        for start in range(0, resamples, block):
+            rows = gap[:resamples - start]
+            np.divide(sampler.sample(len(rows) * shots, rng, rows=len(rows)), shots, out=rows)
+            rows -= run_freq
+            np.maximum(rows, 0.0, out=rows)
+            rows.sum(axis=1, out=values[start:start + len(rows)])
     mean = float(np.mean(values))
     spread = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
     return ModelScore(

@@ -134,7 +134,6 @@ class CompositeNoiseModel:
     avg_cnot: float | None = None
     readout_on: bool = True
     cnot_dp_on: bool = True
-    window: str = ""
     provenance: str = ""
 
     def __post_init__(self):
@@ -216,7 +215,6 @@ class CompositeNoiseModel:
             "cnot": {
                 f"{a}-{b}": {"p_cnot": v} for (a, b), v in sorted(self.cnot.items())
             },
-            "window": self.window,
             "provenance": self.provenance,
         }
         if self.subset is not None:
@@ -256,7 +254,6 @@ class CompositeNoiseModel:
             avg_cnot=avg.get("p_cnot") if avg else None,
             readout_on=data["flags"]["readout_on"],
             cnot_dp_on=data["flags"]["cnot_dp_on"],
-            window=data.get("window", ""),
             provenance=data.get("provenance", ""),
         )
 

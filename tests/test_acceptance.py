@@ -334,7 +334,7 @@ def test_criterion_10_determinism_and_serialization(tmp_path):
         plan = build_suite(topo, SuiteConfig(shots=4096, seed=9))
         records = run_suite(plan, backend)
         path = tmp_path / "roundtrip.json"
-        write_json_file(path, archive_dict(plan, records, window="w"))
+        write_json_file(path, archive_dict(plan, records))
         _, loaded = read_archive(path)
         assert same_records(loaded, records)
         counts = backend.run([materialize(t) for t in plan.tests], plan.shots, plan.seed)

@@ -302,9 +302,9 @@ def test_archive_roundtrip(tmp_path, line3):
     plan = build_suite(line3, SuiteConfig(shots=512, seed=1))
     records = run_suite(plan, backend)
     path = tmp_path / "archive.json"
-    write_json_file(path, archive_dict(plan, records, window="w"))
+    write_json_file(path, archive_dict(plan, records))
     data, loaded = read_archive(path)
-    assert data["window"] == "w" and data["shots"] == 512
+    assert "window" not in data and data["shots"] == 512
     assert same_records(loaded, records)
 
 
@@ -315,11 +315,22 @@ def test_content_hash_of_parsed_archive_is_archive_hash(tmp_path, line3):
     plan = build_suite(line3, SuiteConfig(shots=64, seed=1))
     records = run_suite(plan, backend)
     path = tmp_path / "archive.json"
-    write_json_file(path, archive_dict(plan, records, window="w", meta={"t": 1}))
+    write_json_file(path, archive_dict(plan, records, meta={"t": 1}))
     data, _ = read_archive(path)
     assert content_hash(data) == archive_hash(path)
     assert data["meta"] == {"t": 1}
     assert content_hash({**data, "meta": {"t": 2}}) == content_hash(data)
+
+
+@pytest.mark.parametrize("read", [read_archive, read_counts])
+def test_archive_readers_reject_an_entry_with_no_shots(tmp_path, read):
+    """A record of no shots has no frequencies to fit or replay, though its
+    counts keep the count rules (and `Counts({}, 0)` is a legal value)."""
+    path = tmp_path / "empty.json"
+    path.write_text('{"entries": [{"label": "init:q0", "shots": 0, "counts": {"0": 0}}]}')
+    assert check_counts({"0": 0}, 0) == 1 and Counts({}, 0).shots == 0
+    with pytest.raises(ParseError, match="no shots"):
+        read(path)
 
 
 def test_read_archive_rejects_repeated_label(tmp_path):

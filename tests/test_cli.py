@@ -10,7 +10,7 @@ from count_tables import rows_where
 
 import noisekit
 from noisekit import characterization, cli
-from noisekit.backend import MockGroundTruth
+from noisekit.backend import MAX_SHOTS, MockGroundTruth
 from noisekit.characterization import (
     archive_dict, archive_hash, build_suite, run_suite, SuiteConfig,
 )
@@ -564,6 +564,9 @@ MALFORMED_INPUTS = {
     "demo-shots-zero": (lambda t, d, tr: [*_demo_argv(t, d, tr), "--shots", "0"], "ConfigError"),
     "demo-shots-negative": (lambda t, d, tr: [*_demo_argv(t, d, tr), "--shots", "-3"],
                             "ConfigError"),
+    # refused by the parser, before the demo writes its device and truth files
+    "demo-shots-above-capability": (lambda t, d, tr: [*_demo_argv(t, d, tr), "--shots",
+                                                      str(MAX_SHOTS + 1)], "ConfigError"),
     "demo-max-ghz-1": (lambda t, d, tr: [*_demo_argv(t, d, tr), "--max-ghz", "1"],
                        "ConfigError"),
     "demo-max-ghz-25": (lambda t, d, tr: [*_demo_argv(t, d, tr), "--max-ghz", "25"],
@@ -625,7 +628,8 @@ MALFORMED_INPUTS = {
     # counts are int64 arrays inside
     "archive-shots-above-int64": (_archive_entry_counts("init:q0", {"0": 1 << 63}),
                                   "ParseError"),
-    "archive-window-not-a-string": (_archive_edit(lambda d: d.update(window=5)), "ParseError"),
+    # a record of no shots has no frequencies; a fit would read it as exact
+    "archive-entry-zero-shots": (_archive_entry_counts("init:q0", {"0": 0}), "ParseError"),
     "archive-hseq-length-zero": (_relabelled("init:q0", "hseq:q0:len0"), "ParseError"),
     "archive-hseq-length-odd": (_relabelled("init:q0", "hseq:q0:len3"), "ParseError"),
     "archive-negative-qubit": (_relabelled("init:q0", "init:q-1"), "ParseError"),
@@ -661,6 +665,36 @@ def test_malformed_input_exit_2(setup, capsys, make_argv, error):
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == error
     assert not list((tmp_path / "o").glob("*"))  # archive.json, models, reports
+
+
+def test_files_that_carry_a_window_tag_read_as_before(setup):
+    """Truth, archive and model files written while they carried a `window`
+    tag still load, fit and score as before: the key is ignored, and only
+    the provenance of a fit changes, as it hashes the archive as read."""
+    tmp_path, device, truth = setup
+    archive = _characterize(tmp_path, device, truth, out="new", shots="256")
+    _edited(truth, lambda d: d.update(window="w"))
+    tagged = _characterize(tmp_path, device, truth, out="old", shots="256")
+    assert archive_hash(tagged) == archive_hash(archive)
+    _edited(tagged, lambda d: d.update(window="w"))
+    files = {}
+    for run in ("new", "old"):
+        out = tmp_path / run
+        assert main(["fit", "--archive", str(out / "archive.json"), "--out", str(out)]) == 0
+        model = json.loads((out / "model-aro_dp-per_element.json").read_text())
+        files[run] = model, (out / "model-aro_dp-per_element.diagnostics.json").read_bytes()
+    assert files["old"][0].pop("provenance") == archive_hash(tagged) != archive_hash(archive)
+    assert files["new"][0].pop("provenance") == archive_hash(archive)
+    assert files["old"] == files["new"]
+    _edited(tmp_path / "old" / "model-aro_dp-per_element.json", lambda d: d.update(window="w"))
+    reports = []
+    for run in ("new", "old"):
+        out = tmp_path / run
+        assert main(["evaluate", "--device", str(device), "--backend", f"mock:{truth}",
+                     "--app", "ghz:3", "--model", str(out / "model-aro_dp-per_element.json"),
+                     "--exact", "--out", str(out)]) == 0
+        reports.append(json.loads((out / "report.json").read_text()))
+    assert {**reports[0], "meta": None} == {**reports[1], "meta": None}
 
 
 def test_help_still_exits_0(capsys):

@@ -998,8 +998,7 @@ def _assembled(records, variant: str, granularity: str, subset) -> CompositeNois
     h_gate = {q: value(f"p_h:q{q}") for q, keep in include.items() if keep}
     cnot = {tuple(int(q) for q in name[len("p_cnot:q"):].split("-q")): r.value
             for name, r in estimates.items() if name.startswith("p_cnot:")}
-    flags = dict(readout_on=readout_mode != "off", cnot_dp_on=gate_dp, window="w",
-                 provenance="p")
+    flags = dict(readout_on=readout_mode != "off", cnot_dp_on=gate_dp, provenance="p")
     if granularity == PER_ELEMENT:
         return CompositeNoiseModel(PER_ELEMENT, readout=readout, x_gate=x_gate, h_gate=h_gate,
                                    cnot=cnot, **flags)
@@ -1025,11 +1024,10 @@ def test_fit_composite_model_is_assembled_from_its_estimates(seed):
     for variant in VARIANTS:
         for granularity in GRANULARITIES:
             subset = (0, 2, 3, 5) if granularity == SUBSET_AVERAGE else None
-            config = FitConfig(variant, granularity, subset, window="w", provenance="p")
+            config = FitConfig(variant, granularity, subset, provenance="p")
             got = _flat(fit_composite(records, config).model.to_json_dict())
             if variant == "noiseless":
-                want = _flat(dict(CompositeNoiseModel.noiseless().to_json_dict(), window="w",
-                                  provenance="p"))
+                want = _flat(dict(CompositeNoiseModel.noiseless().to_json_dict(), provenance="p"))
             else:
                 want = _flat(_assembled(records, variant, granularity, subset).to_json_dict())
             assert got.keys() == want.keys(), (variant, granularity)

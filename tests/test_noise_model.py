@@ -232,7 +232,6 @@ def test_model_json_roundtrip(tmp_path, line4):
         x_gate={0: 0.001, 1: 0.002},
         h_gate={},
         cnot={(0, 1): 0.025},
-        window="w1",
         provenance="abc123",
     )
     path = tmp_path / "model.json"

@@ -281,7 +281,9 @@ def test_archive_and_model_files_do_not_depend_on_the_form(tmp_path):
             return [Counts(dict(c.counts), c.shots) for c in mock.run(circuits, shots, seed)]
 
     drawn = run_suite(plan, mock)
-    assert content_hash(archive_dict(plan, drawn)) == "c25c71bdb36e988a"
+    assert content_hash(archive_dict(plan, drawn)) == "cb333c98df7cfddc"
+    # an archive written while archives carried a `window` tag hashes as it did
+    assert content_hash({**archive_dict(plan, drawn), "window": ""}) == "c25c71bdb36e988a"
     write_json_file(tmp_path / "drawn.json", archive_dict(plan, drawn))
     tables = {"drawn": drawn, "twins": run_suite(plan, Twins()),
               "reread": read_archive(tmp_path / "drawn.json")[1]}
