@@ -58,10 +58,12 @@ class MockGroundTruth:
 
 class MockBackend:
     """Simulated QPU: each circuit's counts are one multinomial draw from
-    the ground truth's outcome law, hidden readout included.
+    the ground truth's outcome law, hidden readout included, built per
+    circuit shape (`TrajectorySampler.for_circuits`).
 
-    Deterministic: a run's circuits draw in turn from one (seed, BACKEND)
-    stream, so identical (circuits, shots, seed) give identical counts.
+    Deterministic: a run's circuits draw in turn, in plan order, from one
+    (seed, BACKEND) stream, so identical (circuits, shots, seed) give
+    identical counts. `shots` must lie in [1, MAX_SHOTS].
     """
 
     def __init__(self, topology: DeviceTopology, truth: MockGroundTruth):
@@ -69,16 +71,13 @@ class MockBackend:
         self.truth = truth
 
     def run(self, circuits: list[Circuit], shots: int, seed: int) -> list[Counts]:
-        if shots > MAX_SHOTS:
-            raise ConfigError(f"shots {shots} above backend capability {MAX_SHOTS}")
-        rng = generator(seed, BACKEND)
-        out = []
+        if not 1 <= shots <= MAX_SHOTS:
+            raise ConfigError(f"shots {shots} outside backend capability [1, {MAX_SHOTS}]")
         for circuit in circuits:
             validate(circuit, self.topology)
-            sampler = TrajectorySampler(circuit, self.truth.model,
-                                        self.truth.hidden_readout_strength)
-            out.append(sampler.sample(shots, rng))
-        return out
+        rng, t = generator(seed, BACKEND), self.truth
+        samplers = TrajectorySampler.for_circuits(circuits, t.model, t.hidden_readout_strength)
+        return [sampler.sample(shots, rng) for sampler in samplers]
 
 
 class FileBackend:

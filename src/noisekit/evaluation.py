@@ -5,7 +5,7 @@ Model predictions are sampled at the experiment's shot count by default so
 the finite-statistics TVD floor affects both sides symmetrically; exact
 channel-averaged scoring is available for narrow circuits. A sampled score
 draws its resamples as one multinomial count matrix on its (seed, SCORE)
-stream, in row blocks of about 2^18 counts, and takes every row's TVD in
+stream, in row blocks of about 2^16 counts, and takes every row's TVD in
 one array expression.
 """
 from __future__ import annotations
@@ -21,15 +21,13 @@ from .errors import ArityMismatch, ConfigError, EmptyLadder, write_json_file
 from .noise import CompositeNoiseModel
 from .outcomes import Counts, Distribution
 from .rng import SCORE, generator
-from .simulator import TrajectorySampler, simulate_noisy_exact
+from .simulator import _BLOCK_COUNTS, TrajectorySampler, simulate_noisy_exact
 
 # Upper bounds of a sampled score's protocol, shared with the CLI's flags: a
 # resample costs 8 bytes of the score's value array, and a resample's shots
 # are numpy's int64 multinomial `n`.
 MAX_RESAMPLES = 10**6
 MAX_SIM_SHOTS = 2**63 - 1
-# Counts per draw block: a score's draw memory is bounded whatever its R.
-_BLOCK_COUNTS = 2**18
 
 
 def tvd(a: Counts | Distribution, b: Counts | Distribution) -> float:
@@ -110,7 +108,7 @@ def score_model(
     the experiment's own shot count) from the (seed, SCORE) stream, the same
     for every score and shared with no mock-QPU run, and reports the mean
     and spread of the TVD values. The count sets come as multinomial matrix
-    rows, in blocks of at most max(1, 2^18 >> m) rows for m measured bits;
+    rows, in blocks of at most max(1, 2^16 >> m) rows for m measured bits;
     the rows are exactly those of one draw per resample taken in turn.
     Exact mode compares against the channel-averaged distribution directly.
     `resamples` must be in [1, MAX_RESAMPLES] in either mode, and `sim_shots`

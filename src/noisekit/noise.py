@@ -79,16 +79,16 @@ def read_out(law: np.ndarray, p0: Sequence[float], p1: Sequence[float]) -> None:
     1 with probability p0[bit], a 1 reads 0 with p1[bit]. Classical bit 0 is
     the most significant bit of an index.
 
-    Rates of shape (rows, bits) give one channel per entry of the law's
-    leading axis, each entry being a law or a stack of laws."""
+    Rates of any leading shape (*rows, bits) give one channel per entry of
+    the law's leading axes of that shape, each a law or a stack of laws."""
     p0, p1 = np.asarray(p0, dtype=float), np.asarray(p1, dtype=float)
     rows, bits = p0.shape[:-1], p0.shape[-1]
     for bit in range(bits):
         t = law.reshape(*rows, -1, 2, 1 << (bits - 1 - bit))
-        a, b = p0[..., bit, None, None], p1[..., bit, None, None]
-        moved = a * t[..., 0, :] - b * t[..., 1, :]  # net mass read 0 -> 1
-        t[..., 0, :] -= moved
-        t[..., 1, :] += moved
+        zero, one = t[..., 0, :], t[..., 1, :]
+        moved = p0[..., bit, None, None] * zero - p1[..., bit, None, None] * one  # net 0 -> 1
+        zero -= moved
+        one += moved
 
 
 def apply_readout_to_distribution(

@@ -1,4 +1,4 @@
-"""Ideal and noisy simulation through one outcome law per compiled circuit.
+"""Ideal and noisy simulation through outcome laws built per circuit shape.
 
 Circuits are internally remapped onto their active qubits, so simulation
 cost scales with the touched register slice rather than the device size.
@@ -8,16 +8,19 @@ it is measured) and each qubit may be measured at most once.
 Every gate ({H, X, CNOT, id, measure}) is Clifford and every gate channel
 is Pauli, so a noisy run is the ideal run with a Pauli error frame on top.
 Only the frame's X part reaches the measured bits, as an XOR flip mask. A
-circuit is therefore compiled once, by one backward sweep over its gates,
-into the flip masks of an X, Y or Z injected right after each gate and its
-ideal measured-bit marginal. The sweep pulls each measured Z back to the
-start with its sign; the ideal state is a stabilizer state, so the marginal
-is uniform over an affine GF(2) subspace of outcomes (Aaronson & Gottesman,
-quant-ph/0406196), and no amplitude is ever stored. Mixing the ideal
-marginal over every site's masks gives the pre-readout law; readout, a
-per-bit stochastic channel, turns it into the observed law. The exact
-distribution is that law, and sampling any number of shots is one
-multinomial draw from it. The mock QPU's hidden readout (a sampler's
+circuit's shape (its ops on local qubits and its measured locals, shared
+by circuits that differ only in qubit labels) is compiled once, by one
+backward sweep over its gates, into the flip masks of an X, Y or Z
+injected right after each gate and its ideal measured-bit marginal. The
+sweep pulls each measured Z back to the start with its sign; the ideal
+state is a stabilizer state, so the marginal is uniform over an affine
+GF(2) subspace of outcomes (Aaronson & Gottesman, quant-ph/0406196), and
+no amplitude is ever stored. Mixing the ideal marginal over every site's
+masks gives the pre-readout law; readout, a per-bit stochastic channel,
+turns it into the observed law. A shape's circuits get their laws as one
+(K, 2^m) stack, each row with its circuit's rates. The exact distribution
+is that law, and sampling any number of shots is one multinomial draw
+from it. The mock QPU's hidden readout (a sampler's
 `hidden_readout_strength`) is that per-bit channel applied to each
 Hamming-weight class of the pre-readout law.
 """
@@ -34,33 +37,56 @@ from .outcomes import Counts, Distribution
 # every outcome law is a 2^m array over the m measured bits, while active
 # qubits cost only sweep work linear in the gates.
 MAX_QUBITS = 24
+# The one block rule: a score's draw rows, a stack of laws and a block of
+# hidden-readout classes hold at most this many entries (or one row, law or
+# class), which bounds their memory and keeps their arrays in CPU cache.
+_BLOCK_COUNTS = 2**16
+_KEEP, _FLIP = slice(None), slice(None, None, -1)
 
 
-class _Compiled:
-    """Circuit lowered onto its active qubits, with its per-gate flip masks
-    and its ideal measured-bit marginal, both from one backward sweep."""
+def _lower(circuit: Circuit) -> tuple[tuple, list[tuple[int, ...]], list[int]]:
+    """A circuit's shape key (active-qubit count, ops on local qubits,
+    measured locals) and its labels (each op's qubits, the measured qubits)."""
+    actives = circuit.active_qubits()
+    local = {q: i for i, q in enumerate(actives)}
+    done: set[int] = set()
+    ops = []
+    for g in circuit.gates:
+        for q in g.qubits:
+            if q in done:
+                raise ValueError(f"gate on qubit {q} after its measurement is unsupported")
+        if g.name == "measure":
+            done.add(g.qubits[0])
+        ops.append((g.name, tuple(local[q] for q in g.qubits)))
+    measured = circuit.measured_qubits()
+    if len(measured) > MAX_QUBITS:
+        raise TooWide(f"{len(measured)} measured bits exceeds the {MAX_QUBITS}-bit guard")
+    key = (len(actives), tuple(ops), tuple(local[q] for q in measured))
+    return key, [g.qubits for g in circuit.gates], measured
 
-    def __init__(self, circuit: Circuit):
-        actives = circuit.active_qubits()
-        self.n = len(actives)
-        local = {q: i for i, q in enumerate(actives)}
-        self.ops: list[tuple[str, tuple[int, ...], tuple[int, ...]]] = []
-        done: set[int] = set()
-        for g in circuit.gates:
-            for q in g.qubits:
-                if q in done:
-                    raise ValueError(
-                        f"gate on qubit {q} after its measurement is unsupported"
-                    )
-            if g.name == "measure":
-                done.add(g.qubits[0])
-            self.ops.append((g.name, tuple(local[q] for q in g.qubits), g.qubits))
-        self.measured_qubits = circuit.measured_qubits()
-        self.num_bits = len(self.measured_qubits)
-        if self.num_bits > MAX_QUBITS:
-            raise TooWide(f"{self.num_bits} measured bits exceeds the {MAX_QUBITS}-bit guard")
-        self.measured_locals = [local[q] for q in self.measured_qubits]
+
+class _Shape:
+    """A circuit without its qubit labels: local ops, measured locals, and the
+    flip masks, ideal marginal and noise-site plan of one backward sweep."""
+
+    def __init__(self, n: int, ops: tuple, measured_locals: tuple[int, ...]):
+        self.n, self.ops, self.measured_locals = n, ops, measured_locals
+        self.num_bits = m = len(measured_locals)
         self.flips, self.ideal = self._sweep()
+        # Per noise site, its op and the distinct masks of its X, Y and Z as
+        # flipping indices: three, or one when two coincide (the third is 0).
+        self.site_ops, self.sites = [], []
+        for i, ((name, _), flips) in enumerate(zip(ops, self.flips)):
+            for fx, fz in flips if name in ("h", "x", "cnot") else ():
+                if fx or fz:
+                    masks = (fx, fx ^ fz, fz) if fx and fz and fx != fz else (fx or fz,)
+                    self.site_ops.append(i)
+                    self.sites.append(tuple(self._flip(mask) for mask in masks))
+        merged = [len(site) == 1 for site in self.sites]  # two masks share one term
+        self.merged = np.array(merged, dtype=float).reshape(-1, 1, *[1] * m)
+
+    def _flip(self, mask: int) -> tuple[slice, ...]:
+        return (_KEEP, *(_FLIP if c == "1" else _KEEP for c in format(mask, f"0{self.num_bits}b")))
 
     def _sweep(self) -> tuple[list[tuple[tuple[int, int], ...]], np.ndarray]:
         """Per op and operand, the measured-bit flips (x_mask, z_mask) of an
@@ -80,7 +106,7 @@ class _Compiled:
             fx[q] = 1 << (self.num_bits - 1 - k)
         out: list[tuple[tuple[int, int], ...]] = [()] * len(self.ops)
         for i in range(len(self.ops) - 1, -1, -1):
-            name, locs, _ = self.ops[i]
+            name, locs = self.ops[i]
             out[i] = tuple((fx[q], fz[q]) for q in locs)
             if name == "h":  # H X H = Z, H Z H = X, H Y H = -Y
                 q = locs[0]
@@ -136,80 +162,87 @@ def _stabilizer_marginal(fx: list[int], fz: list[int], sign: int, m: int) -> np.
     return law
 
 
-def _noise_sites(
-    comp: _Compiled, model: CompositeNoiseModel
-) -> list[tuple[float, tuple[int, int, int]]]:
-    """Depolarizing probability and (X, Y, Z) flip masks of every site whose
-    errors can reach a measured bit."""
-    sites = []
-    for (name, _, origs), flips in zip(comp.ops, comp.flips):
-        if name == "h":
-            p = model.h_for(origs[0])
-        elif name == "x":
-            p = model.x_for(origs[0])
-        elif name == "cnot" and model.cnot_dp_on:
-            p = model.cnot_for(*origs)
-        else:
-            continue
-        if p > 0.0:
-            sites.extend((p, (fx, fx ^ fz, fz)) for fx, fz in flips if fx or fz)
-    return sites
+def _gate_rate(model: CompositeNoiseModel, name: str, qubits: tuple[int, ...]) -> float:
+    """Depolarizing probability of each site right after one gate."""
+    if name in ("h", "x"):
+        return (model.h_for if name == "h" else model.x_for)(qubits[0])
+    return model.cnot_for(*qubits) if name == "cnot" and model.cnot_dp_on else 0.0
 
 
-def _readout_rates(
-    comp: _Compiled, model: CompositeNoiseModel
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Per classical bit (p0, p1) arrays, or None when readout is off."""
-    if not (model.readout_on and comp.num_bits):
-        return None
-    ros = [model.readout_for(q) for q in comp.measured_qubits]
-    return np.array([r.p0 for r in ros]), np.array([r.p1 for r in ros])
-
-
-def _outcome_law(
-    comp: _Compiled, model: CompositeNoiseModel, hidden_readout_strength: float = 0.0
-) -> np.ndarray:
-    """Observed outcome law, flat in classical-bit order.
+def _outcome_laws(shape: _Shape, rates: np.ndarray, readout: np.ndarray,
+                  hidden_readout_strength: float = 0.0) -> np.ndarray:
+    """Observed outcome laws of K circuits of one shape, a (K, 2^m) stack in
+    classical-bit order, from their (K, sites) rates and (K, m, 2) readout
+    (p0, p1) rates (zero when readout is off).
 
     Each noise site mixes the ideal marginal over its flip masks,
-    v <- (1 - p) v + p/3 (v[i ^ m_X] + v[i ^ m_Y] + v[i ^ m_Z]). On the
+    v <- (1 - p) v + p/3 (v[i ^ m_X] + v[i ^ m_Y] + v[i ^ m_Z]). On a
     [2]*m-shaped law, v[i ^ m] is v flipped along the axes of m's set bits,
-    so every term is a view; coinciding masks share one term. The readout
-    channel then acts on that pre-readout law as a per-bit stochastic matrix.
+    so every term is a view; coinciding masks share one term. Weights are
+    columns over the stack, so each row gets the float operations of its
+    own one-circuit pass (a zero rate is an exact no-op; all-zero sites and
+    readout are skipped). Readout then acts as a per-bit stochastic matrix.
 
     With a hidden strength, every bit also flips after readout with
-    probability h = min(strength * w, 1), w being the Hamming weight of the
-    pre-readout outcome. Given w, readout then that flip is one per-bit
-    channel with rates (1 - h) p + h (1 - p), so each weight class of the
-    pre-readout law is read out once: O((m + 1) m 2^m) for m measured bits.
+    probability h = min(strength * w, 1), w being the pre-readout outcome's
+    Hamming weight: per class, one per-bit channel of rates
+    (1 - h) p + h (1 - p). Classes that carry mass are read out in stacked
+    blocks and summed in weight order.
     """
-    m = comp.num_bits
-    law = comp.ideal.reshape([2] * m).copy()  # the loop below reuses its buffer
+    k, m = rates.shape[0], shape.num_bits
+    p = rates.T.reshape(len(shape.sites), k, *[1] * m)
+    third = p / 3.0
+    shared = third * shape.merged  # p/3 more on both weights of a merged site
+    stay, move = 1.0 - p + shared, third + shared
+    law = shape.ideal[None].repeat(k, axis=0).reshape(k, *[2] * m)
     mixed, term = np.empty_like(law), np.empty_like(law)
-    for p, masks in _noise_sites(comp, model):
-        weights = {0: 1.0 - p}
-        for mask in masks:
-            weights[mask] = weights.get(mask, 0.0) + p / 3.0
-        np.multiply(law, weights.pop(0), out=mixed)
-        for mask, w in weights.items():
-            axes = tuple(k for k in range(m) if mask >> (m - 1 - k) & 1)
-            mixed += np.multiply(np.flip(law, axes), w, out=term)
+    for flips, noisy, kept_weight, flip_weight in zip(shape.sites, rates.any(axis=0), stay, move):
+        if not noisy:
+            continue
+        np.multiply(law, kept_weight, out=mixed)
+        for flip in flips:
+            mixed += np.multiply(law[flip], flip_weight, out=term)
         law, mixed = mixed, law
-    pre = law.reshape(-1)
-    rates = _readout_rates(comp, model)
+    pre = law.reshape(k, -1)
+    p0, p1 = readout[..., 0], readout[..., 1]
     if hidden_readout_strength == 0.0:
-        if rates is not None:
-            read_out(pre, *rates)
+        if readout.any():
+            read_out(pre, p0, p1)
         return pre
-    p0, p1 = rates or (np.zeros(m), np.zeros(m))
-    weight = sum((np.arange(pre.size) >> pos) & 1 for pos in range(m))
+    weight = sum(((np.arange(1 << m) >> pos) & 1 for pos in range(m)), np.zeros(1 << m, int))
+    classes = np.flatnonzero(np.bincount(weight, (pre != 0.0).any(axis=0)))  # with mass
     law = np.zeros_like(pre)
-    for w in range(m + 1):
-        part = np.where(weight == w, pre, 0.0)
-        h = min(hidden_readout_strength * w, 1.0)
-        read_out(part, (1 - h) * p0 + h * (1 - p0), (1 - h) * p1 + h * (1 - p1))
-        law += part
+    block = max(1, _BLOCK_COUNTS // pre.size)
+    for start in range(0, classes.size, block):
+        w = classes[start:start + block, None, None]
+        h = np.minimum(hidden_readout_strength * w, 1.0)
+        parts = np.where(weight == w, pre, 0.0)
+        read_out(parts, (1 - h) * p0 + h * (1 - p0), (1 - h) * p1 + h * (1 - p1))
+        for part in parts:
+            law += part
     return law
+
+
+def _laws(circuits: list[Circuit], model: CompositeNoiseModel,
+          hidden_readout_strength: float = 0.0) -> list[np.ndarray]:
+    """Each circuit's observed outcome law. Each shape is compiled once and
+    its circuits' laws built in stacks of at most max(1, 2^16 >> m) rows."""
+    groups: dict[tuple, list] = {}
+    for i, circuit in enumerate(circuits):
+        key, qubits, measured = _lower(circuit)
+        rates = [_gate_rate(model, name, q) for (name, _), q in zip(key[1], qubits)]
+        ros = [(r.p0, r.p1) for r in map(model.readout_for, measured)] if model.readout_on else []
+        groups.setdefault(key, []).append((i, rates, ros or [(0.0, 0.0)] * len(measured)))
+    laws: dict[int, np.ndarray] = {}
+    for key, members in groups.items():
+        shape = _Shape(*key)
+        block = max(1, _BLOCK_COUNTS >> shape.num_bits)
+        for start in range(0, len(members), block):
+            rows, rates, readout = zip(*members[start:start + block])
+            laws.update(zip(rows, _outcome_laws(
+                shape, np.array(rates, dtype=float).take(shape.site_ops, axis=1),
+                np.array(readout, dtype=float).reshape(len(rows), -1, 2), hidden_readout_strength)))
+    return [laws[i] for i in range(len(circuits))]
 
 
 def _to_distribution(vec: np.ndarray, num_bits: int) -> Distribution:
@@ -219,15 +252,15 @@ def _to_distribution(vec: np.ndarray, num_bits: int) -> Distribution:
 
 def simulate_ideal(circuit: Circuit) -> Distribution:
     """Exact measurement distribution of the noiseless circuit."""
-    comp = _Compiled(circuit)
-    return _to_distribution(comp.ideal, comp.num_bits)
+    shape = _Shape(*_lower(circuit)[0])
+    return _to_distribution(shape.ideal, shape.num_bits)
 
 
 def simulate_noisy_exact(circuit: Circuit, model: CompositeNoiseModel) -> Distribution:
     """Channel-averaged outcome distribution under the composite model: the
     compiled circuit's observed outcome law."""
-    comp = _Compiled(circuit)
-    return _to_distribution(_outcome_law(comp, model), comp.num_bits)
+    law = _laws([circuit], model)[0]
+    return _to_distribution(law, law.size.bit_length() - 1)
 
 
 class TrajectorySampler:
@@ -240,7 +273,17 @@ class TrajectorySampler:
 
     def __init__(self, circuit: Circuit, model: CompositeNoiseModel,
                  hidden_readout_strength: float = 0.0):
-        self.law = _outcome_law(_Compiled(circuit), model, hidden_readout_strength)
+        self.law = _laws([circuit], model, hidden_readout_strength)[0]
+
+    @classmethod
+    def for_circuits(cls, circuits: list[Circuit], model: CompositeNoiseModel,
+                     hidden_readout_strength: float = 0.0) -> list["TrajectorySampler"]:
+        """One sampler per circuit, each holding the law `cls(circuit, model,
+        hidden_readout_strength)` would; circuits of one shape share a stack."""
+        samplers = [cls.__new__(cls) for _ in circuits]
+        for sampler, law in zip(samplers, _laws(circuits, model, hidden_readout_strength)):
+            sampler.law = law
+        return samplers
 
     def sample(self, shots: int, rng: np.random.Generator,
                rows: int | None = None) -> Counts | np.ndarray:

@@ -6,7 +6,7 @@ import pytest
 from count_tables import rows_where, same_records
 
 from noisekit.applications import build_bv
-from noisekit.backend import FileBackend, MockBackend, MockGroundTruth
+from noisekit.backend import MAX_SHOTS, FileBackend, MockBackend, MockGroundTruth
 from noisekit.characterization import (
     SuiteConfig,
     archive_dict,
@@ -16,7 +16,14 @@ from noisekit.characterization import (
     run_suite,
 )
 from noisekit.devices import ladder20, line, uniform_truth
-from noisekit.errors import LabelMismatch, OutOfRange, ParseError, UncoupledPair, write_json_file
+from noisekit.errors import (
+    ConfigError,
+    LabelMismatch,
+    OutOfRange,
+    ParseError,
+    UncoupledPair,
+    write_json_file,
+)
 from noisekit.evaluation import ApplicationRun
 from noisekit.noise import CompositeNoiseModel
 from noisekit.simulator import TrajectorySampler, simulate_ideal
@@ -51,6 +58,16 @@ def test_mock_validates_circuits(line2):
     bad = Circuit(6, 1, (cnot(0, 5), measure(5, 0)), "bad")
     with pytest.raises(UncoupledPair):
         backend.run([bad], 16, seed=0)
+
+
+@pytest.mark.parametrize("shots", [0, -5, MAX_SHOTS + 1])
+def test_mock_rejects_shots_outside_its_capability(line2, shots):
+    """A mock run takes 1 to MAX_SHOTS shots per circuit: zero shots would
+    give records that fit every rate as exactly 0 with stderr 0, and
+    negative shots reached numpy's multinomial."""
+    backend = MockBackend(line2, MockGroundTruth(uniform_truth(line2)))
+    with pytest.raises(ConfigError, match="shots"):
+        run_suite(build_suite(line2, SuiteConfig(shots=shots)), backend)
 
 
 def test_mock_circuits_draw_in_turn(line3):

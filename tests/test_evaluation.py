@@ -335,8 +335,8 @@ def _ghz_run(n: int, shots: int) -> tuple[ApplicationRun, CompositeNoiseModel]:
 
 
 def test_sampled_score_across_draw_blocks_matches_tvd_oracle():
-    """At 14 measured bits a score draws 2^18 >> 14 = 16 resamples per
-    block; 33 resamples span three blocks and still score one `tvd` per draw
+    """At 14 measured bits a score draws 2^16 >> 14 = 4 resamples per
+    block; 33 resamples span nine blocks and still score one `tvd` per draw
     in turn. Power-of-two shot counts make every frequency, gap and partial
     sum exact, so the two sums agree to the last bit."""
     run, truth = _ghz_run(14, 1024)
@@ -358,7 +358,7 @@ def _peak_bytes(fn) -> int:
 
 def test_sampled_score_draw_memory_does_not_grow_with_resamples():
     """200 resamples of 2^14 outcomes would be a 26 MB count matrix. Drawn
-    in blocks of 16 rows, a score peaks at about one block's counts and
+    in blocks of 4 rows, a score peaks at about one block's counts and
     frequencies, as it does with 16 resamples: only the value array grows."""
     run, truth = _ghz_run(14, 8192)
     one_block = _peak_bytes(lambda: score_model(run, truth, resamples=16, seed=1))

@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 from dm_oracle import exact_outcome_vector
+from law_oracle import compile_shape
 from noisekit.circuit import Circuit, cnot, h, identity, measure, x
 from noisekit.noise import CompositeNoiseModel
-from noisekit.simulator import _Compiled
 
 NOISELESS = CompositeNoiseModel.noiseless()
 REGISTER = 8
@@ -51,7 +51,7 @@ def test_ideal_law_matches_density_matrix_oracle(kinds, seed):
     unmeasured = none_measured = 0
     for trial in range(500):
         circuit = _random_case(rng, trial, kinds)
-        law = _Compiled(circuit).ideal
+        law = compile_shape(circuit).ideal
         expected = exact_outcome_vector(circuit, NOISELESS)
         assert np.max(np.abs(law - expected)) <= 1e-12, (trial, circuit)
         support = law[law > 0]
@@ -65,7 +65,7 @@ def test_y_phase_hand_case():
     # H0 CNOT01 H0 CNOT01 H0 leaves (|01> + |10>) up to sign; dropping the
     # sign H puts on a Y would give {00, 11} instead.
     gates = (h(0), cnot(0, 1), h(0), cnot(0, 1), h(0), measure(0, 0), measure(1, 1))
-    law = _Compiled(Circuit(2, 2, gates, "y-phase")).ideal
+    law = compile_shape(Circuit(2, 2, gates, "y-phase")).ideal
     assert law.tolist() == [0.0, 0.5, 0.5, 0.0]
     assert exact_outcome_vector(Circuit(2, 2, gates, "y-phase"), NOISELESS) == pytest.approx(law)
 
@@ -87,7 +87,7 @@ def _measure_all(n):
 
 
 def _assert_matches_oracle(circuit):
-    law = _Compiled(circuit).ideal
+    law = compile_shape(circuit).ideal
     expected = exact_outcome_vector(circuit, NOISELESS)
     assert np.max(np.abs(law - expected)) <= 1e-12, circuit
     support = law[law > 0]

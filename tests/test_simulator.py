@@ -4,16 +4,19 @@ import numpy as np
 import pytest
 
 from dm_oracle import exact_outcome_vector
+from law_oracle import compile_shape, one_by_one_counts, one_by_one_law
 from trajectory_oracle import sample_trajectories
+from noisekit import simulator
 from noisekit.backend import MockBackend, MockGroundTruth
+from noisekit.characterization import SuiteConfig, build_suite, materialize
 from noisekit.circuit import Circuit, DeviceTopology, cnot, h, identity, measure, x
+from noisekit.devices import jittered_truth, ladder20, line
 from noisekit.errors import TooWide
 from noisekit.noise import CompositeNoiseModel, ReadoutModel
 from noisekit.rng import generator
 from noisekit.simulator import (
     MAX_QUBITS,
     TrajectorySampler,
-    _Compiled,
     simulate_ideal,
     simulate_noisy_exact,
 )
@@ -92,24 +95,24 @@ def test_mid_circuit_measurement_rejected():
 # -- Pauli-frame flip masks ----------------------------------------------------
 
 def test_flip_mask_z_before_final_h_flips_bit():
-    comp = _Compiled(Circuit(1, 1, (h(0), h(0), measure(0, 0)), "hh"))
+    comp = compile_shape(Circuit(1, 1, (h(0), h(0), measure(0, 0)), "hh"))
     assert comp.flips[0] == ((0, 1),)  # (X flips, Z flips) after the first H
 
 
 def test_flip_mask_x_on_control_before_cnot_flips_both_bits(bell_circuit):
-    comp = _Compiled(bell_circuit)
+    comp = compile_shape(bell_circuit)
     assert comp.flips[0] == ((0b11, 0),)
 
 
 def test_flip_mask_z_on_measured_qubit_flips_nothing():
-    comp = _Compiled(Circuit(1, 1, (h(0), measure(0, 0)), "h"))
+    comp = compile_shape(Circuit(1, 1, (h(0), measure(0, 0)), "h"))
     assert comp.flips[0] == ((1, 0),)
 
 
 def test_flip_masks_follow_classical_bit_order():
     # qubit 0 -> clbit 1 (least significant of two bits), qubit 1 -> clbit 0
     circuit = Circuit(3, 2, (x(0), x(1), x(2), measure(0, 1), measure(1, 0)), "swap")
-    comp = _Compiled(circuit)
+    comp = compile_shape(circuit)
     assert comp.flips[:3] == [((0b01, 0),), ((0b10, 0),), ((0, 0),)]
 
 
@@ -430,8 +433,8 @@ def test_row_draws_are_one_row_draws_in_turn(width):
 
 
 def test_row_draws_across_a_score_block_boundary():
-    """At 10 measured bits a score draws 2^18 >> 10 = 256 rows per block;
-    the next block's first row is the 257th one-row draw."""
+    """Blocks of rows drawn in turn continue one stream: after a block of
+    256 rows, the next block's first row is the 257th one-row draw."""
     rng = np.random.default_rng(10)
     sampler = TrajectorySampler(_random_circuit(rng, 10, depth=20), _random_model(rng))
     matrix_rng, calls_rng = generator(3), generator(3)
@@ -445,3 +448,122 @@ def test_row_draws_across_a_score_block_boundary():
 def test_row_draws_need_rows_that_split_the_shots(bell_circuit, shots, rows):
     with pytest.raises(ValueError):
         TrajectorySampler(bell_circuit, NOISELESS).sample(shots, generator(0), rows=rows)
+
+
+# -- laws built per circuit shape ----------------------------------------------
+
+HIDDEN_CASES = (0.0, 0.04, 0.6)  # 0.6 clips the flip rate at 1 from weight 2 on
+
+
+def _patchy_truth(topo, seed):
+    """A per-element truth with zero gate rates on every other qubit and
+    coupling, nonzero H rates on the rest, and perfect readout on every
+    third qubit, so that one stack's rows mix zero and nonzero rates."""
+    truth = jittered_truth(topo, seed)
+    rng = np.random.default_rng(seed)
+    return dataclasses.replace(
+        truth,
+        x_gate={q: p * (q % 2) for q, p in truth.x_gate.items()},
+        h_gate={q: float(rng.uniform(0.0, 0.03)) * (q % 2) for q in truth.x_gate},
+        cnot={e: p * (i % 2) for i, (e, p) in enumerate(truth.cnot.items())},
+        readout={q: r if q % 3 else ReadoutModel(0.0, 0.0) for q, r in truth.readout.items()},
+    )
+
+
+def _chain(qubits, label):
+    """GHZ-style chain over `qubits`; chains of one length over increasing
+    qubits share one shape."""
+    gates = [h(qubits[0])] + [cnot(a, b) for a, b in zip(qubits, qubits[1:])]
+    return Circuit(max(qubits) + 1, len(qubits),
+                   tuple(gates) + tuple(measure(q, k) for k, q in enumerate(qubits)), label)
+
+
+def _mixed_plan(topo):
+    """A suite (repeated one- and two-bit shapes on every qubit and
+    coupling), chains of 3 and 6 bits at four offsets, and GHZ circuits."""
+    circuits = [materialize(t) for t in build_suite(topo, SuiteConfig(hadamard_lengths=(2, 4))).tests]
+    circuits += [_chain(range(s, s + n), f"chain{n}:{s}") for n in (3, 6) for s in range(4)]
+    return circuits + [_chain(range(n), f"ghz{n}") for n in (2, 5, 8)]
+
+
+def _assert_laws_are_one_by_one_laws(circuits, model, strength):
+    samplers = TrajectorySampler.for_circuits(circuits, model, strength)
+    assert len(samplers) == len(circuits)
+    for circuit, sampler in zip(circuits, samplers):
+        want = one_by_one_law(circuit, model, strength).tobytes()
+        assert sampler.law.tobytes() == want, (circuit.label, strength)
+        assert TrajectorySampler(circuit, model, strength).law.tobytes() == want, circuit.label
+
+
+@pytest.mark.parametrize("strength", HIDDEN_CASES)
+@pytest.mark.parametrize("flags", [(True, True), (False, True), (True, False)])
+def test_stacked_laws_are_one_by_one_laws(strength, flags):
+    """Laws built per shape equal, bit for bit, the laws of the one-circuit
+    loop, which skipped zero-rate sites that a stack mixes with weights 1
+    and 0; with readout or CNOT depolarizing off too."""
+    topo = line(16)
+    model = dataclasses.replace(_patchy_truth(topo, 3), readout_on=flags[0], cnot_dp_on=flags[1])
+    _assert_laws_are_one_by_one_laws(_mixed_plan(topo), model, strength)
+
+
+@pytest.mark.parametrize("strength", HIDDEN_CASES)
+def test_mock_counts_are_the_per_circuit_loop_counts(strength):
+    """A mock run's counts are those of the per-circuit loop: each
+    circuit's own law drawn in turn, in plan order, on (seed, BACKEND)."""
+    topo = line(16)
+    truth = _patchy_truth(topo, 4)
+    circuits = _mixed_plan(topo)
+    got = MockBackend(topo, MockGroundTruth(truth, strength)).run(circuits, 4096, seed=7)
+    want = one_by_one_counts(circuits, truth, strength, 4096, 7)
+    for circuit, counts, draw in zip(circuits, got, want):
+        seen = np.flatnonzero(draw)
+        assert counts.shots == 4096, circuit.label
+        assert np.array_equal(counts.indices, seen), circuit.label
+        assert np.array_equal(counts.values, draw[seen]), circuit.label
+
+
+@pytest.mark.parametrize("strength", HIDDEN_CASES)
+def test_a_shape_group_split_by_the_block_rule(strength):
+    """Twenty 12-bit chains of one shape on different qubits fill more than
+    one stack of 2^16 >> 12 = 16 laws; every law is still the one-by-one
+    law, in plan order."""
+    width, rows = 12, 20
+    assert rows > simulator._BLOCK_COUNTS >> width
+    topo = line(width + rows)
+    circuits = [_chain(range(s, s + width), f"chain:{s}") for s in range(rows)]
+    _assert_laws_are_one_by_one_laws(circuits, _patchy_truth(topo, 5), strength)
+
+
+@pytest.mark.parametrize("width", [13, 14])
+def test_hidden_classes_across_blocks(width):
+    """At 13 and 14 bits the 14 and 15 weight classes of a stack of two laws
+    span several blocks of classes (2^16 >> width over two rows, so 4 and 2
+    classes per block); the classes still sum in weight order."""
+    per_block = simulator._BLOCK_COUNTS // (2 << width)
+    topo = line(width + 1)
+    truth = _patchy_truth(topo, width)
+    circuits = [_chain(range(s, s + width), f"chain:{s}") for s in range(2)]
+    bare = dataclasses.replace(truth, readout_on=False)
+    weights = np.array([i.bit_count() for i in range(1 << width)])
+    carried = {w for c in circuits for w in weights[one_by_one_law(c, bare) != 0.0]}
+    assert len(carried) > per_block
+    for strength in HIDDEN_CASES[1:]:
+        _assert_laws_are_one_by_one_laws(circuits, truth, strength)
+
+
+def test_the_qpu_suite_compiles_each_shape_once(monkeypatch):
+    """The 163 circuits of a ladder suite with trains 2, 4, 8 and 16 are 8
+    shapes (init, x, xx, four trains, Bell), each compiled once."""
+    keys = []
+
+    class CountingShape(simulator._Shape):
+        def __init__(self, *key):
+            keys.append(key)
+            super().__init__(*key)
+
+    monkeypatch.setattr(simulator, "_Shape", CountingShape)
+    topo = ladder20()
+    plan = build_suite(topo, SuiteConfig(hadamard_lengths=(2, 4, 8, 16)))
+    TrajectorySampler.for_circuits([materialize(t) for t in plan.tests], jittered_truth(topo, 1))
+    assert len(plan.tests) == 163
+    assert len(keys) == len(set(keys)) == 8
