@@ -63,7 +63,8 @@ class MockBackend:
 
     Deterministic: a run's circuits draw in turn, in plan order, from one
     (seed, BACKEND) stream, so identical (circuits, shots, seed) give
-    identical counts. `shots` must lie in [1, MAX_SHOTS].
+    identical counts. A run validates its circuits against the topology,
+    then its `shots`, which must lie in [1, MAX_SHOTS].
     """
 
     def __init__(self, topology: DeviceTopology, truth: MockGroundTruth):
@@ -71,17 +72,18 @@ class MockBackend:
         self.truth = truth
 
     def run(self, circuits: list[Circuit], shots: int, seed: int) -> list[Counts]:
-        if not 1 <= shots <= MAX_SHOTS:
-            raise ConfigError(f"shots {shots} outside backend capability [1, {MAX_SHOTS}]")
         for circuit in circuits:
             validate(circuit, self.topology)
+        if not 1 <= shots <= MAX_SHOTS:
+            raise ConfigError(f"shots {shots} outside backend capability [1, {MAX_SHOTS}]")
         rng, t = generator(seed, BACKEND), self.truth
         samplers = TrajectorySampler.for_circuits(circuits, t.model, t.hidden_readout_strength)
         return [sampler.sample(shots, rng) for sampler in samplers]
 
 
 class FileBackend:
-    """Replays recorded counts, joined to circuits by label."""
+    """Replays recorded counts, joined to circuits by label, once the
+    circuits are validated against the topology."""
 
     def __init__(self, archive_path: str | Path, topology: DeviceTopology):
         self.archive_path = str(archive_path)
@@ -89,6 +91,8 @@ class FileBackend:
         self.topology = topology
 
     def run(self, circuits: list[Circuit], shots: int, seed: int) -> list[Counts]:
+        for circuit in circuits:
+            validate(circuit, self.topology)
         missing = [c.label for c in circuits if c.label not in self._counts]
         if missing:
             raise LabelMismatch(

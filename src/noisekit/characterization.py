@@ -8,8 +8,9 @@ Labels follow the stable grammar `init:q3`, `x:q3`, `xx:q3`, `hseq:q3:len8`,
 Every test measures 1 or 2 bits, so a suite's observations are one count
 table (`Records`): the test of each row, a (rows, 4) count matrix indexed by
 outcome, and a shots vector. `run_suite` fills it from the backend's index
-arrays and `read_archive` from the archive's checked count maps; neither
-builds a per-record outcome object, and the fit reads its columns.
+arrays and `read_archive` from the archive's count maps, which it checks as
+columns; neither builds a per-record outcome object, and the fit reads its
+columns.
 """
 from __future__ import annotations
 
@@ -17,14 +18,15 @@ import hashlib
 import json
 import re
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
 
-from .circuit import Circuit, DeviceTopology, cnot, h, measure, validate, x
+from .circuit import Circuit, DeviceTopology, cnot, h, measure, x
 from .errors import ArityMismatch, OddHadamardLength, ParseError, parse_json_file
 from .noise import _edge
-from .outcomes import Counts, _sorted_arrays, check_counts
+from .outcomes import Counts, count_widths
 
 KINDS = ("init", "x", "xx", "hseq", "bell")
 # The label grammar: a qubit is an ASCII decimal without leading zeros, a
@@ -82,15 +84,22 @@ class TestKind:
 
     @classmethod
     def from_label(cls, label: str) -> "TestKind":
-        """Parse a label; `_LABEL` accepts exactly the labels valid tests print."""
+        """Parse a label. `_LABEL` accepts exactly the labels valid tests
+        print, so the test is built from the match as it stands, without
+        re-running `__post_init__`'s checks."""
         m = _LABEL.fullmatch(label)
         if m is None:
             raise ParseError(f"bad test label {label!r}")
-        if m["kind"]:
-            return cls(m["kind"], qubit=int(m["qubit"]))
-        if m["length"]:
-            return cls("hseq", qubit=int(m["hseq"]), length=int(m["length"]))
-        return cls("bell", coupling=(int(m["a"]), int(m["b"])))
+        kind, qubit, hseq, length, a, b = m.groups()
+        if kind:
+            fields = {"kind": kind, "qubit": int(qubit), "coupling": None, "length": None}
+        elif length:
+            fields = {"kind": "hseq", "qubit": int(hseq), "coupling": None, "length": int(length)}
+        else:
+            fields = {"kind": "bell", "qubit": None, "coupling": (int(a), int(b)), "length": None}
+        test = object.__new__(cls)
+        object.__setattr__(test, "__dict__", fields)
+        return test
 
 
 def materialize(test: TestKind) -> Circuit:
@@ -182,10 +191,9 @@ def build_suite(topo: DeviceTopology, config: SuiteConfig) -> SuitePlan:
 
 
 def run_suite(plan: SuitePlan, backend) -> Records:
-    """Execute the plan on a backend; all-or-nothing, in plan order."""
+    """Execute the plan on a backend; all-or-nothing, in plan order. The
+    backend validates the circuits against its topology before any shot."""
     circuits = [materialize(t) for t in plan.tests]
-    for circuit in circuits:
-        validate(circuit, backend.topology)
     counts_list = backend.run(circuits, plan.shots, plan.seed)
     table = np.zeros((len(counts_list), 4), np.int64)
     for row, (test, counts) in enumerate(zip(plan.tests, counts_list)):
@@ -241,56 +249,88 @@ def archive_dict(plan: SuitePlan, records: Records, meta: dict | None = None) ->
     }
 
 
-def _entries(data: dict) -> tuple[dict, list[tuple[str, dict, int, int]]]:
-    """A parsed counts archive and its entries as (label, counts, shots, bit
-    width): each label a string and distinct, each entry checked by the
-    count rules (`check_counts`) and holding at least one shot."""
-    if not isinstance(data["entries"], list):
+def _columns(entries: list) -> tuple[list, list, list, list[int]]:
+    """The labels, count maps, shots and bit widths of archive entries,
+    checked as columns: each label a string, the count rules on all the
+    maps at once (`count_widths`), and at least one shot in each entry."""
+    labels = [entry["label"] for entry in entries]
+    maps = [entry["counts"] for entry in entries]
+    shots = [entry["shots"] for entry in entries]
+    if not all(map(isinstance, labels, repeat(str))):
+        label = next(label for label in labels if not isinstance(label, str))
+        raise TypeError(f"test label {label!r} is not a string")
+    widths = count_widths(maps, shots)
+    if not all(shots):  # a record of no shots would fit as if exact
+        raise ValueError("it has no shots")
+    return labels, maps, shots, widths
+
+
+def _entries(data: dict) -> tuple[dict, tuple[list, list, list, list[int]]]:
+    """A parsed counts archive and its entries' checked columns (`_columns`),
+    each label distinct. A bad entry raises ValueError naming the first
+    entry that fails the same checks on its own."""
+    entries = data["entries"]
+    if not isinstance(entries, list):
         raise TypeError("its entries are not a list")
-    entries = []
-    for entry in data["entries"]:
-        try:
-            label, counts, shots = entry["label"], entry["counts"], entry["shots"]
-            if not isinstance(label, str):
-                raise TypeError(f"test label {label!r} is not a string")
-            width = check_counts(counts, shots)
-            if not shots:  # a record of no shots would fit as if exact
-                raise ValueError("it has no shots")
-            entries.append((label, counts, shots, width))
-        except (AttributeError, KeyError, TypeError, ValueError) as exc:
-            raise ValueError(f"bad entry {entry!r}: {exc}") from exc
-    if len({entry[0] for entry in entries}) < len(entries):
+    try:
+        columns = _columns(entries)
+    except (AttributeError, KeyError, TypeError, ValueError):
+        for entry in entries:
+            try:
+                _columns([entry])
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise ValueError(f"bad entry {entry!r}: {exc}") from exc
+        raise
+    if len(set(columns[0])) < len(entries):
         raise ValueError("it repeats a label")
-    return data, entries
+    return data, columns
+
+
+def _outcome_columns(maps: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Checked count maps as three columns over all their outcomes: row,
+    outcome index and count."""
+    sizes = [len(counts) for counts in maps]
+    rows = np.repeat(np.arange(len(maps)), sizes)
+    keys = list(chain.from_iterable(maps))
+    index = {key: int(key or "0", 2) for key in set(keys)}
+    indices = np.fromiter(map(index.__getitem__, keys), np.int64, len(keys))
+    values = np.fromiter(chain.from_iterable(counts.values() for counts in maps),
+                         np.int64, len(keys))
+    return rows, indices, values
 
 
 def read_counts(path: str | Path) -> tuple[dict, dict[str, Counts]]:
     """Parse a counts archive of any circuits into its JSON object and a
     label -> Counts map (what `FileBackend` replays). A label in a test
     kind's namespace (`init:`, ..., `bell:`) must parse as a test's label."""
-    data, entries = parse_json_file(path, "archive", _entries)
-    for label, *_ in entries:
+    data, (labels, maps, shots, widths) = parse_json_file(path, "archive", _entries)
+    for label in labels:
         if label.partition(":")[0] in KINDS:
             TestKind.from_label(label)
-    return data, {label: Counts.from_arrays(num_bits, *_sorted_arrays(counts, np.int64), shots)
-                  for label, counts, shots, num_bits in entries}
+    rows, indices, values = _outcome_columns(maps)
+    order = np.lexsort((indices, rows))
+    bounds = np.cumsum([len(counts) for counts in maps])[:-1]
+    return data, {label: Counts._of(width, idx, val, n) for label, width, idx, val, n in zip(
+        labels, widths, np.split(indices[order], bounds), np.split(values[order], bounds),
+        shots)}
 
 
 def read_archive(path: str | Path) -> tuple[dict, Records]:
     """Load a characterization archive into its JSON object and its count
-    table (lossless), filled straight from the checked count maps."""
-    data, entries = parse_json_file(path, "archive", _entries)
-    tests, table = [], []
-    for label, counts, _, num_bits in entries:
-        test = TestKind.from_label(label)
-        _check_width(test, num_bits, ParseError)
-        row = [0, 0, 0, 0]
-        for key, n in counts.items():
-            row[int(key, 2)] = n
-        tests.append(test)
-        table.append(row)
-    shots = np.array([entry[2] for entry in entries], np.int64)
-    return data, Records(tuple(tests), np.array(table, np.int64).reshape(-1, 4), shots)
+    table (lossless), filled from the checked columns at once."""
+    data, (labels, maps, shots, widths) = parse_json_file(path, "archive", _entries)
+    try:
+        tests = [TestKind.from_label(label) for label in labels]
+    except ParseError:
+        tests = None
+    if tests is None or [test.num_bits for test in tests] != widths:
+        # the first entry whose label or width is bad raises
+        for label, width in zip(labels, widths):
+            _check_width(TestKind.from_label(label), width, ParseError)
+    rows, indices, values = _outcome_columns(maps)
+    table = np.zeros((len(tests), 4), np.int64)
+    table[rows, indices] = values
+    return data, Records(tuple(tests), table, np.array(shots, np.int64))
 
 
 def archive_hash(path: str | Path) -> str:

@@ -1,7 +1,10 @@
 """Exception types shared across the package, and the JSON-file boundary:
 the one reader, which turns malformed file content into one of them, the
-one writer, and the one integer check of counts, shots and qubit indices."""
+one writer, which writes `json`'s indent-2 bytes through its C encoder, and
+the one integer check of counts, shots and qubit indices."""
+import functools
 import json
+from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 
 import numpy as np
@@ -103,6 +106,52 @@ def parse_json_file(path, what: str, build):
         raise ParseError(f"{what} {path} is malformed: {exc}") from exc
 
 
+_CONTAINERS = (dict, list, tuple)
+_SCALARS = frozenset({str, int, float, bool, type(None)})
+
+
+@functools.cache
+def _flat_encoder(depth: int):
+    """`json`'s C encoder, set as `json.dumps(indent=2, sort_keys=True)` sets
+    its Python one, except that each item of a container opens a line
+    `depth` levels deep and nested containers get no lines of their own
+    (and no circular-reference check)."""
+    return c_make_encoder(None, JSONEncoder().default, encode_basestring_ascii, None,
+                          ": ", ",\n" + "  " * depth, True, False, True)
+
+
+def _key(key) -> str:
+    """A dict key as `json` writes it: a string, or a scalar spelled as one."""
+    if not isinstance(key, str):
+        if not isinstance(key, (int, float)) and key is not None:  # bool is an int
+            raise TypeError("keys must be str, int, float, bool or None, "
+                            f"not {key.__class__.__name__}")
+        key = "".join(_flat_encoder(0)(key, 0))
+    return encode_basestring_ascii(key)
+
+
+def _indented(obj, depth: int) -> str:
+    """`json.dumps(obj, indent=2, sort_keys=True)` for `obj` nested `depth`
+    levels deep. A container of scalars and empty containers goes to the C
+    encoder whole, and its brackets are re-padded; only containers that hold
+    other containers are walked here."""
+    if not isinstance(obj, _CONTAINERS) or not obj:
+        return "".join(_flat_encoder(0)(obj, 0))
+    items = obj.values() if isinstance(obj, dict) else obj
+    pad = "\n" + "  " * (depth + 1)
+    if _SCALARS.issuperset(map(type, items)) or not any(
+            isinstance(item, _CONTAINERS) and item for item in items):
+        text = "".join(_flat_encoder(depth + 1)(obj, 0))
+        return f"{text[0]}{pad}{text[1:-1]}{pad[:-2]}{text[-1]}"
+    if isinstance(obj, dict):
+        body = [f"{_key(key)}: {_indented(value, depth + 1)}"
+                for key, value in sorted(obj.items())]
+        return f"{{{pad}{(',' + pad).join(body)}{pad[:-2]}}}"
+    body = [_indented(item, depth + 1) for item in obj]
+    return f"[{pad}{(',' + pad).join(body)}{pad[:-2]}]"
+
+
 def write_json_file(path, data) -> None:
-    """Write `data` to `path` as JSON with sorted keys, indented by 2."""
-    Path(path).write_text(json.dumps(data, indent=2, sort_keys=True))
+    """Write `data` to `path` as JSON with sorted keys, indented by 2: the
+    bytes of `json.dumps(data, indent=2, sort_keys=True)`."""
+    Path(path).write_text(_indented(data, 0))

@@ -15,6 +15,7 @@ index order.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain, islice, repeat
 from types import MappingProxyType
 
 import numpy as np
@@ -22,36 +23,52 @@ import numpy as np
 from .errors import integer
 
 MAX_BITS = 63  # outcome indices are int64
+_INT = frozenset({int})
 
 
-def _uniform_bit_length(keys) -> int:
-    """Common length of the bit-string keys."""
-    widths = {len(k) for k in keys}
-    if len(widths) > 1:
-        raise ValueError(f"outcome keys have mixed bit-lengths {sorted(widths)}")
-    if any(k.strip("01") for k in keys):
-        raise ValueError(f"outcome keys {list(keys)} are not all bit strings")
-    width = widths.pop() if widths else 0
-    if width > MAX_BITS:
-        raise ValueError(f"{width}-bit outcome keys exceed {MAX_BITS} bits")
-    return width
+def _key_widths(maps: list) -> list[int]:
+    """The common length of each map's bit-string keys (0 for no keys)."""
+    rows = [set(map(len, keyed)) for keyed in maps]
+    if any(len(lengths) > 1 for lengths in rows):
+        lengths = next(lengths for lengths in rows if len(lengths) > 1)
+        raise ValueError(f"outcome keys have mixed bit-lengths {sorted(lengths)}")
+    if "".join(chain.from_iterable(maps)).strip("01"):
+        keyed = next(keyed for keyed in maps if "".join(keyed).strip("01"))
+        raise ValueError(f"outcome keys {list(keyed)} are not all bit strings")
+    widths = [lengths.pop() if lengths else 0 for lengths in rows]
+    if max(widths, default=0) > MAX_BITS:
+        raise ValueError(f"{max(widths)}-bit outcome keys exceed {MAX_BITS} bits")
+    return widths
+
+
+def count_widths(maps: list, shots: list) -> list[int]:
+    """The bit width of each outcome string -> count map `maps[i]` over
+    `shots[i]` shots, after checking the count rules on all the maps at
+    once, rule by rule: counts and shots are integers (TypeError
+    otherwise), no count is negative and each map's counts sum to its
+    shots, fewer than 2^63 so that they fit int64, and each map's keys are
+    bit strings of one width (ValueError otherwise). The error is the first
+    rule that some map breaks; for one map it is that map's first."""
+    values = list(chain.from_iterable(counts.values() for counts in maps))
+    if not _INT.issuperset(map(type, values)):
+        values = [integer(v, "count") for v in values]
+    if not _INT.issuperset(map(type, shots)):
+        shots = [integer(n, "shot number") for n in shots]
+    if min(values, default=0) < 0:
+        raise ValueError("negative count")
+    # each row's sum takes its len(counts) values from one shared iterator
+    sums = list(map(sum, map(islice, repeat(iter(values)), map(len, maps))))
+    if sums != shots:
+        total, n = next((total, n) for total, n in zip(sums, shots) if total != n)
+        raise ValueError(f"counts sum to {total}, shots field says {n}")
+    if max(shots, default=0) >= 1 << 63:
+        raise ValueError(f"{max(shots)} shots do not fit int64 counts")
+    return _key_widths(maps)
 
 
 def check_counts(counts: dict, shots) -> int:
-    """The bit width of `counts`, an outcome string -> count map over `shots`
-    shots, after checking the count rules: counts and shots are integers
-    (TypeError otherwise), the keys are bit strings of one width, no count
-    is negative and the counts sum to the shots, fewer than 2^63 so that
-    they fit int64 (ValueError otherwise)."""
-    values = [v if type(v) is int else integer(v, "count") for v in counts.values()]
-    shots = shots if type(shots) is int else integer(shots, "shot number")
-    if any(v < 0 for v in values):
-        raise ValueError("negative count")
-    if sum(values) != shots:
-        raise ValueError(f"counts sum to {sum(values)}, shots field says {shots}")
-    if shots >= 1 << 63:
-        raise ValueError(f"{shots} shots do not fit int64 counts")
-    return _uniform_bit_length(counts)
+    """The bit width of one count map, after `count_widths`' checks."""
+    return count_widths([counts], [shots])[0]
 
 
 def _checked_arrays(num_bits: int, indices, values, dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -110,7 +127,7 @@ class Distribution(_Outcomes):
 
     def __init__(self, probs: dict[str, float], num_bits: int = -1):
         keyed = dict(probs)
-        derived = _uniform_bit_length(keyed)
+        derived = _key_widths([keyed])[0]
         if num_bits < 0:
             num_bits = derived
         elif keyed and derived != num_bits:
@@ -168,9 +185,14 @@ class Counts(_Outcomes):
         idx, val = _checked_arrays(num_bits, indices, counts, np.int64)
         if (val.size and val.min() < 0) or val.sum() != shots:
             raise ValueError(f"counts {val} do not make {shots} shots")
+        return cls._of(num_bits, idx, val, shots)
+
+    @classmethod
+    def _of(cls, num_bits: int, indices: np.ndarray, counts: np.ndarray, shots: int) -> Counts:
+        """Counts over int64 arrays that already keep the count rules."""
         self = cls.__new__(cls)
         object.__setattr__(self, "shots", shots)
-        self._hold(num_bits, idx, val)
+        self._hold(num_bits, indices, counts)
         return self
 
     @property

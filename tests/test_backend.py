@@ -1,14 +1,18 @@
 import dataclasses
 import json
+import sys
 
 import numpy as np
 import pytest
 from count_tables import rows_where, same_records
 
+from noisekit import circuit as circuit_module
 from noisekit.applications import build_bv
 from noisekit.backend import MAX_SHOTS, FileBackend, MockBackend, MockGroundTruth
 from noisekit.characterization import (
     SuiteConfig,
+    SuitePlan,
+    TestKind,
     archive_dict,
     build_suite,
     materialize,
@@ -189,3 +193,50 @@ def test_readout_free_law_is_the_preimage(line2):
     for indices, law in ((pre, pre_law), (obs, observed_law)):
         freqs = np.bincount(indices, minlength=4) / indices.size
         assert 0.5 * np.abs(freqs - law).sum() <= 0.03
+
+
+def _counted_validate(monkeypatch) -> list[str]:
+    """Count `validate` calls wherever a noisekit module holds the function."""
+    original, calls = circuit_module.validate, []
+
+    def counted(circ, topo):
+        calls.append(circ.label)
+        return original(circ, topo)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("noisekit") and getattr(module, "validate", None) is original:
+            monkeypatch.setattr(module, "validate", counted)
+    return calls
+
+
+def _backends(tmp_path, topo, plan):
+    mock = MockBackend(topo, MockGroundTruth(uniform_truth(topo)))
+    path = tmp_path / "archive.json"
+    write_json_file(path, archive_dict(plan, run_suite(plan, mock)))
+    return {"mock": mock, "file": FileBackend(path, topo)}
+
+
+@pytest.mark.parametrize("kind", ["mock", "file"])
+def test_each_suite_circuit_is_validated_once_per_run(tmp_path, line3, monkeypatch, kind):
+    plan = build_suite(line3, SuiteConfig(shots=64, hadamard_lengths=(2,)))
+    backend = _backends(tmp_path, line3, plan)[kind]
+    calls = _counted_validate(monkeypatch)
+    run_suite(plan, backend)
+    assert sorted(calls) == sorted(t.label for t in plan.tests)
+
+
+@pytest.mark.parametrize("kind", ["mock", "file"])
+@pytest.mark.parametrize("test, error", [(TestKind("bell", coupling=(0, 2)), UncoupledPair),
+                                         (TestKind("init", qubit=3), OutOfRange)])
+def test_an_invalid_plan_fails_before_any_shot(tmp_path, line3, monkeypatch, kind, test, error):
+    """A suite plan holding a circuit the device cannot run fails with the
+    validation error on either backend, before the mock QPU draws."""
+    good = build_suite(line3, SuiteConfig(shots=64))
+    backend = _backends(tmp_path, line3, good)[kind]
+
+    def no_draws(*args):
+        raise AssertionError("the mock QPU drew shots")
+
+    monkeypatch.setattr(TrajectorySampler, "for_circuits", no_draws)
+    with pytest.raises(error):
+        run_suite(SuitePlan((*good.tests, test), good.shots, good.seed), backend)

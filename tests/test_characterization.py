@@ -3,6 +3,7 @@ import json
 
 import numpy as np
 import pytest
+import archive_oracle
 from count_tables import records_of, same_records
 
 from noisekit import characterization, outcomes
@@ -23,7 +24,7 @@ from noisekit.characterization import (
 )
 from noisekit.devices import line, uniform_truth
 from noisekit.errors import ArityMismatch, OddHadamardLength, ParseError, write_json_file
-from noisekit.outcomes import Counts, check_counts
+from noisekit.outcomes import Counts, check_counts, count_widths
 from noisekit.simulator import simulate_ideal
 
 
@@ -75,21 +76,24 @@ def test_label_must_round_trip(label, tmp_path):
             read(path)
 
 
-def test_read_counts_checks_each_entry_once(tmp_path, monkeypatch):
+@pytest.mark.parametrize("read", [read_archive, read_counts])
+def test_readers_check_each_entry_once(tmp_path, monkeypatch, read):
+    """Both readers check a valid archive's entries by the count rules once
+    each, as one column."""
     plan = build_suite(line(3), SuiteConfig(shots=64, hadamard_lengths=(2,)))
     backend = MockBackend(line(3), MockGroundTruth(uniform_truth(line(3))))
     path = tmp_path / "archive.json"
     write_json_file(path, archive_dict(plan, run_suite(plan, backend)))
     calls = []
 
-    def counted(counts, shots):
-        calls.append(shots)
-        return check_counts(counts, shots)
+    def counted(maps, shots):
+        calls.append(len(shots))
+        return count_widths(maps, shots)
 
-    monkeypatch.setattr(outcomes, "check_counts", counted)
-    monkeypatch.setattr(characterization, "check_counts", counted)
-    replayed = read_counts(path)[1]
-    assert len(calls) == len(replayed) == len(plan.tests)
+    monkeypatch.setattr(outcomes, "count_widths", counted)
+    monkeypatch.setattr(characterization, "count_widths", counted)
+    read(path)
+    assert calls == [len(plan.tests)]
 
 
 @pytest.mark.parametrize("label", [7, None, ["init:q0"], True])
@@ -348,3 +352,122 @@ def test_read_archive_rejects_bad_shots(tmp_path):
     )
     with pytest.raises(ParseError):
         read_archive(path)
+
+
+# -- the column readers against the entry-at-a-time oracle ----------------------
+
+def _random_archive(rng, any_circuits: bool) -> dict:
+    """A valid archive of distinct test records in random order, with zero
+    counts sometimes listed and keys in random order; with `any_circuits`,
+    also records of other circuits, 0 to 6 bits wide."""
+    tests = {TestKind(kind, qubit=int(q)) for kind in ("init", "x", "xx")
+             for q in rng.choice(12, rng.integers(0, 5), replace=False)}
+    tests |= {TestKind("hseq", qubit=int(rng.integers(12)), length=2 * int(rng.integers(1, 40)))
+              for _ in range(rng.integers(0, 4))}
+    tests |= {TestKind("bell", coupling=(j, k) if rng.random() < 0.5 else (k, j))
+              for j, k in {(int(j), int(j) + 1) for j in rng.integers(0, 11, rng.integers(0, 5))}}
+    rows = sorted((test.label, test.num_bits) for test in tests)
+    if any_circuits:
+        rows += [(f"ghz:{n}", int(rng.integers(0, 7))) for n in range(rng.integers(0, 4))]
+    entries = []
+    for i in rng.permutation(len(rows)):
+        label, width = rows[i]
+        shots = int(rng.integers(1, 10_000)) if rng.random() < 0.9 else (1 << 63) - 1
+        law = rng.dirichlet(np.full(1 << width, 0.4))
+        counts = rng.multinomial(min(shots, 1 << 40), law).tolist()
+        counts[0] += shots - sum(counts)
+        keys = [format(k, f"0{width}b") if width else "" for k in range(1 << width)]
+        kept = [k for k in rng.permutation(len(keys)) if counts[k] or rng.random() < 0.3]
+        entries.append({"label": label, "shots": shots,
+                        "counts": {keys[k]: counts[k] for k in kept}})
+    return {"shots": 5, "seed": 1, "entries": entries}
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_readers_agree_with_the_entry_oracle(tmp_path, seed):
+    """On random valid archives `read_archive` gives the oracle's table and
+    `read_counts` its counts, arrays and their types included."""
+    rng = np.random.default_rng(seed)
+    path = tmp_path / "archive.json"
+    path.write_text(json.dumps(_random_archive(rng, any_circuits=False)))
+    data, records = read_archive(path)
+    oracle_data, oracle_records = archive_oracle.read_archive(path)
+    assert data == oracle_data and same_records(records, oracle_records)
+    assert records.index == oracle_records.index
+    assert records.counts.dtype == records.shots.dtype == np.int64
+    path.write_text(json.dumps(_random_archive(rng, any_circuits=True)))
+    counts, oracle_counts = read_counts(path)[1], archive_oracle.read_counts(path)[1]
+    assert list(counts) == list(oracle_counts) and counts == oracle_counts
+    for label, c in counts.items():
+        assert c.num_bits == oracle_counts[label].num_bits
+        assert c.indices.dtype == c.values.dtype == np.int64 and type(c.shots) is int
+
+
+def _entry(label, counts, shots=None):
+    return {"label": label, "counts": counts,
+            "shots": sum(counts.values()) if shots is None else shots}
+
+
+GOOD_INIT = _entry("init:q0", {"0": 60, "1": 4})
+# entries, then the index of the entry the error names
+MALFORMED_ARCHIVES = {
+    # int64 sums would wrap to 5
+    "int64-wrap": ([GOOD_INIT, _entry("bell:q0-q1", {"00": 1 << 62, "01": 1 << 62, "10": 1 << 62,
+                                                     "11": (1 << 62) + 5}, 5)], 1),
+    "key-2": ([_entry("init:q0", {"2": 3})], 0),
+    "key-space-0": ([_entry("init:q0", {" 0": 3})], 0),
+    "key-empty": ([_entry("init:q0", {"": 3})], 0),
+    "key-empty-and-0": ([_entry("init:q0", {"": 3, "0": 1})], 0),
+    "mixed-widths": ([GOOD_INIT, _entry("bell:q0-q1", {"00": 3, "1": 1})], 1),
+    "true-count": ([_entry("bell:q0-q1", {"00": 3, "01": True, "11": 4}, 8)], 0),
+    "64-bit-keys": ([_entry("ghz:64", {"0" * 64: 3})], 0),
+    "shots-above-int64": ([_entry("init:q0", {"0": 1 << 63})], 0),
+    "counts-a-list": ([GOOD_INIT, {"label": "x:q0", "counts": [3], "shots": 3}], 1),
+    "no-label": ([GOOD_INIT, {"counts": {"0": 3}, "shots": 3}], 1),
+    "entry-a-list": ([GOOD_INIT, ["init:q1"]], 1),
+    # the column checks see the second entry's float before the first's sign
+    "negative-then-float": ([_entry("init:q0", {"0": -1, "1": 5}, 4),
+                             _entry("init:q1", {"0": 2.0, "1": 2}, 4)], 0),
+    "wrong-sum-then-string": ([_entry("init:q0", {"0": 3}, 4),
+                               _entry("init:q1", {"0": "3"}, 3)], 0),
+    "mixed-widths-then-bool-shots": ([_entry("init:q0", {"0": 3, "10": 1}),
+                                      _entry("init:q1", {"0": 1}, True)], 0),
+    "bits-then-zero-shots": ([_entry("init:q0", {"x": 3}), _entry("init:q1", {"0": 0})], 0),
+    "wrong-width-then-bad-label": ([GOOD_INIT, _entry("bell:q0-q1", {"0": 3}),
+                                    _entry("init:q01", {"0": 3})], 1),
+    "bad-label-then-wrong-width": ([GOOD_INIT, _entry("x:q1:len2", {"0": 3}),
+                                    _entry("bell:q0-q1", {"0": 3})], 1),
+}
+
+
+@pytest.mark.parametrize("entries, first", MALFORMED_ARCHIVES.values(),
+                         ids=MALFORMED_ARCHIVES.keys())
+def test_malformed_archives_fail_as_the_oracle_does(tmp_path, entries, first):
+    """`read_archive` refuses a malformed archive with a ParseError whose
+    message is the oracle's and names the first bad entry. `read_counts`
+    refuses it exactly when its oracle does (it checks counts against no
+    label's width), with the oracle's message."""
+    path = tmp_path / "archive.json"
+    path.write_text(json.dumps({"entries": entries}))
+    messages = []
+    for read, oracle in ((read_archive, archive_oracle.read_archive),
+                         (read_counts, archive_oracle.read_counts)):
+        try:
+            expected = oracle(path)
+        except ParseError as exc:
+            expected = str(exc)
+        try:
+            got = read(path)
+        except ParseError as exc:
+            got = str(exc)
+        assert type(got) is type(expected)
+        if isinstance(got, str):
+            assert got == expected
+        else:
+            assert got[1] == expected[1]
+        messages.append(got)
+    bad = entries[first]  # named whole, or by its label as a test label or a record
+    label = bad.get("label") if isinstance(bad, dict) else None
+    names = [repr(bad)] + ([f"label {label!r}", f"{label}: "] if label else [])
+    assert any(name in messages[0] for name in names)
+    assert not any(repr(other) in messages[0] for other in entries[:first])

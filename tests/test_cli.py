@@ -469,16 +469,25 @@ def _bell_both_directions(data):
     data["entries"].append({**bell, "label": "bell:q1-q0"})
 
 
-def _file_backend_label_not_a_string(tmp_path, device, truth):
-    """`evaluate --exact` of ghz:3 replayed from an archive that also holds
-    an entry labelled 7."""
-    archive = tmp_path / "ghz-archive.json"
-    entry = {"shots": 64, "counts": {"000": 32, "111": 32}}
-    archive.write_text(json.dumps({"entries": [{**entry, "label": "ghz:3"},
-                                               {**entry, "label": 7}]}))
-    argv = _evaluate_argv(tmp_path, device, truth)
-    argv[argv.index("--backend") + 1] = f"file:{archive}"
-    return [*argv, "--exact"]
+def _file_backend(*entries):
+    """`evaluate --exact` of ghz:3 replayed from an archive of its 64-shot
+    entry and `entries`."""
+    def make_argv(tmp_path, device, truth):
+        archive = tmp_path / "ghz-archive.json"
+        ghz = {"label": "ghz:3", "shots": 64, "counts": {"000": 32, "111": 32}}
+        archive.write_text(json.dumps({"entries": [ghz, *entries]}))
+        argv = _evaluate_argv(tmp_path, device, truth)
+        argv[argv.index("--backend") + 1] = f"file:{archive}"
+        return [*argv, "--exact"]
+    return make_argv
+
+
+def _two_bad_entries(data):
+    """init:q1 with a negative count, then x:q0 with a float count, which
+    the count rules' type check meets before any sign check."""
+    entries = {e["label"]: e for e in data["entries"]}
+    entries["init:q1"]["counts"] = {"0": -1, "1": entries["init:q1"]["shots"] + 1}
+    entries["x:q0"]["counts"] = {"1": float(entries["x:q0"]["shots"])}
 
 
 def _evaluate_without_model(tmp_path, device, truth):
@@ -649,7 +658,20 @@ MALFORMED_INPUTS = {
         lambda d: d["hidden_effects"].update(state_dependent_readout=True)), "ParseError"),
     "fit-subset-negative": (_fit_subset_negative, "ConfigError"),
     "archive-bell-both-directions": (_archive_edit(_bell_both_directions), "ParseError"),
-    "file-backend-label-not-a-string": (_file_backend_label_not_a_string, "ParseError"),
+    "file-backend-label-not-a-string": (_file_backend(
+        {"label": 7, "shots": 64, "counts": {"000": 32, "111": 32}}), "ParseError"),
+    # int64 sums of these counts would wrap to the 5 shots
+    "archive-count-sum-wraps-int64": (_entry_edit("bell:q0-q1", lambda e: e.update(
+        counts={"00": 1 << 62, "01": 1 << 62, "10": 1 << 62, "11": (1 << 62) + 5}, shots=5)),
+                                      "ParseError"),
+    "archive-key-2": (_archive_entry_counts("init:q0", {"2": 64}), "ParseError"),
+    "archive-key-space-0": (_archive_entry_counts("init:q0", {" 0": 64}), "ParseError"),
+    "archive-key-empty": (_archive_entry_counts("init:q0", {"": 64}), "ParseError"),
+    "archive-count-true-among-keys": (_entry_edit("bell:q0-q1", lambda e: e.update(
+        counts={"00": e["shots"] - 2, "01": 1, "11": True})), "ParseError"),
+    "archive-two-bad-entries": (_archive_edit(_two_bad_entries), "ParseError"),
+    "file-backend-mixed-key-widths": (_file_backend(
+        {"label": "ghz:2", "shots": 64, "counts": {"00": 32, "1": 32}}), "ParseError"),
 }
 
 
@@ -665,6 +687,14 @@ def test_malformed_input_exit_2(setup, capsys, make_argv, error):
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == error
     assert not list((tmp_path / "o").glob("*"))  # archive.json, models, reports
+
+
+def test_two_bad_entries_name_the_first(setup, capsys):
+    tmp_path, device, truth = setup
+    argv = _archive_edit(_two_bad_entries)(tmp_path, device, truth)
+    assert main(argv) == 2
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert "'label': 'init:q1'" in message and message.endswith(": negative count")
 
 
 def test_files_that_carry_a_window_tag_read_as_before(setup):
