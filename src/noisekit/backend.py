@@ -83,7 +83,8 @@ class MockBackend:
 
 class FileBackend:
     """Replays recorded counts, joined to circuits by label, once the
-    circuits are validated against the topology."""
+    circuits are validated against the topology. Recorded counts whose shots
+    or bit width differ from their circuit's raise ParseError."""
 
     def __init__(self, archive_path: str | Path, topology: DeviceTopology):
         self.archive_path = str(archive_path)
@@ -108,5 +109,8 @@ class FileBackend:
                     f"label {circuit.label!r} recorded {counts.shots} shots, "
                     f"plan expects {shots}"
                 )
+            if counts.num_bits != circuit.num_clbits:
+                raise ParseError(f"label {circuit.label!r} recorded {counts.num_bits}-bit "
+                                 f"counts for a circuit measuring {circuit.num_clbits} bit(s)")
             out.append(counts)
         return out

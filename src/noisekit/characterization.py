@@ -155,39 +155,31 @@ class Records:
 
 
 @dataclass(frozen=True)
-class SuiteConfig:
-    subset: tuple[int, ...] | None = None
-    hadamard_lengths: tuple[int, ...] = ()
-    shots: int = 8192
-    seed: int = 0
-
-
-@dataclass(frozen=True)
 class SuitePlan:
     tests: tuple[TestKind, ...]
     shots: int
     seed: int
 
 
-def build_suite(topo: DeviceTopology, config: SuiteConfig) -> SuitePlan:
+def build_suite(topo: DeviceTopology, *, subset: tuple[int, ...] | None = None,
+                hadamard_lengths: tuple[int, ...] = (), shots: int = 8192,
+                seed: int = 0) -> SuitePlan:
     """Plan the characterization suite for a device.
 
     Without a subset the plan covers every qubit and every coupling; with
     one (a subset-average suite) it covers the subset's qubits and the
     couplings internal to it.
     """
-    qubits = sorted(config.subset) if config.subset is not None else range(topo.num_qubits)
+    qubits = sorted(subset) if subset is not None else range(topo.num_qubits)
     covered = set(qubits)
     edges = sorted(e for e in topo.undirected_edges() if covered.issuperset(e))
     tests: list[TestKind] = []
     for kind in ("init", "x", "xx"):
         tests.extend(TestKind(kind, qubit=q) for q in qubits)
     for q in qubits:
-        tests.extend(
-            TestKind("hseq", qubit=q, length=l) for l in config.hadamard_lengths
-        )
+        tests.extend(TestKind("hseq", qubit=q, length=l) for l in hadamard_lengths)
     tests.extend(TestKind("bell", coupling=e) for e in edges)
-    return SuitePlan(tuple(tests), config.shots, config.seed)
+    return SuitePlan(tuple(tests), shots, seed)
 
 
 def run_suite(plan: SuitePlan, backend) -> Records:

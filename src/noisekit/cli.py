@@ -19,7 +19,6 @@ from . import devices
 from .applications import build_bv, build_ghz, bv_accuracy
 from .backend import MAX_SHOTS, FileBackend, MockBackend, MockGroundTruth
 from .characterization import (
-    SuiteConfig,
     archive_dict,
     build_suite,
     content_hash,
@@ -117,25 +116,18 @@ def _check_in_register(qubits, topo: DeviceTopology, what: str) -> None:
 # -- subcommands ---------------------------------------------------------------
 
 def cmd_characterize(args) -> int:
-    # the suite is planned for the fit its flags name, under that fit's rules
-    FitConfig(granularity=args.granularity, subset=args.subset)
     topo = DeviceTopology.load(args.device)
     _check_in_register(args.subset or (), topo, "--subset")
     backend = _make_backend(args.backend, topo)
-    config = SuiteConfig(
-        subset=args.subset,
-        hadamard_lengths=args.hadamard_lengths,
-        shots=args.shots,
-        seed=args.seed,
-    )
-    plan = build_suite(topo, config)
+    plan = build_suite(topo, subset=args.subset, hadamard_lengths=args.hadamard_lengths,
+                       shots=args.shots, seed=args.seed)
     out = _out_dir(args)
     records = run_suite(plan, backend)
     budget = count_experiments(plan)
     meta = _meta(
         {"command": "characterize", "device": args.device, "backend": args.backend,
-         "shots": args.shots, "seed": args.seed, "granularity": args.granularity,
-         "subset": args.subset, "hadamard_lengths": args.hadamard_lengths}
+         "shots": args.shots, "seed": args.seed, "subset": args.subset,
+         "hadamard_lengths": args.hadamard_lengths}
     )
     archive_path = out / args.archive_name
     write_json_file(archive_path, archive_dict(plan, records, meta=meta))
@@ -277,7 +269,7 @@ def cmd_demo(args) -> int:
     backend = MockBackend(topo, truth)
 
     print("-- characterization suite")
-    plan = build_suite(topo, SuiteConfig(shots=shots, seed=seed))
+    plan = build_suite(topo, shots=shots, seed=seed)
     records = run_suite(plan, backend)
     budget = count_experiments(plan)
     meta = _meta({"command": "demo", "shots": shots, "seed": seed, "hidden": args.hidden})
@@ -403,8 +395,9 @@ def _number(kind, lo, hi=math.inf, lo_open=False):
     return parse
 
 
-def _ints(what: str, ok):
-    """argparse type: comma-separated distinct integers, each passing `ok`."""
+def _ints(what: str, ok, empty=True):
+    """argparse type: comma-separated distinct integers, each passing `ok`;
+    none at all only when `empty`."""
     domain = f"comma-separated {what}"
 
     def parse(text: str) -> tuple[int, ...]:
@@ -412,7 +405,8 @@ def _ints(what: str, ok):
             values = tuple(int(tok) for tok in text.split(",") if tok != "")
         except ValueError:
             values = None
-        if values is None or len(set(values)) < len(values) or not all(map(ok, values)):
+        if (values is None or len(set(values)) < len(values) or not all(map(ok, values))
+                or not (values or empty)):
             raise argparse.ArgumentTypeError(f"expected {domain}, got {text!r}")
         return values
 
@@ -420,7 +414,7 @@ def _ints(what: str, ok):
     return parse
 
 
-_QUBITS = _ints("distinct qubits >= 0", lambda q: q >= 0)
+_QUBITS = _ints("distinct qubits >= 0, at least one", lambda q: q >= 0, empty=False)
 _LENGTHS = _ints("distinct even lengths >= 2", lambda n: n >= 2 and not n % 2)
 _COUNT = _number(int, 1)
 _SEED = _number(int, 0)  # SeedSequence takes non-negative entropy only
@@ -432,7 +426,6 @@ def _characterize_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--backend", required=True, help="mock:<truth.json> | file:<archive.json>")
     p.add_argument("--shots", type=_COUNT, default=8192, help="shots per circuit")
     p.add_argument("--seed", type=_SEED, default=0)
-    p.add_argument("--granularity", default=PER_ELEMENT, choices=GRANULARITIES)
     p.add_argument("--subset", type=_QUBITS, default=None)
     p.add_argument("--hadamard-lengths", type=_LENGTHS, default=())
     p.add_argument("--archive-name", default="archive.json")

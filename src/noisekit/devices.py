@@ -13,6 +13,7 @@ AVERAGE_P0 = 0.0212
 AVERAGE_P1 = 0.0681
 AVERAGE_PX = 0.0033
 DEFAULT_PCNOT = 0.02
+JITTER = 0.3  # jittered_truth's relative spread
 
 
 def ladder20() -> DeviceTopology:
@@ -51,27 +52,19 @@ def uniform_truth(
     )
 
 
-def jittered_truth(
-    topo: DeviceTopology,
-    seed: int,
-    jitter: float = 0.3,
-    p0: float = AVERAGE_P0,
-    p1: float = AVERAGE_P1,
-    p_x: float = AVERAGE_PX,
-    p_cnot: float = DEFAULT_PCNOT,
-) -> CompositeNoiseModel:
-    """Ground truth with seeded per-element spread around the averages,
-    so fully-spatial fits have genuine spatial structure to recover."""
+def jittered_truth(topo: DeviceTopology, seed: int) -> CompositeNoiseModel:
+    """Ground truth with seeded per-element spread of +/- JITTER around the
+    averages, so fully-spatial fits have genuine spatial structure to recover."""
     rng = generator(seed, TRUTH_JITTER)
 
     def wobble(center: float) -> float:
-        return float(np.clip(center * (1.0 + jitter * rng.uniform(-1, 1)), 0.0, 1.0))
+        return float(np.clip(center * (1.0 + JITTER * rng.uniform(-1, 1)), 0.0, 1.0))
 
     return CompositeNoiseModel(
         granularity=PER_ELEMENT,
         readout={
-            q: ReadoutModel(wobble(p0), wobble(p1)) for q in range(topo.num_qubits)
+            q: ReadoutModel(wobble(AVERAGE_P0), wobble(AVERAGE_P1)) for q in range(topo.num_qubits)
         },
-        x_gate={q: wobble(p_x) for q in range(topo.num_qubits)},
-        cnot={e: wobble(p_cnot) for e in sorted(topo.undirected_edges())},
+        x_gate={q: wobble(AVERAGE_PX) for q in range(topo.num_qubits)},
+        cnot={e: wobble(DEFAULT_PCNOT) for e in sorted(topo.undirected_edges())},
     )

@@ -266,20 +266,19 @@ def simulate_noisy_exact(circuit: Circuit, model: CompositeNoiseModel) -> Distri
 class TrajectorySampler:
     """Reusable sampler for one (circuit, model) pair.
 
-    The circuit is compiled once into the outcome law it draws from (with the
-    mock QPU's hidden readout when `hidden_readout_strength` > 0); a draw of
-    any number of shots is one multinomial over that law.
+    The circuit is compiled once into the outcome law it draws from; a draw
+    of any number of shots is one multinomial over that law.
     """
 
-    def __init__(self, circuit: Circuit, model: CompositeNoiseModel,
-                 hidden_readout_strength: float = 0.0):
-        self.law = _laws([circuit], model, hidden_readout_strength)[0]
+    def __init__(self, circuit: Circuit, model: CompositeNoiseModel):
+        self.law = _laws([circuit], model)[0]
 
     @classmethod
     def for_circuits(cls, circuits: list[Circuit], model: CompositeNoiseModel,
                      hidden_readout_strength: float = 0.0) -> list["TrajectorySampler"]:
-        """One sampler per circuit, each holding the law `cls(circuit, model,
-        hidden_readout_strength)` would; circuits of one shape share a stack."""
+        """One sampler per circuit, each holding the law `cls(circuit, model)`
+        would, with the mock QPU's hidden readout when `hidden_readout_strength`
+        > 0; circuits of one shape share a stack."""
         samplers = [cls.__new__(cls) for _ in circuits]
         for sampler, law in zip(samplers, _laws(circuits, model, hidden_readout_strength)):
             sampler.law = law

@@ -17,7 +17,6 @@ from count_tables import exact_records, same_records
 from noisekit.applications import build_bv, build_ghz, bv_accuracy
 from noisekit.backend import MockBackend, MockGroundTruth
 from noisekit.characterization import (
-    SuiteConfig,
     TestKind,
     archive_dict,
     build_suite,
@@ -179,7 +178,7 @@ def test_criterion_04_statistical_roundtrip():
         hits: dict[str, int] = {}
         seeds = 20
         for seed in range(seeds):
-            plan = build_suite(topo, SuiteConfig(shots=8192, seed=seed))
+            plan = build_suite(topo, shots=8192, seed=seed)
             records = run_suite(plan, backend)
             fit = fit_composite(records, FitConfig(variant="aro+dp"))
             for name, res in fit.estimates.items():
@@ -201,7 +200,7 @@ def test_criterion_05_model_family_ordering():
         topo = line(2)
         truth = uniform_truth(topo, p0=0.02, p1=0.07, p_x=0.0033, p_cnot=0.05)
         backend = MockBackend(topo, MockGroundTruth(truth))
-        plan = build_suite(topo, SuiteConfig(shots=8192, seed=1))
+        plan = build_suite(topo, shots=8192, seed=1)
         records = run_suite(plan, backend)
         models = [
             (v, fit_composite(records, FitConfig(variant=v)).model)
@@ -227,7 +226,7 @@ def test_criterion_06_composite_improvement():
         topo = line(8)
         truth = uniform_truth(topo, **PAPER_AVG)
         backend = MockBackend(topo, MockGroundTruth(truth))
-        plan = build_suite(topo, SuiteConfig(shots=8192, seed=11))
+        plan = build_suite(topo, shots=8192, seed=11)
         records = run_suite(plan, backend)
         spatial = fit_composite(records, FitConfig(variant="aro+dp")).model
         circuit = build_ghz(8, topo)
@@ -245,7 +244,7 @@ def test_criterion_07_scaling_flatness():
         topo = line(10)
         truth = uniform_truth(topo, **PAPER_AVG)
         backend = MockBackend(topo, MockGroundTruth(truth))
-        plan = build_suite(topo, SuiteConfig(shots=8192, seed=4))
+        plan = build_suite(topo, shots=8192, seed=4)
         records = run_suite(plan, backend)
         spatial = fit_composite(records, FitConfig(variant="aro+dp")).model
         circuits = [build_ghz(n, topo) for n in range(2, 11)]
@@ -275,7 +274,7 @@ def test_criterion_08_bv_correctness_and_gap():
         truth = MockGroundTruth(uniform_truth(star, **PAPER_AVG),
                                 hidden_readout_strength=0.04)
         backend = MockBackend(star, truth)
-        plan = build_suite(star, SuiteConfig(shots=8192, seed=42))
+        plan = build_suite(star, shots=8192, seed=42)
         fit = fit_composite(run_suite(plan, backend), FitConfig(variant="aro+dp"))
         observed_counts = backend.run(circuits, 100_000, child_seed(42, 100))
         for secret, circuit, counts in zip(secrets, circuits, observed_counts):
@@ -290,7 +289,7 @@ def test_criterion_09_experiment_accounting():
     """The minimal 2-qubit suite is exactly 7 circuits and matches
     N_s(2q+2c+1) shot accounting."""
     with criterion(9, "experiment accounting", 1.0):
-        plan = build_suite(line(2), SuiteConfig(shots=8192))
+        plan = build_suite(line(2), shots=8192)
         budget = count_experiments(plan)
         assert budget.num_circuits == 7
         assert budget.total_shots == 7 * 8192
@@ -331,7 +330,7 @@ def test_criterion_10_determinism_and_serialization(tmp_path):
 
         # lossless archive round trip at the library level
         backend = MockBackend(topo, MockGroundTruth.load(truth_path))
-        plan = build_suite(topo, SuiteConfig(shots=4096, seed=9))
+        plan = build_suite(topo, shots=4096, seed=9)
         records = run_suite(plan, backend)
         path = tmp_path / "roundtrip.json"
         write_json_file(path, archive_dict(plan, records))

@@ -10,7 +10,6 @@ from noisekit import circuit as circuit_module
 from noisekit.applications import build_bv
 from noisekit.backend import MAX_SHOTS, FileBackend, MockBackend, MockGroundTruth
 from noisekit.characterization import (
-    SuiteConfig,
     SuitePlan,
     TestKind,
     archive_dict,
@@ -71,7 +70,7 @@ def test_mock_rejects_shots_outside_its_capability(line2, shots):
     negative shots reached numpy's multinomial."""
     backend = MockBackend(line2, MockGroundTruth(uniform_truth(line2)))
     with pytest.raises(ConfigError, match="shots"):
-        run_suite(build_suite(line2, SuiteConfig(shots=shots)), backend)
+        run_suite(build_suite(line2, shots=shots), backend)
 
 
 def test_mock_circuits_draw_in_turn(line3):
@@ -128,7 +127,7 @@ def test_hidden_effects_depress_weighted_outcomes():
 
 def test_load_counts_roundtrip(tmp_path, line3):
     backend = MockBackend(line3, MockGroundTruth(uniform_truth(line3)))
-    plan = build_suite(line3, SuiteConfig(shots=1024, seed=4))
+    plan = build_suite(line3, shots=1024, seed=4)
     path = tmp_path / "archive.json"
     write_json_file(path, archive_dict(plan, run_suite(plan, backend)))
     loaded = read_counts(path)[1]
@@ -139,7 +138,7 @@ def test_load_counts_roundtrip(tmp_path, line3):
 
 def test_file_backend_replays_archive(tmp_path, line3):
     mock = MockBackend(line3, MockGroundTruth(uniform_truth(line3)))
-    plan = build_suite(line3, SuiteConfig(shots=1024, seed=4))
+    plan = build_suite(line3, shots=1024, seed=4)
     records = run_suite(plan, mock)
     path = tmp_path / "archive.json"
     write_json_file(path, archive_dict(plan, records))
@@ -150,7 +149,7 @@ def test_file_backend_replays_archive(tmp_path, line3):
 
 def test_file_backend_label_mismatch(tmp_path, line3):
     mock = MockBackend(line3, MockGroundTruth(uniform_truth(line3)))
-    plan = build_suite(line3, SuiteConfig(shots=256, seed=2))
+    plan = build_suite(line3, shots=256, seed=2)
     trimmed = rows_where(run_suite(plan, mock), lambda t: t.label != "bell:q0-q1")
     path = tmp_path / "archive.json"
     write_json_file(path, archive_dict(plan, trimmed))
@@ -218,7 +217,7 @@ def _backends(tmp_path, topo, plan):
 
 @pytest.mark.parametrize("kind", ["mock", "file"])
 def test_each_suite_circuit_is_validated_once_per_run(tmp_path, line3, monkeypatch, kind):
-    plan = build_suite(line3, SuiteConfig(shots=64, hadamard_lengths=(2,)))
+    plan = build_suite(line3, shots=64, hadamard_lengths=(2,))
     backend = _backends(tmp_path, line3, plan)[kind]
     calls = _counted_validate(monkeypatch)
     run_suite(plan, backend)
@@ -231,7 +230,7 @@ def test_each_suite_circuit_is_validated_once_per_run(tmp_path, line3, monkeypat
 def test_an_invalid_plan_fails_before_any_shot(tmp_path, line3, monkeypatch, kind, test, error):
     """A suite plan holding a circuit the device cannot run fails with the
     validation error on either backend, before the mock QPU draws."""
-    good = build_suite(line3, SuiteConfig(shots=64))
+    good = build_suite(line3, shots=64)
     backend = _backends(tmp_path, line3, good)[kind]
 
     def no_draws(*args):

@@ -10,7 +10,6 @@ from noisekit import characterization, outcomes
 from noisekit.backend import MockBackend, MockGroundTruth
 from noisekit.characterization import (
     Records,
-    SuiteConfig,
     TestKind,
     archive_dict,
     archive_hash,
@@ -49,7 +48,7 @@ def test_label_roundtrip():
 
 
 def test_every_suite_label_round_trips(ladder20):
-    plan = build_suite(ladder20, SuiteConfig(hadamard_lengths=tuple(range(2, 33, 2))))
+    plan = build_suite(ladder20, hadamard_lengths=tuple(range(2, 33, 2)))
     assert len(plan.tests) == (3 + 16) * 20 + 23
     for test in plan.tests:
         assert TestKind.from_label(test.label) == test
@@ -80,7 +79,7 @@ def test_label_must_round_trip(label, tmp_path):
 def test_readers_check_each_entry_once(tmp_path, monkeypatch, read):
     """Both readers check a valid archive's entries by the count rules once
     each, as one column."""
-    plan = build_suite(line(3), SuiteConfig(shots=64, hadamard_lengths=(2,)))
+    plan = build_suite(line(3), shots=64, hadamard_lengths=(2,))
     backend = MockBackend(line(3), MockGroundTruth(uniform_truth(line(3))))
     path = tmp_path / "archive.json"
     write_json_file(path, archive_dict(plan, run_suite(plan, backend)))
@@ -112,7 +111,7 @@ def test_odd_hadamard_length_rejected():
     with pytest.raises(OddHadamardLength):
         TestKind("hseq", qubit=0, length=3)
     with pytest.raises(OddHadamardLength):
-        build_suite(line(2), SuiteConfig(hadamard_lengths=(2, 5)))
+        build_suite(line(2), hadamard_lengths=(2, 5))
 
 
 # The ideal law of every test kind, by hand: the oracle for
@@ -163,7 +162,7 @@ def test_materialize_expected_matches_ideal_simulation(kind):
 
 def test_build_suite_two_qubit_line():
     # 2 qubits x {init, x, xx} + 1 bell = the 7-experiment minimal suite
-    plan = build_suite(line(2), SuiteConfig())
+    plan = build_suite(line(2))
     assert len(plan.tests) == 7
     assert [t.label for t in plan.tests] == [
         "init:q0", "init:q1", "x:q0", "x:q1", "xx:q0", "xx:q1", "bell:q0-q1",
@@ -171,7 +170,7 @@ def test_build_suite_two_qubit_line():
 
 
 def test_build_suite_coverage(ladder20):
-    plan = build_suite(ladder20, SuiteConfig())
+    plan = build_suite(ladder20)
     per_qubit = {}
     for t in plan.tests:
         if t.kind != "bell":
@@ -183,18 +182,18 @@ def test_build_suite_coverage(ladder20):
 
 
 def test_build_suite_with_hadamard_lengths(line3):
-    plan = build_suite(line3, SuiteConfig(hadamard_lengths=(2, 4, 8)))
+    plan = build_suite(line3, hadamard_lengths=(2, 4, 8))
     hseq = [t for t in plan.tests if t.kind == "hseq"]
     assert len(hseq) == 9
 
 
 def test_build_suite_empty_subset(line4):
-    plan = build_suite(line4, SuiteConfig(subset=()))
+    plan = build_suite(line4, subset=())
     assert plan.tests == ()
 
 
 def test_build_suite_subset(line4):
-    plan = build_suite(line4, SuiteConfig(subset=(0, 1)))
+    plan = build_suite(line4, subset=(0, 1))
     assert len(plan.tests) == 7
     assert all(
         t.coupling == (0, 1) for t in plan.tests if t.kind == "bell"
@@ -202,7 +201,7 @@ def test_build_suite_subset(line4):
 
 
 def test_count_experiments_minimal():
-    plan = build_suite(line(2), SuiteConfig(shots=8192))
+    plan = build_suite(line(2), shots=8192)
     budget = count_experiments(plan)
     assert budget.num_circuits == 7
     assert budget.total_shots == 7 * 8192 == 57344
@@ -210,12 +209,12 @@ def test_count_experiments_minimal():
 
 
 def test_count_experiments_empty(line4):
-    plan = build_suite(line4, SuiteConfig(subset=()))
+    plan = build_suite(line4, subset=())
     assert count_experiments(plan).total_shots == 0
 
 
 def test_count_experiments_ladder(ladder20):
-    plan = build_suite(ladder20, SuiteConfig(shots=8192))
+    plan = build_suite(ladder20, shots=8192)
     budget = count_experiments(plan)
     assert budget.formula_shots == 8192 * (2 * 20 + 2 * 23 + 1) == 8192 * 87
     assert budget.total_shots == 8192 * 83  # census: 3q + c circuits
@@ -225,7 +224,7 @@ def test_run_suite_zero_noise(line3):
     from noisekit.noise import CompositeNoiseModel
 
     backend = MockBackend(line3, MockGroundTruth(CompositeNoiseModel.noiseless()))
-    plan = build_suite(line3, SuiteConfig(shots=2048, seed=5))
+    plan = build_suite(line3, shots=2048, seed=5)
     records = run_suite(plan, backend)
     assert records.tests == plan.tests
     for test, observed in zip(records.tests, records.frequencies()):
@@ -238,7 +237,7 @@ def test_run_suite_zero_noise(line3):
 
 
 def test_run_suite_init_error_within_binomial_bound(line4, mock_backend):
-    plan = build_suite(line4, SuiteConfig(shots=8192, seed=21))
+    plan = build_suite(line4, shots=8192, seed=21)
     records = run_suite(plan, mock_backend)
     sigma = (0.0212 * (1 - 0.0212) / 8192) ** 0.5
     for test, observed in zip(records.tests, records.frequencies()):
@@ -248,7 +247,7 @@ def test_run_suite_init_error_within_binomial_bound(line4, mock_backend):
 
 def test_run_suite_deterministic(line3):
     backend = MockBackend(line3, MockGroundTruth(uniform_truth(line3)))
-    plan = build_suite(line3, SuiteConfig(shots=1024, seed=33))
+    plan = build_suite(line3, shots=1024, seed=33)
     assert same_records(run_suite(plan, backend), run_suite(plan, backend))
 
 
@@ -296,14 +295,14 @@ def test_run_suite_rejects_backend_counts_of_the_wrong_width(line3):
         def run(self, circuits, shots, seed):
             return [Counts({"00": shots}, shots) for _ in circuits]
 
-    plan = build_suite(line3, SuiteConfig(shots=16))
+    plan = build_suite(line3, shots=16)
     with pytest.raises(ArityMismatch, match="init:q0"):
         run_suite(plan, TwoBitBackend())
 
 
 def test_archive_roundtrip(tmp_path, line3):
     backend = MockBackend(line3, MockGroundTruth(uniform_truth(line3)))
-    plan = build_suite(line3, SuiteConfig(shots=512, seed=1))
+    plan = build_suite(line3, shots=512, seed=1)
     records = run_suite(plan, backend)
     path = tmp_path / "archive.json"
     write_json_file(path, archive_dict(plan, records))
@@ -316,7 +315,7 @@ def test_content_hash_of_parsed_archive_is_archive_hash(tmp_path, line3):
     """Hashing the dict read_archive returns gives archive_hash of the file,
     ignores meta and leaves the dict whole."""
     backend = MockBackend(line3, MockGroundTruth(uniform_truth(line3)))
-    plan = build_suite(line3, SuiteConfig(shots=64, seed=1))
+    plan = build_suite(line3, shots=64, seed=1)
     records = run_suite(plan, backend)
     path = tmp_path / "archive.json"
     write_json_file(path, archive_dict(plan, records, meta={"t": 1}))

@@ -12,7 +12,7 @@ import noisekit
 from noisekit import characterization, cli
 from noisekit.backend import MAX_SHOTS, MockGroundTruth
 from noisekit.characterization import (
-    archive_dict, archive_hash, build_suite, run_suite, SuiteConfig,
+    archive_dict, archive_hash, build_suite, run_suite,
 )
 from noisekit.cli import COMMANDS, build_parser, main
 from noisekit.devices import line, uniform_truth
@@ -50,6 +50,15 @@ def test_characterize_writes_census_archive(setup):
     budget = json.loads((tmp_path / "run" / "budget.json").read_text())
     assert budget["num_circuits"] == 15
     assert budget["formula_2q_plus_2c_plus_1_shots"] == 2048 * 15
+
+
+def test_characterize_subset_plans_the_subset_suite(setup):
+    """`--subset` alone plans the subset's one-qubit tests and the couplings
+    inside it."""
+    tmp_path, device, truth = setup
+    archive = _characterize(tmp_path, device, truth, extra=("--subset", "1,2"))
+    labels = [e["label"] for e in json.loads(archive.read_text())["entries"]]
+    assert labels == ["init:q1", "init:q2", "x:q1", "x:q2", "xx:q1", "xx:q2", "bell:q1-q2"]
 
 
 def test_characterize_missing_device_exit_2(setup, capsys):
@@ -123,7 +132,7 @@ def test_fit_builds_no_circuit(setup, monkeypatch):
 def test_fit_missing_bell_coverage_exit_1(setup, capsys):
     tmp_path, device, truth = setup
     topo = line(4)
-    plan = build_suite(topo, SuiteConfig(shots=256, seed=1))
+    plan = build_suite(topo, shots=256, seed=1)
     from noisekit.backend import MockBackend
 
     records = rows_where(run_suite(plan, MockBackend(topo, MockGroundTruth.load(truth))),
@@ -433,8 +442,7 @@ _PCNOT_ABOVE_1 = {"p0": 0.02, "p1": 0.05, "p_x": 0.003, "p_h": 0.0, "p_cnot": 2.
 def _subset_beyond_device(tmp_path, device, truth):
     small = tmp_path / "line3.json"
     line(3).save(small)
-    return _characterize_argv(tmp_path, small, truth, "--granularity", "subset_average",
-                              "--subset", "0,7")
+    return _characterize_argv(tmp_path, small, truth, "--subset", "0,7")
 
 
 def _fit_subset_repeated(tmp_path, device, truth):
@@ -469,17 +477,31 @@ def _bell_both_directions(data):
     data["entries"].append({**bell, "label": "bell:q1-q0"})
 
 
-def _file_backend(*entries):
-    """`evaluate --exact` of ghz:3 replayed from an archive of its 64-shot
-    entry and `entries`."""
+def _file_backend(*entries, app="ghz:3"):
+    """`evaluate --exact` of `app` replayed from an archive of ghz:3's
+    64-shot entry and `entries`."""
     def make_argv(tmp_path, device, truth):
         archive = tmp_path / "ghz-archive.json"
         ghz = {"label": "ghz:3", "shots": 64, "counts": {"000": 32, "111": 32}}
         archive.write_text(json.dumps({"entries": [ghz, *entries]}))
-        argv = _evaluate_argv(tmp_path, device, truth)
+        argv = _evaluate_argv(tmp_path, device, truth, app=app)
         argv[argv.index("--backend") + 1] = f"file:{archive}"
         return [*argv, "--exact"]
     return make_argv
+
+
+def _replayed_two_bit_init(tmp_path, device, truth):
+    """`characterize` of line(1) replayed from an archive whose init:q0
+    holds two-bit counts."""
+    small = tmp_path / "line1.json"
+    line(1).save(small)
+    archive = tmp_path / "line1-archive.json"
+    entries = [{"label": "init:q0", "shots": 64, "counts": {"00": 64}}]
+    entries += [{"label": label, "shots": 64, "counts": {"1": 64}} for label in ("x:q0", "xx:q0")]
+    archive.write_text(json.dumps({"entries": entries}))
+    argv = _characterize_argv(tmp_path, small, truth)
+    argv[argv.index("--backend") + 1] = f"file:{archive}"
+    return argv
 
 
 def _two_bad_entries(data):
@@ -506,19 +528,20 @@ MALFORMED_INPUTS = {
     "app-ghz-range": (lambda t, d, tr: _evaluate_argv(t, d, tr, app="ghz:2..x"), "ConfigError"),
     "app-bv-data": (lambda t, d, tr: _evaluate_argv(t, d, tr, app="bv:10@0,x/1"), "ConfigError"),
     "app-bv-oracle": (lambda t, d, tr: _evaluate_argv(t, d, tr, app="bv:10@0,2/y"), "ConfigError"),
-    "subset-token": (lambda t, d, tr: _characterize_argv(
-        t, d, tr, "--granularity", "subset_average", "--subset", "0,x"), "ConfigError"),
+    "subset-token": (lambda t, d, tr: _characterize_argv(t, d, tr, "--subset", "0,x"),
+                     "ConfigError"),
     "device-self-loop": (_self_loop_device, "ParseError"),
     "device-truncated": (lambda t, d, tr: _characterize_argv(t, _truncated(d), tr), "ParseError"),
     "truth-truncated": (lambda t, d, tr: _characterize_argv(t, d, _truncated(tr)), "ParseError"),
     "model-truncated": (_truncated_model, "ParseError"),
     "archive-entries": (_entries_not_a_list, "ParseError"),
     "fit-subset-missing": (_subset_fit_without_subset, "ConfigError"),
-    "characterize-subset-missing": (lambda t, d, tr: _characterize_argv(
-        t, d, tr, "--granularity", "subset_average"), "ConfigError"),
     "fit-subset-per-element": (_fit_subset_per_element, "ConfigError"),
-    "characterize-subset-per-element": (lambda t, d, tr: _characterize_argv(
-        t, d, tr, "--subset", "1"), "ConfigError"),
+    # the suite depends only on the qubits it covers; averaging is the fit's choice
+    "characterize-granularity-removed": (lambda t, d, tr: _characterize_argv(
+        t, d, tr, "--granularity", "per_element"), "ConfigError"),
+    "characterize-subset-empty": (lambda t, d, tr: _characterize_argv(t, d, tr, "--subset", ""),
+                                  "ConfigError"),
     "archive-x-two-bits": (_archive_entry_counts("x:q0", {"00": 900, "11": 100}),
                            "ParseError"),
     "archive-bell-one-bit": (_archive_entry_counts("bell:q0-q1", {"0": 600, "1": 400}),
@@ -613,7 +636,7 @@ MALFORMED_INPUTS = {
     "device-directory": (lambda t, d, tr: _characterize_argv(t, t, tr), "IsADirectoryError"),
     "out-existing-file": (_out_is_a_file, "FileExistsError"),
     "characterize-subset-repeated": (lambda t, d, tr: _characterize_argv(
-        t, d, tr, "--granularity", "subset_average", "--subset", "0,0"), "ConfigError"),
+        t, d, tr, "--subset", "0,0"), "ConfigError"),
     "fit-subset-repeated": (_fit_subset_repeated, "ConfigError"),
     "app-ghz-wider-than-device": (lambda t, d, tr: _evaluate_argv(t, d, tr, app="ghz:5"),
                                   "ConfigError"),
@@ -672,6 +695,11 @@ MALFORMED_INPUTS = {
     "archive-two-bad-entries": (_archive_edit(_two_bad_entries), "ParseError"),
     "file-backend-mixed-key-widths": (_file_backend(
         {"label": "ghz:2", "shots": 64, "counts": {"00": 32, "1": 32}}), "ParseError"),
+    # replayed counts must have the width their circuit measures
+    "file-backend-suite-width": (_replayed_two_bit_init, "ParseError"),
+    "file-backend-app-width": (_file_backend(
+        {"label": "ghz:2", "shots": 64, "counts": {"000": 32, "111": 32}}, app="ghz:2"),
+                               "ParseError"),
 }
 
 

@@ -17,7 +17,6 @@ from estimation_oracle import (
 
 from noisekit.backend import MockBackend, MockGroundTruth
 from noisekit.characterization import (
-    SuiteConfig,
     TestKind,
     archive_dict,
     build_suite,
@@ -240,9 +239,7 @@ def test_hadamard_small_error_excluded_when_unresolvable(line2):
         **{**truth.__dict__, "h_gate": {q: 0.001 for q in range(2)}}
     )
     backend = MockBackend(line2, MockGroundTruth(truth))
-    plan = build_suite(
-        line2, SuiteConfig(hadamard_lengths=(2, 4, 8), shots=8192, seed=3)
-    )
+    plan = build_suite(line2, hadamard_lengths=(2, 4, 8), shots=8192, seed=3)
     records = rows_where(run_suite(plan, backend), lambda t: t.kind == "hseq" and t.qubit == 0)
     fit = estimate_hadamard_error(records, ReadoutModel(0.0212, 0.0681))
     assert fit.result.value < 10 * fit.result.stderr
@@ -257,9 +254,7 @@ def test_hadamard_long_sequences_resolve_small_error(line2):
         **{**truth.__dict__, "h_gate": {q: 0.001 for q in range(2)}}
     )
     backend = MockBackend(line2, MockGroundTruth(truth))
-    plan = build_suite(
-        line2, SuiteConfig(hadamard_lengths=(2, 4, 8, 16, 32, 64), shots=8192, seed=3)
-    )
+    plan = build_suite(line2, hadamard_lengths=(2, 4, 8, 16, 32, 64), shots=8192, seed=3)
     records = rows_where(run_suite(plan, backend), lambda t: t.kind == "hseq" and t.qubit == 0)
     fit = estimate_hadamard_error(records, ReadoutModel(0.0212, 0.0681))
     assert fit.result.value == pytest.approx(0.001, abs=5e-4)
@@ -790,7 +785,7 @@ def test_clamping_never_alters_feasible_solutions():
 # -- fit_composite -----------------------------------------------------------------
 
 def test_fit_composite_roundtrip(line4, mock_backend):
-    plan = build_suite(line4, SuiteConfig(shots=8192, seed=101))
+    plan = build_suite(line4, shots=8192, seed=101)
     records = run_suite(plan, mock_backend)
     fit = fit_composite(records, FitConfig(variant="aro+dp"))
     truth = {"p0": 0.0212, "p1": 0.0681, "p_x": 0.0033, "p_cnot": 0.02}
@@ -851,7 +846,7 @@ def test_fit_config_rejects_a_negative_or_repeated_subset_qubit(subset):
 
 
 def test_fit_composite_subset_three_parameters(line4, mock_backend):
-    plan = build_suite(line4, SuiteConfig(shots=8192, seed=55))
+    plan = build_suite(line4, shots=8192, seed=55)
     records = run_suite(plan, mock_backend)
     fit = fit_composite(
         records,
@@ -866,7 +861,7 @@ def test_fit_composite_subset_three_parameters(line4, mock_backend):
 
 
 def test_fit_composite_missing_bell_coverage(line4, mock_backend):
-    plan = build_suite(line4, SuiteConfig(shots=1024, seed=5))
+    plan = build_suite(line4, shots=1024, seed=5)
     records = rows_where(run_suite(plan, mock_backend), lambda t: t.kind != "bell")
     with pytest.raises(MissingCoverage) as err:
         fit_composite(records, FitConfig(variant="aro+dp"))
@@ -875,7 +870,7 @@ def test_fit_composite_missing_bell_coverage(line4, mock_backend):
 
 def test_fit_composite_sro_vs_aro_pcnot_differs(line4, mock_backend):
     """The depolarizing parameter is refit per readout variant."""
-    plan = build_suite(line4, SuiteConfig(shots=8192, seed=77))
+    plan = build_suite(line4, shots=8192, seed=77)
     records = run_suite(plan, mock_backend)
     sro_dp = fit_composite(records, FitConfig(variant="sro+dp"))
     aro_dp = fit_composite(records, FitConfig(variant="aro+dp"))
@@ -1092,7 +1087,7 @@ def test_archive_to_fit_builds_no_counts(tmp_path, line4, mock_backend, monkeypa
     """`read_archive` fills the count table straight from the archive's
     count maps, and every variant fits from its columns: no `Counts` is
     built on the way."""
-    plan = build_suite(line4, SuiteConfig(hadamard_lengths=(2, 4), shots=512, seed=3))
+    plan = build_suite(line4, hadamard_lengths=(2, 4), shots=512, seed=3)
     path = tmp_path / "archive.json"
     write_json_file(path, archive_dict(plan, run_suite(plan, mock_backend)))
 
@@ -1110,8 +1105,7 @@ def test_fit_composite_fits_each_family_once(ladder20, monkeypatch):
     """On a 20-qubit archive with two sets of Hadamard lengths, the fit makes
     one root isolation per set, no eigenvalue call and no call into the
     one-element estimators."""
-    plan = build_suite(ladder20, SuiteConfig(hadamard_lengths=(2, 4, 8, 16, 32), shots=256,
-                                             seed=9))
+    plan = build_suite(ladder20, hadamard_lengths=(2, 4, 8, 16, 32), shots=256, seed=9)
     truth = MockGroundTruth(type(uniform_truth(ladder20))(
         **{**uniform_truth(ladder20).__dict__, "h_gate": dict.fromkeys(range(20), 0.004)}))
     records = rows_where(run_suite(plan, MockBackend(ladder20, truth)),

@@ -6,7 +6,7 @@ import pytest
 
 from noisekit.applications import build_ghz
 from noisekit.backend import MockBackend, MockGroundTruth
-from noisekit.characterization import SuiteConfig, build_suite, run_suite
+from noisekit.characterization import build_suite, run_suite
 from noisekit.devices import jittered_truth, line, uniform_truth
 from noisekit.circuit import Circuit, h, measure
 from noisekit.errors import ArityMismatch, ConfigError, EmptyLadder
@@ -371,7 +371,7 @@ def test_sampled_score_draw_memory_does_not_grow_with_resamples():
 
 def _fitted_variants(topo, truth, shots=8192, seed=11):
     backend = MockBackend(topo, MockGroundTruth(truth))
-    plan = build_suite(topo, SuiteConfig(shots=shots, seed=seed))
+    plan = build_suite(topo, shots=shots, seed=seed)
     records = run_suite(plan, backend)
     return {
         v: fit_composite(records, FitConfig(variant=v)).model
@@ -457,7 +457,7 @@ def test_select_walks_ladder_on_mock_ghz():
     topo = line(6)
     truth = uniform_truth(topo)
     backend = MockBackend(topo, MockGroundTruth(truth))
-    plan = build_suite(topo, SuiteConfig(shots=8192, seed=17))
+    plan = build_suite(topo, shots=8192, seed=17)
     records = run_suite(plan, backend)
     ladder = [
         (v, fit_composite(records, FitConfig(variant=v)).model)

@@ -6,7 +6,7 @@ import pytest
 from closed_forms import bell_frequencies, predicted_x_test_frequencies
 from noisekit.applications import build_ghz
 from noisekit.backend import MockBackend, MockGroundTruth
-from noisekit.characterization import SuiteConfig, build_suite, materialize
+from noisekit.characterization import build_suite, materialize
 from noisekit.circuit import Circuit, cnot, h, measure, x
 from noisekit.errors import ArityMismatch, OutOfRange
 from noisekit.noise import (
@@ -219,7 +219,7 @@ def test_mock_backend_samples_averaged_truth_as_its_per_element_twin(
         granularity=granularity, subset=subset,
         avg_readout=ReadoutModel(0.0212, 0.0681), avg_x=0.0033, avg_h=0.002, avg_cnot=0.02,
     )
-    plan = build_suite(ladder20, SuiteConfig(hadamard_lengths=(2, 4)))
+    plan = build_suite(ladder20, hadamard_lengths=(2, 4))
     circuits = [materialize(t) for t in plan.tests] + [build_ghz(6, ladder20)]
     averaged, twin = (MockBackend(ladder20, MockGroundTruth(m, hidden)).run(circuits, 512, 3)
                       for m in (model, _per_element_twin(model, ladder20)))

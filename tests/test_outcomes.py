@@ -6,7 +6,6 @@ import pytest
 from noisekit import devices
 from noisekit.backend import MockBackend, MockGroundTruth
 from noisekit.characterization import (
-    SuiteConfig,
     archive_dict,
     build_suite,
     content_hash,
@@ -271,7 +270,7 @@ def test_archive_and_model_files_do_not_depend_on_the_form(tmp_path):
     generator per run on the (seed, BACKEND) path, and the key format)."""
     topo = devices.line(3)
     truth = MockGroundTruth(devices.jittered_truth(topo, 5), hidden_readout_strength=0.04)
-    plan = build_suite(topo, SuiteConfig(hadamard_lengths=(2, 4), shots=1000, seed=11))
+    plan = build_suite(topo, hadamard_lengths=(2, 4), shots=1000, seed=11)
     mock = MockBackend(topo, truth)
 
     class Twins:

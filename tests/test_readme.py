@@ -1,5 +1,5 @@
-"""The README's "Step by step" commands run as written, and it names every
-option."""
+"""The README's "Step by step" commands run as written, it names every
+option, and each command's options match one pinned inventory."""
 import argparse
 import re
 import shlex
@@ -31,15 +31,38 @@ def test_step_by_step_commands_exit_0(tmp_path, monkeypatch, capsys):
         assert main(argv[1:]) == 0, (argv, capsys.readouterr().err)
 
 
+# Each command's option strings in parser order, help aside: adding or
+# removing a setting shows here as a one-line diff.
+OPTIONS = {
+    "characterize": "--device --backend --shots --seed --subset --hadamard-lengths "
+                    "--archive-name --out",
+    "fit": "--archive --flags --granularity --subset --name --out",
+    "evaluate": "--device --backend --app --model --shots --seed --resamples --sim-shots "
+                "--threshold --compare --select --scaling --exact --out",
+    "demo": "--shots --seed --resamples --hidden --max-ghz --out",
+}
+
+
+def _options() -> dict[str, list[str]]:
+    """Each command's option strings, help aside, from the parser of all commands."""
+    parser = build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(commands.choices) == list(COMMANDS)  # the walk covers what main parses
+    return {name: [flag for action in command._actions
+                   if not isinstance(action, argparse._HelpAction)
+                   for flag in action.option_strings]
+            for name, command in commands.choices.items()}
+
+
 def test_every_option_is_named_in_the_readme():
     """Each option string of each command appears in README.md as a whole
     flag (`--name` inside `--archive-name` does not count): no knob goes
     undocumented."""
-    parser = build_parser()
-    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    assert list(commands.choices) == list(COMMANDS)  # the walk covers what main parses
     named = set(re.findall(r"(?<![\w-])(--?[a-z][\w-]*)", README.read_text()))
-    missing = [f"{name} {flag}" for name, command in commands.choices.items()
-               for action in command._actions if not isinstance(action, argparse._HelpAction)
-               for flag in action.option_strings if flag not in named]
+    missing = [f"{name} {flag}" for name, flags in _options().items()
+               for flag in flags if flag not in named]
     assert not missing, f"options README.md never names: {missing}"
+
+
+def test_the_option_inventory_is_pinned():
+    assert _options() == {name: flags.split() for name, flags in OPTIONS.items()}

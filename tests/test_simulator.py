@@ -8,7 +8,7 @@ from law_oracle import compile_shape, one_by_one_counts, one_by_one_law
 from trajectory_oracle import sample_trajectories
 from noisekit import simulator
 from noisekit.backend import MockBackend, MockGroundTruth
-from noisekit.characterization import SuiteConfig, build_suite, materialize
+from noisekit.characterization import build_suite, materialize
 from noisekit.circuit import Circuit, DeviceTopology, cnot, h, identity, measure, x
 from noisekit.devices import jittered_truth, ladder20, line
 from noisekit.errors import TooWide
@@ -361,7 +361,7 @@ def test_hidden_readout_law_matches_brute_force():
         strength = HIDDEN_STRENGTHS[trial % len(HIDDEN_STRENGTHS)]
         pre = exact_outcome_vector(circuit, dataclasses.replace(model, readout_on=False))
         want = _pair_law(pre, *_clbit_rates(circuit, model), strength).sum(axis=0)
-        got = TrajectorySampler(circuit, model, strength).law
+        got = TrajectorySampler.for_circuits([circuit], model, strength)[0].law
         assert np.max(np.abs(got - want)) <= 1e-12, (trial, strength, circuit)
         weights = [bin(i).count("1") for i in range(pre.size)]
         clipped += any(strength * w > 1 and p > 0 for w, p in zip(weights, pre))
@@ -481,7 +481,7 @@ def _chain(qubits, label):
 def _mixed_plan(topo):
     """A suite (repeated one- and two-bit shapes on every qubit and
     coupling), chains of 3 and 6 bits at four offsets, and GHZ circuits."""
-    circuits = [materialize(t) for t in build_suite(topo, SuiteConfig(hadamard_lengths=(2, 4))).tests]
+    circuits = [materialize(t) for t in build_suite(topo, hadamard_lengths=(2, 4)).tests]
     circuits += [_chain(range(s, s + n), f"chain{n}:{s}") for n in (3, 6) for s in range(4)]
     return circuits + [_chain(range(n), f"ghz{n}") for n in (2, 5, 8)]
 
@@ -492,7 +492,10 @@ def _assert_laws_are_one_by_one_laws(circuits, model, strength):
     for circuit, sampler in zip(circuits, samplers):
         want = one_by_one_law(circuit, model, strength).tobytes()
         assert sampler.law.tobytes() == want, (circuit.label, strength)
-        assert TrajectorySampler(circuit, model, strength).law.tobytes() == want, circuit.label
+        one = TrajectorySampler.for_circuits([circuit], model, strength)[0]
+        assert one.law.tobytes() == want, circuit.label
+        if not strength:
+            assert TrajectorySampler(circuit, model).law.tobytes() == want, circuit.label
 
 
 @pytest.mark.parametrize("strength", HIDDEN_CASES)
@@ -563,7 +566,7 @@ def test_the_qpu_suite_compiles_each_shape_once(monkeypatch):
 
     monkeypatch.setattr(simulator, "_Shape", CountingShape)
     topo = ladder20()
-    plan = build_suite(topo, SuiteConfig(hadamard_lengths=(2, 4, 8, 16)))
+    plan = build_suite(topo, hadamard_lengths=(2, 4, 8, 16))
     TrajectorySampler.for_circuits([materialize(t) for t in plan.tests], jittered_truth(topo, 1))
     assert len(plan.tests) == 163
     assert len(keys) == len(set(keys)) == 8
