@@ -132,7 +132,10 @@ class Records:
     `tests[i]` over `shots[i]` shots, `counts[i, k]` of them with outcome
     index k. `index` maps (kind, qubit or coupling as an undirected edge,
     length) to the row; two records of one key, such as a Bell test
-    recorded in both directions, raise ParseError naming both labels."""
+    recorded in both directions, raise ParseError naming both labels.
+
+    The table never changes: `counts` and `shots` are read-only, so the
+    estimation families fitted on it are kept with it (`_fits`)."""
 
     tests: tuple[TestKind, ...]
     counts: np.ndarray
@@ -148,6 +151,8 @@ class Records:
                 raise ParseError(f"records {self.tests[other].label} and {test.label} "
                                  "characterize the same element")
         object.__setattr__(self, "index", index)
+        object.__setattr__(self, "_fits", {})
+        self.counts.flags.writeable = self.shots.flags.writeable = False
 
     def frequencies(self) -> np.ndarray:
         """counts / shots per row, as `Counts.frequency` (zeros at zero shots)."""

@@ -71,6 +71,9 @@ class Circuit:
     num_clbits: int
     gates: tuple[Gate, ...]
     label: str
+    # the simulator's lowered form and compiled shape of this circuit, made
+    # on first use and kept as long as the circuit
+    _compiled: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.label:
@@ -124,9 +127,11 @@ class DeviceTopology:
 
     num_qubits: int
     couplings: tuple[tuple[int, int], ...]
-    # the couplings as (low, high) pairs, built once: `validate` asks about
-    # every cnot of every circuit
+    # the couplings as (low, high) pairs and each qubit's ascending
+    # neighbours, built once: `validate` asks about every cnot of every
+    # circuit, and `embed_path` walks the neighbours on every GHZ build
     _edges: frozenset[tuple[int, int]] = field(init=False, repr=False, compare=False)
+    _adjacency: dict[int, list[int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "num_qubits", integer(self.num_qubits, "qubit count"))
@@ -142,6 +147,11 @@ class DeviceTopology:
         object.__setattr__(
             self, "_edges", frozenset((min(a, b), max(a, b)) for a, b in self.couplings)
         )
+        adjacency: dict[int, list[int]] = {q: [] for q in range(self.num_qubits)}
+        for a, b in sorted(self._edges):  # each list comes out ascending
+            adjacency[a].append(b)
+            adjacency[b].append(a)
+        object.__setattr__(self, "_adjacency", adjacency)
 
     def undirected_edges(self) -> frozenset[tuple[int, int]]:
         """Couplings normalized to (low, high) pairs."""
@@ -156,13 +166,7 @@ class DeviceTopology:
         return (min(a, b), max(a, b)) in self._edges
 
     def neighbors(self, qubit: int) -> list[int]:
-        out = set()
-        for a, b in self.couplings:
-            if a == qubit:
-                out.add(b)
-            elif b == qubit:
-                out.add(a)
-        return sorted(out)
+        return list(self._adjacency.get(qubit, ()))
 
     def to_json_dict(self) -> dict:
         return {
@@ -211,7 +215,7 @@ def embed_path(topo: DeviceTopology, length: int) -> list[int]:
         raise ValueError("path length must be at least 2")
     if length > topo.num_qubits:
         raise NoPath(f"no {length}-qubit path in a {topo.num_qubits}-qubit device")
-    adjacency = {q: topo.neighbors(q) for q in range(topo.num_qubits)}
+    adjacency = topo._adjacency
 
     def extend(path: list[int], visited: set[int]) -> list[int] | None:
         if len(path) == length:

@@ -18,7 +18,10 @@ arithmetic; the Hadamard roots of all qubits sharing a set of lengths come
 from one root isolation of their sparse derivative polynomials on [0, 1]
 (`_sparse_roots`). Each family reads whole columns of the count table
 (`characterization.Records`): the p0 column, the X/XX column-0 frequencies,
-the Hadamard trains grouped by qubit and the four Bell columns. The public
+the Hadamard trains grouped by qubit and the four Bell columns. A family's
+fits are kept on the read-only table, once per key of what the family reads
+(its qubits; the Hadamard and Bell fits also their readout mode), so the
+fits of one table share them. The public
 one-element estimators are calls into the same code on a one-row (or
 one-qubit) table.
 """
@@ -525,6 +528,15 @@ class CompositeFit:
         }
 
 
+def _once(key: tuple, fit, records: Records, *args):
+    """`fit(records, *args)` on the first call for this table and key, kept
+    on the table (which never changes) for every later call; a fit that
+    raises is not kept, so it raises again."""
+    if key not in records._fits:
+        records._fits[key] = fit(records, *args)
+    return records._fits[key]
+
+
 def fit_composite(records: Records, config: FitConfig) -> CompositeFit:
     """Compose a noise model from a table of characterization records.
 
@@ -569,14 +581,16 @@ def fit_composite(records: Records, config: FitConfig) -> CompositeFit:
             missing,
         )
 
-    # Each family is fitted once, across all its elements; index i of every
-    # per-qubit array is qubits[i].
-    p0_fits = _p0_fits(records, [index["init", q, None] for q in qubits])
+    # Each family is fitted once, across all its elements, and once per
+    # table for the key of what it reads; index i of every per-qubit array
+    # is qubits[i].
+    key = tuple(qubits)
+    p0_fits = _once(("p0", key), _p0_fits, records, [index["init", q, None] for q in qubits])
     p0 = np.array([r.value for r in p0_fits])
     p0_sd = np.array([r.stderr for r in p0_fits])
     per_qubit = [p0_fits]
     if need_x_system:
-        p1_fits, px_fits = _aro_fits(records, qubits, p0, p0_sd)
+        p1_fits, px_fits = _once(("x", key), _aro_fits, records, qubits, p0, p0_sd)
         per_qubit += [p1_fits, px_fits]
     estimates = {r.name: r for fits in zip(*per_qubit) for r in fits}
 
@@ -595,13 +609,15 @@ def fit_composite(records: Records, config: FitConfig) -> CompositeFit:
     h_map, cnot_map = {}, {}
     if gate_dp:
         rows = [i for i, q in enumerate(qubits) if q in trains]
-        fits = _hadamard_fits(records, [trains[qubits[i]] for i in rows], *rates[:, rows])
+        fits = _once(("hseq", key, readout_mode), _hadamard_fits, records,
+                     [trains[qubits[i]] for i in rows], *rates[:, rows])
         estimates.update((fit.result.name, fit.result) for fit in fits)
         h_map = {qubits[i]: fit.result.value
                  for i, fit in zip(rows, fits) if fit.include_in_model}
         position = {q: i for i, q in enumerate(qubits)}
         pair = np.array([[position[j], position[k]] for j, k in couplings])
-        pcnot_fits = _pcnot_fits(
+        pcnot_fits = _once(
+            ("bell", key, tuple(couplings), readout_mode), _pcnot_fits,
             records, [bells[c] for c in couplings],
             rates[:, pair].transpose(1, 0, 2),  # [[p0_j, p0_k], [p1_j, p1_k]]
             rate_sds[:, pair].transpose(1, 2, 0).reshape(-1, 4),  # p0_j, p1_j, p0_k, p1_k

@@ -18,7 +18,10 @@ GF(2) subspace of outcomes (Aaronson & Gottesman, quant-ph/0406196), and
 no amplitude is ever stored. Mixing the ideal marginal over every site's
 masks gives the pre-readout law; readout, a per-bit stochastic channel,
 turns it into the observed law. A shape's circuits get their laws as one
-(K, 2^m) stack, each row with its circuit's rates. The exact distribution
+(K, 2^m) stack, each row with its circuit's rates. A circuit object is
+lowered and compiled once and keeps its shape for the rest of its life, so
+the mock QPU's run and every model's law of it share one compile; nothing
+is kept beyond the circuits. The exact distribution
 is that law, and sampling any number of shots is one multinomial draw
 from it. The mock QPU's hidden readout (a sampler's
 `hidden_readout_strength`) is that per-bit channel applied to each
@@ -223,19 +226,34 @@ def _outcome_laws(shape: _Shape, rates: np.ndarray, readout: np.ndarray,
     return law
 
 
+def _compile(circuit: Circuit, shapes: dict) -> tuple:
+    """A circuit's (shape key, op qubits, measured qubits, shape): made on
+    the circuit object's first use, with the shape `shapes` holds for its
+    key if any, and kept on that object for every later call. `shapes` is
+    one call's key -> shape map, which this fills."""
+    if circuit._compiled is None:
+        key, qubits, measured = _lower(circuit)
+        shape = shapes[key] if key in shapes else _Shape(*key)
+        object.__setattr__(circuit, "_compiled", (key, qubits, measured, shape))
+    shapes.setdefault(circuit._compiled[0], circuit._compiled[3])
+    return circuit._compiled
+
+
 def _laws(circuits: list[Circuit], model: CompositeNoiseModel,
           hidden_readout_strength: float = 0.0) -> list[np.ndarray]:
-    """Each circuit's observed outcome law. Each shape is compiled once and
-    its circuits' laws built in stacks of at most max(1, 2^16 >> m) rows."""
+    """Each circuit's observed outcome law. Each circuit object is lowered
+    and compiled once, circuits of one shape new to a call share one shape,
+    and a shape's laws are built in stacks of at most max(1, 2^16 >> m) rows."""
     groups: dict[tuple, list] = {}
+    shapes: dict[tuple, _Shape] = {}
     for i, circuit in enumerate(circuits):
-        key, qubits, measured = _lower(circuit)
+        key, qubits, measured, _ = _compile(circuit, shapes)
         rates = [_gate_rate(model, name, q) for (name, _), q in zip(key[1], qubits)]
         ros = [(r.p0, r.p1) for r in map(model.readout_for, measured)] if model.readout_on else []
         groups.setdefault(key, []).append((i, rates, ros or [(0.0, 0.0)] * len(measured)))
     laws: dict[int, np.ndarray] = {}
     for key, members in groups.items():
-        shape = _Shape(*key)
+        shape = shapes[key]
         block = max(1, _BLOCK_COUNTS >> shape.num_bits)
         for start in range(0, len(members), block):
             rows, rates, readout = zip(*members[start:start + block])
@@ -252,7 +270,7 @@ def _to_distribution(vec: np.ndarray, num_bits: int) -> Distribution:
 
 def simulate_ideal(circuit: Circuit) -> Distribution:
     """Exact measurement distribution of the noiseless circuit."""
-    shape = _Shape(*_lower(circuit)[0])
+    shape = _compile(circuit, {})[3]
     return _to_distribution(shape.ideal, shape.num_bits)
 
 
@@ -298,7 +316,8 @@ class TrajectorySampler:
         if rows is None:
             draws = rng.multinomial(shots, self.law)
             seen = np.flatnonzero(draws)
-            return Counts.from_arrays(self.law.size.bit_length() - 1, seen, draws[seen], shots)
+            # ascending distinct in-range indices whose counts make `shots`
+            return Counts._of(self.law.size.bit_length() - 1, seen, draws[seen], shots)
         if rows < 1 or shots % rows:
             raise ValueError(f"{shots} shots do not split evenly into {rows} rows")
         return rng.multinomial(shots // rows, self.law, size=rows)

@@ -251,6 +251,16 @@ def test_run_suite_deterministic(line3):
     assert same_records(run_suite(plan, backend), run_suite(plan, backend))
 
 
+def test_a_record_table_is_read_only():
+    """The families fitted on a table are kept with it, so its counts and
+    shots cannot be written."""
+    records = records_of([(TestKind("x", qubit=0), {"1": 3}, 3)])
+    with pytest.raises(ValueError):
+        records.counts[0, 1] = 2
+    with pytest.raises(ValueError):
+        records.shots[0] = 2
+
+
 def test_records_are_tests_counts_and_shots():
     """A table holds the test, the count of each outcome index and the shots
     of every row, and indexes the rows by element, a Bell test by its

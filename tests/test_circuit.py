@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -107,6 +108,50 @@ def test_embed_path_full_ladder(ladder20):
 
 def test_embed_path_deterministic(ladder20):
     assert embed_path(ladder20, 8) == embed_path(ladder20, 8)
+
+
+def _scanned_neighbors(topo, qubit):
+    """Each qubit's neighbours by a scan of every coupling."""
+    out = set()
+    for a, b in topo.couplings:
+        if a == qubit:
+            out.add(b)
+        elif b == qubit:
+            out.add(a)
+    return sorted(out)
+
+
+def _scanned_path(topo, length):
+    """`embed_path`'s depth-first search over scanned neighbours."""
+    def extend(path):
+        if len(path) == length:
+            return path
+        for nxt in _scanned_neighbors(topo, path[-1]):
+            if nxt not in path:
+                found = extend(path + [nxt])
+                if found is not None:
+                    return found
+        return None
+
+    return next(filter(None, (extend([start]) for start in range(topo.num_qubits))), None)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_neighbors_are_the_coupling_scan(seed):
+    """The neighbour lists built once equal a scan of the couplings, on
+    random devices whose couplings repeat in both directions."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 12)
+    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
+    chosen = rng.sample(pairs, rng.randint(0, len(pairs)))
+    topo = DeviceTopology(n, tuple(chosen + rng.sample(chosen, len(chosen) // 2)))
+    for q in range(-1, n + 2):
+        assert topo.neighbors(q) == _scanned_neighbors(topo, q)
+
+
+def test_embed_path_on_the_ladder_is_the_scan_search(ladder20):
+    for n in range(2, 21):
+        assert embed_path(ladder20, n) == _scanned_path(ladder20, n)
 
 
 def test_topology_invariants():

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 
 import numpy as np
@@ -13,6 +14,7 @@ from noisekit.circuit import Circuit, DeviceTopology, cnot, h, identity, measure
 from noisekit.devices import jittered_truth, ladder20, line
 from noisekit.errors import TooWide
 from noisekit.noise import CompositeNoiseModel, ReadoutModel
+from noisekit.outcomes import Counts
 from noisekit.rng import generator
 from noisekit.simulator import (
     MAX_QUBITS,
@@ -552,6 +554,24 @@ def test_hidden_classes_across_blocks(width):
     assert len(carried) > per_block
     for strength in HIDDEN_CASES[1:]:
         _assert_laws_are_one_by_one_laws(circuits, truth, strength)
+
+
+@pytest.mark.parametrize("bits", [0, 1, 3, 10])
+def test_a_draw_is_its_checked_counts(bits):
+    """A draw's counts, built without the count checks, equal the checked
+    counts of the same draw from a copy of the generator."""
+    rng = np.random.default_rng(bits)
+    for shots in (1, 7, 4096):
+        sampler = TrajectorySampler.__new__(TrajectorySampler)
+        law = rng.random(1 << bits) * (rng.random(1 << bits) < 0.5)
+        law[rng.integers(1 << bits)] += 0.1
+        sampler.law = law / law.sum()
+        twin = copy.deepcopy(rng)
+        got = sampler.sample(shots, rng)
+        draws = twin.multinomial(shots, sampler.law)
+        seen = np.flatnonzero(draws)
+        assert got == Counts.from_arrays(bits, seen, draws[seen], shots)
+        assert got.num_bits == bits and got.indices.dtype == got.values.dtype == np.int64
 
 
 def test_the_qpu_suite_compiles_each_shape_once(monkeypatch):
