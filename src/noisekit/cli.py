@@ -10,7 +10,7 @@ import argparse
 import hashlib
 import json
 import math
-import os
+import re
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -30,7 +30,7 @@ from .characterization import (
 )
 from .circuit import DeviceTopology
 from .errors import ConfigError, NoisekitError, ParseError, write_json_file
-from .estimation import FitConfig, fit_composite
+from .estimation import fit_composite
 from .evaluation import (
     MAX_RESAMPLES,
     MAX_SIM_SHOTS,
@@ -64,7 +64,7 @@ def _predicted_accuracy(circuit, model, secret: str, shots: int, rng) -> float:
 
 
 def _out_dir(args) -> Path:
-    out = Path(args.out or os.environ.get("NOISEKIT_OUT", "."))
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -78,31 +78,35 @@ def _make_backend(spec: str, topo: DeviceTopology):
     raise ConfigError(f"backend must be mock:<truth.json> or file:<archive.json>, got {spec!r}")
 
 
-def _parse_app(spec: str, topo: DeviceTopology) -> list:
-    """Parse ghz:<n>, ghz:<a>..<b>, or bv:<secret>@<d1,d2,...>/<oracle>; an
-    app the builders reject for this device is a usage error."""
+# The app grammar; every number is an ASCII decimal.
+_APP = re.compile(r"ghz:(?P<lo>[0-9]+)(?:\.\.(?P<hi>[0-9]+))?"
+                  r"|bv:(?P<secret>[01]+)@(?P<data>[0-9]+(?:,[0-9]+)*)/(?P<oracle>[0-9]+)")
+_APP_FORMS = "ghz:<n>, ghz:<a>..<b> or bv:<secret>@<d1,d2,...>/<oracle>"
+
+
+def _parse_app(spec: str) -> re.Match:
+    app = _APP.fullmatch(spec)
+    if app is None and spec.startswith(("ghz:", "bv:")):
+        raise ConfigError(f"bad app spec {spec!r}; expected {_APP_FORMS}")
+    if app is None:
+        raise ConfigError(f"unknown app spec {spec!r}")
+    return app
+
+
+def _app_circuits(app: re.Match, topo: DeviceTopology) -> list:
+    """The app's circuits; one the builders reject for this device is a usage error."""
+    lo, hi = app["lo"], app["hi"] or app["lo"]
+    if lo and int(hi) < int(lo):
+        raise ConfigError(f"empty ghz size range in {app.string!r}")
     try:
-        if spec.startswith("ghz:"):
-            lo, _, hi = spec[4:].partition("..")
-            sizes = range(int(lo), int(hi or lo) + 1)
-            if not sizes:
-                raise ConfigError(f"empty ghz size range in {spec!r}")
-            return [build_ghz(n, topo) for n in sizes]
-        if spec.startswith("bv:"):
-            secret, rest = spec[3:].split("@")
-            data_text, oracle_text = rest.split("/")
-            data = [int(tok) for tok in data_text.split(",")]
-            return [build_bv(secret, data, int(oracle_text), topo)]
-    except ConfigError:
-        raise
+        if app["secret"]:
+            data = [int(d) for d in app["data"].split(",")]
+            return [build_bv(app["secret"], data, int(app["oracle"]), topo)]
+        return [build_ghz(n, topo) for n in range(int(lo), int(hi) + 1)]
     except NoisekitError as exc:
-        raise ConfigError(f"{spec}: {exc}") from exc
+        raise ConfigError(f"{app.string}: {exc}") from exc
     except ValueError as exc:
-        raise ConfigError(
-            f"bad app spec {spec!r} ({exc}); expected ghz:<n>, ghz:<a>..<b> "
-            "or bv:<secret>@<d1,d2,...>/<oracle>"
-        ) from exc
-    raise ConfigError(f"unknown app spec {spec!r}")
+        raise ConfigError(f"bad app spec {app.string!r} ({exc}); expected {_APP_FORMS}") from exc
 
 
 def _check_in_register(qubits, topo: DeviceTopology, what: str) -> None:
@@ -153,13 +157,8 @@ def cmd_characterize(args) -> int:
 
 def cmd_fit(args) -> int:
     data, records = read_archive(args.archive)
-    config = FitConfig(
-        variant=args.flags,
-        granularity=args.granularity,
-        subset=args.subset,
-        provenance=content_hash(data),
-    )
-    fit = fit_composite(records, config)
+    fit = fit_composite(records, args.flags, granularity=args.granularity, subset=args.subset,
+                        provenance=content_hash(data))
     out = _out_dir(args)
     name = args.name or f"model-{args.flags.replace('+', '_')}-{args.granularity}"
     model_path = out / f"{name}.json"
@@ -173,26 +172,28 @@ def cmd_fit(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    if args.select != (args.threshold is not None):
-        raise ConfigError("--select and --threshold go together (the bound is user-defined)")
-    if (args.exact or args.scaling) and len(args.model) > 1:
-        raise ConfigError("--exact and --scaling score one model; "
+    app = _parse_app(args.app)
+    scaling = app["hi"] is not None  # a ghz:<a>..<b> app is the scaling report
+    # --threshold's domain is (0, 1], so a given one is true
+    modes = [f"--{mode}" for mode in ("compare", "exact", "threshold") if getattr(args, mode)]
+    modes += [f"--app {args.app}"] * scaling
+    if len(modes) > 1:
+        raise ConfigError(f"{' and '.join(modes)} are different modes; give one")
+    if (args.exact or scaling) and len(args.model) > 1:
+        raise ConfigError("--exact and a ghz:<a>..<b> app score one model; "
                           f"got {len(args.model)} --model flags")
-    if args.exact and args.app.startswith("bv:"):
+    if args.exact and app["secret"]:
         raise ConfigError("--exact scores a ghz app; it does not combine with bv apps")
     topo = DeviceTopology.load(args.device)
     backend = _make_backend(args.backend, topo)
-    circuits = _parse_app(args.app, topo)
-    if len(circuits) > 1 and not args.scaling:
-        raise ConfigError("multi-instance app specs (ghz:a..b) require --scaling")
+    circuits = _app_circuits(app, topo)
     models = [(Path(path).stem, CompositeNoiseModel.load(path)) for path in args.model]
 
     out = _out_dir(args)
     counts_list = backend.run(circuits, args.shots, args.seed)
     runs = [ApplicationRun(c, counts) for c, counts in zip(circuits, counts_list)]
     # one model on a bv app is a single prediction draw: nothing is resampled
-    bv_prediction = args.app.startswith("bv:") and len(models) == 1 and not (
-        args.compare or args.select or args.scaling)
+    bv_prediction = app["secret"] and len(models) == 1 and not (args.compare or args.threshold)
     meta = _meta(
         {"command": "evaluate", "device": args.device, "backend": args.backend,
          "app": args.app, "models": [m[0] for m in models], "shots": args.shots,
@@ -202,7 +203,7 @@ def cmd_evaluate(args) -> int:
     report: dict = {"meta": meta, "app": args.app}
     kwargs = dict(sim_shots=args.sim_shots, resamples=args.resamples, seed=args.seed)
 
-    if args.scaling:
+    if scaling:
         sc = scaling_report(runs, models[0][1], **kwargs)
         write_scaling_csv(out / "scaling.csv", sc)
         report["scaling"] = {
@@ -212,7 +213,7 @@ def cmd_evaluate(args) -> int:
         }
         print(f"scaling over n={sc.rows[0].n}..{sc.rows[-1].n}: "
               f"cv(tvd/cnot) = {sc.cv_tvd_per_cnot:.4f} -> {out / 'scaling.csv'}")
-    elif args.select:
+    elif args.threshold is not None:
         sel = select_model(runs[0], models, args.threshold, **kwargs)
         report["selection"] = {
             "model_id": sel.model_id,
@@ -233,7 +234,7 @@ def cmd_evaluate(args) -> int:
     else:
         model_id, model = models[0]
         if bv_prediction:
-            secret = args.app[3:].split("@")[0]
+            secret = app["secret"]
             observed = bv_accuracy(runs[0], secret)
             predicted = _predicted_accuracy(runs[0].circuit, model, secret,
                                             args.sim_shots or args.shots,
@@ -280,14 +281,10 @@ def cmd_demo(args) -> int:
     print("-- fitting model family")
     fits = {}
     for variant in VARIANTS:
-        fits[variant] = fit_composite(records, FitConfig(variant=variant))
+        fits[variant] = fit_composite(records, variant)
         fits[variant].model.save(out / f"model-{variant.replace('+', '_')}.json")
-    fit_register = fit_composite(
-        records, FitConfig(variant="aro+dp", granularity=REGISTER_AVERAGE)
-    )
-    fit_2q = fit_composite(
-        records, FitConfig(variant="aro+dp", granularity=SUBSET_AVERAGE, subset=(0, 1))
-    )
+    fit_register = fit_composite(records, "aro+dp", granularity=REGISTER_AVERAGE)
+    fit_2q = fit_composite(records, "aro+dp", granularity=SUBSET_AVERAGE, subset=(0, 1))
     fit_register.model.save(out / "model-register-average.json")
     fit_2q.model.save(out / "model-2q-average.json")
 
@@ -429,7 +426,7 @@ def _characterize_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--subset", type=_QUBITS, default=None)
     p.add_argument("--hadamard-lengths", type=_LENGTHS, default=())
     p.add_argument("--archive-name", default="archive.json")
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_characterize)
 
 
@@ -439,26 +436,24 @@ def _fit_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--granularity", default=PER_ELEMENT, choices=GRANULARITIES)
     p.add_argument("--subset", type=_QUBITS, default=None)
     p.add_argument("--name", default=None)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_fit)
 
 
 def _evaluate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--device", required=True)
     p.add_argument("--backend", required=True)
-    p.add_argument("--app", required=True,
-                   help="ghz:<n> | ghz:<a>..<b> | bv:<secret>@<d1,...>/<oracle>")
+    p.add_argument("--app", required=True, help=f"{_APP_FORMS}; a range is the scaling report")
     p.add_argument("--model", action="append", required=True)
     p.add_argument("--shots", type=_COUNT, default=8192)
     p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--resamples", type=_RESAMPLES, default=100)
     p.add_argument("--sim-shots", type=_number(int, 1, MAX_SIM_SHOTS), default=None)
     p.add_argument("--threshold", type=_number(float, 0, 1, lo_open=True), default=None,
-                   help="TVD bound of --select")
-    mode = p.add_mutually_exclusive_group()
-    for flag in ("--compare", "--select", "--scaling", "--exact"):
-        mode.add_argument(flag, action="store_true")
-    p.add_argument("--out", default=None)
+                   help="select the first --model, in order, whose TVD meets this bound")
+    for flag in ("--compare", "--exact"):
+        p.add_argument(flag, action="store_true")
+    p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_evaluate)
 
 
@@ -472,7 +467,7 @@ def _demo_arguments(p: argparse.ArgumentParser) -> None:
                    help="state-dependent hidden readout strength")
     # ladder20's longest path has 20 qubits
     p.add_argument("--max-ghz", type=_number(int, 2, 20), default=10)
-    p.add_argument("--out", default=None)
+    p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_demo)
 
 

@@ -494,24 +494,6 @@ def fit_pcnot(
 # -- composite orchestration ----------------------------------------------------
 
 @dataclass(frozen=True)
-class FitConfig:
-    variant: str = "aro+dp"
-    granularity: str = PER_ELEMENT
-    subset: tuple[int, ...] | None = None
-    provenance: str = ""
-
-    def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {self.variant!r}; pick from {sorted(VARIANTS)}")
-        if self.granularity == SUBSET_AVERAGE and not self.subset:
-            raise ConfigError("subset_average fitting requires a nonempty subset")
-        if self.subset is not None and self.granularity != SUBSET_AVERAGE:
-            raise ConfigError("a subset applies only to subset_average fitting")
-        if self.subset and (min(self.subset) < 0 or len(set(self.subset)) < len(self.subset)):
-            raise ConfigError(f"subset {self.subset} has a negative or repeated qubit")
-
-
-@dataclass(frozen=True)
 class CompositeFit:
     model: CompositeNoiseModel
     estimates: dict[str, EstimationResult] = field(default_factory=dict)
@@ -537,18 +519,28 @@ def _once(key: tuple, fit, records: Records, *args):
     return records._fits[key]
 
 
-def fit_composite(records: Records, config: FitConfig) -> CompositeFit:
+def fit_composite(records: Records, variant: str = "aro+dp", *, granularity: str = PER_ELEMENT,
+                  subset: tuple[int, ...] | None = None, provenance: str = "") -> CompositeFit:
     """Compose a noise model from a table of characterization records.
 
     Per qubit: p0 from the init test and (p1, p_x) from the X/XX system.
     Per coupling: p_cnot refit against the variant's own readout model, so
     e.g. the SRO+DP and ARO+DP depolarizing parameters differ. Averaged
-    granularities fit per element first and then average the parameters.
+    granularities fit per element first and then average the parameters;
+    only subset_average takes a subset. The settings are checked first.
     """
-    readout_mode, gate_dp = VARIANTS[config.variant]
-    if config.variant == "noiseless":
-        model = replace(CompositeNoiseModel.noiseless(), provenance=config.provenance)
-        return CompositeFit(model, {}, config.variant)
+    if variant not in VARIANTS:
+        raise ConfigError(f"unknown variant {variant!r}; pick from {sorted(VARIANTS)}")
+    if granularity == SUBSET_AVERAGE and not subset:
+        raise ConfigError("subset_average fitting requires a nonempty subset")
+    if subset is not None and granularity != SUBSET_AVERAGE:
+        raise ConfigError("a subset applies only to subset_average fitting")
+    if subset and (min(subset) < 0 or len(set(subset)) < len(subset)):
+        raise ConfigError(f"subset {subset} has a negative or repeated qubit")
+    readout_mode, gate_dp = VARIANTS[variant]
+    if variant == "noiseless":
+        model = replace(CompositeNoiseModel.noiseless(), provenance=provenance)
+        return CompositeFit(model, {}, variant)
 
     # the table's index gives each qubit's rows; the Bell rows by their
     # coupling as recorded, and the Hadamard trains by qubit; what the fit
@@ -561,9 +553,9 @@ def fit_composite(records: Records, config: FitConfig) -> CompositeFit:
         if kind == "hseq":
             trains.setdefault(qubit, []).append(row)
     couplings = sorted(bells)
-    if config.subset:
-        qubits = sorted(config.subset)
-        couplings = [c for c in couplings if c[0] in config.subset and c[1] in config.subset]
+    if subset:
+        qubits = sorted(subset)
+        couplings = [c for c in couplings if c[0] in subset and c[1] in subset]
     else:
         qubits = sorted({q for kind, q, _ in index if kind in ("init", "x", "xx")} | trains.keys()
                         | {q for c in couplings for q in c})
@@ -609,8 +601,9 @@ def fit_composite(records: Records, config: FitConfig) -> CompositeFit:
     h_map, cnot_map = {}, {}
     if gate_dp:
         rows = [i for i, q in enumerate(qubits) if q in trains]
-        fits = _once(("hseq", key, readout_mode), _hadamard_fits, records,
-                     [trains[qubits[i]] for i in rows], *rates[:, rows])
+        # a suite planned without Hadamard trains has no Hadamard family
+        fits = rows and _once(("hseq", key, readout_mode), _hadamard_fits, records,
+                              [trains[qubits[i]] for i in rows], *rates[:, rows])
         estimates.update((fit.result.name, fit.result) for fit in fits)
         h_map = {qubits[i]: fit.result.value
                  for i, fit in zip(rows, fits) if fit.include_in_model}
@@ -625,18 +618,17 @@ def fit_composite(records: Records, config: FitConfig) -> CompositeFit:
         estimates.update((r.name, r) for r in pcnot_fits)
         cnot_map = {c: r.value for c, r in zip(couplings, pcnot_fits)}
 
-    if config.granularity == PER_ELEMENT:
+    if granularity == PER_ELEMENT:
         readout = {q: ReadoutModel(*r) for q, r in zip(qubits, rates.T.tolist())}
         elements = dict(readout=readout if readout_on else {}, x_gate=x_map, h_gate=h_map,
                         cnot=cnot_map)
     else:
         # the readout rows are zeros when readout is off
         mean = lambda values: float(np.mean(list(values))) if len(values) else 0.0
-        elements = dict(subset=tuple(qubits) if config.subset else None,
+        elements = dict(subset=tuple(qubits) if subset else None,
                         avg_readout=ReadoutModel(*map(mean, rates.tolist())),
                         avg_x=mean(x_map.values()), avg_h=mean(h_map.values()),
                         avg_cnot=mean(cnot_map.values()))
-    model = CompositeNoiseModel(granularity=config.granularity, readout_on=readout_on,
-                                cnot_dp_on=gate_dp, provenance=config.provenance,
-                                **elements)
-    return CompositeFit(model, estimates, config.variant)
+    model = CompositeNoiseModel(granularity=granularity, readout_on=readout_on,
+                                cnot_dp_on=gate_dp, provenance=provenance, **elements)
+    return CompositeFit(model, estimates, variant)

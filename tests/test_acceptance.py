@@ -31,7 +31,6 @@ from noisekit.cli import main
 from noisekit.devices import line, uniform_truth
 from noisekit.errors import write_json_file
 from noisekit.estimation import (
-    FitConfig,
     estimate_p0,
     fit_composite,
     fit_pcnot,
@@ -180,7 +179,7 @@ def test_criterion_04_statistical_roundtrip():
         for seed in range(seeds):
             plan = build_suite(topo, shots=8192, seed=seed)
             records = run_suite(plan, backend)
-            fit = fit_composite(records, FitConfig(variant="aro+dp"))
+            fit = fit_composite(records, "aro+dp")
             for name, res in fit.estimates.items():
                 target = PAPER_AVG[name.split(":")[0]]
                 ok = abs(res.value - target) <= 3 * res.stderr
@@ -203,7 +202,7 @@ def test_criterion_05_model_family_ordering():
         plan = build_suite(topo, shots=8192, seed=1)
         records = run_suite(plan, backend)
         models = [
-            (v, fit_composite(records, FitConfig(variant=v)).model)
+            (v, fit_composite(records, v).model)
             for v in ("noiseless", "sro", "aro", "dp", "sro+dp", "aro+dp")
         ]
         bell_circ = materialize(TestKind("bell", coupling=(0, 1)))
@@ -228,7 +227,7 @@ def test_criterion_06_composite_improvement():
         backend = MockBackend(topo, MockGroundTruth(truth))
         plan = build_suite(topo, shots=8192, seed=11)
         records = run_suite(plan, backend)
-        spatial = fit_composite(records, FitConfig(variant="aro+dp")).model
+        spatial = fit_composite(records, "aro+dp").model
         circuit = build_ghz(8, topo)
         run = ApplicationRun(circuit, backend.run([circuit], 8192, 12)[0])
         models = [("spatial", spatial), ("noiseless", CompositeNoiseModel.noiseless())]
@@ -246,7 +245,7 @@ def test_criterion_07_scaling_flatness():
         backend = MockBackend(topo, MockGroundTruth(truth))
         plan = build_suite(topo, shots=8192, seed=4)
         records = run_suite(plan, backend)
-        spatial = fit_composite(records, FitConfig(variant="aro+dp")).model
+        spatial = fit_composite(records, "aro+dp").model
         circuits = [build_ghz(n, topo) for n in range(2, 11)]
         counts = backend.run(circuits, 8192, 5)
         runs = [ApplicationRun(c, k) for c, k in zip(circuits, counts)]
@@ -275,7 +274,7 @@ def test_criterion_08_bv_correctness_and_gap():
                                 hidden_readout_strength=0.04)
         backend = MockBackend(star, truth)
         plan = build_suite(star, shots=8192, seed=42)
-        fit = fit_composite(run_suite(plan, backend), FitConfig(variant="aro+dp"))
+        fit = fit_composite(run_suite(plan, backend), "aro+dp")
         observed_counts = backend.run(circuits, 100_000, child_seed(42, 100))
         for secret, circuit, counts in zip(secrets, circuits, observed_counts):
             observed = bv_accuracy(ApplicationRun(circuit, counts), secret)

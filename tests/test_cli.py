@@ -167,7 +167,7 @@ def test_evaluate_scaling_csv(setup):
     model = tmp_path / "run" / "model-aro_dp-per_element.json"
     code = main([
         "evaluate", "--device", str(device), "--backend", f"mock:{truth}",
-        "--app", "ghz:2..4", "--scaling", "--model", str(model),
+        "--app", "ghz:2..4", "--model", str(model),
         "--shots", "2048", "--seed", "5", "--resamples", "10",
         "--out", str(tmp_path / "eval"),
     ])
@@ -211,20 +211,6 @@ def test_evaluate_bv_prediction_draws_sim_shots(setup):
         assert report["meta"]["config"]["resamples"] is None
 
 
-def test_evaluate_select_requires_threshold(setup, capsys):
-    tmp_path, device, truth = setup
-    archive = _characterize(tmp_path, device, truth)
-    main(["fit", "--archive", str(archive), "--out", str(tmp_path / "run")])
-    model = tmp_path / "run" / "model-aro_dp-per_element.json"
-    code = main([
-        "evaluate", "--device", str(device), "--backend", f"mock:{truth}",
-        "--app", "ghz:3", "--model", str(model), "--select",
-        "--out", str(tmp_path / "eval"),
-    ])
-    assert code == 2
-    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
-
-
 def test_evaluate_select_walks_ladder(setup):
     tmp_path, device, truth = setup
     archive = _characterize(tmp_path, device, truth)
@@ -236,7 +222,7 @@ def test_evaluate_select_walks_ladder(setup):
         "--app", "ghz:4",
         "--model", str(tmp_path / "run" / "model-sro-per_element.json"),
         "--model", str(tmp_path / "run" / "model-aro_dp-per_element.json"),
-        "--select", "--threshold", "0.08", "--shots", "2048", "--seed", "3",
+        "--threshold", "0.08", "--shots", "2048", "--seed", "3",
         "--resamples", "20", "--out", str(tmp_path / "eval"),
     ])
     assert code == 0
@@ -262,6 +248,64 @@ def test_evaluate_compare_ranking(setup):
     report = json.loads((tmp_path / "eval" / "report.json").read_text())
     ranking = [r["model_id"] for r in report["ranking"]]
     assert ranking[0] == "model-aro_dp-per_element"
+
+
+@pytest.mark.parametrize("app, extra, key", [
+    ("ghz:3", [], "score"),
+    ("ghz:3", ["--exact"], "score"),
+    ("ghz:2..3", [], "scaling"),
+    ("ghz:3..3", [], "scaling"),
+    ("ghz:3", ["--threshold", "0.5"], "selection"),
+    ("ghz:3", ["--threshold", "0.5", "--model", "TWO"], "selection"),
+    ("ghz:3", ["--compare"], "ranking"),
+    ("ghz:3", ["--model", "TWO"], "ranking"),
+    ("bv:1@0/1", [], "bv"),
+    ("bv:1@0/1", ["--compare"], "ranking"),
+    ("bv:1@0/1", ["--threshold", "0.5"], "selection"),
+])
+def test_evaluate_mode_follows_inputs(setup, app, extra, key):
+    """The app and the flags given pick the one report an evaluation
+    writes: a ghz:<a>..<b> app is the scaling report, --threshold selects,
+    --compare or several models rank, and one model scores or, on a bv:
+    app, predicts the secret's accuracy."""
+    tmp_path, device, truth = setup
+    argv = _evaluate_argv(tmp_path, device, truth, app=app)
+    CompositeNoiseModel.noiseless().save(tmp_path / "two.json")
+    extra = [str(tmp_path / "two.json") if arg == "TWO" else arg for arg in extra]
+    out = tmp_path / "eval"
+    assert main([*argv, *extra, "--resamples", "2", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert set(report) == {"meta", "app", key}
+    assert "select" not in report["meta"]["config"]
+    assert "scaling" not in report["meta"]["config"]
+
+
+@pytest.mark.parametrize("app, extra, named", [
+    ("ghz:3", ["--compare", "--exact"], "--compare and --exact"),
+    ("ghz:3", ["--exact", "--threshold", "0.5"], "--exact and --threshold"),
+    ("ghz:2..3", ["--compare"], "--compare and --app ghz:2..3"),
+    ("ghz:2..3", ["--compare", "--threshold", "0.5"], "--compare and --threshold and --app"),
+])
+def test_conflicting_modes_are_named(setup, capsys, app, extra, named):
+    tmp_path, device, truth = setup
+    argv = _evaluate_argv(tmp_path, device, truth, app=app)
+    assert main([*argv, *extra, "--out", str(tmp_path / "o")]) == 2
+    assert named in json.loads(capsys.readouterr().err)["message"]
+
+
+def test_out_defaults_to_the_working_directory(setup, monkeypatch):
+    """Without --out a command writes into the working directory, whatever
+    the environment holds."""
+    tmp_path, device, truth = setup
+    archive = _characterize(tmp_path, device, truth, shots="64")
+    here = tmp_path / "here"
+    here.mkdir()
+    monkeypatch.chdir(here)
+    monkeypatch.setenv("NOISEKIT_OUT", str(tmp_path / "env"))
+    assert main(["fit", "--archive", str(archive)]) == 0
+    assert sorted(p.name for p in here.iterdir()) == [
+        "model-aro_dp-per_element.diagnostics.json", "model-aro_dp-per_element.json"]
+    assert not (tmp_path / "env").exists()
 
 
 def test_characterize_byte_stable_modulo_meta(setup):
@@ -518,6 +562,12 @@ def _evaluate_without_model(tmp_path, device, truth):
     return argv[:cut] + argv[cut + 2:]
 
 
+def _replayed_at_other_shots(tmp_path, device, truth):
+    """`characterize` replayed from a 2048-shot archive at 64 shots."""
+    archive = _characterize(tmp_path, device, truth)
+    return _characterize_argv(tmp_path, device, truth, "--backend", f"file:{archive}")
+
+
 def _out_is_a_file(tmp_path, device, truth):
     (tmp_path / "o").write_text("not a directory")
     return _characterize_argv(tmp_path, device, truth)
@@ -528,6 +578,21 @@ MALFORMED_INPUTS = {
     "app-ghz-range": (lambda t, d, tr: _evaluate_argv(t, d, tr, app="ghz:2..x"), "ConfigError"),
     "app-bv-data": (lambda t, d, tr: _evaluate_argv(t, d, tr, app="bv:10@0,x/1"), "ConfigError"),
     "app-bv-oracle": (lambda t, d, tr: _evaluate_argv(t, d, tr, app="bv:10@0,2/y"), "ConfigError"),
+    # every number of an app spec is an ASCII decimal, and a range has both ends
+    "app-ghz-open-range": (lambda t, d, tr: _evaluate_argv(t, d, tr, app="ghz:2.."),
+                           "ConfigError"),
+    "app-ghz-underscore": (lambda t, d, tr: _evaluate_argv(t, d, tr, app="ghz:0_3"),
+                           "ConfigError"),
+    "app-ghz-plus": (lambda t, d, tr: _evaluate_argv(t, d, tr, app="ghz:+3"), "ConfigError"),
+    "app-ghz-space": (lambda t, d, tr: _evaluate_argv(t, d, tr, app="ghz: 3"), "ConfigError"),
+    "app-bv-data-underscore": (lambda t, d, tr: _evaluate_argv(t, d, tr, app="bv:1@0_0/1"),
+                               "ConfigError"),
+    "app-ghz-empty-range": (lambda t, d, tr: _evaluate_argv(t, d, tr, app="ghz:5..3"),
+                            "ConfigError"),
+    "app-unknown-kind": (lambda t, d, tr: _evaluate_argv(t, d, tr, app="foo:3"), "ConfigError"),
+    "backend-unknown-kind": (lambda t, d, tr: _characterize_argv(t, d, tr, "--backend", "qpu:x"),
+                             "ConfigError"),
+    "file-backend-shots-mismatch": (_replayed_at_other_shots, "ParseError"),
     "subset-token": (lambda t, d, tr: _characterize_argv(t, d, tr, "--subset", "0,x"),
                      "ConfigError"),
     "device-self-loop": (_self_loop_device, "ParseError"),
@@ -605,10 +670,10 @@ MALFORMED_INPUTS = {
                         "ConfigError"),
     "exact-compare": (lambda t, d, tr: [*_evaluate_argv(t, d, tr), "--exact", "--compare"],
                       "ConfigError"),
-    "exact-select": (lambda t, d, tr: [*_evaluate_argv(t, d, tr), "--exact", "--select",
+    "exact-select": (lambda t, d, tr: [*_evaluate_argv(t, d, tr), "--exact",
                                        "--threshold", "0.5"], "ConfigError"),
-    "exact-scaling": (lambda t, d, tr: [*_evaluate_argv(t, d, tr, app="ghz:2..3"), "--exact",
-                                        "--scaling"], "ConfigError"),
+    "exact-scaling": (lambda t, d, tr: [*_evaluate_argv(t, d, tr, app="ghz:2..3"), "--exact"],
+                      "ConfigError"),
     "exact-two-models": (lambda t, d, tr: [*_evaluate_argv(t, d, tr), "--exact",
                                            "--model", str(t / "model.json")], "ConfigError"),
     "exact-bv": (lambda t, d, tr: [*_evaluate_argv(t, d, tr, app="bv:1@0/1"), "--exact"],
@@ -624,14 +689,19 @@ MALFORMED_INPUTS = {
     "fit-without-archive": (lambda t, d, tr: ["fit"], "ConfigError"),
     "evaluate-without-model": (_evaluate_without_model, "ConfigError"),
     "demo-unknown": (lambda t, d, tr: ["demo", "other", "--shots", "64"], "ConfigError"),
-    "compare-scaling": (lambda t, d, tr: [*_evaluate_argv(t, d, tr), "--compare", "--scaling"],
-                        "ConfigError"),
-    "select-compare": (lambda t, d, tr: [*_evaluate_argv(t, d, tr), "--select", "--compare",
+    "compare-scaling": (lambda t, d, tr: [*_evaluate_argv(t, d, tr, app="ghz:2..3"),
+                                          "--compare"], "ConfigError"),
+    "select-compare": (lambda t, d, tr: [*_evaluate_argv(t, d, tr), "--compare",
                                          "--threshold", "0.5"], "ConfigError"),
-    "threshold-zero": (lambda t, d, tr: [*_evaluate_argv(t, d, tr), "--select",
-                                         "--threshold", "0"], "ConfigError"),
-    "threshold-without-select": (lambda t, d, tr: [*_evaluate_argv(t, d, tr),
-                                                   "--threshold", "0.5"], "ConfigError"),
+    "threshold-zero": (lambda t, d, tr: [*_evaluate_argv(t, d, tr), "--threshold", "0"],
+                       "ConfigError"),
+    "threshold-with-range": (lambda t, d, tr: [*_evaluate_argv(t, d, tr, app="ghz:2..3"),
+                                               "--threshold", "0.5"], "ConfigError"),
+    # --threshold alone selects, and a ghz:<a>..<b> app is the scaling report
+    "evaluate-select-removed": (lambda t, d, tr: [*_evaluate_argv(t, d, tr), "--select",
+                                                  "--threshold", "0.5"], "ConfigError"),
+    "evaluate-scaling-removed": (lambda t, d, tr: [*_evaluate_argv(t, d, tr, app="ghz:2..3"),
+                                                   "--scaling"], "ConfigError"),
     "archive-directory": (lambda t, d, tr: ["fit", "--archive", str(t)], "IsADirectoryError"),
     "device-directory": (lambda t, d, tr: _characterize_argv(t, t, tr), "IsADirectoryError"),
     "out-existing-file": (_out_is_a_file, "FileExistsError"),
@@ -641,8 +711,7 @@ MALFORMED_INPUTS = {
     "app-ghz-wider-than-device": (lambda t, d, tr: _evaluate_argv(t, d, tr, app="ghz:5"),
                                   "ConfigError"),
     "scaling-two-models": (lambda t, d, tr: [*_evaluate_argv(t, d, tr, app="ghz:2..3"),
-                                             "--scaling", "--model", str(t / "model.json")],
-                           "ConfigError"),
+                                             "--model", str(t / "model.json")], "ConfigError"),
     "app-bv-secret-wider-than-data": (lambda t, d, tr: _evaluate_argv(t, d, tr, app="bv:10@0/1"),
                                       "ConfigError"),
     "archive-label-not-a-string": (_entry_edit("x:q0", lambda e: e.update(label=7)),

@@ -37,7 +37,6 @@ from noisekit.errors import (
 from noisekit.estimation import (
     BELL_OUTCOMES,
     EstimationResult,
-    FitConfig,
     _bell_line,
     binomial_stderr,
     estimate_hadamard_error,
@@ -787,7 +786,7 @@ def test_clamping_never_alters_feasible_solutions():
 def test_fit_composite_roundtrip(line4, mock_backend):
     plan = build_suite(line4, shots=8192, seed=101)
     records = run_suite(plan, mock_backend)
-    fit = fit_composite(records, FitConfig(variant="aro+dp"))
+    fit = fit_composite(records, "aro+dp")
     truth = {"p0": 0.0212, "p1": 0.0681, "p_x": 0.0033, "p_cnot": 0.02}
     for name, res in fit.estimates.items():
         target = truth[name.split(":")[0]]
@@ -813,7 +812,7 @@ def test_fit_composite_stderr_uses_each_records_shots():
                     else TestKind(test, qubit=qubit))
             rows.append((kind, {k: v * scale for k, v in counts.items()}, 1024 * scale))
     rows.append((BELL_KIND, {"00": 480, "01": 32, "10": 40, "11": 472}, 1024))
-    fit = fit_composite(records_of(rows), FitConfig(variant="aro+dp"))
+    fit = fit_composite(records_of(rows), "aro+dp")
     for param in ("p0", "p1", "p_x", "p_h"):
         q0, q1 = fit.estimates[f"{param}:q0"], fit.estimates[f"{param}:q1"]
         assert q1.value == q0.value
@@ -821,7 +820,7 @@ def test_fit_composite_stderr_uses_each_records_shots():
 
 
 def test_fit_composite_noiseless():
-    fit = fit_composite([], FitConfig(variant="noiseless"))
+    fit = fit_composite([], "noiseless")
     assert fit.model.x_for(0) == 0.0
     assert not fit.model.readout_on and not fit.model.cnot_dp_on
 
@@ -830,28 +829,33 @@ def test_fit_composite_noiseless():
 @pytest.mark.parametrize("subset", [(0, 1), ()])
 def test_fit_config_takes_a_subset_only_for_subset_average(granularity, subset):
     """A subset goes with subset_average and only with it, so no other
-    granularity can write a subset into its model or ignore it."""
+    granularity can write a subset into its model or ignore it. The
+    settings are checked before the table is read: a valid setting on an
+    empty table meets the table's missing coverage instead."""
     with pytest.raises(ConfigError):
-        FitConfig(granularity=granularity, subset=subset)
+        fit_composite(records_of([]), granularity=granularity, subset=subset)
     for empty in (None, ()):
         with pytest.raises(ConfigError):
-            FitConfig(granularity=SUBSET_AVERAGE, subset=empty)
-    assert FitConfig(granularity=SUBSET_AVERAGE, subset=(1, 0)).subset == (1, 0)
+            fit_composite(records_of([]), granularity=SUBSET_AVERAGE, subset=empty)
+    with pytest.raises(MissingCoverage):
+        fit_composite(records_of([]), granularity=SUBSET_AVERAGE, subset=(1, 0))
 
 
 @pytest.mark.parametrize("subset", [(-1, 0), (0, 0), (2, 1, 2)])
 def test_fit_config_rejects_a_negative_or_repeated_subset_qubit(subset):
     with pytest.raises(ConfigError, match="negative or repeated"):
-        FitConfig(granularity=SUBSET_AVERAGE, subset=subset)
+        fit_composite(records_of([]), granularity=SUBSET_AVERAGE, subset=subset)
+
+
+def test_fit_composite_rejects_an_unknown_variant_before_the_table():
+    with pytest.raises(ConfigError, match="unknown variant 'nope'"):
+        fit_composite(None, "nope")
 
 
 def test_fit_composite_subset_three_parameters(line4, mock_backend):
     plan = build_suite(line4, shots=8192, seed=55)
     records = run_suite(plan, mock_backend)
-    fit = fit_composite(
-        records,
-        FitConfig(variant="aro+dp", granularity="subset_average", subset=(0, 1)),
-    )
+    fit = fit_composite(records, "aro+dp", granularity="subset_average", subset=(0, 1))
     model = fit.model
     assert model.granularity == "subset_average"
     assert model.avg_readout is not None and model.avg_cnot is not None
@@ -864,7 +868,7 @@ def test_fit_composite_missing_bell_coverage(line4, mock_backend):
     plan = build_suite(line4, shots=1024, seed=5)
     records = rows_where(run_suite(plan, mock_backend), lambda t: t.kind != "bell")
     with pytest.raises(MissingCoverage) as err:
-        fit_composite(records, FitConfig(variant="aro+dp"))
+        fit_composite(records, "aro+dp")
     assert any("bell" in m for m in err.value.missing)
 
 
@@ -872,8 +876,8 @@ def test_fit_composite_sro_vs_aro_pcnot_differs(line4, mock_backend):
     """The depolarizing parameter is refit per readout variant."""
     plan = build_suite(line4, shots=8192, seed=77)
     records = run_suite(plan, mock_backend)
-    sro_dp = fit_composite(records, FitConfig(variant="sro+dp"))
-    aro_dp = fit_composite(records, FitConfig(variant="aro+dp"))
+    sro_dp = fit_composite(records, "sro+dp")
+    aro_dp = fit_composite(records, "aro+dp")
     assert sro_dp.model.cnot != aro_dp.model.cnot
     assert sro_dp.model.readout[0].is_symmetric
     assert not aro_dp.model.readout[0].is_symmetric
@@ -954,16 +958,15 @@ def test_stacked_fits_match_the_per_element_oracle(seed, ladder20):
         if variant == "noiseless":
             continue
         for subset in (None, (0, 2, 3, 5)):
-            config = FitConfig(variant=variant, subset=subset,
-                               granularity=SUBSET_AVERAGE if subset else PER_ELEMENT)
-            fit = fit_composite(records, config)
+            fit = fit_composite(records, variant, subset=subset,
+                                granularity=SUBSET_AVERAGE if subset else PER_ELEMENT)
             expected, include = fit_estimates(records, variant, subset)
             _assert_matches_oracle(fit, expected)
             if not subset and gate_dp:
                 assert set(fit.model.h_gate) == {q for q, keep in include.items() if keep}
 
     # the archive reached every regime it was built for
-    fit = fit_composite(records, FitConfig(variant="aro+dp"))
+    fit = fit_composite(records, "aro+dp")
     p_h = [r.value for n, r in fit.estimates.items() if n.startswith("p_h")]
     pcnot = [r for n, r in fit.estimates.items() if n.startswith("p_cnot")]
     assert 0.0 in p_h and 0.75 in p_h and any(0.0 < v < 0.75 for v in p_h)
@@ -1019,8 +1022,9 @@ def test_fit_composite_model_is_assembled_from_its_estimates(seed):
     for variant in VARIANTS:
         for granularity in GRANULARITIES:
             subset = (0, 2, 3, 5) if granularity == SUBSET_AVERAGE else None
-            config = FitConfig(variant, granularity, subset, provenance="p")
-            got = _flat(fit_composite(records, config).model.to_json_dict())
+            fit = fit_composite(records, variant, granularity=granularity, subset=subset,
+                                provenance="p")
+            got = _flat(fit.model.to_json_dict())
             if variant == "noiseless":
                 want = _flat(dict(CompositeNoiseModel.noiseless().to_json_dict(), provenance="p"))
             else:
@@ -1078,7 +1082,7 @@ def test_fit_composite_raises_what_the_per_element_fit_raises(variant, edits):
     with pytest.raises(Exception) as want:
         fit_estimates(records, variant)
     with pytest.raises(type(want.value)) as got:
-        fit_composite(records, FitConfig(variant=variant))
+        fit_composite(records, variant)
     assert str(got.value) == str(want.value)
     assert getattr(got.value, "diagnostics", None) == getattr(want.value, "diagnostics", None)
 
@@ -1098,7 +1102,7 @@ def test_archive_to_fit_builds_no_counts(tmp_path, line4, mock_backend, monkeypa
     monkeypatch.setattr(Counts, "from_arrays", refuse)
     _, records = read_archive(path)
     for variant in VARIANTS:
-        fit_composite(records, FitConfig(variant=variant))
+        fit_composite(records, variant)
 
 
 def test_fit_composite_fits_each_family_once(ladder20, monkeypatch):
@@ -1119,7 +1123,7 @@ def test_fit_composite_fits_each_family_once(ladder20, monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvals", forbidden)
     calls = _spied_isolation(monkeypatch)
 
-    fit = fit_composite(records, FitConfig(variant="aro+dp"))
+    fit = fit_composite(records, "aro+dp")
     # the derivative's exponents L - 1 and L/2 - 1 of lengths 2..16 and 2..32
     assert sorted((len(coef), exponents.tolist()) for (exponents, coef), _ in calls) == [
         (8, [0, 1, 3, 7, 15]), (12, [0, 1, 3, 7, 15, 31])]

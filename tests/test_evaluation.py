@@ -10,7 +10,7 @@ from noisekit.characterization import build_suite, run_suite
 from noisekit.devices import jittered_truth, line, uniform_truth
 from noisekit.circuit import Circuit, h, measure
 from noisekit.errors import ArityMismatch, ConfigError, EmptyLadder
-from noisekit.estimation import FitConfig, fit_composite
+from noisekit.estimation import fit_composite
 from noisekit.evaluation import (
     MAX_RESAMPLES,
     MAX_SIM_SHOTS,
@@ -374,7 +374,7 @@ def _fitted_variants(topo, truth, shots=8192, seed=11):
     plan = build_suite(topo, shots=shots, seed=seed)
     records = run_suite(plan, backend)
     return {
-        v: fit_composite(records, FitConfig(variant=v)).model
+        v: fit_composite(records, v).model
         for v in ("noiseless", "sro", "aro", "dp", "sro+dp", "aro+dp")
     }
 
@@ -460,7 +460,7 @@ def test_select_walks_ladder_on_mock_ghz():
     plan = build_suite(topo, shots=8192, seed=17)
     records = run_suite(plan, backend)
     ladder = [
-        (v, fit_composite(records, FitConfig(variant=v)).model)
+        (v, fit_composite(records, v).model)
         for v in ("sro", "aro", "sro+dp", "aro+dp")
     ]
     circuit = build_ghz(6, topo)

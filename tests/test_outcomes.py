@@ -14,7 +14,7 @@ from noisekit.characterization import (
 )
 from noisekit.circuit import Circuit, h, measure
 from noisekit.errors import write_json_file
-from noisekit.estimation import FitConfig, fit_composite
+from noisekit.estimation import fit_composite
 from noisekit.noise import CompositeNoiseModel
 from noisekit.outcomes import Counts, Distribution, check_counts
 from noisekit.rng import generator
@@ -289,7 +289,7 @@ def test_archive_and_model_files_do_not_depend_on_the_form(tmp_path):
     files = []
     for name, records in tables.items():
         write_json_file(tmp_path / f"{name}.json", archive_dict(plan, records))
-        fit_composite(records, FitConfig()).model.save(tmp_path / f"{name}-model.json")
+        fit_composite(records).model.save(tmp_path / f"{name}-model.json")
         files.append(((tmp_path / f"{name}.json").read_bytes(),
                       (tmp_path / f"{name}-model.json").read_bytes()))
     assert files[0] == files[1] == files[2]

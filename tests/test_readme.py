@@ -38,7 +38,7 @@ OPTIONS = {
                     "--archive-name --out",
     "fit": "--archive --flags --granularity --subset --name --out",
     "evaluate": "--device --backend --app --model --shots --seed --resamples --sim-shots "
-                "--threshold --compare --select --scaling --exact --out",
+                "--threshold --compare --exact --out",
     "demo": "--shots --seed --resamples --hidden --max-ghz --out",
 }
 
