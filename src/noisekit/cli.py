@@ -1,8 +1,8 @@
 """Command-line pipeline: characterize, fit, evaluate, demo.
 
 All randomness funnels through one --seed flag; every report embeds the
-config hash and seed, and timestamps are isolated to the meta block so
-fixed-seed reruns are byte-identical elsewhere.
+parsed options and their hash, and timestamps are isolated to the meta
+block so fixed-seed reruns are byte-identical elsewhere.
 """
 from __future__ import annotations
 
@@ -33,7 +33,6 @@ from .errors import ConfigError, NoisekitError, ParseError, write_json_file
 from .estimation import fit_composite
 from .evaluation import (
     MAX_RESAMPLES,
-    MAX_SIM_SHOTS,
     ApplicationRun,
     compare_models,
     scaling_report,
@@ -49,12 +48,15 @@ from .rng import DEMO_BELL, DEMO_BV, DEMO_GHZ, PREDICT, child_seed, generator
 from .simulator import TrajectorySampler
 
 
-def _meta(args_dict: dict) -> dict:
-    canonical = json.dumps(args_dict, sort_keys=True)
+def _meta(args, **config) -> dict:
+    """A report's meta block: its config is the command and every parsed
+    option but --out, as given unless `config` overrides it."""
+    config = {k: v for k, v in vars(args).items() if k not in ("out", "func")} | config
+    canonical = json.dumps(config, sort_keys=True)
     return {
         "created_at": datetime.now(timezone.utc).isoformat(),
         "config_hash": hashlib.sha256(canonical.encode()).hexdigest()[:16],
-        "config": args_dict,
+        "config": config,
     }
 
 
@@ -64,6 +66,8 @@ def _predicted_accuracy(circuit, model, secret: str, shots: int, rng) -> float:
 
 
 def _out_dir(args) -> Path:
+    """The output directory, made when a command first writes into it,
+    so a failed run leaves none behind."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -125,15 +129,11 @@ def cmd_characterize(args) -> int:
     backend = _make_backend(args.backend, topo)
     plan = build_suite(topo, subset=args.subset, hadamard_lengths=args.hadamard_lengths,
                        shots=args.shots, seed=args.seed)
-    out = _out_dir(args)
     records = run_suite(plan, backend)
     budget = count_experiments(plan)
-    meta = _meta(
-        {"command": "characterize", "device": args.device, "backend": args.backend,
-         "shots": args.shots, "seed": args.seed, "subset": args.subset,
-         "hadamard_lengths": args.hadamard_lengths}
-    )
-    archive_path = out / args.archive_name
+    meta = _meta(args)
+    out = _out_dir(args)
+    archive_path = out / "archive.json"
     write_json_file(archive_path, archive_dict(plan, records, meta=meta))
     write_json_file(
         out / "budget.json",
@@ -189,22 +189,17 @@ def cmd_evaluate(args) -> int:
     circuits = _app_circuits(app, topo)
     models = [(Path(path).stem, CompositeNoiseModel.load(path)) for path in args.model]
 
-    out = _out_dir(args)
     counts_list = backend.run(circuits, args.shots, args.seed)
     runs = [ApplicationRun(c, counts) for c, counts in zip(circuits, counts_list)]
     # one model on a bv app is a single prediction draw: nothing is resampled
     bv_prediction = app["secret"] and len(models) == 1 and not (args.compare or args.threshold)
-    meta = _meta(
-        {"command": "evaluate", "device": args.device, "backend": args.backend,
-         "app": args.app, "models": [m[0] for m in models], "shots": args.shots,
-         "seed": args.seed, "resamples": None if bv_prediction else args.resamples,
-         "sim_shots": args.sim_shots, "exact": args.exact, "threshold": args.threshold}
-    )
+    meta = _meta(args, resamples=None if bv_prediction else args.resamples)
     report: dict = {"meta": meta, "app": args.app}
-    kwargs = dict(sim_shots=args.sim_shots, resamples=args.resamples, seed=args.seed)
+    kwargs = dict(resamples=args.resamples, seed=args.seed)
 
     if scaling:
         sc = scaling_report(runs, models[0][1], **kwargs)
+        out = _out_dir(args)
         write_scaling_csv(out / "scaling.csv", sc)
         report["scaling"] = {
             "model_id": models[0][0],
@@ -227,7 +222,7 @@ def cmd_evaluate(args) -> int:
               f"threshold {args.threshold} {status} (tvd={sel.score.tvd:.5f})")
     elif args.compare or len(models) > 1:
         scores = compare_models(runs[0], models, **kwargs)
-        write_scores_csv(out / "scores.csv", scores)
+        write_scores_csv(_out_dir(args) / "scores.csv", scores)
         report["ranking"] = [s.to_json_dict() for s in scores]
         for s in scores:
             print(f"  {s.model_id:<28} tvd={s.tvd:.5f} +/- {s.tvd_stderr:.5f}")
@@ -236,8 +231,7 @@ def cmd_evaluate(args) -> int:
         if bv_prediction:
             secret = app["secret"]
             observed = bv_accuracy(runs[0], secret)
-            predicted = _predicted_accuracy(runs[0].circuit, model, secret,
-                                            args.sim_shots or args.shots,
+            predicted = _predicted_accuracy(runs[0].circuit, model, secret, args.shots,
                                             generator(args.seed, PREDICT))
             report["bv"] = {
                 "secret": secret,
@@ -252,7 +246,7 @@ def cmd_evaluate(args) -> int:
             report["score"] = score.to_json_dict()
             print(f"{model_id}: tvd={score.tvd:.5f} +/- {score.tvd_stderr:.5f} "
                   f"(per cnot {score.tvd_per_cnot:.5f})")
-    write_json_file(out / "report.json", report)
+    write_json_file(_out_dir(args) / "report.json", report)
     return 0
 
 
@@ -273,7 +267,7 @@ def cmd_demo(args) -> int:
     plan = build_suite(topo, shots=shots, seed=seed)
     records = run_suite(plan, backend)
     budget = count_experiments(plan)
-    meta = _meta({"command": "demo", "shots": shots, "seed": seed, "hidden": args.hidden})
+    meta = _meta(args)
     write_json_file(out / "archive.json", archive_dict(plan, records, meta=meta))
     print(f"   {budget.num_circuits} circuits, census {budget.total_shots} shots, "
           f"formula N_s(2q+2c+1) = {budget.formula_shots}")
@@ -425,7 +419,6 @@ def _characterize_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--subset", type=_QUBITS, default=None)
     p.add_argument("--hadamard-lengths", type=_LENGTHS, default=())
-    p.add_argument("--archive-name", default="archive.json")
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_characterize)
 
@@ -448,7 +441,6 @@ def _evaluate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--shots", type=_COUNT, default=8192)
     p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--resamples", type=_RESAMPLES, default=100)
-    p.add_argument("--sim-shots", type=_number(int, 1, MAX_SIM_SHOTS), default=None)
     p.add_argument("--threshold", type=_number(float, 0, 1, lo_open=True), default=None,
                    help="select the first --model, in order, whose TVD meets this bound")
     for flag in ("--compare", "--exact"):
@@ -499,7 +491,7 @@ def main(argv=None) -> int:
         if argv and argv[0] in COMMANDS:  # the parser build_parser makes for it, alone
             parser = _Parser(prog=f"noisekit {argv[0]}")
             COMMANDS[argv[0]][1](parser)
-            args = parser.parse_args(argv[1:])
+            args = parser.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
         else:
             args = build_parser().parse_args(argv)
         return args.func(args)

@@ -1,8 +1,8 @@
 """Model accuracy scoring by total variation distance, model-family
 comparison, threshold-driven selection, and per-cnot scaling analysis.
 
-Model predictions are sampled at the experiment's shot count by default so
-the finite-statistics TVD floor affects both sides symmetrically; exact
+Model predictions are sampled at the experiment's shot count so the
+finite-statistics TVD floor affects both sides symmetrically; exact
 channel-averaged scoring is available for narrow circuits. A sampled score
 draws its resamples as one multinomial count matrix on its (seed, SCORE)
 stream, in row blocks of about 2^16 counts, and takes every row's TVD in
@@ -23,11 +23,9 @@ from .outcomes import Counts, Distribution
 from .rng import SCORE, generator
 from .simulator import _BLOCK_COUNTS, TrajectorySampler, simulate_noisy_exact
 
-# Upper bounds of a sampled score's protocol, shared with the CLI's flags: a
-# resample costs 8 bytes of the score's value array, and a resample's shots
-# are numpy's int64 multinomial `n`.
+# Upper bound of a score's resamples, shared with the CLI's flags: a
+# resample costs 8 bytes of the score's value array.
 MAX_RESAMPLES = 10**6
-MAX_SIM_SHOTS = 2**63 - 1
 
 
 def tvd(a: Counts | Distribution, b: Counts | Distribution) -> float:
@@ -96,7 +94,6 @@ class ModelScore:
 def score_model(
     run: ApplicationRun,
     model: CompositeNoiseModel,
-    sim_shots: int | None = None,
     resamples: int = 100,
     seed: int = 0,
     exact: bool = False,
@@ -104,32 +101,30 @@ def score_model(
 ) -> ModelScore:
     """TVD between the run and the model's predictions.
 
-    Sampled mode draws `resamples` count sets of `sim_shots` each (default:
-    the experiment's own shot count) from the (seed, SCORE) stream, the same
-    for every score and shared with no mock-QPU run, and reports the mean
-    and spread of the TVD values. The count sets come as multinomial matrix
-    rows, in blocks of at most max(1, 2^16 >> m) rows for m measured bits;
-    the rows are exactly those of one draw per resample taken in turn.
+    Sampled mode draws `resamples` count sets of the run's shot count each
+    from the (seed, SCORE) stream, the same for every score and shared with
+    no mock-QPU run, and reports the mean and spread of the TVD values. The
+    count sets come as multinomial matrix rows, in blocks of at most
+    max(1, 2^16 >> m) rows for m measured bits; the rows are exactly those
+    of one draw per resample taken in turn.
     Exact mode compares against the channel-averaged distribution directly.
-    `resamples` must be in [1, MAX_RESAMPLES] in either mode, and `sim_shots`
-    in [1, MAX_SIM_SHOTS].
+    `resamples` must be in [1, MAX_RESAMPLES] in either mode. The score's
+    `sim_shots` is the draw size: the run's shots, or 0 when exact.
     """
     if not 1 <= resamples <= MAX_RESAMPLES:
         raise ConfigError(f"resamples must be in [1, {MAX_RESAMPLES}], got {resamples}")
-    if sim_shots is not None and not 1 <= sim_shots <= MAX_SIM_SHOTS:
-        raise ConfigError(f"sim_shots must be in [1, {MAX_SIM_SHOTS}], got {sim_shots}")
     cnots = run.circuit.cnot_count
     if exact:  # one value against the law itself: no resamples, no spread
         values = [tvd(run.counts, simulate_noisy_exact(run.circuit, model))]
         resamples = shots = 0
     else:
-        shots = sim_shots if sim_shots is not None else run.counts.shots
+        shots = run.counts.shots
         sampler = TrajectorySampler(run.circuit, model)
         # TVD = sum over outcomes of max(g_k - f_k, 0), the same as
         # 1 - sum_k min(f_k, g_k) but with no cancellation against 1: exactly
         # 0 for a draw equal to the run, and never negative
         run_freq = np.zeros(sampler.law.size)
-        run_freq[run.counts.indices] = run.counts.values / run.counts.shots
+        run_freq[run.counts.indices] = run.counts.values / shots
         rng = generator(seed, SCORE)
         block = min(resamples, max(1, _BLOCK_COUNTS // sampler.law.size))
         gap = np.empty((block, sampler.law.size))  # reused by every block
@@ -157,7 +152,6 @@ def score_model(
 def compare_models(
     run: ApplicationRun,
     models: list[tuple[str, CompositeNoiseModel]],
-    sim_shots: int | None = None,
     resamples: int = 100,
     seed: int = 0,
 ) -> list[ModelScore]:
@@ -166,8 +160,7 @@ def compare_models(
     if len(models) < 1:
         raise EmptyLadder("compare_models needs at least one model")
     scores = [
-        score_model(run, model, sim_shots=sim_shots, resamples=resamples,
-                    seed=seed, model_id=model_id)
+        score_model(run, model, resamples=resamples, seed=seed, model_id=model_id)
         for model_id, model in models
     ]
     return sorted(scores, key=lambda s: (s.tvd, s.n_parameters, s.model_id))
@@ -187,7 +180,6 @@ def select_model(
     run: ApplicationRun,
     ladder: list[tuple[str, CompositeNoiseModel]],
     threshold: float,
-    sim_shots: int | None = None,
     resamples: int = 100,
     seed: int = 0,
 ) -> SelectionResult:
@@ -198,8 +190,7 @@ def select_model(
         raise EmptyLadder("model selection needs a nonempty ladder")
     best: tuple[str, CompositeNoiseModel, ModelScore] | None = None
     for iteration, (model_id, model) in enumerate(ladder, start=1):
-        score = score_model(run, model, sim_shots=sim_shots, resamples=resamples,
-                            seed=seed, model_id=model_id)
+        score = score_model(run, model, resamples=resamples, seed=seed, model_id=model_id)
         if best is None or score.tvd < best[2].tvd:
             best = (model_id, model, score)
         if score.tvd <= threshold:
@@ -226,7 +217,6 @@ class ScalingReport:
 def scaling_report(
     runs: list[ApplicationRun],
     model: CompositeNoiseModel,
-    sim_shots: int | None = None,
     resamples: int = 100,
     seed: int = 0,
 ) -> ScalingReport:
@@ -234,8 +224,7 @@ def scaling_report(
     cnot-normalized TVD stays (coefficient of variation)."""
     rows = []
     for run in runs:
-        score = score_model(run, model, sim_shots=sim_shots, resamples=resamples,
-                            seed=seed)
+        score = score_model(run, model, resamples=resamples, seed=seed)
         rows.append(
             ScalingRow(
                 n=len(run.circuit.measured_qubits()),

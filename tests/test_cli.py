@@ -194,21 +194,20 @@ def test_evaluate_bv_accuracy_pair(setup):
 
 
 def test_evaluate_bv_prediction_draws_sim_shots(setup):
-    """The single-model bv prediction is one draw of --sim-shots shots (of
-    --shots without it), and the report records that nothing is resampled."""
+    """The single-model bv prediction is one draw of the run's --shots, and
+    the report records that nothing is resampled."""
     tmp_path, device, truth = setup
     model = tmp_path / "model.json"
     uniform_truth(line(4)).save(model)
-    for extra, draw in ((["--sim-shots", "7"], 7), ([], 256)):
-        out = tmp_path / f"eval{draw}"
-        code = main(["evaluate", "--device", str(device), "--backend", f"mock:{truth}",
-                     "--app", "bv:1@0/1", "--model", str(model), "--shots", "256",
-                     "--seed", "5", *extra, "--out", str(out)])
-        assert code == 0
-        report = json.loads((out / "report.json").read_text())
-        predicted = report["bv"]["predicted_accuracy"] * draw
-        assert predicted == pytest.approx(round(predicted), abs=1e-9)
-        assert report["meta"]["config"]["resamples"] is None
+    out = tmp_path / "eval"
+    code = main(["evaluate", "--device", str(device), "--backend", f"mock:{truth}",
+                 "--app", "bv:1@0/1", "--model", str(model), "--shots", "256",
+                 "--seed", "5", "--out", str(out)])
+    assert code == 0
+    report = json.loads((out / "report.json").read_text())
+    predicted = report["bv"]["predicted_accuracy"] * 256
+    assert predicted == pytest.approx(round(predicted), abs=1e-9)
+    assert report["meta"]["config"]["resamples"] is None
 
 
 def test_evaluate_select_walks_ladder(setup):
@@ -306,6 +305,50 @@ def test_out_defaults_to_the_working_directory(setup, monkeypatch):
     assert sorted(p.name for p in here.iterdir()) == [
         "model-aro_dp-per_element.diagnostics.json", "model-aro_dp-per_element.json"]
     assert not (tmp_path / "env").exists()
+
+
+def _dests(command: str) -> set[str]:
+    """The dests of every option `command`'s parser takes, help aside."""
+    parser = cli._Parser()
+    COMMANDS[command][1](parser)
+    return {a.dest for a in parser._actions if not isinstance(a, argparse._HelpAction)}
+
+
+def test_report_config_holds_every_option_but_out(setup):
+    """Each report's meta config names the command and every option its
+    parser took, --out aside."""
+    tmp_path, device, truth = setup
+    _characterize(tmp_path, device, truth, shots="64")
+    evaluate = [*_evaluate_argv(tmp_path, device, truth), "--resamples", "2"]
+    assert main([*evaluate, "--out", str(tmp_path / "e")]) == 0
+    assert main(["demo", "--shots", "64", "--max-ghz", "2", "--resamples", "2",
+                 "--out", str(tmp_path / "d")]) == 0
+    for command, report in (("characterize", "run/archive.json"),
+                            ("evaluate", "e/report.json"), ("demo", "d/summary.json")):
+        config = json.loads((tmp_path / report).read_text())["meta"]["config"]
+        assert config["command"] == command
+        assert set(config) == {"command"} | _dests(command) - {"out"}, command
+
+
+def test_config_hash_tells_runs_apart(setup):
+    """Runs that differ in any option but --out get different config hashes:
+    a demo's --max-ghz and --resamples, and an evaluation's --compare."""
+    tmp_path, device, truth = setup
+    demo = ["demo", "--shots", "64", "--seed", "1"]
+    evaluate = [*_evaluate_argv(tmp_path, device, truth), "--resamples", "2"]
+    runs = {"demo": [*demo, "--max-ghz", "3", "--resamples", "2"],
+            "demo-elsewhere": [*demo, "--max-ghz", "3", "--resamples", "2"],
+            "demo-max-ghz": [*demo, "--max-ghz", "4", "--resamples", "2"],
+            "demo-resamples": [*demo, "--max-ghz", "3", "--resamples", "5"],
+            "evaluate": evaluate,
+            "evaluate-compare": [*evaluate, "--compare"]}
+    hashes = {}
+    for name, argv in runs.items():
+        assert main([*argv, "--out", str(tmp_path / name)]) == 0
+        report = "summary.json" if argv[0] == "demo" else "report.json"
+        hashes[name] = json.loads((tmp_path / name / report).read_text())["meta"]["config_hash"]
+    assert hashes.pop("demo-elsewhere") == hashes["demo"]
+    assert len(set(hashes.values())) == len(hashes), hashes
 
 
 def test_characterize_byte_stable_modulo_meta(setup):
@@ -614,17 +657,10 @@ MALFORMED_INPUTS = {
     "archive-zero-shot-entry": (_archive_entry_counts("init:q0", {}), "ParseError"),
     "shots-above-capability": (lambda t, d, tr: _characterize_argv(
         t, d, tr, "--shots", "20000000"), "ConfigError"),
-    "sim-shots-zero": (lambda t, d, tr: [*_evaluate_argv(t, d, tr), "--sim-shots", "0"],
-                       "ConfigError"),
-    # a resample's shots are numpy's int64 multinomial n, and a score holds
-    # one value per resample
-    "sim-shots-above-int64": (lambda t, d, tr: [*_evaluate_argv(t, d, tr),
-                                                "--sim-shots", str(1 << 63)], "ConfigError"),
-    "sim-shots-huge": (lambda t, d, tr: [*_evaluate_argv(t, d, tr),
-                                         "--sim-shots", "99999999999999999999"], "ConfigError"),
-    "bv-sim-shots-huge": (lambda t, d, tr: [*_evaluate_argv(t, d, tr, app="bv:1@0/1"),
-                                            "--sim-shots", "99999999999999999999"],
-                          "ConfigError"),
+    # refused by the mock QPU, after the models load and before any output
+    "evaluate-shots-above-capability": (lambda t, d, tr: [*_evaluate_argv(t, d, tr), "--shots",
+                                                          "20000000"], "ConfigError"),
+    # a score holds one value per resample
     "evaluate-resamples-huge": (lambda t, d, tr: [*_evaluate_argv(t, d, tr), "--resamples",
                                                   "99999999999999999999"], "ConfigError"),
     "compare-resamples-huge": (lambda t, d, tr: [*_evaluate_argv(t, d, tr), "--compare",
@@ -702,6 +738,11 @@ MALFORMED_INPUTS = {
                                                   "--threshold", "0.5"], "ConfigError"),
     "evaluate-scaling-removed": (lambda t, d, tr: [*_evaluate_argv(t, d, tr, app="ghz:2..3"),
                                                    "--scaling"], "ConfigError"),
+    # a sampled score draws the run's shots, and the archive is archive.json
+    "evaluate-sim-shots-removed": (lambda t, d, tr: [*_evaluate_argv(t, d, tr),
+                                                     "--sim-shots", "7"], "ConfigError"),
+    "characterize-archive-name-removed": (lambda t, d, tr: _characterize_argv(
+        t, d, tr, "--archive-name", "a.json"), "ConfigError"),
     "archive-directory": (lambda t, d, tr: ["fit", "--archive", str(t)], "IsADirectoryError"),
     "device-directory": (lambda t, d, tr: _characterize_argv(t, t, tr), "IsADirectoryError"),
     "out-existing-file": (_out_is_a_file, "FileExistsError"),
@@ -776,14 +817,14 @@ MALFORMED_INPUTS = {
                          ids=MALFORMED_INPUTS.keys())
 def test_malformed_input_exit_2(setup, capsys, make_argv, error):
     """Malformed specs, flags and input files exit 2 with one JSON line on
-    stderr, before any run writes an output file."""
+    stderr, and leave no output directory behind."""
     tmp_path, device, truth = setup
     code = main([*make_argv(tmp_path, device, truth), "--out", str(tmp_path / "o")])
     assert code == 2
     lines = capsys.readouterr().err.strip().splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["error"] == error
-    assert not list((tmp_path / "o").glob("*"))  # archive.json, models, reports
+    assert not (tmp_path / "o").is_dir()  # so no archive.json, model or report either
 
 
 def test_two_bad_entries_name_the_first(setup, capsys):

@@ -13,7 +13,6 @@ from noisekit.errors import ArityMismatch, ConfigError, EmptyLadder
 from noisekit.estimation import fit_composite
 from noisekit.evaluation import (
     MAX_RESAMPLES,
-    MAX_SIM_SHOTS,
     ApplicationRun,
     compare_models,
     scaling_report,
@@ -211,7 +210,7 @@ def test_score_noiseless_model_on_noiseless_run():
 def test_score_self_consistency_floor():
     truth = uniform_truth(line(2))
     run = _bell_run(truth, shots=100_000)
-    score = score_model(run, truth, sim_shots=100_000, resamples=20, seed=2)
+    score = score_model(run, truth, resamples=20, seed=2)
     assert score.tvd <= 0.02
 
 
@@ -242,10 +241,9 @@ def _random_truth(rng, topo):
 
 def test_sampled_score_matches_tvd_oracle():
     """Sampled scoring is the mean and ddof=1 spread of `tvd` between the run
-    and each resample's draw, on random widths 1-8, models, seeds, run shots
-    and sim shots (equal to the run's or not); a third of the cases score
-    the noiseless model, which never produces most outcomes a noisy run
-    holds."""
+    and each resample's draw of the run's shots, on random widths 1-8,
+    models, seeds and run shots; a third of the cases score the noiseless
+    model, which never produces most outcomes a noisy run holds."""
     rng = np.random.default_rng(17)
     unproduced = 0
     for trial in range(60):
@@ -257,18 +255,16 @@ def test_sampled_score_matches_tvd_oracle():
         backend = MockBackend(topo, MockGroundTruth(_random_truth(rng, topo)))
         run = ApplicationRun(circuit, backend.run([circuit], run_shots, trial)[0])
         model = NOISELESS if trial % 3 == 0 else _random_truth(rng, topo)
-        sim_shots = None if trial % 2 else int(rng.integers(1, 5000))
         resamples, seed = int(rng.integers(1, 12)), int(rng.integers(0, 2**40))
 
-        score = score_model(run, model, sim_shots=sim_shots, resamples=resamples, seed=seed)
+        score = score_model(run, model, resamples=resamples, seed=seed)
         sampler = TrajectorySampler(circuit, model)
-        shots = sim_shots or run_shots
         stream = generator(seed, SCORE)
-        values = [tvd(run.counts, sampler.sample(shots, stream)) for _ in range(resamples)]
+        values = [tvd(run.counts, sampler.sample(run_shots, stream)) for _ in range(resamples)]
         assert score.tvd == pytest.approx(np.mean(values), rel=0, abs=1e-12)
         spread = np.std(values, ddof=1) if resamples > 1 else 0.0
         assert score.tvd_stderr == pytest.approx(spread, rel=0, abs=1e-12)
-        assert (score.resamples, score.sim_shots) == (resamples, shots)
+        assert (score.resamples, score.sim_shots) == (resamples, run_shots)
         unproduced += bool((sampler.law[run.counts.indices] == 0).any())
     assert unproduced >= 5
 
@@ -309,17 +305,8 @@ def test_score_streams_are_not_the_runs_streams():
         assert value > 1e-12, (r, value)
 
 
-@pytest.mark.parametrize("sim_shots", [0, -5])
-def test_score_rejects_sim_shots_below_one(sim_shots):
-    run = _bell_run(NOISELESS, shots=64)
-    with pytest.raises(ConfigError):
-        score_model(run, NOISELESS, sim_shots=sim_shots, resamples=3)
-
-
 @pytest.mark.parametrize("exact", [False, True])
-@pytest.mark.parametrize("protocol", [dict(resamples=MAX_RESAMPLES + 1),
-                                      dict(resamples=3, sim_shots=MAX_SIM_SHOTS + 1)],
-                         ids=["resamples", "sim_shots"])
+@pytest.mark.parametrize("protocol", [dict(resamples=MAX_RESAMPLES + 1)], ids=["resamples"])
 def test_score_rejects_a_protocol_above_its_bounds(protocol, exact):
     run = _bell_run(NOISELESS, shots=64)
     with pytest.raises(ConfigError):
@@ -337,13 +324,13 @@ def _ghz_run(n: int, shots: int) -> tuple[ApplicationRun, CompositeNoiseModel]:
 def test_sampled_score_across_draw_blocks_matches_tvd_oracle():
     """At 14 measured bits a score draws 2^16 >> 14 = 4 resamples per
     block; 33 resamples span nine blocks and still score one `tvd` per draw
-    in turn. Power-of-two shot counts make every frequency, gap and partial
-    sum exact, so the two sums agree to the last bit."""
+    in turn. A power-of-two shot count makes every frequency, gap and
+    partial sum exact, so the two sums agree to the last bit."""
     run, truth = _ghz_run(14, 1024)
     sampler = TrajectorySampler(run.circuit, truth)
     stream = generator(5, SCORE)
-    values = [tvd(run.counts, sampler.sample(2048, stream)) for _ in range(33)]
-    score = score_model(run, truth, sim_shots=2048, resamples=33, seed=5)
+    values = [tvd(run.counts, sampler.sample(1024, stream)) for _ in range(33)]
+    score = score_model(run, truth, resamples=33, seed=5)
     assert (score.tvd, score.tvd_stderr) == (np.mean(values), np.std(values, ddof=1))
 
 

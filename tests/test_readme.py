@@ -1,5 +1,6 @@
 """The README's "Step by step" commands run as written, it names every
-option, and each command's options match one pinned inventory."""
+option and no other flag, and each command's options match one pinned
+inventory."""
 import argparse
 import re
 import shlex
@@ -34,34 +35,57 @@ def test_step_by_step_commands_exit_0(tmp_path, monkeypatch, capsys):
 # Each command's option strings in parser order, help aside: adding or
 # removing a setting shows here as a one-line diff.
 OPTIONS = {
-    "characterize": "--device --backend --shots --seed --subset --hadamard-lengths "
-                    "--archive-name --out",
+    "characterize": "--device --backend --shots --seed --subset --hadamard-lengths --out",
     "fit": "--archive --flags --granularity --subset --name --out",
-    "evaluate": "--device --backend --app --model --shots --seed --resamples --sim-shots "
-                "--threshold --compare --exact --out",
+    "evaluate": "--device --backend --app --model --shots --seed --resamples --threshold "
+                "--compare --exact --out",
     "demo": "--shots --seed --resamples --hidden --max-ghz --out",
 }
 
 
-def _options() -> dict[str, list[str]]:
-    """Each command's option strings, help aside, from the parser of all commands."""
+# The install and test commands' own flags, which no noisekit command takes.
+TOOL_FLAGS = {"-e", "--no-build-isolation", "-v", "-s"}
+
+
+def _commands() -> dict[str, argparse.ArgumentParser]:
+    """Each command's parser, from the parser of all commands."""
     parser = build_parser()
     commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert list(commands.choices) == list(COMMANDS)  # the walk covers what main parses
+    return commands.choices
+
+
+def _options() -> dict[str, list[str]]:
+    """Each command's option strings, help aside."""
     return {name: [flag for action in command._actions
                    if not isinstance(action, argparse._HelpAction)
                    for flag in action.option_strings]
-            for name, command in commands.choices.items()}
+            for name, command in _commands().items()}
+
+
+def _named() -> set[str]:
+    """The flags README.md names, each whole: `--out` inside a longer flag
+    would not count."""
+    return set(re.findall(r"(?<![\w-])(--?[a-z][\w-]*)", README.read_text()))
 
 
 def test_every_option_is_named_in_the_readme():
     """Each option string of each command appears in README.md as a whole
-    flag (`--name` inside `--archive-name` does not count): no knob goes
-    undocumented."""
-    named = set(re.findall(r"(?<![\w-])(--?[a-z][\w-]*)", README.read_text()))
+    flag: no knob goes undocumented."""
+    named = _named()
     missing = [f"{name} {flag}" for name, flags in _options().items()
                for flag in flags if flag not in named]
     assert not missing, f"options README.md never names: {missing}"
+
+
+def test_every_flag_the_readme_names_is_an_option():
+    """Each whole flag README.md names is an option of some command
+    (`--help` included) or one of the install and test commands' own: a
+    deleted option cannot stay in the docs."""
+    options = {flag for command in _commands().values()
+               for action in command._actions for flag in action.option_strings}
+    stray = sorted(_named() - options - TOOL_FLAGS)
+    assert not stray, f"flags README.md names that no command takes: {stray}"
 
 
 def test_the_option_inventory_is_pinned():
