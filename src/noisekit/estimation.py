@@ -1,11 +1,12 @@
 """Parameter estimation from characterization records.
 
-Every test circuit has closed-form frequencies, so every estimator is exact
-and none iterates: readout-of-0 error is a frequency, the coupled (p1, p_x)
+Every test circuit has closed-form frequencies, so every estimator is a
+closed form: readout-of-0 error is a frequency, the coupled (p1, p_x)
 system of the X/XX tests is solved in closed form, the Bell-test
 least-squares fit of the cnot depolarizing parameter is quadratic in
-s = 2p/3 - 4p^2/9, and the Hadamard survival decay's least squares is a
-polynomial root problem in r^2 = (1 - 4p/3)^2. Readout enters only through
+s = 2p/3 - 4p^2/9, and the Hadamard survival decay is a closed-form start
+from each length's own decay plus one Fisher-scoring step, which makes it
+efficient without iterating. Readout enters only through
 `noise.read_out`, the channel the simulator uses. Standard errors propagate
 each record's binomial counting noise (and upstream readout stderrs) through
 analytic gradients (delta method); estimates that land outside [0,1] are
@@ -14,9 +15,8 @@ clamped and flagged infeasible rather than rejected.
 Every element of a family (each qubit's X/XX system or Hadamard decay, each
 coupling's Bell fit) is the same closed form applied to other numbers, so
 `fit_composite` fits each family once, across all its elements, as array
-arithmetic; the Hadamard roots of all qubits sharing a set of lengths come
-from one root isolation of their sparse derivative polynomials on [0, 1]
-(`_sparse_roots`). Each family reads whole columns of the count table
+arithmetic; the Hadamard trains of all qubits are padded to one width.
+Each family reads whole columns of the count table
 (`characterization.Records`): the p0 column, the X/XX column-0 frequencies,
 the Hadamard trains grouped by qubit and the four Bell columns. A family's
 fits are kept on the read-only table, once per key of what the family reads
@@ -200,203 +200,86 @@ class HadamardFit:
     include_in_model: bool
 
 
-def _hadamard_fits(records: Records, trains, p0: np.ndarray, p1: np.ndarray) -> list[HadamardFit]:
+def _hadamard_fits(records: Records, trains, rates, rate_sds) -> list[HadamardFit]:
     """One fit per train, the table rows of one qubit's sequence tests,
-    train i corrected for readout rates (p0[i], p1[i]). Trains with the
-    same set of lengths are solved together: one `_sparse_roots` call finds
-    the roots of all their derivative polynomials."""
+    train i read out with rates (p0, p1) = rates[:, i] whose stderrs are
+    rate_sds[:, i]. The trains are padded to one width by repeating their
+    first length, and the padding weighs nothing."""
+    p0, p1, p0_sd, p1_sd = (np.asarray(v, dtype=float)[:, None] for v in (*rates, *rate_sds))
     denom = 1.0 - p0 - p1
     by_length = [{records.tests[row].length: row for row in train} for train in trains]
     lengths = [sorted(rows) for rows in by_length]
     _raise_first([
         (np.array([len(ls) < 2 for ls in lengths]), lambda i: InsufficientLengths(
             f"need >=2 distinct sequence lengths, got {lengths[i]}")),
-        (np.abs(denom) < 1e-9, lambda _: NoConvergence(
+        (np.abs(denom[:, 0]) < 1e-9, lambda _: NoConvergence(
             "readout too noisy to invert for survival correction")),
     ])
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, ls in enumerate(lengths):
-        groups.setdefault(tuple(ls), []).append(i)
+    width = max(map(len, lengths))
+    padded = lambda lists: np.array([v + v[:1] * (width - len(v)) for v in lists])
+    length = padded(lengths)
+    rows = padded([[train[l] for l in ls] for train, ls in zip(by_length, lengths)])
+    used = np.arange(width) < np.array([len(ls) for ls in lengths])[:, None]
+    observed, shots = records.frequencies()[rows, 0], records.shots[rows]
+    u = (observed - p1) / denom - 0.5
+    # a frequency's binomial variance, floored at one count
+    variance = lambda law: np.maximum(law * (1.0 - law), 1.0 / shots) / shots
+    slope = lambda decay: used * denom * length / 2.0 * decay ** (length - 1)  # d law / d decay
+    ratio = lambda a, b, where: np.divide(a, b, out=np.zeros_like(a), where=where)
 
-    freq = records.frequencies()[:, 0]
-    value, stderr, residual = (np.zeros(len(trains)) for _ in range(3))
-    for key, members in groups.items():
-        rows = np.array([[by_length[i][l] for l in key] for i in members])
-        value[members], stderr[members], residual[members] = _hadamard_group(
-            np.array(key), freq[rows], records.shots[rows], denom[members], p1[members])
+    # start: each length's decay (2 u)^(1/L), weighted by its delta-method
+    # inverse variance
+    own = np.maximum(2.0 * u, 0.0) ** (1.0 / length)
+    weight = slope(own) ** 2 / variance(observed)
+    total = weight.sum(axis=1)
+    start = np.clip(ratio(_dot(weight, own), total, total > 0.0), 0.0, 1.0)[:, None]
+
+    # one scoring step from it, under the lengths' covariance: their binomial
+    # variance plus the readout error that every length shares
+    survival = 0.5 + 0.5 * start**length
+    law = p1 + denom * survival
+    shared = used[..., None] * np.stack([p0_sd * survival, p1_sd * (1.0 - survival)], axis=-1)
+    cov = shared @ shared.swapaxes(1, 2)
+    cov[:, range(width), range(width)] += np.where(used, variance(law), 1.0)
+    g = slope(start)
+    solved = np.linalg.solve(cov, np.stack([g, used * (observed - law)], axis=-1))
+    info, score = (g[:, None, :] @ solved)[:, 0].T
+    decay = np.clip(start[:, 0] + ratio(score, info, info > 0.0), 0.0, 1.0)
+    value = 0.75 * (1.0 - decay)
+    inside = (0.0 < value) & (value < 0.75)
+    stderr = ratio(np.full_like(info, 0.75), np.sqrt(info), inside)
+    residual = _norm(used * (0.5 * decay[:, None] ** length - u))
+
     fits = _results([f"p_h:q{records.tests[train[0]].qubit}" for train in trains], value,
                     stderr, residual)
     include = (10.0 * stderr < value) & (value < 0.75)
     return [HadamardFit(fit, flag) for fit, flag in zip(fits, include.tolist())]
 
 
-# Root isolation starts from this grid on [0, 1]. A cell that no
-# certificate settles is split until it is narrower than _MIN_CELL, or
-# until its row has more than _MAX_CELLS such cells, and is then taken as a
-# root at its midpoint: there the polynomial is a cluster or multiple root,
-# flat to rounding, and so is the misfit.
-_GRID = np.linspace(0.0, 1.0, 257)
-_MIN_CELL = 2.0**-50
-_MAX_CELLS = 1024
-_MAX_NEWTON = 100
-
-
-def _monotone_parts(exponents: np.ndarray, coef: np.ndarray):
-    """(powers, weights) splitting each row's f(s) = sum_e coef[e] s^e and
-    its derivative into parts with nonnegative coefficients, f = P - N and
-    f' = P' - N', each nondecreasing on [0, 1]. Both have rows [P, N, P', N']:
-    `powers` (4, terms) the monomials' exponents, `weights` (rows, 4, terms)
-    their coefficients."""
-    powers = np.array([exponents, exponents, exponents - 1, exponents - 1], dtype=float)
-    split = np.stack([np.maximum(coef, 0.0), np.maximum(-coef, 0.0)], axis=1)
-    return np.maximum(powers, 0.0), np.concatenate([split, exponents * split], axis=1)
-
-
-def _parts(powers: np.ndarray, weights: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """[P, N, P', N'] at the points x, shape (rows, points, 4), for weights
-    (rows, 4, terms) and x (rows or 1, points)."""
-    monomials = x[:, None, None, :] ** powers[..., None]  # (rows or 1, 4, terms, points)
-    return (weights[:, :, None, :] @ monomials)[:, :, 0].transpose(0, 2, 1)
-
-
-def _sparse_roots(exponents: np.ndarray, coef: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(row, root) arrays: every sign-changing root in (0, 1) of each row's
-    polynomial f(s) = sum_e coef[row, e] s^exponents[e], plus (to about one
-    ulp) any point of the grid or its subdivisions where f evaluates to
-    exactly 0, and the midpoint of every unresolved cell.
-
-    With f = P - N split into nondecreasing parts, on a cell [a, b]
-    P(a) - N(b) <= f <= P(b) - N(a), and likewise for f'. A cell is settled
-    when f is certified of one sign on it (no root) or f' is (at most one
-    root, which lies in (a, b] when f(b) = 0 or f changes sign across the
-    cell); any other cell is split in two. So no pair of close roots hides
-    in a cell without a sign change. Each root is then polished by Newton
-    steps that fall back to bisection outside the cell's bracket, to about
-    one ulp.
-    """
-    rows = len(coef)
-    # s^k with k the least exponent only adds a root at 0, which is no
-    # concern here and would keep the cells next to 0 from settling
-    powers, weights = _monotone_parts(exponents - exponents[0], coef)
-    grid = _parts(powers, weights, _GRID[None])  # (rows, points, 4)
-    row = np.repeat(np.arange(rows), len(_GRID) - 1)
-    a, b = np.tile(_GRID[:-1], rows), np.tile(_GRID[1:], rows)
-    fa, fb = grid[:, :-1].reshape(-1, 4), grid[:, 1:].reshape(-1, 4)
-    found_row, found, brackets = [], [], []
-    while row.size:
-        one_sign = (fa[:, 0] > fb[:, 1]) | (fb[:, 0] < fa[:, 1])
-        monotone = (fa[:, 2] > fb[:, 3]) | (fb[:, 2] < fa[:, 3])
-        f_a, f_b = fa[:, 0] - fa[:, 1], fb[:, 0] - fb[:, 1]
-        # a zero at an end counts for the cell left of it; s = 1 is a
-        # candidate anyway
-        root = (np.sign(f_a) * np.sign(f_b) < 0.0) | ((f_b == 0.0) & (b < 1.0))
-        inside = monotone & ~one_sign & root
-        brackets.append((row[inside], a[inside], b[inside], f_a[inside] < 0.0))
-        split = ~(one_sign | monotone)
-        crowded = np.bincount(row[split], minlength=rows)[row] > _MAX_CELLS
-        unresolved = split & ((b - a < _MIN_CELL) | crowded)
-        split &= ~unresolved
-        unresolved &= (a > 0.0) & (b < 1.0)  # s = 0 and s = 1 are candidates anyway
-        found_row.append(row[unresolved])
-        found.append(0.5 * (a[unresolved] + b[unresolved]))
-        row, a, b, fa, fb = row[split], a[split], b[split], fa[split], fb[split]
-        mid = 0.5 * (a + b)
-        fm = _parts(powers, weights[row], mid[:, None])[:, 0]
-        row, a, b = np.tile(row, 2), np.concatenate([a, mid]), np.concatenate([mid, b])
-        fa, fb = np.concatenate([fa, fm]), np.concatenate([fm, fb])
-    row, lo, hi, rising = (np.concatenate(arrays) for arrays in zip(*brackets))
-    found_row.append(row)
-    found.append(_newton(powers, weights[row], lo, hi, rising))
-    return np.concatenate(found_row), np.concatenate(found)
-
-
-def _newton(powers, weights, lo, hi, rising) -> np.ndarray:
-    """The root in each bracket (lo, hi] of a function monotone on it, with
-    f(lo) < 0 where `rising`: Newton steps, bisecting whenever a step leaves
-    the bracket, until the Newton step is at most one ulp (or after
-    _MAX_NEWTON steps, still inside the bracket)."""
-    x = 0.5 * (lo + hi)
-    active = np.arange(len(x))
-    for _ in range(_MAX_NEWTON):
-        if not active.size:
-            break
-        xa = x[active]
-        p, n, dp, dn = _parts(powers, weights[active], xa[:, None])[:, 0].T
-        f = p - n
-        right = (f < 0.0) == rising[active]  # the root lies right of xa
-        la = lo[active] = np.where(right, xa, lo[active])
-        ha = hi[active] = np.where(right, hi[active], xa)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            newton = f / (dp - dn)
-        done = ~(np.abs(newton) > np.spacing(xa))
-        step = xa - newton
-        step = np.where((la <= step) & (step <= ha), step, 0.5 * (la + ha))
-        x[active] = np.where(done, xa, step)
-        active = active[~done]
-    return x
-
-
-def _hadamard_group(length: np.ndarray, observed: np.ndarray, shots: np.ndarray,
-                    denom: np.ndarray, p1: np.ndarray):
-    """(p_h, stderr, residual norm) arrays for trains sharing the lengths,
-    from their frequencies of outcome 0 and shots, shape (trains, lengths)."""
-    u = (observed - p1[:, None]) / denom[:, None] - 0.5
-    rows = len(observed)
-
-    # the derivative's nonzero coefficients, at exponents L - 1 and L/2 - 1
-    exponents = np.union1d(length - 1, length // 2 - 1)
-    derivative = np.zeros((rows, exponents.size))
-    derivative[:, np.searchsorted(exponents, length - 1)] += length / 2.0
-    derivative[:, np.searchsorted(exponents, length // 2 - 1)] -= length * u
-    root_row, root = _sparse_roots(exponents, derivative)
-    # candidates: s = 0 and s = 1 for every row, and each row's roots
-    row = np.concatenate([np.arange(rows), np.arange(rows), root_row])
-    s = np.concatenate([np.zeros(rows), np.ones(rows), root])
-    ssr = ((s[:, None] ** (length / 2.0) / 2.0 - u[row]) ** 2).sum(axis=-1)
-    # per row the least misfit and, among equal misfits, the largest s, so
-    # a tie goes to the least p
-    order = np.lexsort((-s, ssr, row))
-    best = order[np.searchsorted(row[order], np.arange(rows))]
-    s_best, best_ssr = s[best], ssr[best]
-    decay = np.sqrt(s_best)
-    value = 0.75 * (1.0 - decay)
-
-    stderr = np.zeros(rows)
-    inside = np.flatnonzero((0.0 < value) & (value < 0.75))
-    if inside.size:
-        # The optimum solves sum_l (S_l - t_l) S_l' = 0, with S_l the survival
-        # and t_l the corrected target: dp/dt_l = S_l' / sum_l (S_l'^2 + (S_l - t_l) S_l'').
-        d = decay[inside, None]
-        d1 = -(2.0 * length / 3.0) * d ** (length - 1)
-        d2 = (8.0 / 9.0) * length * (length - 1) * d ** (length - 2)
-        curvature = _dot(d1, d1) + _dot(d**length / 2.0 - u[inside], d2)
-        spread = d1 * binomial_stderr(observed[inside], shots[inside])
-        stderr[inside] = (_norm(spread)
-                          / np.abs(denom[inside] * curvature))
-    return value, stderr, np.sqrt(best_ssr)
-
-
 def estimate_hadamard_error(records: Records, readout: ReadoutModel) -> HadamardFit:
     """Per-gate Hadamard depolarizing rate from a table of one qubit's
-    even-length sequence tests.
+    even-length sequence tests, given the qubit's readout rates (taken as
+    exact here; `fit_composite` also passes their stderrs).
 
-    Least squares of readout-corrected survival t_L against
-    1/2 + 1/2 (1 - 4p/3)^L. Every length is even, so with s = (1 - 4p/3)^2
-    and u_L = t_L - 1/2 the misfit sum_L (s^(L/2) / 2 - u_L)^2 depends on s
-    alone: p and 3/2 - p fit equally well, and the search is p in [0, 3/4],
-    i.e. s in [0, 1]. The misfit's s-derivative is proportional to the
-    polynomial sum_L (L/2) s^(L-1) - L u_L s^(L/2-1), so the optimum is the
-    best of s = 0, s = 1 and the roots in (0, 1) where that polynomial
-    changes sign (the only interior minima); ties go to the least p. The
-    stderr propagates each record's binomial noise through the
-    implicit-function derivative of the optimum. On the bounds
-    p = 0 and p = 3/4 (fully mixed, where dp/ds diverges) the fit does not
-    move with the data, so no stderr is reported and the channel is left out
-    of the model; inside, the include flag drops the channel when the rate
-    is indistinguishable from zero (<= 10 stderr).
+    The frequency of 0 after a train of length L is
+    law_L = p1 + (1 - p0 - p1) (1/2 + r^L / 2), with decay r = 1 - 4p/3.
+    Every length is even, so p and 3/2 - p give the same law, and the fit
+    keeps p in [0, 3/4], i.e. r in [0, 1]. Each length alone gives the
+    decay (2 u_L)^(1/L), u_L being its readout-corrected survival minus
+    1/2; the start averages these with their delta-method inverse
+    variances. One Fisher-scoring step from the start then makes the
+    estimate efficient to first order: r += g' C^-1 (f - law) / g' C^-1 g,
+    with g = d law / dr and C the lengths' covariance, each length's
+    binomial variance (floored at one count) plus the readout stderrs'
+    shared terms sd0^2 S S' + sd1^2 (1 - S)(1 - S)', S the survivals. The
+    stderr is 0.75 / sqrt(g' C^-1 g). On the bounds p = 0 and p = 3/4 the
+    fit does not move with the data, so no stderr is reported and the
+    channel is left out of the model; inside, the include flag drops the
+    channel when the rate is indistinguishable from zero (<= 10 stderr).
+    The residual norm is the corrected survivals' misfit at the estimate.
     """
     train = _rows(records, "hseq", "estimate_hadamard_error")
-    return _hadamard_fits(records, [train], np.array([readout.p0]), np.array([readout.p1]))[0]
+    return _hadamard_fits(records, [train], [[readout.p0], [readout.p1]], np.zeros((2, 1)))[0]
 
 
 BELL_OUTCOMES = ("00", "01", "10", "11")
@@ -603,7 +486,7 @@ def fit_composite(records: Records, variant: str = "aro+dp", *, granularity: str
         rows = [i for i, q in enumerate(qubits) if q in trains]
         # a suite planned without Hadamard trains has no Hadamard family
         fits = rows and _once(("hseq", key, readout_mode), _hadamard_fits, records,
-                              [trains[qubits[i]] for i in rows], *rates[:, rows])
+                              [trains[qubits[i]] for i in rows], rates[:, rows], rate_sds[:, rows])
         estimates.update((fit.result.name, fit.result) for fit in fits)
         h_map = {qubits[i]: fit.result.value
                  for i, fit in zip(rows, fits) if fit.include_in_model}

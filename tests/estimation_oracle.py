@@ -3,9 +3,10 @@
 - X/XX system: solves the two X/XX test-frequency equations for (p1, p_x) by
   damped Newton iteration with a central-difference Jacobian, from the
   initial guess (g_x_0, 0.001), to a residual infinity-norm of 1e-10.
-- Hadamard decay: minimises the least-squares misfit of the survival
-  1/2 + 1/2 (1 - 4p/3)^L over p in [0, 1] with a bounded scalar minimiser
-  (coarse scan, golden section, finite-difference Newton polish).
+- Hadamard decay: generalised least squares of the sequence frequencies,
+  iterated to its fixed point, each round's weighted misfit minimised over
+  p in [0, 3/4] by a bounded scalar minimiser (coarse scan, golden section,
+  finite-difference Newton polish).
 - Bell-test stderr: the delta-method stderr of the cnot rate, with each
   readout rate's derivative of the Bell line taken as the line at rate 1
   minus the line at rate 0 (the line is affine in each rate), the line
@@ -144,16 +145,41 @@ def minimize_bounded(fn, lo, hi, param_tol=1e-10, coarse=65, max_newton=80):
     return float(x), float(fx), iterations
 
 
-def hadamard_ssr(p: float, targets: dict[int, float]) -> float:
-    """Squared misfit of the depolarized survival against readout-corrected
-    targets {length: P(0)}."""
-    return sum((0.5 + 0.5 * (1.0 - 4.0 * p / 3.0) ** l - t) ** 2 for l, t in targets.items())
+def hadamard_fixed_point(observed: dict[int, float], shots: dict[int, int], p0: float,
+                         p1: float, readout_stderrs=(0.0, 0.0), tol: float = 1e-9,
+                         rounds: int = 50) -> float:
+    """p_h where the generalised least-squares fit of the sequence
+    frequencies {length: P(0)} stops moving: each round holds the lengths'
+    covariance (binomial variance floored at one count, plus the readout
+    stderrs' shared terms) at the last round's p, taken first at the
+    observed frequencies, and minimises the weighted misfit over p in
+    [0, 3/4] with `minimize_bounded`, until p moves by at most `tol` (the
+    minimiser resolves p to a few 1e-10). The score of that fixed point is
+    the estimating equation that one scoring step solves to first order."""
+    lengths = sorted(observed)
+    f = np.array([observed[l] for l in lengths])
+    n = np.array([shots[l] for l in lengths], dtype=float)
 
+    def law(p):
+        survival = 0.5 + 0.5 * (1.0 - 4.0 * p / 3.0) ** np.array(lengths, dtype=float)
+        return (1.0 - p0) * survival + p1 * (1.0 - survival), survival
 
-def fit_hadamard(targets: dict[int, float]) -> tuple[float, float]:
-    """(p, SSR) of the bounded least-squares Hadamard fit on [0, 1]."""
-    p, ssr, _ = minimize_bounded(lambda v: hadamard_ssr(v, targets), 0.0, 1.0)
-    return p, ssr
+    def precision(q, survival):
+        cov = np.diag(np.maximum(q * (1.0 - q), 1.0 / n) / n)
+        for sd, column in zip(readout_stderrs, (survival, 1.0 - survival)):
+            cov += sd**2 * np.outer(column, column)
+        return np.linalg.inv(cov)
+
+    def fit(weights) -> float:
+        misfit = lambda v: float((f - law(v)[0]) @ weights @ (f - law(v)[0]))
+        return minimize_bounded(misfit, 0.0, 0.75)[0]
+
+    p = fit(precision(f, np.clip((f - p1) / (1.0 - p0 - p1), 0.0, 1.0)))
+    for _ in range(rounds):
+        p, last = fit(precision(*law(p))), p
+        if abs(p - last) <= tol:
+            return p
+    raise NewtonFailure(f"generalised least squares still moves after {rounds} rounds")
 
 
 def bell_line(rates: np.ndarray) -> np.ndarray:
@@ -228,32 +254,23 @@ def aro_per_element(g_x_0, g_xx_0, p0, shots=None, p0_stderr=0.0, qubit=None):
     return _clamped(f"p1{tag}", p1_raw, stderr_p1), _clamped(f"p_x{tag}", px_raw, stderr_px)
 
 
-def polished(coef: np.ndarray, roots: np.ndarray, steps: int = 3) -> np.ndarray:
-    """Roots of the polynomial with coefficients `coef` (ascending), each
-    moved by up to `steps` Newton steps on the dense polynomial, a step
-    taken only where it lowers |f|. Companion-matrix eigenvalues can be
-    ~1e-14 off in s, which is ~1e-9 of p_h at p_h ~ 1e-6, where
-    s = (1 - 4p/3)^2 is near 1."""
-    f = np.polynomial.Polynomial(coef)
-    df = f.deriv()
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(steps):
-            step = roots - f(roots) / df(roots)
-            roots = np.where(np.abs(f(step)) < np.abs(f(roots)), step, roots)
-    return roots
-
-
 def _frequency(records, row: int, outcome: int) -> float:
     """A record's frequency of the outcome with index `outcome`."""
     return (records.counts[row, outcome] / records.shots[row]).item()
 
 
-def hadamard_per_element(records, p0: float, p1: float,
-                         rows=None) -> tuple[EstimationResult, bool]:
+def _hadamard_variance(law: float, shots: int) -> float:
+    """A frequency's binomial variance, floored at one count."""
+    return max(law * (1.0 - law), 1.0 / shots) / shots
+
+
+def hadamard_per_element(records, p0: float, p1: float, rows=None,
+                         readout_stderrs=(0.0, 0.0)) -> tuple[EstimationResult, bool]:
     """(p_h result, include-in-model flag) of one qubit's sequence tests (the
-    table `rows`, all of them by default), by the real roots of the misfit's
-    derivative polynomial in s = (1 - 4p/3)^2: the companion-matrix
-    eigenvalues (`polyroots`), `polished`."""
+    table `rows`, all of them by default), read out with rates (p0, p1) of
+    stderrs `readout_stderrs`: the start (2 u_L)^(1/L) of each length,
+    averaged with weights g_L^2 / var(f_L) at its own decay, then one
+    scoring step with the covariance diag(var) + sd0^2 S S^T + sd1^2 (1-S)(1-S)^T."""
     rows = range(len(records.tests)) if rows is None else rows
     for row in rows:
         if records.tests[row].kind != "hseq":
@@ -266,30 +283,32 @@ def hadamard_per_element(records, p0: float, p1: float,
         raise NoConvergence("readout too noisy to invert for survival correction")
     by_length = {records.tests[row].length: row for row in rows}
     observed = [_frequency(records, by_length[l], 0) for l in lengths]
-    length = np.array(lengths)
-    u = (np.array(observed) - p1) / denom - 0.5
+    shots = [int(records.shots[by_length[l]]) for l in lengths]
+    u = [(f - p1) / denom - 0.5 for f in observed]
+    slope = lambda decay, l: denom * l / 2.0 * decay ** (l - 1)
 
-    derivative = np.zeros(lengths[-1])
-    derivative[length - 1] += length / 2.0
-    derivative[length // 2 - 1] -= length * u
-    roots = np.polynomial.polynomial.polyroots(derivative)
-    real = polished(derivative, roots.real[np.abs(roots.imag) < 1e-9])
-    s = np.sort(np.concatenate(([0.0, 1.0], real[(real >= 0.0) & (real <= 1.0)])))[::-1]
-    ssr = ((s[:, None] ** (length / 2.0) / 2.0 - u) ** 2).sum(axis=1)
-    best = int(np.argmin(ssr))
-    decay = math.sqrt(s[best])
+    own = [max(2.0 * v, 0.0) ** (1.0 / l) for v, l in zip(u, lengths)]
+    weight = [slope(r, l) ** 2 / _hadamard_variance(f, n)
+              for r, l, f, n in zip(own, lengths, observed, shots)]
+    start = sum(w * r for w, r in zip(weight, own)) / sum(weight) if sum(weight) > 0 else 0.0
+    start = min(1.0, max(0.0, start))
+
+    survival = np.array([0.5 + 0.5 * start**l for l in lengths])
+    law = p1 + denom * survival
+    sd0, sd1 = readout_stderrs
+    cov = (np.diag([_hadamard_variance(q, n) for q, n in zip(law, shots)])
+           + sd0**2 * np.outer(survival, survival)
+           + sd1**2 * np.outer(1.0 - survival, 1.0 - survival))
+    g = np.array([slope(start, l) for l in lengths])
+    info = float(g @ np.linalg.solve(cov, g))
+    score = float(g @ np.linalg.solve(cov, np.array(observed) - law))
+    decay = min(1.0, max(0.0, start + (score / info if info > 0.0 else 0.0)))
     value = 0.75 * (1.0 - decay)
-
-    stderr = 0.0
-    if 0.0 < value < 0.75:
-        d1 = -(2.0 * length / 3.0) * decay ** (length - 1)
-        d2 = (8.0 / 9.0) * length * (length - 1) * decay ** (length - 2)
-        curvature = float(d1 @ d1 + (decay**length / 2.0 - u) @ d2)
-        sigma = [binomial_sd(f, records.shots[by_length[l]]) for l, f in zip(lengths, observed)]
-        stderr = float(np.linalg.norm(d1 * sigma)) / abs(denom * curvature)
+    stderr = 0.75 / math.sqrt(info) if 0.0 < value < 0.75 else 0.0
+    residual = math.sqrt(sum((0.5 * decay**l - v) ** 2 for l, v in zip(lengths, u)))
 
     result = EstimationResult(f"p_h:q{records.tests[rows[0]].qubit}", value, value, stderr,
-                              residual_norm=math.sqrt(ssr[best]))
+                              residual_norm=residual)
     return result, 10.0 * stderr < value < 0.75
 
 
@@ -359,7 +378,7 @@ def fit_estimates(records, variant: str, subset=None) -> tuple[dict, dict]:
     if gate_dp:
         for q in qubits:
             if q in hseqs:
-                result, include[q] = hadamard_per_element(records, *rates[q], hseqs[q])
+                result, include[q] = hadamard_per_element(records, *rates[q], hseqs[q], sigmas[q])
                 estimates[result.name] = result
         for j, k in couplings:
             pair = np.array([[rates[j][0], rates[k][0]], [rates[j][1], rates[k][1]]])
