@@ -53,15 +53,22 @@ class TestKind:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown test kind {self.kind!r}")
+        uses = {"bell": ("coupling",), "hseq": ("qubit", "length")}.get(self.kind, ("qubit",))
+        if getattr(self, uses[0]) is None:
+            raise ValueError(f"{self.kind} test requires a {uses[0]}")
+        unused = [name for name in ("qubit", "coupling", "length")
+                  if name not in uses and getattr(self, name) is not None]
+        if unused:
+            raise ValueError(f"{self.kind} test takes no {unused[0]}")
         if self.kind == "bell":
-            if self.coupling is None:
-                raise ValueError("bell test requires a coupling")
             object.__setattr__(self, "coupling", tuple(self.coupling))
-            if self.coupling[0] == self.coupling[1]:
-                raise ValueError(f"bell test on the self-coupling {self.coupling}")
-        elif self.qubit is None:
-            raise ValueError(f"{self.kind} test requires a qubit")
-        if min(self.coupling or (self.qubit,)) < 0:
+            if len(self.coupling) != 2 or self.coupling[0] == self.coupling[1]:
+                raise ValueError(f"bell test on {self.coupling}, not two distinct qubits")
+        qubits = self.coupling or (self.qubit,)
+        for value in (*qubits, *([] if self.length is None else [self.length])):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{self.kind} test on the non-integer {value!r}")
+        if min(qubits) < 0:
             raise ValueError(f"{self.kind} test on a negative qubit")
         if self.kind == "hseq":
             if self.length is None or self.length < 2 or self.length % 2:

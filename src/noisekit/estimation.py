@@ -2,15 +2,17 @@
 
 Every test circuit has closed-form frequencies, so every estimator is a
 closed form: readout-of-0 error is a frequency, the coupled (p1, p_x)
-system of the X/XX tests is solved in closed form, the Bell-test
-least-squares fit of the cnot depolarizing parameter is quadratic in
-s = 2p/3 - 4p^2/9, and the Hadamard survival decay is a closed-form start
-from each length's own decay plus one Fisher-scoring step, which makes it
-efficient without iterating. Readout enters only through
-`noise.read_out`, the channel the simulator uses. Standard errors propagate
-each record's binomial counting noise (and upstream readout stderrs) through
-analytic gradients (delta method); estimates that land outside [0,1] are
-clamped and flagged infeasible rather than rejected.
+system of the X/XX tests is solved in closed form, the cnot depolarizing
+parameter is a closed form in the Bell test's odd-parity frequency, and the
+Hadamard survival decay is a closed-form start from each length's own decay
+plus one Fisher-scoring step, which makes it efficient without iterating.
+Readout is the per-bit flip channel of `noise`, so each estimator inverts it
+in closed form on its own frequencies; the Bell fit's residual reads the
+fitted law out through `noise.read_out`, the channel the simulator uses.
+Standard errors propagate each record's binomial counting noise (and
+upstream readout stderrs) through analytic gradients (delta method);
+estimates that land outside [0,1] are clamped and flagged infeasible rather
+than rejected.
 
 Every element of a family (each qubit's X/XX system or Hadamard decay, each
 coupling's Bell fit) is the same closed form applied to other numbers, so
@@ -18,7 +20,7 @@ coupling's Bell fit) is the same closed form applied to other numbers, so
 arithmetic; the Hadamard trains of all qubits are padded to one width.
 Each family reads whole columns of the count table
 (`characterization.Records`): the p0 column, the X/XX column-0 frequencies,
-the Hadamard trains grouped by qubit and the four Bell columns. A family's
+the Hadamard trains grouped by qubit and the Bell odd-parity column. A family's
 fits are kept on the read-only table, once per key of what the family reads
 (its qubits; the Hadamard and Bell fits also their readout mode), so the
 fits of one table share them. The public
@@ -74,6 +76,11 @@ def binomial_stderr(freq, shots):
     frequencies, elementwise over arrays; 0 where there are no shots."""
     v = np.minimum(1.0, np.maximum(0.0, freq))
     return np.sqrt(v * (1.0 - v) / np.where(shots, shots, np.inf))
+
+
+def _count_variance(freq, shots):
+    """A frequency's binomial variance, floored at one count."""
+    return np.maximum(freq * (1.0 - freq), 1.0 / shots) / shots
 
 
 def _results(names, raw, stderr, residual_norm, flagged=False) -> list[EstimationResult]:
@@ -222,15 +229,13 @@ def _hadamard_fits(records: Records, trains, rates, rate_sds) -> list[HadamardFi
     used = np.arange(width) < np.array([len(ls) for ls in lengths])[:, None]
     observed, shots = records.frequencies()[rows, 0], records.shots[rows]
     u = (observed - p1) / denom - 0.5
-    # a frequency's binomial variance, floored at one count
-    variance = lambda law: np.maximum(law * (1.0 - law), 1.0 / shots) / shots
     slope = lambda decay: used * denom * length / 2.0 * decay ** (length - 1)  # d law / d decay
     ratio = lambda a, b, where: np.divide(a, b, out=np.zeros_like(a), where=where)
 
     # start: each length's decay (2 u)^(1/L), weighted by its delta-method
     # inverse variance
     own = np.maximum(2.0 * u, 0.0) ** (1.0 / length)
-    weight = slope(own) ** 2 / variance(observed)
+    weight = slope(own) ** 2 / _count_variance(observed, shots)
     total = weight.sum(axis=1)
     start = np.clip(ratio(_dot(weight, own), total, total > 0.0), 0.0, 1.0)[:, None]
 
@@ -240,7 +245,7 @@ def _hadamard_fits(records: Records, trains, rates, rate_sds) -> list[HadamardFi
     law = p1 + denom * survival
     shared = used[..., None] * np.stack([p0_sd * survival, p1_sd * (1.0 - survival)], axis=-1)
     cov = shared @ shared.swapaxes(1, 2)
-    cov[:, range(width), range(width)] += np.where(used, variance(law), 1.0)
+    cov[:, range(width), range(width)] += np.where(used, _count_variance(law, shots), 1.0)
     g = slope(start)
     solved = np.linalg.solve(cov, np.stack([g, used * (observed - law)], axis=-1))
     info, score = (g[:, None, :] @ solved)[:, 0].T
@@ -283,72 +288,36 @@ def estimate_hadamard_error(records: Records, readout: ReadoutModel) -> Hadamard
 
 
 BELL_OUTCOMES = ("00", "01", "10", "11")
-_BELL_LINE = np.array([[0.5, 0.0, 0.0, 0.5], [-1.0, 1.0, 1.0, -1.0]])
-
-
-def _bell_line(rates: np.ndarray) -> np.ndarray:
-    """Readout-transformed Bell frequencies as rows (base, slope), the law at
-    s = 2p/3 - 4p^2/9 being base + s * slope, for rates of shape (..., 2, 2);
-    leading axes stack couplings.
-
-    Before readout the law over BELL_OUTCOMES is [1/2, 0, 0, 1/2] +
-    s [-1, 1, 1, -1]; readout is linear, so `read_out` with the per-bit
-    rates [[p0_j, p0_k], [p1_j, p1_k]] maps each row.
-    """
-    line = np.tile(_BELL_LINE, (*rates.shape[:-2], 1, 1))
-    read_out(line, rates[..., 0, :], rates[..., 1, :])
-    return line
-
-
-def _bell_line_derivatives(rates: np.ndarray) -> np.ndarray:
-    """Derivatives of `_bell_line(rates)` in p0_j, p1_j, p0_k, p1_k, shape
-    (..., 4, 2, 4).
-
-    Readout is affine in each rate, so each derivative is `_bell_line` with
-    that rate set to 1 minus `_bell_line` with it set to 0.
-    """
-    ends = np.repeat(rates[..., None, :, :], 8, axis=-3)
-    for i, (rate, bit) in enumerate(((0, 0), (1, 0), (0, 1), (1, 1))):
-        ends[..., 2 * i, rate, bit], ends[..., 2 * i + 1, rate, bit] = 1.0, 0.0
-    lines = _bell_line(ends)
-    return lines[..., 0::2, :, :] - lines[..., 1::2, :, :]
 
 
 def _pcnot_fits(records: Records, rows, rates: np.ndarray,
-                readout_stderrs: np.ndarray) -> list[EstimationResult]:
-    """Bell fits of the couplings of table `rows`: rates has shape
-    (couplings, 2, 2), [[p0_j, p0_k], [p1_j, p1_k]] per coupling, and
-    readout_stderrs shape (couplings, 4), the stderrs of (p0_j, p1_j, p0_k,
-    p1_k)."""
-    line = _bell_line(rates)
-    base, slope = line[:, 0], line[:, 1]
-    # |slope| = 2 |(1 - p0_j - p1_j)(1 - p0_k - p1_k)|
-    norm2 = _dot(slope, slope)
-    if (norm2 < 1e-18).any():
+                rate_sds: np.ndarray) -> list[EstimationResult]:
+    """Bell fits of the couplings of table `rows`, coupling i read out with
+    rates (p0, p1) = rates[:, i] over its bits (j, k), whose stderrs are
+    rate_sds[:, i]; both have shape (2, couplings, 2)."""
+    p0, p1 = rates
+    a, c = 1.0 - p0 - p1, p1 - p0  # each bit reads its z = +-1 out as a z + c on average
+    gain = a[:, 0] * a[:, 1]
+    if (np.abs(gain) < 5e-10).any():
         raise NoConvergence("readout too noisy to resolve the Bell test")
-    observed, shots = records.frequencies()[rows], records.shots[rows]
-    resid = observed - base
-    s_raw = _dot(slope, resid) / norm2
-    mixed = s_raw >= 0.25  # beyond the most-mixed Bell law: p = 3/4, no stderr
-    root = np.sqrt(np.where(mixed, 1.0, 1.0 - 4.0 * s_raw))
+    freq, shots = records.frequencies()[rows], records.shots[rows]
+    odd = freq[:, 1] + freq[:, 2]
+    # the parity z_j z_k reads out as gain * t + c_j c_k
+    t = (1.0 - 2.0 * odd - c[:, 0] * c[:, 1]) / gain
+    mixed = t <= 0.0  # at or beyond the most-mixed Bell law: p = 3/4, no stderr
+    root = np.sqrt(np.where(mixed, 1.0, t))
 
-    obs_terms = slope / norm2[:, None] * binomial_stderr(observed, shots[:, None])
-    var = _dot(obs_terms, obs_terms)
-    # (p0_j, p1_j, p0_k, p1_k) against the four readout stderrs
-    derivs = _bell_line_derivatives(rates)
-    d_base, d_slope = derivs[:, :, 0], derivs[:, :, 1]
-    apply = lambda m, v: (m @ v[:, :, None])[:, :, 0]
-    ds_dparams = (apply(d_slope, resid) - apply(d_base, slope)
-                  - 2.0 * s_raw[:, None] * apply(d_slope, slope)) / norm2[:, None]
-    for column in (ds_dparams * readout_stderrs).T:  # term by term, as a scalar sum adds
-        var = var + column**2
+    # gain * dt / d(p0, p1) of each bit is t a + c and t a - c of the other bit
+    t_a, c_other = t[:, None] * a[:, ::-1], c[:, ::-1]
+    readout_terms = np.stack([t_a + c_other, t_a - c_other]) * rate_sds
+    var = (4.0 * _count_variance(odd, shots) + (readout_terms**2).sum(axis=(0, 2))) / gain**2
 
-    s_fit = np.where(mixed, 0.25, np.maximum(s_raw, 0.0))
-    resid -= s_fit[:, None] * slope
+    fitted = (np.clip(t, 0.0, 1.0)[:, None] * [1.0, -1.0, -1.0, 1.0] + 1.0) / 4.0
+    read_out(fitted, p0, p1)
     names = [f"p_cnot:q{j}-q{k}" for j, k in (records.tests[row].coupling for row in rows)]
     return _results(names, np.where(mixed, 0.75, 0.75 * (1.0 - root)),
-                    np.where(mixed, 0.0, 1.5 / root * np.sqrt(var)),
-                    _norm(resid), flagged=mixed & (s_raw != 0.25))
+                    np.where(mixed, 0.0, 0.375 / root * np.sqrt(var)),
+                    _norm(freq - fitted), flagged=mixed & (t != 0.0))
 
 
 def fit_pcnot(
@@ -357,21 +326,24 @@ def fit_pcnot(
     readout_k: ReadoutModel,
     readout_stderrs: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0),
 ) -> EstimationResult:
-    """Least-squares cnot depolarizing rate from a one-row table of a
-    Bell-state test.
+    """Cnot depolarizing rate from a one-row table of a Bell-state test.
 
-    The squared residual between the observed frequencies and base + s *
-    slope is quadratic in s, minimised at s* = <slope, obs - base> / |slope|^2,
-    and p = 3/4 (1 - sqrt(1 - 4 s*)). An s* < 0 gives a negative raw p,
-    clamped to 0 and flagged; an s* > 1/4 lies beyond the most-mixed Bell
-    law, so p is clamped to 3/4 and flagged. The stderr propagates the
-    record's binomial noise and the four readout stderrs (p0_j, p1_j, p0_k,
-    p1_k) through dp/ds * ds/d(input); at p = 3/4, where dp/ds diverges, no
-    stderr is reported.
+    Before readout the Bell law is (1 + t z_j z_k) / 4 over z = +-1, with
+    t = (1 - 4p/3)^2. Readout maps each bit's z to a z + c on average, with
+    a = 1 - p0 - p1 and c = p1 - p0, so the odd-parity frequency f_odd =
+    f01 + f10 gives t = (1 - 2 f_odd - c_j c_k) / (a_j a_k) and
+    p = 3/4 (1 - sqrt(t)). This is the least-squares fit of all four
+    frequencies, whose read-out slope in t is parallel to the parity
+    contrast. A t > 1 gives a negative raw p, clamped to 0 and flagged; a
+    t < 0 lies beyond the most-mixed Bell law, so p is clamped to 3/4 and
+    flagged. The stderr propagates f_odd's binomial variance (floored at one
+    count) and the four readout stderrs (p0_j, p1_j, p0_k, p1_k) through
+    dp/dt; at p = 3/4, where dp/dt diverges, no stderr is reported. The
+    residual norm is the four frequencies' misfit at the fitted law.
     """
-    rates = np.array([[[readout_j.p0, readout_k.p0], [readout_j.p1, readout_k.p1]]])
-    (fit,) = _pcnot_fits(records, _rows(records, "bell", "fit_pcnot"), rates,
-                         np.array([readout_stderrs], dtype=float))
+    rates = np.array([[[readout_j.p0, readout_k.p0]], [[readout_j.p1, readout_k.p1]]])
+    rate_sds = np.reshape(np.array(readout_stderrs, dtype=float), (2, 2)).T[:, None]
+    (fit,) = _pcnot_fits(records, _rows(records, "bell", "fit_pcnot"), rates, rate_sds)
     return fit
 
 # -- composite orchestration ----------------------------------------------------
@@ -406,9 +378,11 @@ def fit_composite(records: Records, variant: str = "aro+dp", *, granularity: str
                   subset: tuple[int, ...] | None = None, provenance: str = "") -> CompositeFit:
     """Compose a noise model from a table of characterization records.
 
-    Per qubit: p0 from the init test and (p1, p_x) from the X/XX system.
-    Per coupling: p_cnot refit against the variant's own readout model, so
-    e.g. the SRO+DP and ARO+DP depolarizing parameters differ. Averaged
+    Per qubit: p0 from the init column, (p1, p_x) from the X/XX system and,
+    with gate depolarizing, p_h from the Hadamard train if the table has
+    one. Per coupling: p_cnot from the Bell odd-parity column, read out with
+    the variant's own readout model, so e.g. the SRO+DP and ARO+DP
+    depolarizing parameters differ. Averaged
     granularities fit per element first and then average the parameters;
     only subset_average takes a subset. The settings are checked first.
     """
@@ -494,10 +468,7 @@ def fit_composite(records: Records, variant: str = "aro+dp", *, granularity: str
         pair = np.array([[position[j], position[k]] for j, k in couplings])
         pcnot_fits = _once(
             ("bell", key, tuple(couplings), readout_mode), _pcnot_fits,
-            records, [bells[c] for c in couplings],
-            rates[:, pair].transpose(1, 0, 2),  # [[p0_j, p0_k], [p1_j, p1_k]]
-            rate_sds[:, pair].transpose(1, 2, 0).reshape(-1, 4),  # p0_j, p1_j, p0_k, p1_k
-        )
+            records, [bells[c] for c in couplings], rates[:, pair], rate_sds[:, pair])
         estimates.update((r.name, r) for r in pcnot_fits)
         cnot_map = {c: r.value for c, r in zip(couplings, pcnot_fits)}
 

@@ -3,9 +3,10 @@
 Channel conventions: a depolarizing channel with parameter p applies one of
 {X, Y, Z} with probability p/3 each, after the ideal gate; readout error is
 a per-bit stochastic channel [[1-p0, p1], [p0, 1-p1]] acting on the
-post-measurement classical bit string. `read_out` is the one implementation
-of that channel: the simulator's outcome laws, the mock QPU's hidden readout,
-the Bell fit and `apply_readout_to_distribution` all go through it. A cnot is
+post-measurement classical bit string. `read_out` is the one forward
+implementation of that channel: the simulator's outcome laws, the mock QPU's
+hidden readout, the Bell fit's fitted law and `apply_readout_to_distribution`
+all go through it. The estimators invert it in closed form. A cnot is
 followed by two identical, independent single-qubit depolarizing channels
 (one per operand), not a two-qubit depolarizer.
 """

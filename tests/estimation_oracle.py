@@ -7,10 +7,11 @@
   iterated to its fixed point, each round's weighted misfit minimised over
   p in [0, 3/4] by a bounded scalar minimiser (coarse scan, golden section,
   finite-difference Newton polish).
-- Bell-test stderr: the delta-method stderr of the cnot rate, with each
-  readout rate's derivative of the Bell line taken as the line at rate 1
-  minus the line at rate 0 (the line is affine in each rate), the line
-  read out through the Kronecker product of the two 2x2 stochastic matrices.
+- Bell-test fit: the least-squares line of the four Bell frequencies, read
+  out through the Kronecker product of the two 2x2 stochastic matrices. Its
+  delta-method stderr takes the four frequencies as one multinomial and
+  each readout rate's derivative of the line as the line at rate 1 minus
+  the line at rate 0 (the line is affine in each rate).
 - Per-element fits: the closed-form X/XX, Hadamard and Bell estimators
   written for one qubit or coupling at a time, and `fit_estimates`, which
   fits an archive element by element in the order `fit_composite` reports
@@ -192,14 +193,19 @@ def bell_line(rates: np.ndarray) -> np.ndarray:
 def pcnot_stderr(observed, shots: int, rates: np.ndarray, readout_stderrs) -> float:
     """Stderr of the Bell-test cnot rate for observed frequencies over
     00, 01, 10, 11, readout rates [[p0_j, p0_k], [p1_j, p1_k]] and the
-    readout stderrs (p0_j, p1_j, p0_k, p1_k)."""
+    readout stderrs (p0_j, p1_j, p0_k, p1_k).
+
+    The frequencies' covariance is the multinomial (diag f - f f') / n. The
+    fit's weights g on them are a parity contrast, so g' C g is floored at
+    one count as a binomial frequency is: at g'g / n^2."""
     observed = np.asarray(observed, dtype=float)
     base, slope = bell_line(rates)
     norm2 = float(slope @ slope)
     resid = observed - base
     s_raw = float(slope @ resid) / norm2
-    obs_terms = slope / norm2 * np.sqrt(observed * (1.0 - observed) / shots)
-    var = float(obs_terms @ obs_terms)
+    weights = slope / norm2
+    cov = (np.diag(observed) - np.outer(observed, observed)) / shots
+    var = max(float(weights @ cov @ weights), float(weights @ weights) / shots**2)
     for sigma, entry in zip(readout_stderrs, ((0, 0), (1, 0), (0, 1), (1, 1))):
         at_zero, at_one = rates.copy(), rates.copy()
         at_zero[entry], at_one[entry] = 0.0, 1.0

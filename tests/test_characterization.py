@@ -107,6 +107,27 @@ def test_label_must_be_a_string(label, tmp_path):
             read(path)
 
 
+@pytest.mark.parametrize("fields", [
+    dict(kind="init", qubit=0, length=2),
+    dict(kind="x", qubit=0, coupling=(0, 1)),
+    dict(kind="hseq", qubit=0, length=4, coupling=(0, 1)),
+    dict(kind="bell", coupling=(0, 1), qubit=5),
+    dict(kind="bell", coupling=(0, 1), length=2),
+    dict(kind="bell", coupling=(0, 1, 2)),
+    dict(kind="hseq", qubit=True, length=4),
+    dict(kind="init", qubit=1.5),
+    dict(kind="bell", coupling=(0, 1.0)),
+    dict(kind="hseq", qubit=0, length=4.0),
+], ids=["init-length", "x-coupling", "hseq-coupling", "bell-qubit", "bell-length",
+        "bell-three-qubits", "bool-qubit", "float-qubit", "float-coupling", "float-length"])
+def test_fields_a_kind_does_not_take_are_rejected(fields):
+    """A test takes only the fields its kind uses, and integers there: a
+    stray field would drop out of its label or key, and a bool or float
+    qubit would print a label that `from_label` rejects."""
+    with pytest.raises(ValueError):
+        TestKind(**fields)
+
+
 def test_odd_hadamard_length_rejected():
     with pytest.raises(OddHadamardLength):
         TestKind("hseq", qubit=0, length=3)

@@ -36,7 +36,6 @@ from noisekit.errors import (
 from noisekit.estimation import (
     BELL_OUTCOMES,
     EstimationResult,
-    _bell_line,
     binomial_stderr,
     estimate_hadamard_error,
     estimate_p0,
@@ -366,25 +365,22 @@ def test_hadamard_matches_bounded_minimiser_oracle():
         assert abs(fit.result.value - oracle) <= 0.15 * fit.result.stderr + 1e-8
 
 
-def test_hadamard_stderr_covers_the_spread_of_p_h():
-    """Over 400 suites drawn on line(3) (`jittered_truth(topo, 42)`, p_h 0.004,
-    0.006 and 0.008, lengths 2, 4, 8, 16, 8192 shots) the aro+dp fit's mean
-    p_h stderr is each qubit's empirical sd within 4 sd of a sample sd,
-    4 (2 (K - 1))^(-1/2): the stderr carries the readout estimates' error
-    as well as the trains' counting noise."""
-    suites, shots, p_h = 400, 8192, (0.004, 0.006, 0.008)
-    topo = line(3)
-    truth = jittered_truth(topo, 42)
+def _drawn_fits(topo, suites: int, p_h=None, lengths=()) -> list[dict]:
+    """The aro+dp estimates of `suites` suites on `topo` at 8192 shots, drawn
+    from the closed forms of `jittered_truth(topo, 42)` with Hadamard rates
+    p_h[q] at `lengths`: init, X, XX and sequence tests per qubit, a Bell
+    test per coupling."""
+    shots, truth = 8192, jittered_truth(topo, 42)
     tests, laws = [], []
     for q in range(topo.num_qubits):
         readout = truth.readout_for(q)
         g_x, g_xx = predicted_x_test_frequencies(readout.p0, readout.p1, truth.x_for(q))
         observed = [1.0 - readout.p0, g_x, g_xx]
-        for length in (2, 4, 8, 16):
+        for length in lengths:
             s = hadamard_survival(length, p_h[q])
             observed.append((1.0 - readout.p0) * s + readout.p1 * (1.0 - s))
         tests += [TestKind("init", qubit=q), TestKind("x", qubit=q), TestKind("xx", qubit=q),
-                  *(TestKind("hseq", qubit=q, length=l) for l in (2, 4, 8, 16))]
+                  *(TestKind("hseq", qubit=q, length=l) for l in lengths)]
         laws += [[f, 1.0 - f, 0.0, 0.0] for f in observed]
     for j, k in sorted(topo.undirected_edges()):
         law = apply_readout_to_distribution(bell_frequencies(truth.cnot[j, k]),
@@ -393,12 +389,33 @@ def test_hadamard_stderr_covers_the_spread_of_p_h():
         laws.append([dict(law.items()).get(o, 0.0) for o in BELL_OUTCOMES])
     rng = np.random.default_rng(5)
     counts = np.stack([rng.multinomial(shots, law, size=suites) for law in laws], axis=1)
-    fits = [fit_composite(Records(tuple(tests), table, np.full(len(tests), shots)),
+    return [fit_composite(Records(tuple(tests), table, np.full(len(tests), shots)),
                           "aro+dp").estimates for table in counts]
-    band = 4.0 / math.sqrt(2 * (suites - 1))
-    for q in range(topo.num_qubits):
-        value, stderr = np.array([(f[f"p_h:q{q}"].value, f[f"p_h:q{q}"].stderr) for f in fits]).T
-        assert np.mean(stderr) / np.std(value, ddof=1) == pytest.approx(1.0, abs=band), q
+
+
+def _assert_stderr_covers_the_spread(fits: list[dict], names) -> None:
+    """Each parameter's mean stderr is its empirical sd over the fits within
+    4 sd of a sample sd, 4 (2 (K - 1))^(-1/2)."""
+    band = 4.0 / math.sqrt(2 * (len(fits) - 1))
+    for name in names:
+        value, stderr = np.array([(f[name].value, f[name].stderr) for f in fits]).T
+        assert np.mean(stderr) / np.std(value, ddof=1) == pytest.approx(1.0, abs=band), name
+
+
+def test_hadamard_stderr_covers_the_spread_of_p_h():
+    """Over 400 suites drawn on line(3) (p_h 0.004, 0.006 and 0.008, lengths
+    2, 4, 8, 16) the p_h stderr covers its spread: it carries the readout
+    estimates' error as well as the trains' counting noise."""
+    fits = _drawn_fits(line(3), 400, (0.004, 0.006, 0.008), (2, 4, 8, 16))
+    _assert_stderr_covers_the_spread(fits, [f"p_h:q{q}" for q in range(3)])
+
+
+def test_pcnot_stderr_covers_the_spread_of_p_cnot():
+    """Over 1,000 suites drawn on line(4) the p_cnot stderr covers its
+    spread: the four Bell frequencies are one multinomial, so the fit's
+    counting noise is the odd-parity frequency's binomial variance."""
+    fits = _drawn_fits(line(4), 1000)
+    _assert_stderr_covers_the_spread(fits, [f"p_cnot:q{q}-q{q + 1}" for q in range(3)])
 
 
 # -- stacked Hadamard trains ---------------------------------------------------------
@@ -514,12 +531,12 @@ def test_pcnot_wrong_kind():
 
 
 def test_bell_line_matches_readout_of_bell_frequencies():
-    """The array line base + s * slope, s = 2p/3 - 4p^2/9, reproduces the
+    """The oracle's line base + s * slope, s = 2p/3 - 4p^2/9, reproduces the
     readout-transformed closed-form Bell law at every p."""
     rng = np.random.default_rng(31)
     for _ in range(100):
         rates = rng.uniform(0, 0.3, size=(2, 2))  # [[p0_j, p0_k], [p1_j, p1_k]]
-        base, slope = _bell_line(rates)
+        base, slope = bell_line(rates)
         readouts = [ReadoutModel(float(rates[0, b]), float(rates[1, b])) for b in range(2)]
         for p in rng.uniform(0, 0.75, size=3):
             law = apply_readout_to_distribution(bell_frequencies(float(p)), readouts)
@@ -566,7 +583,7 @@ def _bell_record(freqs, shots=8192):
 def test_pcnot_stderr_matches_central_differences():
     """The analytic stderr, readout terms included, equals the delta method
     over central differences of the estimator in the four frequencies and
-    the four readout parameters."""
+    the four readout parameters, the frequencies being one multinomial."""
     rng = np.random.default_rng(8)
     for _ in range(40):
         p = [float(v) for v in rng.uniform(0.01, 0.12, size=4)]  # p0_j, p1_j, p0_k, p1_k
@@ -585,16 +602,19 @@ def test_pcnot_stderr_matches_central_differences():
                         ReadoutModel(p[2], p[3]), readout_stderrs)
         assert res.feasible
         grad = _central_gradient(raw, [*observed, *p], 1e-6)
-        sigma = [*(binomial_stderr(f, 8192) for f in observed), *readout_stderrs]
-        assert res.stderr == pytest.approx(np.linalg.norm(grad * sigma), rel=1e-4)
+        cov = np.zeros((8, 8))
+        cov[:4, :4] = (np.diag(observed) - np.outer(observed, observed)) / 8192
+        cov[4:, 4:] = np.diag(np.square(readout_stderrs))
+        assert res.stderr == pytest.approx(math.sqrt(grad @ cov @ grad), rel=1e-4)
 
 
 def test_pcnot_stderr_matches_oracle():
-    """The stacked Bell fit's stderr equals the oracle's on random rates,
-    readout stderrs (zeros included) and Bell counts. Both take each readout
-    term's line derivative as the line at that rate 1 minus at 0; the fit
-    reads the line out through `read_out` and the oracle through a
-    Kronecker product of 2x2 channels."""
+    """The Bell fit's stderr, a closed form in the odd-parity frequency,
+    equals the oracle's on random rates, readout stderrs (zeros included)
+    and Bell counts. The oracle fits the least-squares line of all four
+    frequencies, read out through a Kronecker product of 2x2 channels, with
+    their multinomial covariance and each readout term's line derivative
+    taken as the line at that rate 1 minus at 0."""
     rng = np.random.default_rng(29)
     for _ in range(200):
         rates = rng.uniform(0, 0.3, size=(2, 2))  # [[p0_j, p0_k], [p1_j, p1_k]]
@@ -609,6 +629,20 @@ def test_pcnot_stderr_matches_oracle():
             continue
         expected = pcnot_stderr(counts / shots, shots, rates, sigmas)
         assert res.stderr == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("counts", [{"00": 4096, "11": 4096}, {"00": 4095, "01": 1, "11": 4096}],
+                         ids=["no-odd-count", "one-odd-count"])
+def test_pcnot_stderr_floors_the_odd_parity_at_one_count(counts):
+    """With at most one odd-parity count the counting noise is floored at
+    one count, as the oracle floors it: 0.75 / n without readout error."""
+    ideal = ReadoutModel.ideal()
+    res = fit_pcnot(_one_row(BELL_KIND, counts, 8192), ideal, ideal)
+    observed = np.array([counts.get(k, 0) for k in BELL_OUTCOMES]) / 8192
+    expected = pcnot_stderr(observed, 8192, np.zeros((2, 2)), (0.0,) * 4)
+    assert res.stderr == pytest.approx(expected, rel=1e-12, abs=0.0)
+    if "01" not in counts:
+        assert res.stderr == pytest.approx(0.75 / 8192, rel=1e-12)
 
 
 def test_pcnot_infeasible_s_flagged():

@@ -1,11 +1,14 @@
 """The README's "Step by step" commands run as written, it names every
-option and no other flag, and each command's options match one pinned
-inventory."""
+option and no other flag, each command's options match one pinned
+inventory, and every module attribute and test file it cites exists."""
 import argparse
+import importlib
+import pkgutil
 import re
 import shlex
 from pathlib import Path
 
+import noisekit
 from noisekit.cli import COMMANDS, build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -90,3 +93,18 @@ def test_every_flag_the_readme_names_is_an_option():
 
 def test_the_option_inventory_is_pinned():
     assert _options() == {name: flags.split() for name, flags in OPTIONS.items()}
+
+
+def test_every_name_the_readme_cites_exists():
+    """Each backticked `module.attr` in README.md whose module is one of
+    noisekit's resolves in `noisekit.<module>`, and each `tests/*.py` path
+    it names exists: a renamed or deleted name cannot stay in the docs."""
+    text = README.read_text()
+    modules = {info.name for info in pkgutil.iter_modules(noisekit.__path__)}
+    cited = [(module, attr) for module, attr in re.findall(r"`([a-z_]+)\.([A-Za-z_]\w*)`", text)
+             if module in modules]
+    stale = [f"{module}.{attr}" for module, attr in cited
+             if not hasattr(importlib.import_module(f"noisekit.{module}"), attr)]
+    stale += [path for path in re.findall(r"tests/\w+\.py", text)
+              if not (README.parent / path).is_file()]
+    assert cited and not stale, f"names README.md cites that do not exist: {stale}"
