@@ -9,10 +9,10 @@ plus one Fisher-scoring step, which makes it efficient without iterating.
 Readout is the per-bit flip channel of `noise`, so each estimator inverts it
 in closed form on its own frequencies; the Bell fit's residual reads the
 fitted law out through `noise.read_out`, the channel the simulator uses.
-Standard errors propagate each record's binomial counting noise (and
-upstream readout stderrs) through analytic gradients (delta method);
-estimates that land outside [0,1] are clamped and flagged infeasible rather
-than rejected.
+Standard errors propagate each record's binomial counting noise (and the
+readout rates' error terms, so p0 and p1 keep their covariance) through
+analytic gradients (delta method); estimates that land outside [0,1] are
+clamped and flagged infeasible rather than rejected.
 
 Every element of a family (each qubit's X/XX system or Hadamard decay, each
 coupling's Bell fit) is the same closed form applied to other numbers, so
@@ -141,9 +141,9 @@ def estimate_p0(records: Records) -> EstimationResult:
 
 
 def _aro_fits(records: Records, qubits, p0: np.ndarray, p0_sd: np.ndarray):
-    """(p1 results, p_x results) of the X/XX systems of the qubits, given
-    their p0 estimates and stderrs as arrays over qubits. The stderrs
-    propagate the binomial noise of both tests and p0's stderr."""
+    """(p1 results, p_x results, p1's error terms from the X, XX and init
+    tests) of the X/XX systems of the qubits, given their p0 estimates and
+    stderrs as arrays over qubits, propagating both tests' binomial noise."""
     freq, shots = records.frequencies(), records.shots
     x, xx = ([records.index[kind, q, None] for q in qubits] for kind in ("x", "xx"))
     g_x, g_xx = freq[x, 0], freq[xx, 0]
@@ -171,11 +171,11 @@ def _aro_fits(records: Records, qubits, p0: np.ndarray, p0_sd: np.ndarray):
     grad_q = np.stack([q / gap_x, -0.5 / gap_x, (gap_xx - gap_x) / (2.0 * gap_x**2)], axis=-1)
     grad_p1 = (np.stack([np.ones_like(q), np.zeros_like(q), q], axis=-1)
                + (p1_raw - a)[:, None] * grad_q) / (1.0 - q)[:, None]
-    stderr_p1 = _norm(grad_p1 * sigma)
+    p1_terms = grad_p1 * sigma
     stderr_px = 1.5 * _norm(grad_q * sigma)
     zero = np.zeros(len(q))
-    return (_results([f"p1:q{q}" for q in qubits], p1_raw, stderr_p1, zero),
-            _results([f"p_x:q{q}" for q in qubits], px_raw, stderr_px, zero))
+    return (_results([f"p1:q{q}" for q in qubits], p1_raw, _norm(p1_terms), zero),
+            _results([f"p_x:q{q}" for q in qubits], px_raw, stderr_px, zero), p1_terms)
 
 
 def solve_aro_system(records: Records) -> tuple[EstimationResult, EstimationResult]:
@@ -191,7 +191,7 @@ def solve_aro_system(records: Records) -> tuple[EstimationResult, EstimationResu
     """
     qubit = records.tests[0].qubit
     (p0,) = _p0_fits(records, [records.index["init", qubit, None]])
-    (p1,), (p_x,) = _aro_fits(records, [qubit], np.array([p0.value]), np.array([p0.stderr]))
+    (p1,), (p_x,), _ = _aro_fits(records, [qubit], np.array([p0.value]), np.array([p0.stderr]))
     return p1, p_x
 
 
@@ -207,12 +207,12 @@ class HadamardFit:
     include_in_model: bool
 
 
-def _hadamard_fits(records: Records, trains, rates, rate_sds) -> list[HadamardFit]:
+def _hadamard_fits(records: Records, trains, rates, terms=np.zeros((2, 1, 1))) -> list[HadamardFit]:
     """One fit per train, the table rows of one qubit's sequence tests,
-    train i read out with rates (p0, p1) = rates[:, i] whose stderrs are
-    rate_sds[:, i]. The trains are padded to one width by repeating their
-    first length, and the padding weighs nothing."""
-    p0, p1, p0_sd, p1_sd = (np.asarray(v, dtype=float)[:, None] for v in (*rates, *rate_sds))
+    train i read out with rates (p0, p1) = rates[:, i] of error terms
+    terms[:, i] (none: exact). The trains are padded to one width by
+    repeating their first length, and the padding weighs nothing."""
+    p0, p1, t0, t1 = (np.asarray(v, dtype=float)[:, None] for v in (*rates, *terms))
     denom = 1.0 - p0 - p1
     by_length = [{records.tests[row].length: row for row in train} for train in trains]
     lengths = [sorted(rows) for rows in by_length]
@@ -240,10 +240,10 @@ def _hadamard_fits(records: Records, trains, rates, rate_sds) -> list[HadamardFi
     start = np.clip(ratio(_dot(weight, own), total, total > 0.0), 0.0, 1.0)[:, None]
 
     # one scoring step from it, under the lengths' covariance: their binomial
-    # variance plus the readout error that every length shares
+    # variance plus the readout error terms all lengths share, on (-S, 1 - S)
     survival = 0.5 + 0.5 * start**length
     law = p1 + denom * survival
-    shared = used[..., None] * np.stack([p0_sd * survival, p1_sd * (1.0 - survival)], axis=-1)
+    shared = used[..., None] * ((1.0 - survival)[..., None] * t1 - survival[..., None] * t0)
     cov = shared @ shared.swapaxes(1, 2)
     cov[:, range(width), range(width)] += np.where(used, _count_variance(law, shots), 1.0)
     g = slope(start)
@@ -264,7 +264,7 @@ def _hadamard_fits(records: Records, trains, rates, rate_sds) -> list[HadamardFi
 def estimate_hadamard_error(records: Records, readout: ReadoutModel) -> HadamardFit:
     """Per-gate Hadamard depolarizing rate from a table of one qubit's
     even-length sequence tests, given the qubit's readout rates (taken as
-    exact here; `fit_composite` also passes their stderrs).
+    exact here; `fit_composite` also propagates their error).
 
     The frequency of 0 after a train of length L is
     law_L = p1 + (1 - p0 - p1) (1/2 + r^L / 2), with decay r = 1 - 4p/3.
@@ -275,8 +275,8 @@ def estimate_hadamard_error(records: Records, readout: ReadoutModel) -> Hadamard
     variances. One Fisher-scoring step from the start then makes the
     estimate efficient to first order: r += g' C^-1 (f - law) / g' C^-1 g,
     with g = d law / dr and C the lengths' covariance, each length's
-    binomial variance (floored at one count) plus the readout stderrs'
-    shared terms sd0^2 S S' + sd1^2 (1 - S)(1 - S)', S the survivals. The
+    binomial variance (floored at one count), in `fit_composite` plus R R',
+    R the readout error terms projected on (-S, 1 - S), S the survivals. The
     stderr is 0.75 / sqrt(g' C^-1 g). On the bounds p = 0 and p = 3/4 the
     fit does not move with the data, so no stderr is reported and the
     channel is left out of the model; inside, the include flag drops the
@@ -284,17 +284,17 @@ def estimate_hadamard_error(records: Records, readout: ReadoutModel) -> Hadamard
     The residual norm is the corrected survivals' misfit at the estimate.
     """
     train = _rows(records, "hseq", "estimate_hadamard_error")
-    return _hadamard_fits(records, [train], [[readout.p0], [readout.p1]], np.zeros((2, 1)))[0]
+    return _hadamard_fits(records, [train], [[readout.p0], [readout.p1]])[0]
 
 
 BELL_OUTCOMES = ("00", "01", "10", "11")
 
 
 def _pcnot_fits(records: Records, rows, rates: np.ndarray,
-                rate_sds: np.ndarray) -> list[EstimationResult]:
-    """Bell fits of the couplings of table `rows`, coupling i read out with
-    rates (p0, p1) = rates[:, i] over its bits (j, k), whose stderrs are
-    rate_sds[:, i]; both have shape (2, couplings, 2)."""
+                terms=np.zeros((2, 1, 2, 1))) -> list[EstimationResult]:
+    """Bell fits of the couplings of table `rows`, coupling i read out over its
+    bits (j, k) with rates (p0, p1) = rates[:, i], shape (2, couplings, 2), whose
+    error terms over each bit's own sources are terms[:, i] (none: exact)."""
     p0, p1 = rates
     a, c = 1.0 - p0 - p1, p1 - p0  # each bit reads its z = +-1 out as a z + c on average
     gain = a[:, 0] * a[:, 1]
@@ -308,9 +308,9 @@ def _pcnot_fits(records: Records, rows, rates: np.ndarray,
     root = np.sqrt(np.where(mixed, 1.0, t))
 
     # gain * dt / d(p0, p1) of each bit is t a + c and t a - c of the other bit
-    t_a, c_other = t[:, None] * a[:, ::-1], c[:, ::-1]
-    readout_terms = np.stack([t_a + c_other, t_a - c_other]) * rate_sds
-    var = (4.0 * _count_variance(odd, shots) + (readout_terms**2).sum(axis=(0, 2))) / gain**2
+    t_a, c_other = t[:, None, None] * a[:, ::-1, None], c[:, ::-1, None]
+    readout = (t_a + c_other) * terms[0] + (t_a - c_other) * terms[1]
+    var = (4.0 * _count_variance(odd, shots) + (readout**2).sum(axis=(1, 2))) / gain**2
 
     fitted = (np.clip(t, 0.0, 1.0)[:, None] * [1.0, -1.0, -1.0, 1.0] + 1.0) / 4.0
     read_out(fitted, p0, p1)
@@ -320,13 +320,10 @@ def _pcnot_fits(records: Records, rows, rates: np.ndarray,
                     _norm(freq - fitted), flagged=mixed & (t != 0.0))
 
 
-def fit_pcnot(
-    records: Records,
-    readout_j: ReadoutModel,
-    readout_k: ReadoutModel,
-    readout_stderrs: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0),
-) -> EstimationResult:
-    """Cnot depolarizing rate from a one-row table of a Bell-state test.
+def fit_pcnot(records: Records, readout_j: ReadoutModel,
+              readout_k: ReadoutModel) -> EstimationResult:
+    """Cnot depolarizing rate from a one-row table of a Bell-state test, its
+    readout taken as exact (`fit_composite` also propagates its error).
 
     Before readout the Bell law is (1 + t z_j z_k) / 4 over z = +-1, with
     t = (1 - 4p/3)^2. Readout maps each bit's z to a z + c on average, with
@@ -337,13 +334,12 @@ def fit_pcnot(
     contrast. A t > 1 gives a negative raw p, clamped to 0 and flagged; a
     t < 0 lies beyond the most-mixed Bell law, so p is clamped to 3/4 and
     flagged. The stderr propagates f_odd's binomial variance (floored at one
-    count) and the four readout stderrs (p0_j, p1_j, p0_k, p1_k) through
-    dp/dt; at p = 3/4, where dp/dt diverges, no stderr is reported. The
-    residual norm is the four frequencies' misfit at the fitted law.
+    count) through dp/dt; at p = 3/4, where dp/dt diverges, no stderr is
+    reported. The residual norm is the four frequencies' misfit at the
+    fitted law.
     """
     rates = np.array([[[readout_j.p0, readout_k.p0]], [[readout_j.p1, readout_k.p1]]])
-    rate_sds = np.reshape(np.array(readout_stderrs, dtype=float), (2, 2)).T[:, None]
-    (fit,) = _pcnot_fits(records, _rows(records, "bell", "fit_pcnot"), rates, rate_sds)
+    (fit,) = _pcnot_fits(records, _rows(records, "bell", "fit_pcnot"), rates)
     return fit
 
 # -- composite orchestration ----------------------------------------------------
@@ -382,7 +378,8 @@ def fit_composite(records: Records, variant: str = "aro+dp", *, granularity: str
     with gate depolarizing, p_h from the Hadamard train if the table has
     one. Per coupling: p_cnot from the Bell odd-parity column, read out with
     the variant's own readout model, so e.g. the SRO+DP and ARO+DP
-    depolarizing parameters differ. Averaged
+    depolarizing parameters differ; their stderrs carry the readout
+    estimates' error with its p0-p1 covariance. Averaged
     granularities fit per element first and then average the parameters;
     only subset_average takes a subset. The settings are checked first.
     """
@@ -439,19 +436,20 @@ def fit_composite(records: Records, variant: str = "aro+dp", *, granularity: str
     p0_sd = np.array([r.stderr for r in p0_fits])
     per_qubit = [p0_fits]
     if need_x_system:
-        p1_fits, px_fits = _once(("x", key), _aro_fits, records, qubits, p0, p0_sd)
+        p1_fits, px_fits, p1_terms = _once(("x", key), _aro_fits, records, qubits, p0, p0_sd)
         per_qubit += [p1_fits, px_fits]
     estimates = {r.name: r for fits in zip(*per_qubit) for r in fits}
 
-    # each qubit's readout rates (p0, p1) and their stderrs under the
-    # variant, as columns of (2, qubits) arrays
+    # each qubit's readout rates (p0, p1) under the variant, (2, qubits), and
+    # their error terms from its X, XX and init tests, (2, qubits, 3)
+    p0_terms = p0_sd[:, None] * [0.0, 0.0, 1.0]
     if readout_mode == "aro":
         rates = np.array([p0, [r.value for r in p1_fits]])
-        rate_sds = np.array([p0_sd, [r.stderr for r in p1_fits]])
+        terms = np.array([p0_terms, p1_terms])
     elif readout_mode == "sro":
-        rates, rate_sds = np.array([p0, p0]), np.array([p0_sd, p0_sd])
+        rates, terms = np.array([p0, p0]), np.array([p0_terms, p0_terms])
     else:
-        rates = rate_sds = np.zeros((2, len(qubits)))
+        rates, terms = np.zeros((2, len(qubits))), np.zeros((2, len(qubits), 3))
 
     readout_on = readout_mode != "off"
     x_map = {q: r.value for q, r in zip(qubits, px_fits)} if gate_dp and readout_on else {}
@@ -460,7 +458,7 @@ def fit_composite(records: Records, variant: str = "aro+dp", *, granularity: str
         rows = [i for i, q in enumerate(qubits) if q in trains]
         # a suite planned without Hadamard trains has no Hadamard family
         fits = rows and _once(("hseq", key, readout_mode), _hadamard_fits, records,
-                              [trains[qubits[i]] for i in rows], rates[:, rows], rate_sds[:, rows])
+                              [trains[qubits[i]] for i in rows], rates[:, rows], terms[:, rows])
         estimates.update((fit.result.name, fit.result) for fit in fits)
         h_map = {qubits[i]: fit.result.value
                  for i, fit in zip(rows, fits) if fit.include_in_model}
@@ -468,7 +466,7 @@ def fit_composite(records: Records, variant: str = "aro+dp", *, granularity: str
         pair = np.array([[position[j], position[k]] for j, k in couplings])
         pcnot_fits = _once(
             ("bell", key, tuple(couplings), readout_mode), _pcnot_fits,
-            records, [bells[c] for c in couplings], rates[:, pair], rate_sds[:, pair])
+            records, [bells[c] for c in couplings], rates[:, pair], terms[:, pair])
         estimates.update((r.name, r) for r in pcnot_fits)
         cnot_map = {c: r.value for c, r in zip(couplings, pcnot_fits)}
 

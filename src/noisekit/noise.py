@@ -38,11 +38,16 @@ VARIANTS = {
 
 
 def check_prob(value: float, name: str) -> float:
-    """`value` as a float in [0, 1]; a bool or str raises TypeError, and any
-    other value outside [0, 1] (NaN too) OutOfRange."""
+    """`value` as a float in [0, 1]; a bool or a value that is not a number
+    (a str, None) raises TypeError naming `name`, and a number outside
+    [0, 1] (NaN too) OutOfRange."""
     if isinstance(value, (bool, np.bool_)):
         raise TypeError(f"{name}={value} is a bool, not a probability")
-    if not (0.0 <= value <= 1.0):
+    try:
+        inside = 0.0 <= value <= 1.0
+    except TypeError:
+        raise TypeError(f"{name}={value!r} is not a number") from None
+    if not inside:
         raise OutOfRange(f"{name}={value} is not a probability")
     return float(value)
 
@@ -120,7 +125,8 @@ class CompositeNoiseModel:
     fields; per-element models use the explicit maps. readout_on and
     cnot_dp_on encode the model-family ablations (noiseless, SRO, ARO, DP,
     SRO+DP, ARO+DP). The x/h gate channels apply whenever their entries are
-    nonzero; variant fitting only populates them for the +DP families.
+    nonzero; variant fitting only populates them for the +DP families. Each
+    coupling is named once, of two qubits, and no qubit is negative.
     """
 
     granularity: str = PER_ELEMENT
@@ -144,15 +150,23 @@ class CompositeNoiseModel:
             raise ValueError("subset_average requires a subset")
         if not (isinstance(self.readout_on, bool) and isinstance(self.cnot_dp_on, bool)):
             raise TypeError(f"flags {self.readout_on!r}, {self.cnot_dp_on!r} are not booleans")
-        object.__setattr__(self, "readout", dict(self.readout))
-        object.__setattr__(self, "x_gate", dict(self.x_gate))
-        object.__setattr__(self, "h_gate", dict(self.h_gate))
-        object.__setattr__(
-            self, "cnot", {_edge(*k): v for k, v in dict(self.cnot).items()}
-        )
-        averages = (v for v in (self.avg_x, self.avg_h, self.avg_cnot) if v is not None)
-        for m in {*self.x_gate.values(), *self.h_gate.values(), *self.cnot.values(), *averages}:
-            check_prob(m, "depolarizing parameter")
+        for name in ("readout", "x_gate", "h_gate", "cnot"):
+            object.__setattr__(self, name, dict(getattr(self, name)))
+        cnot = {_edge(*c): v for c, v in self.cnot.items()}
+        if len(cnot) < len(self.cnot):
+            raise ValueError(f"couplings {sorted(self.cnot)} name one in both directions")
+        if any(a == b for a, b in cnot):
+            raise ValueError(f"couplings {sorted(cnot)} couple a qubit to itself")
+        object.__setattr__(self, "cnot", cnot)
+        qubits = [*self.readout, *self.x_gate, *self.h_gate, *(q for c in cnot for q in c)]
+        if min(qubits, default=0) < 0:
+            raise ValueError(f"qubit {min(qubits)} is negative")
+        for name, rates in (("p_x", self.x_gate), ("p_h", self.h_gate), ("p_cnot", cnot)):
+            for v in rates.values():
+                check_prob(v, name)
+        for name, v in (("p_x", self.avg_x), ("p_h", self.avg_h), ("p_cnot", self.avg_cnot)):
+            if v is not None:
+                check_prob(v, f"average {name}")
 
     @classmethod
     def noiseless(cls) -> "CompositeNoiseModel":

@@ -11,13 +11,16 @@
   out through the Kronecker product of the two 2x2 stochastic matrices. Its
   delta-method stderr takes the four frequencies as one multinomial and
   each readout rate's derivative of the line as the line at rate 1 minus
-  the line at rate 0 (the line is affine in each rate).
+  the line at rate 0 (the line is affine in each rate), and projects the
+  readout rates' error terms through those derivatives.
 - Per-element fits: the closed-form X/XX, Hadamard and Bell estimators
   written for one qubit or coupling at a time, and `fit_estimates`, which
   fits an archive element by element in the order `fit_composite` reports
   errors: every qubit's p0 and X/XX system, then every Hadamard decay, then
-  every coupling. The stacked estimators in `noisekit.estimation` must give
-  the same estimates, stderrs, residuals and errors.
+  every coupling. Each qubit's readout error reaches the Hadamard and Bell
+  fits as its (p0, p1) terms over its init, X and XX records, taken from
+  the per-element X/XX body. The stacked estimators in `noisekit.estimation`
+  must give the same estimates, stderrs, residuals and errors.
 
 Each forward model is written out here rather than imported, so the oracles
 share no code with `noisekit.estimation` (beyond its result type) or
@@ -190,10 +193,11 @@ def bell_line(rates: np.ndarray) -> np.ndarray:
     return np.array([[0.5, 0.0, 0.0, 0.5], [-1.0, 1.0, 1.0, -1.0]]) @ channel.T
 
 
-def pcnot_stderr(observed, shots: int, rates: np.ndarray, readout_stderrs) -> float:
+def pcnot_stderr(observed, shots: int, rates: np.ndarray, readout_terms) -> float:
     """Stderr of the Bell-test cnot rate for observed frequencies over
     00, 01, 10, 11, readout rates [[p0_j, p0_k], [p1_j, p1_k]] and the
-    readout stderrs (p0_j, p1_j, p0_k, p1_k).
+    readout rates' error terms, rows (p0_j, p1_j, p0_k, p1_k) over columns
+    of independent sources.
 
     The frequencies' covariance is the multinomial (diag f - f f') / n. The
     fit's weights g on them are a parity contrast, so g' C g is floored at
@@ -206,12 +210,13 @@ def pcnot_stderr(observed, shots: int, rates: np.ndarray, readout_stderrs) -> fl
     weights = slope / norm2
     cov = (np.diag(observed) - np.outer(observed, observed)) / shots
     var = max(float(weights @ cov @ weights), float(weights @ weights) / shots**2)
-    for sigma, entry in zip(readout_stderrs, ((0, 0), (1, 0), (0, 1), (1, 1))):
+    ds_dparam = np.zeros(4)
+    for i, entry in enumerate(((0, 0), (1, 0), (0, 1), (1, 1))):
         at_zero, at_one = rates.copy(), rates.copy()
         at_zero[entry], at_one[entry] = 0.0, 1.0
         d_base, d_slope = bell_line(at_one) - bell_line(at_zero)
-        ds_dparam = (d_slope @ resid - slope @ d_base - 2.0 * s_raw * (slope @ d_slope)) / norm2
-        var += (ds_dparam * sigma) ** 2
+        ds_dparam[i] = (d_slope @ resid - slope @ d_base - 2.0 * s_raw * (slope @ d_slope)) / norm2
+    var += float(np.sum((ds_dparam @ np.asarray(readout_terms, dtype=float)) ** 2))
     return 1.5 / math.sqrt(1.0 - 4.0 * s_raw) * math.sqrt(var)
 
 
@@ -231,7 +236,8 @@ def _clamped(name: str, raw: float, stderr: float = 0.0,
 
 
 def aro_per_element(g_x_0, g_xx_0, p0, shots=None, p0_stderr=0.0, qubit=None):
-    """(p1, p_x) results of one qubit's X/XX system given p0."""
+    """(p1, p_x) results of one qubit's X/XX system given p0, and p1's error
+    terms from the X, XX and init tests."""
     for name, value in (("g_x_0", g_x_0), ("g_xx_0", g_xx_0), ("p0", p0)):
         if not (0.0 <= value <= 1.0):
             raise OutOfRange(f"{name}={value} is not a probability")
@@ -247,17 +253,18 @@ def aro_per_element(g_x_0, g_xx_0, p0, shots=None, p0_stderr=0.0, qubit=None):
     p1_raw = (g_x_0 - q * a) / (1.0 - q)
     px_raw = 1.5 * q
 
-    stderr_p1 = stderr_px = 0.0
+    stderr_px, p1_terms = 0.0, np.zeros(3)
     if shots:
         sigma = np.array([binomial_sd(g_x_0, shots[0]), binomial_sd(g_xx_0, shots[1]),
                           p0_stderr])
         grad_q = np.array([q / gap_x, -0.5 / gap_x, (gap_xx - gap_x) / (2.0 * gap_x**2)])
         grad_p1 = (np.array([1.0, 0.0, q]) + (p1_raw - a) * grad_q) / (1.0 - q)
-        stderr_p1 = float(np.linalg.norm(grad_p1 * sigma))
+        p1_terms = grad_p1 * sigma
         stderr_px = 1.5 * float(np.linalg.norm(grad_q * sigma))
 
     tag = f":q{qubit}" if qubit is not None else ""
-    return _clamped(f"p1{tag}", p1_raw, stderr_p1), _clamped(f"p_x{tag}", px_raw, stderr_px)
+    return (_clamped(f"p1{tag}", p1_raw, float(np.linalg.norm(p1_terms))),
+            _clamped(f"p_x{tag}", px_raw, stderr_px), p1_terms)
 
 
 def _frequency(records, row: int, outcome: int) -> float:
@@ -271,12 +278,13 @@ def _hadamard_variance(law: float, shots: int) -> float:
 
 
 def hadamard_per_element(records, p0: float, p1: float, rows=None,
-                         readout_stderrs=(0.0, 0.0)) -> tuple[EstimationResult, bool]:
+                         readout_terms=((0.0,), (0.0,))) -> tuple[EstimationResult, bool]:
     """(p_h result, include-in-model flag) of one qubit's sequence tests (the
-    table `rows`, all of them by default), read out with rates (p0, p1) of
-    stderrs `readout_stderrs`: the start (2 u_L)^(1/L) of each length,
-    averaged with weights g_L^2 / var(f_L) at its own decay, then one
-    scoring step with the covariance diag(var) + sd0^2 S S^T + sd1^2 (1-S)(1-S)^T."""
+    table `rows`, all of them by default), read out with rates (p0, p1)
+    whose error terms over independent sources are the rows t0, t1 of
+    `readout_terms`: the start (2 u_L)^(1/L) of each length, averaged with
+    weights g_L^2 / var(f_L) at its own decay, then one scoring step with
+    the covariance diag(var) + R R^T, R = (1 - S) t1^T - S t0^T."""
     rows = range(len(records.tests)) if rows is None else rows
     for row in rows:
         if records.tests[row].kind != "hseq":
@@ -301,10 +309,9 @@ def hadamard_per_element(records, p0: float, p1: float, rows=None,
 
     survival = np.array([0.5 + 0.5 * start**l for l in lengths])
     law = p1 + denom * survival
-    sd0, sd1 = readout_stderrs
-    cov = (np.diag([_hadamard_variance(q, n) for q, n in zip(law, shots)])
-           + sd0**2 * np.outer(survival, survival)
-           + sd1**2 * np.outer(1.0 - survival, 1.0 - survival))
+    t0, t1 = np.asarray(readout_terms, dtype=float)
+    shared = np.outer(1.0 - survival, t1) - np.outer(survival, t0)
+    cov = np.diag([_hadamard_variance(q, n) for q, n in zip(law, shots)]) + shared @ shared.T
     g = np.array([slope(start, l) for l in lengths])
     info = float(g @ np.linalg.solve(cov, g))
     score = float(g @ np.linalg.solve(cov, np.array(observed) - law))
@@ -319,9 +326,10 @@ def hadamard_per_element(records, p0: float, p1: float, rows=None,
 
 
 def pcnot_per_element(records, row: int, rates: np.ndarray,
-                      readout_stderrs=(0.0,) * 4) -> EstimationResult:
+                      readout_terms=np.zeros((4, 1))) -> EstimationResult:
     """One coupling's Bell fit, from table row `row`, for readout rates
-    [[p0_j, p0_k], [p1_j, p1_k]]."""
+    [[p0_j, p0_k], [p1_j, p1_k]] whose error terms are `readout_terms`
+    (see `pcnot_stderr`)."""
     test = records.tests[row]
     if test.kind != "bell":
         raise WrongKind(f"fit_pcnot needs a bell test, got {test.kind}")
@@ -338,7 +346,7 @@ def pcnot_per_element(records, row: int, rates: np.ndarray,
         return EstimationResult(name, 0.75, 0.75, feasible=s_raw == 0.25,
                                 residual_norm=float(np.linalg.norm(resid - 0.25 * slope)))
     return _clamped(name, 0.75 * (1.0 - math.sqrt(1.0 - 4.0 * s_raw)),
-                    pcnot_stderr(observed, records.shots[row], rates, readout_stderrs),
+                    pcnot_stderr(observed, records.shots[row], rates, readout_terms),
                     float(np.linalg.norm(resid - max(s_raw, 0.0) * slope)))
 
 
@@ -365,30 +373,35 @@ def fit_estimates(records, variant: str, subset=None) -> tuple[dict, dict]:
         qubits = sorted({q for kind, q in by_kind if kind != "bell"}
                         | set(hseqs) | {q for c in couplings for q in c})
 
-    estimates, include, rates, sigmas = {}, {}, {}, {}
+    # each qubit's readout rates (p0, p1) and their error terms, rows (p0,
+    # p1) over its X, XX and init tests
+    estimates, include, rates, terms = {}, {}, {}, {}
     for q in qubits:
         init = by_kind[("init", q)]
         p0 = _frequency(records, init, 1)
         p0_sd = binomial_sd(p0, records.shots[init])
         estimates[f"p0:q{q}"] = EstimationResult(f"p0:q{q}", p0, p0, p0_sd)
-        rates[q], sigmas[q] = (p0, p0), (p0_sd, p0_sd)
+        p0_terms = np.array([0.0, 0.0, p0_sd])
+        rates[q], terms[q] = (p0, p0), np.array([p0_terms, p0_terms])
         if readout_mode == "aro" or gate_dp:
             x, xx = by_kind[("x", q)], by_kind[("xx", q)]
-            p1, p_x = aro_per_element(_frequency(records, x, 0), _frequency(records, xx, 0), p0,
-                                      (records.shots[x], records.shots[xx]), p0_sd, q)
+            p1, p_x, p1_terms = aro_per_element(
+                _frequency(records, x, 0), _frequency(records, xx, 0), p0,
+                (records.shots[x], records.shots[xx]), p0_sd, q)
             estimates[p1.name], estimates[p_x.name] = p1, p_x
             if readout_mode == "aro":
-                rates[q], sigmas[q] = (p0, p1.value), (p0_sd, p1.stderr)
+                rates[q], terms[q] = (p0, p1.value), np.array([p0_terms, p1_terms])
         if readout_mode == "off":
-            rates[q], sigmas[q] = (0.0, 0.0), (0.0, 0.0)
+            rates[q], terms[q] = (0.0, 0.0), np.zeros((2, 3))
     if gate_dp:
         for q in qubits:
             if q in hseqs:
-                result, include[q] = hadamard_per_element(records, *rates[q], hseqs[q], sigmas[q])
+                result, include[q] = hadamard_per_element(records, *rates[q], hseqs[q], terms[q])
                 estimates[result.name] = result
         for j, k in couplings:
             pair = np.array([[rates[j][0], rates[k][0]], [rates[j][1], rates[k][1]]])
-            result = pcnot_per_element(records, by_kind[("bell", (j, k))], pair,
-                                       sigmas[j] + sigmas[k])
+            # the two qubits' terms come from distinct records
+            both = np.block([[terms[j], np.zeros((2, 3))], [np.zeros((2, 3)), terms[k]]])
+            result = pcnot_per_element(records, by_kind[("bell", (j, k))], pair, both)
             estimates[result.name] = result
     return estimates, include

@@ -1,22 +1,43 @@
-"""The benchmark's span recorder (`perfbench/spans.py`) wraps program
-callables by name. Every name it targets must stay defined where it looks,
-or only the benchmark run notices that a hook is gone.
+"""The benchmark (`perfbench/`) drives the program by name: its span
+recorder (`spans.py`) wraps program callables, and its workloads
+(`workloads.py`) call the CLI with fixed argv. Every name the recorder
+targets must stay defined where it looks, and every workload's argv must
+still parse, or only the benchmark run notices that a hook is gone.
 
-The recorder is read with `runpy`, which compiles it without importing it
-as a package or writing a bytecode cache next to it.
+The benchmark's files are read with `runpy`, which compiles them without
+importing them as a package; no bytecode cache is written next to them.
 """
 import importlib
 import io
 import runpy
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 
+import noisekit.cli as cli
 from noisekit import _kernels
 
-SPANS = runpy.run_path(str(Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"))
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SPANS = runpy.run_path(str(BENCH / "spans.py"))
 TARGETS = [(t[0], t[1]) for t in SPANS["SPAN_TARGETS"] + SPANS["COUNT_TARGETS"]]
+
+
+def _workloads() -> dict:
+    """perfbench's workload classes by name. `workloads.py` imports its
+    sibling modules by name, so perfbench is on sys.path for this call
+    only, with bytecode writing off."""
+    path, dont_write = sys.path[:], sys.dont_write_bytecode
+    sys.path.insert(0, str(BENCH))
+    sys.dont_write_bytecode = True
+    try:
+        return runpy.run_path(str(BENCH / "workloads.py"))["WORKLOADS"]
+    finally:
+        sys.path[:], sys.dont_write_bytecode = path, dont_write
+
+
+WORKLOADS = _workloads()
 
 
 def _wrappers_left() -> list[str]:
@@ -100,3 +121,16 @@ def test_recorder_counts_hidden_readout_draws_as_sampler_shots(tmp_path):
     assert recorder.counters["simulator.shots"] == circuits * 64
     assert recorder.counters["backend.shots"] == circuits * 64
     assert not _wrappers_left()
+
+
+@pytest.mark.parametrize("workload", WORKLOADS.values(), ids=WORKLOADS.keys())
+def test_workload_operations_parse_with_their_commands_parser(workload, tmp_path):
+    """Each operation of a workload at smoke sizes parses with its command's
+    own parser, as `main` parses it; nothing is run."""
+    operations = workload(tmp_path, 42, smoke=True).operations()
+    assert operations
+    for op in operations:
+        command, *options = op.argv
+        parser = cli._Parser(prog=f"noisekit {command}")
+        cli.COMMANDS[command][1](parser)
+        assert parser.parse_args(options).func.__name__ == f"cmd_{command}"

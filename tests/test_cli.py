@@ -688,6 +688,15 @@ MALFORMED_INPUTS = {
     "truth-p0-out-of-range": (_edited_truth(lambda d: d["readout"]["0"].update(p0=2.0)),
                               "ParseError"),
     "model-pcnot-negative": (_negative_pcnot_model, "ParseError"),
+    # each element is named once: one of two readings would be dropped
+    "model-coupling-both-directions": (_edited_model(
+        lambda d: d["cnot"].update({"1-0": {"p_cnot": 0.5}})), "ParseError"),
+    "truth-self-coupling": (_edited_truth(lambda d: d["cnot"].update({"1-1": {"p_cnot": 0.1}})),
+                            "ParseError"),
+    "truth-negative-qubit": (_edited_truth(
+        lambda d: d["readout"].update({"-1": {"p0": 0.01, "p1": 0.02}})), "ParseError"),
+    "model-negative-qubit": (_edited_model(lambda d: d["x_gate"].update({"-1": {"p_x": 0.001}})),
+                             "ParseError"),
     "truth-average-missing": (_edited_truth(_register_average()), "ParseError"),
     "model-average-missing": (_edited_model(_register_average()), "ParseError"),
     "truth-average-pcnot-out-of-range": (_edited_truth(_register_average(_PCNOT_ABOVE_1)),
@@ -833,6 +842,20 @@ def test_two_bad_entries_name_the_first(setup, capsys):
     assert main(argv) == 2
     message = json.loads(capsys.readouterr().err)["message"]
     assert "'label': 'init:q1'" in message and message.endswith(": negative count")
+
+
+@pytest.mark.parametrize("make_argv, field", [
+    (_edited_model(lambda d: d["cnot"]["0-1"].update(p_cnot=None)), "p_cnot=None"),
+    (_edited_truth(lambda d: d["readout"]["0"].update(p0="0.02")), "p0='0.02'"),
+    (_edited_truth(lambda d: d["hidden_effects"].update(state_dependent_readout="0.04")),
+     "hidden readout strength='0.04'"),
+], ids=["model-pcnot-null", "truth-p0-string", "truth-hidden-string"])
+def test_a_rate_that_is_not_a_number_is_named(setup, capsys, make_argv, field):
+    tmp_path, device, truth = setup
+    assert main(make_argv(tmp_path, device, truth)) == 2
+    error = json.loads(capsys.readouterr().err)
+    assert error["error"] == "ParseError"
+    assert error["message"].endswith(f"{field} is not a number")
 
 
 def test_files_that_carry_a_window_tag_read_as_before(setup):

@@ -343,6 +343,7 @@ def test_hadamard_matches_bounded_minimiser_oracle():
     subsets of the geometric ladder, readout rates with stderrs) the
     one-step fit lies within 0.15 of its stderr of the fixed point of
     generalised least squares, found with the bounded scalar minimiser. The
+    stderrs are independent, one error term of their own each. The
     gap shrinks as 1/sqrt(shots): at 1024 shots it reaches about 0.3."""
     rng = np.random.default_rng(21)
     for _ in range(100):
@@ -359,18 +360,18 @@ def test_hadamard_matches_bounded_minimiser_oracle():
         records = _hseq_records(observed, shots)
         (fit,) = estimation._hadamard_fits(records, [list(range(len(lengths)))],
                                            [[readout.p0], [readout.p1]],
-                                           np.array(stderrs)[:, None])
+                                           np.diag(stderrs)[:, None])
         oracle = hadamard_fixed_point(observed, shots, readout.p0, readout.p1, stderrs)
         assert fit.result.stderr > 0.0
         assert abs(fit.result.value - oracle) <= 0.15 * fit.result.stderr + 1e-8
 
 
-def _drawn_fits(topo, suites: int, p_h=None, lengths=()) -> list[dict]:
-    """The aro+dp estimates of `suites` suites on `topo` at 8192 shots, drawn
+def _suite_laws(topo, p_h=None, lengths=()) -> tuple[list, np.ndarray]:
+    """The tests of a suite on `topo` and their laws over the four outcomes,
     from the closed forms of `jittered_truth(topo, 42)` with Hadamard rates
     p_h[q] at `lengths`: init, X, XX and sequence tests per qubit, a Bell
     test per coupling."""
-    shots, truth = 8192, jittered_truth(topo, 42)
+    truth = jittered_truth(topo, 42)
     tests, laws = [], []
     for q in range(topo.num_qubits):
         readout = truth.readout_for(q)
@@ -387,10 +388,17 @@ def _drawn_fits(topo, suites: int, p_h=None, lengths=()) -> list[dict]:
                                             [truth.readout_for(j), truth.readout_for(k)])
         tests.append(TestKind("bell", coupling=(j, k)))
         laws.append([dict(law.items()).get(o, 0.0) for o in BELL_OUTCOMES])
+    return tests, np.array(laws)
+
+
+def _drawn_fits(topo, suites: int, variant: str, p_h=None, lengths=()) -> list[dict]:
+    """The `variant` estimates of `suites` suites of `_suite_laws` drawn at
+    8192 shots."""
+    shots, (tests, laws) = 8192, _suite_laws(topo, p_h, lengths)
     rng = np.random.default_rng(5)
     counts = np.stack([rng.multinomial(shots, law, size=suites) for law in laws], axis=1)
     return [fit_composite(Records(tuple(tests), table, np.full(len(tests), shots)),
-                          "aro+dp").estimates for table in counts]
+                          variant).estimates for table in counts]
 
 
 def _assert_stderr_covers_the_spread(fits: list[dict], names) -> None:
@@ -402,20 +410,46 @@ def _assert_stderr_covers_the_spread(fits: list[dict], names) -> None:
         assert np.mean(stderr) / np.std(value, ddof=1) == pytest.approx(1.0, abs=band), name
 
 
-def test_hadamard_stderr_covers_the_spread_of_p_h():
+@pytest.mark.parametrize("variant", ["aro+dp", "sro+dp"])
+def test_hadamard_stderr_covers_the_spread_of_p_h(variant):
     """Over 400 suites drawn on line(3) (p_h 0.004, 0.006 and 0.008, lengths
     2, 4, 8, 16) the p_h stderr covers its spread: it carries the readout
     estimates' error as well as the trains' counting noise."""
-    fits = _drawn_fits(line(3), 400, (0.004, 0.006, 0.008), (2, 4, 8, 16))
+    fits = _drawn_fits(line(3), 400, variant, (0.004, 0.006, 0.008), (2, 4, 8, 16))
     _assert_stderr_covers_the_spread(fits, [f"p_h:q{q}" for q in range(3)])
 
 
-def test_pcnot_stderr_covers_the_spread_of_p_cnot():
+@pytest.mark.parametrize("variant", ["aro+dp", "sro+dp"])
+def test_pcnot_stderr_covers_the_spread_of_p_cnot(variant):
     """Over 1,000 suites drawn on line(4) the p_cnot stderr covers its
     spread: the four Bell frequencies are one multinomial, so the fit's
-    counting noise is the odd-parity frequency's binomial variance."""
-    fits = _drawn_fits(line(4), 1000)
+    counting noise is the odd-parity frequency's binomial variance, and the
+    readout estimates' error enters with its p0-p1 covariance."""
+    fits = _drawn_fits(line(4), 1000, variant)
     _assert_stderr_covers_the_spread(fits, [f"p_cnot:q{q}-q{q + 1}" for q in range(3)])
+
+
+@pytest.mark.parametrize("variant", ["aro+dp", "sro+dp"])
+def test_pcnot_stderr_is_the_delta_method_over_every_record_it_reads(variant):
+    """On line(2) at 8192 shots, `fit_composite`'s p_cnot stderr is the
+    delta method over every row the Bell fit depends on: both qubits' init,
+    X and XX rows and the Bell row, each a multinomial of covariance
+    (diag f - f f') / n, differentiated by central differences. So the
+    readout estimates' error enters with its p0-p1 covariance: ARO solves
+    p1 from p0, and SRO reads p0 as both rates."""
+    shots, (tests, laws) = 8192, _suite_laws(line(2))
+
+    def fit(freqs):
+        table = np.reshape(freqs, laws.shape) * shots
+        records = Records(tuple(tests), table, np.full(len(tests), shots))
+        return fit_composite(records, variant).estimates["p_cnot:q0-q1"]
+
+    grad = _central_gradient(lambda v: fit(v).raw_value, laws.ravel(), 1e-6)
+    cov = np.zeros((laws.size, laws.size))
+    for row, f in enumerate(laws):
+        block = slice(4 * row, 4 * row + 4)
+        cov[block, block] = (np.diag(f) - np.outer(f, f)) / shots
+    assert fit(laws.ravel()).stderr == pytest.approx(math.sqrt(grad @ cov @ grad), rel=1e-6)
 
 
 # -- stacked Hadamard trains ---------------------------------------------------------
@@ -437,11 +471,15 @@ def _stacked(trains: list[dict]):
 def _assert_hadamard_matches_oracle(trains, readout: ReadoutModel, stderrs=(0.0, 0.0),
                                     residual_floor=1e-15):
     """Each stacked train's fit equals the per-element oracle's within 1e-12
-    relative (floor 1e-15) in p_h, stderr and residual, with the same flag."""
+    relative (floor 1e-15) in p_h, stderr and residual, with the same flag.
+    The readout stderrs are independent, one error term of their own each."""
     records, rows = _stacked(trains)
-    rates, sds = ([[v] * len(rows) for v in pair] for pair in ((readout.p0, readout.p1), stderrs))
-    for train, fit in zip(rows, estimation._hadamard_fits(records, rows, rates, np.array(sds))):
-        want, include = hadamard_per_element(records, readout.p0, readout.p1, train, stderrs)
+    rates = [[v] * len(rows) for v in (readout.p0, readout.p1)]
+    terms = np.diag(stderrs)
+    fits = estimation._hadamard_fits(records, rows, rates,
+                                     np.repeat(terms[:, None], len(rows), axis=1))
+    for train, fit in zip(rows, fits):
+        want, include = hadamard_per_element(records, readout.p0, readout.p1, train, terms)
         got = fit.result
         assert got.value == pytest.approx(want.value, rel=1e-12, abs=1e-15)
         assert got.stderr == pytest.approx(want.stderr, rel=1e-12, abs=1e-15)
@@ -580,6 +618,16 @@ def _bell_record(freqs, shots=8192):
     return frequency_records((BELL_KIND, dict(zip(BELL_OUTCOMES, freqs)), shots))
 
 
+def _pcnot_with_readout_stderrs(records, rates, stderrs) -> EstimationResult:
+    """The Bell fit of a one-row table read out with rates [[p0_j, p0_k],
+    [p1_j, p1_k]] whose stderrs (p0_j, p1_j, p0_k, p1_k) are independent,
+    one error term of their own each."""
+    sds = np.reshape(np.asarray(stderrs, dtype=float), (2, 2)).T  # [[p0_j, p0_k], [p1_j, p1_k]]
+    terms = np.eye(2)[:, None, None, :] * sds[:, None, :, None]
+    (fit,) = estimation._pcnot_fits(records, [0], np.asarray(rates, dtype=float)[:, None], terms)
+    return fit
+
+
 def test_pcnot_stderr_matches_central_differences():
     """The analytic stderr, readout terms included, equals the delta method
     over central differences of the estimator in the four frequencies and
@@ -598,8 +646,8 @@ def test_pcnot_stderr_matches_central_differences():
             model_j, model_k = ReadoutModel(v[4], v[5]), ReadoutModel(v[6], v[7])
             return fit_pcnot(_bell_record(v[:4]), model_j, model_k).raw_value
 
-        res = fit_pcnot(_bell_record(observed), ReadoutModel(p[0], p[1]),
-                        ReadoutModel(p[2], p[3]), readout_stderrs)
+        res = _pcnot_with_readout_stderrs(_bell_record(observed),
+                                          [[p[0], p[2]], [p[1], p[3]]], readout_stderrs)
         assert res.feasible
         grad = _central_gradient(raw, [*observed, *p], 1e-6)
         cov = np.zeros((8, 8))
@@ -623,11 +671,11 @@ def test_pcnot_stderr_matches_oracle():
         p = rng.uniform(0, 0.5)
         base, slope = bell_line(rates)
         counts = rng.multinomial(shots, base + (2 * p / 3 - 4 * p**2 / 9) * slope)
-        res = fit_pcnot(_one_row(BELL_KIND, dict(zip(BELL_OUTCOMES, counts.tolist())), shots),
-                        ReadoutModel(*rates[:, 0]), ReadoutModel(*rates[:, 1]), tuple(sigmas))
+        res = _pcnot_with_readout_stderrs(
+            _one_row(BELL_KIND, dict(zip(BELL_OUTCOMES, counts.tolist())), shots), rates, sigmas)
         if res.raw_value >= 0.75:
             continue
-        expected = pcnot_stderr(counts / shots, shots, rates, sigmas)
+        expected = pcnot_stderr(counts / shots, shots, rates, np.diag(sigmas))
         assert res.stderr == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
@@ -639,7 +687,7 @@ def test_pcnot_stderr_floors_the_odd_parity_at_one_count(counts):
     ideal = ReadoutModel.ideal()
     res = fit_pcnot(_one_row(BELL_KIND, counts, 8192), ideal, ideal)
     observed = np.array([counts.get(k, 0) for k in BELL_OUTCOMES]) / 8192
-    expected = pcnot_stderr(observed, 8192, np.zeros((2, 2)), (0.0,) * 4)
+    expected = pcnot_stderr(observed, 8192, np.zeros((2, 2)), np.zeros((4, 1)))
     assert res.stderr == pytest.approx(expected, rel=1e-12, abs=0.0)
     if "01" not in counts:
         assert res.stderr == pytest.approx(0.75 / 8192, rel=1e-12)

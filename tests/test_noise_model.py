@@ -194,6 +194,19 @@ def test_readout_model_validation():
     assert ReadoutModel.symmetric(0.05).is_symmetric
 
 
+@pytest.mark.parametrize("elements, message", [
+    (dict(cnot={(0, 1): 0.0, (1, 0): 0.5}), "both directions"),
+    (dict(cnot={(1, 1): 0.1}), "couple a qubit to itself"),
+    (dict(readout={-1: ReadoutModel(0.01, 0.02)}), "qubit -1 is negative"),
+    (dict(cnot={(-1, 0): 0.1}), "qubit -1 is negative"),
+], ids=["coupling-both-directions", "self-coupling", "negative-qubit", "negative-coupling"])
+def test_model_names_each_element_once(elements, message):
+    """A coupling named in both directions would keep whichever comes last,
+    so it is refused, as are a qubit coupled to itself and a negative qubit."""
+    with pytest.raises(ValueError, match=message):
+        CompositeNoiseModel(**elements)
+
+
 def _per_element_twin(model: CompositeNoiseModel, topo) -> CompositeNoiseModel:
     """The averaged model's constants written out for every element of `topo`."""
     qubits = range(topo.num_qubits)
