@@ -25,17 +25,15 @@ import numpy as np
 
 from .circuit import Circuit, DeviceTopology, cnot, h, measure, x
 from .errors import ArityMismatch, OddHadamardLength, ParseError, parse_json_file
-from .noise import _edge
+from .noise import COUPLING, QUBIT, _edge
 from .outcomes import Counts, count_widths
 
 KINDS = ("init", "x", "xx", "hseq", "bell")
-# The label grammar: a qubit is an ASCII decimal without leading zeros, a
-# Hadamard train's length is even and >= 2, and a Bell test's qubits differ.
-_QUBIT = "(?:0|[1-9][0-9]*)"
+# The label grammar: qubits in their one spelling, even train lengths >= 2.
 _LABEL = re.compile(
-    rf"(?P<kind>init|xx?):q(?P<qubit>{_QUBIT})"
-    rf"|hseq:q(?P<hseq>{_QUBIT}):len(?P<length>[2468]|[1-9][0-9]*[02468])"
-    rf"|bell:q(?P<a>{_QUBIT})-q(?!(?P=a)\Z)(?P<b>{_QUBIT})"
+    rf"(?P<kind>init|xx?):q(?P<qubit>{QUBIT})"
+    rf"|hseq:q(?P<hseq>{QUBIT}):len(?P<length>[2468]|[1-9][0-9]*[02468])"
+    rf"|bell:{COUPLING.format(q='q')}"
 )
 
 
@@ -51,30 +49,15 @@ class TestKind:
     length: int | None = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown test kind {self.kind!r}")
-        uses = {"bell": ("coupling",), "hseq": ("qubit", "length")}.get(self.kind, ("qubit",))
-        if getattr(self, uses[0]) is None:
-            raise ValueError(f"{self.kind} test requires a {uses[0]}")
-        unused = [name for name in ("qubit", "coupling", "length")
-                  if name not in uses and getattr(self, name) is not None]
-        if unused:
-            raise ValueError(f"{self.kind} test takes no {unused[0]}")
-        if self.kind == "bell":
-            object.__setattr__(self, "coupling", tuple(self.coupling))
-            if len(self.coupling) != 2 or self.coupling[0] == self.coupling[1]:
-                raise ValueError(f"bell test on {self.coupling}, not two distinct qubits")
-        qubits = self.coupling or (self.qubit,)
-        for value in (*qubits, *([] if self.length is None else [self.length])):
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{self.kind} test on the non-integer {value!r}")
-        if min(qubits) < 0:
-            raise ValueError(f"{self.kind} test on a negative qubit")
-        if self.kind == "hseq":
-            if self.length is None or self.length < 2 or self.length % 2:
-                raise OddHadamardLength(
-                    f"hadamard sequence length must be even and >= 2, got {self.length}"
-                )
+        length = self.length
+        if self.kind == "hseq" and type(length) is int and (length < 2 or length % 2):
+            raise OddHadamardLength(f"hadamard sequence length must be even and >= 2, got {length}")
+        try:
+            named = TestKind.from_label(self.label).__dict__
+        except (IndexError, ParseError, TypeError):  # no label, or one of no test
+            named = None
+        if named != self.__dict__:  # a test is valid when its label names it back
+            raise ValueError(f"{self} is not the test its label names")
 
     @property
     def num_bits(self) -> int:
@@ -92,8 +75,7 @@ class TestKind:
     @classmethod
     def from_label(cls, label: str) -> "TestKind":
         """Parse a label. `_LABEL` accepts exactly the labels valid tests
-        print, so the test is built from the match as it stands, without
-        re-running `__post_init__`'s checks."""
+        print, so the test is built from the match, without `__post_init__`."""
         m = _LABEL.fullmatch(label)
         if m is None:
             raise ParseError(f"bad test label {label!r}")

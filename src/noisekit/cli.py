@@ -7,7 +7,6 @@ block so fixed-seed reruns are byte-identical elsewhere.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import re
@@ -52,10 +51,9 @@ def _meta(args, **config) -> dict:
     """A report's meta block: its config is the command and every parsed
     option but --out, as given unless `config` overrides it."""
     config = {k: v for k, v in vars(args).items() if k not in ("out", "func")} | config
-    canonical = json.dumps(config, sort_keys=True)
     return {
         "created_at": datetime.now(timezone.utc).isoformat(),
-        "config_hash": hashlib.sha256(canonical.encode()).hexdigest()[:16],
+        "config_hash": content_hash(config),  # a config has no meta key to leave out
         "config": config,
     }
 
@@ -175,7 +173,7 @@ def cmd_evaluate(args) -> int:
     app = _parse_app(args.app)
     scaling = app["hi"] is not None  # a ghz:<a>..<b> app is the scaling report
     # --threshold's domain is (0, 1], so a given one is true
-    modes = [f"--{mode}" for mode in ("compare", "exact", "threshold") if getattr(args, mode)]
+    modes = [f"--{mode}" for mode in ("exact", "threshold") if getattr(args, mode)]
     modes += [f"--app {args.app}"] * scaling
     if len(modes) > 1:
         raise ConfigError(f"{' and '.join(modes)} are different modes; give one")
@@ -192,7 +190,7 @@ def cmd_evaluate(args) -> int:
     counts_list = backend.run(circuits, args.shots, args.seed)
     runs = [ApplicationRun(c, counts) for c, counts in zip(circuits, counts_list)]
     # one model on a bv app is a single prediction draw: nothing is resampled
-    bv_prediction = app["secret"] and len(models) == 1 and not (args.compare or args.threshold)
+    bv_prediction = app["secret"] and len(models) == 1 and not args.threshold
     meta = _meta(args, resamples=None if bv_prediction else args.resamples)
     report: dict = {"meta": meta, "app": args.app}
     kwargs = dict(resamples=args.resamples, seed=args.seed)
@@ -220,7 +218,7 @@ def cmd_evaluate(args) -> int:
         status = "met" if sel.threshold_met else "NOT met"
         print(f"selected {sel.model_id} after {sel.iterations} iteration(s); "
               f"threshold {args.threshold} {status} (tvd={sel.score.tvd:.5f})")
-    elif args.compare or len(models) > 1:
+    elif len(models) > 1:
         scores = compare_models(runs[0], models, **kwargs)
         write_scores_csv(_out_dir(args) / "scores.csv", scores)
         report["ranking"] = [s.to_json_dict() for s in scores]
@@ -369,13 +367,14 @@ class _Parser(argparse.ArgumentParser):
 
 def _number(kind, lo, hi=math.inf, lo_open=False):
     """argparse type: a `kind` value in [lo, hi], or in (lo, hi] when
-    `lo_open`. NaN fails every comparison, so it is rejected too."""
+    `lo_open`; an int is ASCII decimal digits only (no sign, space, `_` or
+    other script's digit). NaN fails every comparison, so it is rejected too."""
     domain = (f"{'>' if lo_open else '>='} {lo}" if hi == math.inf
               else f"in {'(' if lo_open else '['}{lo}, {hi}]")
 
     def parse(text: str):
         try:
-            value = kind(text)
+            value = kind(text) if kind is float or text.isascii() and text.isdigit() else math.nan
         except ValueError:
             value = math.nan
         if not (lo < value if lo_open else lo <= value) or not value <= hi:
@@ -387,14 +386,14 @@ def _number(kind, lo, hi=math.inf, lo_open=False):
 
 
 def _ints(what: str, ok, empty=True):
-    """argparse type: comma-separated distinct integers, each passing `ok`;
-    none at all only when `empty`."""
+    """argparse type: comma-separated distinct ASCII decimals, each passing
+    `ok`; none at all only when `empty`."""
     domain = f"comma-separated {what}"
 
     def parse(text: str) -> tuple[int, ...]:
         try:
-            values = tuple(int(tok) for tok in text.split(",") if tok != "")
-        except ValueError:
+            values = tuple(map(_number(int, 0), filter(None, text.split(","))))
+        except argparse.ArgumentTypeError:
             values = None
         if (values is None or len(set(values)) < len(values) or not all(map(ok, values))
                 or not (values or empty)):
@@ -443,8 +442,7 @@ def _evaluate_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--resamples", type=_RESAMPLES, default=100)
     p.add_argument("--threshold", type=_number(float, 0, 1, lo_open=True), default=None,
                    help="select the first --model, in order, whose TVD meets this bound")
-    for flag in ("--compare", "--exact"):
-        p.add_argument(flag, action="store_true")
+    p.add_argument("--exact", action="store_true")
     p.add_argument("--out", default=".")
     p.set_defaults(func=cmd_evaluate)
 

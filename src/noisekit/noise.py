@@ -12,6 +12,7 @@ followed by two identical, independent single-qubit depolarizing channels
 """
 from __future__ import annotations
 
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,6 +36,24 @@ VARIANTS = {
     "sro+dp": ("sro", True),
     "aro+dp": ("aro", True),
 }
+
+
+# The one spelling of an element, which labels, model-file keys and a model's
+# maps and subset go by: a qubit is an ASCII decimal with no sign or leading
+# zero, a coupling two distinct qubits joined by "-", each after `q` (`bell:q0-q1`).
+QUBIT = "(?:0|[1-9][0-9]*)"
+COUPLING = rf"{{q}}(?P<a>{QUBIT})-{{q}}(?!(?P=a)\b)(?P<b>{QUBIT})"  # COUPLING.format(q=prefix)
+_LISTS = {what: re.compile(rf"(?:{element},)*")  # each element followed by a comma
+          for what, element in (("qubit", QUBIT), ("coupling", COUPLING.format(q="")))}
+
+
+def _spelled(keys, what: str, spell=str):
+    """`keys`, after checking at once that each, spelled by `spell`, names a `what`."""
+    rule, spellings = _LISTS[what], [*map(spell, keys)]
+    if not rule.fullmatch(",".join([*spellings, ""])):
+        bad = next(key for key, text in zip(keys, spellings) if not rule.fullmatch(text + ","))
+        raise ValueError(f"{bad!r} does not name a {what}")
+    return keys
 
 
 def check_prob(value: float, name: str) -> float:
@@ -126,7 +145,7 @@ class CompositeNoiseModel:
     cnot_dp_on encode the model-family ablations (noiseless, SRO, ARO, DP,
     SRO+DP, ARO+DP). The x/h gate channels apply whenever their entries are
     nonzero; variant fitting only populates them for the +DP families. Each
-    coupling is named once, of two qubits, and no qubit is negative.
+    key and subset entry is the element its `repr` spells; no coupling is named twice.
     """
 
     granularity: str = PER_ELEMENT
@@ -152,15 +171,12 @@ class CompositeNoiseModel:
             raise TypeError(f"flags {self.readout_on!r}, {self.cnot_dp_on!r} are not booleans")
         for name in ("readout", "x_gate", "h_gate", "cnot"):
             object.__setattr__(self, name, dict(getattr(self, name)))
+        _spelled([*self.readout, *self.x_gate, *self.h_gate, *(self.subset or ())], "qubit", repr)
+        _spelled(self.cnot, "coupling", "%r-%r".__mod__)  # a non-pair raises TypeError
         cnot = {_edge(*c): v for c, v in self.cnot.items()}
         if len(cnot) < len(self.cnot):
             raise ValueError(f"couplings {sorted(self.cnot)} name one in both directions")
-        if any(a == b for a, b in cnot):
-            raise ValueError(f"couplings {sorted(cnot)} couple a qubit to itself")
         object.__setattr__(self, "cnot", cnot)
-        qubits = [*self.readout, *self.x_gate, *self.h_gate, *(q for c in cnot for q in c)]
-        if min(qubits, default=0) < 0:
-            raise ValueError(f"qubit {min(qubits)} is negative")
         for name, rates in (("p_x", self.x_gate), ("p_h", self.h_gate), ("p_cnot", cnot)):
             for v in rates.values():
                 check_prob(v, name)
@@ -253,15 +269,15 @@ class CompositeNoiseModel:
         return cls(
             granularity=data["granularity"],
             subset=tuple(data["subset"]) if "subset" in data else None,
-            readout={
+            readout={  # int() reads a key once the one spelling is checked
                 int(q): ReadoutModel(m["p0"], m["p1"])
-                for q, m in data.get("readout", {}).items()
+                for q, m in _spelled(data.get("readout", {}), "qubit").items()
             },
-            x_gate={int(q): m["p_x"] for q, m in data.get("x_gate", {}).items()},
-            h_gate={int(q): m["p_h"] for q, m in data.get("h_gate", {}).items()},
+            x_gate={int(q): m["p_x"] for q, m in _spelled(data.get("x_gate", {}), "qubit").items()},
+            h_gate={int(q): m["p_h"] for q, m in _spelled(data.get("h_gate", {}), "qubit").items()},
             cnot={
                 tuple(map(int, k.split("-"))): m["p_cnot"]
-                for k, m in data.get("cnot", {}).items()
+                for k, m in _spelled(data.get("cnot", {}), "coupling").items()
             },
             avg_readout=ReadoutModel(avg["p0"], avg["p1"]) if avg else None,
             avg_x=avg.get("p_x") if avg else None,

@@ -118,12 +118,20 @@ def test_label_must_be_a_string(label, tmp_path):
     dict(kind="init", qubit=1.5),
     dict(kind="bell", coupling=(0, 1.0)),
     dict(kind="hseq", qubit=0, length=4.0),
+    dict(kind="init", qubit="3"),
+    dict(kind="x", qubit=-1),
+    dict(kind="bell", coupling=(2, 2)),
+    dict(kind="bell"),
+    dict(kind="zz", qubit=0),
 ], ids=["init-length", "x-coupling", "hseq-coupling", "bell-qubit", "bell-length",
-        "bell-three-qubits", "bool-qubit", "float-qubit", "float-coupling", "float-length"])
+        "bell-three-qubits", "bool-qubit", "float-qubit", "float-coupling", "float-length",
+        "string-qubit", "negative-qubit", "bell-self-coupling", "bell-no-coupling",
+        "unknown-kind"])
 def test_fields_a_kind_does_not_take_are_rejected(fields):
-    """A test takes only the fields its kind uses, and integers there: a
-    stray field would drop out of its label or key, and a bool or float
-    qubit would print a label that `from_label` rejects."""
+    """A test is valid when its label names it back: a stray field would drop
+    out of its label, a bool, float, string or negative qubit prints a label
+    that names no test or names another one, and so does a Bell test on one
+    qubit or on none."""
     with pytest.raises(ValueError):
         TestKind(**fields)
 

@@ -237,7 +237,7 @@ def test_evaluate_compare_ranking(setup):
               "--out", str(tmp_path / "run")])
     code = main([
         "evaluate", "--device", str(device), "--backend", f"mock:{truth}",
-        "--app", "ghz:4", "--compare",
+        "--app", "ghz:4",
         "--model", str(tmp_path / "run" / "model-noiseless-per_element.json"),
         "--model", str(tmp_path / "run" / "model-aro_dp-per_element.json"),
         "--shots", "2048", "--seed", "3", "--resamples", "20",
@@ -256,17 +256,17 @@ def test_evaluate_compare_ranking(setup):
     ("ghz:3..3", [], "scaling"),
     ("ghz:3", ["--threshold", "0.5"], "selection"),
     ("ghz:3", ["--threshold", "0.5", "--model", "TWO"], "selection"),
-    ("ghz:3", ["--compare"], "ranking"),
+    ("ghz:3", ["--model", "TWO", "--model", "TWO"], "ranking"),
     ("ghz:3", ["--model", "TWO"], "ranking"),
     ("bv:1@0/1", [], "bv"),
-    ("bv:1@0/1", ["--compare"], "ranking"),
+    ("bv:1@0/1", ["--model", "TWO"], "ranking"),
     ("bv:1@0/1", ["--threshold", "0.5"], "selection"),
 ])
 def test_evaluate_mode_follows_inputs(setup, app, extra, key):
     """The app and the flags given pick the one report an evaluation
     writes: a ghz:<a>..<b> app is the scaling report, --threshold selects,
-    --compare or several models rank, and one model scores or, on a bv:
-    app, predicts the secret's accuracy."""
+    two or more models rank, and one model scores or, on a bv: app,
+    predicts the secret's accuracy."""
     tmp_path, device, truth = setup
     argv = _evaluate_argv(tmp_path, device, truth, app=app)
     CompositeNoiseModel.noiseless().save(tmp_path / "two.json")
@@ -280,10 +280,10 @@ def test_evaluate_mode_follows_inputs(setup, app, extra, key):
 
 
 @pytest.mark.parametrize("app, extra, named", [
-    ("ghz:3", ["--compare", "--exact"], "--compare and --exact"),
+    ("ghz:2..3", ["--exact"], "--exact and --app ghz:2..3"),
     ("ghz:3", ["--exact", "--threshold", "0.5"], "--exact and --threshold"),
-    ("ghz:2..3", ["--compare"], "--compare and --app ghz:2..3"),
-    ("ghz:2..3", ["--compare", "--threshold", "0.5"], "--compare and --threshold and --app"),
+    ("ghz:2..3", ["--threshold", "0.5"], "--threshold and --app ghz:2..3"),
+    ("ghz:2..3", ["--exact", "--threshold", "0.5"], "--exact and --threshold and --app"),
 ])
 def test_conflicting_modes_are_named(setup, capsys, app, extra, named):
     tmp_path, device, truth = setup
@@ -332,7 +332,7 @@ def test_report_config_holds_every_option_but_out(setup):
 
 def test_config_hash_tells_runs_apart(setup):
     """Runs that differ in any option but --out get different config hashes:
-    a demo's --max-ghz and --resamples, and an evaluation's --compare."""
+    a demo's --max-ghz and --resamples, and an evaluation's --exact."""
     tmp_path, device, truth = setup
     demo = ["demo", "--shots", "64", "--seed", "1"]
     evaluate = [*_evaluate_argv(tmp_path, device, truth), "--resamples", "2"]
@@ -341,7 +341,7 @@ def test_config_hash_tells_runs_apart(setup):
             "demo-max-ghz": [*demo, "--max-ghz", "4", "--resamples", "2"],
             "demo-resamples": [*demo, "--max-ghz", "3", "--resamples", "5"],
             "evaluate": evaluate,
-            "evaluate-compare": [*evaluate, "--compare"]}
+            "evaluate-exact": [*evaluate, "--exact"]}
     hashes = {}
     for name, argv in runs.items():
         assert main([*argv, "--out", str(tmp_path / name)]) == 0
@@ -616,6 +616,17 @@ def _out_is_a_file(tmp_path, device, truth):
     return _characterize_argv(tmp_path, device, truth)
 
 
+_MISSPELLED_ELEMENTS = {
+    "qubit-leading-zero": lambda d: d["readout"].update({"01": {"p0": 0.5, "p1": 0.5}}),
+    "coupling-leading-zero": lambda d: d["cnot"].update({"00-1": {"p_cnot": 0.5}}),
+    "qubit-plus": lambda d: d["x_gate"].update({"+1": {"p_x": 0.5}}),
+    "qubit-space": lambda d: d["x_gate"].update({" 1": {"p_x": 0.5}}),
+    "qubit-underscore": lambda d: d["x_gate"].update({"1_0": {"p_x": 0.5}}),
+    "subset-string": lambda d: d.update(subset="abc"),
+    "subset-bool-float": lambda d: d.update(subset=[True, 1.5]),
+}
+
+
 MALFORMED_INPUTS = {
     "app-ghz-abc": (lambda t, d, tr: _evaluate_argv(t, d, tr, app="ghz:abc"), "ConfigError"),
     "app-ghz-range": (lambda t, d, tr: _evaluate_argv(t, d, tr, app="ghz:2..x"), "ConfigError"),
@@ -663,9 +674,9 @@ MALFORMED_INPUTS = {
     # a score holds one value per resample
     "evaluate-resamples-huge": (lambda t, d, tr: [*_evaluate_argv(t, d, tr), "--resamples",
                                                   "99999999999999999999"], "ConfigError"),
-    "compare-resamples-huge": (lambda t, d, tr: [*_evaluate_argv(t, d, tr), "--compare",
-                                                 "--resamples", "99999999999999999999"],
-                               "ConfigError"),
+    "compare-resamples-huge": (lambda t, d, tr: [*_evaluate_argv(t, d, tr), "--model",
+                                                 str(t / "model.json"), "--resamples",
+                                                 "99999999999999999999"], "ConfigError"),
     "demo-resamples-huge": (lambda t, d, tr: [*_demo_argv(t, d, tr), "--resamples",
                                               "99999999999999999999"], "ConfigError"),
     "hadamard-length-odd": (lambda t, d, tr: _characterize_argv(
@@ -697,6 +708,18 @@ MALFORMED_INPUTS = {
         lambda d: d["readout"].update({"-1": {"p0": 0.01, "p1": 0.02}})), "ParseError"),
     "model-negative-qubit": (_edited_model(lambda d: d["x_gate"].update({"-1": {"p_x": 0.001}})),
                              "ParseError"),
+    # each element has one spelling: a second spelling of qubit 1 or of
+    # coupling 0-1 would merge with it, and a sign, a space or `_` spells none
+    **{f"{file}-{name}": (edited(edit), "ParseError")
+       for name, edit in _MISSPELLED_ELEMENTS.items()
+       for file, edited in (("model", _edited_model), ("truth", _edited_truth))},
+    # a command-line integer is ASCII decimal digits only
+    "shots-spaced-underscored": (lambda t, d, tr: _characterize_argv(
+        t, d, tr, "--shots", " 6_4 "), "ConfigError"),
+    "subset-signed-underscored": (lambda t, d, tr: _characterize_argv(
+        t, d, tr, "--subset", "+1,0_2"), "ConfigError"),
+    "hadamard-lengths-arabic-digit": (lambda t, d, tr: _characterize_argv(
+        t, d, tr, "--hadamard-lengths", "\u0664"), "ConfigError"),
     "truth-average-missing": (_edited_truth(_register_average()), "ParseError"),
     "model-average-missing": (_edited_model(_register_average()), "ParseError"),
     "truth-average-pcnot-out-of-range": (_edited_truth(_register_average(_PCNOT_ABOVE_1)),
@@ -713,8 +736,13 @@ MALFORMED_INPUTS = {
                        "ConfigError"),
     "demo-max-ghz-25": (lambda t, d, tr: [*_demo_argv(t, d, tr), "--max-ghz", "25"],
                         "ConfigError"),
+    # --compare is gone (two or more models rank), so it is an unknown flag in every mode
     "exact-compare": (lambda t, d, tr: [*_evaluate_argv(t, d, tr), "--exact", "--compare"],
                       "ConfigError"),
+    "compare-scaling": (lambda t, d, tr: [*_evaluate_argv(t, d, tr, app="ghz:2..3"),
+                                          "--compare"], "ConfigError"),
+    "select-compare": (lambda t, d, tr: [*_evaluate_argv(t, d, tr), "--compare",
+                                         "--threshold", "0.5"], "ConfigError"),
     "exact-select": (lambda t, d, tr: [*_evaluate_argv(t, d, tr), "--exact",
                                        "--threshold", "0.5"], "ConfigError"),
     "exact-scaling": (lambda t, d, tr: [*_evaluate_argv(t, d, tr, app="ghz:2..3"), "--exact"],
@@ -734,10 +762,6 @@ MALFORMED_INPUTS = {
     "fit-without-archive": (lambda t, d, tr: ["fit"], "ConfigError"),
     "evaluate-without-model": (_evaluate_without_model, "ConfigError"),
     "demo-unknown": (lambda t, d, tr: ["demo", "other", "--shots", "64"], "ConfigError"),
-    "compare-scaling": (lambda t, d, tr: [*_evaluate_argv(t, d, tr, app="ghz:2..3"),
-                                          "--compare"], "ConfigError"),
-    "select-compare": (lambda t, d, tr: [*_evaluate_argv(t, d, tr), "--compare",
-                                         "--threshold", "0.5"], "ConfigError"),
     "threshold-zero": (lambda t, d, tr: [*_evaluate_argv(t, d, tr), "--threshold", "0"],
                        "ConfigError"),
     "threshold-with-range": (lambda t, d, tr: [*_evaluate_argv(t, d, tr, app="ghz:2..3"),

@@ -1,7 +1,11 @@
-"""The README's "Library surface" block runs as written, and every name in
-`noisekit.__all__` resolves, so neither can drift from the package."""
+"""The README's "Library surface" block runs as written, every name in
+`noisekit.__all__` resolves, and pyproject.toml takes its version from the
+package, so none of them can drift from it."""
 import re
+import warnings
 from pathlib import Path
+
+import pytest
 
 import noisekit
 
@@ -16,3 +20,13 @@ def test_readme_library_surface_block_runs():
 
 def test_every_exported_name_resolves():
     assert [name for name in noisekit.__all__ if not hasattr(noisekit, name)] == []
+
+
+def test_the_package_version_is_written_once():
+    """pyproject.toml reads its version from `noisekit.__version__`."""
+    pyproject = pytest.importorskip("setuptools.config.pyprojecttoml")
+    with warnings.catch_warnings():  # setuptools calls its [tool.setuptools] table beta
+        warnings.simplefilter("ignore")
+        config = pyproject.read_configuration(README.parent / "pyproject.toml")
+    assert config["project"]["dynamic"] == ["version"]
+    assert config["project"]["version"] == noisekit.__version__

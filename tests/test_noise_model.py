@@ -196,13 +196,22 @@ def test_readout_model_validation():
 
 @pytest.mark.parametrize("elements, message", [
     (dict(cnot={(0, 1): 0.0, (1, 0): 0.5}), "both directions"),
-    (dict(cnot={(1, 1): 0.1}), "couple a qubit to itself"),
-    (dict(readout={-1: ReadoutModel(0.01, 0.02)}), "qubit -1 is negative"),
-    (dict(cnot={(-1, 0): 0.1}), "qubit -1 is negative"),
-], ids=["coupling-both-directions", "self-coupling", "negative-qubit", "negative-coupling"])
+    (dict(cnot={(1, 1): 0.1}), r"^\(1, 1\) does not name a coupling$"),
+    (dict(readout={-1: ReadoutModel(0.01, 0.02)}), "^-1 does not name a qubit$"),
+    (dict(cnot={(-1, 0): 0.1}), r"^\(-1, 0\) does not name a coupling$"),
+    (dict(readout={True: ReadoutModel(0.01, 0.02)}), "^True does not name a qubit$"),
+    (dict(x_gate={1.5: 0.001}), "^1.5 does not name a qubit$"),
+    (dict(h_gate={"1": 0.001}), "^'1' does not name a qubit$"),
+    (dict(granularity="subset_average", subset=("a",), avg_readout=ReadoutModel(0.0, 0.0)),
+     "^'a' does not name a qubit$"),
+    (dict(subset=(0, 1.0)), "^1.0 does not name a qubit$"),
+], ids=["coupling-both-directions", "self-coupling", "negative-qubit", "negative-coupling",
+        "bool-qubit", "float-qubit", "string-qubit", "string-subset", "float-subset"])
 def test_model_names_each_element_once(elements, message):
-    """A coupling named in both directions would keep whichever comes last,
-    so it is refused, as are a qubit coupled to itself and a negative qubit."""
+    """Each map key and subset entry is the qubit or coupling its spelling
+    names, so a bool, float, string or negative qubit and a qubit coupled
+    to itself are refused; and a coupling named in both directions would
+    keep whichever comes last, so it is refused too."""
     with pytest.raises(ValueError, match=message):
         CompositeNoiseModel(**elements)
 

@@ -41,7 +41,7 @@ OPTIONS = {
     "characterize": "--device --backend --shots --seed --subset --hadamard-lengths --out",
     "fit": "--archive --flags --granularity --subset --name --out",
     "evaluate": "--device --backend --app --model --shots --seed --resamples --threshold "
-                "--compare --exact --out",
+                "--exact --out",
     "demo": "--shots --seed --resamples --hidden --max-ghz --out",
 }
 
