@@ -41,8 +41,8 @@ from .evaluation import (
     write_scores_csv,
     write_scores_json,
 )
-from .noise import (GRANULARITIES, PER_ELEMENT, REGISTER_AVERAGE, SUBSET_AVERAGE, VARIANTS,
-                    CompositeNoiseModel)
+from .noise import (GRANULARITIES, PER_ELEMENT, QUBIT, REGISTER_AVERAGE, SUBSET_AVERAGE,
+                    VARIANTS, CompositeNoiseModel)
 from .rng import DEMO_BELL, DEMO_BV, DEMO_GHZ, PREDICT, child_seed, generator
 from .simulator import TrajectorySampler
 
@@ -80,9 +80,9 @@ def _make_backend(spec: str, topo: DeviceTopology):
     raise ConfigError(f"backend must be mock:<truth.json> or file:<archive.json>, got {spec!r}")
 
 
-# The app grammar; every number is an ASCII decimal.
+# The app grammar; every number is an ASCII decimal, and a qubit is spelled as noise.QUBIT.
 _APP = re.compile(r"ghz:(?P<lo>[0-9]+)(?:\.\.(?P<hi>[0-9]+))?"
-                  r"|bv:(?P<secret>[01]+)@(?P<data>[0-9]+(?:,[0-9]+)*)/(?P<oracle>[0-9]+)")
+                  rf"|bv:(?P<secret>[01]+)@(?P<data>{QUBIT}(?:,{QUBIT})*)/(?P<oracle>{QUBIT})")
 _APP_FORMS = "ghz:<n>, ghz:<a>..<b> or bv:<secret>@<d1,d2,...>/<oracle>"
 
 
@@ -385,15 +385,17 @@ def _number(kind, lo, hi=math.inf, lo_open=False):
     return parse
 
 
-def _ints(what: str, ok, empty=True):
-    """argparse type: comma-separated distinct ASCII decimals, each passing
-    `ok`; none at all only when `empty`."""
+def _ints(what: str, ok=lambda n: True, empty=True, spelling="[0-9]+"):
+    """argparse type: comma-separated distinct ASCII decimals, each spelled
+    as the regex `spelling` says and passing `ok`; none at all only when `empty`."""
     domain = f"comma-separated {what}"
 
     def parse(text: str) -> tuple[int, ...]:
+        items = [*filter(None, text.split(","))]
         try:
-            values = tuple(map(_number(int, 0), filter(None, text.split(","))))
-        except argparse.ArgumentTypeError:
+            spelled = all(re.fullmatch(spelling, item) for item in items)
+            values = tuple(map(_number(int, 0), items)) if spelled else None
+        except argparse.ArgumentTypeError:  # more digits than int() reads
             values = None
         if (values is None or len(set(values)) < len(values) or not all(map(ok, values))
                 or not (values or empty)):
@@ -404,7 +406,7 @@ def _ints(what: str, ok, empty=True):
     return parse
 
 
-_QUBITS = _ints("distinct qubits >= 0, at least one", lambda q: q >= 0, empty=False)
+_QUBITS = _ints("distinct qubits (no leading zero), at least one", empty=False, spelling=QUBIT)
 _LENGTHS = _ints("distinct even lengths >= 2", lambda n: n >= 2 and not n % 2)
 _COUNT = _number(int, 1)
 _SEED = _number(int, 0)  # SeedSequence takes non-negative entropy only

@@ -1,9 +1,10 @@
-"""Exception types shared across the package, and the JSON-file boundary:
-the one reader, which turns malformed file content into one of them, the
-one writer, which writes `json`'s indent-2 bytes through its C encoder, and
-the one integer check of counts, shots and qubit indices."""
+"""Exception types shared across the package, and the file boundary: the one
+JSON reader, which turns malformed file content into one of them, the one
+file writer and the JSON writer on it, which makes `json`'s indent-2 bytes
+with its C encoder, and the one integer check of counts, shots and qubits."""
 import functools
 import json
+import os
 from json.encoder import JSONEncoder, c_make_encoder, encode_basestring_ascii
 from pathlib import Path
 
@@ -151,7 +152,20 @@ def _indented(obj, depth: int) -> str:
     return f"[{pad}{(',' + pad).join(body)}{pad[:-2]}]"
 
 
+def write_file(path, text: str) -> None:
+    """Write `text` to `path` as UTF-8, newlines as they are. An existing
+    file (or a symlink's target) is cut to the new length and overwritten in
+    place, which on a file system mounted with `discard` costs far less than
+    truncating it to zero; a new file gets mode 0o666 less the umask. A crash
+    mid-write, or a reader during it, can find a file of the new length that
+    holds, past a prefix of the new text, the old file's bytes (or zeros)."""
+    data = text.encode()
+    with open(path, "wb", opener=lambda p, flags: os.open(p, flags & ~os.O_TRUNC, 0o666)) as fh:
+        fh.truncate(len(data))
+        fh.write(data)
+
+
 def write_json_file(path, data) -> None:
     """Write `data` to `path` as JSON with sorted keys, indented by 2: the
     bytes of `json.dumps(data, indent=2, sort_keys=True)`."""
-    Path(path).write_text(_indented(data, 0))
+    write_file(path, _indented(data, 0))

@@ -11,13 +11,14 @@ one array expression.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .circuit import Circuit
-from .errors import ArityMismatch, ConfigError, EmptyLadder, write_json_file
+from .errors import ArityMismatch, ConfigError, EmptyLadder, write_file, write_json_file
 from .noise import CompositeNoiseModel
 from .outcomes import Counts, Distribution
 from .rng import SCORE, generator
@@ -248,26 +249,24 @@ def write_scores_json(path: str | Path, scores: list[ModelScore],
     write_json_file(path, payload)
 
 
+def _write_csv(path: str | Path, rows) -> None:
+    """Write `rows`, the header first, as `csv.writer` spells them."""
+    text = io.StringIO()
+    csv.writer(text).writerows(rows)
+    write_file(path, text.getvalue())
+
+
 def write_scores_csv(path: str | Path, scores: list[ModelScore]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["model_id", "tvd_mean", "tvd_std", "tvd_per_cnot", "cnot_count",
-             "n_parameters"]
-        )
-        for s in scores:
-            writer.writerow(
-                [s.model_id, f"{s.tvd:.6f}", f"{s.tvd_stderr:.6f}",
-                 f"{s.tvd_per_cnot:.6f}", s.cnot_count, s.n_parameters]
-            )
+    _write_csv(path, [
+        ["model_id", "tvd_mean", "tvd_std", "tvd_per_cnot", "cnot_count", "n_parameters"],
+        *([s.model_id, f"{s.tvd:.6f}", f"{s.tvd_stderr:.6f}", f"{s.tvd_per_cnot:.6f}",
+           s.cnot_count, s.n_parameters] for s in scores),
+    ])
 
 
 def write_scaling_csv(path: str | Path, report: ScalingReport) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["n", "cnot_count", "tvd_mean", "tvd_std", "tvd_per_cnot"])
-        for r in report.rows:
-            writer.writerow(
-                [r.n, r.cnot_count, f"{r.tvd_mean:.6f}", f"{r.tvd_std:.6f}",
-                 f"{r.tvd_per_cnot:.6f}"]
-            )
+    _write_csv(path, [
+        ["n", "cnot_count", "tvd_mean", "tvd_std", "tvd_per_cnot"],
+        *([r.n, r.cnot_count, f"{r.tvd_mean:.6f}", f"{r.tvd_std:.6f}", f"{r.tvd_per_cnot:.6f}"]
+          for r in report.rows),
+    ])

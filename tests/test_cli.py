@@ -720,6 +720,13 @@ MALFORMED_INPUTS = {
         t, d, tr, "--subset", "+1,0_2"), "ConfigError"),
     "hadamard-lengths-arabic-digit": (lambda t, d, tr: _characterize_argv(
         t, d, tr, "--hadamard-lengths", "\u0664"), "ConfigError"),
+    # a command-line qubit has the one spelling a model file keys it by
+    "subset-leading-zero": (lambda t, d, tr: _characterize_argv(t, d, tr, "--subset", "00,1"),
+                            "ConfigError"),
+    "app-bv-leading-zeros": (lambda t, d, tr: _evaluate_argv(t, d, tr, app="bv:1@00/01"),
+                             "ConfigError"),
+    "app-bv-oracle-leading-zero": (lambda t, d, tr: _evaluate_argv(t, d, tr, app="bv:1@0/01"),
+                                   "ConfigError"),
     "truth-average-missing": (_edited_truth(_register_average()), "ParseError"),
     "model-average-missing": (_edited_model(_register_average()), "ParseError"),
     "truth-average-pcnot-out-of-range": (_edited_truth(_register_average(_PCNOT_ABOVE_1)),

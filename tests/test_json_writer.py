@@ -84,6 +84,10 @@ def test_data_json_refuses_raises_its_type_error(tmp_path, data):
         write_json_file(tmp_path / "refused.json", data)
     assert str(got.value) == str(expected.value)
     assert not (tmp_path / "refused.json").exists()
+    (tmp_path / "refused.json").write_bytes(b'{\n  "old": 1\n}')  # nor is an existing file touched
+    with pytest.raises(TypeError):
+        write_json_file(tmp_path / "refused.json", data)
+    assert (tmp_path / "refused.json").read_bytes() == b'{\n  "old": 1\n}'
 
 
 def test_every_file_the_cli_writes_is_json_dumps_of_its_data(tmp_path, monkeypatch):
