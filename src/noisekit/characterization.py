@@ -27,6 +27,7 @@ from .circuit import Circuit, DeviceTopology, cnot, h, measure, x
 from .errors import ArityMismatch, OddHadamardLength, ParseError, parse_json_file
 from .noise import COUPLING, QUBIT, _edge
 from .outcomes import Counts, count_widths
+from .simulator import place
 
 KINDS = ("init", "x", "xx", "hseq", "bell")
 # The label grammar: qubits in their one spelling, even train lengths >= 2.
@@ -91,22 +92,39 @@ class TestKind:
         return test
 
 
-def materialize(test: TestKind) -> Circuit:
-    """Build the test circuit."""
-    if test.kind == "bell":
-        j, k = test.coupling
-        gates = (h(j), cnot(j, k), measure(j, 0), measure(k, 1))
-        return Circuit(max(j, k) + 1, test.num_bits, gates, test.label)
-    q = test.qubit
-    if test.kind == "init":
-        gates = (measure(q, 0),)
-    elif test.kind == "x":
-        gates = (x(q), measure(q, 0))
-    elif test.kind == "xx":
-        gates = (x(q), x(q), measure(q, 0))
+def _template(kind: str, length: int | None) -> Circuit:
+    """A test kind's circuit (a Hadamard train's, of that length) on qubit 0,
+    or a Bell test's on qubits 0 and 1."""
+    if kind == "bell":
+        return Circuit(2, 2, (h(0), cnot(0, 1), measure(0, 0), measure(1, 1)), "bell:q0-q1")
+    if kind == "init":
+        gates = ()
+    elif kind == "x":
+        gates = (x(0),)
+    elif kind == "xx":
+        gates = (x(0),) * 2
     else:  # hseq
-        gates = (h(q),) * test.length + (measure(q, 0),)
-    return Circuit(q + 1, test.num_bits, gates, test.label)
+        gates = (h(0),) * length
+    return Circuit(1, 1, gates + (measure(0, 0),), f"{kind}:q0")
+
+
+def _build(tests: tuple[TestKind, ...]) -> list[Circuit]:
+    """Each test's circuit, in order: each kind's template (one per Hadamard
+    length) built once and placed on every test of that kind."""
+    rows: dict[tuple, list[int]] = {}
+    for row, test in enumerate(tests):
+        rows.setdefault((test.kind, test.length), []).append(row)
+    circuits: list = [None] * len(tests)
+    for kind, kind_rows in rows.items():
+        placements = [(tests[r].coupling or (tests[r].qubit,), tests[r].label) for r in kind_rows]
+        for row, circuit in zip(kind_rows, place(_template(*kind), placements)):
+            circuits[row] = circuit
+    return circuits
+
+
+def materialize(test: TestKind) -> Circuit:
+    """Build the test circuit, as a suite run builds it."""
+    return _build((test,))[0]
 
 
 def _check_width(test: TestKind, num_bits: int, error=ArityMismatch) -> None:
@@ -165,22 +183,24 @@ def build_suite(topo: DeviceTopology, *, subset: tuple[int, ...] | None = None,
     couplings internal to it.
     """
     qubits = sorted(subset) if subset is not None else range(topo.num_qubits)
+    for q in subset or ():  # a subset qubit that names no test raises as that test does
+        TestKind("init", qubit=q)
+    for length in hadamard_lengths:  # so does an odd or zero length (OddHadamardLength)
+        TestKind("hseq", qubit=0, length=length)
     covered = set(qubits)
     edges = sorted(e for e in topo.undirected_edges() if covered.issuperset(e))
-    tests: list[TestKind] = []
-    for kind in ("init", "x", "xx"):
-        tests.extend(TestKind(kind, qubit=q) for q in qubits)
-    for q in qubits:
-        tests.extend(TestKind("hseq", qubit=q, length=l) for l in hadamard_lengths)
-    tests.extend(TestKind("bell", coupling=e) for e in edges)
-    return SuitePlan(tuple(tests), shots, seed)
+    labels = [f"{kind}:q{q}" for kind in ("init", "x", "xx") for q in qubits]
+    labels += [f"hseq:q{q}:len{length}" for q in qubits for length in hadamard_lengths]
+    labels += [f"bell:q{a}-q{b}" for a, b in edges]
+    return SuitePlan(tuple(map(TestKind.from_label, labels)), shots, seed)
 
 
 def run_suite(plan: SuitePlan, backend) -> Records:
-    """Execute the plan on a backend; all-or-nothing, in plan order. The
-    backend validates the circuits against its topology before any shot."""
-    circuits = [materialize(t) for t in plan.tests]
-    counts_list = backend.run(circuits, plan.shots, plan.seed)
+    """Execute the plan on a backend; all-or-nothing, in plan order. Each
+    test kind's circuit is built once and placed on every test's qubits
+    (`materialize` builds one test's the same way). The backend validates
+    the circuits against its topology before any shot."""
+    counts_list = backend.run(_build(plan.tests), plan.shots, plan.seed)
     table = np.zeros((len(counts_list), 4), np.int64)
     for row, (test, counts) in enumerate(zip(plan.tests, counts_list)):
         _check_width(test, counts.num_bits)

@@ -12,6 +12,10 @@ from pathlib import Path
 from .errors import NoPath, OutOfRange, UncoupledPair, integer, parse_json_file, write_json_file
 
 GATE_ARITY = {"h": 1, "x": 1, "id": 1, "cnot": 2, "measure": 1}
+# The largest device register: a device holds per-qubit lists, and suites,
+# truths and path searches walk every qubit, so a register is held to a
+# size those stay small for.
+MAX_DEVICE_QUBITS = 2**16
 
 
 @dataclass(frozen=True)
@@ -71,16 +75,24 @@ class Circuit:
     num_clbits: int
     gates: tuple[Gate, ...]
     label: str
-    # the simulator's lowered form and compiled shape of this circuit, made
-    # on first use and kept as long as the circuit
+    # the simulator's lowered form and compiled shape of this circuit (a
+    # placed circuit's are its template's, on its own qubits), made on first
+    # use and kept as long as the circuit
     _compiled: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.label:
             raise ValueError("circuit label must be nonempty")
-        object.__setattr__(self, "gates", tuple(self.gates))
+        gates = tuple(self.gates)
+        object.__setattr__(self, "gates", gates)
+        # every gate's register and classical-bit checks at once; only a
+        # failure walks the gates one by one, to name the first bad gate
+        clbits = [g.clbit for g in gates if g.name == "measure"]
+        if (max([q for g in gates for q in g.qubits], default=-1) < self.num_qubits
+                and max(clbits, default=-1) < self.num_clbits and len(set(clbits)) == len(clbits)):
+            return
         seen_clbits = set()
-        for g in self.gates:
+        for g in gates:
             if any(q >= self.num_qubits for q in g.qubits):
                 raise ValueError(f"gate {g} exceeds register of {self.num_qubits}")
             if g.name == "measure":
@@ -135,8 +147,8 @@ class DeviceTopology:
 
     def __post_init__(self):
         object.__setattr__(self, "num_qubits", integer(self.num_qubits, "qubit count"))
-        if self.num_qubits < 1:
-            raise ValueError(f"a device needs at least one qubit, got {self.num_qubits}")
+        if not 1 <= self.num_qubits <= MAX_DEVICE_QUBITS:
+            raise ValueError(f"a device has 1 to {MAX_DEVICE_QUBITS} qubits, got {self.num_qubits}")
         object.__setattr__(self, "couplings", tuple(
             (integer(a, "qubit"), integer(b, "qubit")) for a, b in self.couplings))
         for a, b in self.couplings:

@@ -18,20 +18,25 @@ GF(2) subspace of outcomes (Aaronson & Gottesman, quant-ph/0406196), and
 no amplitude is ever stored. Mixing the ideal marginal over every site's
 masks gives the pre-readout law; readout, a per-bit stochastic channel,
 turns it into the observed law. A shape's circuits get their laws as one
-(K, 2^m) stack, each row with its circuit's rates. A circuit object is
-lowered and compiled once and keeps its shape for the rest of its life, so
-the mock QPU's run and every model's law of it share one compile; nothing
-is kept beyond the circuits. The exact distribution
-is that law, and sampling any number of shots is one multinomial draw
-from it. The mock QPU's hidden readout (a sampler's
-`hidden_readout_strength`) is that per-bit channel applied to each
-Hamming-weight class of the pre-readout law.
+(K, 2^m) stack, each row with its circuit's rates, which a call looks up
+once per element (a gate kind on its qubits, a measured qubit's readout).
+A circuit object is lowered and compiled once and keeps its shape for the
+rest of its life, so the mock QPU's run and every model's law of it share
+one compile; nothing is kept beyond the circuits. `place` moves a
+template's qubits onto others: the placed circuit takes the template's
+lowered form (and its shape, once compiled) and is never lowered itself,
+so each `run_suite` call compiles each test kind once and places it on
+every test's qubits. The exact distribution is that law, and sampling any
+number of shots is one multinomial draw from it, one per circuit. The
+mock QPU's hidden readout (a sampler's `hidden_readout_strength`) is that
+per-bit channel applied to each Hamming-weight class of the pre-readout
+law.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .circuit import Circuit
+from .circuit import Circuit, Gate
 from .errors import TooWide
 from .noise import CompositeNoiseModel, read_out
 from .outcomes import Counts, Distribution
@@ -45,11 +50,12 @@ MAX_QUBITS = 24
 # class), which bounds their memory and keeps their arrays in CPU cache.
 _BLOCK_COUNTS = 2**16
 _KEEP, _FLIP = slice(None), slice(None, None, -1)
+_NOISY = ("h", "x", "cnot")  # the gates with a depolarizing channel
 
 
-def _lower(circuit: Circuit) -> tuple[tuple, list[tuple[int, ...]], list[int]]:
+def _lower(circuit: Circuit) -> tuple[tuple, tuple[int, ...]]:
     """A circuit's shape key (active-qubit count, ops on local qubits,
-    measured locals) and its labels (each op's qubits, the measured qubits)."""
+    measured locals) and its active qubits, local qubit i being actives[i]."""
     actives = circuit.active_qubits()
     local = {q: i for i, q in enumerate(actives)}
     done: set[int] = set()
@@ -64,8 +70,35 @@ def _lower(circuit: Circuit) -> tuple[tuple, list[tuple[int, ...]], list[int]]:
     measured = circuit.measured_qubits()
     if len(measured) > MAX_QUBITS:
         raise TooWide(f"{len(measured)} measured bits exceeds the {MAX_QUBITS}-bit guard")
-    key = (len(actives), tuple(ops), tuple(local[q] for q in measured))
-    return key, [g.qubits for g in circuit.gates], measured
+    return (len(actives), tuple(ops), tuple(local[q] for q in measured)), tuple(actives)
+
+
+def place(template: Circuit, placements: list[tuple[tuple[int, ...], str]]) -> list[Circuit]:
+    """`template` on each (qubits, label) of `placements`: its qubit i moved
+    to qubits[i], under that label.
+
+    The template is lowered on its first placement. Each placed circuit
+    takes the template's lowered form and, once compiled, its shape, with
+    its own qubits as the actives: no placed circuit is lowered, and the
+    circuits placed from one template share one shape in every `_laws` call.
+    """
+    if template._compiled is None:
+        object.__setattr__(template, "_compiled", (*_lower(template), None))
+    key, actives, shape = template._compiled
+    distinct = {id(g): g for g in template.gates}  # each gate object, moved once per placement
+    slot = {i: k for k, i in enumerate(distinct)}
+    order = [slot[id(g)] for g in template.gates]
+    circuits = []
+    for qubits, label in placements:
+        if len(qubits) != template.num_qubits or len(set(qubits)) < len(qubits):
+            raise ValueError(f"cannot place a {template.num_qubits}-qubit circuit on {qubits}")
+        at = qubits.__getitem__
+        gates = [Gate(g.name, tuple(map(at, g.qubits)), g.clbit) for g in distinct.values()]
+        circuit = Circuit(max(qubits, default=-1) + 1, template.num_clbits,
+                          tuple(map(gates.__getitem__, order)), label)
+        object.__setattr__(circuit, "_compiled", (key, tuple(map(at, actives)), shape))
+        circuits.append(circuit)
+    return circuits
 
 
 class _Shape:
@@ -76,14 +109,19 @@ class _Shape:
         self.n, self.ops, self.measured_locals = n, ops, measured_locals
         self.num_bits = m = len(measured_locals)
         self.flips, self.ideal = self._sweep()
-        # Per noise site, its op and the distinct masks of its X, Y and Z as
-        # flipping indices: three, or one when two coincide (the third is 0).
-        self.site_ops, self.sites = [], []
-        for i, ((name, _), flips) in enumerate(zip(ops, self.flips)):
-            for fx, fz in flips if name in ("h", "x", "cnot") else ():
+        # The ops of noisy gates, each (kind, local qubits) element once: a
+        # circuit of this shape looks up one rate per element.
+        self.elements = list(dict.fromkeys(op for op in ops if op[0] in _NOISY))
+        element = {op: k for k, op in enumerate(self.elements)}
+        # Per noise site, its op's element and the distinct masks of its X, Y
+        # and Z as flipping indices: three, or one when two coincide (the
+        # third is 0).
+        self.site_elements, self.sites = [], []
+        for op, flips in zip(ops, self.flips):
+            for fx, fz in flips if op[0] in _NOISY else ():
                 if fx or fz:
                     masks = (fx, fx ^ fz, fz) if fx and fz and fx != fz else (fx or fz,)
-                    self.site_ops.append(i)
+                    self.site_elements.append(element[op])
                     self.sites.append(tuple(self._flip(mask) for mask in masks))
         merged = [len(site) == 1 for site in self.sites]  # two masks share one term
         self.merged = np.array(merged, dtype=float).reshape(-1, 1, *[1] * m)
@@ -165,11 +203,26 @@ def _stabilizer_marginal(fx: list[int], fz: list[int], sign: int, m: int) -> np.
     return law
 
 
-def _gate_rate(model: CompositeNoiseModel, name: str, qubits: tuple[int, ...]) -> float:
-    """Depolarizing probability of each site right after one gate."""
-    if name in ("h", "x"):
-        return (model.h_for if name == "h" else model.x_for)(qubits[0])
-    return model.cnot_for(*qubits) if name == "cnot" and model.cnot_dp_on else 0.0
+class _Rates(dict):
+    """One `_laws` call's model lookups, each made on its first use: a noisy
+    gate element's (kind, qubits) depolarizing rate, and a measured qubit's
+    ("measure", (q,)) readout (p0, p1)."""
+
+    def __init__(self, model: CompositeNoiseModel):
+        super().__init__()
+        self.model = model
+
+    def __missing__(self, element: tuple[str, tuple[int, ...]]):
+        (name, qubits), model = element, self.model
+        if name == "measure":
+            readout = model.readout_for(qubits[0])
+            value = readout.p0, readout.p1
+        elif name == "cnot":
+            value = model.cnot_for(*qubits) if model.cnot_dp_on else 0.0
+        else:
+            value = (model.h_for if name == "h" else model.x_for)(qubits[0])
+        self[element] = value
+        return value
 
 
 def _outcome_laws(shape: _Shape, rates: np.ndarray, readout: np.ndarray,
@@ -227,15 +280,22 @@ def _outcome_laws(shape: _Shape, rates: np.ndarray, readout: np.ndarray,
 
 
 def _compile(circuit: Circuit, shapes: dict) -> tuple:
-    """A circuit's (shape key, op qubits, measured qubits, shape): made on
-    the circuit object's first use, with the shape `shapes` holds for its
-    key if any, and kept on that object for every later call. `shapes` is
-    one call's key -> shape map, which this fills."""
+    """A circuit's (shape key, active qubits, shape), kept on the circuit
+    object for every later call. The lowered form is made on the object's
+    first use, or taken from its template when it was placed: each
+    `run_suite` call compiles a test kind once and places it on every
+    test's qubits (`place`). The shape is made on the object's first
+    compile, or taken from `shapes`, one call's key -> shape map, which this
+    fills. Only the compile is shared: each circuit still gets its own
+    rates (looked up once per element per call), its own law and its own
+    draw."""
     if circuit._compiled is None:
-        key, qubits, measured = _lower(circuit)
+        object.__setattr__(circuit, "_compiled", (*_lower(circuit), None))
+    key, actives, shape = circuit._compiled
+    if shape is None:
         shape = shapes[key] if key in shapes else _Shape(*key)
-        object.__setattr__(circuit, "_compiled", (key, qubits, measured, shape))
-    shapes.setdefault(circuit._compiled[0], circuit._compiled[3])
+        object.__setattr__(circuit, "_compiled", (key, actives, shape))
+    shapes.setdefault(key, shape)
     return circuit._compiled
 
 
@@ -243,14 +303,18 @@ def _laws(circuits: list[Circuit], model: CompositeNoiseModel,
           hidden_readout_strength: float = 0.0) -> list[np.ndarray]:
     """Each circuit's observed outcome law. Each circuit object is lowered
     and compiled once, circuits of one shape new to a call share one shape,
-    and a shape's laws are built in stacks of at most max(1, 2^16 >> m) rows."""
+    each element's rate is looked up once per call, and a shape's laws are
+    built in stacks of at most max(1, 2^16 >> m) rows."""
     groups: dict[tuple, list] = {}
     shapes: dict[tuple, _Shape] = {}
+    lookup = _Rates(model)
     for i, circuit in enumerate(circuits):
-        key, qubits, measured, _ = _compile(circuit, shapes)
-        rates = [_gate_rate(model, name, q) for (name, _), q in zip(key[1], qubits)]
-        ros = [(r.p0, r.p1) for r in map(model.readout_for, measured)] if model.readout_on else []
-        groups.setdefault(key, []).append((i, rates, ros or [(0.0, 0.0)] * len(measured)))
+        key, actives, shape = _compile(circuit, shapes)
+        rates = [lookup[name, tuple(actives[q] for q in locs)] for name, locs in shape.elements]
+        measured = [actives[q] for q in key[2]]
+        ros = ([lookup["measure", (q,)] for q in measured] if model.readout_on
+               else [(0.0, 0.0)] * len(measured))
+        groups.setdefault(key, []).append((i, rates, ros))
     laws: dict[int, np.ndarray] = {}
     for key, members in groups.items():
         shape = shapes[key]
@@ -258,7 +322,7 @@ def _laws(circuits: list[Circuit], model: CompositeNoiseModel,
         for start in range(0, len(members), block):
             rows, rates, readout = zip(*members[start:start + block])
             laws.update(zip(rows, _outcome_laws(
-                shape, np.array(rates, dtype=float).take(shape.site_ops, axis=1),
+                shape, np.array(rates, dtype=float).take(shape.site_elements, axis=1),
                 np.array(readout, dtype=float).reshape(len(rows), -1, 2), hidden_readout_strength)))
     return [laws[i] for i in range(len(circuits))]
 
@@ -270,7 +334,7 @@ def _to_distribution(vec: np.ndarray, num_bits: int) -> Distribution:
 
 def simulate_ideal(circuit: Circuit) -> Distribution:
     """Exact measurement distribution of the noiseless circuit."""
-    shape = _compile(circuit, {})[3]
+    shape = _compile(circuit, {})[2]
     return _to_distribution(shape.ideal, shape.num_bits)
 
 

@@ -40,8 +40,8 @@ def _noise_sites(shape, qubits, model):
 
 def one_by_one_law(circuit, model, hidden_readout_strength=0.0):
     """Observed outcome law of one circuit, flat in classical-bit order."""
-    key, qubits, _ = _lower(circuit)
-    shape = _Shape(*key)
+    shape = compile_shape(circuit)
+    qubits = [g.qubits for g in circuit.gates]
     m = shape.num_bits
     law = shape.ideal.reshape([2] * m).copy()
     mixed, term = np.empty_like(law), np.empty_like(law)

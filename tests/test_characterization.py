@@ -143,6 +143,21 @@ def test_odd_hadamard_length_rejected():
         build_suite(line(2), hadamard_lengths=(2, 5))
 
 
+def test_a_plan_from_labels_refuses_what_its_tests_refuse():
+    """`build_suite` plans its tests from their labels, and refuses a zero
+    length and a subset qubit that names no test as those tests do; its
+    tests are the tests their constructors build."""
+    with pytest.raises(OddHadamardLength):
+        build_suite(line(2), hadamard_lengths=(0,))
+    for qubit in (-1, 1.5, True):
+        with pytest.raises(ValueError, match="is not the test its label names"):
+            build_suite(line(3), subset=(0, qubit))
+    plan = build_suite(line(3), subset=(2, 0), hadamard_lengths=(4, 2))
+    assert plan.tests == (
+        *(TestKind(kind, qubit=q) for kind in ("init", "x", "xx") for q in (0, 2)),
+        *(TestKind("hseq", qubit=q, length=n) for q in (0, 2) for n in (4, 2)))
+
+
 # The ideal law of every test kind, by hand: the oracle for
 # simulate_ideal(materialize(kind)), the package's one copy of these laws.
 IDEAL = {

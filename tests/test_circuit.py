@@ -4,6 +4,7 @@ import random
 import pytest
 
 from noisekit.circuit import (
+    MAX_DEVICE_QUBITS,
     Circuit,
     DeviceTopology,
     Gate,
@@ -159,6 +160,15 @@ def test_topology_invariants():
         DeviceTopology(2, ((0, 0),))  # self-loop
     with pytest.raises(ValueError):
         DeviceTopology(2, ((0, 5),))  # out of register
+
+
+def test_a_register_is_held_to_its_maximum():
+    """A device has at most MAX_DEVICE_QUBITS qubits: the largest register
+    builds, and one more qubit is refused. (A register of 2^63 is tested in
+    a process with capped memory, in test_cli.)"""
+    assert DeviceTopology(MAX_DEVICE_QUBITS, ((0, 1),)).neighbors(MAX_DEVICE_QUBITS - 1) == []
+    with pytest.raises(ValueError, match=f"1 to {MAX_DEVICE_QUBITS} qubits"):
+        DeviceTopology(MAX_DEVICE_QUBITS + 1, ((0, 1),))
 
 
 def test_topology_symmetric_queries():

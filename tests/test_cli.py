@@ -14,6 +14,7 @@ from noisekit.backend import MAX_SHOTS, MockGroundTruth
 from noisekit.characterization import (
     archive_dict, archive_hash, build_suite, run_suite,
 )
+from noisekit.circuit import MAX_DEVICE_QUBITS
 from noisekit.cli import COMMANDS, build_parser, main
 from noisekit.devices import line, uniform_truth
 from noisekit.errors import ConfigError, write_json_file
@@ -434,6 +435,16 @@ def _self_loop_device(tmp_path, device, truth):
     return _characterize_argv(tmp_path, bad, truth)
 
 
+def _device_file(data):
+    """Characterize the subset (0, 1) of a device file holding `data`: the
+    subset keeps a run of any register small, should the file be read."""
+    def make(tmp_path, device, truth):
+        bad = tmp_path / "bad-device.json"
+        bad.write_text(json.dumps(data))
+        return _characterize_argv(tmp_path, bad, truth, "--subset", "0,1")
+    return make
+
+
 def _truncated_model(tmp_path, device, truth):
     argv = _evaluate_argv(tmp_path, device, truth)
     _truncated(tmp_path / "model.json")
@@ -650,6 +661,8 @@ MALFORMED_INPUTS = {
     "subset-token": (lambda t, d, tr: _characterize_argv(t, d, tr, "--subset", "0,x"),
                      "ConfigError"),
     "device-self-loop": (_self_loop_device, "ParseError"),
+    "device-over-max-qubits": (_device_file(
+        {"num_qubits": MAX_DEVICE_QUBITS + 1, "couplings": [[0, 1]]}), "ParseError"),
     "device-truncated": (lambda t, d, tr: _characterize_argv(t, _truncated(d), tr), "ParseError"),
     "truth-truncated": (lambda t, d, tr: _characterize_argv(t, d, _truncated(tr)), "ParseError"),
     "model-truncated": (_truncated_model, "ParseError"),
@@ -926,14 +939,40 @@ def test_help_still_exits_0(capsys):
     assert "characterize" in capsys.readouterr().out
 
 
-def _in_fresh_process(argv) -> tuple[int, str, str]:
-    """(exit code, stdout, stderr) of `noisekit argv` in a new interpreter."""
+def _in_fresh_process(argv, address_space: int | None = None) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of `noisekit argv` in a new interpreter,
+    whose address space is capped at `address_space` bytes if given."""
     src = str(Path(noisekit.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [
         src, os.environ.get("PYTHONPATH")]))}
+    cap = None
+    if address_space is not None:
+        import resource
+        env["OPENBLAS_NUM_THREADS"] = "1"  # keeps numpy's own reservations small
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
     done = subprocess.run([sys.executable, "-m", "noisekit.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=300)
+                          capture_output=True, text=True, timeout=300, preexec_fn=cap)
     return done.returncode, done.stdout, done.stderr
+
+
+def test_a_huge_device_exits_2_in_bounded_memory(setup):
+    """A device file of 2^63 qubits is refused by its qubit count, before
+    any per-qubit list is built. The run's address space is capped at 512
+    MiB (a run on a 4-qubit line peaks near 150 MiB on x86-64 Linux with
+    one BLAS thread), so a reader that builds one fails this test rather
+    than the machine."""
+    tmp_path, _, truth = setup
+    argv = _device_file({"num_qubits": 2**63, "couplings": [[0, 1]]})(tmp_path, None, truth)
+    code, _, err = _in_fresh_process([*argv, "--out", str(tmp_path / "o")], 512 << 20)
+    assert code == 2, err[-2000:]
+    lines = err.strip().splitlines()
+    assert len(lines) == 1
+    error = json.loads(lines[0])
+    assert error["error"] == "ParseError"
+    assert f"1 to {MAX_DEVICE_QUBITS} qubits" in error["message"]
+    assert not (tmp_path / "o").exists()
 
 
 def _files(directory: Path) -> dict[str, bytes]:

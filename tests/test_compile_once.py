@@ -15,7 +15,9 @@ from law_oracle import one_by_one_law
 from noisekit import estimation, simulator
 from noisekit.applications import build_bv, build_ghz
 from noisekit.backend import MockBackend, MockGroundTruth
-from noisekit.characterization import Records, TestKind, build_suite, materialize, run_suite
+from noisekit.characterization import (
+    Records, SuitePlan, TestKind, build_suite, materialize, run_suite,
+)
 from noisekit.cli import main
 from noisekit.devices import jittered_truth, ladder20, line
 from noisekit.errors import NoConvergence
@@ -155,16 +157,46 @@ def test_nothing_carries_over_between_commands(tmp_path, monkeypatch):
     assert counts[0][2] == {"_p0_fits": 2, "_aro_fits": 2, "_hadamard_fits": 0, "_pcnot_fits": 4}
 
 
+def test_a_suite_run_lowers_one_circuit_per_test_kind(tmp_path, monkeypatch):
+    """`characterize` of a ladder20 suite with trains 2, 4, 8 and 16 runs
+    163 circuits but lowers 8, one template per test kind (init, x, xx,
+    four trains, Bell), and compiles each of their shapes once."""
+    topo = ladder20()
+    device, truth = tmp_path / "device.json", tmp_path / "truth.json"
+    topo.save(device)
+    MockGroundTruth(jittered_truth(topo, 42), 0.04).save(truth)
+    seen = _Recorder(monkeypatch)
+    assert _quiet_main(["characterize", "--device", str(device), "--backend", f"mock:{truth}",
+                        "--hadamard-lengths", "2,4,8,16", "--shots", "64",
+                        "--out", str(tmp_path / "out")]) == 0
+    assert [len(circuits) for circuits, _ in seen.calls] == [163]
+    assert len(seen.lowered) == 8
+    assert len(seen.calls[0][1]) == 8
+
+
 def _demo_fits(topo, truth):
     plan = build_suite(topo, hadamard_lengths=(2, 4, 8), shots=2048, seed=5)
     records = run_suite(plan, MockBackend(topo, truth))
     return records, [fit_composite(records, **config).model for config in DEMO_CONFIGS]
 
 
+class _KeepingBackend(MockBackend):
+    """A mock QPU that keeps the circuits of its last run."""
+
+    def run(self, circuits, shots, seed):
+        self.circuits = circuits
+        return super().run(circuits, shots, seed)
+
+
 def test_reused_circuits_give_the_laws_of_fresh_ones():
     """One set of circuit objects, its laws taken under the truth with hidden
     readout, then under each demo model, then with no hidden readout: every
-    law equals, bit for bit, the one-by-one law of a fresh copy."""
+    law equals, bit for bit, the one-by-one law of a fresh copy. So does
+    every circuit a suite run placed, for every test of a ladder20 suite
+    with trains 2 to 32 and the Bell test of (0, 1) recorded as
+    `bell:q1-q0`, under the truth with hidden readout: each fresh copy is
+    lowered on its own, where the placed circuit took its template's
+    lowered form."""
     topo = ladder20()
     truth = MockGroundTruth(jittered_truth(topo, 42), 0.04)
     _, models = _demo_fits(topo, truth)
@@ -173,7 +205,7 @@ def test_reused_circuits_give_the_laws_of_fresh_ones():
     circuits += [build_bv(format(i, "03b"), [6, 8, 12], 7, topo) for i in range(8)]
     circuits += [materialize(t) for t in build_suite(topo, hadamard_lengths=(2, 4)).tests[::7]]
 
-    def check(model, strength):
+    def check(circuits, model, strength):
         for circuit, sampler in zip(circuits, TrajectorySampler.for_circuits(
                 circuits, model, strength)):
             fresh = dataclasses.replace(circuit)
@@ -185,11 +217,22 @@ def test_reused_circuits_give_the_laws_of_fresh_ones():
                 exact = simulate_noisy_exact(circuit, model)
                 assert exact == simulate_noisy_exact(fresh, model)
 
-    check(truth.model, truth.hidden_readout_strength)
+    check(circuits, truth.model, truth.hidden_readout_strength)
     assert all(c._compiled is not None for c in circuits)
     for model in models:
-        check(model, 0.0)
-    check(truth.model, 0.0)
+        check(circuits, model, 0.0)
+    check(circuits, truth.model, 0.0)
+
+    tests = build_suite(topo, hadamard_lengths=tuple(range(2, 33, 2))).tests
+    tests = tuple(TestKind.from_label("bell:q1-q0") if t.label == "bell:q0-q1" else t
+                  for t in tests)
+    backend = _KeepingBackend(topo, truth)
+    run_suite(SuitePlan(tests, 1, 0), backend)
+    placed = backend.circuits
+    assert [c.label for c in placed] == [t.label for t in tests] and len(placed) == 403
+    assert [g.qubits for g in placed[tests.index(TestKind.from_label("bell:q1-q0"))].gates] == [
+        (1,), (1, 0), (1,), (0,)]
+    check(placed, truth.model, truth.hidden_readout_strength)
 
 
 @pytest.mark.parametrize("order_seed", range(4))

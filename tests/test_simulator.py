@@ -9,7 +9,7 @@ from law_oracle import compile_shape, one_by_one_counts, one_by_one_law
 from trajectory_oracle import sample_trajectories
 from noisekit import simulator
 from noisekit.backend import MockBackend, MockGroundTruth
-from noisekit.characterization import build_suite, materialize
+from noisekit.characterization import TestKind, build_suite, materialize
 from noisekit.circuit import Circuit, DeviceTopology, cnot, h, identity, measure, x
 from noisekit.devices import jittered_truth, ladder20, line
 from noisekit.errors import TooWide
@@ -590,3 +590,17 @@ def test_the_qpu_suite_compiles_each_shape_once(monkeypatch):
     TrajectorySampler.for_circuits([materialize(t) for t in plan.tests], jittered_truth(topo, 1))
     assert len(plan.tests) == 163
     assert len(keys) == len(set(keys)) == 8
+
+
+def test_a_placement_takes_one_distinct_qubit_per_template_qubit():
+    """`place` moves a template's qubit i to qubits[i]: a repeated qubit or a
+    placement of the wrong width is refused, and so is a negative qubit,
+    by the gate it would make."""
+    template = materialize(TestKind("bell", coupling=(0, 1)))
+    for qubits in ((2, 2), (1,), (0, 1, 2)):
+        with pytest.raises(ValueError, match="cannot place"):
+            simulator.place(template, [(qubits, "bell")])
+    with pytest.raises(ValueError, match="negative qubit"):
+        simulator.place(template, [((-1, 2), "bell")])
+    placed = simulator.place(template, [((5, 3), "bell:q5-q3")])[0]
+    assert placed == Circuit(6, 2, (h(5), cnot(5, 3), measure(5, 0), measure(3, 1)), "bell:q5-q3")
