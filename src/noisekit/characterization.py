@@ -23,9 +23,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .circuit import Circuit, DeviceTopology, cnot, h, measure, x
+from .circuit import Circuit, DeviceTopology, cnot, edge, h, measure, x
 from .errors import ArityMismatch, OddHadamardLength, ParseError, parse_json_file
-from .noise import COUPLING, QUBIT, _edge
+from .noise import COUPLING, QUBIT
 from .outcomes import Counts, count_widths
 from .simulator import place
 
@@ -152,7 +152,7 @@ class Records:
     def __post_init__(self):
         index = {}
         for row, test in enumerate(self.tests):
-            key = (test.kind, _edge(*test.coupling) if test.coupling else test.qubit, test.length)
+            key = (test.kind, edge(*test.coupling) if test.coupling else test.qubit, test.length)
             other = index.setdefault(key, row)
             if other != row:
                 raise ParseError(f"records {self.tests[other].label} and {test.label} "

@@ -130,6 +130,11 @@ class Circuit:
         return sorted(qs)
 
 
+def edge(a: int, b: int) -> tuple[int, int]:
+    """The one spelling of an undirected coupling: its (low, high) pair."""
+    return (min(a, b), max(a, b))
+
+
 @dataclass(frozen=True)
 class DeviceTopology:
     """Register size and coupling set of a device.
@@ -156,9 +161,7 @@ class DeviceTopology:
                 raise ValueError(f"self-loop coupling ({a},{b})")
             if not (0 <= a < self.num_qubits and 0 <= b < self.num_qubits):
                 raise ValueError(f"coupling ({a},{b}) outside register")
-        object.__setattr__(
-            self, "_edges", frozenset((min(a, b), max(a, b)) for a, b in self.couplings)
-        )
+        object.__setattr__(self, "_edges", frozenset(edge(a, b) for a, b in self.couplings))
         adjacency: dict[int, list[int]] = {q: [] for q in range(self.num_qubits)}
         for a, b in sorted(self._edges):  # each list comes out ascending
             adjacency[a].append(b)
@@ -175,7 +178,7 @@ class DeviceTopology:
         return len(self._edges)
 
     def has_coupling(self, a: int, b: int) -> bool:
-        return (min(a, b), max(a, b)) in self._edges
+        return edge(a, b) in self._edges
 
     def neighbors(self, qubit: int) -> list[int]:
         return list(self._adjacency.get(qubit, ()))

@@ -9,16 +9,23 @@ hidden readout, the Bell fit's fitted law and `apply_readout_to_distribution`
 all go through it. The estimators invert it in closed form. A cnot is
 followed by two identical, independent single-qubit depolarizing channels
 (one per operand), not a two-qubit depolarizer.
+
+A model is also one rate vector `theta`, derived at construction (not a file
+field). `column` is the one rule for which entry an element reads: its own,
+else its kind's average (shared by an averaged model's elements), else, for
+x and h, 0, a zero rate. It lives with the model, so shapes stay model-free.
 """
 from __future__ import annotations
 
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain, count
 from pathlib import Path
 
 import numpy as np
 
+from .circuit import edge
 from .errors import ArityMismatch, MissingCoverage, OutOfRange, parse_json_file, write_json_file
 from .outcomes import Distribution
 
@@ -132,10 +139,6 @@ def apply_readout_to_distribution(
     return Distribution.from_arrays(n, np.arange(law.size), law)
 
 
-def _edge(a: int, b: int) -> tuple[int, int]:
-    return (min(a, b), max(a, b))
-
-
 @dataclass(frozen=True)
 class CompositeNoiseModel:
     """Per-element readout and depolarizing parameters plus feature flags.
@@ -173,16 +176,27 @@ class CompositeNoiseModel:
             object.__setattr__(self, name, dict(getattr(self, name)))
         _spelled([*self.readout, *self.x_gate, *self.h_gate, *(self.subset or ())], "qubit", repr)
         _spelled(self.cnot, "coupling", "%r-%r".__mod__)  # a non-pair raises TypeError
-        cnot = {_edge(*c): v for c, v in self.cnot.items()}
+        cnot = {edge(*c): v for c, v in self.cnot.items()}
         if len(cnot) < len(self.cnot):
             raise ValueError(f"couplings {sorted(self.cnot)} name one in both directions")
         object.__setattr__(self, "cnot", cnot)
         for name, rates in (("p_x", self.x_gate), ("p_h", self.h_gate), ("p_cnot", cnot)):
             for v in rates.values():
                 check_prob(v, name)
-        for name, v in (("p_x", self.avg_x), ("p_h", self.avg_h), ("p_cnot", self.avg_cnot)):
-            if v is not None:
-                check_prob(v, f"average {name}")
+        # theta: a zero rate, the own rates by kind, then the averages (checked here)
+        avg, at = self.avg_readout, count(1)
+        own = {**{k: {q: getattr(m, k) for q, m in self.readout.items()} for k in ("p0", "p1")},
+               "x": self.x_gate, "h": self.h_gate, "cnot": cnot}
+        averages = {**({"p0": avg.p0, "p1": avg.p1} if avg else {}), **{
+            kind: check_prob(v, f"average p_{kind}") for kind, v in
+            (("x", self.avg_x), ("h", self.avg_h), ("cnot", self.avg_cnot)) if v is not None}}
+        columns = [dict(zip(rates, at)) for rates in own.values()]
+        fallbacks = {"x": 0, "h": 0} | dict(zip(averages, at))
+        object.__setattr__(self, "_columns", {  # by kind: (its own columns, its fallback's)
+            kind: (kind_columns, fallbacks.get(kind)) for kind, kind_columns in zip(own, columns)})
+        object.__setattr__(self, "theta", np.array(
+            [0.0, *chain(*map(dict.values, own.values())), *averages.values()], dtype=float))
+        self.theta.flags.writeable = False
 
     @classmethod
     def noiseless(cls) -> "CompositeNoiseModel":
@@ -196,25 +210,29 @@ class CompositeNoiseModel:
             cnot_dp_on=False,
         )
 
+    def column(self, kind: str, qubits: tuple[int, ...]) -> int:
+        """The `theta` column of the `kind` ("p0", "p1", "x", "h" or "cnot")
+        rate of the element on `qubits`: its own, else its kind's average, else
+        0 for x and h; a readout or cnot with neither raises MissingCoverage."""
+        own, fallback = self._columns[kind]
+        column = own.get(edge(*qubits) if kind == "cnot" else qubits[0], fallback)
+        if column is None:
+            what = ("cnot parameter for coupling ({},{})" if kind == "cnot"
+                    else "readout model for qubit {}")
+            raise MissingCoverage(f"no {what.format(*qubits)}", ["-".join(f"q{q}" for q in qubits)])
+        return column
+
     def readout_for(self, qubit: int) -> ReadoutModel:
-        model = self.readout.get(qubit, self.avg_readout)
-        if model is None:
-            raise MissingCoverage(f"no readout model for qubit {qubit}", [f"q{qubit}"])
-        return model
+        return ReadoutModel(*self.theta[[self.column(k, (qubit,)) for k in ("p0", "p1")]].tolist())
 
     def x_for(self, qubit: int) -> float:
-        return self.x_gate.get(qubit, self.avg_x) or 0.0
+        return float(self.theta[self.column("x", (qubit,))])
 
     def h_for(self, qubit: int) -> float:
-        return self.h_gate.get(qubit, self.avg_h) or 0.0
+        return float(self.theta[self.column("h", (qubit,))])
 
     def cnot_for(self, a: int, b: int) -> float:
-        value = self.cnot.get(_edge(a, b), self.avg_cnot)
-        if value is None:
-            raise MissingCoverage(
-                f"no cnot parameter for coupling ({a},{b})", [f"q{a}-q{b}"]
-            )
-        return value
+        return float(self.theta[self.column("cnot", (a, b))])
 
     def num_parameters(self) -> int:
         """Distinct fitted scalars in the active channels (for tie-breaks)."""

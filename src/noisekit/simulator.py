@@ -18,8 +18,8 @@ GF(2) subspace of outcomes (Aaronson & Gottesman, quant-ph/0406196), and
 no amplitude is ever stored. Mixing the ideal marginal over every site's
 masks gives the pre-readout law; readout, a per-bit stochastic channel,
 turns it into the observed law. A shape's circuits get their laws as one
-(K, 2^m) stack, each row with its circuit's rates, which a call looks up
-once per element (a gate kind on its qubits, a measured qubit's readout).
+(K, 2^m) stack, each row with its circuit's rates: the model's `theta` at
+each element's column, or at column 0, a zero rate, if its channel is off.
 A circuit object is lowered and compiled once and keeps its shape for the
 rest of its life, so the mock QPU's run and every model's law of it share
 one compile; nothing is kept beyond the circuits. `place` moves a
@@ -109,10 +109,11 @@ class _Shape:
         self.n, self.ops, self.measured_locals = n, ops, measured_locals
         self.num_bits = m = len(measured_locals)
         self.flips, self.ideal = self._sweep()
-        # The ops of noisy gates, each (kind, local qubits) element once: a
-        # circuit of this shape looks up one rate per element.
-        self.elements = list(dict.fromkeys(op for op in ops if op[0] in _NOISY))
-        element = {op: k for k, op in enumerate(self.elements)}
+        # Each (kind, local qubits) element once, whose theta column a circuit
+        # of this shape reads: its noisy gates' ops, then its readout rates.
+        element = {op: k for k, op in enumerate(dict.fromkeys(g for g in ops if g[0] in _NOISY))}
+        self.elements = [*element, *((k, (q,)) for q in measured_locals for k in ("p0", "p1"))]
+        self.readouts = slice(len(element), None)
         # Per noise site, its op's element and the distinct masks of its X, Y
         # and Z as flipping indices: three, or one when two coincide (the
         # third is 0).
@@ -203,33 +204,11 @@ def _stabilizer_marginal(fx: list[int], fz: list[int], sign: int, m: int) -> np.
     return law
 
 
-class _Rates(dict):
-    """One `_laws` call's model lookups, each made on its first use: a noisy
-    gate element's (kind, qubits) depolarizing rate, and a measured qubit's
-    ("measure", (q,)) readout (p0, p1)."""
-
-    def __init__(self, model: CompositeNoiseModel):
-        super().__init__()
-        self.model = model
-
-    def __missing__(self, element: tuple[str, tuple[int, ...]]):
-        (name, qubits), model = element, self.model
-        if name == "measure":
-            readout = model.readout_for(qubits[0])
-            value = readout.p0, readout.p1
-        elif name == "cnot":
-            value = model.cnot_for(*qubits) if model.cnot_dp_on else 0.0
-        else:
-            value = (model.h_for if name == "h" else model.x_for)(qubits[0])
-        self[element] = value
-        return value
-
-
-def _outcome_laws(shape: _Shape, rates: np.ndarray, readout: np.ndarray,
+def _outcome_laws(shape: _Shape, rates: np.ndarray,
                   hidden_readout_strength: float = 0.0) -> np.ndarray:
     """Observed outcome laws of K circuits of one shape, a (K, 2^m) stack in
-    classical-bit order, from their (K, sites) rates and (K, m, 2) readout
-    (p0, p1) rates (zero when readout is off).
+    classical-bit order, from the (K, elements) rates of `shape.elements`:
+    its gates' depolarizing rates, then each measured bit's p0 and p1.
 
     Each noise site mixes the ideal marginal over its flip masks,
     v <- (1 - p) v + p/3 (v[i ^ m_X] + v[i ^ m_Y] + v[i ^ m_Z]). On a
@@ -246,6 +225,7 @@ def _outcome_laws(shape: _Shape, rates: np.ndarray, readout: np.ndarray,
     blocks and summed in weight order.
     """
     k, m = rates.shape[0], shape.num_bits
+    rates, readout = rates[:, shape.site_elements], rates[:, shape.readouts].reshape(k, m, 2)
     p = rates.T.reshape(len(shape.sites), k, *[1] * m)
     third = p / 3.0
     shared = third * shape.merged  # p/3 more on both weights of a merged site
@@ -287,7 +267,7 @@ def _compile(circuit: Circuit, shapes: dict) -> tuple:
     test's qubits (`place`). The shape is made on the object's first
     compile, or taken from `shapes`, one call's key -> shape map, which this
     fills. Only the compile is shared: each circuit still gets its own
-    rates (looked up once per element per call), its own law and its own
+    rates (its elements' `theta` columns, per call), its own law and its own
     draw."""
     if circuit._compiled is None:
         object.__setattr__(circuit, "_compiled", (*_lower(circuit), None))
@@ -303,27 +283,24 @@ def _laws(circuits: list[Circuit], model: CompositeNoiseModel,
           hidden_readout_strength: float = 0.0) -> list[np.ndarray]:
     """Each circuit's observed outcome law. Each circuit object is lowered
     and compiled once, circuits of one shape new to a call share one shape,
-    each element's rate is looked up once per call, and a shape's laws are
-    built in stacks of at most max(1, 2^16 >> m) rows."""
+    each circuit's rates are one gather from the model's `theta`, and a
+    shape's laws are built in stacks of at most max(1, 2^16 >> m) rows."""
     groups: dict[tuple, list] = {}
     shapes: dict[tuple, _Shape] = {}
-    lookup = _Rates(model)
+    on = dict(h=True, x=True, cnot=model.cnot_dp_on, p0=model.readout_on, p1=model.readout_on)
     for i, circuit in enumerate(circuits):
         key, actives, shape = _compile(circuit, shapes)
-        rates = [lookup[name, tuple(actives[q] for q in locs)] for name, locs in shape.elements]
-        measured = [actives[q] for q in key[2]]
-        ros = ([lookup["measure", (q,)] for q in measured] if model.readout_on
-               else [(0.0, 0.0)] * len(measured))
-        groups.setdefault(key, []).append((i, rates, ros))
+        groups.setdefault(key, []).append((i, [
+            model.column(kind, tuple(map(actives.__getitem__, locs))) if on[kind] else 0
+            for kind, locs in shape.elements]))
     laws: dict[int, np.ndarray] = {}
     for key, members in groups.items():
         shape = shapes[key]
         block = max(1, _BLOCK_COUNTS >> shape.num_bits)
         for start in range(0, len(members), block):
-            rows, rates, readout = zip(*members[start:start + block])
+            rows, columns = zip(*members[start:start + block])
             laws.update(zip(rows, _outcome_laws(
-                shape, np.array(rates, dtype=float).take(shape.site_elements, axis=1),
-                np.array(readout, dtype=float).reshape(len(rows), -1, 2), hidden_readout_strength)))
+                shape, model.theta[np.array(columns, np.intp)], hidden_readout_strength)))
     return [laws[i] for i in range(len(circuits))]
 
 

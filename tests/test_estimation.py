@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -231,10 +232,7 @@ def test_hadamard_small_error_excluded_when_unresolvable(line2):
     """With short sequences at N_s=8192 a 1e-3-per-gate rate sits inside the
     10-sigma exclusion band, so the channel is recommended out of the model
     (the regime behind treating Hadamard noise as negligible)."""
-    truth = uniform_truth(line2)
-    truth = type(truth)(
-        **{**truth.__dict__, "h_gate": {q: 0.001 for q in range(2)}}
-    )
+    truth = replace(uniform_truth(line2), h_gate={q: 0.001 for q in range(2)})
     backend = MockBackend(line2, MockGroundTruth(truth))
     plan = build_suite(line2, hadamard_lengths=(2, 4, 8), shots=8192, seed=3)
     records = rows_where(run_suite(plan, backend), lambda t: t.kind == "hseq" and t.qubit == 0)
@@ -246,10 +244,7 @@ def test_hadamard_small_error_excluded_when_unresolvable(line2):
 def test_hadamard_long_sequences_resolve_small_error(line2):
     """The geometric length ladder up to 64 makes the same 1e-3 rate
     statistically visible, so the data-driven rule keeps it."""
-    truth = uniform_truth(line2)
-    truth = type(truth)(
-        **{**truth.__dict__, "h_gate": {q: 0.001 for q in range(2)}}
-    )
+    truth = replace(uniform_truth(line2), h_gate={q: 0.001 for q in range(2)})
     backend = MockBackend(line2, MockGroundTruth(truth))
     plan = build_suite(line2, hadamard_lengths=(2, 4, 8, 16, 32, 64), shots=8192, seed=3)
     records = rows_where(run_suite(plan, backend), lambda t: t.kind == "hseq" and t.qubit == 0)
@@ -860,6 +855,29 @@ def test_fit_composite_sro_vs_aro_pcnot_differs(line4, mock_backend):
     assert not aro_dp.model.readout[0].is_symmetric
 
 
+# Each variant's fitted scalars on a line(3) table (3 qubits, 2 couplings)
+# with Hadamard trains 2 and 4, per granularity: (per_element,
+# register_average, subset_average). A readout counts one scalar when
+# p0 == p1 (SRO), two otherwise; the DP variant fits no p_x, since the X
+# system needs a readout model.
+NUM_PARAMETERS = {"noiseless": (0, 0, 0), "sro": (3, 1, 1), "aro": (6, 2, 2), "dp": (5, 2, 2),
+                  "sro+dp": (11, 4, 4), "aro+dp": (14, 5, 5)}
+
+
+def test_num_parameters_of_every_variant_and_granularity():
+    """`num_parameters`, which fills the scores CSV's `n_parameters` column
+    and breaks `compare_models`' ties, for each variant and granularity."""
+    tests, laws = _suite_laws(line(3), [0.01, 0.02, 0.015], (2, 4))
+    records = exact_records(*((test, {outcome: f for outcome, f in zip(BELL_OUTCOMES, law) if f}
+                                      if test.kind == "bell" else {"0": law[0], "1": law[1]})
+                              for test, law in zip(tests, laws)))
+    for variant, counts in NUM_PARAMETERS.items():
+        fits = [fit_composite(records, variant),
+                fit_composite(records, variant, granularity="register_average"),
+                fit_composite(records, variant, granularity=SUBSET_AVERAGE, subset=(0, 1))]
+        assert tuple(fit.model.num_parameters() for fit in fits) == counts, variant
+
+
 def test_estimation_result_invariants():
     with pytest.raises(OutOfRange):
         EstimationResult("p", value=1.2, raw_value=1.2)
@@ -1087,8 +1105,8 @@ def test_fit_composite_fits_each_family_once(ladder20, monkeypatch):
     one Hadamard family call for all its trains, no eigenvalue call and no
     call into the one-element estimators."""
     plan = build_suite(ladder20, hadamard_lengths=(2, 4, 8, 16, 32), shots=256, seed=9)
-    truth = MockGroundTruth(type(uniform_truth(ladder20))(
-        **{**uniform_truth(ladder20).__dict__, "h_gate": dict.fromkeys(range(20), 0.004)}))
+    truth = MockGroundTruth(replace(uniform_truth(ladder20),
+                                    h_gate=dict.fromkeys(range(20), 0.004)))
     records = rows_where(run_suite(plan, MockBackend(ladder20, truth)),
                          lambda t: not (t.kind == "hseq" and t.qubit < 8 and t.length == 32))
 

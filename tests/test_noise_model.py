@@ -1,14 +1,18 @@
+import ast
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import noisekit
 from closed_forms import bell_frequencies, predicted_x_test_frequencies
+from noisekit import devices, simulator
 from noisekit.applications import build_ghz
 from noisekit.backend import MockBackend, MockGroundTruth
 from noisekit.characterization import build_suite, materialize
 from noisekit.circuit import Circuit, cnot, h, measure, x
-from noisekit.errors import ArityMismatch, OutOfRange
+from noisekit.errors import ArityMismatch, MissingCoverage, OutOfRange
 from noisekit.noise import (
     CompositeNoiseModel,
     ReadoutModel,
@@ -290,3 +294,164 @@ def test_noiseless_constructor_all_zero():
     assert model.x_for(5) == 0.0
     assert model.cnot_for(1, 2) == 0.0
     assert not model.readout_on and not model.cnot_dp_on
+
+
+# -- the rate rule: theta and column ----------------------------------------------
+
+N_QUBITS = 5
+MODEL_KINDS = ("per_element", "register_average", "subset_average", "mixed")
+
+
+def _random_model(rng, kind: str) -> CompositeNoiseModel:
+    """A seeded model of `kind` on up to N_QUBITS qubits (all pairs coupled),
+    each own entry and each average left out at random. A mixed model is a
+    per-element one with averages too; couplings are keyed either way."""
+    rate = lambda: float(rng.uniform(0.0, 0.2))
+    kept = lambda: rng.random() < 0.6
+    fields = {}
+    if kind in ("per_element", "mixed"):
+        qubits, pairs = range(N_QUBITS), [(a, b) for a in range(N_QUBITS) for b in range(a)]
+        fields.update(readout={q: ReadoutModel(rate(), rate()) for q in qubits if kept()},
+                      x_gate={q: rate() for q in qubits if kept()},
+                      h_gate={q: rate() for q in qubits if kept()},
+                      cnot={p[::rng.choice([1, -1])]: rate() for p in pairs if kept()})
+    if kind != "per_element":
+        fields.update(avg_readout=ReadoutModel(rate(), rate()) if kept() else None,
+                      **{name: rate() if kept() else None
+                         for name in ("avg_x", "avg_h", "avg_cnot")})
+    if kind == "subset_average":
+        fields.update(granularity=kind, subset=(0, 2))
+    elif kind == "register_average":
+        fields.update(granularity=kind)
+    return CompositeNoiseModel(**fields)
+
+
+def _rule(model: CompositeNoiseModel, kind: str, qubits: tuple) -> float | None:
+    """The rate of `kind` on `qubits`, read from the model's fields: its own
+    entry, else its kind's average, else 0 for x and h and None (no rate)
+    for a readout or a cnot."""
+    if kind in ("p0", "p1"):
+        readout = model.readout.get(qubits[0], model.avg_readout)
+        return None if readout is None else getattr(readout, kind)
+    if kind == "cnot":
+        return model.cnot.get((min(qubits), max(qubits)), model.avg_cnot)
+    own, average = (model.x_gate, model.avg_x) if kind == "x" else (model.h_gate, model.avg_h)
+    rate = own.get(qubits[0], average)
+    return 0.0 if rate is None else rate
+
+
+@pytest.mark.parametrize("kind", MODEL_KINDS)
+def test_each_element_reads_the_rate_its_fields_give(kind):
+    """`theta[column(kind, qubits)]`, and each accessor, against the rule
+    written out from the fields, for every element of seeded models with
+    entries left out (one qubit past the register too), each coupling asked
+    in both directions; an element with no rate raises MissingCoverage
+    naming it as asked."""
+    rng = np.random.default_rng(2026)
+    qubits = range(N_QUBITS + 1)
+    elements = [(k, (q,)) for k in ("p0", "p1", "x", "h") for q in qubits]
+    elements += [("cnot", (a, b)) for a in qubits for b in qubits if a != b]
+    for _ in range(40):
+        model = _random_model(rng, kind)
+        for element in elements:
+            want = _rule(model, *element)
+            if want is None:
+                spelled = "-".join(f"q{q}" for q in element[1])
+                with pytest.raises(MissingCoverage) as err:
+                    model.column(*element)
+                assert err.value.missing == [spelled]
+                assert str(err.value) == ("no cnot parameter for coupling ({},{})"
+                                          if element[0] == "cnot"
+                                          else "no readout model for qubit {}").format(*element[1])
+                continue
+            assert model.theta[model.column(*element)] == want
+            name, on = element
+            got = (model.cnot_for(*on) if name == "cnot"
+                   else getattr(model.readout_for(*on), name) if name in ("p0", "p1")
+                   else getattr(model, f"{name}_for")(*on))
+            assert got == want
+
+
+def test_an_averaged_models_elements_share_one_column():
+    model = CompositeNoiseModel(granularity="register_average",
+                                avg_readout=ReadoutModel(0.01, 0.03), avg_x=0.002, avg_h=0.0,
+                                avg_cnot=0.02)
+    for kind in ("p0", "p1", "x", "h"):
+        assert len({model.column(kind, (q,)) for q in range(6)}) == 1
+    assert model.column("cnot", (0, 1)) == model.column("cnot", (5, 3))
+    assert model.column("x", (0,)) != 0 and len(model.theta) == 6
+    assert CompositeNoiseModel().column("x", (4,)) == 0 == CompositeNoiseModel().theta[0]
+
+
+def test_theta_is_derived_and_read_only():
+    """theta comes from the fields, is not a file field, and cannot be
+    written."""
+    model = _random_model(np.random.default_rng(3), "mixed")
+    assert "theta" not in model.to_json_dict()
+    assert np.array_equal(replace(model).theta, model.theta)
+    with pytest.raises(ValueError):
+        model.theta[0] = 1.0
+
+
+def _zeroed(model: CompositeNoiseModel, readout: bool) -> CompositeNoiseModel:
+    """`model` with its readout (or cnot) rates set to 0 and that channel on."""
+    if readout:
+        ideal = ReadoutModel.ideal()
+        return replace(model, readout_on=True, readout=dict.fromkeys(model.readout, ideal),
+                       avg_readout=model.avg_readout and ideal)
+    return replace(model, cnot_dp_on=True, avg_cnot=model.avg_cnot and 0.0,
+                   cnot=dict.fromkeys(model.cnot, 0.0))
+
+
+@pytest.mark.parametrize("hidden", [0.0, 0.04])
+@pytest.mark.parametrize("readout", [True, False], ids=["readout-off", "cnot-off"])
+@pytest.mark.parametrize("averaged", [False, True], ids=["per-element", "averaged"])
+def test_an_off_channel_gives_the_laws_of_its_zeroed_rates(ladder20, hidden, readout, averaged):
+    """A model with `readout_on` (or `cnot_dp_on`) false has, bit for bit,
+    the laws of the same model with those rates 0 and the flag on."""
+    truth = devices.jittered_truth(ladder20, 7)
+    model = (CompositeNoiseModel(granularity="register_average",
+                                 avg_readout=ReadoutModel(0.02, 0.07), avg_x=0.003, avg_h=0.01,
+                                 avg_cnot=0.02) if averaged
+             else replace(truth, h_gate=dict.fromkeys(range(20), 0.01)))
+    off = replace(model, **{"readout_on" if readout else "cnot_dp_on": False})
+    plan = build_suite(ladder20, hadamard_lengths=(2, 4))
+    circuits = [materialize(t) for t in plan.tests] + [build_ghz(n, ladder20) for n in (3, 6)]
+    for law, twin in zip(simulator._laws(circuits, off, hidden),
+                         simulator._laws(circuits, _zeroed(off, readout), hidden)):
+        assert np.array_equal(law, twin)
+
+
+# -- one module reads the rates ---------------------------------------------------
+
+_RATES = {"readout", "x_gate", "h_gate", "cnot", "readout_for", "x_for", "h_for", "cnot_for"}
+
+
+def _rate_reads(source: str) -> list[str]:
+    """The attributes in `source` that name a model's rate fields (`readout`,
+    `x_gate`, `h_gate`, `cnot`, `avg_*`) or accessors (`*_for`)."""
+    return [ast.unparse(node) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)
+            and (node.attr in _RATES or node.attr.startswith("avg_"))]
+
+
+@pytest.mark.parametrize("source, reads", [
+    ("model.x_for(0)", True), ("m.readout_for(q).p0", True), ("m.cnot_for(a, b)", True),
+    ("m.readout[q]", True), ("len(model.cnot)", True), ("model.avg_cnot or 0.0", True),
+    ("fit.model.h_gate.items()", True), ("m.avg_readout.p1", True),
+    ("model.readout_on and model.cnot_dp_on", False),
+    ("model.theta[model.column('x', (q,))]", False),
+    ("CompositeNoiseModel(readout={}, cnot={}, avg_x=0.1)", False),
+    ("replace(model, h_gate={})", False), ("from .circuit import cnot\ncnot(0, 1)", False),
+], ids=lambda x: x if isinstance(x, str) else None)
+def test_the_rate_scan_tells_rate_reads_from_other_code(source, reads):
+    assert bool(_rate_reads(source)) is reads
+
+
+def test_only_noise_reads_a_models_rates():
+    """Every rate the package reads from a model goes through `noise.py`'s
+    one rule, `CompositeNoiseModel.column`."""
+    package = Path(noisekit.__file__).parent
+    reads = {path.name: _rate_reads(path.read_text()) for path in sorted(package.glob("*.py"))}
+    assert reads.pop("noise.py")
+    assert {name: found for name, found in reads.items() if found} == {}
