@@ -43,6 +43,7 @@ from .evaluation import (
 )
 from .noise import (GRANULARITIES, PER_ELEMENT, QUBIT, REGISTER_AVERAGE, SUBSET_AVERAGE,
                     VARIANTS, CompositeNoiseModel)
+from .outcomes import MAX_BITS
 from .rng import DEMO_BELL, DEMO_BV, DEMO_GHZ, PREDICT, child_seed, generator
 from .simulator import TrajectorySampler
 
@@ -96,15 +97,24 @@ def _parse_app(spec: str) -> re.Match:
 
 
 def _app_circuits(app: re.Match, topo: DeviceTopology) -> list:
-    """The app's circuits; one the builders reject for this device is a usage error."""
-    lo, hi = app["lo"], app["hi"] or app["lo"]
-    if lo and int(hi) < int(lo):
-        raise ConfigError(f"empty ghz size range in {app.string!r}")
+    """The app's circuits. One that measures more bits than any backend
+    holds (a ghz size or range end, or a bv secret's length, over
+    `MAX_BITS`) is a usage error before any circuit is built, as is one the
+    builders reject for this device."""
     try:
+        sizes = range(int(app["lo"]), int(app["hi"] or app["lo"]) + 1) if app["lo"] else None
+        if sizes is not None and not sizes:
+            raise ConfigError(f"empty ghz size range in {app.string!r}")
+        width = len(app["secret"]) if sizes is None else sizes[-1]
+        if width > MAX_BITS:
+            raise ConfigError(f"{app.string} measures {width} bits; "
+                              f"no backend holds more than {MAX_BITS}")
         if app["secret"]:
             data = [int(d) for d in app["data"].split(",")]
             return [build_bv(app["secret"], data, int(app["oracle"]), topo)]
-        return [build_ghz(n, topo) for n in range(int(lo), int(hi) + 1)]
+        return [build_ghz(n, topo) for n in sizes]
+    except ConfigError:
+        raise
     except NoisekitError as exc:
         raise ConfigError(f"{app.string}: {exc}") from exc
     except ValueError as exc:
@@ -407,7 +417,9 @@ def _ints(what: str, ok=lambda n: True, empty=True, spelling="[0-9]+"):
 
 
 _QUBITS = _ints("distinct qubits (no leading zero), at least one", empty=False, spelling=QUBIT)
-_LENGTHS = _ints("distinct even lengths >= 2", lambda n: n >= 2 and not n % 2)
+MAX_TRAIN = 2**16  # the longest Hadamard train: one circuit of that many gates, built in memory
+_LENGTHS = _ints(f"distinct even lengths from 2 to {MAX_TRAIN}",
+                 lambda n: 2 <= n <= MAX_TRAIN and not n % 2)
 _COUNT = _number(int, 1)
 _SEED = _number(int, 0)  # SeedSequence takes non-negative entropy only
 _RESAMPLES = _number(int, 1, MAX_RESAMPLES)

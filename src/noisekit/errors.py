@@ -99,11 +99,12 @@ def integer(value, what: str) -> int:
 
 
 def parse_json_file(path, what: str, build):
-    """Read the JSON file at `path` and return build(data); malformed JSON or
-    content that `build` rejects raises ParseError naming `what`."""
+    """Read the JSON file at `path` and return build(data); malformed JSON
+    (nested deeper than the parser recurses too) or content that `build`
+    rejects raises ParseError naming `what`."""
     try:
         return build(json.loads(Path(path).read_text()))
-    except (AttributeError, KeyError, OutOfRange, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OutOfRange, RecursionError, TypeError, ValueError) as exc:
         raise ParseError(f"{what} {path} is malformed: {exc}") from exc
 
 

@@ -11,9 +11,10 @@ followed by two identical, independent single-qubit depolarizing channels
 (one per operand), not a two-qubit depolarizer.
 
 A model is also one rate vector `theta`, derived at construction (not a file
-field). `column` is the one rule for which entry an element reads: its own,
-else its kind's average (shared by an averaged model's elements), else, for
-x and h, 0, a zero rate. It lives with the model, so shapes stay model-free.
+field). `column` is the one rule for which entry an element reads: 0, a zero
+rate, if its channel is off, else its own, else its kind's average (shared by
+an averaged model's elements), else 0 for x and h. The accessors, the laws and
+`num_parameters` all read it; it lives with the model, so shapes stay model-free.
 """
 from __future__ import annotations
 
@@ -146,9 +147,9 @@ class CompositeNoiseModel:
     Averaged granularities carry their broadcast constants in the avg_*
     fields; per-element models use the explicit maps. readout_on and
     cnot_dp_on encode the model-family ablations (noiseless, SRO, ARO, DP,
-    SRO+DP, ARO+DP). The x/h gate channels apply whenever their entries are
-    nonzero; variant fitting only populates them for the +DP families. Each
-    key and subset entry is the element its `repr` spells; no coupling is named twice.
+    SRO+DP, ARO+DP); an off channel's elements read column 0. The x/h gate
+    channels apply whenever their entries are nonzero (only +DP fits fill
+    them). Each key and subset entry is the element its `repr` spells; no coupling is named twice.
     """
 
     granularity: str = PER_ELEMENT
@@ -192,8 +193,10 @@ class CompositeNoiseModel:
             (("x", self.avg_x), ("h", self.avg_h), ("cnot", self.avg_cnot)) if v is not None}}
         columns = [dict(zip(rates, at)) for rates in own.values()]
         fallbacks = {"x": 0, "h": 0} | dict(zip(averages, at))
+        off = ("p0", "p1") * (not self.readout_on) + ("cnot",) * (not self.cnot_dp_on)
         object.__setattr__(self, "_columns", {  # by kind: (its own columns, its fallback's)
-            kind: (kind_columns, fallbacks.get(kind)) for kind, kind_columns in zip(own, columns)})
+            kind: (kind_columns, fallbacks.get(kind)) for kind, kind_columns in zip(own, columns)
+        } | dict.fromkeys(off, ({}, 0)))  # an off channel's elements read column 0
         object.__setattr__(self, "theta", np.array(
             [0.0, *chain(*map(dict.values, own.values())), *averages.values()], dtype=float))
         self.theta.flags.writeable = False
@@ -211,9 +214,9 @@ class CompositeNoiseModel:
         )
 
     def column(self, kind: str, qubits: tuple[int, ...]) -> int:
-        """The `theta` column of the `kind` ("p0", "p1", "x", "h" or "cnot")
-        rate of the element on `qubits`: its own, else its kind's average, else
-        0 for x and h; a readout or cnot with neither raises MissingCoverage."""
+        """The `theta` column of the `kind` ("p0", "p1", "x", "h" or "cnot") rate of
+        the element on `qubits`: 0 if its channel is off, else its own, else its kind's
+        average, else 0 for x and h; an on readout or cnot with neither raises MissingCoverage."""
         own, fallback = self._columns[kind]
         column = own.get(edge(*qubits) if kind == "cnot" else qubits[0], fallback)
         if column is None:
@@ -235,22 +238,14 @@ class CompositeNoiseModel:
         return float(self.theta[self.column("cnot", (a, b))])
 
     def num_parameters(self) -> int:
-        """Distinct fitted scalars in the active channels (for tie-breaks)."""
-        n = 0
-        if self.readout_on:
-            if self.readout:
-                n += sum(1 if m.is_symmetric else 2 for m in self.readout.values())
-            elif self.avg_readout is not None:
-                n += 1 if self.avg_readout.is_symmetric else 2
-        if self.cnot_dp_on:
-            n += len(self.cnot) if self.cnot else (self.avg_cnot is not None)
-            n += sum(1 for v in self.x_gate.values() if v > 0.0) or (
-                1 if (self.avg_x or 0.0) > 0.0 else 0
-            )
-            n += sum(1 for v in self.h_gate.values() if v > 0.0) or (
-                1 if (self.avg_h or 0.0) > 0.0 else 0
-            )
-        return int(n)
+        """The fitted scalars, for tie-breaks: each `theta` column but 0 that some
+        element reads (a kind's own columns and its fallback), less x or h columns at
+        rate 0 and p1 columns at their element's p0 rate (SRO's one rate)."""
+        theta = self.theta.tolist()
+        read = {kind: [*own.values(), fallback] for kind, (own, fallback) in self._columns.items()}
+        read["p1"] = [p1 for p0, p1 in zip(read["p0"], read["p1"]) if p1 and theta[p1] != theta[p0]]
+        read["x"], read["h"] = ([c for c in read[kind] if theta[c] > 0] for kind in ("x", "h"))
+        return len({*chain(*read.values())} - {0, None})
 
     def to_json_dict(self) -> dict:
         data: dict = {

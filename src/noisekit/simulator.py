@@ -19,7 +19,7 @@ no amplitude is ever stored. Mixing the ideal marginal over every site's
 masks gives the pre-readout law; readout, a per-bit stochastic channel,
 turns it into the observed law. A shape's circuits get their laws as one
 (K, 2^m) stack, each row with its circuit's rates: the model's `theta` at
-each element's column, or at column 0, a zero rate, if its channel is off.
+each element's `column` (0, a zero rate, for an off channel's elements).
 A circuit object is lowered and compiled once and keeps its shape for the
 rest of its life, so the mock QPU's run and every model's law of it share
 one compile; nothing is kept beyond the circuits. `place` moves a
@@ -287,11 +287,10 @@ def _laws(circuits: list[Circuit], model: CompositeNoiseModel,
     shape's laws are built in stacks of at most max(1, 2^16 >> m) rows."""
     groups: dict[tuple, list] = {}
     shapes: dict[tuple, _Shape] = {}
-    on = dict(h=True, x=True, cnot=model.cnot_dp_on, p0=model.readout_on, p1=model.readout_on)
     for i, circuit in enumerate(circuits):
         key, actives, shape = _compile(circuit, shapes)
         groups.setdefault(key, []).append((i, [
-            model.column(kind, tuple(map(actives.__getitem__, locs))) if on[kind] else 0
+            model.column(kind, tuple(map(actives.__getitem__, locs)))
             for kind, locs in shape.elements]))
     laws: dict[int, np.ndarray] = {}
     for key, members in groups.items():

@@ -627,6 +627,29 @@ def _out_is_a_file(tmp_path, device, truth):
     return _characterize_argv(tmp_path, device, truth)
 
 
+def _deeply_nested(role):
+    """A command whose `role` file (device, truth, model or archive) holds
+    100,000 nested `[`, deeper than `json.loads` recurses."""
+    def make_argv(tmp_path, device, truth):
+        archive = tmp_path / "archive.json"
+        argv = (["fit", "--archive", str(archive)] if role == "archive"
+                else _evaluate_argv(tmp_path, device, truth))
+        files = {"device": device, "truth": truth, "model": tmp_path / "model.json",
+                 "archive": archive}
+        files[role].write_text("[" * 100_000)
+        return argv
+    return make_argv
+
+
+def _app_on_line(app, qubits):
+    """`evaluate` of `app` on a device that is a line of `qubits` qubits."""
+    def make_argv(tmp_path, device, truth):
+        long_line = tmp_path / "long-line.json"
+        line(qubits).save(long_line)
+        return _evaluate_argv(tmp_path, long_line, truth, app=app)
+    return make_argv
+
+
 _MISSPELLED_ELEMENTS = {
     "qubit-leading-zero": lambda d: d["readout"].update({"01": {"p0": 0.5, "p1": 0.5}}),
     "coupling-leading-zero": lambda d: d["cnot"].update({"00-1": {"p_cnot": 0.5}}),
@@ -863,6 +886,15 @@ MALFORMED_INPUTS = {
     "file-backend-app-width": (_file_backend(
         {"label": "ghz:2", "shots": 64, "counts": {"000": 32, "111": 32}}, app="ghz:2"),
                                "ParseError"),
+    **{f"{role}-deeply-nested": (_deeply_nested(role), "ParseError")
+       for role in ("device", "truth", "model", "archive")},
+    # no backend holds more than outcomes.MAX_BITS bits; refused before any path search
+    "app-ghz-wider-than-any-backend": (_app_on_line("ghz:64", 64), "ConfigError"),
+    "app-ghz-range-wider-than-any-backend": (_app_on_line("ghz:2..64", 64), "ConfigError"),
+    "app-bv-wider-than-any-backend": (_app_on_line(
+        f"bv:{'0' * 64}@{','.join(map(str, range(64)))}/64", 65), "ConfigError"),
+    "app-ghz-more-digits-than-int-reads": (lambda t, d, tr: _evaluate_argv(
+        t, d, tr, app=f"ghz:{'9' * 5000}"), "ConfigError"),
 }
 
 
@@ -957,21 +989,28 @@ def _in_fresh_process(argv, address_space: int | None = None) -> tuple[int, str,
     return done.returncode, done.stdout, done.stderr
 
 
-def test_a_huge_device_exits_2_in_bounded_memory(setup):
+@pytest.mark.parametrize("make_argv, error, message", [
+    (_device_file({"num_qubits": 2**63, "couplings": [[0, 1]]}), "ParseError",
+     f"1 to {MAX_DEVICE_QUBITS} qubits"),
+    (lambda t, d, tr: _characterize_argv(t, d, tr, "--hadamard-lengths", "2000000000"),
+     "ConfigError", f"from 2 to {cli.MAX_TRAIN}"),
+], ids=["device-2^63-qubits", "hadamard-length-2e9"])
+def test_a_huge_device_exits_2_in_bounded_memory(setup, make_argv, error, message):
     """A device file of 2^63 qubits is refused by its qubit count, before
-    any per-qubit list is built. The run's address space is capped at 512
-    MiB (a run on a 4-qubit line peaks near 150 MiB on x86-64 Linux with
-    one BLAS thread), so a reader that builds one fails this test rather
-    than the machine."""
-    tmp_path, _, truth = setup
-    argv = _device_file({"num_qubits": 2**63, "couplings": [[0, 1]]})(tmp_path, None, truth)
+    any per-qubit list is built, and a Hadamard train of 2*10^9 gates by
+    its length, before any gate list is built. The run's address space is
+    capped at 512 MiB (a run on a 4-qubit line peaks near 150 MiB on x86-64
+    Linux with one BLAS thread), so a reader that builds one fails this
+    test rather than the machine."""
+    tmp_path, device, truth = setup
+    argv = make_argv(tmp_path, device, truth)
     code, _, err = _in_fresh_process([*argv, "--out", str(tmp_path / "o")], 512 << 20)
     assert code == 2, err[-2000:]
     lines = err.strip().splitlines()
     assert len(lines) == 1
-    error = json.loads(lines[0])
-    assert error["error"] == "ParseError"
-    assert f"1 to {MAX_DEVICE_QUBITS} qubits" in error["message"]
+    found = json.loads(lines[0])
+    assert found["error"] == error
+    assert message in found["message"]
     assert not (tmp_path / "o").exists()
 
 

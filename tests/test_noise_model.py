@@ -422,6 +422,63 @@ def test_an_off_channel_gives_the_laws_of_its_zeroed_rates(ladder20, hidden, rea
         assert np.array_equal(law, twin)
 
 
+def _accessor(model: CompositeNoiseModel, kind: str, qubits: tuple) -> float:
+    """The `kind` rate of the element on `qubits`, read through the model's
+    accessor for it."""
+    if kind in ("p0", "p1"):
+        return getattr(model.readout_for(*qubits), kind)
+    return getattr(model, f"{kind}_for")(*qubits)
+
+
+@pytest.mark.parametrize("off", [{"p0", "p1"}, {"cnot"}, {"p0", "p1", "cnot"}],
+                         ids=["readout-off", "cnot-off", "both-off"])
+def test_an_off_channel_reads_column_0_as_its_laws_do(ladder20, monkeypatch, off):
+    """`column` and the accessors give, for every element of each circuit,
+    the rate `_laws` gathers for it: column 0, a zero rate, for an off
+    channel's elements, their own rate for the others. An off channel with
+    no rates at all raises no MissingCoverage and has the same laws."""
+    truth = replace(devices.jittered_truth(ladder20, 7), h_gate=dict.fromkeys(range(20), 0.01))
+    model = replace(truth, readout_on="p0" not in off, cnot_dp_on="cnot" not in off)
+    bare = replace(model, readout={} if "p0" in off else truth.readout,
+                   cnot={} if "cnot" in off else truth.cnot)
+    gathered, law_of = [], simulator._outcome_laws
+
+    def outcome_laws(shape, rates, hidden):
+        gathered.append(rates)
+        return law_of(shape, rates, hidden)
+    monkeypatch.setattr(simulator, "_outcome_laws", outcome_laws)
+    plan = build_suite(ladder20, hadamard_lengths=(2,))
+    for circuit in [materialize(t) for t in plan.tests] + [build_ghz(6, ladder20)]:
+        law, = simulator._laws([circuit], model)
+        assert np.array_equal(simulator._laws([circuit], bare)[0], law)
+        _, actives, shape = simulator._compile(circuit, {})
+        for reads, rates in ((model, gathered[-2][0]), (bare, gathered[-1][0])):
+            for (kind, locs), rate in zip(shape.elements, rates, strict=True):
+                qubits = tuple(actives[loc] for loc in locs)
+                column = reads.column(kind, qubits)
+                assert (column == 0) is (kind in off)
+                assert reads.theta[column] == _accessor(reads, kind, qubits) == rate
+                assert rate == (0.0 if kind in off else _accessor(truth, kind, qubits))
+
+
+def test_num_parameters_counts_each_column_an_element_reads():
+    """Every theta column but 0 that some element reads counts once: own
+    entries and the averages alongside them, x and h at nonzero rates, a p1
+    apart from its p0, and no column of an off channel."""
+    mixed = CompositeNoiseModel(readout={0: ReadoutModel(0.01, 0.02)}, x_gate={0: 0.01},
+                                cnot={(0, 1): 0.02}, avg_readout=ReadoutModel(0.03, 0.05),
+                                avg_x=0.01, avg_cnot=0.03)
+    assert mixed.num_parameters() == 8
+    assert replace(mixed, readout_on=False).num_parameters() == 4
+    cnot_off = CompositeNoiseModel(readout={0: ReadoutModel(0.01, 0.02)}, x_gate={0: 0.01},
+                                   cnot_dp_on=False)
+    assert cnot_off.num_parameters() == 3
+    assert replace(cnot_off, x_gate={0: 0.0, 1: 0.0}, h_gate={0: 0.01}).num_parameters() == 3
+    sro = replace(cnot_off, readout={0: ReadoutModel.symmetric(0.01), 1: ReadoutModel.ideal()})
+    assert sro.num_parameters() == 3
+    assert CompositeNoiseModel.noiseless().num_parameters() == 0
+
+
 # -- one module reads the rates ---------------------------------------------------
 
 _RATES = {"readout", "x_gate", "h_gate", "cnot", "readout_for", "x_for", "h_for", "cnot_for"}
@@ -453,5 +510,17 @@ def test_only_noise_reads_a_models_rates():
     one rule, `CompositeNoiseModel.column`."""
     package = Path(noisekit.__file__).parent
     reads = {path.name: _rate_reads(path.read_text()) for path in sorted(package.glob("*.py"))}
+    assert reads.pop("noise.py")
+    assert {name: found for name, found in reads.items() if found} == {}
+
+
+def test_only_noise_reads_a_models_flags():
+    """Which channels are off is part of `column`: no module but `noise.py`
+    reads a model's `readout_on` or `cnot_dp_on`."""
+    package = Path(noisekit.__file__).parent
+    reads = {path.name: [ast.unparse(node) for node in ast.walk(ast.parse(path.read_text()))
+                         if isinstance(node, ast.Attribute)
+                         and node.attr in ("readout_on", "cnot_dp_on")]
+             for path in sorted(package.glob("*.py"))}
     assert reads.pop("noise.py")
     assert {name: found for name, found in reads.items() if found} == {}
