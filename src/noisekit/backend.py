@@ -7,7 +7,7 @@ from pathlib import Path
 
 from .characterization import read_counts
 from .circuit import Circuit, DeviceTopology, validate
-from .errors import ConfigError, LabelMismatch, ParseError, parse_json_file, write_json_file
+from .errors import ConfigError, JsonFile, LabelMismatch, ParseError
 from .noise import CompositeNoiseModel, check_prob
 from .outcomes import Counts
 from .rng import BACKEND, generator
@@ -18,12 +18,14 @@ MAX_SHOTS = 10_000_000  # mock QPU's per-circuit shot capability
 
 
 @dataclass(frozen=True)
-class MockGroundTruth:
+class MockGroundTruth(JsonFile):
     """The hidden truth behind a mock QPU: a noise model of any granularity plus
     optional state-dependent readout noise that sits outside the fitted
     model family (each observed bit flips with probability
     min(1, strength x [number of 1s in the pre-readout string]), applied
     after the ordinary readout channel). The strength lies in [0, 1]."""
+
+    what = "truth file"
 
     model: CompositeNoiseModel
     hidden_readout_strength: float = 0.0
@@ -47,13 +49,6 @@ class MockGroundTruth:
             CompositeNoiseModel.from_json_dict(payload),
             hidden.get("state_dependent_readout", 0.0),
         )
-
-    def save(self, path: str | Path) -> None:
-        write_json_file(path, self.to_json_dict())
-
-    @classmethod
-    def load(cls, path: str | Path) -> "MockGroundTruth":
-        return parse_json_file(path, "truth file", cls.from_json_dict)
 
 
 class MockBackend:

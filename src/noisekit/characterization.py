@@ -325,14 +325,10 @@ def read_archive(path: str | Path) -> tuple[dict, Records]:
     """Load a characterization archive into its JSON object and its count
     table (lossless), filled from the checked columns at once."""
     data, (labels, maps, shots, widths) = parse_json_file(path, "archive", _entries)
-    try:
-        tests = [TestKind.from_label(label) for label in labels]
-    except ParseError:
-        tests = None
-    if tests is None or [test.num_bits for test in tests] != widths:
-        # the first entry whose label or width is bad raises
-        for label, width in zip(labels, widths):
-            _check_width(TestKind.from_label(label), width, ParseError)
+    tests = []
+    for label, width in zip(labels, widths):  # the first entry whose label or width is bad raises
+        tests.append(TestKind.from_label(label))
+        _check_width(tests[-1], width, ParseError)
     rows, indices, values = _outcome_columns(maps)
     table = np.zeros((len(tests), 4), np.int64)
     table[rows, indices] = values

@@ -7,9 +7,8 @@ directed) but treated as undirected for validation and path-finding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from pathlib import Path
 
-from .errors import NoPath, OutOfRange, UncoupledPair, integer, parse_json_file, write_json_file
+from .errors import JsonFile, NoPath, OutOfRange, UncoupledPair, integer
 
 GATE_ARITY = {"h": 1, "x": 1, "id": 1, "cnot": 2, "measure": 1}
 # The largest device register: a device holds per-qubit lists, and suites,
@@ -85,12 +84,6 @@ class Circuit:
             raise ValueError("circuit label must be nonempty")
         gates = tuple(self.gates)
         object.__setattr__(self, "gates", gates)
-        # every gate's register and classical-bit checks at once; only a
-        # failure walks the gates one by one, to name the first bad gate
-        clbits = [g.clbit for g in gates if g.name == "measure"]
-        if (max([q for g in gates for q in g.qubits], default=-1) < self.num_qubits
-                and max(clbits, default=-1) < self.num_clbits and len(set(clbits)) == len(clbits)):
-            return
         seen_clbits = set()
         for g in gates:
             if any(q >= self.num_qubits for q in g.qubits):
@@ -136,11 +129,13 @@ def edge(a: int, b: int) -> tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class DeviceTopology:
+class DeviceTopology(JsonFile):
     """Register size and coupling set of a device.
 
     Couplings may be stored directed; connectivity queries are symmetric.
     """
+
+    what = "device file"
 
     num_qubits: int
     couplings: tuple[tuple[int, int], ...]
@@ -193,13 +188,6 @@ class DeviceTopology:
     def from_json_dict(cls, data: dict) -> "DeviceTopology":
         return cls(data["num_qubits"], tuple(map(tuple, data["couplings"])))
 
-    def save(self, path: str | Path) -> None:
-        write_json_file(path, self.to_json_dict())
-
-    @classmethod
-    def load(cls, path: str | Path) -> "DeviceTopology":
-        return parse_json_file(path, "device file", cls.from_json_dict)
-
 
 def validate(circuit: Circuit, topo: DeviceTopology) -> None:
     """Raise unless the circuit fits the device register and coupling set.
@@ -224,13 +212,24 @@ def embed_path(topo: DeviceTopology, length: int) -> list[int]:
 
     Deterministic: depth-first search starting from the lowest qubit index,
     visiting neighbors in ascending order, so repeated runs embed the same
-    chain. Raises NoPath when no simple path of that length exists.
+    chain. Only a qubit whose connected component holds `length` qubits is
+    a start, so a device with no such component raises NoPath at once;
+    otherwise NoPath is raised when no simple path of that length exists.
     """
     if length < 2:
         raise ValueError("path length must be at least 2")
     if length > topo.num_qubits:
         raise NoPath(f"no {length}-qubit path in a {topo.num_qubits}-qubit device")
-    adjacency = topo._adjacency
+    adjacency, size = topo._adjacency, {}  # size: each qubit's component's qubit count
+    for root in range(topo.num_qubits):
+        if root not in size:
+            component, stack = {root}, [root]
+            while stack:
+                for q in adjacency[stack.pop()]:
+                    if q not in component:
+                        component.add(q)
+                        stack.append(q)
+            size.update(dict.fromkeys(component, len(component)))
 
     def extend(path: list[int], visited: set[int]) -> list[int] | None:
         if len(path) == length:
@@ -242,7 +241,7 @@ def embed_path(topo: DeviceTopology, length: int) -> list[int]:
                     return found
         return None
 
-    for start in range(topo.num_qubits):
+    for start in (q for q in range(topo.num_qubits) if size[q] >= length):
         found = extend([start], {start})
         if found is not None:
             return found

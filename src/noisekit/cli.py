@@ -11,6 +11,7 @@ import json
 import math
 import re
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -39,13 +40,11 @@ from .evaluation import (
     select_model,
     write_scaling_csv,
     write_scores_csv,
-    write_scores_json,
 )
 from .noise import (GRANULARITIES, PER_ELEMENT, QUBIT, REGISTER_AVERAGE, SUBSET_AVERAGE,
                     VARIANTS, CompositeNoiseModel)
-from .outcomes import MAX_BITS
 from .rng import DEMO_BELL, DEMO_BV, DEMO_GHZ, PREDICT, child_seed, generator
-from .simulator import TrajectorySampler
+from .simulator import MAX_QUBITS, TrajectorySampler
 
 
 def _meta(args, **config) -> dict:
@@ -97,18 +96,18 @@ def _parse_app(spec: str) -> re.Match:
 
 
 def _app_circuits(app: re.Match, topo: DeviceTopology) -> list:
-    """The app's circuits. One that measures more bits than any backend
-    holds (a ghz size or range end, or a bv secret's length, over
-    `MAX_BITS`) is a usage error before any circuit is built, as is one the
-    builders reject for this device."""
+    """The app's circuits. Every evaluate mode simulates the app, so one
+    that measures more bits than the simulator holds (a ghz size or range
+    end, or a bv secret's length, over `MAX_QUBITS`) is a usage error before
+    any circuit is built, as is one the builders reject for this device."""
     try:
         sizes = range(int(app["lo"]), int(app["hi"] or app["lo"]) + 1) if app["lo"] else None
         if sizes is not None and not sizes:
             raise ConfigError(f"empty ghz size range in {app.string!r}")
         width = len(app["secret"]) if sizes is None else sizes[-1]
-        if width > MAX_BITS:
+        if width > MAX_QUBITS:
             raise ConfigError(f"{app.string} measures {width} bits; "
-                              f"no backend holds more than {MAX_BITS}")
+                              f"the simulator holds at most {MAX_QUBITS}")
         if app["secret"]:
             data = [int(d) for d in app["data"].split(",")]
             return [build_bv(app["secret"], data, int(app["oracle"]), topo)]
@@ -143,18 +142,9 @@ def cmd_characterize(args) -> int:
     out = _out_dir(args)
     archive_path = out / "archive.json"
     write_json_file(archive_path, archive_dict(plan, records, meta=meta))
-    write_json_file(
-        out / "budget.json",
-        {
-            "meta": meta,
-            "num_circuits": budget.num_circuits,
-            "shots_per_circuit": budget.shots_per_circuit,
-            "total_shots": budget.total_shots,
-            "num_qubits_covered": budget.num_qubits_covered,
-            "num_couplings_covered": budget.num_couplings_covered,
-            "formula_2q_plus_2c_plus_1_shots": budget.formula_shots,
-        },
-    )
+    report = {"meta": meta, **vars(budget)}
+    report["formula_2q_plus_2c_plus_1_shots"] = report.pop("formula_shots")
+    write_json_file(out / "budget.json", report)
     print(f"characterized {budget.num_circuits} circuits x {plan.shots} shots "
           f"-> {archive_path}")
     print(f"census total shots: {budget.total_shots}; "
@@ -209,22 +199,13 @@ def cmd_evaluate(args) -> int:
         sc = scaling_report(runs, models[0][1], **kwargs)
         out = _out_dir(args)
         write_scaling_csv(out / "scaling.csv", sc)
-        report["scaling"] = {
-            "model_id": models[0][0],
-            "cv_tvd_per_cnot": sc.cv_tvd_per_cnot,
-            "rows": [vars(r) for r in sc.rows],
-        }
+        report["scaling"] = {"model_id": models[0][0], **asdict(sc)}
         print(f"scaling over n={sc.rows[0].n}..{sc.rows[-1].n}: "
               f"cv(tvd/cnot) = {sc.cv_tvd_per_cnot:.4f} -> {out / 'scaling.csv'}")
     elif args.threshold is not None:
         sel = select_model(runs[0], models, args.threshold, **kwargs)
-        report["selection"] = {
-            "model_id": sel.model_id,
-            "iterations": sel.iterations,
-            "threshold": sel.threshold,
-            "threshold_met": sel.threshold_met,
-            "score": sel.score.to_json_dict(),
-        }
+        report["selection"] = {k: v for k, v in vars(sel).items() if k != "model"}
+        report["selection"]["score"] = sel.score.to_json_dict()
         status = "met" if sel.threshold_met else "NOT met"
         print(f"selected {sel.model_id} after {sel.iterations} iteration(s); "
               f"threshold {args.threshold} {status} (tvd={sel.score.tvd:.5f})")
@@ -299,7 +280,8 @@ def cmd_demo(args) -> int:
         resamples=args.resamples, seed=seed,
     )
     write_scores_csv(out / "bell_comparison.csv", scores)
-    write_scores_json(out / "bell_comparison.json", scores, meta)
+    write_json_file(out / "bell_comparison.json",
+                    {"meta": meta, "scores": [s.to_json_dict() for s in scores]})
     for s in scores:
         print(f"   {s.model_id:<10} tvd={s.tvd:.5f} +/- {s.tvd_stderr:.5f}")
 

@@ -1,7 +1,8 @@
 """Exception types shared across the package, and the file boundary: the one
 JSON reader, which turns malformed file content into one of them, the one
 file writer and the JSON writer on it, which makes `json`'s indent-2 bytes
-with its C encoder, and the one integer check of counts, shots and qubits."""
+with its C encoder, the one save/load pair of every JSON file kind
+(`JsonFile`), and the one integer check of counts, shots and qubits."""
 import functools
 import json
 import os
@@ -170,3 +171,18 @@ def write_json_file(path, data) -> None:
     """Write `data` to `path` as JSON with sorted keys, indented by 2: the
     bytes of `json.dumps(data, indent=2, sort_keys=True)`."""
     write_file(path, _indented(data, 0))
+
+
+class JsonFile:
+    """A value kept as one JSON file: `save` writes its `to_json_dict()`, and
+    `load` builds one with the class's `from_json_dict`, a malformed file
+    raising ParseError that names the file kind `what`."""
+
+    what: str  # each subclass names its file kind: "device file", ...
+
+    def save(self, path) -> None:
+        write_json_file(path, self.to_json_dict())
+
+    @classmethod
+    def load(cls, path):
+        return parse_json_file(path, cls.what, cls.from_json_dict)

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .circuit import Circuit
-from .errors import ArityMismatch, ConfigError, EmptyLadder, write_file, write_json_file
+from .errors import ArityMismatch, ConfigError, EmptyLadder, write_file
 from .noise import CompositeNoiseModel
 from .outcomes import Counts, Distribution
 from .rng import SCORE, generator
@@ -242,12 +242,6 @@ def scaling_report(
 
 
 # -- report writers -------------------------------------------------------------
-
-def write_scores_json(path: str | Path, scores: list[ModelScore],
-                      meta: dict | None = None) -> None:
-    payload = {"meta": dict(meta or {}), "scores": [s.to_json_dict() for s in scores]}
-    write_json_file(path, payload)
-
 
 def _write_csv(path: str | Path, rows) -> None:
     """Write `rows`, the header first, as `csv.writer` spells them."""

@@ -22,12 +22,11 @@ import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain, count
-from pathlib import Path
 
 import numpy as np
 
 from .circuit import edge
-from .errors import ArityMismatch, MissingCoverage, OutOfRange, parse_json_file, write_json_file
+from .errors import ArityMismatch, JsonFile, MissingCoverage, OutOfRange
 from .outcomes import Distribution
 
 PER_ELEMENT = "per_element"
@@ -141,7 +140,7 @@ def apply_readout_to_distribution(
 
 
 @dataclass(frozen=True)
-class CompositeNoiseModel:
+class CompositeNoiseModel(JsonFile):
     """Per-element readout and depolarizing parameters plus feature flags.
 
     Averaged granularities carry their broadcast constants in the avg_*
@@ -151,6 +150,8 @@ class CompositeNoiseModel:
     channels apply whenever their entries are nonzero (only +DP fits fill
     them). Each key and subset entry is the element its `repr` spells; no coupling is named twice.
     """
+
+    what = "noise-model file"
 
     granularity: str = PER_ELEMENT
     subset: tuple[int, ...] | None = None
@@ -300,10 +301,3 @@ class CompositeNoiseModel:
             cnot_dp_on=data["flags"]["cnot_dp_on"],
             provenance=data.get("provenance", ""),
         )
-
-    def save(self, path: str | Path) -> None:
-        write_json_file(path, self.to_json_dict())
-
-    @classmethod
-    def load(cls, path: str | Path) -> "CompositeNoiseModel":
-        return parse_json_file(path, "noise-model file", cls.from_json_dict)

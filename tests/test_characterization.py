@@ -390,6 +390,20 @@ def test_archive_readers_reject_an_entry_with_no_shots(tmp_path, read):
         read(path)
 
 
+@pytest.mark.parametrize("entries", [
+    [("x:q0", {"00": 4}), ("init:q01", {"0": 4})],
+    [("init:q01", {"0": 4}), ("x:q0", {"00": 4})],
+], ids=["width-then-label", "label-then-width"])
+def test_read_archive_names_the_first_entry_whose_label_or_width_is_bad(tmp_path, entries):
+    path = tmp_path / "archive.json"
+    path.write_text(json.dumps({"entries": [
+        {"label": label, "shots": 4, "counts": counts} for label, counts in entries]}))
+    with pytest.raises(ParseError) as raised:
+        read_archive(path)
+    (first, _), (second, _) = entries
+    assert first in str(raised.value) and second not in str(raised.value)
+
+
 def test_read_archive_rejects_repeated_label(tmp_path):
     path = tmp_path / "dup.json"
     entry = '{"label": "init:q0", "shots": 3, "counts": {"0": 3}}'

@@ -33,6 +33,8 @@ def test_gate_invariants():
         Gate("measure", (0,))  # no classical bit
     with pytest.raises(ValueError):
         Gate("rz", (0,))
+    with pytest.raises(ValueError, match="h does not take a classical bit"):
+        Gate("h", (0,), 0)
 
 
 def test_circuit_invariants():
@@ -42,6 +44,16 @@ def test_circuit_invariants():
         Circuit(1, 1, (h(1), measure(0, 0)), "bad")  # qubit out of register
     with pytest.raises(ValueError):
         Circuit(2, 1, (measure(0, 0), measure(1, 0)), "dup")  # clbit reused
+    with pytest.raises(ValueError, match="classical bit 1 out of range"):
+        Circuit(2, 1, (measure(0, 1),), "wide")
+
+
+def test_circuit_names_its_first_bad_gate():
+    gates = (h(0), measure(0, 0), measure(1, 0), h(5), measure(0, 7))
+    with pytest.raises(ValueError, match="classical bit 0 written twice"):
+        Circuit(2, 2, gates, "bad")
+    with pytest.raises(ValueError, match=r"qubits=\(5,\).* exceeds register of 2"):
+        Circuit(2, 2, gates[3:], "bad")
 
 
 def test_circuit_census(bell_circuit):
@@ -100,6 +112,37 @@ def test_embed_path_too_long(ladder20):
         embed_path(ladder20, 21)
 
 
+def test_embed_path_of_fewer_than_two_qubits(ladder20):
+    with pytest.raises(ValueError, match="at least 2"):
+        embed_path(ladder20, 1)
+
+
+class _Budgeted(dict):
+    """An adjacency map that fails a search making more than `budget` lookups."""
+
+    def __init__(self, adjacency, budget):
+        super().__init__(adjacency)
+        self.budget = budget
+
+    def __getitem__(self, qubit):
+        self.budget -= 1
+        assert self.budget >= 0, "the path search made too many neighbour lookups"
+        return super().__getitem__(qubit)
+
+
+def test_embed_path_fails_at_once_when_no_component_is_long_enough():
+    """A 6x6 grid whose qubit 0 is uncoupled: 36 qubits, but the largest
+    connected component holds 35, so no start can reach a 36-qubit path; an
+    exhaustive search from each start would walk its component's every path."""
+    couplings = [(q, q + step) for q in range(36) for step in (1, 6)
+                 if (step == 6 or q % 6 < 5) and q + step < 36 and q]
+    topo = DeviceTopology(36, tuple(couplings))
+    object.__setattr__(topo, "_adjacency", _Budgeted(topo._adjacency, 1000))
+    with pytest.raises(NoPath):
+        embed_path(topo, 36)
+    assert embed_path(topo, 20)[0] == 1
+
+
 def test_embed_path_full_ladder(ladder20):
     path = embed_path(ladder20, 20)
     assert len(path) == 20 and len(set(path)) == 20
@@ -153,6 +196,24 @@ def test_neighbors_are_the_coupling_scan(seed):
 def test_embed_path_on_the_ladder_is_the_scan_search(ladder20):
     for n in range(2, 21):
         assert embed_path(ladder20, n) == _scanned_path(ladder20, n)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_embed_path_is_the_scan_search_on_devices_of_several_components(seed):
+    """On random sparse devices of 1 to 9 qubits, most with several connected
+    components, every length finds the scan search's path, or NoPath when it
+    finds none."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 9)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    topo = DeviceTopology(n, tuple(rng.sample(pairs, rng.randint(0, min(len(pairs), n)))))
+    for length in range(2, n + 1):
+        want = _scanned_path(topo, length)
+        if want is None:
+            with pytest.raises(NoPath):
+                embed_path(topo, length)
+        else:
+            assert embed_path(topo, length) == want
 
 
 def test_topology_invariants():

@@ -895,6 +895,14 @@ MALFORMED_INPUTS = {
         f"bv:{'0' * 64}@{','.join(map(str, range(64)))}/64", 65), "ConfigError"),
     "app-ghz-more-digits-than-int-reads": (lambda t, d, tr: _evaluate_argv(
         t, d, tr, app=f"ghz:{'9' * 5000}"), "ConfigError"),
+    # every evaluate mode simulates the app, and the simulator holds simulator.MAX_QUBITS bits
+    "app-ghz-wider-than-the-simulator": (_app_on_line("ghz:25", 26), "ConfigError"),
+    "hidden-not-a-number": (lambda t, d, tr: [*_demo_argv(t, d, tr), "--hidden", "abc"],
+                            "ConfigError"),
+    "threshold-not-a-number": (lambda t, d, tr: [*_evaluate_argv(t, d, tr), "--threshold", "x"],
+                               "ConfigError"),
+    "subset-more-digits-than-int-reads": (lambda t, d, tr: _characterize_argv(
+        t, d, tr, "--subset", "1" * 5000), "ConfigError"),
 }
 
 
@@ -918,6 +926,18 @@ def test_two_bad_entries_name_the_first(setup, capsys):
     assert main(argv) == 2
     message = json.loads(capsys.readouterr().err)["message"]
     assert "'label': 'init:q1'" in message and message.endswith(": negative count")
+
+
+@pytest.mark.parametrize("make_argv, kind, name", [
+    (lambda t, d, tr: _characterize_argv(t, _truncated(d), tr), "device file", "device.json"),
+    (lambda t, d, tr: _characterize_argv(t, d, _truncated(tr)), "truth file", "truth.json"),
+    (_truncated_model, "noise-model file", "model.json"),
+], ids=["device", "truth", "model"])
+def test_a_malformed_file_is_named_by_its_kind(setup, capsys, make_argv, kind, name):
+    tmp_path, device, truth = setup
+    assert main(make_argv(tmp_path, device, truth)) == 2
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert message.startswith(f"{kind} {tmp_path / name} is malformed: ")
 
 
 @pytest.mark.parametrize("make_argv, field", [

@@ -14,6 +14,7 @@ from noisekit.estimation import fit_composite
 from noisekit.evaluation import (
     MAX_RESAMPLES,
     ApplicationRun,
+    ModelScore,
     compare_models,
     scaling_report,
     score_model,
@@ -187,6 +188,14 @@ def test_application_run_invariants(bell_circuit):
         ApplicationRun(bell_circuit, Counts({}, 0))
     with pytest.raises(ArityMismatch):
         ApplicationRun(bell_circuit, Counts({"0": 10}, 10))
+
+
+def test_model_score_tvd_is_a_distance():
+    fields = dict(model_id="m", tvd_stderr=0.0, tvd_per_cnot=0.0, cnot_count=1,
+                  n_parameters=0, resamples=1, sim_shots=1)
+    assert ModelScore(tvd=1.0, **fields).tvd == 1.0
+    with pytest.raises(ValueError, match=r"tvd 1.5 outside \[0,1\]"):
+        ModelScore(tvd=1.5, **fields)
 
 
 # -- score_model --------------------------------------------------------------------
@@ -374,6 +383,11 @@ def test_compare_models_aro_dp_wins_on_asymmetric_truth():
     scores = compare_models(run, list(variants.items()), resamples=60, seed=9)
     assert scores[0].model_id == "aro+dp"
     assert scores[-1].model_id == "noiseless"
+
+
+def test_compare_models_needs_a_model():
+    with pytest.raises(EmptyLadder, match="at least one model"):
+        compare_models(_bell_run(NOISELESS), [])
 
 
 def test_compare_models_singleton():

@@ -14,6 +14,7 @@ from noisekit.characterization import build_suite, materialize
 from noisekit.circuit import Circuit, cnot, h, measure, x
 from noisekit.errors import ArityMismatch, MissingCoverage, OutOfRange
 from noisekit.noise import (
+    SUBSET_AVERAGE,
     CompositeNoiseModel,
     ReadoutModel,
     apply_readout_to_distribution,
@@ -191,6 +192,15 @@ def test_sro_aro_degeneracy(bell_circuit):
 
 
 # -- ReadoutModel / CompositeNoiseModel ----------------------------------------------
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(granularity="per_qubit"), "unknown granularity 'per_qubit'"),
+    (dict(granularity=SUBSET_AVERAGE, avg_readout=ReadoutModel.ideal()), "requires a subset"),
+], ids=["unknown-granularity", "subset-average-without-subset"])
+def test_model_granularity_validation(fields, message):
+    with pytest.raises(ValueError, match=message):
+        CompositeNoiseModel(**fields)
+
 
 def test_readout_model_validation():
     with pytest.raises(OutOfRange):

@@ -33,6 +33,8 @@ def test_distribution_validation():
         Distribution({"0x": 1.0})  # non-binary key
     with pytest.raises(ValueError):
         Distribution({"0": float("nan"), "1": 0.5})  # NaN fails every comparison
+    with pytest.raises(ValueError, match="keys are 2-bit, expected 3"):
+        Distribution({"01": 1.0}, num_bits=3)
 
 
 @pytest.mark.parametrize("probs", [{"0": True}, {"0": False, "1": 1.0}, {"1": np.bool_(True)}])
@@ -47,6 +49,17 @@ def test_distribution_accessors():
     assert d.prob("00") == 0.5
     assert d.prob("10") == 0.0
     assert d.support() == ["00", "11"]
+
+
+@pytest.mark.parametrize("outcomes, text", [
+    (Distribution({"1": 0.75, "0": 0.25}),
+     "Distribution(probs={'0': 0.25, '1': 0.75}, num_bits=1)"),
+    (Counts({"11": 3, "00": 1}, 4), "Counts(counts={'00': 1, '11': 3}, shots=4)"),
+], ids=["distribution", "counts"])
+def test_outcomes_repr_and_equality_with_other_types(outcomes, text):
+    assert repr(outcomes) == text
+    assert type(outcomes).__eq__(outcomes, text) is NotImplemented
+    assert outcomes != text and outcomes != 1
 
 
 def test_counts_validation():
