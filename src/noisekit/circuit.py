@@ -41,6 +41,13 @@ class Gate:
         elif self.clbit is not None:
             raise ValueError(f"{self.name} does not take a classical bit")
 
+    @classmethod
+    def _of(cls, name: str, qubits: tuple[int, ...], clbit: int | None) -> Gate:
+        """A gate whose fields already keep the gate rules (a placed copy of one)."""
+        gate = object.__new__(cls)
+        object.__setattr__(gate, "__dict__", {"name": name, "qubits": qubits, "clbit": clbit})
+        return gate
+
 
 def h(qubit: int) -> Gate:
     return Gate("h", (qubit,))
@@ -94,6 +101,17 @@ class Circuit:
                 if g.clbit in seen_clbits:
                     raise ValueError(f"classical bit {g.clbit} written twice")
                 seen_clbits.add(g.clbit)
+
+    @classmethod
+    def _of(cls, num_qubits: int, num_clbits: int, gates: tuple[Gate, ...], label: str,
+            compiled: tuple) -> Circuit:
+        """A circuit whose fields already keep the circuit rules (a placed
+        copy of one), with its lowered form `compiled`."""
+        circuit = object.__new__(cls)
+        object.__setattr__(circuit, "__dict__", {
+            "num_qubits": num_qubits, "num_clbits": num_clbits, "gates": gates,
+            "label": label, "_compiled": compiled})
+        return circuit
 
     def census(self) -> dict[str, int]:
         """Count gates by name."""
@@ -212,24 +230,34 @@ def embed_path(topo: DeviceTopology, length: int) -> list[int]:
 
     Deterministic: depth-first search starting from the lowest qubit index,
     visiting neighbors in ascending order, so repeated runs embed the same
-    chain. Only a qubit whose connected component holds `length` qubits is
-    a start, so a device with no such component raises NoPath at once;
+    chain. Only a qubit whose connected component can hold a simple path of
+    `length` qubits is a start: such a path holds at most two of the
+    component's degree-1 qubits, and in a bipartite component with sides a
+    and b it alternates sides, so it has at most 2·min(a, b) qubits, plus 1
+    if a ≠ b. A device with no such component raises NoPath at once;
     otherwise NoPath is raised when no simple path of that length exists.
     """
     if length < 2:
         raise ValueError("path length must be at least 2")
     if length > topo.num_qubits:
         raise NoPath(f"no {length}-qubit path in a {topo.num_qubits}-qubit device")
-    adjacency, size = topo._adjacency, {}  # size: each qubit's component's qubit count
+    adjacency, longest = topo._adjacency, {}  # longest: a bound on each qubit's component's paths
     for root in range(topo.num_qubits):
-        if root not in size:
-            component, stack = {root}, [root]
+        if root not in longest:
+            side, stack, bipartite = {root: 0}, [root], True  # side: a 2-colouring, if one exists
             while stack:
-                for q in adjacency[stack.pop()]:
-                    if q not in component:
-                        component.add(q)
-                        stack.append(q)
-            size.update(dict.fromkeys(component, len(component)))
+                q = stack.pop()
+                for nxt in adjacency[q]:
+                    if nxt not in side:
+                        side[nxt] = 1 - side[q]
+                        stack.append(nxt)
+                    bipartite &= side[nxt] != side[q]
+            ends = sum(len(adjacency[q]) == 1 for q in side)
+            bound = len(side) - max(ends - 2, 0)
+            if bipartite:
+                b = sum(side.values())
+                bound = min(bound, 2 * min(len(side) - b, b) + (2 * b != len(side)))
+            longest.update(dict.fromkeys(side, bound))
 
     def extend(path: list[int], visited: set[int]) -> list[int] | None:
         if len(path) == length:
@@ -241,7 +269,7 @@ def embed_path(topo: DeviceTopology, length: int) -> list[int]:
                     return found
         return None
 
-    for start in (q for q in range(topo.num_qubits) if size[q] >= length):
+    for start in (q for q in range(topo.num_qubits) if longest[q] >= length):
         found = extend([start], {start})
         if found is not None:
             return found

@@ -81,6 +81,10 @@ def place(template: Circuit, placements: list[tuple[tuple[int, ...], str]]) -> l
     takes the template's lowered form and, once compiled, its shape, with
     its own qubits as the actives: no placed circuit is lowered, and the
     circuits placed from one template share one shape in every `_laws` call.
+    A placed circuit inherits the template's gate and register checks, so
+    its gates and it are built from their fields; a placement of the wrong
+    width, with a repeated or negative qubit, or with an empty label raises
+    ValueError as the checking constructors do.
     """
     if template._compiled is None:
         object.__setattr__(template, "_compiled", (*_lower(template), None))
@@ -93,11 +97,15 @@ def place(template: Circuit, placements: list[tuple[tuple[int, ...], str]]) -> l
         if len(qubits) != template.num_qubits or len(set(qubits)) < len(qubits):
             raise ValueError(f"cannot place a {template.num_qubits}-qubit circuit on {qubits}")
         at = qubits.__getitem__
-        gates = [Gate(g.name, tuple(map(at, g.qubits)), g.clbit) for g in distinct.values()]
-        circuit = Circuit(max(qubits, default=-1) + 1, template.num_clbits,
-                          tuple(map(gates.__getitem__, order)), label)
-        object.__setattr__(circuit, "_compiled", (key, tuple(map(at, actives)), shape))
-        circuits.append(circuit)
+        placed = tuple(map(at, actives))
+        if min(placed, default=0) < 0:
+            raise ValueError("negative qubit index")
+        if not label:
+            raise ValueError("circuit label must be nonempty")
+        gates = [Gate._of(g.name, tuple(map(at, g.qubits)), g.clbit) for g in distinct.values()]
+        circuits.append(Circuit._of(max(qubits, default=-1) + 1, template.num_clbits,
+                                    tuple(map(gates.__getitem__, order)), label,
+                                    (key, placed, shape)))
     return circuits
 
 

@@ -1,5 +1,7 @@
 import json
 import random
+import signal
+from contextlib import contextmanager
 
 import pytest
 
@@ -141,6 +143,66 @@ def test_embed_path_fails_at_once_when_no_component_is_long_enough():
     with pytest.raises(NoPath):
         embed_path(topo, 36)
     assert embed_path(topo, 20)[0] == 1
+
+
+@contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError in the block once `seconds` have passed, so a
+    search that regresses to exhaustive fails instead of hanging."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still searching after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def _grid_with_pendants():
+    """A 6x6 grid with pendant qubits 36, 37 and 38 on qubits 7, 14 and 21:
+    one 39-qubit component whose sides hold 18 and 21 qubits."""
+    grid = [(q, q + step) for q in range(36) for step in (1, 6)
+            if (step == 6 or q % 6 < 5) and q + step < 36]
+    return DeviceTopology(39, tuple(grid + [(7, 36), (14, 37), (21, 38)]))
+
+
+@pytest.mark.parametrize("length", [39, 38])
+def test_embed_path_bounds_a_component_by_its_ends_and_sides(length):
+    """No simple path holds 39 qubits (it ends in at most two of the three
+    pendants) or 38 (it alternates sides, so holds at most 2 * 18 + 1), and
+    the search says so at once; an exhaustive one walks for minutes."""
+    topo = _grid_with_pendants()
+    with _deadline(5), pytest.raises(NoPath, match=f"length {length} exists"):
+        embed_path(topo, length)
+    with _deadline(5):
+        assert embed_path(topo, 36)[:6] == [0, 1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_embed_path_is_the_scan_search_on_devices_with_pendants(seed):
+    """On random connected-ish devices of 4 to 8 core qubits, some of them
+    bipartite, with 0 to 3 pendant qubits hung on them, every length finds
+    the scan search's path, or NoPath when it finds none."""
+    rng = random.Random(seed)
+    core = rng.randint(4, 8)
+    pairs = [(a, b) for a in range(core) for b in range(a + 1, core)]
+    if seed % 2:  # a bipartite core: only pairs across its two halves
+        pairs = [(a, b) for a, b in pairs if (a < core // 2) != (b < core // 2)]
+    chosen = [(q, q + 1) for q in range(core - 1)] if seed % 3 == 0 else []
+    chosen += rng.sample(pairs, rng.randint(0, min(len(pairs), core)))
+    pendants = rng.randint(0, 3)
+    chosen += [(rng.randrange(core), core + k) for k in range(pendants)]
+    topo = DeviceTopology(core + pendants, tuple(dict.fromkeys(chosen)))
+    for length in range(2, topo.num_qubits + 1):
+        want = _scanned_path(topo, length)
+        if want is None:
+            with pytest.raises(NoPath):
+                embed_path(topo, length)
+        else:
+            assert embed_path(topo, length) == want
 
 
 def test_embed_path_full_ladder(ladder20):

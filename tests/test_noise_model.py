@@ -1,4 +1,5 @@
 import ast
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -534,3 +535,14 @@ def test_only_noise_reads_a_models_flags():
              for path in sorted(package.glob("*.py"))}
     assert reads.pop("noise.py")
     assert {name: found for name, found in reads.items() if found} == {}
+
+
+@pytest.mark.parametrize("where, name", [("x_gate", "p_x"), ("h_gate", "p_h"),
+                                         ("cnot", "p_cnot")])
+def test_a_nan_between_valid_rates_is_refused(where, name):
+    """No shortcut over a whole rate list (a min and a max skip NaN) may
+    pass a NaN rate."""
+    keys = [(0, 1), (1, 2), (2, 3)] if where == "cnot" else [0, 1, 2]
+    rates = dict(zip(keys, [0.1, math.nan, 0.2]))
+    with pytest.raises(OutOfRange, match=f"^{name}=nan is not a probability$"):
+        CompositeNoiseModel(**{where: rates})
